@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .env import ACTION_GRID, EnvState, ReserveEnv
+from .env import ACTION_GRID, TIE_BREAK_ORDER, EnvState, ReserveEnv
 from .errors import EmptyBatch, LengthMismatch, NonFiniteGradient
 from .nets import (
     Adam,
@@ -35,6 +35,14 @@ N_ACTIONS = len(ACTION_GRID)
 
 #: Divisor that maps the regime level into the observation's unit range.
 LEVEL_SCALE = 3.0
+
+_TIE_BREAK = np.asarray(TIE_BREAK_ORDER)
+
+#: Top-two probability gap (relative) below which a batched greedy choice
+#: is re-decided on its own row.  A batched matrix product may round
+#: differently from a single-row one in the last bits (about 1e-15 here),
+#: so only a near-tie could flip; 1e-9 leaves a wide margin.
+_NEAR_TIE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -63,19 +71,23 @@ class PPOConfig:
 
 
 def observe(state: EnvState) -> np.ndarray:
-    """Flatten the environment state into the 7-feature observation."""
-    return np.array(
-        [
-            state.reserve,
-            state.loss,
-            state.volatility,
-            state.adequacy,
-            state.violation_memory,
-            state.shock,
-            state.level / LEVEL_SCALE,
-        ],
-        dtype=float,
-    )
+    """Flatten the environment state into the 7-feature observation:
+    shape (7,), or (E, 7) for a lockstep state of (E,) columns."""
+    features = [
+        state.reserve,
+        state.loss,
+        state.volatility,
+        state.adequacy,
+        state.violation_memory,
+        state.shock,
+        state.level / LEVEL_SCALE,
+    ]
+    if np.ndim(state.reserve) == 0:
+        return np.array(features, dtype=float)
+    obs = np.empty((len(state.reserve), OBS_DIM))
+    for i, column in enumerate(features):
+        obs[:, i] = column
+    return obs
 
 
 def init_agent(rng: np.random.Generator, config: PPOConfig) -> tuple[MLPParams, MLPParams]:
@@ -106,13 +118,23 @@ def act_sample(
     return action, float(logp_all[action])
 
 
-def act_greedy(policy: MLPParams, obs: np.ndarray) -> int:
+def act_greedy(policy: MLPParams, obs: np.ndarray) -> int | np.ndarray:
     """Most probable action; ties prefer the smallest adjustment, then
-    the negative-sign variant (so a uniform policy holds the reserve)."""
-    probs = softmax(policy_logits(policy, obs))[0]
-    best = probs.max()
-    candidates = [i for i in range(N_ACTIONS) if probs[i] == best]
-    return min(candidates, key=lambda i: (abs(ACTION_GRID[i]), ACTION_GRID[i]))
+    the negative-sign variant (so a uniform policy holds the reserve).
+
+    ``obs`` of shape (7,) gives an int; (B, 7) gives (B,) actions from
+    one batched forward pass, each equal to the row's own (7,) choice.
+    """
+    probs = softmax(policy_logits(policy, obs))[:, _TIE_BREAK]
+    best = probs.max(axis=1, keepdims=True)
+    actions = _TIE_BREAK[np.argmax(probs == best, axis=1)]
+    if obs.ndim == 1:
+        return int(actions[0])
+    if len(obs) > 1:
+        runner_up = np.partition(probs, -2, axis=1)[:, -2]
+        for i in np.flatnonzero(best[:, 0] - runner_up <= _NEAR_TIE * best[:, 0]):
+            actions[i] = act_greedy(policy, obs[i])
+    return actions
 
 
 def state_value(value: MLPParams, obs: np.ndarray) -> float:

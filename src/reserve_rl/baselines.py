@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .env import ACTION_GRID, EpisodeInfo, ReserveEnv, Trace, TraceRecorder
+from .env import ACTION_GRID, TIE_BREAK_ORDER, EpisodeInfo, ReserveEnv, Trace
 from .errors import DegenerateResiduals, InsufficientData, MissingPremium
 from .triangles import DevelopmentFactors, LossTriangle, age_to_age_factors
 
@@ -33,6 +33,8 @@ RESERVE_TABLE_HEADER = "method,accident_year,latest,ultimate,reserve"
 #: Relative chase gap beyond which the replay jumps to the extreme action.
 _MAX_STEP = max(ACTION_GRID)
 HOLD_ACTION_INDEX = ACTION_GRID.index(0.0)
+_TIE_BREAK = np.asarray(TIE_BREAK_ORDER)
+_ORDERED_GRID = np.asarray(ACTION_GRID)[_TIE_BREAK]
 
 
 @dataclass(frozen=True)
@@ -400,33 +402,33 @@ def replay_static_policy(
     method prescribes for the post-action position, matching how the
     reward is scored): the nearest grid action when the required move is
     within the grid's range, otherwise the extreme action in that
-    direction.  The final step holds the path's last value.
+    direction.  The final step holds the path's last value.  All
+    episodes step in lockstep.
     """
-    recorder = TraceRecorder()
-    for episode in range(episodes):
-        state = env.reset()
-        info = env.episode_info
-        assert info is not None
-        path = np.asarray(path_builder(info, env.horizon), dtype=float)
-        for t in range(env.horizon):
-            target = path[min(t + 1, path.size - 1)]
-            action = _chase_action(state.reserve, target)
-            outcome = env.step(action)
-            recorder.record(episode_offset + episode, t, outcome)
-            state = outcome.state
-    return recorder.build()
+    paths = env.draw_paths(episodes)
+    targets = np.empty((paths.n_episodes, env.horizon))
+    for e, info in enumerate(paths.infos):
+        targets[e] = path_builder(info, env.horizon)
+    last = env.horizon - 1
+    return env.rollout(
+        paths,
+        lambda state: _chase_action(state.reserve, targets[:, min(state.t + 1, last)]),
+        episode_offset,
+    )
 
 
-def _chase_action(reserve: float, target: float) -> int:
-    if reserve <= 0.0:
-        return len(ACTION_GRID) - 1 if target > 0.0 else HOLD_ACTION_INDEX
-    ratio = target / reserve - 1.0
-    if abs(ratio) <= _MAX_STEP + 1e-12:
-        return min(
-            range(len(ACTION_GRID)),
-            key=lambda i: (abs(ACTION_GRID[i] - ratio), abs(ACTION_GRID[i]), ACTION_GRID[i]),
-        )
-    return len(ACTION_GRID) - 1 if ratio > 0.0 else 0
+def _chase_action(reserve: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Action indices steering each reserve toward its target (elementwise)."""
+    reserve = np.asarray(reserve, dtype=float)
+    target = np.asarray(target, dtype=float)
+    solvent = reserve > 0.0
+    ratio = target / np.where(solvent, reserve, 1.0) - 1.0
+    # first minimum in tie-break order: nearest move, then smallest, cut first
+    nearest = _TIE_BREAK[np.argmin(np.abs(_ORDERED_GRID - ratio[..., None]), axis=-1)]
+    extreme = np.where(ratio > 0.0, len(ACTION_GRID) - 1, 0)
+    chased = np.where(np.abs(ratio) <= _MAX_STEP + 1e-12, nearest, extreme)
+    bankrupt = np.where(target > 0.0, len(ACTION_GRID) - 1, HOLD_ACTION_INDEX)
+    return np.where(solvent, chased, bankrupt)
 
 
 def chain_ladder_runner(factors: DevelopmentFactors) -> Callable[[ReserveEnv, int], Trace]:

@@ -13,19 +13,27 @@ volatility proxy -> shortfall -> push to buffer -> adaptive alpha ->
 tail estimate -> floor check on the new reserve -> violation memory ->
 reward.  All reward components therefore describe the post-transition
 position.
+
+Evaluation steps whole runs of episodes at once (:meth:`ReserveEnv.draw_paths`
+then :meth:`ReserveEnv.rollout`): the loss path never reads the reserve,
+so it is drawn up front, the reserve recurrence advances every episode
+one period at a time, and the buffer's tail estimates are replayed
+afterwards in the order single-episode stepping would have made them.
+Most transition pieces below therefore take floats or equal-shape arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ActionOutOfGrid, ConfigMismatch, EpisodeFinished
 from .regimes import (
     DEFAULT_REGIME_TABLE,
+    MIN_SHOCK,
     CurriculumSchedule,
     RegimeSpec,
     ShockMode,
@@ -41,6 +49,13 @@ ACTION_GRID: tuple[float, ...] = (-0.10, -0.066, -0.033, 0.0, 0.033, 0.066, 0.10
 
 #: Index of the "hold" action (adjustment 0.0).
 HOLD_ACTION = ACTION_GRID.index(0.0)
+
+#: Action indices from smallest to largest move, the cut before the
+#: raise at equal size: (3, 2, 4, 1, 5, 0, 6).  Ties between equally
+#: good actions go to the earliest index in this order.
+TIE_BREAK_ORDER: tuple[int, ...] = tuple(
+    sorted(range(len(ACTION_GRID)), key=lambda i: (abs(ACTION_GRID[i]), ACTION_GRID[i]))
+)
 
 #: (base, slope) of the solvency floor base + slope * V.
 DEFAULT_FLOOR = (0.4, 0.2)
@@ -119,7 +134,11 @@ class EnvConfig:
 
 @dataclass(frozen=True)
 class EnvState:
-    """Observable state at decision time t."""
+    """Observable state at decision time t.
+
+    During a lockstep rollout the float fields are (E,) columns, one
+    entry per episode, while ``level`` and ``t`` are shared.
+    """
 
     reserve: float           # carried reserve R
     loss: float              # cumulative incurred losses L
@@ -133,7 +152,8 @@ class EnvState:
 
 @dataclass(frozen=True)
 class RewardComponents:
-    """Post-transition quantities entering the reward."""
+    """Post-transition quantities entering the reward (floats for one
+    step, equal-shape arrays for a lockstep rollout)."""
 
     shortfall: float
     cvar: float
@@ -166,7 +186,12 @@ class EpisodeInfo:
 
 def apply_action(reserve: float, adjustment: float) -> float:
     """New reserve after a proportional adjustment, floored at zero."""
-    return max(0.0, reserve * (1.0 + adjustment))
+    return np.maximum(0.0, reserve * (1.0 + adjustment))
+
+
+def grow_losses(loss: float, factor: float, shock: float, eps: float) -> float:
+    """``max(0, L * (1 + (factor - 1) * shock + eps))`` for a drawn noise eps."""
+    return np.maximum(0.0, loss * (1.0 + (factor - 1.0) * shock + eps))
 
 
 def develop_losses(
@@ -183,18 +208,33 @@ def develop_losses(
     ``eps ~ Normal(0, (noise_gain * sqrt(noise_var))^2)``.
     """
     eps = float(rng.normal(0.0, noise_gain * math.sqrt(noise_var)))
-    return max(0.0, loss * (1.0 + (factor - 1.0) * shock + eps))
+    return float(grow_losses(loss, factor, shock, eps))
 
 
 def volatility_proxy(growths: Sequence[float], window: int, vol_scale: float) -> float:
     """Trailing population stddev of realized growth, squashed to [0, 1].
 
+    ``growths`` holds one entry per step so far: floats, or (E,) columns
+    (or the rows of a (steps, E) array) for episodes stepped in lockstep,
+    giving an (E,) result.  The arithmetic is ``np.std``'s, in its order
+    (sequential sum, divide by n, sequential sum of squared deviations,
+    divide by n, square root), so it matches ``np.std`` bit for bit.
     Fewer than two observations give 0 (no dispersion measurable yet).
     """
-    recent = np.asarray(growths[-window:], dtype=float)
-    if recent.size < 2:
+    recent = growths[-window:]
+    n = len(recent)
+    if n < 2:
         return 0.0
-    return min(1.0, float(recent.std()) / vol_scale)
+    total = recent[0]
+    for g in recent[1:]:
+        total = total + g
+    mean = total / n
+    dev = recent[0] - mean
+    squares = dev * dev
+    for g in recent[1:]:
+        dev = g - mean
+        squares = squares + dev * dev
+    return np.minimum(1.0, np.sqrt(squares / n) / vol_scale)
 
 
 def solvency_floor(volatility: float, base: float, slope: float) -> float:
@@ -204,7 +244,7 @@ def solvency_floor(volatility: float, base: float, slope: float) -> float:
 
 def update_violation_memory(memory: float, violated: bool) -> float:
     """EMA of breach indicators: 0.95 * memory + 0.05 * indicator."""
-    return 0.95 * memory + 0.05 * (1.0 if violated else 0.0)
+    return 0.95 * memory + 0.05 * violated
 
 
 def compute_reward(weights: RewardWeights, components: RewardComponents) -> float:
@@ -213,8 +253,32 @@ def compute_reward(weights: RewardWeights, components: RewardComponents) -> floa
         weights.shortfall * components.shortfall
         + weights.cvar * components.cvar
         + weights.inefficiency * components.inefficiency
-        + weights.floor * (1.0 if components.violated else 0.0)
+        + weights.floor * components.violated
     )
+
+
+@dataclass(frozen=True)
+class LossPaths:
+    """The action-independent part of a run of episodes, drawn up front.
+
+    Row e is episode e; column t is the position at decision time t
+    (column 0 is the reset position, column H the end of the episode).
+    Nothing here depends on the reserve, so one draw serves any policy.
+    """
+
+    infos: tuple[EpisodeInfo, ...]
+    level: int
+    loss: np.ndarray        # (E, H + 1) cumulative incurred losses
+    volatility: np.ndarray  # (E, H + 1) volatility proxy
+    shock: np.ndarray       # (E, H + 1) shock driving the step from t
+
+    @property
+    def n_episodes(self) -> int:
+        return len(self.infos)
+
+
+#: Lockstep action rule: (E,) action indices for a lockstep state.
+LockstepPolicy = Callable[[EnvState], np.ndarray]
 
 
 class ReserveEnv:
@@ -288,13 +352,8 @@ class ReserveEnv:
         self._ramp_progress = episode_progress
         self._schedule = schedule
 
-        year = self.triangle.years[int(self.rng.integers(self.triangle.n_accident_years))]
-        initial_loss = self.triangle.value(year, 1)
-        self.episode_info = EpisodeInfo(
-            accident_year=year,
-            premium=self.triangle.premium(year),
-            initial_loss=initial_loss,
-        )
+        self.episode_info = self._draw_episode_info()
+        initial_loss = self.episode_info.initial_loss
         first_shock = shock_for_step(self._mode, episode_progress, schedule, self.rng, table)
         self._growths = []
         self._done = False
@@ -309,6 +368,14 @@ class ReserveEnv:
             t=0,
         )
         return self.state
+
+    def _draw_episode_info(self) -> EpisodeInfo:
+        year = self.triangle.years[int(self.rng.integers(self.triangle.n_accident_years))]
+        return EpisodeInfo(
+            accident_year=year,
+            premium=self.triangle.premium(year),
+            initial_loss=self.triangle.value(year, 1),
+        )
 
     def step(self, action_index: int) -> StepOutcome:
         """Advance one period under the chosen reserve adjustment."""
@@ -325,14 +392,14 @@ class ReserveEnv:
         cfg = self.config
         table = cfg.regime_table or DEFAULT_REGIME_TABLE
 
-        new_reserve = apply_action(state.reserve, adjustment)
+        new_reserve = float(apply_action(state.reserve, adjustment))
         factor = self.factors.factor_for_step(state.t)
         new_loss = develop_losses(
             state.loss, factor, state.shock, self._shock_var, cfg.noise_gain, self.rng
         )
         growth = new_loss / state.loss - 1.0 if state.loss > 0.0 else 0.0
         self._growths.append(growth)
-        new_vol = volatility_proxy(self._growths, cfg.vol_window, cfg.vol_scale)
+        new_vol = float(volatility_proxy(self._growths, cfg.vol_window, cfg.vol_scale))
 
         shortfall = max(0.0, new_loss - new_reserve)
         self.buffer.push(shortfall)
@@ -382,6 +449,155 @@ class ReserveEnv:
             action_value=adjustment,
         )
 
+    def draw_paths(self, episodes: int) -> LossPaths:
+        """Draw the loss paths of the next ``episodes`` episodes.
+
+        The generator moves exactly as ``episodes`` rounds of
+        :meth:`reset` (default arguments) and ``horizon`` :meth:`step`
+        calls would move it: per episode the accident year, then the
+        episode's normals in one call, in the scalar order -- the first
+        shock, then development noise and the next shock for each step
+        (fixed shocks draw nothing of their own).  ``loc + scale * z`` is
+        how the generator forms a normal, so each value matches its
+        scalar draw bit for bit.
+        """
+        cfg = self.config
+        table = cfg.regime_table or DEFAULT_REGIME_TABLE
+        mode = self._mode
+        mu, var = effective_params(mode, 1.0, CurriculumSchedule(), table)
+        stochastic = isinstance(mode, Stochastic)
+        horizon = self.horizon
+        n_normals = 1 + 2 * horizon if stochastic else horizon
+
+        infos = []
+        z = np.empty((episodes, n_normals))
+        for e in range(episodes):
+            infos.append(self._draw_episode_info())
+            z[e] = self.rng.standard_normal(n_normals)
+        self._done = True  # the stream has moved past any episode in progress
+
+        if stochastic:
+            shock = mu + math.sqrt(var) * z[:, 0::2]
+            shock = np.where(shock < MIN_SHOCK, MIN_SHOCK, shock)
+            noise = z[:, 1::2]
+        else:
+            shock = np.full((episodes, horizon + 1), mode.m)
+            noise = z
+        eps = 0.0 + cfg.noise_gain * math.sqrt(var) * noise
+
+        loss = np.empty((episodes, horizon + 1))
+        loss[:, 0] = [info.initial_loss for info in infos]
+        growth = np.empty((horizon, episodes))
+        volatility = np.zeros((episodes, horizon + 1))
+        for t in range(horizon):
+            prev = loss[:, t]
+            new = grow_losses(prev, self.factors.factor_for_step(t), shock[:, t], eps[:, t])
+            loss[:, t + 1] = new
+            alive = prev > 0.0
+            growth[t] = np.where(alive, new / np.where(alive, prev, 1.0) - 1.0, 0.0)
+            volatility[:, t + 1] = volatility_proxy(growth[:t + 1], cfg.vol_window, cfg.vol_scale)
+        return LossPaths(
+            infos=tuple(infos),
+            level=mode.level if stochastic else 0,
+            loss=loss,
+            volatility=volatility,
+            shock=shock,
+        )
+
+    def rollout(
+        self, paths: LossPaths, policy: LockstepPolicy, episode_offset: int = 0
+    ) -> Trace:
+        """Step every episode of ``paths`` at once under ``policy``.
+
+        The reserve, floor and violation memory advance one period at a
+        time for all episodes together.  The tail term then comes from
+        one pass over the shortfall buffer in episode-major order (push,
+        alpha, estimate), so the buffer ends, and every reward comes out,
+        exactly as stepping the episodes one by one would leave them.
+
+        Raises:
+            ActionOutOfGrid: ``policy`` returned anything but one valid
+                integer action index per episode.
+        """
+        cfg = self.config
+        n_episodes, horizon = paths.n_episodes, self.horizon
+        grid = np.asarray(ACTION_GRID)
+        shape = (n_episodes, horizon)
+        reserve_path = np.empty(shape)
+        adjustment = np.empty(shape)
+        memory_path = np.empty(shape)
+        violated = np.empty(shape, dtype=bool)
+
+        reserve = paths.loss[:, 0]
+        memory = np.zeros(n_episodes)
+        adequacy = np.ones(n_episodes)
+        for t in range(horizon):
+            state = EnvState(
+                reserve=reserve,
+                loss=paths.loss[:, t],
+                volatility=paths.volatility[:, t],
+                adequacy=adequacy,
+                violation_memory=memory,
+                shock=paths.shock[:, t],
+                level=paths.level,
+                t=t,
+            )
+            actions = np.asarray(policy(state))
+            if (
+                actions.shape != (n_episodes,)
+                or actions.dtype.kind not in "iu"
+                or np.any((actions < 0) | (actions >= len(ACTION_GRID)))
+            ):
+                raise ActionOutOfGrid(
+                    f"policy must return {n_episodes} action indices in "
+                    f"[0, {len(ACTION_GRID)}), got {actions!r}"
+                )
+            adjustment[:, t] = grid[actions]
+            reserve = apply_action(reserve, adjustment[:, t])
+            floor = solvency_floor(paths.volatility[:, t + 1], cfg.floor_base, cfg.floor_slope)
+            violated[:, t] = reserve < floor
+            memory = update_violation_memory(memory, violated[:, t])
+            adequacy = 1.0 - np.abs(reserve - paths.loss[:, t + 1])
+            reserve_path[:, t] = reserve
+            memory_path[:, t] = memory
+
+        loss = paths.loss[:, 1:]
+        volatility = paths.volatility[:, 1:]
+        shortfall = np.maximum(0.0, loss - reserve_path)
+        alpha = np.empty(shape)
+        cvar = np.empty(shape)
+        flat_alpha, flat_cvar = alpha.reshape(-1), cvar.reshape(-1)
+        for i, (sf, vol) in enumerate(zip(shortfall.ravel().tolist(), volatility.ravel().tolist())):
+            self.buffer.push(sf)
+            a = cfg.alpha_override if cfg.alpha_override is not None else adaptive_alpha(vol)
+            flat_alpha[i] = a
+            flat_cvar[i] = empirical_cvar(self.buffer, a).cvar
+        inefficiency = np.abs(reserve_path - loss)
+        reward = compute_reward(cfg.weights, RewardComponents(
+            shortfall=shortfall,
+            cvar=cvar,
+            inefficiency=inefficiency,
+            violated=violated,
+            floor=solvency_floor(volatility, cfg.floor_base, cfg.floor_slope),
+            alpha=alpha,
+        ))
+        return Trace(
+            episode=np.repeat(np.arange(n_episodes) + episode_offset, horizon),
+            t=np.tile(np.arange(horizon), n_episodes),
+            reserve=reserve_path.ravel(),
+            loss=loss.ravel(),
+            volatility=volatility.ravel(),
+            adequacy=(1.0 - inefficiency).ravel(),
+            violation_memory=memory_path.ravel(),
+            shock=paths.shock[:, :horizon].ravel(),
+            level=np.full(n_episodes * horizon, paths.level),
+            action=adjustment.ravel(),
+            reward=reward.ravel(),
+            shortfall=shortfall.ravel(),
+            cvar=cvar.ravel(),
+            violated=violated.ravel().astype(float),
+        )
+
 
 # --- per-step traces ----------------------------------------------------------
 
@@ -390,6 +606,7 @@ _TRACE_COLUMNS = (
     "violation_memory", "shock", "level", "action", "reward",
     "shortfall", "cvar", "violated",
 )
+_CSV_INT_COLUMNS = ("episode", "t", "level", "violated")
 
 
 @dataclass
@@ -430,49 +647,15 @@ class Trace:
         })
 
     def write_csv(self, path: str) -> None:
+        # tolist() yields Python ints and floats, whose repr is a plain
+        # decimal that round-trips (not "np.float64(...)")
+        columns = [
+            getattr(self, name).astype(int if name in _CSV_INT_COLUMNS else float).tolist()
+            for name in _TRACE_COLUMNS
+        ]
         with open(path, "w", newline="") as handle:
             handle.write(TRACE_HEADER + "\n")
-            for i in range(self.n_steps):
-                # float() unwraps numpy scalars so repr round-trips as a
-                # plain decimal instead of "np.float64(...)"
-                handle.write(
-                    f"{int(self.episode[i])},{int(self.t[i])},{float(self.reserve[i])!r},"
-                    f"{float(self.loss[i])!r},{float(self.volatility[i])!r},"
-                    f"{float(self.adequacy[i])!r},{float(self.violation_memory[i])!r},"
-                    f"{float(self.shock[i])!r},{int(self.level[i])},"
-                    f"{float(self.action[i])!r},{float(self.reward[i])!r},"
-                    f"{float(self.shortfall[i])!r},{float(self.cvar[i])!r},"
-                    f"{int(self.violated[i])}\n"
-                )
-
-
-class TraceRecorder:
-    """Accumulates step outcomes into a columnar :class:`Trace`."""
-
-    def __init__(self) -> None:
-        self._rows: dict[str, list] = {name: [] for name in _TRACE_COLUMNS}
-
-    def record(self, episode: int, step_index: int, outcome: StepOutcome) -> None:
-        state = outcome.state
-        rows = self._rows
-        rows["episode"].append(episode)
-        rows["t"].append(step_index)
-        rows["reserve"].append(state.reserve)
-        rows["loss"].append(state.loss)
-        rows["volatility"].append(state.volatility)
-        rows["adequacy"].append(state.adequacy)
-        rows["violation_memory"].append(state.violation_memory)
-        rows["shock"].append(outcome.shock_applied)
-        rows["level"].append(state.level)
-        rows["action"].append(outcome.action_value)
-        rows["reward"].append(outcome.reward)
-        rows["shortfall"].append(outcome.components.shortfall)
-        rows["cvar"].append(outcome.components.cvar)
-        rows["violated"].append(1.0 if outcome.components.violated else 0.0)
-
-    def build(self) -> Trace:
-        arrays = {}
-        for name, values in self._rows.items():
-            dtype = int if name in ("episode", "t", "level") else float
-            arrays[name] = np.asarray(values, dtype=dtype)
-        return Trace(**arrays)
+            handle.writelines(
+                f"{e},{t},{r!r},{l!r},{v!r},{k!r},{m!r},{s!r},{lv},{a!r},{w!r},{sf!r},{c!r},{x}\n"
+                for e, t, r, l, v, k, m, s, lv, a, w, sf, c, x in zip(*columns)
+            )

@@ -35,7 +35,7 @@ from .agent import (
     observe,
     train_curriculum,
 )
-from .env import ReserveEnv, Trace, TraceRecorder
+from .env import ReserveEnv, Trace
 from .errors import EmptyReport, IoFailure, NoEligibleSteps, TooFewSamples
 from .nets import MLPParams
 from .regimes import CurriculumSchedule, FixedShock, ShockMode, Stochastic
@@ -160,16 +160,13 @@ def run_policy_episodes(
     episodes: int,
     episode_offset: int = 0,
 ) -> Trace:
-    """Roll the greedy policy for a fixed number of episodes."""
-    recorder = TraceRecorder()
-    for episode in range(episodes):
-        state = env.reset()
-        for t in range(env.horizon):
-            action = act_greedy(policy, observe(state))
-            outcome = env.step(action)
-            recorder.record(episode_offset + episode, t, outcome)
-            state = outcome.state
-    return recorder.build()
+    """Roll the greedy policy for a fixed number of episodes, all of
+    them in lockstep (one batched forward pass per step)."""
+    return env.rollout(
+        env.draw_paths(episodes),
+        lambda state: act_greedy(policy, observe(state)),
+        episode_offset,
+    )
 
 
 def greedy_runner(policy: MLPParams) -> ModelRunner:

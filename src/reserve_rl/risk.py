@@ -20,8 +20,9 @@ behaviours.
 from __future__ import annotations
 
 import math
-from collections import deque
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -53,6 +54,14 @@ class ShortfallBuffer:
     Oldest samples are evicted once ``capacity`` is reached.  The buffer
     deliberately spans episode boundaries: the tail estimate should
     reflect recent operating history, not just the current episode.
+
+    Two views of the window are maintained on every push, so a tail
+    estimate costs a bisect lookup and one masked mean instead of a full
+    sort: a sorted list (order statistics) and a mirrored ring of length
+    ``2 * capacity`` in which every sample is stored twice, ``capacity``
+    slots apart, so the window in FIFO order is always one contiguous
+    slice (the tail mean then sums the same values in the same order as
+    a freshly built array would, bit for bit).
     """
 
     def __init__(self, capacity: int = 1024, warmup_min: int = 20) -> None:
@@ -62,34 +71,74 @@ class ShortfallBuffer:
             raise ValueError(f"warmup_min must be >= 1, got {warmup_min}")
         self.capacity = capacity
         self.warmup_min = warmup_min
-        self._samples: deque[float] = deque(maxlen=capacity)
+        self._ring = np.zeros(2 * capacity)
+        self._start = 0
+        self._count = 0
+        self._sorted: list[float] = []
         self._total_pushed = 0
 
     def push(self, shortfall: float) -> None:
         if not math.isfinite(shortfall) or shortfall < 0.0:
             raise ValueError(f"shortfalls must be finite and >= 0, got {shortfall!r}")
-        self._samples.append(float(shortfall))
+        # + 0.0 stores -0.0 as 0.0, so order statistics have one zero
+        value = float(shortfall) + 0.0
+        if self._count == self.capacity:
+            slot = self._start
+            del self._sorted[bisect_left(self._sorted, self._ring.item(slot))]
+            self._start = (slot + 1) % self.capacity
+        else:
+            slot = (self._start + self._count) % self.capacity
+            self._count += 1
+        self._ring[slot] = value
+        self._ring[slot + self.capacity] = value
+        insort(self._sorted, value)
         self._total_pushed += 1
 
     def clear(self) -> None:
-        self._samples.clear()
+        self._start = 0
+        self._count = 0
+        self._sorted.clear()
 
     def __len__(self) -> int:
-        return len(self._samples)
+        return self._count
+
+    def __iter__(self) -> Iterator[float]:
+        return iter(self._window().tolist())
 
     @property
     def total_pushed(self) -> int:
         return self._total_pushed
 
+    def _window(self) -> np.ndarray:
+        """Current samples, oldest first, as a view into the ring."""
+        return self._ring[self._start:self._start + self._count]
+
     def as_array(self) -> np.ndarray:
-        return np.fromiter(self._samples, dtype=float, count=len(self._samples))
+        return self._window().copy()
+
+    def tail_estimate(self, alpha: float) -> TailEstimate:
+        """:func:`tail_estimate` of the current window, without sorting it.
+
+        Raises:
+            EmptyBuffer: The buffer holds no samples.
+            InvalidAlpha: alpha outside (0, 1).
+        """
+        _check_alpha(alpha)
+        if self._count == 0:
+            raise EmptyBuffer("cannot take a quantile of an empty sample")
+        var = self._sorted[_nearest_rank(alpha, self._count) - 1]
+        window = self._window()
+        tail = window[window >= var]
+        # the sum and division ndarray.mean performs, without its overhead
+        cvar = float(np.add.reduce(tail)) / tail.size
+        return TailEstimate(alpha=alpha, var=var, cvar=cvar, tail_count=tail.size)
 
     def dump_csv(self, path: str) -> None:
         """Write current contents as ``step_index,shortfall`` rows for audit."""
-        start = self._total_pushed - len(self._samples)
+        start = self._total_pushed - self._count
         with open(path, "w", newline="") as handle:
             handle.write("step_index,shortfall\n")
-            for offset, value in enumerate(self._samples):
+            for offset, value in enumerate(self):
                 handle.write(f"{start + offset},{value!r}\n")
 
 
@@ -103,6 +152,11 @@ def adaptive_alpha(volatility: float) -> float:
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha!r}")
+
+
+def _nearest_rank(alpha: float, n: int) -> int:
+    """1-based rank ceil(alpha * n), clamped to [1, n]."""
+    return min(max(math.ceil(alpha * n - _RANK_EPS), 1), n)
 
 
 def empirical_var(samples: np.ndarray, alpha: float) -> float:
@@ -121,9 +175,7 @@ def empirical_var(samples: np.ndarray, alpha: float) -> float:
     n = samples.size
     if n == 0:
         raise EmptyBuffer("cannot take a quantile of an empty sample")
-    rank = math.ceil(alpha * n - _RANK_EPS)
-    rank = min(max(rank, 1), n)
-    return float(np.sort(samples)[rank - 1])
+    return float(np.sort(samples)[_nearest_rank(alpha, n) - 1])
 
 
 def tail_estimate(samples: np.ndarray, alpha: float) -> TailEstimate:
@@ -149,7 +201,7 @@ def empirical_cvar(buffer: ShortfallBuffer, alpha: float) -> TailEstimate:
     _check_alpha(alpha)
     if len(buffer) < buffer.warmup_min:
         return TailEstimate(alpha=alpha, var=0.0, cvar=0.0, tail_count=0, warmup=True)
-    return tail_estimate(buffer.as_array(), alpha)
+    return buffer.tail_estimate(alpha)
 
 
 def cvar_rockafellar_oracle(samples: np.ndarray, alpha: float) -> float:

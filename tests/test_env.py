@@ -15,7 +15,6 @@ from reserve_rl.env import (
     ReserveEnv,
     RewardWeights,
     Trace,
-    TraceRecorder,
     apply_action,
     compute_reward,
     develop_losses,
@@ -26,6 +25,7 @@ from reserve_rl.env import (
 from reserve_rl.errors import ActionOutOfGrid, ConfigMismatch, EpisodeFinished
 from reserve_rl.regimes import FixedShock, Stochastic
 from reserve_rl.triangles import DevelopmentFactors, triangle_from_arrays
+from scalar_oracle import TraceRecorder
 
 GRID_FACTORS = DevelopmentFactors(factors=(1.10, 1.066))
 

@@ -1,0 +1,158 @@
+"""Lockstep rollouts against the step-by-step environment.
+
+Every evaluation rollout now steps all episodes of a cell at once.  The
+scalar loops in ``scalar_oracle`` are the reference: on identically
+seeded environments both must write the same trace bytes (a value
+comparison would let -0.0 pass for 0.0) and leave the generator and
+the shortfall buffer in the same state.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from reserve_rl.agent import act_greedy
+from reserve_rl.baselines import (
+    _chase_action,
+    bootstrap_chain_ladder,
+    bootstrap_path,
+    bootstrap_runner,
+    bornhuetter_ferguson_path,
+    bornhuetter_ferguson_runner,
+    chain_ladder_path,
+    chain_ladder_runner,
+    implied_loss_ratio,
+)
+from reserve_rl.env import ACTION_GRID, EnvConfig, ReserveEnv, Trace
+from reserve_rl.errors import ActionOutOfGrid
+from reserve_rl.evaluate import run_policy_episodes
+from reserve_rl.nets import init_mlp
+from reserve_rl.regimes import FixedShock, Stochastic
+from scalar_oracle import chase_action, greedy_action, scalar_policy_episodes, scalar_replay
+
+EPISODES = 60
+CONDITIONS = [Stochastic(0), Stochastic(1), Stochastic(2), Stochastic(3),
+              FixedShock(0.8), FixedShock(2.0)]
+CONFIGS = {
+    "default": {},
+    "noiseless": {"noise_gain": 0.0},
+    "alpha_override": {"alpha_override": 0.97},
+    "small_buffer": {"buffer_capacity": 64},
+}
+
+
+def perturbed_policy(seed: int = 7):
+    """A random policy with steep hidden layers, so greedy actions vary."""
+    return init_mlp((7, 64, 64, 7), np.random.default_rng(seed), final_gain=1.0, hidden_gain=10.0)
+
+
+def trace_bytes(trace: Trace, tmp_path, name: str) -> bytes:
+    path = tmp_path / name
+    trace.write_csv(str(path))
+    return path.read_bytes()
+
+
+def buffer_bits(env: ReserveEnv) -> list[str]:
+    return [x.hex() for x in env.buffer]
+
+
+def assert_same_run(make_env, lockstep, scalar, tmp_path) -> Trace:
+    """Two halves per env, so the second starts on a warm buffer."""
+    env_a, env_b = make_env(), make_env()
+    half = EPISODES // 2
+    traces_a = [lockstep(env_a, half, 0), lockstep(env_a, half, half)]
+    traces_b = [scalar(env_b, half, 0), scalar(env_b, half, half)]
+    a, b = Trace.concat(traces_a), Trace.concat(traces_b)
+    assert trace_bytes(a, tmp_path, "a.csv") == trace_bytes(b, tmp_path, "b.csv")
+    assert env_a.rng.bit_generator.state == env_b.rng.bit_generator.state
+    assert buffer_bits(env_a) == buffer_bits(env_b)
+    assert env_a.buffer.total_pushed == env_b.buffer.total_pushed
+    return a
+
+
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+@pytest.mark.parametrize("mode", CONDITIONS, ids=repr)
+def test_lockstep_matches_scalar(bundle, mode, config_name, tmp_path):
+    cfg = EnvConfig(shock_mode=mode, **CONFIGS[config_name])
+    factors = bundle.factors
+
+    def make_env():
+        return ReserveEnv(bundle.train, factors, cfg, np.random.default_rng([5, 11]))
+
+    policy = perturbed_policy()
+    trace = assert_same_run(
+        make_env,
+        lambda env, n, off: run_policy_episodes(env, policy, n, off),
+        lambda env, n, off: scalar_policy_episodes(env, policy, n, off),
+        tmp_path,
+    )
+    assert len(np.unique(trace.action)) > 1  # the greedy choice really varies
+    if mode == Stochastic(3) and config_name != "noiseless":
+        assert np.any(trace.loss == 0.0)  # the absorbing zero-loss state is reached
+
+    elr = implied_loss_ratio(bundle.train, factors)
+    boot = bootstrap_chain_ladder(bundle.train, 50, np.random.default_rng(3))
+    runners = [
+        (chain_ladder_runner(factors),
+         lambda info, h: chain_ladder_path(factors, info.initial_loss, h)),
+        (bornhuetter_ferguson_runner(factors, elr),
+         lambda info, h: bornhuetter_ferguson_path(factors, elr, info.premium, info.initial_loss, h)),
+        (bootstrap_runner(boot),
+         lambda info, h: bootstrap_path(boot, info.initial_loss, h)),
+    ]
+    for runner, builder in runners:
+        assert_same_run(
+            make_env,
+            # the runners number episodes from 0, so re-offset the second half
+            lambda env, n, off: _offset(runner(env, n), off),
+            lambda env, n, off: scalar_replay(env, builder, n, off),
+            tmp_path,
+        )
+
+
+def _offset(trace: Trace, offset: int) -> Trace:
+    trace.episode += offset
+    return trace
+
+
+def test_greedy_batch_matches_rows():
+    rng = np.random.default_rng(0)
+    obs = rng.normal(0.0, 2.0, size=(300, 7))
+    for policy in (perturbed_policy(1), perturbed_policy(2)):
+        batched = act_greedy(policy, obs)
+        assert batched.tolist() == [greedy_action(policy, row) for row in obs]
+        assert [act_greedy(policy, row) for row in obs] == batched.tolist()
+    # duplicated output columns: near-ties are re-decided row by row
+    near = perturbed_policy(3)
+    near.weights[-1][:, 2] = near.weights[-1][:, 3] = near.weights[-1][:, 4]
+    near.biases[-1][2:5] = 50.0
+    assert act_greedy(near, obs).tolist() == [greedy_action(near, row) for row in obs]
+    # a zero output layer ties exactly: the tie-break order decides
+    exact = perturbed_policy(4)
+    exact.weights[-1][:] = 0.0
+    exact.biases[-1][:] = [0.0, 1.0, 2.0, 0.0, 2.0, 1.0, 0.0]
+    assert act_greedy(exact, obs).tolist() == [2] * len(obs)  # -3.3% before +3.3%
+    exact.biases[-1][3] = 2.0
+    assert act_greedy(exact, obs).tolist() == [3] * len(obs)  # hold before either
+
+
+def test_chase_action_vector_matches_scalar():
+    rng = np.random.default_rng(4)
+    reserve = np.concatenate([rng.uniform(0.0, 2.0, 500), [0.0, 0.0, 1.0, 1.0]])
+    target = np.concatenate([
+        reserve[:250] * (1.0 + rng.choice(ACTION_GRID, 250)),  # on-grid ties
+        rng.uniform(0.0, 3.0, 250),
+        [0.0, 1.0, 1.0 + 0.033 / 2, 1.0 - 0.033 / 2],
+    ])
+    expected = [chase_action(r, t) for r, t in zip(reserve.tolist(), target.tolist())]
+    assert _chase_action(reserve, target).tolist() == expected
+
+
+def test_rollout_rejects_bad_actions(bundle):
+    env = ReserveEnv(bundle.train, bundle.factors, EnvConfig(), np.random.default_rng(0))
+    paths = env.draw_paths(3)
+    for bad in (np.array([0, 1]), np.array([0, 1, 7]), np.array([0, -1, 2]),
+                np.array([0.0, 1.0, 2.0])):
+        with pytest.raises(ActionOutOfGrid):
+            env.rollout(paths, lambda state, bad=bad: bad)

@@ -3,6 +3,9 @@ oracle, and the rolling shortfall buffer."""
 
 from __future__ import annotations
 
+import math
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from reserve_rl.errors import EmptyBuffer, InvalidAlpha
 from reserve_rl.risk import (
     ShortfallBuffer,
+    TailEstimate,
     adaptive_alpha,
     cvar_rockafellar_oracle,
     empirical_cvar,
@@ -179,3 +183,73 @@ def test_ordering_and_oracle_dominance(samples, alpha):
     assert samples.min() <= est.var <= samples.max()
     assert est.var - 1e-12 <= est.cvar <= oracle + 1e-9
     assert oracle <= samples.max() + 1e-9
+
+
+class SortedReferenceBuffer:
+    """The estimator the sorted window replaced: copy the FIFO, sort it,
+    take the nearest-rank VaR, average the tie-inclusive tail."""
+
+    def __init__(self, capacity: int, warmup_min: int) -> None:
+        self.samples: deque[float] = deque(maxlen=capacity)
+        self.warmup_min = warmup_min
+
+    def estimate(self, alpha: float) -> TailEstimate:
+        if len(self.samples) < self.warmup_min:
+            return TailEstimate(alpha=alpha, var=0.0, cvar=0.0, tail_count=0, warmup=True)
+        samples = np.fromiter(self.samples, dtype=float, count=len(self.samples))
+        n = samples.size
+        rank = min(max(math.ceil(alpha * n - 1e-9), 1), n)
+        var = float(np.sort(samples)[rank - 1])
+        tail = samples[samples >= var]
+        return TailEstimate(alpha=alpha, var=var, cvar=float(tail.mean()), tail_count=int(tail.size))
+
+
+def _bits(est: TailEstimate) -> tuple:
+    return (est.var.hex(), est.cvar.hex(), est.tail_count, est.warmup)
+
+
+# few distinct values force ties; wide floats exercise the tail sum
+shortfall_values = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    st.floats(min_value=0.0, max_value=1e6).map(abs),
+)
+buffer_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), shortfall_values),
+        st.tuples(st.just("estimate"), alphas),
+        st.tuples(st.just("clear"), st.none()),
+    ),
+    max_size=300,
+)
+
+
+@given(st.integers(min_value=1, max_value=24), st.integers(min_value=1, max_value=10), buffer_ops)
+@settings(max_examples=300, deadline=None)
+def test_sorted_window_matches_sort_reference(capacity, warmup_min, ops):
+    buf = ShortfallBuffer(capacity=capacity, warmup_min=warmup_min)
+    ref = SortedReferenceBuffer(capacity, warmup_min)
+    for op, arg in ops:
+        if op == "push":
+            buf.push(arg)
+            ref.samples.append(arg)
+        elif op == "clear":
+            buf.clear()
+            ref.samples.clear()
+        else:
+            assert _bits(empirical_cvar(buf, arg)) == _bits(ref.estimate(arg))
+        assert [x.hex() for x in buf] == [x.hex() for x in ref.samples]
+    np.testing.assert_array_equal(buf.as_array(), np.array(ref.samples, dtype=float))
+
+
+@pytest.mark.parametrize("capacity", [7, 64, 1024])
+def test_sorted_window_matches_sort_reference_on_long_streams(capacity):
+    """Random shortfalls with zero ties, across many evictions: the tail
+    mean must sum the same values in the same order as the reference."""
+    rng = np.random.default_rng(capacity)
+    buf = ShortfallBuffer(capacity=capacity, warmup_min=20)
+    ref = SortedReferenceBuffer(capacity, 20)
+    values = np.maximum(0.0, rng.normal(0.0, 1.0, size=3 * capacity + 500)).tolist()
+    for value, alpha in zip(values, rng.uniform(0.05, 0.99, size=len(values)).tolist()):
+        buf.push(value)
+        ref.samples.append(value)
+        assert _bits(empirical_cvar(buf, alpha)) == _bits(ref.estimate(alpha))

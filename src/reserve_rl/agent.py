@@ -11,7 +11,7 @@ single-threaded, so a (seed, config) pair fully determines the result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,6 +22,7 @@ from .nets import (
     Adam,
     MLPParams,
     clip_global_norm,
+    flat_views,
     init_mlp,
     log_softmax,
     mlp_backward,
@@ -90,7 +91,27 @@ def observe(state: EnvState) -> np.ndarray:
     return obs
 
 
-def init_agent(rng: np.random.Generator, config: PPOConfig) -> tuple[MLPParams, MLPParams]:
+@dataclass
+class AgentParams:
+    """Policy and value networks as views into one float64 ``vector`` (see
+    :func:`reserve_rl.nets.flat_views`).  Gradients share the layout, so the
+    finiteness check, the clip and the optimiser step each see one array."""
+
+    vector: np.ndarray
+    policy: MLPParams
+    value: MLPParams
+
+    @classmethod
+    def empty_like(cls, policy: MLPParams, value: MLPParams) -> "AgentParams":
+        """Uninitialized arrays laid out like ``policy`` then ``value``."""
+        vector, (policy_view, value_view) = flat_views((policy, value))
+        return cls(vector=vector, policy=policy_view, value=value_view)
+
+    def layers(self) -> list[np.ndarray]:
+        return self.policy.layers() + self.value.layers()
+
+
+def init_agent(rng: np.random.Generator, config: PPOConfig) -> AgentParams:
     """Fresh policy and value networks.
 
     The policy output layer is near-zero so the initial action
@@ -99,7 +120,10 @@ def init_agent(rng: np.random.Generator, config: PPOConfig) -> tuple[MLPParams, 
     sizes = (OBS_DIM, *config.hidden_sizes)
     policy = init_mlp((*sizes, N_ACTIONS), rng, final_gain=0.01)
     value = init_mlp((*sizes, 1), rng, final_gain=1.0)
-    return policy, value
+    params = AgentParams.empty_like(policy, value)
+    for src, dst in zip(policy.layers() + value.layers(), params.layers()):
+        dst[...] = src
+    return params
 
 
 def policy_logits(policy: MLPParams, obs: np.ndarray) -> np.ndarray:
@@ -107,13 +131,12 @@ def policy_logits(policy: MLPParams, obs: np.ndarray) -> np.ndarray:
     return out
 
 
-def act_sample(
-    policy: MLPParams, obs: np.ndarray, rng: np.random.Generator
-) -> tuple[int, float]:
-    """Sample an action index; returns (action, log-probability)."""
+def act_sample(policy: MLPParams, obs: np.ndarray, uniform: float) -> tuple[int, float]:
+    """Sample an action index by inverting the policy's CDF at ``uniform``,
+    a draw from U[0, 1); returns (action, log-probability)."""
     logp_all = log_softmax(policy_logits(policy, obs))[0]
     cdf = np.cumsum(np.exp(logp_all))
-    action = int(np.searchsorted(cdf, rng.random(), side="right"))
+    action = int(np.searchsorted(cdf, uniform, side="right"))
     action = min(action, N_ACTIONS - 1)
     return action, float(logp_all[action])
 
@@ -253,14 +276,16 @@ def ppo_loss_and_grads(
     value: MLPParams,
     batch: Batch,
     config: PPOConfig,
-) -> tuple[float, MLPParams, MLPParams, UpdateStats]:
+    grads: AgentParams,
+) -> tuple[float, UpdateStats]:
     """Scalar loss and its exact analytic gradients for one minibatch.
 
     The loss is ``-E[min(r A, clip(r) A)] - c_H E[H] + c_V E[(G - v)^2]``
     with importance ratio r against the stored behaviour log-probs.
     Advantages are used exactly as passed in (the caller owns any
     normalization), which keeps this function a pure, finite-difference
-    checkable map from parameters to a scalar.
+    checkable map from parameters to a scalar.  The gradients are
+    written into ``grads`` (see :meth:`AgentParams.empty_like`).
     """
     n = len(batch)
     if n == 0:
@@ -303,10 +328,10 @@ def ppo_loss_and_grads(
     dlogits[rows, batch.actions] += dlogp
     dlogits += (config.entropy_coef / n) * probs * (logp_all + entropy[:, None])
 
-    policy_grads = mlp_backward(policy, policy_cache, dlogits)
+    mlp_backward(policy, policy_cache, dlogits, grads.policy)
 
     dv = (2.0 * config.value_coef / n) * value_err
-    value_grads = mlp_backward(value, value_cache, dv[:, None])
+    mlp_backward(value, value_cache, dv[:, None], grads.value)
 
     stats = UpdateStats(
         policy_loss=float(-surrogate.mean()),
@@ -316,12 +341,11 @@ def ppo_loss_and_grads(
         approx_kl=float((batch.old_logp - logp).mean()),
         grad_norm=0.0,
     )
-    return float(loss), policy_grads, value_grads, stats
+    return float(loss), stats
 
 
 def ppo_update(
-    policy: MLPParams,
-    value: MLPParams,
+    agent: AgentParams,
     batch: Batch,
     config: PPOConfig,
     adam: Adam,
@@ -330,7 +354,8 @@ def ppo_update(
     """Run the full multi-epoch minibatch update over one batch in place.
 
     Advantages are normalized to zero mean / unit variance over the
-    whole batch before any epoch.
+    whole batch before any epoch.  ``adam`` steps ``agent.vector``.
+    Returns the mean of the minibatches' statistics.
 
     Raises:
         EmptyBatch: No transitions.
@@ -340,31 +365,23 @@ def ppo_update(
     if n == 0:
         raise EmptyBatch("cannot update from an empty batch")
     adv = batch.advantages
-    batch = Batch(
-        obs=batch.obs,
-        actions=batch.actions,
-        old_logp=batch.old_logp,
-        advantages=(adv - adv.mean()) / (adv.std() + 1e-8),
-        returns=batch.returns,
-    )
-    params = policy.flat_arrays() + value.flat_arrays()
-    last = None
+    batch = replace(batch, advantages=(adv - adv.mean()) / (adv.std() + 1e-8))
+    grads = AgentParams.empty_like(agent.policy, agent.value)
+    minibatch_stats = []
     for _ in range(config.epochs_per_update):
         order = rng.permutation(n)
         for start in range(0, n, config.minibatch_size):
-            idx = order[start : start + config.minibatch_size]
-            mini = batch.select(idx)
-            _, policy_grads, value_grads, stats = ppo_loss_and_grads(
-                policy, value, mini, config
-            )
-            grads = policy_grads.flat_arrays() + value_grads.flat_arrays()
-            if not all(np.all(np.isfinite(g)) for g in grads):
+            mini = batch.select(order[start : start + config.minibatch_size])
+            _, stats = ppo_loss_and_grads(agent.policy, agent.value, mini, config, grads)
+            if not np.isfinite(grads.vector).all():
                 raise NonFiniteGradient("non-finite gradient in update")
-            stats.grad_norm = clip_global_norm(grads, config.max_grad_norm)
-            adam.step(params, grads)
-            last = stats
-    assert last is not None
-    return last
+            stats.grad_norm = clip_global_norm(grads.vector, grads.layers(), config.max_grad_norm)
+            adam.step(agent.vector, grads.vector)
+            minibatch_stats.append(stats)
+    return UpdateStats(**{
+        f.name: float(np.mean([getattr(s, f.name) for s in minibatch_stats]))
+        for f in fields(UpdateStats)
+    })
 
 
 # --- curriculum training -------------------------------------------------------
@@ -386,17 +403,13 @@ TRAINING_LOG_HEADER = "seed,level,episode,mean_reward,mean_shortfall,mean_cvar,v
 
 
 @dataclass
-class TrainedPolicy:
-    seed: int
-    policy: MLPParams
-    value: MLPParams
-
-
-@dataclass
 class TrainingResult:
-    policies: dict[int, TrainedPolicy]
+    """Final networks, the per-episode log, and each seed's per-update
+    statistics (means over the minibatches; kept in memory only)."""
+
+    policies: dict[int, AgentParams]
     log: list[TrainLogRow] = field(default_factory=list)
-    updates: dict[int, int] = field(default_factory=dict)
+    update_stats: dict[int, list[UpdateStats]] = field(default_factory=dict)
 
 
 def write_training_log(rows: Sequence[TrainLogRow], path: str) -> None:
@@ -407,24 +420,6 @@ def write_training_log(rows: Sequence[TrainLogRow], path: str) -> None:
                 f"{r.seed},{r.level},{r.episode},{r.mean_reward!r},"
                 f"{r.mean_shortfall!r},{r.mean_cvar!r},{r.violation_rate!r}\n"
             )
-
-
-class _RolloutBuffer:
-    """Accumulates transitions until a batch is ready."""
-
-    def __init__(self) -> None:
-        self.obs: list[np.ndarray] = []
-        self.actions: list[int] = []
-        self.logps: list[float] = []
-        self.rewards: list[float] = []
-        self.values: list[float] = []
-        self.dones: list[bool] = []
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-    def clear(self) -> None:
-        self.__init__()
 
 
 #: Shared factory signature across training and evaluation: build a fresh
@@ -448,6 +443,11 @@ def train_curriculum(
     dropped).  The environment's shortfall buffer is cleared at level
     transitions.
 
+    A batch is thus the level's next ``ceil(batch_size / horizon)`` episodes
+    or the rest of the level.  They roll out together (draw_paths, rollout)
+    with the action uniforms drawn up front in episode order and one B=1
+    forward pass per decision, bit for bit as stepping one at a time would.
+
     Args:
         make_env: Factory returning a fresh training environment bound
             to the supplied generator.
@@ -456,8 +456,8 @@ def train_curriculum(
         seeds: Training seeds; defaults to ``config.seeds``.
 
     Returns:
-        :class:`TrainingResult` with final networks per seed and the
-        per-episode log.
+        :class:`TrainingResult` with final networks per seed, the
+        per-episode log and the per-update statistics.
     """
     seeds = tuple(seeds) if seeds is not None else config.seeds
     result = TrainingResult(policies={})
@@ -465,80 +465,63 @@ def train_curriculum(
     for seed in seeds:
         streams = np.random.SeedSequence(seed).spawn(4)
         init_rng, env_rng, action_rng, update_rng = map(np.random.default_rng, streams)
-        policy, value = init_agent(init_rng, config)
-        adam = Adam(policy.flat_arrays() + value.flat_arrays(), lr=config.learning_rate)
+        agent = init_agent(init_rng, config)
+        adam = Adam(agent.vector, lr=config.learning_rate)
         normalizer = RunningReturnNormalizer(config.discount, enabled=config.reward_norm)
         env = make_env(Stochastic(schedule.levels[0]), env_rng)
-        buffer = _RolloutBuffer()
-        n_updates = 0
+        horizon = env.horizon
 
-        def run_update() -> None:
-            nonlocal n_updates
-            values = np.asarray(buffer.values)
-            advantages, returns = compute_gae(
-                np.asarray(buffer.rewards),
-                values,
-                np.asarray(buffer.dones, dtype=float),
-                config.discount,
-                config.gae_lambda,
+        def rollout_batch(level: int, episodes: range) -> Batch:
+            n = len(episodes)
+            paths = env.draw_paths(
+                n, [schedule.ramp_progress(ep) for ep in episodes], schedule, Stochastic(level)
             )
-            batch = Batch(
-                obs=np.asarray(buffer.obs),
-                actions=np.asarray(buffer.actions, dtype=int),
-                old_logp=np.asarray(buffer.logps),
+            uniforms = action_rng.random((n, horizon)).tolist()
+            obs = np.empty((n, horizon, OBS_DIM))
+            actions = np.empty((n, horizon), dtype=int)
+            logps = np.empty((n, horizon))
+            values = np.empty((n, horizon))
+
+            def sample(state: EnvState) -> np.ndarray:
+                t = state.t
+                rows = obs[:, t]
+                rows[...] = observe(state)
+                for e in range(n):
+                    actions[e, t], logps[e, t] = act_sample(agent.policy, rows[e], uniforms[e][t])
+                    values[e, t] = state_value(agent.value, rows[e])
+                return actions[:, t]
+
+            trace = env.rollout(paths, sample)
+            done = trace.t == horizon - 1
+            rewards = [
+                normalizer.normalize(reward, last)
+                for reward, last in zip(trace.reward.tolist(), done.tolist())
+            ]
+            means = [
+                column.reshape(n, horizon).mean(axis=1).tolist()
+                for column in (trace.reward, trace.shortfall, trace.cvar, trace.violated)
+            ]
+            result.log.extend(TrainLogRow(seed, level, *row) for row in zip(episodes, *means))
+            advantages, returns = compute_gae(
+                np.asarray(rewards), values.ravel(), done, config.discount, config.gae_lambda
+            )
+            return Batch(
+                obs=obs.reshape(-1, OBS_DIM),
+                actions=actions.ravel(),
+                old_logp=logps.ravel(),
                 advantages=advantages,
                 returns=returns,
             )
-            ppo_update(policy, value, batch, config, adam, update_rng)
-            n_updates += 1
-            buffer.clear()
 
+        per_batch = -(-config.batch_size // horizon)
+        stats = result.update_stats[seed] = []
         for level_idx, level in enumerate(schedule.levels):
             if level_idx > 0:
                 env.clear_buffer()
-            for episode in range(schedule.episodes_per_level):
-                progress = schedule.ramp_progress(episode)
-                state = env.reset(
-                    episode_progress=progress,
-                    schedule=schedule,
-                    shock_mode=Stochastic(level),
-                )
-                ep_rewards: list[float] = []
-                ep_shortfalls: list[float] = []
-                ep_cvars: list[float] = []
-                ep_violations: list[float] = []
-                for _ in range(env.horizon):
-                    obs = observe(state)
-                    action, logp = act_sample(policy, obs, action_rng)
-                    baseline = state_value(value, obs)
-                    outcome = env.step(action)
-                    buffer.obs.append(obs)
-                    buffer.actions.append(action)
-                    buffer.logps.append(logp)
-                    buffer.values.append(baseline)
-                    buffer.dones.append(outcome.done)
-                    buffer.rewards.append(normalizer.normalize(outcome.reward, outcome.done))
-                    ep_rewards.append(outcome.reward)
-                    ep_shortfalls.append(outcome.components.shortfall)
-                    ep_cvars.append(outcome.components.cvar)
-                    ep_violations.append(1.0 if outcome.components.violated else 0.0)
-                    state = outcome.state
-                result.log.append(
-                    TrainLogRow(
-                        seed=seed,
-                        level=level,
-                        episode=episode,
-                        mean_reward=float(np.mean(ep_rewards)),
-                        mean_shortfall=float(np.mean(ep_shortfalls)),
-                        mean_cvar=float(np.mean(ep_cvars)),
-                        violation_rate=float(np.mean(ep_violations)),
-                    )
-                )
-                if len(buffer) >= config.batch_size:
-                    run_update()
-            if len(buffer) > 0:
-                run_update()  # flush the level's remainder
+            for first in range(0, schedule.episodes_per_level, per_batch):
+                episodes = range(first, min(first + per_batch, schedule.episodes_per_level))
+                batch = rollout_batch(level, episodes)
+                stats.append(ppo_update(agent, batch, config, adam, update_rng))
 
-        result.policies[seed] = TrainedPolicy(seed=seed, policy=policy, value=value)
-        result.updates[seed] = n_updates
+        result.policies[seed] = agent
     return result

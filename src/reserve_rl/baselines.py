@@ -431,34 +431,24 @@ def _chase_action(reserve: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.where(solvent, chased, bankrupt)
 
 
+def _replay_runner(path_builder: PathBuilder) -> Callable[[ReserveEnv, int], Trace]:
+    """Model runner replaying one static method's paths (for the eval harness)."""
+    return lambda env, episodes: replay_static_policy(env, path_builder, episodes)
+
+
 def chain_ladder_runner(factors: DevelopmentFactors) -> Callable[[ReserveEnv, int], Trace]:
-    """Model runner replaying the chain-ladder path (for the eval harness)."""
-    def run(env: ReserveEnv, episodes: int) -> Trace:
-        return replay_static_policy(
-            env, lambda info, horizon: chain_ladder_path(factors, info.initial_loss, horizon),
-            episodes,
-        )
-    return run
+    return _replay_runner(
+        lambda info, horizon: chain_ladder_path(factors, info.initial_loss, horizon)
+    )
 
 
 def bornhuetter_ferguson_runner(
     factors: DevelopmentFactors, elr: float
 ) -> Callable[[ReserveEnv, int], Trace]:
-    def run(env: ReserveEnv, episodes: int) -> Trace:
-        return replay_static_policy(
-            env,
-            lambda info, horizon: bornhuetter_ferguson_path(
-                factors, elr, info.premium, info.initial_loss, horizon
-            ),
-            episodes,
-        )
-    return run
+    return _replay_runner(lambda info, horizon: bornhuetter_ferguson_path(
+        factors, elr, info.premium, info.initial_loss, horizon
+    ))
 
 
 def bootstrap_runner(result: BootstrapResult) -> Callable[[ReserveEnv, int], Trace]:
-    def run(env: ReserveEnv, episodes: int) -> Trace:
-        return replay_static_policy(
-            env, lambda info, horizon: bootstrap_path(result, info.initial_loss, horizon),
-            episodes,
-        )
-    return run
+    return _replay_runner(lambda info, horizon: bootstrap_path(result, info.initial_loss, horizon))

@@ -266,7 +266,7 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     manifest = build_manifest("train", cfg, inputs=data.input_paths(), outputs=outputs)
     write_manifest(os.path.join(out, "manifest.json"), manifest)
     for seed in seeds:
-        print(f"train: seed {seed} finished with {result.updates[seed]} updates")
+        print(f"train: seed {seed} finished with {len(result.update_stats[seed])} updates")
     return 0
 
 

@@ -14,11 +14,12 @@ tail estimate -> floor check on the new reserve -> violation memory ->
 reward.  All reward components therefore describe the post-transition
 position.
 
-Evaluation steps whole runs of episodes at once (:meth:`ReserveEnv.draw_paths`
-then :meth:`ReserveEnv.rollout`): the loss path never reads the reserve,
-so it is drawn up front, the reserve recurrence advances every episode
-one period at a time, and the buffer's tail estimates are replayed
-afterwards in the order single-episode stepping would have made them.
+Evaluation and training step whole runs of episodes at once
+(:meth:`ReserveEnv.draw_paths` then :meth:`ReserveEnv.rollout`): the loss
+path never reads the reserve, so it is drawn up front, the reserve
+recurrence advances every episode one period at a time, and the buffer's
+tail estimates are replayed afterwards in the order single-episode
+stepping would have made them.
 Most transition pieces below therefore take floats or equal-shape arrays.
 """
 
@@ -313,11 +314,11 @@ class ReserveEnv:
         self.config = config
         self.horizon = horizon
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)
+        self._table = config.regime_table or DEFAULT_REGIME_TABLE
         self.buffer = ShortfallBuffer(config.buffer_capacity, config.warmup_min)
         self.state: EnvState | None = None
         self.episode_info: EpisodeInfo | None = None
         self._growths: list[float] = []
-        self._shock_mu = 0.0
         self._shock_var = 0.0
         self._mode: ShockMode = config.shock_mode
         self._done = True
@@ -345,16 +346,13 @@ class ReserveEnv:
         if shock_mode is not None:
             self._mode = shock_mode
         schedule = schedule if schedule is not None else CurriculumSchedule()
-        table = self.config.regime_table or DEFAULT_REGIME_TABLE
-        self._shock_mu, self._shock_var = effective_params(
-            self._mode, episode_progress, schedule, table
-        )
+        _, self._shock_var = effective_params(self._mode, episode_progress, schedule, self._table)
         self._ramp_progress = episode_progress
         self._schedule = schedule
 
         self.episode_info = self._draw_episode_info()
         initial_loss = self.episode_info.initial_loss
-        first_shock = shock_for_step(self._mode, episode_progress, schedule, self.rng, table)
+        first_shock = shock_for_step(self._mode, episode_progress, schedule, self.rng, self._table)
         self._growths = []
         self._done = False
         self.state = EnvState(
@@ -390,7 +388,6 @@ class ReserveEnv:
         state = self.state
         adjustment = ACTION_GRID[action_index]
         cfg = self.config
-        table = cfg.regime_table or DEFAULT_REGIME_TABLE
 
         new_reserve = float(apply_action(state.reserve, adjustment))
         factor = self.factors.factor_for_step(state.t)
@@ -423,7 +420,7 @@ class ReserveEnv:
         # Draw the next shock unconditionally so the stream advances the
         # same way every step (keeps common-random-number runs aligned).
         next_shock = shock_for_step(
-            self._mode, self._ramp_progress, self._schedule, self.rng, table
+            self._mode, self._ramp_progress, self._schedule, self.rng, self._table
         )
 
         next_t = state.t + 1
@@ -449,22 +446,34 @@ class ReserveEnv:
             action_value=adjustment,
         )
 
-    def draw_paths(self, episodes: int) -> LossPaths:
+    def draw_paths(
+        self,
+        episodes: int,
+        episode_progress: float | Sequence[float] = 1.0,
+        schedule: CurriculumSchedule | None = None,
+        shock_mode: ShockMode | None = None,
+    ) -> LossPaths:
         """Draw the loss paths of the next ``episodes`` episodes.
 
         The generator moves exactly as ``episodes`` rounds of
-        :meth:`reset` (default arguments) and ``horizon`` :meth:`step`
-        calls would move it: per episode the accident year, then the
-        episode's normals in one call, in the scalar order -- the first
-        shock, then development noise and the next shock for each step
-        (fixed shocks draw nothing of their own).  ``loc + scale * z`` is
-        how the generator forms a normal, so each value matches its
+        :meth:`reset` (same arguments, with episode e at ramp progress
+        ``episode_progress[e]`` when a sequence is given) and ``horizon``
+        :meth:`step` calls would move it: per episode the accident year,
+        then the episode's normals in one call, in the scalar order -- the
+        first shock, then development noise and the next shock for each
+        step (fixed shocks draw nothing of their own).  ``loc + scale * z``
+        is how the generator forms a normal, so each value matches its
         scalar draw bit for bit.
         """
+        if shock_mode is not None:
+            self._mode = shock_mode
+        schedule = schedule if schedule is not None else CurriculumSchedule()
         cfg = self.config
-        table = cfg.regime_table or DEFAULT_REGIME_TABLE
         mode = self._mode
-        mu, var = effective_params(mode, 1.0, CurriculumSchedule(), table)
+        progress = np.broadcast_to(episode_progress, (episodes,)).tolist()
+        params = [effective_params(mode, p, schedule, self._table) for p in progress]
+        mu, var = np.array(params).reshape(-1, 2).T
+        sd = np.sqrt(var)[:, None]
         stochastic = isinstance(mode, Stochastic)
         horizon = self.horizon
         n_normals = 1 + 2 * horizon if stochastic else horizon
@@ -477,13 +486,13 @@ class ReserveEnv:
         self._done = True  # the stream has moved past any episode in progress
 
         if stochastic:
-            shock = mu + math.sqrt(var) * z[:, 0::2]
+            shock = mu[:, None] + sd * z[:, 0::2]
             shock = np.where(shock < MIN_SHOCK, MIN_SHOCK, shock)
             noise = z[:, 1::2]
         else:
             shock = np.full((episodes, horizon + 1), mode.m)
             noise = z
-        eps = 0.0 + cfg.noise_gain * math.sqrt(var) * noise
+        eps = 0.0 + cfg.noise_gain * sd * noise
 
         loss = np.empty((episodes, horizon + 1))
         loss[:, 0] = [info.initial_loss for info in infos]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,20 +29,32 @@ class MLPParams:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def flat_arrays(self) -> list[np.ndarray]:
-        """Weights and biases interleaved layer by layer (shared order
-        for the optimizer, gradient clipping, and serialization)."""
-        out: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+    def layers(self) -> list[np.ndarray]:
+        """Weights and biases interleaved layer by layer (flat and file order)."""
+        return [a for w, b in zip(self.weights, self.biases) for a in (w, b)]
 
-    def copy(self) -> "MLPParams":
-        return MLPParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+
+def flat_views(nets: Sequence[MLPParams]) -> tuple[np.ndarray, list[MLPParams]]:
+    """A new uninitialized float64 vector, and networks shaped like ``nets``
+    whose arrays are views into it, net after net in :meth:`MLPParams.layers`
+    order.  Each view keeps the memory order of the array it mirrors:
+    :func:`orthogonal` leaves a widening layer Fortran-ordered, and a B=1
+    forward pass through a C-ordered copy of it rounds differently.
+    """
+    vector = np.empty(sum(a.size for net in nets for a in net.layers()))
+    views = []
+    offset = 0
+    for net in nets:
+        arrays = []
+        for like in net.layers():
+            segment = vector[offset:offset + like.size]
+            offset += like.size
+            if like.flags.c_contiguous:
+                arrays.append(segment.reshape(like.shape))
+            else:
+                arrays.append(segment.reshape(like.shape[::-1]).T)
+        views.append(MLPParams(weights=arrays[0::2], biases=arrays[1::2]))
+    return vector, views
 
 
 def orthogonal(n_in: int, n_out: int, gain: float, rng: np.random.Generator) -> np.ndarray:
@@ -95,23 +108,22 @@ def mlp_forward(params: MLPParams, x: np.ndarray) -> tuple[np.ndarray, list[np.n
         h = z if i == last else np.tanh(z)
         if i < last:
             cache.append(h)
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise NonFiniteActivation("non-finite value in network output")
     return h, cache
 
 
-def mlp_backward(params: MLPParams, cache: list[np.ndarray], dout: np.ndarray) -> MLPParams:
-    """Backprop ``dout`` (B, n_out) through the network; returns gradients."""
-    grads_w = [np.empty(0)] * params.n_layers
-    grads_b = [np.empty(0)] * params.n_layers
+def mlp_backward(
+    params: MLPParams, cache: list[np.ndarray], dout: np.ndarray, out: MLPParams
+) -> None:
+    """Backprop ``dout`` (B, n_out) through the network into the gradient
+    arrays ``out``, shaped like ``params``."""
     delta = dout
     for i in range(params.n_layers - 1, -1, -1):
-        a_in = cache[i]
-        grads_w[i] = a_in.T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        out.weights[i][...] = cache[i].T @ delta
+        out.biases[i][...] = delta.sum(axis=0)
         if i > 0:
             delta = (delta @ params.weights[i].T) * (1.0 - cache[i] ** 2)
-    return MLPParams(weights=grads_w, biases=grads_b)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -124,11 +136,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class Adam:
-    """First/second-moment adaptive gradient descent over a list of arrays."""
+    """First/second-moment adaptive gradient descent over one flat vector."""
 
     def __init__(
         self,
-        arrays: list[np.ndarray],
+        params: np.ndarray,
         lr: float,
         beta1: float = 0.9,
         beta2: float = 0.999,
@@ -139,29 +151,46 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self._m = [np.zeros_like(a) for a in arrays]
-        self._v = [np.zeros_like(a) for a in arrays]
+        self._m = np.zeros_like(params)
+        self._v = np.zeros_like(params)
+        self._t1 = np.empty_like(params)
+        self._t2 = np.empty_like(params)
 
-    def step(self, arrays: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        """Update ``arrays`` in place from matching ``grads``."""
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Update ``params`` in place from the matching ``grads``: per element
+        ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
+        ``p -= (lr*(m/b1c)) / (sqrt(v/b2c) + eps)``, rounded in that order."""
         self.step_count += 1
         b1c = 1.0 - self.beta1 ** self.step_count
         b2c = 1.0 - self.beta2 ** self.step_count
-        for a, g, m, v in zip(arrays, grads, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            a -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        m, v, t1, t2 = self._m, self._v, self._t1, self._t2
+        m *= self.beta1
+        np.multiply(grads, 1.0 - self.beta1, out=t1)
+        m += t1
+        v *= self.beta2
+        np.multiply(grads, 1.0 - self.beta2, out=t1)
+        t1 *= grads
+        v += t1
+        np.divide(m, b1c, out=t1)
+        t1 *= self.lr
+        np.divide(v, b2c, out=t2)
+        np.sqrt(t2, out=t2)
+        t2 += self.eps
+        t1 /= t2
+        params -= t1
 
 
-def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place so their joint L2 norm is <= max_norm."""
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads))
+def clip_global_norm(grads: np.ndarray, layers: Sequence[np.ndarray], max_norm: float) -> float:
+    """Scale the flat gradient ``grads`` in place so its L2 norm is <= max_norm.
+
+    ``layers`` are the per-array views into ``grads``.  The norm sums each
+    array's squares in row-major order (``ndarray.sum`` is this reduce),
+    array by array: the same float whatever memory order a view has.
+    """
+    squares = (np.add.reduce(g * g, axis=None) for g in map(np.ascontiguousarray, layers))
+    total = math.sqrt(sum(map(float, squares)))
     if total > max_norm:
-        scale = max_norm / (total + 1e-12)
-        for g in grads:
-            g *= scale
+        grads *= max_norm / (total + 1e-12)
     return total
 
 
@@ -171,7 +200,7 @@ _FORMAT = "reserve-rl-policy-v1"
 
 
 def _params_to_doc(params: MLPParams) -> dict:
-    arrays = params.flat_arrays()
+    arrays = params.layers()
     return {
         "shapes": [list(a.shape) for a in arrays],
         "arrays": [a.reshape(-1).tolist() for a in arrays],  # row-major

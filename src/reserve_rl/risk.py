@@ -133,14 +133,6 @@ class ShortfallBuffer:
         cvar = float(np.add.reduce(tail)) / tail.size
         return TailEstimate(alpha=alpha, var=var, cvar=cvar, tail_count=tail.size)
 
-    def dump_csv(self, path: str) -> None:
-        """Write current contents as ``step_index,shortfall`` rows for audit."""
-        start = self._total_pushed - self._count
-        with open(path, "w", newline="") as handle:
-            handle.write("step_index,shortfall\n")
-            for offset, value in enumerate(self):
-                handle.write(f"{start + offset},{value!r}\n")
-
 
 def adaptive_alpha(volatility: float) -> float:
     """Tail level that deepens with market volatility: 0.90 + 0.05 * min(1, V)."""

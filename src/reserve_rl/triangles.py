@@ -144,9 +144,6 @@ class LossTriangle:
         """Cumulative incurred at (year, lag); KeyError if unobserved."""
         return self._by_key[(year, lag)].cum_incurred  # type: ignore[attr-defined]
 
-    def paid(self, year: int, lag: int) -> float:
-        return self._by_key[(year, lag)].cum_paid  # type: ignore[attr-defined]
-
     def latest_lag(self, year: int) -> int:
         return self._lags_by_year[year][-1]  # type: ignore[attr-defined]
 

@@ -1,19 +1,41 @@
-"""Step-by-step reference for the lockstep rollouts.
+"""Step-by-step reference for the lockstep rollouts and the flat optimiser.
 
-These are the one-episode-at-a-time loops that evaluation ran before its
-rollouts moved to :meth:`ReserveEnv.rollout`: ``reset()``, then one
-``step()`` per period, one B=1 forward pass per greedy action, recorded
-step by step.  Tests run both on identically seeded environments and
-require the same trace bytes, generator state and buffer contents.
+These are the one-episode-at-a-time loops that evaluation and training
+ran before their rollouts moved to :meth:`ReserveEnv.rollout`:
+``reset()``, then one ``step()`` per period, one B=1 forward pass per
+action, recorded step by step.  Training here also keeps its networks
+as separate arrays, with a per-array Adam and gradient clip.  Tests run
+both on identically seeded inputs and require the same trace, network
+and log bytes, generator states and buffer contents.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import fields
+from types import SimpleNamespace
+
 import numpy as np
 
-from reserve_rl.agent import observe, policy_logits
+from reserve_rl.agent import (
+    AgentParams,
+    Batch,
+    PPOConfig,
+    RunningReturnNormalizer,
+    TrainingResult,
+    TrainLogRow,
+    UpdateStats,
+    act_sample,
+    compute_gae,
+    observe,
+    policy_logits,
+    ppo_loss_and_grads,
+    state_value,
+)
 from reserve_rl.env import ACTION_GRID, ReserveEnv, StepOutcome, Trace
-from reserve_rl.nets import MLPParams, softmax
+from reserve_rl.errors import NonFiniteGradient
+from reserve_rl.nets import MLPParams, init_mlp, softmax
+from reserve_rl.regimes import CurriculumSchedule, Stochastic
 
 _TRACE_COLUMNS = (
     "episode", "t", "reserve", "loss", "volatility", "adequacy",
@@ -102,3 +124,145 @@ def scalar_replay(env: ReserveEnv, path_builder, episodes: int, episode_offset: 
             recorder.record(episode_offset + episode, t, outcome)
             state = outcome.state
     return recorder.build()
+
+
+# --- training ------------------------------------------------------------------
+
+class ListAdam:
+    """Adam over a list of separate arrays, one array at a time."""
+
+    def __init__(self, arrays, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.step_count = 0
+        self._m = [np.zeros_like(a) for a in arrays]
+        self._v = [np.zeros_like(a) for a in arrays]
+
+    def step(self, arrays, grads):
+        self.step_count += 1
+        b1c = 1.0 - self.beta1 ** self.step_count
+        b2c = 1.0 - self.beta2 ** self.step_count
+        for a, g, m, v in zip(arrays, grads, self._m, self._v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            a -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+
+
+def list_clip_global_norm(grads, max_norm):
+    """Scale all gradient arrays in place so their joint L2 norm is <= max_norm."""
+    total = math.sqrt(sum(float((g * g).sum()) for g in grads))
+    if total > max_norm:
+        scale = max_norm / (total + 1e-12)
+        for g in grads:
+            g *= scale
+    return total
+
+
+def list_ppo_update(policy, value, batch, config, adam, rng):
+    """The multi-epoch update over per-array networks; mean minibatch stats."""
+    n = len(batch)
+    adv = batch.advantages
+    batch = Batch(
+        obs=batch.obs,
+        actions=batch.actions,
+        old_logp=batch.old_logp,
+        advantages=(adv - adv.mean()) / (adv.std() + 1e-8),
+        returns=batch.returns,
+    )
+    params = policy.layers() + value.layers()
+    flat_grads = AgentParams.empty_like(policy, value)
+    seen = []
+    for _ in range(config.epochs_per_update):
+        order = rng.permutation(n)
+        for start in range(0, n, config.minibatch_size):
+            mini = batch.select(order[start : start + config.minibatch_size])
+            _, stats = ppo_loss_and_grads(policy, value, mini, config, flat_grads)
+            # separate C-ordered arrays, as a fresh matrix product returns them
+            grads = [np.array(g, order="C") for g in flat_grads.layers()]
+            if not all(np.all(np.isfinite(g)) for g in grads):
+                raise NonFiniteGradient("non-finite gradient in update")
+            stats.grad_norm = list_clip_global_norm(grads, config.max_grad_norm)
+            adam.step(params, grads)
+            seen.append(stats)
+    return UpdateStats(**{
+        f.name: float(np.mean([getattr(s, f.name) for s in seen])) for f in fields(UpdateStats)
+    })
+
+
+def scalar_train_curriculum(make_env, config: PPOConfig, schedule: CurriculumSchedule, seeds):
+    """Curriculum training one episode and one step at a time."""
+    result = TrainingResult(policies={})
+    for seed in seeds:
+        streams = np.random.SeedSequence(seed).spawn(4)
+        init_rng, env_rng, action_rng, update_rng = map(np.random.default_rng, streams)
+        sizes = (7, *config.hidden_sizes)
+        policy = init_mlp((*sizes, len(ACTION_GRID)), init_rng, final_gain=0.01)
+        value = init_mlp((*sizes, 1), init_rng, final_gain=1.0)
+        adam = ListAdam(policy.layers() + value.layers(), lr=config.learning_rate)
+        normalizer = RunningReturnNormalizer(config.discount, enabled=config.reward_norm)
+        env = make_env(Stochastic(schedule.levels[0]), env_rng)
+        buffer = {name: [] for name in ("obs", "actions", "logps", "values", "dones", "rewards")}
+        stats = result.update_stats[seed] = []
+
+        def run_update():
+            advantages, returns = compute_gae(
+                np.asarray(buffer["rewards"]),
+                np.asarray(buffer["values"]),
+                np.asarray(buffer["dones"], dtype=float),
+                config.discount,
+                config.gae_lambda,
+            )
+            batch = Batch(
+                obs=np.asarray(buffer["obs"]),
+                actions=np.asarray(buffer["actions"], dtype=int),
+                old_logp=np.asarray(buffer["logps"]),
+                advantages=advantages,
+                returns=returns,
+            )
+            stats.append(list_ppo_update(policy, value, batch, config, adam, update_rng))
+            for column in buffer.values():
+                column.clear()
+
+        for level_idx, level in enumerate(schedule.levels):
+            if level_idx > 0:
+                env.clear_buffer()
+            for episode in range(schedule.episodes_per_level):
+                state = env.reset(
+                    episode_progress=schedule.ramp_progress(episode),
+                    schedule=schedule,
+                    shock_mode=Stochastic(level),
+                )
+                ep_rewards, ep_shortfalls, ep_cvars, ep_violations = [], [], [], []
+                for _ in range(env.horizon):
+                    obs = observe(state)
+                    action, logp = act_sample(policy, obs, action_rng.random())
+                    baseline = state_value(value, obs)
+                    outcome = env.step(action)
+                    buffer["obs"].append(obs)
+                    buffer["actions"].append(action)
+                    buffer["logps"].append(logp)
+                    buffer["values"].append(baseline)
+                    buffer["dones"].append(outcome.done)
+                    buffer["rewards"].append(normalizer.normalize(outcome.reward, outcome.done))
+                    ep_rewards.append(outcome.reward)
+                    ep_shortfalls.append(outcome.components.shortfall)
+                    ep_cvars.append(outcome.components.cvar)
+                    ep_violations.append(1.0 if outcome.components.violated else 0.0)
+                    state = outcome.state
+                result.log.append(TrainLogRow(
+                    seed=seed,
+                    level=level,
+                    episode=episode,
+                    mean_reward=float(np.mean(ep_rewards)),
+                    mean_shortfall=float(np.mean(ep_shortfalls)),
+                    mean_cvar=float(np.mean(ep_cvars)),
+                    violation_rate=float(np.mean(ep_violations)),
+                ))
+                if len(buffer["actions"]) >= config.batch_size:
+                    run_update()
+            if buffer["actions"]:
+                run_update()  # flush the level's remainder
+
+        result.policies[seed] = SimpleNamespace(policy=policy, value=value)
+    return result

@@ -19,6 +19,7 @@ from conftest import CRITERION_LINES
 from reserve_rl.agent import (
     N_ACTIONS,
     OBS_DIM,
+    AgentParams,
     Batch,
     PPOConfig,
     init_agent,
@@ -151,7 +152,9 @@ def test_criterion_03_gradient_check():
     max_rel = 0.0
     t0 = time.perf_counter()
     for _ in range(50):
-        policy, value = init_agent(rng, config)
+        agent = init_agent(rng, config)
+        policy, value = agent.policy, agent.value
+        assert all(np.shares_memory(a, agent.vector) for a in agent.layers())
         batch = Batch(
             obs=rng.normal(size=(10, OBS_DIM)),
             actions=rng.integers(0, N_ACTIONS, size=10),
@@ -159,15 +162,17 @@ def test_criterion_03_gradient_check():
             advantages=rng.normal(size=10),
             returns=rng.normal(size=10),
         )
-        _, pol_grads, val_grads, _ = ppo_loss_and_grads(policy, value, batch, config)
-        for params, grads in ((policy, pol_grads), (value, val_grads)):
-            for arr, garr in zip(params.flat_arrays(), grads.flat_arrays()):
+        grads = AgentParams.empty_like(policy, value)
+        probe_grads = AgentParams.empty_like(policy, value)
+        ppo_loss_and_grads(policy, value, batch, config, grads)
+        for params, net_grads in ((policy, grads.policy), (value, grads.value)):
+            for arr, garr in zip(params.layers(), net_grads.layers()):
                 for i in range(0, arr.size, max(1, arr.size // 4)):
                     orig = arr.flat[i]
                     arr.flat[i] = orig + eps
-                    up = ppo_loss_and_grads(policy, value, batch, config)[0]
+                    up = ppo_loss_and_grads(policy, value, batch, config, probe_grads)[0]
                     arr.flat[i] = orig - eps
-                    down = ppo_loss_and_grads(policy, value, batch, config)[0]
+                    down = ppo_loss_and_grads(policy, value, batch, config, probe_grads)[0]
                     arr.flat[i] = orig
                     fd = (up - down) / (2 * eps)
                     rel = abs(garr.flat[i] - fd) / max(abs(garr.flat[i]), abs(fd), 1e-6)

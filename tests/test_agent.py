@@ -5,10 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from reserve_rl import agent as agent_module
 from reserve_rl.agent import (
     N_ACTIONS,
     OBS_DIM,
     TRAINING_LOG_HEADER,
+    AgentParams,
     Batch,
     PPOConfig,
     RunningReturnNormalizer,
@@ -104,10 +106,10 @@ def test_act_sample_matches_distribution():
     rng = np.random.default_rng(1)
     policy = init_mlp((OBS_DIM, 8, N_ACTIONS), rng, final_gain=0.0)
     obs = np.zeros(OBS_DIM)
-    draws = np.array([act_sample(policy, obs, rng)[0] for _ in range(7000)])
+    draws = np.array([act_sample(policy, obs, rng.random())[0] for _ in range(7000)])
     freqs = np.bincount(draws, minlength=N_ACTIONS) / draws.size
     np.testing.assert_allclose(freqs, 1.0 / N_ACTIONS, atol=0.02)
-    action, logp = act_sample(policy, obs, rng)
+    action, logp = act_sample(policy, obs, rng.random())
     expected = log_softmax(np.zeros((1, N_ACTIONS)))[0, action]
     assert logp == pytest.approx(expected, abs=1e-12)
 
@@ -165,26 +167,48 @@ def make_batch(rng, n=16):
 def test_ppo_update_runs_and_mutates_params():
     rng = np.random.default_rng(3)
     config = PPOConfig(batch_size=16, minibatch_size=8, hidden_sizes=(8, 8))
-    policy, value = init_agent(rng, config)
-    before = [a.copy() for a in policy.flat_arrays()]
+    agent = init_agent(rng, config)
+    before = [a.copy() for a in agent.policy.layers()]
     batch = make_batch(rng)
-    adam = Adam(policy.flat_arrays() + value.flat_arrays(), lr=config.learning_rate)
-    stats = ppo_update(policy, value, batch, config, adam, rng)
+    adam = Adam(agent.vector, lr=config.learning_rate)
+    stats = ppo_update(agent, batch, config, adam, rng)
     assert np.isfinite(stats.policy_loss)
     assert np.isfinite(stats.value_loss)
     assert stats.entropy > 0.0
     assert stats.grad_norm >= 0.0
     assert 0.0 <= stats.clip_fraction <= 1.0
     changed = any(
-        not np.array_equal(a, b) for a, b in zip(before, policy.flat_arrays())
+        not np.array_equal(a, b) for a, b in zip(before, agent.policy.layers())
     )
     assert changed
+
+
+def test_ppo_update_returns_mean_of_minibatch_stats(monkeypatch):
+    rng = np.random.default_rng(6)
+    config = PPOConfig(batch_size=24, minibatch_size=10, epochs_per_update=3, hidden_sizes=(8,))
+    agent = init_agent(rng, config)
+    seen = []
+    loss_and_grads = agent_module.ppo_loss_and_grads
+
+    def recording(*args):
+        loss, stats = loss_and_grads(*args)
+        seen.append(stats)  # grad_norm is filled in after this returns
+        return loss, stats
+
+    monkeypatch.setattr(agent_module, "ppo_loss_and_grads", recording)
+    adam = Adam(agent.vector, lr=config.learning_rate)
+    stats = ppo_update(agent, make_batch(rng, n=24), config, adam, rng)
+    assert len(seen) == 9  # 3 epochs x minibatches of 10, 10 and 4
+    assert len({s.grad_norm for s in seen}) == 9
+    for name in ("policy_loss", "value_loss", "entropy", "clip_fraction", "approx_kl",
+                 "grad_norm"):
+        assert getattr(stats, name) == np.mean([getattr(s, name) for s in seen]), name
 
 
 def test_ppo_loss_empty_minibatch_rejected():
     rng = np.random.default_rng(4)
     config = PPOConfig(hidden_sizes=(8,))
-    policy, value = init_agent(rng, config)
+    agent = init_agent(rng, config)
     empty = Batch(
         obs=np.empty((0, OBS_DIM)),
         actions=np.empty(0, dtype=int),
@@ -193,18 +217,19 @@ def test_ppo_loss_empty_minibatch_rejected():
         returns=np.empty(0),
     )
     with pytest.raises(EmptyBatch):
-        ppo_loss_and_grads(policy, value, empty, config)
+        ppo_loss_and_grads(agent.policy, agent.value, empty, config,
+                           AgentParams.empty_like(agent.policy, agent.value))
 
 
 def test_non_finite_inputs_raise_numerical_error():
     rng = np.random.default_rng(5)
     config = PPOConfig(batch_size=8, minibatch_size=8, hidden_sizes=(8,))
-    policy, value = init_agent(rng, config)
+    agent = init_agent(rng, config)
     batch = make_batch(rng, n=8)
     batch.advantages[0] = np.nan  # poisons the whole batch after normalization
-    adam = Adam(policy.flat_arrays() + value.flat_arrays(), lr=config.learning_rate)
+    adam = Adam(agent.vector, lr=config.learning_rate)
     with pytest.raises(NumericalError):
-        ppo_update(policy, value, batch, config, adam, rng)
+        ppo_update(agent, batch, config, adam, rng)
 
 
 # --- training loop -----------------------------------------------------------
@@ -240,7 +265,7 @@ def test_train_curriculum_smoke():
     assert all(r.level == 0 for r in log_rows)
     assert all(np.isfinite(r.mean_reward) for r in log_rows)
     # 12 episodes x 3 steps = 36 transitions: one full batch plus a flush
-    assert result.updates[1] == 2
+    assert len(result.update_stats[1]) == 2
 
 
 def test_train_curriculum_is_deterministic_per_seed():
@@ -255,7 +280,7 @@ def test_train_curriculum_is_deterministic_per_seed():
     a = train_curriculum(tiny_factory(), config, schedule)
     b = train_curriculum(tiny_factory(), config, schedule)
     for arr_a, arr_b in zip(
-        a.policies[7].policy.flat_arrays(), b.policies[7].policy.flat_arrays()
+        a.policies[7].policy.layers(), b.policies[7].policy.layers()
     ):
         np.testing.assert_array_equal(arr_a, arr_b)
 

@@ -1,9 +1,11 @@
-"""Lockstep rollouts against the step-by-step environment.
+"""Lockstep rollouts and the flat optimiser against their step-by-step
+references.
 
-Every evaluation rollout now steps all episodes of a cell at once.  The
-scalar loops in ``scalar_oracle`` are the reference: on identically
-seeded environments both must write the same trace bytes (a value
-comparison would let -0.0 pass for 0.0) and leave the generator and
+Every evaluation rollout steps all episodes of a cell at once, and
+training steps the episodes of each batch at once.  The scalar loops in
+``scalar_oracle`` are the reference: on identically seeded environments
+both must write the same trace, network and log bytes (a value
+comparison would let -0.0 pass for 0.0) and leave the generators and
 the shortfall buffer in the same state.
 """
 
@@ -12,7 +14,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from reserve_rl.agent import act_greedy
+from reserve_rl.agent import (
+    AgentParams,
+    PPOConfig,
+    act_greedy,
+    train_curriculum,
+    write_training_log,
+)
 from reserve_rl.baselines import (
     _chase_action,
     bootstrap_chain_ladder,
@@ -27,9 +35,17 @@ from reserve_rl.baselines import (
 from reserve_rl.env import ACTION_GRID, EnvConfig, ReserveEnv, Trace
 from reserve_rl.errors import ActionOutOfGrid
 from reserve_rl.evaluate import run_policy_episodes
-from reserve_rl.nets import init_mlp
-from reserve_rl.regimes import FixedShock, Stochastic
-from scalar_oracle import chase_action, greedy_action, scalar_policy_episodes, scalar_replay
+from reserve_rl.nets import Adam, clip_global_norm, init_mlp, mlp_forward, save_networks
+from reserve_rl.regimes import CurriculumSchedule, FixedShock, Stochastic
+from scalar_oracle import (
+    ListAdam,
+    chase_action,
+    greedy_action,
+    list_clip_global_norm,
+    scalar_policy_episodes,
+    scalar_replay,
+    scalar_train_curriculum,
+)
 
 EPISODES = 60
 CONDITIONS = [Stochastic(0), Stochastic(1), Stochastic(2), Stochastic(3),
@@ -156,3 +172,105 @@ def test_rollout_rejects_bad_actions(bundle):
                 np.array([0.0, 1.0, 2.0])):
         with pytest.raises(ActionOutOfGrid):
             env.rollout(paths, lambda state, bad=bad: bad)
+
+
+# --- training ------------------------------------------------------------------
+
+TRAIN_CASES = {
+    # one batch per episode
+    "batch1": ({"batch_size": 1}, {}),
+    # a 4-step horizon: batches of two episodes, 8 transitions
+    "batch7": ({"batch_size": 7}, {"horizon": 4}),
+    "batch100_noiseless_raw_rewards": ({"batch_size": 100, "reward_norm": False},
+                                       {"noise_gain": 0.0}),
+    # larger than a level, so every batch is a level-boundary flush
+    "batch2048_small_buffer": ({"batch_size": 2048}, {"buffer_capacity": 64}),
+}
+
+
+def test_flat_params_match_per_array_reference():
+    rng = np.random.default_rng(8)
+    policy = init_mlp((7, 64, 64, 7), rng, final_gain=1.0)
+    value = init_mlp((7, 64, 64, 1), rng, final_gain=1.0)
+    first = policy.weights[0]
+    assert first.flags.f_contiguous and not first.flags.c_contiguous
+    flat = AgentParams.empty_like(policy, value)
+    for src, dst in zip(policy.layers() + value.layers(), flat.layers()):
+        dst[...] = src
+    reference_layers = policy.layers() + value.layers()
+    assert [a.strides for a in flat.layers()] == [a.strides for a in reference_layers]
+    for row in rng.normal(0.0, 2.0, size=(200, 7)):
+        for net, ref in ((flat.policy, policy), (flat.value, value)):
+            ours, expected = mlp_forward(net, row[None])[0], mlp_forward(ref, row[None])[0]
+            assert ours.tobytes() == expected.tobytes()
+
+    grads = AgentParams.empty_like(policy, value)
+    adam, list_adam = Adam(flat.vector, lr=0.01), ListAdam(reference_layers, lr=0.01)
+    for _ in range(20):
+        grads.vector[:] = rng.normal(size=grads.vector.size)
+        reference = [np.array(g, order="C") for g in grads.layers()]
+        total = clip_global_norm(grads.vector, grads.layers(), 0.5)
+        assert total == list_clip_global_norm(reference, 0.5)
+        assert [np.array(g, order="C").tobytes() for g in grads.layers()] == [
+            g.tobytes() for g in reference
+        ]
+        adam.step(flat.vector, grads.vector)
+        list_adam.step(reference_layers, reference)
+    for ours, ref in zip(flat.layers(), reference_layers):
+        assert ours.tobytes(order="A") == ref.tobytes(order="A")
+
+
+@pytest.mark.parametrize("case", sorted(TRAIN_CASES))
+def test_training_matches_scalar(bundle, case, tmp_path, monkeypatch):
+    ppo, env_kwargs = TRAIN_CASES[case]
+    config = PPOConfig(hidden_sizes=(16, 16), epochs_per_update=2, minibatch_size=16, **ppo)
+    schedule = CurriculumSchedule(levels=(0, 1, 2, 3), episodes_per_level=12, ramp_episodes=5)
+    seeds = (3, 11)
+
+    def run(train):
+        envs, generators = [], []
+        make_rng = np.random.default_rng
+
+        def recording_rng(seed):
+            generators.append(make_rng(seed))
+            return generators[-1]
+
+        def make_env(mode, rng):
+            cfg = EnvConfig(shock_mode=mode, **env_kwargs)
+            envs.append(ReserveEnv(bundle.train, bundle.factors, cfg, rng))
+            return envs[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "default_rng", recording_rng)
+            result = train(make_env, config, schedule, seeds)
+        return result, envs, generators
+
+    def forbid_step(self, action):
+        raise AssertionError("training stepped the scalar environment")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ReserveEnv, "step", forbid_step)
+        result, envs, generators = run(train_curriculum)
+    expected, expected_envs, expected_generators = run(scalar_train_curriculum)
+
+    for seed in seeds:
+        paths = []
+        for name, res in (("a", result), ("b", expected)):
+            path = tmp_path / f"{name}{seed}.json"
+            trained = res.policies[seed]
+            save_networks(str(path), trained.policy, trained.value, "fp", seed)
+            paths.append(path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+    logs = []
+    for name, res in (("a", result), ("b", expected)):
+        write_training_log(res.log, str(tmp_path / f"{name}.csv"))
+        logs.append((tmp_path / f"{name}.csv").read_bytes())
+    assert logs[0] == logs[1]
+    assert len(result.log) == len(seeds) * 4 * 12
+    assert result.update_stats == expected.update_stats
+    assert len(generators) == len(expected_generators) == 4 * len(seeds)
+    for ours, ref in zip(generators, expected_generators):
+        assert ours.bit_generator.state == ref.bit_generator.state
+    for ours, ref in zip(envs, expected_envs):
+        assert buffer_bits(ours) == buffer_bits(ref)
+        assert ours.buffer.total_pushed == ref.buffer.total_pushed

@@ -13,6 +13,7 @@ from reserve_rl.nets import (
     Adam,
     MLPParams,
     clip_global_norm,
+    flat_views,
     init_mlp,
     load_networks,
     log_softmax,
@@ -57,9 +58,10 @@ def test_backward_matches_finite_differences():
         return float(0.5 * np.sum((out - y) ** 2))
 
     out, cache = mlp_forward(params, x)
-    grads = mlp_backward(params, cache, out - y)
+    _, (grads,) = flat_views([params])
+    mlp_backward(params, cache, out - y, grads)
     eps = 1e-6
-    for arr, garr in zip(params.flat_arrays(), grads.flat_arrays()):
+    for arr, garr in zip(params.layers(), grads.layers()):
         # arr.flat writes through even when the array is non-contiguous
         for i in range(0, arr.size, max(1, arr.size // 5)):
             orig = arr.flat[i]
@@ -106,8 +108,8 @@ def test_log_softmax_properties(logits):
 def test_adam_first_step_is_signed_lr():
     x = np.array([1.0, -2.0, 3.0])
     g = np.array([0.5, -0.25, 0.0])
-    opt = Adam([x], lr=0.01)
-    opt.step([x], [g])
+    opt = Adam(x, lr=0.01)
+    opt.step(x, g)
     # bias correction makes the first step lr * g / (|g| + eps)
     expected = np.array([1.0, -2.0, 3.0]) - 0.01 * g / (np.abs(g) + 1e-8)
     np.testing.assert_allclose(x, expected, atol=1e-12)
@@ -115,22 +117,21 @@ def test_adam_first_step_is_signed_lr():
 
 def test_adam_minimizes_quadratic():
     x = np.array([5.0, -3.0])
-    opt = Adam([x], lr=0.1)
+    opt = Adam(x, lr=0.1)
     for _ in range(400):
-        opt.step([x], [2.0 * x])
+        opt.step(x, 2.0 * x)
     np.testing.assert_allclose(x, 0.0, atol=1e-3)
 
 
 def test_clip_global_norm():
-    g1 = np.array([3.0, 0.0])
-    g2 = np.array([0.0, 4.0])
-    total = clip_global_norm([g1, g2], max_norm=0.5)
+    g = np.array([3.0, 0.0, 0.0, 4.0])
+    total = clip_global_norm(g, [g[:2], g[2:]], max_norm=0.5)
     assert total == pytest.approx(5.0)
-    clipped = np.sqrt(np.sum(g1**2) + np.sum(g2**2))
+    clipped = np.sqrt(np.sum(g**2))
     assert clipped == pytest.approx(0.5)
     # below the threshold nothing changes
     g3 = np.array([0.1, 0.0])
-    total2 = clip_global_norm([g3], max_norm=0.5)
+    total2 = clip_global_norm(g3, [g3], max_norm=0.5)
     assert total2 == pytest.approx(0.1)
     np.testing.assert_array_equal(g3, [0.1, 0.0])
 
@@ -144,9 +145,9 @@ def test_save_load_round_trip(tmp_path):
     loaded_policy, loaded_value, fingerprint, seed = load_networks(str(path))
     assert fingerprint == "abc123"
     assert seed == 4
-    for a, b in zip(policy.flat_arrays(), loaded_policy.flat_arrays()):
+    for a, b in zip(policy.layers(), loaded_policy.layers()):
         np.testing.assert_array_equal(a, b)  # bit-exact round trip
-    for a, b in zip(value.flat_arrays(), loaded_value.flat_arrays()):
+    for a, b in zip(value.layers(), loaded_value.layers()):
         np.testing.assert_array_equal(a, b)
 
 

@@ -125,19 +125,6 @@ def test_buffer_push_validation():
             buf.push(bad)
 
 
-def test_buffer_dump_csv(tmp_path):
-    buf = ShortfallBuffer(capacity=3, warmup_min=2)
-    for x in (1.0, 2.0, 3.0, 4.0):
-        buf.push(x)
-    path = tmp_path / "shortfalls.csv"
-    buf.dump_csv(str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step_index,shortfall"
-    # first retained sample is the second ever pushed (index 1)
-    assert lines[1].startswith("1,")
-    assert len(lines) == 4
-
-
 # --- property tests ----------------------------------------------------------
 
 # integer-valued floats keep tie structure exact under shifts/scales

@@ -46,6 +46,13 @@ _TIE_BREAK = np.asarray(TIE_BREAK_ORDER)
 _NEAR_TIE = 1e-9
 
 
+def _mean(x: np.ndarray) -> float:
+    """``x.mean()`` of a 1-D array, bit for bit: the same sum and division
+    (booleans summed as float64), without numpy's Python-level wrapper."""
+    total = np.add.reduce(x, dtype=float) if x.dtype == bool else np.add.reduce(x)
+    return float(total / x.size)
+
+
 @dataclass(frozen=True)
 class PPOConfig:
     """Optimization hyperparameters (defaults are the reference values)."""
@@ -312,11 +319,10 @@ def ppo_loss_and_grads(
     v = values_out[:, 0]
     value_err = v - batch.returns
 
-    loss = (
-        -surrogate.mean()
-        - config.entropy_coef * entropy.mean()
-        + config.value_coef * float((value_err**2).mean())
-    )
+    policy_loss = -_mean(surrogate)
+    mean_entropy = _mean(entropy)
+    value_loss = _mean(value_err**2)
+    loss = policy_loss - config.entropy_coef * mean_entropy + config.value_coef * value_loss
 
     # d loss / d logp  (only where the active branch depends on the ratio)
     inside = (ratio > 1.0 - clip) & (ratio < 1.0 + clip)
@@ -334,14 +340,14 @@ def ppo_loss_and_grads(
     mlp_backward(value, value_cache, dv[:, None], grads.value)
 
     stats = UpdateStats(
-        policy_loss=float(-surrogate.mean()),
-        value_loss=float((value_err**2).mean()),
-        entropy=float(entropy.mean()),
-        clip_fraction=float((~use_raw).mean()),
-        approx_kl=float((batch.old_logp - logp).mean()),
+        policy_loss=policy_loss,
+        value_loss=value_loss,
+        entropy=mean_entropy,
+        clip_fraction=_mean(~use_raw),
+        approx_kl=_mean(batch.old_logp - logp),
         grad_norm=0.0,
     )
-    return float(loss), stats
+    return loss, stats
 
 
 def ppo_update(
@@ -365,7 +371,7 @@ def ppo_update(
     if n == 0:
         raise EmptyBatch("cannot update from an empty batch")
     adv = batch.advantages
-    batch = replace(batch, advantages=(adv - adv.mean()) / (adv.std() + 1e-8))
+    batch = replace(batch, advantages=(adv - _mean(adv)) / (adv.std() + 1e-8))
     grads = AgentParams.empty_like(agent.policy, agent.value)
     minibatch_stats = []
     for _ in range(config.epochs_per_update):

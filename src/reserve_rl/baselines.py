@@ -114,19 +114,6 @@ def implied_loss_ratio(tri: LossTriangle, factors: DevelopmentFactors) -> float:
     return sum(r.ultimate for r in rows) / total_premium
 
 
-def implied_loss_ratios_by_year(
-    tri: LossTriangle, factors: DevelopmentFactors
-) -> dict[int, float]:
-    """Per-year chain-ladder implied loss ratios (ultimate / premium)."""
-    ratios = {}
-    for row in chain_ladder_ultimates(tri, factors):
-        premium = tri.premium(row.accident_year)
-        if premium <= 0.0:
-            raise MissingPremium(f"accident year {row.accident_year} has no premium")
-        ratios[row.accident_year] = row.ultimate / premium
-    return ratios
-
-
 def bornhuetter_ferguson(
     tri: LossTriangle,
     factors: DevelopmentFactors,
@@ -178,6 +165,23 @@ class BootstrapResult:
     stddev: float
     quantiles: dict[float, float]
     n_retries: int
+
+    @classmethod
+    def from_samples(
+        cls, reserve_samples: np.ndarray, factor_samples: np.ndarray, n_retries: int
+    ) -> "BootstrapResult":
+        n_sims = reserve_samples.size
+        return cls(
+            n_sims=n_sims,
+            reserve_samples=reserve_samples,
+            factor_samples=factor_samples,
+            mean=float(reserve_samples.mean()),
+            stddev=float(reserve_samples.std(ddof=1)) if n_sims > 1 else 0.0,
+            quantiles={
+                q: float(np.quantile(reserve_samples, q)) for q in (0.5, 0.75, 0.95, 0.995)
+            },
+            n_retries=n_retries,
+        )
 
     def quantile(self, q: float) -> float:
         return float(np.quantile(self.reserve_samples, q))
@@ -233,6 +237,12 @@ def _structural_zero_cells(tri: LossTriangle) -> set[tuple[int, int]]:
     return cells
 
 
+#: Bootstrap rows drawn and refit together; bounds the block arrays' memory.
+BOOTSTRAP_CHUNK = 256
+#: Consecutive unusable pseudo-triangles after which the bootstrap gives up.
+MAX_REFIT_ATTEMPTS = 50
+
+
 def bootstrap_chain_ladder(
     tri: LossTriangle,
     n_sims: int,
@@ -246,6 +256,15 @@ def bootstrap_chain_ladder(
     re-project the actual latest diagonal.  Simulations whose pseudo
     data degenerate (non-positive column sums) are redrawn.
 
+    Simulations run in blocks of up to :data:`BOOTSTRAP_CHUNK` rows, never
+    more rows than are still needed: one ``rng.choice`` call draws the
+    block, the rows refit together, and they are accepted in stream order,
+    an unusable row counting as a retry.  So every drawn row is used, and
+    samples, retries and the generator's final state are bit for bit
+    those of drawing and refitting one simulation at a time (the sums
+    keep that loop's order).  This relies on a ``(k, n)`` ``choice``
+    drawing what ``k`` calls of size ``n`` draw.
+
     Args:
         tri: Triangle with at least three accident years.
         n_sims: Number of bootstrap simulations.
@@ -254,7 +273,46 @@ def bootstrap_chain_ladder(
     Raises:
         InsufficientData: Fewer than three accident years.
         DegenerateResiduals: Fitted incrementals non-positive, or
-            repeated failures to produce a usable pseudo-triangle.
+            :data:`MAX_REFIT_ATTEMPTS` unusable pseudo-triangles in a row
+            (the generator may then have drawn past the last of them).
+    """
+    keys, m_arr, pool = _residual_pool(tri)
+    n_cells = len(keys)
+    sqrt_m = np.sqrt(m_arr)
+    factor_samples = np.empty((n_sims, tri.n_dev_lags - 1))
+    n_retries = 0
+    failures = 0  # unusable rows since the last usable one, across blocks
+    filled = 0
+    while filled < n_sims:
+        k = min(BOOTSTRAP_CHUNK, n_sims - filled)
+        draws = rng.choice(pool, size=(k, n_cells), replace=True)
+        block, usable = _refit_block(tri, m_arr + draws * sqrt_m)
+        if usable.all():
+            factor_samples[filled:filled + k] = block
+            filled += k
+            failures = 0
+            continue
+        for ok in usable.tolist():
+            failures = 0 if ok else failures + 1
+            if failures == MAX_REFIT_ATTEMPTS:
+                raise DegenerateResiduals(
+                    "bootstrap could not build a usable pseudo-triangle after "
+                    f"{MAX_REFIT_ATTEMPTS} attempts"
+                )
+        kept = block[usable]
+        factor_samples[filled:filled + len(kept)] = kept
+        filled += len(kept)
+        n_retries += k - len(kept)
+    return BootstrapResult.from_samples(_reproject(tri, factor_samples), factor_samples, n_retries)
+
+
+def _residual_pool(tri: LossTriangle) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+    """Observed cells in (year, lag) order, their fitted incrementals, and
+    the pool of dof-adjusted Pearson residuals to resample from.
+
+    Raises:
+        InsufficientData: Fewer than three accident years.
+        DegenerateResiduals: A fitted incremental is non-positive.
     """
     if tri.n_accident_years < 3:
         raise InsufficientData(
@@ -283,72 +341,54 @@ def bootstrap_chain_ladder(
     pool = np.array([r for k, r in zip(keys, residuals) if k not in structural])
     if pool.size == 0:
         pool = residuals
-
-    latest = {year: tri.value(year, tri.latest_lag(year)) for year in tri.years}
-    sqrt_m = np.sqrt(m_arr)
-    reserve_samples = np.empty(n_sims)
-    factor_samples = np.empty((n_sims, len(factors)))
-    n_retries = 0
-    for s in range(n_sims):
-        for attempt in range(50):
-            draws = rng.choice(pool, size=n_cells, replace=True)
-            pseudo_inc = m_arr + draws * sqrt_m
-            pseudo = _refit_factors(tri, keys, pseudo_inc)
-            if pseudo is not None:
-                break
-            n_retries += 1
-        else:
-            raise DegenerateResiduals(
-                "bootstrap could not build a usable pseudo-triangle after 50 attempts"
-            )
-        factor_samples[s] = pseudo
-        total = 0.0
-        for year in tri.years:
-            ultimate = latest[year]
-            for j in range(tri.latest_lag(year) - 1, len(factors)):
-                ultimate *= pseudo[j]
-            total += ultimate - latest[year]
-        reserve_samples[s] = total
-
-    mean = float(reserve_samples.mean())
-    quantiles = {q: float(np.quantile(reserve_samples, q)) for q in (0.5, 0.75, 0.95, 0.995)}
-    return BootstrapResult(
-        n_sims=n_sims,
-        reserve_samples=reserve_samples,
-        factor_samples=factor_samples,
-        mean=mean,
-        stddev=float(reserve_samples.std(ddof=1)) if n_sims > 1 else 0.0,
-        quantiles=quantiles,
-        n_retries=n_retries,
-    )
+    return keys, m_arr, pool
 
 
-def _refit_factors(
-    tri: LossTriangle,
-    keys: list[tuple[int, int]],
-    pseudo_inc: np.ndarray,
-) -> np.ndarray | None:
-    """Volume-weighted factors on a pseudo-triangle; None if degenerate."""
-    pseudo_cum: dict[tuple[int, int], float] = {}
-    inc_by_key = dict(zip(keys, pseudo_inc))
+def _refit_block(tri: LossTriangle, inc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Volume-weighted factors of a block of pseudo-triangles at once.
+
+    Each row of ``inc`` holds one pseudo-triangle's incrementals in
+    (year, lag) order, so each year's cells are adjacent.  Returns the
+    ``(k, n_factors)`` factors and the ``(k,)`` mask of usable rows: a row
+    is unusable when some factor's numerator or denominator is not
+    positive, and its factors are then meaningless.
+
+    The sums keep a per-triangle loop's order, so the factors carry its
+    bits: cumulatives are prefix sums along the lags (``accumulate`` is
+    strictly sequential; it starts from the first incremental rather than
+    0.0 plus it, which could differ only for a -0.0 that positive fitted
+    incrementals never produce), and each factor's column sums add the
+    contributing years one at a time, oldest first, from 0.0 (a numpy
+    reduction over eight or more years would sum pairwise).
+    """
+    numer = np.zeros((len(inc), tri.n_dev_lags - 1))
+    denom = np.zeros_like(numer)
+    start = 0
     for year in tri.years:
-        running = 0.0
-        for lag in range(1, tri.latest_lag(year) + 1):
-            running += inc_by_key[(year, lag)]
-            pseudo_cum[(year, lag)] = running
-    n_factors = tri.n_dev_lags - 1
-    out = np.empty(n_factors)
-    for lag in range(1, tri.n_dev_lags):
-        numer = 0.0
-        denom = 0.0
-        for year in tri.years:
-            if (year, lag) in pseudo_cum and (year, lag + 1) in pseudo_cum:
-                numer += pseudo_cum[(year, lag + 1)]
-                denom += pseudo_cum[(year, lag)]
-        if denom <= 0.0 or numer <= 0.0:
-            return None
-        out[lag - 1] = numer / denom
-    return out
+        last = tri.latest_lag(year)
+        cum = np.add.accumulate(inc[:, start:start + last], axis=1)
+        # this year feeds the factors whose lags j and j+1 it has observed
+        numer[:, :last - 1] += cum[:, 1:]
+        denom[:, :last - 1] += cum[:, :-1]
+        start += last
+    # "not (<= 0)": a NaN sum passes, as in a per-triangle "<= 0.0" test
+    usable = ~((denom <= 0.0) | (numer <= 0.0)).any(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return numer / denom, usable
+
+
+def _reproject(tri: LossTriangle, factor_samples: np.ndarray) -> np.ndarray:
+    """Total reserve per simulation: the actual latest diagonal developed
+    with each row's factors, year by year and factor by factor."""
+    n_sims, n_factors = factor_samples.shape
+    total = np.zeros(n_sims)
+    for year in tri.years:
+        latest = tri.value(year, tri.latest_lag(year))
+        ultimate = np.full(n_sims, latest)
+        for j in range(tri.latest_lag(year) - 1, n_factors):
+            ultimate = ultimate * factor_samples[:, j]
+        total = total + (ultimate - latest)
+    return total
 
 
 # --- static reserve paths and environment replay -----------------------------------
@@ -451,4 +491,13 @@ def bornhuetter_ferguson_runner(
 
 
 def bootstrap_runner(result: BootstrapResult) -> Callable[[ReserveEnv, int], Trace]:
-    return _replay_runner(lambda info, horizon: bootstrap_path(result, info.initial_loss, horizon))
+    """Replays :func:`bootstrap_path`, with the mean profile computed once
+    per horizon rather than once per episode."""
+    profiles: dict[int, np.ndarray] = {}
+
+    def path(info: EpisodeInfo, horizon: int) -> np.ndarray:
+        if horizon not in profiles:
+            profiles[horizon] = result.mean_cumulative_profile(horizon)
+        return info.initial_loss * profiles[horizon]
+
+    return _replay_runner(path)

@@ -170,9 +170,6 @@ class NormalizationParams:
     def apply(self, x: float) -> float:
         return (x - self.offset) / self.scale
 
-    def invert(self, x: float) -> float:
-        return x * self.scale + self.offset
-
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -339,21 +336,6 @@ def normalize(tri: LossTriangle, split: SplitSpec) -> tuple[LossTriangle, Normal
         for c in tri.cells
     )
     return LossTriangle(cells=scaled), params
-
-
-def denormalize(tri: LossTriangle, params: NormalizationParams) -> LossTriangle:
-    """Invert :func:`normalize` (exact up to float rounding)."""
-    cells = tuple(
-        TriangleCell(
-            accident_year=c.accident_year,
-            dev_lag=c.dev_lag,
-            cum_incurred=params.invert(c.cum_incurred),
-            cum_paid=params.invert(c.cum_paid),
-            earned_premium=params.invert(c.earned_premium),
-        )
-        for c in tri.cells
-    )
-    return LossTriangle(cells=cells)
 
 
 def _validate_split(tri: LossTriangle, split: SplitSpec) -> None:

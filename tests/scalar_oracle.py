@@ -1,12 +1,14 @@
-"""Step-by-step reference for the lockstep rollouts and the flat optimiser.
+"""Step-by-step reference for the lockstep rollouts, the flat optimiser
+and the block-wise bootstrap.
 
 These are the one-episode-at-a-time loops that evaluation and training
 ran before their rollouts moved to :meth:`ReserveEnv.rollout`:
 ``reset()``, then one ``step()`` per period, one B=1 forward pass per
 action, recorded step by step.  Training here also keeps its networks
-as separate arrays, with a per-array Adam and gradient clip.  Tests run
-both on identically seeded inputs and require the same trace, network
-and log bytes, generator states and buffer contents.
+as separate arrays, with a per-array Adam and gradient clip.  The
+bootstrap here draws, refits and re-projects one simulation at a time.
+Tests run both on identically seeded inputs and require the same trace,
+network, log and sample bytes, generator states and buffer contents.
 """
 
 from __future__ import annotations
@@ -32,10 +34,12 @@ from reserve_rl.agent import (
     ppo_loss_and_grads,
     state_value,
 )
+from reserve_rl.baselines import BootstrapResult, _residual_pool
 from reserve_rl.env import ACTION_GRID, ReserveEnv, StepOutcome, Trace
-from reserve_rl.errors import NonFiniteGradient
+from reserve_rl.errors import DegenerateResiduals, NonFiniteGradient
 from reserve_rl.nets import MLPParams, init_mlp, softmax
 from reserve_rl.regimes import CurriculumSchedule, Stochastic
+from reserve_rl.triangles import LossTriangle
 
 _TRACE_COLUMNS = (
     "episode", "t", "reserve", "loss", "volatility", "adequacy",
@@ -266,3 +270,65 @@ def scalar_train_curriculum(make_env, config: PPOConfig, schedule: CurriculumSch
 
         result.policies[seed] = SimpleNamespace(policy=policy, value=value)
     return result
+
+
+# --- bootstrap -----------------------------------------------------------------
+
+def scalar_bootstrap_chain_ladder(
+    tri: LossTriangle, n_sims: int, rng: np.random.Generator
+) -> BootstrapResult:
+    """The residual bootstrap one simulation at a time: one ``choice`` per
+    attempt, a dict-based refit, and a per-year re-projection."""
+    keys, m_arr, pool = _residual_pool(tri)
+    n_cells = len(keys)
+    n_factors = tri.n_dev_lags - 1
+    latest = {year: tri.value(year, tri.latest_lag(year)) for year in tri.years}
+    sqrt_m = np.sqrt(m_arr)
+    reserve_samples = np.empty(n_sims)
+    factor_samples = np.empty((n_sims, n_factors))
+    n_retries = 0
+    for s in range(n_sims):
+        for attempt in range(50):
+            draws = rng.choice(pool, size=n_cells, replace=True)
+            pseudo_inc = m_arr + draws * sqrt_m
+            pseudo = _refit_factors(tri, keys, pseudo_inc)
+            if pseudo is not None:
+                break
+            n_retries += 1
+        else:
+            raise DegenerateResiduals(
+                "bootstrap could not build a usable pseudo-triangle after 50 attempts"
+            )
+        factor_samples[s] = pseudo
+        total = 0.0
+        for year in tri.years:
+            ultimate = latest[year]
+            for j in range(tri.latest_lag(year) - 1, n_factors):
+                ultimate *= pseudo[j]
+            total += ultimate - latest[year]
+        reserve_samples[s] = total
+    return BootstrapResult.from_samples(reserve_samples, factor_samples, n_retries)
+
+
+def _refit_factors(tri, keys, pseudo_inc):
+    """Volume-weighted factors on a pseudo-triangle; None if degenerate."""
+    pseudo_cum = {}
+    inc_by_key = dict(zip(keys, pseudo_inc))
+    for year in tri.years:
+        running = 0.0
+        for lag in range(1, tri.latest_lag(year) + 1):
+            running += inc_by_key[(year, lag)]
+            pseudo_cum[(year, lag)] = running
+    n_factors = tri.n_dev_lags - 1
+    out = np.empty(n_factors)
+    for lag in range(1, tri.n_dev_lags):
+        numer = 0.0
+        denom = 0.0
+        for year in tri.years:
+            if (year, lag) in pseudo_cum and (year, lag + 1) in pseudo_cum:
+                numer += pseudo_cum[(year, lag + 1)]
+                denom += pseudo_cum[(year, lag)]
+        if denom <= 0.0 or numer <= 0.0:
+            return None
+        out[lag - 1] = numer / denom
+    return out

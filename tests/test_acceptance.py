@@ -291,6 +291,7 @@ def test_criterion_05_regime_severity():
 
 # --- criterion 6: the optimizer actually learns --------------------------------
 
+@pytest.mark.slow
 def test_criterion_06_training_improves_returns(bundle):
     config = PPOConfig(learning_rate=1e-3, batch_size=50, minibatch_size=25)
     schedule = CurriculumSchedule(levels=(0,), episodes_per_level=200, ramp_episodes=50)
@@ -326,6 +327,7 @@ def full_run(bundle):
     }
 
 
+@pytest.mark.slow
 def test_criterion_07_stress_monotonicity(full_run):
     t0 = time.perf_counter()
     outcome = evaluate_models(
@@ -357,6 +359,7 @@ def test_criterion_07_stress_monotonicity(full_run):
                    f"{len(inversions)} inversion(s), {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_08_beats_chain_ladder_in_rough_regimes(full_run, bundle):
     t0 = time.perf_counter()
     outcome = evaluate_models(
@@ -384,6 +387,7 @@ def test_criterion_08_beats_chain_ladder_in_rough_regimes(full_run, bundle):
 
 # --- criterion 9: generalization to an unseen regime ---------------------------
 
+@pytest.mark.slow
 def test_criterion_09_cold_regime(bundle):
     train_factory, eval_factory = env_factories(bundle)
     t0 = time.perf_counter()
@@ -437,6 +441,7 @@ def sweeps(bundle):
     }
 
 
+@pytest.mark.slow
 def test_criterion_10_sensitivity_directions(sweeps):
     labels = ["alpha:0.9,floor:default", "alpha:0.925,floor:default",
               "alpha:0.95,floor:default"]

@@ -205,6 +205,17 @@ def test_ppo_update_returns_mean_of_minibatch_stats(monkeypatch):
         assert getattr(stats, name) == np.mean([getattr(s, name) for s in seen]), name
 
 
+def test_loss_mean_is_ndarray_mean_bitwise():
+    """The loss statistics' mean is ``ndarray.mean``'s arithmetic, also past
+    the lengths where numpy's pairwise summation changes the order."""
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 7, 8, 9, 50, 127, 128, 129, 256, 1000, 2049):
+        x = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=n)
+        assert agent_module._mean(x).hex() == float(x.mean()).hex()
+        flags = x > 0.3
+        assert agent_module._mean(flags).hex() == float(flags.mean()).hex()
+
+
 def test_ppo_loss_empty_minibatch_rejected():
     rng = np.random.default_rng(4)
     config = PPOConfig(hidden_sizes=(8,))

@@ -18,7 +18,6 @@ from reserve_rl.baselines import (
     chain_ladder_runner,
     chain_ladder_ultimates,
     implied_loss_ratio,
-    implied_loss_ratios_by_year,
     percent_developed,
     replay_static_policy,
     write_reserve_rows_csv,
@@ -28,6 +27,7 @@ from reserve_rl.errors import InsufficientData, MissingPremium
 from reserve_rl.regimes import FixedShock
 from reserve_rl.triangles import (
     DevelopmentFactors,
+    LossTriangle,
     age_to_age_factors,
     triangle_from_arrays,
 )
@@ -38,6 +38,19 @@ TEXTBOOK_FACTORS = (1.5, 7.0 / 6.0)
 TEXTBOOK_ULTIMATES = {2001: 175.0, 2002: 192.5, 2003: 210.0}
 TEXTBOOK_RESERVES = {2001: 0.0, 2002: 27.5, 2003: 90.0}
 TEXTBOOK_TOTAL_RESERVE = 117.5
+
+
+def implied_loss_ratios_by_year(
+    tri: LossTriangle, factors: DevelopmentFactors
+) -> dict[int, float]:
+    """Per-year chain-ladder implied loss ratios (ultimate / premium)."""
+    ratios = {}
+    for row in chain_ladder_ultimates(tri, factors):
+        premium = tri.premium(row.accident_year)
+        if premium <= 0.0:
+            raise MissingPremium(f"accident year {row.accident_year} has no premium")
+        ratios[row.accident_year] = row.ultimate / premium
+    return ratios
 
 
 @pytest.fixture()

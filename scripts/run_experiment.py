@@ -24,7 +24,8 @@ def main() -> None:
     parser.add_argument("--triangle", default="data/triangle.csv")
     parser.add_argument("--config", default=None, help="INI run configuration")
     parser.add_argument("--out", default="runs")
-    parser.add_argument("--traces", action="store_true", help="write step traces during evaluation")
+    parser.add_argument("--traces", action="store_true",
+                        help="write step traces during evaluate and stress")
     parser.add_argument("--sensitivity", action="store_true")
     args = parser.parse_args()
 
@@ -33,9 +34,10 @@ def main() -> None:
         common += ["--config", args.config]
 
     run(common + ["ingest", "--triangle", args.triangle])
+    traces = ["--traces"] if args.traces else []
     run(common + ["train"])
-    run(common + ["evaluate"] + (["--traces"] if args.traces else []))
-    run(common + ["stress"])
+    run(common + ["evaluate"] + traces)
+    run(common + ["stress"] + traces)
     run(common + ["baselines", "--triangle", args.triangle])
     if args.sensitivity:
         run(common + ["sensitivity"])

@@ -55,11 +55,13 @@ def _mean(x: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class PPOConfig:
-    """Optimization hyperparameters (defaults are the reference values)."""
+    """Optimization hyperparameters, and the ``[ppo]`` INI section field for
+    field (defaults are the reference values)."""
 
     learning_rate: float = 3e-4
     batch_size: int = 2048
-    epochs_per_update: int = 10
+    minibatch_size: int = 256
+    epochs: int = 10
     discount: float = 0.99
     clip_range: float = 0.2
     entropy_coef: float = 0.01
@@ -67,9 +69,7 @@ class PPOConfig:
     value_coef: float = 0.5
     max_grad_norm: float = 0.5
     reward_norm: bool = True
-    minibatch_size: int = 256
-    hidden_sizes: tuple[int, ...] = (64, 64)
-    seeds: tuple[int, ...] = (1, 2, 3)
+    hidden: tuple[int, ...] = (64, 64)
 
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.minibatch_size < 1:
@@ -124,7 +124,7 @@ def init_agent(rng: np.random.Generator, config: PPOConfig) -> AgentParams:
     The policy output layer is near-zero so the initial action
     distribution is near-uniform; the value head starts at full gain.
     """
-    sizes = (OBS_DIM, *config.hidden_sizes)
+    sizes = (OBS_DIM, *config.hidden)
     policy = init_mlp((*sizes, N_ACTIONS), rng, final_gain=0.01)
     value = init_mlp((*sizes, 1), rng, final_gain=1.0)
     params = AgentParams.empty_like(policy, value)
@@ -374,7 +374,7 @@ def ppo_update(
     batch = replace(batch, advantages=(adv - _mean(adv)) / (adv.std() + 1e-8))
     grads = AgentParams.empty_like(agent.policy, agent.value)
     minibatch_stats = []
-    for _ in range(config.epochs_per_update):
+    for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.minibatch_size):
             mini = batch.select(order[start : start + config.minibatch_size])
@@ -437,7 +437,7 @@ def train_curriculum(
     make_env: EnvFactory,
     config: PPOConfig,
     schedule: CurriculumSchedule,
-    seeds: Sequence[int] | None = None,
+    seeds: Sequence[int],
 ) -> TrainingResult:
     """Train one policy per seed along the regime curriculum.
 
@@ -459,13 +459,12 @@ def train_curriculum(
             to the supplied generator.
         config: Optimization hyperparameters.
         schedule: Curriculum pacing.
-        seeds: Training seeds; defaults to ``config.seeds``.
+        seeds: Training seeds, one policy each.
 
     Returns:
         :class:`TrainingResult` with final networks per seed, the
         per-episode log and the per-update statistics.
     """
-    seeds = tuple(seeds) if seeds is not None else config.seeds
     result = TrainingResult(policies={})
 
     for seed in seeds:

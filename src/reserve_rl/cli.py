@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 configuration/usage errors, 2 data errors,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -47,8 +48,6 @@ from .config import (
     git_blob_sha1,
     load_config,
     to_env_config,
-    to_ppo_config,
-    to_schedule,
     write_manifest,
 )
 from .env import ReserveEnv
@@ -67,6 +66,7 @@ from .nets import load_networks, save_networks
 from .regimes import ShockMode
 from .triangles import (
     DevelopmentFactors,
+    LossTriangle,
     SplitSpec,
     age_to_age_factors,
     normalize,
@@ -94,13 +94,6 @@ def _build_parser() -> _Parser:
         "--seed-list",
         help="comma-separated training seeds overriding the config",
         default=None,
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker count (accepted for interface stability; execution "
-        "is serial and seed streams are already partitioned)",
     )
     parser.add_argument(
         "--print-config",
@@ -138,13 +131,14 @@ def _build_parser() -> _Parser:
 
 def _seeds(args: argparse.Namespace, cfg: RunConfig) -> tuple[int, ...]:
     if args.seed_list is None:
-        return cfg.run.seeds
-    try:
-        seeds = tuple(int(part) for part in args.seed_list.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad --seed-list {args.seed_list!r}") from exc
+        seeds = cfg.run.seeds
+    else:
+        try:
+            seeds = tuple(int(part) for part in args.seed_list.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"bad --seed-list {args.seed_list!r}") from exc
     if not seeds:
-        raise ConfigError("--seed-list is empty")
+        raise ConfigError("no training seeds: [run] seeds is empty")
     return seeds
 
 
@@ -189,23 +183,23 @@ class IngestArtifacts:
 
 
 def _factories(
-    data: IngestArtifacts, cfg: RunConfig
+    data: IngestArtifacts, cfg: RunConfig, **env_overrides: object
 ) -> tuple[EnvFactory, EnvFactory]:
     """Training factory on the train triangle, evaluation on the test one.
 
-    Both pin the same horizon so policies see identical episode lengths.
+    Both pin the same horizon so policies see identical episode lengths;
+    ``env_overrides`` replace further :class:`EnvConfig` fields (a
+    sensitivity cell's tail level and floor).
     """
     horizon = cfg.env.horizon if cfg.env.horizon is not None else data.horizon
 
-    def train_factory(mode: ShockMode, rng: np.random.Generator) -> ReserveEnv:
-        env_cfg = to_env_config(cfg, shock_mode=mode, horizon=horizon)
-        return ReserveEnv(data.train, data.factors, env_cfg, rng)
+    def factory(triangle: LossTriangle) -> EnvFactory:
+        def make(mode: ShockMode, rng: np.random.Generator) -> ReserveEnv:
+            env_cfg = to_env_config(cfg, shock_mode=mode, horizon=horizon, **env_overrides)
+            return ReserveEnv(triangle, data.factors, env_cfg, rng)
+        return make
 
-    def eval_factory(mode: ShockMode, rng: np.random.Generator) -> ReserveEnv:
-        env_cfg = to_env_config(cfg, shock_mode=mode, horizon=horizon)
-        return ReserveEnv(data.test, data.factors, env_cfg, rng)
-
-    return train_factory, eval_factory
+    return factory(data.train), factory(data.test)
 
 
 def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -245,15 +239,15 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = _outdir(args, "train")
     data = IngestArtifacts(args.data or os.path.join(args.out, "ingest"))
     seeds = _seeds(args, cfg)
-    levels = None
+    schedule = cfg.regimes
     if args.levels is not None:
         try:
             levels = tuple(int(part) for part in args.levels.split(","))
         except ValueError as exc:
             raise ConfigError(f"bad --levels {args.levels!r}") from exc
-    schedule = to_schedule(cfg, levels)
+        schedule = dataclasses.replace(schedule, levels=levels)
     train_factory, _ = _factories(data, cfg)
-    result = train_curriculum(train_factory, to_ppo_config(cfg), schedule, seeds)
+    result = train_curriculum(train_factory, cfg.ppo, schedule, seeds)
 
     fingerprint = config_fingerprint(cfg)
     outputs = ["training_log.csv"]
@@ -287,17 +281,16 @@ def _load_policies(directory: str, seeds: tuple[int, ...], cfg: RunConfig):
     return policies
 
 
-def _baseline_models(data: IngestArtifacts, cfg: RunConfig):
+def _elr_and_bootstrap(
+    train: LossTriangle, factors: DevelopmentFactors, cfg: RunConfig
+) -> tuple[float, BootstrapResult]:
+    """The Bornhuetter-Ferguson loss ratio (``[baselines] elr``, else the
+    pooled implied ratio) and the chain-ladder bootstrap, both on ``train``."""
     elr = cfg.baselines.elr
     if elr is None:
-        elr = implied_loss_ratio(data.train, data.factors)
+        elr = implied_loss_ratio(train, factors)
     boot_rng = np.random.default_rng(cfg.baselines.bootstrap_seed)
-    boot = bootstrap_chain_ladder(data.train, cfg.baselines.bootstrap_sims, boot_rng)
-    return {
-        "chain_ladder": chain_ladder_runner(data.factors),
-        "bornhuetter_ferguson": bornhuetter_ferguson_runner(data.factors, elr),
-        "bootstrap": bootstrap_runner(boot),
-    }
+    return elr, bootstrap_chain_ladder(train, cfg.baselines.bootstrap_sims, boot_rng)
 
 
 def _write_traces(outcome: EvalOutcome, directory: str) -> list[str]:
@@ -311,76 +304,86 @@ def _write_traces(outcome: EvalOutcome, directory: str) -> list[str]:
     return written
 
 
+def _policy_outcome(args: argparse.Namespace, cfg: RunConfig, data: IngestArtifacts,
+                    seeds: tuple[int, ...]) -> EvalOutcome:
+    """``evaluate``: the trained policies and the three static baselines in
+    each regime; ``stress``: the policies alone under each fixed shock."""
+    policies = _load_policies(args.policies or os.path.join(args.out, "train"), seeds, cfg)
+    _, eval_factory = _factories(data, cfg)
+    models = {"rl_cvar": lambda seed: greedy_runner(policies[seed])}
+    if args.command == "evaluate":
+        conditions = regime_conditions(cfg.eval.regimes)
+        elr, boot = _elr_and_bootstrap(data.train, data.factors, cfg)
+        models["chain_ladder"] = constant_runner(chain_ladder_runner(data.factors))
+        models["bornhuetter_ferguson"] = constant_runner(
+            bornhuetter_ferguson_runner(data.factors, elr))
+        models["bootstrap"] = constant_runner(bootstrap_runner(boot))
+    else:
+        conditions = stress_conditions(cfg.eval.shocks)
+    return evaluate_models(
+        models,
+        eval_factory,
+        conditions,
+        seeds,
+        cfg.eval.episodes,
+        lob=cfg.run.lob,
+        crn_base=cfg.eval.crn_base,
+        keep_traces=args.traces,
+    )
+
+
+def _sensitivity_outcome(args: argparse.Namespace, cfg: RunConfig, data: IngestArtifacts,
+                         seeds: tuple[int, ...]) -> EvalOutcome:
+    """Retrained policies over the tail-level x floor grid."""
+
+    def cell_factories(alpha: float | None, floor: tuple[float, float]):
+        return _factories(data, cfg, alpha_override=alpha,
+                          floor_base=floor[0], floor_slope=floor[1])
+
+    return sensitivity_sweep(
+        cell_factories,
+        cfg.ppo,
+        cfg.regimes,
+        list(cfg.eval.sweep_alphas),
+        FLOOR_FORMS,
+        seeds,
+        eval_levels=cfg.eval.regimes,
+        episodes_per_level=cfg.eval.sweep_episodes_per_level,
+        lob=cfg.run.lob,
+        crn_base=cfg.eval.crn_base,
+    )
+
+
+#: Subcommand -> (output directory, metrics table name, outcome function).
+_EVALUATIONS = {
+    "evaluate": ("eval", "metrics", _policy_outcome),
+    "stress": ("stress", "stress_metrics", _policy_outcome),
+    "sensitivity": ("sensitivity", "sensitivity", _sensitivity_outcome),
+}
+
+
 def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
-    out = _outdir(args, "eval")
+    """``evaluate``, ``stress`` and ``sensitivity``: score models on the
+    ingested data, then write the metrics table with its sidecar, the
+    traces if any were kept, and the manifest."""
+    directory, table, outcome_of = _EVALUATIONS[args.command]
+    out = _outdir(args, directory)
     data = IngestArtifacts(args.data or os.path.join(args.out, "ingest"))
     seeds = _seeds(args, cfg)
-    policies = _load_policies(args.policies or os.path.join(args.out, "train"), seeds, cfg)
-    _, eval_factory = _factories(data, cfg)
-
-    models = {"rl_cvar": lambda seed: greedy_runner(policies[seed])}
-    for name, runner in _baseline_models(data, cfg).items():
-        models[name] = constant_runner(runner)
-    outcome = evaluate_models(
-        models,
-        eval_factory,
-        regime_conditions(cfg.eval.regimes),
-        seeds,
-        cfg.eval.episodes,
-        lob=cfg.run.lob,
-        crn_base=cfg.eval.crn_base,
-        keep_traces=args.traces,
-    )
-    csv_path = os.path.join(out, "metrics.csv")
-    emit_report(outcome.rows, csv_path, sidecar={
+    outcome = outcome_of(args, cfg, data, seeds)
+    emit_report(outcome.rows, os.path.join(out, f"{table}.csv"), sidecar={
         "config_fingerprint": config_fingerprint(cfg),
         "seeds": list(seeds),
         "inputs": data.input_digests(),
     })
-    outputs = ["metrics.csv", "metrics.json"]
-    if args.traces:
+    outputs = [f"{table}.csv", f"{table}.json"]
+    if outcome.traces:
         outputs += [os.path.join("traces", n)
                     for n in _write_traces(outcome, os.path.join(out, "traces"))]
-    manifest = build_manifest("evaluate", cfg, inputs=data.input_paths(), outputs=outputs)
+    manifest = build_manifest(args.command, cfg, inputs=data.input_paths(), outputs=outputs)
     write_manifest(os.path.join(out, "manifest.json"), manifest)
     for row in outcome.rows:
-        print(f"evaluate: {row.model:24s} {row.condition:12s} "
-              f"rar={row.rar:.3f} cvar95={row.cvar95:.4f} ces={row.ces:.3f} rvr={row.rvr:.3f}")
-    return 0
-
-
-def cmd_stress(args: argparse.Namespace, cfg: RunConfig) -> int:
-    out = _outdir(args, "stress")
-    data = IngestArtifacts(args.data or os.path.join(args.out, "ingest"))
-    seeds = _seeds(args, cfg)
-    policies = _load_policies(args.policies or os.path.join(args.out, "train"), seeds, cfg)
-    _, eval_factory = _factories(data, cfg)
-
-    models = {"rl_cvar": lambda seed: greedy_runner(policies[seed])}
-    outcome = evaluate_models(
-        models,
-        eval_factory,
-        stress_conditions(cfg.eval.shocks),
-        seeds,
-        cfg.eval.episodes,
-        lob=cfg.run.lob,
-        crn_base=cfg.eval.crn_base,
-        keep_traces=args.traces,
-    )
-    csv_path = os.path.join(out, "stress_metrics.csv")
-    emit_report(outcome.rows, csv_path, sidecar={
-        "config_fingerprint": config_fingerprint(cfg),
-        "seeds": list(seeds),
-        "inputs": data.input_digests(),
-    })
-    outputs = ["stress_metrics.csv", "stress_metrics.json"]
-    if args.traces:
-        outputs += [os.path.join("traces", n)
-                    for n in _write_traces(outcome, os.path.join(out, "traces"))]
-    manifest = build_manifest("stress", cfg, inputs=data.input_paths(), outputs=outputs)
-    write_manifest(os.path.join(out, "manifest.json"), manifest)
-    for row in outcome.rows:
-        print(f"stress: {row.condition:12s} rar={row.rar:.3f} "
+        print(f"{args.command}: {row.model:20s} {row.condition:28s} rar={row.rar:.3f} "
               f"cvar95={row.cvar95:.4f} ces={row.ces:.3f} rvr={row.rvr:.3f}")
     return 0
 
@@ -393,14 +396,9 @@ def cmd_baselines(args: argparse.Namespace, cfg: RunConfig) -> int:
     factors = age_to_age_factors(train_tri)
 
     rows = chain_ladder_ultimates(train_tri, factors)
-    elr = cfg.baselines.elr
-    if elr is None:
-        elr = implied_loss_ratio(train_tri, factors)
+    elr, boot = _elr_and_bootstrap(train_tri, factors, cfg)
     rows += bornhuetter_ferguson(train_tri, factors, elr)
     write_reserve_rows_csv(rows, os.path.join(out, "reserves.csv"))
-
-    boot_rng = np.random.default_rng(cfg.baselines.bootstrap_seed)
-    boot = bootstrap_chain_ladder(train_tri, cfg.baselines.bootstrap_sims, boot_rng)
     with open(os.path.join(out, "bootstrap.json"), "w") as handle:
         json.dump(_bootstrap_summary(boot, elr), handle, sort_keys=True, separators=(",", ":"))
         handle.write("\n")
@@ -423,53 +421,6 @@ def _bootstrap_summary(boot: BootstrapResult, elr: float) -> dict:
         "n_retries": boot.n_retries,
         "elr": elr,
     }
-
-
-def cmd_sensitivity(args: argparse.Namespace, cfg: RunConfig) -> int:
-    out = _outdir(args, "sensitivity")
-    data = IngestArtifacts(args.data or os.path.join(args.out, "ingest"))
-    seeds = _seeds(args, cfg)
-    horizon = cfg.env.horizon if cfg.env.horizon is not None else data.horizon
-
-    def cell_factories(alpha, floor):
-        def train_factory(mode: ShockMode, rng: np.random.Generator) -> ReserveEnv:
-            env_cfg = to_env_config(cfg, shock_mode=mode, alpha=alpha,
-                                    floor=floor, horizon=horizon)
-            return ReserveEnv(data.train, data.factors, env_cfg, rng)
-
-        def eval_factory(mode: ShockMode, rng: np.random.Generator) -> ReserveEnv:
-            env_cfg = to_env_config(cfg, shock_mode=mode, alpha=alpha,
-                                    floor=floor, horizon=horizon)
-            return ReserveEnv(data.test, data.factors, env_cfg, rng)
-
-        return train_factory, eval_factory
-
-    alphas: list[float | None] = list(cfg.eval.sweep_alphas)
-    outcome = sensitivity_sweep(
-        cell_factories,
-        to_ppo_config(cfg),
-        to_schedule(cfg),
-        alphas,
-        FLOOR_FORMS,
-        eval_levels=cfg.eval.regimes,
-        episodes_per_level=cfg.eval.sweep_episodes_per_level,
-        seeds=seeds,
-        lob=cfg.run.lob,
-        crn_base=cfg.eval.crn_base,
-    )
-    csv_path = os.path.join(out, "sensitivity.csv")
-    emit_report(outcome.rows, csv_path, sidecar={
-        "config_fingerprint": config_fingerprint(cfg),
-        "seeds": list(seeds),
-        "inputs": data.input_digests(),
-    })
-    manifest = build_manifest("sensitivity", cfg, inputs=data.input_paths(),
-                              outputs=["sensitivity.csv", "sensitivity.json"])
-    write_manifest(os.path.join(out, "manifest.json"), manifest)
-    for row in outcome.rows:
-        print(f"sensitivity: {row.condition:28s} rar={row.rar:.3f} "
-              f"cvar95={row.cvar95:.4f} rvr={row.rvr:.3f}")
-    return 0
 
 
 def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -514,9 +465,9 @@ _COMMANDS = {
     "ingest": cmd_ingest,
     "train": cmd_train,
     "evaluate": cmd_evaluate,
-    "stress": cmd_stress,
+    "stress": cmd_evaluate,
     "baselines": cmd_baselines,
-    "sensitivity": cmd_sensitivity,
+    "sensitivity": cmd_evaluate,
     "report": cmd_report,
 }
 
@@ -534,9 +485,6 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command is None:
             raise ConfigError("a subcommand is required (see --help)")
-        if args.workers > 1:
-            log.info("--workers %d requested; executing serially with "
-                     "partitioned seed streams", args.workers)
         return _COMMANDS[args.command](args, cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,13 +1,15 @@
 """Run configuration: INI files, canonical dumps, fingerprints, manifests.
 
-A run is fully described by one INI file with five sections (``run``,
+A run is fully described by one INI file with six sections (``run``,
 ``env``, ``regimes``, ``ppo``, ``eval``, ``baselines``); every key has a
 default, unknown sections or keys are rejected rather than ignored, and
 the canonical re-serialization of the parsed config is hashed into a
-fingerprint that artifacts carry in their sidecars.  Manifests record
-what a command read and wrote (with content digests) so outputs can be
-traced back to exact inputs; their timestamps are informational and not
-part of any comparison.
+fingerprint that artifacts carry in their sidecars.  ``[regimes]`` and
+``[ppo]`` load straight into :class:`CurriculumSchedule` and
+:class:`PPOConfig`, so their checks run as the file is read.  Manifests
+record what a command read and wrote (with content digests) so outputs
+can be traced back to exact inputs; their timestamps are informational
+and not part of any comparison.
 """
 
 from __future__ import annotations
@@ -16,14 +18,14 @@ import configparser
 import datetime
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from importlib import metadata
 from typing import Mapping, Sequence
 
 from .env import DEFAULT_FLOOR, STRICT_FLOOR, EnvConfig, RewardWeights
 from .errors import ConfigError, IoFailure
 from .agent import PPOConfig
-from .regimes import CurriculumSchedule, ShockMode, Stochastic
+from .regimes import CurriculumSchedule
 
 try:
     VERSION = metadata.version("reserve-rl")
@@ -62,29 +64,6 @@ class EnvSection:
 
 
 @dataclass(frozen=True)
-class RegimeSection:
-    levels: tuple[int, ...] = (0, 1, 2, 3)
-    episodes_per_level: int = 200
-    ramp_episodes: int = 50
-
-
-@dataclass(frozen=True)
-class PPOSection:
-    learning_rate: float = 3e-4
-    batch_size: int = 2048
-    minibatch_size: int = 256
-    epochs: int = 10
-    discount: float = 0.99
-    clip_range: float = 0.2
-    entropy_coef: float = 0.01
-    gae_lambda: float = 0.95
-    value_coef: float = 0.5
-    max_grad_norm: float = 0.5
-    reward_norm: bool = True
-    hidden: tuple[int, ...] = (64, 64)
-
-
-@dataclass(frozen=True)
 class EvalSection:
     episodes: int = 100
     regimes: tuple[int, ...] = (0, 1, 2, 3)
@@ -105,21 +84,14 @@ class BaselineSection:
 class RunConfig:
     run: RunSection = field(default_factory=RunSection)
     env: EnvSection = field(default_factory=EnvSection)
-    regimes: RegimeSection = field(default_factory=RegimeSection)
-    ppo: PPOSection = field(default_factory=PPOSection)
+    regimes: CurriculumSchedule = field(default_factory=CurriculumSchedule)
+    ppo: PPOConfig = field(default_factory=PPOConfig)
     eval: EvalSection = field(default_factory=EvalSection)
     baselines: BaselineSection = field(default_factory=BaselineSection)
 
 
-_SECTIONS = ("run", "env", "regimes", "ppo", "eval", "baselines")
-_SECTION_TYPES = {
-    "run": RunSection,
-    "env": EnvSection,
-    "regimes": RegimeSection,
-    "ppo": PPOSection,
-    "eval": EvalSection,
-    "baselines": BaselineSection,
-}
+#: Section name -> the dataclass it loads into, in canonical order.
+_SECTION_TYPES = {f.name: f.default_factory for f in fields(RunConfig)}
 
 
 def default_config() -> RunConfig:
@@ -172,8 +144,10 @@ def load_config(path: str | None) -> RunConfig:
     """Read an INI file over the defaults; ``None`` gives pure defaults.
 
     Raises:
-        ConfigError: Unknown section or key, unreadable file, or an
-            unparsable value.
+        ConfigError: Unknown section or key, unreadable file, an
+            unparsable value, or a value the runtime classes reject
+            (``[regimes]``, ``[ppo]``, and ``[env]`` through
+            :func:`to_env_config`).
     """
     if path is None:
         return default_config()
@@ -199,7 +173,9 @@ def load_config(path: str | None) -> RunConfig:
                 raise ConfigError(f"unknown key {key!r} in section [{section_name}]")
             values[key] = _parse_scalar(key, raw, getattr(defaults, key))
         sections[section_name] = cls(**values)
-    return RunConfig(**sections)
+    cfg = RunConfig(**sections)
+    to_env_config(cfg)
+    return cfg
 
 
 def _format_value(value: object) -> str:
@@ -215,7 +191,7 @@ def _format_value(value: object) -> str:
 def config_to_ini(cfg: RunConfig) -> str:
     """Canonical INI rendering: fixed section and key order, repr floats."""
     lines = []
-    for section_name in _SECTIONS:
+    for section_name in _SECTION_TYPES:
         section = getattr(cfg, section_name)
         lines.append(f"[{section_name}]")
         for f in fields(section):
@@ -235,22 +211,14 @@ def config_fingerprint(cfg: RunConfig) -> str:
     return hashlib.sha256(config_to_ini(cfg).encode()).hexdigest()
 
 
-_UNSET = object()
-
-
-def to_env_config(
-    cfg: RunConfig,
-    shock_mode: ShockMode | None = None,
-    alpha: object = _UNSET,
-    floor: tuple[float, float] | None = None,
-    horizon: int | None = None,
-) -> EnvConfig:
-    """Materialize the environment config, with optional sweep overrides
-    (``alpha=None`` explicitly selects the volatility-adaptive level)."""
+def to_env_config(cfg: RunConfig, **overrides: object) -> EnvConfig:
+    """Materialize the environment config.  ``overrides`` replace
+    :class:`EnvConfig` fields by name; ``alpha_override=None`` selects the
+    volatility-adaptive level even where the INI pins one."""
     env = cfg.env
-    floor_base, floor_slope = floor if floor is not None else FLOOR_FORMS[env.floor]
-    return EnvConfig(
-        horizon=horizon if horizon is not None else env.horizon,
+    floor_base, floor_slope = FLOOR_FORMS[env.floor]
+    base = EnvConfig(
+        horizon=env.horizon,
         weights=RewardWeights(
             shortfall=env.w_shortfall,
             cvar=env.w_cvar,
@@ -264,37 +232,10 @@ def to_env_config(
         floor_slope=floor_slope,
         buffer_capacity=env.buffer_capacity,
         warmup_min=env.warmup_min,
-        alpha_override=env.alpha if alpha is _UNSET else alpha,
-        shock_mode=shock_mode if shock_mode is not None else Stochastic(0),
+        alpha_override=env.alpha,
         seed=cfg.run.seed,
     )
-
-
-def to_ppo_config(cfg: RunConfig) -> PPOConfig:
-    ppo = cfg.ppo
-    return PPOConfig(
-        learning_rate=ppo.learning_rate,
-        batch_size=ppo.batch_size,
-        minibatch_size=ppo.minibatch_size,
-        epochs_per_update=ppo.epochs,
-        discount=ppo.discount,
-        clip_range=ppo.clip_range,
-        entropy_coef=ppo.entropy_coef,
-        gae_lambda=ppo.gae_lambda,
-        value_coef=ppo.value_coef,
-        max_grad_norm=ppo.max_grad_norm,
-        reward_norm=ppo.reward_norm,
-        hidden_sizes=ppo.hidden,
-        seeds=cfg.run.seeds,
-    )
-
-
-def to_schedule(cfg: RunConfig, levels: Sequence[int] | None = None) -> CurriculumSchedule:
-    return CurriculumSchedule(
-        levels=tuple(levels) if levels is not None else cfg.regimes.levels,
-        episodes_per_level=cfg.regimes.episodes_per_level,
-        ramp_episodes=cfg.regimes.ramp_episodes,
-    )
+    return replace(base, **overrides)
 
 
 # --- manifests -----------------------------------------------------------------

@@ -271,12 +271,12 @@ def cold_regime_test(
     eval_factory: EnvFactory,
     ppo_config: PPOConfig,
     baselines: Mapping[str, ModelRunner],
+    seeds: Sequence[int],
     train_levels: Sequence[int] = (0, 1),
     eval_level: int = 3,
     episodes_per_level: int = 200,
     ramp_episodes: int = 50,
     eval_episodes: int = 100,
-    seeds: Sequence[int] | None = None,
     lob: str = "synthetic",
     crn_base: int = 0,
 ) -> EvalOutcome:
@@ -290,7 +290,6 @@ def cold_regime_test(
         episodes_per_level=episodes_per_level,
         ramp_episodes=ramp_episodes,
     )
-    seeds = tuple(seeds) if seeds is not None else ppo_config.seeds
     trained = train_curriculum(train_factory, ppo_config, schedule, seeds)
     models: dict[str, SeededRunner] = {"rl_cvar": policy_runners(trained)}
     for name, runner in baselines.items():
@@ -312,9 +311,9 @@ def sensitivity_sweep(
     schedule: CurriculumSchedule,
     alphas: Sequence[float | None],
     floors: Mapping[str, tuple[float, float]],
+    seeds: Sequence[int],
     eval_levels: Sequence[int] = (0, 1, 2, 3),
     episodes_per_level: int = 25,
-    seeds: Sequence[int] | None = None,
     lob: str = "synthetic",
     crn_base: int = 0,
 ) -> EvalOutcome:
@@ -325,7 +324,6 @@ def sensitivity_sweep(
     keeps the volatility-adaptive level.  Evaluation draws are paired
     across cells.
     """
-    seeds = tuple(seeds) if seeds is not None else ppo_config.seeds
     outcome = EvalOutcome()
     for alpha in alphas:
         for floor_name, floor in floors.items():

@@ -37,9 +37,8 @@ class MLPParams:
 def flat_views(nets: Sequence[MLPParams]) -> tuple[np.ndarray, list[MLPParams]]:
     """A new uninitialized float64 vector, and networks shaped like ``nets``
     whose arrays are views into it, net after net in :meth:`MLPParams.layers`
-    order.  Each view keeps the memory order of the array it mirrors:
-    :func:`orthogonal` leaves a widening layer Fortran-ordered, and a B=1
-    forward pass through a C-ordered copy of it rounds differently.
+    order.  Each view keeps the memory order of the array it mirrors (see
+    :func:`_training_layout`).
     """
     vector = np.empty(sum(a.size for net in nets for a in net.layers()))
     views = []
@@ -57,6 +56,15 @@ def flat_views(nets: Sequence[MLPParams]) -> tuple[np.ndarray, list[MLPParams]]:
     return vector, views
 
 
+def _training_layout(w: np.ndarray) -> np.ndarray:
+    """``w`` in the memory order training keeps weights in: Fortran order
+    for a widening layer (n_in < n_out, the transposed Q of
+    :func:`orthogonal`), C order otherwise.  A B=1 forward pass through
+    the other order rounds differently in the last bits."""
+    n_in, n_out = w.shape
+    return np.asfortranarray(w) if n_in < n_out else np.ascontiguousarray(w)
+
+
 def orthogonal(n_in: int, n_out: int, gain: float, rng: np.random.Generator) -> np.ndarray:
     """Orthogonal weight init (QR of a Gaussian matrix, sign-fixed)."""
     a = rng.standard_normal((max(n_in, n_out), min(n_in, n_out)))
@@ -64,7 +72,7 @@ def orthogonal(n_in: int, n_out: int, gain: float, rng: np.random.Generator) -> 
     q *= np.sign(np.diag(r))  # make the decomposition unique
     if n_in < n_out:
         q = q.T
-    return gain * q[:n_in, :n_out]
+    return _training_layout(gain * q[:n_in, :n_out])
 
 
 def init_mlp(
@@ -212,7 +220,8 @@ def _params_from_doc(doc: dict) -> MLPParams:
         np.asarray(flat, dtype=float).reshape(shape)
         for shape, flat in zip(doc["shapes"], doc["arrays"])
     ]
-    return MLPParams(weights=arrays[0::2], biases=arrays[1::2])
+    weights = [_training_layout(w) for w in arrays[0::2]]
+    return MLPParams(weights=weights, biases=arrays[1::2])
 
 
 def save_networks(
@@ -235,7 +244,9 @@ def save_networks(
 
 
 def load_networks(path: str) -> tuple[MLPParams, MLPParams, str, int]:
-    """Inverse of :func:`save_networks`; floats round-trip exactly."""
+    """Inverse of :func:`save_networks`; floats round-trip exactly, and the
+    weights come back in the memory order training used, so a loaded
+    policy's forward passes match the trained one's bit for bit."""
     with open(path) as handle:
         doc = json.load(handle)
     if doc.get("format") != _FORMAT:

@@ -177,7 +177,7 @@ def list_ppo_update(policy, value, batch, config, adam, rng):
     params = policy.layers() + value.layers()
     flat_grads = AgentParams.empty_like(policy, value)
     seen = []
-    for _ in range(config.epochs_per_update):
+    for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.minibatch_size):
             mini = batch.select(order[start : start + config.minibatch_size])
@@ -200,7 +200,7 @@ def scalar_train_curriculum(make_env, config: PPOConfig, schedule: CurriculumSch
     for seed in seeds:
         streams = np.random.SeedSequence(seed).spawn(4)
         init_rng, env_rng, action_rng, update_rng = map(np.random.default_rng, streams)
-        sizes = (7, *config.hidden_sizes)
+        sizes = (7, *config.hidden)
         policy = init_mlp((*sizes, len(ACTION_GRID)), init_rng, final_gain=0.01)
         value = init_mlp((*sizes, 1), init_rng, final_gain=1.0)
         adam = ListAdam(policy.layers() + value.layers(), lr=config.learning_rate)

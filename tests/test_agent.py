@@ -166,7 +166,7 @@ def make_batch(rng, n=16):
 
 def test_ppo_update_runs_and_mutates_params():
     rng = np.random.default_rng(3)
-    config = PPOConfig(batch_size=16, minibatch_size=8, hidden_sizes=(8, 8))
+    config = PPOConfig(batch_size=16, minibatch_size=8, hidden=(8, 8))
     agent = init_agent(rng, config)
     before = [a.copy() for a in agent.policy.layers()]
     batch = make_batch(rng)
@@ -185,7 +185,7 @@ def test_ppo_update_runs_and_mutates_params():
 
 def test_ppo_update_returns_mean_of_minibatch_stats(monkeypatch):
     rng = np.random.default_rng(6)
-    config = PPOConfig(batch_size=24, minibatch_size=10, epochs_per_update=3, hidden_sizes=(8,))
+    config = PPOConfig(batch_size=24, minibatch_size=10, epochs=3, hidden=(8,))
     agent = init_agent(rng, config)
     seen = []
     loss_and_grads = agent_module.ppo_loss_and_grads
@@ -218,7 +218,7 @@ def test_loss_mean_is_ndarray_mean_bitwise():
 
 def test_ppo_loss_empty_minibatch_rejected():
     rng = np.random.default_rng(4)
-    config = PPOConfig(hidden_sizes=(8,))
+    config = PPOConfig(hidden=(8,))
     agent = init_agent(rng, config)
     empty = Batch(
         obs=np.empty((0, OBS_DIM)),
@@ -234,7 +234,7 @@ def test_ppo_loss_empty_minibatch_rejected():
 
 def test_non_finite_inputs_raise_numerical_error():
     rng = np.random.default_rng(5)
-    config = PPOConfig(batch_size=8, minibatch_size=8, hidden_sizes=(8,))
+    config = PPOConfig(batch_size=8, minibatch_size=8, hidden=(8,))
     agent = init_agent(rng, config)
     batch = make_batch(rng, n=8)
     batch.advantages[0] = np.nan  # poisons the whole batch after normalization
@@ -263,11 +263,10 @@ def test_train_curriculum_smoke():
         learning_rate=1e-3,
         batch_size=30,
         minibatch_size=15,
-        hidden_sizes=(16, 16),
-        seeds=(1,),
+        hidden=(16, 16),
     )
     schedule = CurriculumSchedule(levels=(0,), episodes_per_level=12, ramp_episodes=4)
-    result = train_curriculum(tiny_factory(), config, schedule)
+    result = train_curriculum(tiny_factory(), config, schedule, (1,))
     assert set(result.policies) == {1}
     trained = result.policies[1]
     assert trained.policy.weights[0].shape == (OBS_DIM, 16)
@@ -284,12 +283,11 @@ def test_train_curriculum_is_deterministic_per_seed():
         learning_rate=1e-3,
         batch_size=30,
         minibatch_size=15,
-        hidden_sizes=(8,),
-        seeds=(7,),
+        hidden=(8,),
     )
     schedule = CurriculumSchedule(levels=(0, 1), episodes_per_level=6, ramp_episodes=2)
-    a = train_curriculum(tiny_factory(), config, schedule)
-    b = train_curriculum(tiny_factory(), config, schedule)
+    a = train_curriculum(tiny_factory(), config, schedule, (7,))
+    b = train_curriculum(tiny_factory(), config, schedule, (7,))
     for arr_a, arr_b in zip(
         a.policies[7].policy.layers(), b.policies[7].policy.layers()
     ):
@@ -297,9 +295,9 @@ def test_train_curriculum_is_deterministic_per_seed():
 
 
 def test_write_training_log(tmp_path):
-    config = PPOConfig(batch_size=30, minibatch_size=15, hidden_sizes=(8,), seeds=(1,))
+    config = PPOConfig(batch_size=30, minibatch_size=15, hidden=(8,))
     schedule = CurriculumSchedule(levels=(0,), episodes_per_level=4, ramp_episodes=2)
-    result = train_curriculum(tiny_factory(), config, schedule)
+    result = train_curriculum(tiny_factory(), config, schedule, (1,))
     path = tmp_path / "log.csv"
     write_training_log(result.log, str(path))
     lines = path.read_text().splitlines()

@@ -53,7 +53,7 @@ def pipeline(tmp_path_factory):
     base = ["--config", config_path, "--out", out]
     assert main(base + ["ingest", "--triangle", triangle_csv]) == 0
     assert main(base + ["train"]) == 0
-    assert main(base + ["--workers", "2", "evaluate"]) == 0
+    assert main(base + ["evaluate"]) == 0
     assert main(base + ["stress"]) == 0
     assert main(base + ["baselines", "--triangle", triangle_csv]) == 0
     assert main(base + ["sensitivity"]) == 0
@@ -162,6 +162,18 @@ def test_seed_list_override(pipeline, tmp_path):
     assert not os.path.exists(os.path.join(out, "train", "policy_seed1.json"))
 
 
+def test_levels_override(pipeline, tmp_path):
+    out = str(tmp_path / "runs")
+    code = main([
+        "--config", pipeline["config"], "--out", out, "--seed-list", "5",
+        "train", "--data", os.path.join(pipeline["out"], "ingest"), "--levels", "1",
+    ])
+    assert code == 0
+    rows = _lines(os.path.join(out, "train", "training_log.csv"))[1:]
+    assert len(rows) == 8
+    assert {row.split(",")[1] for row in rows} == {"1"}
+
+
 def test_print_config(capsys):
     assert main(["--print-config"]) == 0
     assert capsys.readouterr().out == config_to_ini(default_config())
@@ -197,6 +209,18 @@ def test_bad_seed_list_exits_1(pipeline, tmp_path):
         "--data", os.path.join(pipeline["out"], "ingest"),
     ])
     assert code == 1
+
+
+def test_empty_seed_list_in_config_exits_1(pipeline, tmp_path):
+    config = tmp_path / "no_seeds.ini"
+    config.write_text(PIPELINE_INI.replace("seeds = 1,2", "seeds ="))
+    out = tmp_path / "runs"
+    code = main([
+        "--config", str(config), "--out", str(out), "train",
+        "--data", os.path.join(pipeline["out"], "ingest"),
+    ])
+    assert code == 1
+    assert not (out / "train" / "training_log.csv").exists()
 
 
 def test_missing_policies_exit_2(pipeline, tmp_path):

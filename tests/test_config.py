@@ -5,6 +5,8 @@ import subprocess
 
 import pytest
 
+from reserve_rl.agent import PPOConfig
+from reserve_rl.cli import main
 from reserve_rl.config import (
     FLOOR_FORMS,
     build_manifest,
@@ -14,12 +16,11 @@ from reserve_rl.config import (
     git_blob_sha1,
     load_config,
     to_env_config,
-    to_ppo_config,
-    to_schedule,
     write_manifest,
 )
-from reserve_rl.errors import ConfigError, IoFailure
-from reserve_rl.regimes import FixedShock, Stochastic
+from reserve_rl.errors import ConfigError, ConfigMismatch, EmptyBatch, IoFailure, UnknownLevel
+from reserve_rl.regimes import CurriculumSchedule, FixedShock, Stochastic
+from test_cli import PIPELINE_INI
 
 
 def write_ini(tmp_path, body):
@@ -33,6 +34,16 @@ def test_defaults_round_trip(tmp_path):
     path = write_ini(tmp_path, config_to_ini(cfg))
     assert load_config(path) == cfg
     assert load_config(None) == cfg
+
+
+def test_fingerprint_is_pinned(tmp_path):
+    """The canonical INI, and so every sidecar's fingerprint, stays put."""
+    assert config_fingerprint(default_config()) == (
+        "6d574b07f05c5b6527eaedd7a90b2b0a37da89b06d1f96c98230066ce6dd31f5"
+    )
+    assert config_fingerprint(load_config(write_ini(tmp_path, PIPELINE_INI))) == (
+        "bd0cb437780575956299a8a84388aa133ed4c421c2f435e83f909639f9faf279"
+    )
 
 
 def test_fingerprint_tracks_content(tmp_path):
@@ -106,8 +117,9 @@ def test_to_env_config_defaults_and_overrides():
     overridden = to_env_config(
         cfg,
         shock_mode=FixedShock(1.5),
-        alpha=0.99,
-        floor=FLOOR_FORMS["strict"],
+        alpha_override=0.99,
+        floor_base=FLOOR_FORMS["strict"][0],
+        floor_slope=FLOOR_FORMS["strict"][1],
         horizon=7,
     )
     assert overridden.shock_mode == FixedShock(1.5)
@@ -117,35 +129,35 @@ def test_to_env_config_defaults_and_overrides():
 
 
 def test_to_env_config_alpha_none_is_an_override(tmp_path):
-    """Passing alpha=None explicitly must win over a pinned config value."""
+    """Passing alpha_override=None explicitly must win over a pinned config value."""
     cfg = load_config(write_ini(tmp_path, "[env]\nalpha = 0.93\n"))
     assert to_env_config(cfg).alpha_override == 0.93
-    assert to_env_config(cfg, alpha=None).alpha_override is None
+    assert to_env_config(cfg, alpha_override=None).alpha_override is None
 
 
-def test_to_ppo_config_mapping(tmp_path):
-    cfg = load_config(
-        write_ini(
-            tmp_path,
-            "[ppo]\nepochs = 4\nhidden = 16,16\n[run]\nseeds = 7,8\n",
-        )
-    )
-    ppo = to_ppo_config(cfg)
-    assert ppo.epochs_per_update == 4
-    assert ppo.hidden_sizes == (16, 16)
-    assert ppo.seeds == (7, 8)
-    assert ppo.learning_rate == cfg.ppo.learning_rate
+def test_ppo_section_loads_as_ppo_config(tmp_path):
+    cfg = load_config(write_ini(tmp_path, "[ppo]\nepochs = 4\nhidden = 16,16\n"))
+    assert cfg.ppo == PPOConfig(epochs=4, hidden=(16, 16))
 
 
-def test_to_schedule(tmp_path):
+def test_regimes_section_loads_as_schedule(tmp_path):
     cfg = load_config(
         write_ini(tmp_path, "[regimes]\nlevels = 0,1\nepisodes_per_level = 5\nramp_episodes = 2\n")
     )
-    sched = to_schedule(cfg)
-    assert sched.levels == (0, 1)
-    assert sched.episodes_per_level == 5
-    assert sched.ramp_episodes == 2
-    assert to_schedule(cfg, levels=[3]).levels == (3,)
+    assert cfg.regimes == CurriculumSchedule(levels=(0, 1), episodes_per_level=5, ramp_episodes=2)
+
+
+@pytest.mark.parametrize("body, error", [
+    ("[ppo]\nminibatch_size = 0\n", EmptyBatch),
+    ("[regimes]\nramp_episodes = 0\n", UnknownLevel),
+    ("[regimes]\nlevels = 2,1\n", UnknownLevel),
+    ("[env]\nvol_window = 1\n", ConfigMismatch),
+])
+def test_invalid_runtime_values_fail_on_load(tmp_path, body, error):
+    path = write_ini(tmp_path, body)
+    with pytest.raises(error):
+        load_config(path)
+    assert main(["--config", path, "--print-config"]) == 1
 
 
 def test_git_blob_sha1_matches_git(tmp_path):

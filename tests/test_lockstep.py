@@ -223,7 +223,7 @@ def test_flat_params_match_per_array_reference():
 @pytest.mark.parametrize("case", sorted(TRAIN_CASES))
 def test_training_matches_scalar(bundle, case, tmp_path, monkeypatch):
     ppo, env_kwargs = TRAIN_CASES[case]
-    config = PPOConfig(hidden_sizes=(16, 16), epochs_per_update=2, minibatch_size=16, **ppo)
+    config = PPOConfig(hidden=(16, 16), epochs=2, minibatch_size=16, **ppo)
     schedule = CurriculumSchedule(levels=(0, 1, 2, 3), episodes_per_level=12, ramp_episodes=5)
     seeds = (3, 11)
 

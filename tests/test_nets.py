@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from reserve_rl.agent import PPOConfig, init_agent
 from reserve_rl.errors import DataError, NonFiniteActivation
 from reserve_rl.nets import (
     Adam,
@@ -149,6 +150,23 @@ def test_save_load_round_trip(tmp_path):
         np.testing.assert_array_equal(a, b)  # bit-exact round trip
     for a, b in zip(value.layers(), loaded_value.layers()):
         np.testing.assert_array_equal(a, b)
+
+
+def test_loaded_agent_forwards_like_trained(tmp_path):
+    """Networks read back from disk keep the training memory layout, so
+    B=1 and batched forwards match the in-memory networks bit for bit."""
+    rng = np.random.default_rng(11)
+    agent = init_agent(rng, PPOConfig(hidden=(16, 16)))
+    path = tmp_path / "agent.json"
+    save_networks(str(path), agent.policy, agent.value, config_fingerprint="fp", seed=1)
+    loaded_policy, loaded_value, _, _ = load_networks(str(path))
+    rows = rng.normal(0.0, 2.0, size=(200, 7))
+    for net, loaded in ((agent.policy, loaded_policy), (agent.value, loaded_value)):
+        assert [a.strides for a in loaded.layers()] == [a.strides for a in net.layers()]
+        assert mlp_forward(loaded, rows)[0].tobytes() == mlp_forward(net, rows)[0].tobytes()
+        for row in rows:
+            ours, expected = mlp_forward(loaded, row[None])[0], mlp_forward(net, row[None])[0]
+            assert ours.tobytes() == expected.tobytes()
 
 
 def test_load_rejects_foreign_format(tmp_path):

@@ -7,7 +7,7 @@ random draws.  See the README for the experiment pipeline.
 """
 
 from .config import VERSION as __version__
-from .env import ACTION_GRID, EnvConfig, ReserveEnv, RewardWeights
+from .env import ACTION_GRID, EnvConfig, EnvFactory, ReserveEnv, RewardWeights
 from .errors import (
     ConfigError,
     DataError,
@@ -31,6 +31,7 @@ __all__ = [
     "__version__",
     "ACTION_GRID",
     "EnvConfig",
+    "EnvFactory",
     "ReserveEnv",
     "RewardWeights",
     "ConfigError",

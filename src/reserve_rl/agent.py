@@ -4,20 +4,25 @@ The agent is a discrete softmax policy plus a state-value baseline,
 both tiny tanh MLPs (see :mod:`reserve_rl.nets`).  Updates maximize the
 clipped importance-ratio surrogate with an entropy bonus, against a
 squared-error value loss; advantages come from generalized advantage
-estimation over whole-episode rollouts.  Everything is seeded and
-single-threaded, so a (seed, config) pair fully determines the result.
+estimation over whole-episode rollouts.  Each seed trains from its own
+random streams, so a (seed, config) pair fully determines its policy bit
+for bit, whether the seeds train one after another or in parallel worker
+processes (:func:`train_seeds`).
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import os
+import time
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .env import ACTION_GRID, TIE_BREAK_ORDER, EnvState, ReserveEnv
-from .errors import EmptyBatch, LengthMismatch, NonFiniteGradient
+from .env import ACTION_GRID, TIE_BREAK_ORDER, EnvFactory, EnvState
+from .errors import ConfigError, EmptyBatch, LengthMismatch, NonFiniteGradient
 from .nets import (
     Adam,
     MLPParams,
@@ -29,7 +34,9 @@ from .nets import (
     mlp_forward,
     softmax,
 )
-from .regimes import CurriculumSchedule, ShockMode, Stochastic
+from .regimes import CurriculumSchedule, Stochastic
+
+log = logging.getLogger(__name__)
 
 OBS_DIM = 7
 N_ACTIONS = len(ACTION_GRID)
@@ -38,6 +45,9 @@ N_ACTIONS = len(ACTION_GRID)
 LEVEL_SCALE = 3.0
 
 _TIE_BREAK = np.asarray(TIE_BREAK_ORDER)
+
+#: Worker processes read their BLAS thread count from this variable at start.
+_BLAS_THREADS = "OPENBLAS_NUM_THREADS"
 
 #: Top-two probability gap (relative) below which a batched greedy choice
 #: is re-decided on its own row.  A batched matrix product may round
@@ -114,6 +124,19 @@ class AgentParams:
         vector, (policy_view, value_view) = flat_views((policy, value))
         return cls(vector=vector, policy=policy_view, value=value_view)
 
+    @classmethod
+    def from_networks(cls, policy: MLPParams, value: MLPParams) -> "AgentParams":
+        """A copy of ``policy`` and ``value`` laid out as :meth:`empty_like`."""
+        params = cls.empty_like(policy, value)
+        for src, dst in zip(policy.layers() + value.layers(), params.layers()):
+            dst[...] = src
+        return params
+
+    def __reduce__(self):
+        # Pickled arrays keep their memory order but not their views into
+        # ``vector``; rebuild those on load (a worker's result, say).
+        return (AgentParams.from_networks, (self.policy, self.value))
+
     def layers(self) -> list[np.ndarray]:
         return self.policy.layers() + self.value.layers()
 
@@ -127,10 +150,7 @@ def init_agent(rng: np.random.Generator, config: PPOConfig) -> AgentParams:
     sizes = (OBS_DIM, *config.hidden)
     policy = init_mlp((*sizes, N_ACTIONS), rng, final_gain=0.01)
     value = init_mlp((*sizes, 1), rng, final_gain=1.0)
-    params = AgentParams.empty_like(policy, value)
-    for src, dst in zip(policy.layers() + value.layers(), params.layers()):
-        dst[...] = src
-    return params
+    return AgentParams.from_networks(policy, value)
 
 
 def policy_logits(policy: MLPParams, obs: np.ndarray) -> np.ndarray:
@@ -411,11 +431,12 @@ TRAINING_LOG_HEADER = "seed,level,episode,mean_reward,mean_shortfall,mean_cvar,v
 @dataclass
 class TrainingResult:
     """Final networks, the per-episode log, and each seed's per-update
-    statistics (means over the minibatches; kept in memory only)."""
+    ``(level, statistics)``, the statistics being means over the
+    minibatches."""
 
     policies: dict[int, AgentParams]
     log: list[TrainLogRow] = field(default_factory=list)
-    update_stats: dict[int, list[UpdateStats]] = field(default_factory=dict)
+    update_stats: dict[int, list[tuple[int, UpdateStats]]] = field(default_factory=dict)
 
 
 def write_training_log(rows: Sequence[TrainLogRow], path: str) -> None:
@@ -428,9 +449,190 @@ def write_training_log(rows: Sequence[TrainLogRow], path: str) -> None:
             )
 
 
-#: Shared factory signature across training and evaluation: build a fresh
-#: environment preconfigured for a shock mode, owning the supplied generator.
-EnvFactory = Callable[["ShockMode", np.random.Generator], ReserveEnv]
+UPDATE_LOG_HEADER = (
+    "seed,level,update,policy_loss,value_loss,entropy,clip_fraction,approx_kl,grad_norm"
+)
+
+
+def write_update_log(update_stats: dict[int, list[tuple[int, UpdateStats]]], path: str) -> None:
+    """One row per update: seed, level, the update's index in its seed's run
+    (from 0), then the :class:`UpdateStats` minibatch means."""
+    with open(path, "w", newline="") as handle:
+        handle.write(UPDATE_LOG_HEADER + "\n")
+        for seed, updates in update_stats.items():
+            for update, (level, stats) in enumerate(updates):
+                values = ",".join(repr(getattr(stats, f.name)) for f in fields(UpdateStats))
+                handle.write(f"{seed},{level},{update},{values}\n")
+
+
+class SeedRun(NamedTuple):
+    """One seed's training: the final networks, its training-log rows, its
+    per-update ``(level, statistics)`` and the environment steps it took."""
+
+    agent: AgentParams
+    log: list[TrainLogRow]
+    update_stats: list[tuple[int, UpdateStats]]
+    env_steps: int
+
+
+def train_seed(
+    make_env: EnvFactory,
+    config: PPOConfig,
+    schedule: CurriculumSchedule,
+    seed: int,
+) -> SeedRun:
+    """Train one policy along the regime curriculum from ``seed`` alone:
+    ``SeedSequence(seed).spawn(4)`` gives the initialisation, environment,
+    action and update streams, so no other job can change a bit of it.
+
+    Walks ``schedule.levels`` in order; each level ramps its shock
+    parameters in from the previous level's, runs
+    ``schedule.episodes_per_level`` episodes, and updates after every
+    batch.  A batch is the level's next ``ceil(batch_size / horizon)``
+    episodes or the rest of the level.  They roll out together
+    (draw_paths, rollout) with the action uniforms drawn up front in
+    episode order and one B=1 forward pass per decision, bit for bit as
+    stepping one at a time would.  The environment's shortfall buffer is
+    cleared at level transitions.
+    """
+    streams = np.random.SeedSequence(seed).spawn(4)
+    init_rng, env_rng, action_rng, update_rng = map(np.random.default_rng, streams)
+    agent = init_agent(init_rng, config)
+    adam = Adam(agent.vector, lr=config.learning_rate)
+    normalizer = RunningReturnNormalizer(config.discount, enabled=config.reward_norm)
+    env = make_env(Stochastic(schedule.levels[0]), env_rng)
+    horizon = env.horizon
+    log_rows: list[TrainLogRow] = []
+
+    def rollout_batch(level: int, episodes: range) -> Batch:
+        n = len(episodes)
+        paths = env.draw_paths(
+            n, [schedule.ramp_progress(ep) for ep in episodes], schedule, Stochastic(level)
+        )
+        uniforms = action_rng.random((n, horizon)).tolist()
+        obs = np.empty((n, horizon, OBS_DIM))
+        actions = np.empty((n, horizon), dtype=int)
+        logps = np.empty((n, horizon))
+        values = np.empty((n, horizon))
+
+        def sample(state: EnvState) -> np.ndarray:
+            t = state.t
+            rows = obs[:, t]
+            rows[...] = observe(state)
+            for e in range(n):
+                actions[e, t], logps[e, t] = act_sample(agent.policy, rows[e], uniforms[e][t])
+                values[e, t] = state_value(agent.value, rows[e])
+            return actions[:, t]
+
+        trace = env.rollout(paths, sample)
+        done = trace.t == horizon - 1
+        rewards = [
+            normalizer.normalize(reward, last)
+            for reward, last in zip(trace.reward.tolist(), done.tolist())
+        ]
+        means = [
+            column.reshape(n, horizon).mean(axis=1).tolist()
+            for column in (trace.reward, trace.shortfall, trace.cvar, trace.violated)
+        ]
+        log_rows.extend(TrainLogRow(seed, level, *row) for row in zip(episodes, *means))
+        advantages, returns = compute_gae(
+            np.asarray(rewards), values.ravel(), done, config.discount, config.gae_lambda
+        )
+        return Batch(
+            obs=obs.reshape(-1, OBS_DIM),
+            actions=actions.ravel(),
+            old_logp=logps.ravel(),
+            advantages=advantages,
+            returns=returns,
+        )
+
+    per_batch = -(-config.batch_size // horizon)
+    stats = []
+    for level_idx, level in enumerate(schedule.levels):
+        if level_idx > 0:
+            env.clear_buffer()
+        for first in range(0, schedule.episodes_per_level, per_batch):
+            episodes = range(first, min(first + per_batch, schedule.episodes_per_level))
+            batch = rollout_batch(level, episodes)
+            stats.append((level, ppo_update(agent, batch, config, adam, update_rng)))
+    return SeedRun(agent, log_rows, stats, len(log_rows) * horizon)
+
+
+def _pooled_runs(
+    jobs: Sequence[tuple[EnvFactory, PPOConfig, CurriculumSchedule, int]], n_procs: int
+) -> list[SeedRun]:
+    import concurrent.futures
+    import multiprocessing
+
+    with concurrent.futures.ProcessPoolExecutor(
+        n_procs, mp_context=multiprocessing.get_context("spawn")
+    ) as pool:
+        return list(pool.map(train_seed, *zip(*jobs)))
+
+
+def _stop_resource_tracker(tracker: object) -> None:
+    """Stop the resource tracker a pool started, which would otherwise
+    outlive the call as a child of this process.
+
+    ``_stop`` is private to CPython; where it is missing or fails, the
+    tracker runs on until this process exits.  Call it only once the pool
+    is gone (:func:`_pooled_runs` has returned): a pool semaphore freed
+    later unregisters itself and so starts the tracker again.
+    """
+    try:
+        tracker._stop()  # type: ignore[attr-defined]
+    except (AttributeError, OSError, RuntimeError):  # never hide the results or the error
+        log.debug("resource tracker left running", exc_info=True)
+
+
+def train_seeds(
+    jobs: Sequence[tuple[EnvFactory, PPOConfig, CurriculumSchedule, int]],
+    workers: int,
+) -> list[SeedRun]:
+    """:func:`train_seed` over each ``(make_env, config, schedule, seed)``
+    job, results in job order.
+
+    With more than one worker and job, the jobs run in a pool of
+    ``min(workers, len(jobs))`` processes started by ``spawn``, with
+    ``OPENBLAS_NUM_THREADS=1`` in their environment so they do not
+    oversubscribe the cores (``fork`` would copy a parent whose BLAS threads
+    already run, and a ``forkserver`` would outlive the call as the
+    caller's child).  No process the call starts outlives a call that
+    returns.  Each job then needs a factory that pickles, such as
+    :class:`EnvFactory`.  A job's outputs depend on its seed alone, so they
+    are the serial run's bit for bit, and an exception raised in a worker
+    reaches the caller with its type.
+
+    Raises:
+        ConfigError: ``workers`` is below 1.
+    """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    started = time.perf_counter()
+    n_procs = min(workers, len(jobs))
+    if n_procs > 1:
+        from multiprocessing import resource_tracker
+
+        tracker = getattr(resource_tracker, "_resource_tracker", None)
+        tracker_was_running = getattr(tracker, "_fd", None) is not None
+        saved = os.environ.get(_BLAS_THREADS)
+        os.environ[_BLAS_THREADS] = "1"
+        try:
+            runs = _pooled_runs(jobs, n_procs)
+        finally:
+            if saved is None:
+                del os.environ[_BLAS_THREADS]
+            else:
+                os.environ[_BLAS_THREADS] = saved
+            if not tracker_was_running:
+                _stop_resource_tracker(tracker)
+    else:
+        runs = [train_seed(*job) for job in jobs]
+    seconds = time.perf_counter() - started
+    steps = sum(run.env_steps for run in runs)
+    log.info("trained %d policies on %d workers in %.2f s (%.0f env steps/s)",
+             len(jobs), n_procs, seconds, steps / seconds)
+    return runs
 
 
 def train_curriculum(
@@ -438,95 +640,21 @@ def train_curriculum(
     config: PPOConfig,
     schedule: CurriculumSchedule,
     seeds: Sequence[int],
+    workers: int = 1,
 ) -> TrainingResult:
-    """Train one policy per seed along the regime curriculum.
-
-    Walks ``schedule.levels`` in order; each level ramps its shock
-    parameters in from the previous level's, runs
-    ``schedule.episodes_per_level`` episodes, and triggers an update
-    whenever ``config.batch_size`` transitions have accumulated (plus a
-    flush of the remainder at each level boundary, so no experience is
-    dropped).  The environment's shortfall buffer is cleared at level
-    transitions.
-
-    A batch is thus the level's next ``ceil(batch_size / horizon)`` episodes
-    or the rest of the level.  They roll out together (draw_paths, rollout)
-    with the action uniforms drawn up front in episode order and one B=1
-    forward pass per decision, bit for bit as stepping one at a time would.
-
-    Args:
-        make_env: Factory returning a fresh training environment bound
-            to the supplied generator.
-        config: Optimization hyperparameters.
-        schedule: Curriculum pacing.
-        seeds: Training seeds, one policy each.
+    """Train one policy per seed along the regime curriculum (see
+    :func:`train_seed`), on up to ``workers`` processes (see
+    :func:`train_seeds`; with one, ``make_env`` may be any callable
+    ``(mode, rng) -> ReserveEnv``).
 
     Returns:
         :class:`TrainingResult` with final networks per seed, the
-        per-episode log and the per-update statistics.
+        per-episode log and the per-update statistics, in seed order.
     """
+    runs = train_seeds([(make_env, config, schedule, seed) for seed in seeds], workers)
     result = TrainingResult(policies={})
-
-    for seed in seeds:
-        streams = np.random.SeedSequence(seed).spawn(4)
-        init_rng, env_rng, action_rng, update_rng = map(np.random.default_rng, streams)
-        agent = init_agent(init_rng, config)
-        adam = Adam(agent.vector, lr=config.learning_rate)
-        normalizer = RunningReturnNormalizer(config.discount, enabled=config.reward_norm)
-        env = make_env(Stochastic(schedule.levels[0]), env_rng)
-        horizon = env.horizon
-
-        def rollout_batch(level: int, episodes: range) -> Batch:
-            n = len(episodes)
-            paths = env.draw_paths(
-                n, [schedule.ramp_progress(ep) for ep in episodes], schedule, Stochastic(level)
-            )
-            uniforms = action_rng.random((n, horizon)).tolist()
-            obs = np.empty((n, horizon, OBS_DIM))
-            actions = np.empty((n, horizon), dtype=int)
-            logps = np.empty((n, horizon))
-            values = np.empty((n, horizon))
-
-            def sample(state: EnvState) -> np.ndarray:
-                t = state.t
-                rows = obs[:, t]
-                rows[...] = observe(state)
-                for e in range(n):
-                    actions[e, t], logps[e, t] = act_sample(agent.policy, rows[e], uniforms[e][t])
-                    values[e, t] = state_value(agent.value, rows[e])
-                return actions[:, t]
-
-            trace = env.rollout(paths, sample)
-            done = trace.t == horizon - 1
-            rewards = [
-                normalizer.normalize(reward, last)
-                for reward, last in zip(trace.reward.tolist(), done.tolist())
-            ]
-            means = [
-                column.reshape(n, horizon).mean(axis=1).tolist()
-                for column in (trace.reward, trace.shortfall, trace.cvar, trace.violated)
-            ]
-            result.log.extend(TrainLogRow(seed, level, *row) for row in zip(episodes, *means))
-            advantages, returns = compute_gae(
-                np.asarray(rewards), values.ravel(), done, config.discount, config.gae_lambda
-            )
-            return Batch(
-                obs=obs.reshape(-1, OBS_DIM),
-                actions=actions.ravel(),
-                old_logp=logps.ravel(),
-                advantages=advantages,
-                returns=returns,
-            )
-
-        per_batch = -(-config.batch_size // horizon)
-        stats = result.update_stats[seed] = []
-        for level_idx, level in enumerate(schedule.levels):
-            if level_idx > 0:
-                env.clear_buffer()
-            for first in range(0, schedule.episodes_per_level, per_batch):
-                episodes = range(first, min(first + per_batch, schedule.episodes_per_level))
-                batch = rollout_batch(level, episodes)
-                stats.append(ppo_update(agent, batch, config, adam, update_rng))
-
-        result.policies[seed] = agent
+    for seed, run in zip(seeds, runs):
+        result.policies[seed] = run.agent
+        result.log.extend(run.log)
+        result.update_stats[seed] = run.update_stats
     return result

@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .agent import EnvFactory, train_curriculum, write_training_log
+from .agent import train_curriculum, write_training_log, write_update_log
 from .baselines import (
     BootstrapResult,
     bootstrap_chain_ladder,
@@ -50,7 +50,7 @@ from .config import (
     to_env_config,
     write_manifest,
 )
-from .env import ReserveEnv
+from .env import EnvFactory
 from .errors import ConfigError, DataError, NumericalError, ReserveRlError
 from .evaluate import (
     EvalOutcome,
@@ -63,7 +63,6 @@ from .evaluate import (
     stress_conditions,
 )
 from .nets import load_networks, save_networks
-from .regimes import ShockMode
 from .triangles import (
     DevelopmentFactors,
     LossTriangle,
@@ -84,6 +83,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> None:  # noqa: D102 - argparse override
         raise ConfigError(message)
+
+
+def _usable_cores() -> int:
+    """Processes to train on: the cores this process may run on (``taskset``
+    and cpusets narrow them), or every core where the OS cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _build_parser() -> _Parser:
@@ -192,14 +199,9 @@ def _factories(
     sensitivity cell's tail level and floor).
     """
     horizon = cfg.env.horizon if cfg.env.horizon is not None else data.horizon
-
-    def factory(triangle: LossTriangle) -> EnvFactory:
-        def make(mode: ShockMode, rng: np.random.Generator) -> ReserveEnv:
-            env_cfg = to_env_config(cfg, shock_mode=mode, horizon=horizon, **env_overrides)
-            return ReserveEnv(triangle, data.factors, env_cfg, rng)
-        return make
-
-    return factory(data.train), factory(data.test)
+    env_cfg = to_env_config(cfg, horizon=horizon, **env_overrides)
+    return (EnvFactory(data.train, data.factors, env_cfg),
+            EnvFactory(data.test, data.factors, env_cfg))
 
 
 def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -247,16 +249,17 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
             raise ConfigError(f"bad --levels {args.levels!r}") from exc
         schedule = dataclasses.replace(schedule, levels=levels)
     train_factory, _ = _factories(data, cfg)
-    result = train_curriculum(train_factory, cfg.ppo, schedule, seeds)
+    result = train_curriculum(train_factory, cfg.ppo, schedule, seeds, _usable_cores())
 
     fingerprint = config_fingerprint(cfg)
-    outputs = ["training_log.csv"]
+    outputs = ["training_log.csv", "updates.csv"]
     for seed, trained in sorted(result.policies.items()):
         name = f"policy_seed{seed}.json"
         save_networks(os.path.join(out, name), trained.policy, trained.value,
                       fingerprint, seed)
         outputs.append(name)
     write_training_log(result.log, os.path.join(out, "training_log.csv"))
+    write_update_log(result.update_stats, os.path.join(out, "updates.csv"))
     manifest = build_manifest("train", cfg, inputs=data.input_paths(), outputs=outputs)
     write_manifest(os.path.join(out, "manifest.json"), manifest)
     for seed in seeds:
@@ -351,6 +354,7 @@ def _sensitivity_outcome(args: argparse.Namespace, cfg: RunConfig, data: IngestA
         episodes_per_level=cfg.eval.sweep_episodes_per_level,
         lob=cfg.run.lob,
         crn_base=cfg.eval.crn_base,
+        workers=_usable_cores(),
     )
 
 

@@ -26,7 +26,7 @@ Most transition pieces below therefore take floats or equal-shape arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -606,6 +606,21 @@ class ReserveEnv:
             cvar=cvar.ravel(),
             violated=violated.ravel().astype(float),
         )
+
+
+@dataclass(frozen=True)
+class EnvFactory:
+    """Builds fresh environments over one triangle: ``factory(mode, rng)``
+    is a :class:`ReserveEnv` under ``config`` with ``shock_mode`` set to
+    ``mode``, owning ``rng``.  Plain data, so it pickles into worker
+    processes."""
+
+    triangle: LossTriangle
+    factors: DevelopmentFactors
+    config: EnvConfig
+
+    def __call__(self, mode: ShockMode, rng: np.random.Generator) -> ReserveEnv:
+        return ReserveEnv(self.triangle, self.factors, replace(self.config, shock_mode=mode), rng)
 
 
 # --- per-step traces ----------------------------------------------------------

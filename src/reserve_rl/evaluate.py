@@ -28,14 +28,14 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .agent import (
-    EnvFactory,
     PPOConfig,
     TrainingResult,
     act_greedy,
     observe,
     train_curriculum,
+    train_seeds,
 )
-from .env import ReserveEnv, Trace
+from .env import EnvFactory, ReserveEnv, Trace
 from .errors import EmptyReport, IoFailure, NoEligibleSteps, TooFewSamples
 from .nets import MLPParams
 from .regimes import CurriculumSchedule, FixedShock, ShockMode, Stochastic
@@ -316,38 +316,43 @@ def sensitivity_sweep(
     episodes_per_level: int = 25,
     lob: str = "synthetic",
     crn_base: int = 0,
+    workers: int = 1,
 ) -> EvalOutcome:
     """Retrain and re-evaluate over a grid of tail levels and floor rules.
 
     Each (alpha, floor) cell trains fresh policies, then scores them on
     episodes pooled uniformly across ``eval_levels``; ``alpha=None``
     keeps the volatility-adaptive level.  Evaluation draws are paired
-    across cells.
+    across cells.  Every (cell, seed) training is one job of a single
+    :func:`train_seeds` call on up to ``workers`` processes.
     """
-    outcome = EvalOutcome()
+    cells = []
     for alpha in alphas:
+        alpha_label = "adaptive" if alpha is None else f"{alpha:g}"
         for floor_name, floor in floors.items():
-            train_factory, eval_factory = cell_factories(alpha, floor)
-            trained = train_curriculum(train_factory, ppo_config, schedule, seeds)
-            alpha_label = "adaptive" if alpha is None else f"{alpha:g}"
-            label = f"alpha:{alpha_label},floor:{floor_name}"
-            per_seed = []
-            for seed in seeds:
-                runner = greedy_runner(trained.policies[seed].policy)
-                per_seed.append(
-                    pooled_regime_metrics(
-                        runner, eval_factory, eval_levels, seed,
-                        episodes_per_level, crn_base,
-                    )
-                )
-            outcome.per_seed[("rl_cvar", label)] = per_seed
-            outcome.rows.append(
-                aggregate_metrics(
-                    "rl_cvar", lob, label, per_seed,
-                    episodes_per_level * len(eval_levels),
-                )
+            cells.append((f"alpha:{alpha_label},floor:{floor_name}", *cell_factories(alpha, floor)))
+    runs = iter(train_seeds(
+        [(train_factory, ppo_config, schedule, seed)
+         for _, train_factory, _ in cells for seed in seeds],
+        workers,
+    ))
+    outcome = EvalOutcome()
+    for label, _, eval_factory in cells:
+        per_seed = [
+            pooled_regime_metrics(
+                greedy_runner(next(runs).agent.policy), eval_factory, eval_levels, seed,
+                episodes_per_level, crn_base,
             )
-            log.info("sweep cell %s done", label)
+            for seed in seeds
+        ]
+        outcome.per_seed[("rl_cvar", label)] = per_seed
+        outcome.rows.append(
+            aggregate_metrics(
+                "rl_cvar", lob, label, per_seed,
+                episodes_per_level * len(eval_levels),
+            )
+        )
+        log.info("sweep cell %s done", label)
     return outcome
 
 

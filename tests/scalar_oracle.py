@@ -209,7 +209,7 @@ def scalar_train_curriculum(make_env, config: PPOConfig, schedule: CurriculumSch
         buffer = {name: [] for name in ("obs", "actions", "logps", "values", "dones", "rewards")}
         stats = result.update_stats[seed] = []
 
-        def run_update():
+        def run_update(level):
             advantages, returns = compute_gae(
                 np.asarray(buffer["rewards"]),
                 np.asarray(buffer["values"]),
@@ -224,7 +224,7 @@ def scalar_train_curriculum(make_env, config: PPOConfig, schedule: CurriculumSch
                 advantages=advantages,
                 returns=returns,
             )
-            stats.append(list_ppo_update(policy, value, batch, config, adam, update_rng))
+            stats.append((level, list_ppo_update(policy, value, batch, config, adam, update_rng)))
             for column in buffer.values():
                 column.clear()
 
@@ -264,9 +264,9 @@ def scalar_train_curriculum(make_env, config: PPOConfig, schedule: CurriculumSch
                     violation_rate=float(np.mean(ep_violations)),
                 ))
                 if len(buffer["actions"]) >= config.batch_size:
-                    run_update()
+                    run_update(level)
             if buffer["actions"]:
-                run_update()  # flush the level's remainder
+                run_update(level)  # flush the level's remainder
 
         result.policies[seed] = SimpleNamespace(policy=policy, value=value)
     return result

@@ -33,7 +33,7 @@ from reserve_rl.baselines import (
 )
 from reserve_rl.cli import main as cli_main
 from reserve_rl.config import FLOOR_FORMS
-from reserve_rl.env import HOLD_ACTION, EnvConfig, ReserveEnv
+from reserve_rl.env import HOLD_ACTION, EnvConfig, EnvFactory, ReserveEnv
 from reserve_rl.evaluate import (
     cold_regime_test,
     constant_runner,
@@ -64,6 +64,9 @@ from reserve_rl.triangles import age_to_age_factors, write_triangle_csv
 
 SEEDS5 = (1, 2, 3, 4, 5)
 
+#: Training processes for the training-backed criteria: the usable cores.
+WORKERS = len(os.sched_getaffinity(0))
+
 #: Optimizer cadence for the training-backed criteria: the reference
 #: step size with batches sized to the small synthetic book.
 STABLE = PPOConfig(learning_rate=3e-4, batch_size=100, minibatch_size=50)
@@ -78,21 +81,14 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 def env_factories(bundle, alpha=None, floor=FLOOR_FORMS["default"]):
     """(train, eval) environment factories over the shared data bundle."""
-
-    def build(tri):
-        def factory(mode, rng):
-            cfg = EnvConfig(
-                horizon=bundle.horizon,
-                alpha_override=alpha,
-                floor_base=floor[0],
-                floor_slope=floor[1],
-                shock_mode=mode,
-            )
-            return ReserveEnv(tri, bundle.factors, cfg, rng)
-
-        return factory
-
-    return build(bundle.train), build(bundle.test)
+    cfg = EnvConfig(
+        horizon=bundle.horizon,
+        alpha_override=alpha,
+        floor_base=floor[0],
+        floor_slope=floor[1],
+    )
+    return (EnvFactory(bundle.train, bundle.factors, cfg),
+            EnvFactory(bundle.test, bundle.factors, cfg))
 
 
 # --- criterion 1: tail estimator vs. the variational oracle --------------------
@@ -297,7 +293,7 @@ def test_criterion_06_training_improves_returns(bundle):
     schedule = CurriculumSchedule(levels=(0,), episodes_per_level=200, ramp_episodes=50)
     train_factory, _ = env_factories(bundle)
     t0 = time.perf_counter()
-    result = train_curriculum(train_factory, config, schedule, (1, 2, 3))
+    result = train_curriculum(train_factory, config, schedule, (1, 2, 3), WORKERS)
     elapsed = time.perf_counter() - t0
     margins = []
     for seed in (1, 2, 3):
@@ -319,7 +315,7 @@ def full_run(bundle):
     schedule = CurriculumSchedule(levels=(0, 1, 2, 3), episodes_per_level=200,
                                   ramp_episodes=50)
     t0 = time.perf_counter()
-    trained = train_curriculum(train_factory, STABLE, schedule, SEEDS5)
+    trained = train_curriculum(train_factory, STABLE, schedule, SEEDS5, WORKERS)
     return {
         "trained": trained,
         "eval_factory": eval_factory,
@@ -424,6 +420,7 @@ def sweeps(bundle):
         episodes_per_level=50,
         seeds=SEEDS5,
         crn_base=0,
+        workers=WORKERS,
     )
     strict_sweep = sensitivity_sweep(
         cell_factories, STABLE, schedule,
@@ -433,6 +430,7 @@ def sweeps(bundle):
         episodes_per_level=50,
         seeds=SEEDS5,
         crn_base=0,
+        workers=WORKERS,
     )
     return {
         "default": default_sweep,
@@ -522,7 +520,7 @@ def _collect_artifacts(out: str):
     return digests, manifests
 
 
-def test_criterion_11_rerun_determinism(tmp_path):
+def test_criterion_11_rerun_determinism(tmp_path, monkeypatch):
     config_path = str(tmp_path / "run.ini")
     with open(config_path, "w") as handle:
         handle.write(ACCEPTANCE_INI)
@@ -533,6 +531,8 @@ def test_criterion_11_rerun_determinism(tmp_path):
     out_a = str(tmp_path / "run_a")
     out_b = str(tmp_path / "run_b")
     _run_pipeline(config_path, triangle_csv, out_a)
+    # The second run sees one usable core, so it trains serially.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     _run_pipeline(config_path, triangle_csv, out_b)
     elapsed = time.perf_counter() - t0
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import os
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from reserve_rl.agent import (
     N_ACTIONS,
     OBS_DIM,
     TRAINING_LOG_HEADER,
+    UPDATE_LOG_HEADER,
     AgentParams,
     Batch,
     PPOConfig,
@@ -23,8 +27,9 @@ from reserve_rl.agent import (
     ppo_update,
     train_curriculum,
     write_training_log,
+    write_update_log,
 )
-from reserve_rl.env import HOLD_ACTION, EnvConfig, EnvState, ReserveEnv
+from reserve_rl.env import HOLD_ACTION, EnvConfig, EnvFactory, EnvState, ReserveEnv
 from reserve_rl.errors import (
     ConfigError,
     EmptyBatch,
@@ -303,3 +308,72 @@ def test_write_training_log(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == TRAINING_LOG_HEADER
     assert len(lines) == 5
+    updates = tmp_path / "updates.csv"
+    write_update_log(result.update_stats, str(updates))
+    lines = updates.read_text().splitlines()
+    assert lines[0] == UPDATE_LOG_HEADER
+    # 4 episodes x 3 steps fit one batch of 30
+    level, stats = result.update_stats[1][0]
+    assert lines[1:] == [
+        f"1,0,0,{stats.policy_loss!r},{stats.value_loss!r},{stats.entropy!r},"
+        f"{stats.clip_fraction!r},{stats.approx_kl!r},{stats.grad_norm!r}"
+    ]
+    assert level == 0
+
+
+def has_child_process() -> bool:
+    """Whether this process has a child, running or exited; reaps nothing."""
+    try:
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    except ChildProcessError:
+        return False
+    return True
+
+
+# The resource tracker must stop only once the pool's semaphores are
+# freed; stopped before, it unlinks them and their finalizers then fail.
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+def test_train_curriculum_workers_are_bitwise_serial(bundle):
+    """Three seeds on two spawned workers (one worker trains two) equal the
+    serial run bit for bit, at a minibatch and width where the parent's
+    BLAS may use several threads."""
+    config = PPOConfig(batch_size=300, minibatch_size=256, epochs=2, hidden=(64, 64))
+    schedule = CurriculumSchedule(levels=(0, 1), episodes_per_level=30, ramp_episodes=10)
+    factory = EnvFactory(bundle.train, bundle.factors, EnvConfig(horizon=bundle.horizon))
+    seeds = (4, 9, 2)
+    serial = train_curriculum(factory, config, schedule, seeds, workers=1)
+    had_children = has_child_process()
+    pooled = train_curriculum(factory, config, schedule, seeds, workers=2)
+    assert has_child_process() == had_children  # no worker or helper left behind
+    gc.collect()  # nor one restarted by the pool's semaphores when freed
+    assert has_child_process() == had_children
+    assert list(pooled.policies) == list(seeds)
+    for seed in seeds:
+        ours, ref = pooled.policies[seed], serial.policies[seed]
+        assert ours.vector.tobytes() == ref.vector.tobytes()
+        for a, b in zip(ours.layers(), ref.layers()):
+            assert a.strides == b.strides
+            assert np.shares_memory(a, ours.vector)
+    assert pooled.log == serial.log
+    assert pooled.update_stats == serial.update_stats
+    with pytest.raises(ConfigError):
+        train_curriculum(factory, config, schedule, seeds, workers=0)
+
+
+def test_pooled_results_survive_a_tracker_that_will_not_stop(bundle, monkeypatch):
+    """Stopping multiprocessing's resource tracker uses CPython internals;
+    where they are missing, training still returns its results."""
+    from multiprocessing import resource_tracker
+
+    tracker = resource_tracker._resource_tracker
+    monkeypatch.setattr(resource_tracker, "_resource_tracker", None)
+    config = PPOConfig(batch_size=20, minibatch_size=10, epochs=1, hidden=(4,))
+    schedule = CurriculumSchedule(levels=(0,), episodes_per_level=4, ramp_episodes=1)
+    factory = EnvFactory(bundle.train, bundle.factors, EnvConfig(horizon=bundle.horizon))
+    try:
+        pooled = train_curriculum(factory, config, schedule, (1, 2), workers=2)
+    finally:
+        tracker._stop()
+    serial = train_curriculum(factory, config, schedule, (1, 2), workers=1)
+    assert pooled.log == serial.log
+    assert pooled.update_stats == serial.update_stats

@@ -7,8 +7,10 @@ import pytest
 
 import reserve_rl.cli as cli
 from reserve_rl.cli import IngestArtifacts, main
+from reserve_rl.agent import PPOConfig, train_curriculum
 from reserve_rl.config import config_to_ini, default_config
-from reserve_rl.errors import DataError, NumericalError, ReserveRlError
+from reserve_rl.errors import DataError, NonFiniteGradient, NumericalError, ReserveRlError
+from reserve_rl.regimes import CurriculumSchedule
 from reserve_rl.synthetic import SyntheticSpec, make_synthetic_triangle
 from reserve_rl.triangles import write_triangle_csv
 
@@ -92,6 +94,12 @@ def test_train_artifacts(pipeline):
     log_lines = _lines(os.path.join(train, "training_log.csv"))
     # 2 seeds x 2 levels x 8 episodes, plus the header
     assert len(log_lines) == 1 + 2 * 2 * 8
+    # 8 episodes of 10 steps in batches of 4 episodes: 2 updates per level
+    updates = [line.split(",")[:3] for line in _lines(os.path.join(train, "updates.csv"))[1:]]
+    assert updates == [[seed, level, str(i)] for seed in "12"
+                       for i, level in enumerate("0011")]
+    with open(os.path.join(train, "manifest.json")) as handle:
+        assert "updates.csv" in json.load(handle)["outputs"]
 
 
 def test_evaluate_artifacts(pipeline):
@@ -177,6 +185,54 @@ def test_levels_override(pipeline, tmp_path):
 def test_print_config(capsys):
     assert main(["--print-config"]) == 0
     assert capsys.readouterr().out == config_to_ini(default_config())
+
+
+def _tree(directory):
+    """File bytes under ``directory``; manifests without their timestamp."""
+    files = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as handle:
+            files[name] = handle.read()
+        if name == "manifest.json":
+            files[name] = {k: v for k, v in json.loads(files[name]).items() if k != "created_at"}
+    return files
+
+
+def test_train_bytes_do_not_depend_on_usable_cores(pipeline, tmp_path, monkeypatch):
+    trees = []
+    for cores in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+        out = str(tmp_path / f"cores{len(cores)}")
+        assert main(["--config", pipeline["config"], "--out", out, "train",
+                     "--data", os.path.join(pipeline["out"], "ingest")]) == 0
+        trees.append(_tree(os.path.join(out, "train")))
+    assert trees[0] == trees[1]
+    assert trees[0] == _tree(os.path.join(pipeline["out"], "train"))
+
+
+def test_runs_where_the_os_has_no_affinity(monkeypatch, capsys):
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert main(["--print-config"]) == 0
+    assert cli._usable_cores() == (os.cpu_count() or 1)
+
+
+def refusing_factory(mode, rng):
+    blas = os.environ.get("OPENBLAS_NUM_THREADS")
+    raise NonFiniteGradient(f"refused in process {os.getpid()}, BLAS threads {blas}")
+
+
+def test_worker_error_keeps_type_and_exit_code(pipeline, tmp_path, monkeypatch):
+    config = PPOConfig(batch_size=10, minibatch_size=5, hidden=(4,))
+    schedule = CurriculumSchedule(levels=(0,), episodes_per_level=2, ramp_episodes=1)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+    with pytest.raises(NonFiniteGradient, match="BLAS threads 1$") as raised:
+        train_curriculum(refusing_factory, config, schedule, (1, 2), workers=2)
+    assert f"process {os.getpid()}," not in str(raised.value)
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
+    monkeypatch.setattr(cli, "_factories", lambda *a, **k: (refusing_factory, refusing_factory))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert main(["--config", pipeline["config"], "--out", str(tmp_path / "runs"), "train",
+                 "--data", os.path.join(pipeline["out"], "ingest")]) == 3
 
 
 def test_no_subcommand_is_usage_error():

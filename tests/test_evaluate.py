@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from reserve_rl.baselines import bornhuetter_ferguson_runner, chain_ladder_runner
-from reserve_rl.env import EnvConfig, ReserveEnv, Trace
+from reserve_rl.agent import PPOConfig, train_curriculum
+from reserve_rl.config import FLOOR_FORMS
+from reserve_rl.env import EnvConfig, EnvFactory, ReserveEnv, Trace
 from reserve_rl.errors import (
     EmptyReport,
     IoFailure,
@@ -25,11 +27,13 @@ from reserve_rl.evaluate import (
     constant_runner,
     emit_report,
     evaluate_models,
+    greedy_runner,
     pooled_regime_metrics,
     regime_conditions,
+    sensitivity_sweep,
     stress_conditions,
 )
-from reserve_rl.regimes import Stochastic
+from reserve_rl.regimes import CurriculumSchedule, Stochastic
 from reserve_rl.risk import tail_estimate
 from reserve_rl.triangles import DevelopmentFactors, triangle_from_arrays
 
@@ -219,6 +223,48 @@ def test_pooled_regime_metrics_matches_manual_pooling():
         traces.append(runner(env, 4))
     manual = compute_metrics(Trace.concat(traces))
     assert pooled == manual
+
+
+def test_sensitivity_sweep_workers_are_bitwise_serial():
+    """All (cell, seed) trainings in one pool of two workers give the
+    serial sweep's rows and per-seed metrics exactly."""
+    tri = triangle_from_arrays([[1.0, 1.1, 1.17], [1.0, 1.1], [1.0]], premiums=[2.0] * 3)
+
+    def cell_factories(alpha, floor):
+        cfg = EnvConfig(horizon=3, alpha_override=alpha, floor_base=floor[0],
+                        floor_slope=floor[1])
+        return EnvFactory(tri, FLAT_FACTORS, cfg), EnvFactory(tri, FLAT_FACTORS, cfg)
+
+    config = PPOConfig(batch_size=12, minibatch_size=6, epochs=1, hidden=(8,))
+    schedule = CurriculumSchedule(levels=(0, 1), episodes_per_level=6, ramp_episodes=2)
+    seeds = (3, 1)
+
+    def sweep(workers):
+        return sensitivity_sweep(
+            cell_factories, config, schedule,
+            alphas=[0.9, None],
+            floors=FLOOR_FORMS,
+            seeds=seeds,
+            eval_levels=(0, 1),
+            episodes_per_level=4,
+            workers=workers,
+        )
+
+    serial, pooled = sweep(1), sweep(2)
+    assert [row.condition for row in pooled.rows] == [
+        "alpha:0.9,floor:default", "alpha:0.9,floor:strict",
+        "alpha:adaptive,floor:default", "alpha:adaptive,floor:strict",
+    ]
+    assert pooled.rows == serial.rows
+    assert pooled.per_seed == serial.per_seed
+    # one cell on its own: its policies score the same
+    train_factory, eval_factory = cell_factories(None, FLOOR_FORMS["strict"])
+    trained = train_curriculum(train_factory, config, schedule, seeds)
+    assert pooled.per_seed[("rl_cvar", "alpha:adaptive,floor:strict")] == [
+        pooled_regime_metrics(greedy_runner(trained.policies[seed].policy), eval_factory,
+                              (0, 1), seed, 4)
+        for seed in seeds
+    ]
 
 
 def test_emit_report_round_trip(tmp_path):

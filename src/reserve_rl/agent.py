@@ -32,6 +32,7 @@ from .nets import (
     log_softmax,
     mlp_backward,
     mlp_forward,
+    mlp_rows,
     softmax,
 )
 from .regimes import CurriculumSchedule, Stochastic
@@ -48,12 +49,6 @@ _TIE_BREAK = np.asarray(TIE_BREAK_ORDER)
 
 #: Worker processes read their BLAS thread count from this variable at start.
 _BLAS_THREADS = "OPENBLAS_NUM_THREADS"
-
-#: Top-two probability gap (relative) below which a batched greedy choice
-#: is re-decided on its own row.  A batched matrix product may round
-#: differently from a single-row one in the last bits (about 1e-15 here),
-#: so only a near-tie could flip; 1e-9 leaves a wide margin.
-_NEAR_TIE = 1e-9
 
 
 def _mean(x: np.ndarray) -> float:
@@ -133,8 +128,8 @@ class AgentParams:
         return params
 
     def __reduce__(self):
-        # Pickled arrays keep their memory order but not their views into
-        # ``vector``; rebuild those on load (a worker's result, say).
+        # Pickled arrays lose their views into ``vector``; rebuild those on
+        # load (a worker's result, say).
         return (AgentParams.from_networks, (self.policy, self.value))
 
     def layers(self) -> list[np.ndarray]:
@@ -153,43 +148,29 @@ def init_agent(rng: np.random.Generator, config: PPOConfig) -> AgentParams:
     return AgentParams.from_networks(policy, value)
 
 
-def policy_logits(policy: MLPParams, obs: np.ndarray) -> np.ndarray:
-    out, _ = mlp_forward(policy, np.atleast_2d(obs))
-    return out
+def act_sample(
+    policy: MLPParams, obs: np.ndarray, uniforms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample one action per row of ``obs`` (E, 7) by inverting the
+    policy's CDF at the row's draw from U[0, 1) in ``uniforms`` (E,);
+    returns (actions, log-probabilities), both (E,)."""
+    logp_all = log_softmax(mlp_rows(policy, obs))
+    cdf = np.cumsum(np.exp(logp_all), axis=1)
+    actions = np.minimum((cdf <= uniforms[:, None]).sum(axis=1), N_ACTIONS - 1)
+    return actions, logp_all[np.arange(len(actions)), actions]
 
 
-def act_sample(policy: MLPParams, obs: np.ndarray, uniform: float) -> tuple[int, float]:
-    """Sample an action index by inverting the policy's CDF at ``uniform``,
-    a draw from U[0, 1); returns (action, log-probability)."""
-    logp_all = log_softmax(policy_logits(policy, obs))[0]
-    cdf = np.cumsum(np.exp(logp_all))
-    action = int(np.searchsorted(cdf, uniform, side="right"))
-    action = min(action, N_ACTIONS - 1)
-    return action, float(logp_all[action])
+def act_greedy(policy: MLPParams, obs: np.ndarray) -> np.ndarray:
+    """Most probable action (B,) for each row of ``obs`` (B, 7); ties
+    prefer the smallest adjustment, then the negative-sign variant (so a
+    uniform policy holds the reserve)."""
+    probs = softmax(mlp_rows(policy, obs))[:, _TIE_BREAK]
+    return _TIE_BREAK[np.argmax(probs == probs.max(axis=1, keepdims=True), axis=1)]
 
 
-def act_greedy(policy: MLPParams, obs: np.ndarray) -> int | np.ndarray:
-    """Most probable action; ties prefer the smallest adjustment, then
-    the negative-sign variant (so a uniform policy holds the reserve).
-
-    ``obs`` of shape (7,) gives an int; (B, 7) gives (B,) actions from
-    one batched forward pass, each equal to the row's own (7,) choice.
-    """
-    probs = softmax(policy_logits(policy, obs))[:, _TIE_BREAK]
-    best = probs.max(axis=1, keepdims=True)
-    actions = _TIE_BREAK[np.argmax(probs == best, axis=1)]
-    if obs.ndim == 1:
-        return int(actions[0])
-    if len(obs) > 1:
-        runner_up = np.partition(probs, -2, axis=1)[:, -2]
-        for i in np.flatnonzero(best[:, 0] - runner_up <= _NEAR_TIE * best[:, 0]):
-            actions[i] = act_greedy(policy, obs[i])
-    return actions
-
-
-def state_value(value: MLPParams, obs: np.ndarray) -> float:
-    out, _ = mlp_forward(value, np.atleast_2d(obs))
-    return float(out[0, 0])
+def state_value(value: MLPParams, obs: np.ndarray) -> np.ndarray:
+    """Value estimates (E,) for the rows of ``obs`` (E, 7)."""
+    return mlp_rows(value, obs)[:, 0]
 
 
 def compute_gae(
@@ -490,10 +471,11 @@ def train_seed(
     ``schedule.episodes_per_level`` episodes, and updates after every
     batch.  A batch is the level's next ``ceil(batch_size / horizon)``
     episodes or the rest of the level.  They roll out together
-    (draw_paths, rollout) with the action uniforms drawn up front in
-    episode order and one B=1 forward pass per decision, bit for bit as
-    stepping one at a time would.  The environment's shortfall buffer is
-    cleared at level transitions.
+    (draw_paths, rollout) with the action uniforms drawn up front as one
+    (episodes, horizon) array and one forward pass per network per step
+    over all of them, bit for bit as stepping one episode at a time would
+    (the forward is batch invariant).  The environment's shortfall buffer
+    is cleared at level transitions.
     """
     streams = np.random.SeedSequence(seed).spawn(4)
     init_rng, env_rng, action_rng, update_rng = map(np.random.default_rng, streams)
@@ -509,7 +491,7 @@ def train_seed(
         paths = env.draw_paths(
             n, [schedule.ramp_progress(ep) for ep in episodes], schedule, Stochastic(level)
         )
-        uniforms = action_rng.random((n, horizon)).tolist()
+        uniforms = action_rng.random((n, horizon))
         obs = np.empty((n, horizon, OBS_DIM))
         actions = np.empty((n, horizon), dtype=int)
         logps = np.empty((n, horizon))
@@ -519,9 +501,8 @@ def train_seed(
             t = state.t
             rows = obs[:, t]
             rows[...] = observe(state)
-            for e in range(n):
-                actions[e, t], logps[e, t] = act_sample(agent.policy, rows[e], uniforms[e][t])
-                values[e, t] = state_value(agent.value, rows[e])
+            actions[:, t], logps[:, t] = act_sample(agent.policy, rows, uniforms[:, t])
+            values[:, t] = state_value(agent.value, rows)
             return actions[:, t]
 
         trace = env.rollout(paths, sample)

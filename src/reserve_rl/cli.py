@@ -19,7 +19,6 @@ Exit codes: 0 success, 1 configuration/usage errors, 2 data errors,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -98,11 +97,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--config", help="INI run configuration", default=None)
     parser.add_argument("--out", help="artifact root directory", default="runs")
     parser.add_argument(
-        "--seed-list",
-        help="comma-separated training seeds overriding the config",
-        default=None,
-    )
-    parser.add_argument(
         "--print-config",
         action="store_true",
         help="print the effective configuration and exit",
@@ -114,7 +108,6 @@ def _build_parser() -> _Parser:
 
     p_train = sub.add_parser("train", help="train policies on the training split")
     p_train.add_argument("--data", default=None, help="ingest artifact directory")
-    p_train.add_argument("--levels", default=None, help="comma-separated curriculum levels")
 
     p_eval = sub.add_parser("evaluate", help="compare policies and baselines per regime")
     p_eval.add_argument("--data", default=None)
@@ -136,14 +129,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _seeds(args: argparse.Namespace, cfg: RunConfig) -> tuple[int, ...]:
-    if args.seed_list is None:
-        seeds = cfg.run.seeds
-    else:
-        try:
-            seeds = tuple(int(part) for part in args.seed_list.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad --seed-list {args.seed_list!r}") from exc
+def _seeds(cfg: RunConfig) -> tuple[int, ...]:
+    seeds = cfg.run.seeds
     if not seeds:
         raise ConfigError("no training seeds: [run] seeds is empty")
     return seeds
@@ -240,16 +227,9 @@ def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = _outdir(args, "train")
     data = IngestArtifacts(args.data or os.path.join(args.out, "ingest"))
-    seeds = _seeds(args, cfg)
-    schedule = cfg.regimes
-    if args.levels is not None:
-        try:
-            levels = tuple(int(part) for part in args.levels.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad --levels {args.levels!r}") from exc
-        schedule = dataclasses.replace(schedule, levels=levels)
+    seeds = _seeds(cfg)
     train_factory, _ = _factories(data, cfg)
-    result = train_curriculum(train_factory, cfg.ppo, schedule, seeds, _usable_cores())
+    result = train_curriculum(train_factory, cfg.ppo, cfg.regimes, seeds, _usable_cores())
 
     fingerprint = config_fingerprint(cfg)
     outputs = ["training_log.csv", "updates.csv"]
@@ -373,7 +353,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     directory, table, outcome_of = _EVALUATIONS[args.command]
     out = _outdir(args, directory)
     data = IngestArtifacts(args.data or os.path.join(args.out, "ingest"))
-    seeds = _seeds(args, cfg)
+    seeds = _seeds(cfg)
     outcome = outcome_of(args, cfg, data, seeds)
     emit_report(outcome.rows, os.path.join(out, f"{table}.csv"), sidecar={
         "config_fingerprint": config_fingerprint(cfg),

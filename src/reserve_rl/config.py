@@ -233,7 +233,6 @@ def to_env_config(cfg: RunConfig, **overrides: object) -> EnvConfig:
         buffer_capacity=env.buffer_capacity,
         warmup_min=env.warmup_min,
         alpha_override=env.alpha,
-        seed=cfg.run.seed,
     )
     return replace(base, **overrides)
 

@@ -99,8 +99,6 @@ class EnvConfig:
         alpha_override: Pin the tail level instead of adapting it to
             volatility (sensitivity studies).
         shock_mode: Default shock process for episodes.
-        seed: Seed for the environment's own generator when no external
-            generator is supplied.
         regime_table: Custom severity table; None means the default.
     """
 
@@ -115,7 +113,6 @@ class EnvConfig:
     warmup_min: int = 20
     alpha_override: float | None = None
     shock_mode: ShockMode = field(default_factory=lambda: Stochastic(0))
-    seed: int = 0
     regime_table: Mapping[int, RegimeSpec] | None = None
 
     def __post_init__(self) -> None:
@@ -297,7 +294,7 @@ class ReserveEnv:
         triangle: LossTriangle,
         factors: DevelopmentFactors,
         config: EnvConfig,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator,
     ) -> None:
         # The triangle only seeds episodes (lag-1 starting losses); the
         # horizon may exceed its observed depth as long as the factors
@@ -313,7 +310,7 @@ class ReserveEnv:
         self.factors = factors
         self.config = config
         self.horizon = horizon
-        self.rng = rng if rng is not None else np.random.default_rng(config.seed)
+        self.rng = rng
         self._table = config.regime_table or DEFAULT_REGIME_TABLE
         self.buffer = ShortfallBuffer(config.buffer_capacity, config.warmup_min)
         self.state: EnvState | None = None

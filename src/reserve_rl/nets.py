@@ -36,9 +36,8 @@ class MLPParams:
 
 def flat_views(nets: Sequence[MLPParams]) -> tuple[np.ndarray, list[MLPParams]]:
     """A new uninitialized float64 vector, and networks shaped like ``nets``
-    whose arrays are views into it, net after net in :meth:`MLPParams.layers`
-    order.  Each view keeps the memory order of the array it mirrors (see
-    :func:`_training_layout`).
+    whose arrays are C-ordered views into it, net after net in
+    :meth:`MLPParams.layers` order.
     """
     vector = np.empty(sum(a.size for net in nets for a in net.layers()))
     views = []
@@ -46,33 +45,20 @@ def flat_views(nets: Sequence[MLPParams]) -> tuple[np.ndarray, list[MLPParams]]:
     for net in nets:
         arrays = []
         for like in net.layers():
-            segment = vector[offset:offset + like.size]
+            arrays.append(vector[offset:offset + like.size].reshape(like.shape))
             offset += like.size
-            if like.flags.c_contiguous:
-                arrays.append(segment.reshape(like.shape))
-            else:
-                arrays.append(segment.reshape(like.shape[::-1]).T)
         views.append(MLPParams(weights=arrays[0::2], biases=arrays[1::2]))
     return vector, views
 
 
-def _training_layout(w: np.ndarray) -> np.ndarray:
-    """``w`` in the memory order training keeps weights in: Fortran order
-    for a widening layer (n_in < n_out, the transposed Q of
-    :func:`orthogonal`), C order otherwise.  A B=1 forward pass through
-    the other order rounds differently in the last bits."""
-    n_in, n_out = w.shape
-    return np.asfortranarray(w) if n_in < n_out else np.ascontiguousarray(w)
-
-
 def orthogonal(n_in: int, n_out: int, gain: float, rng: np.random.Generator) -> np.ndarray:
-    """Orthogonal weight init (QR of a Gaussian matrix, sign-fixed)."""
+    """Orthogonal weight init (QR of a Gaussian matrix, sign-fixed), C-ordered."""
     a = rng.standard_normal((max(n_in, n_out), min(n_in, n_out)))
     q, r = np.linalg.qr(a)
     q *= np.sign(np.diag(r))  # make the decomposition unique
     if n_in < n_out:
         q = q.T
-    return _training_layout(gain * q[:n_in, :n_out])
+    return np.ascontiguousarray(gain * q[:n_in, :n_out])
 
 
 def init_mlp(
@@ -119,6 +105,29 @@ def mlp_forward(params: MLPParams, x: np.ndarray) -> tuple[np.ndarray, list[np.n
     if not np.isfinite(h).all():
         raise NonFiniteActivation("non-finite value in network output")
     return h, cache
+
+
+def mlp_rows(params: MLPParams, x: np.ndarray) -> np.ndarray:
+    """Cache-free forward pass for acting, shape (B, n_in) -> (B, n_out).
+
+    Each layer is ``np.einsum("bi,io->bo", h, w)`` without ``optimize``,
+    which makes no BLAS call, so every output row has the same bits
+    whatever rows share its batch (``tests/test_nets.py`` pins this for the
+    installed numpy).  The bits depend on the weights' memory order, which
+    is C order throughout, and differ from :func:`mlp_forward`'s in the
+    last place.
+
+    Raises:
+        NonFiniteActivation: NaN or infinity appeared in the output.
+    """
+    h = x
+    last = params.n_layers - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = np.einsum("bi,io->bo", h, w) + b
+        h = z if i == last else np.tanh(z)
+    if not np.isfinite(h).all():
+        raise NonFiniteActivation("non-finite value in network output")
+    return h
 
 
 def mlp_backward(
@@ -192,10 +201,10 @@ def clip_global_norm(grads: np.ndarray, layers: Sequence[np.ndarray], max_norm: 
     """Scale the flat gradient ``grads`` in place so its L2 norm is <= max_norm.
 
     ``layers`` are the per-array views into ``grads``.  The norm sums each
-    array's squares in row-major order (``ndarray.sum`` is this reduce),
-    array by array: the same float whatever memory order a view has.
+    array's squares (``ndarray.sum`` is this reduce), array by array, in
+    row-major order since every view is C-ordered.
     """
-    squares = (np.add.reduce(g * g, axis=None) for g in map(np.ascontiguousarray, layers))
+    squares = (np.add.reduce(g * g, axis=None) for g in layers)
     total = math.sqrt(sum(map(float, squares)))
     if total > max_norm:
         grads *= max_norm / (total + 1e-12)
@@ -220,8 +229,7 @@ def _params_from_doc(doc: dict) -> MLPParams:
         np.asarray(flat, dtype=float).reshape(shape)
         for shape, flat in zip(doc["shapes"], doc["arrays"])
     ]
-    weights = [_training_layout(w) for w in arrays[0::2]]
-    return MLPParams(weights=weights, biases=arrays[1::2])
+    return MLPParams(weights=arrays[0::2], biases=arrays[1::2])
 
 
 def save_networks(
@@ -244,9 +252,9 @@ def save_networks(
 
 
 def load_networks(path: str) -> tuple[MLPParams, MLPParams, str, int]:
-    """Inverse of :func:`save_networks`; floats round-trip exactly, and the
-    weights come back in the memory order training used, so a loaded
-    policy's forward passes match the trained one's bit for bit."""
+    """Inverse of :func:`save_networks`; floats round-trip exactly into
+    C-ordered arrays, as in training, so a loaded policy acts as the
+    trained one did, bit for bit."""
     with open(path) as handle:
         doc = json.load(handle)
     if doc.get("format") != _FORMAT:

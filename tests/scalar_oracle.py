@@ -30,14 +30,13 @@ from reserve_rl.agent import (
     act_sample,
     compute_gae,
     observe,
-    policy_logits,
     ppo_loss_and_grads,
     state_value,
 )
 from reserve_rl.baselines import BootstrapResult, _residual_pool
 from reserve_rl.env import ACTION_GRID, ReserveEnv, StepOutcome, Trace
 from reserve_rl.errors import DegenerateResiduals, NonFiniteGradient
-from reserve_rl.nets import MLPParams, init_mlp, softmax
+from reserve_rl.nets import MLPParams, init_mlp, mlp_rows, softmax
 from reserve_rl.regimes import CurriculumSchedule, Stochastic
 from reserve_rl.triangles import LossTriangle
 
@@ -83,7 +82,7 @@ class TraceRecorder:
 def greedy_action(policy: MLPParams, obs: np.ndarray) -> int:
     """Most probable action; ties prefer the smallest adjustment, then
     the negative-sign variant."""
-    probs = softmax(policy_logits(policy, obs))[0]
+    probs = softmax(mlp_rows(policy, obs[None]))[0]
     best = probs.max()
     candidates = [i for i in range(len(ACTION_GRID)) if probs[i] == best]
     return min(candidates, key=lambda i: (abs(ACTION_GRID[i]), ACTION_GRID[i]))
@@ -240,8 +239,9 @@ def scalar_train_curriculum(make_env, config: PPOConfig, schedule: CurriculumSch
                 ep_rewards, ep_shortfalls, ep_cvars, ep_violations = [], [], [], []
                 for _ in range(env.horizon):
                     obs = observe(state)
-                    action, logp = act_sample(policy, obs, action_rng.random())
-                    baseline = state_value(value, obs)
+                    actions, logps = act_sample(policy, obs[None], np.array([action_rng.random()]))
+                    action, logp = int(actions[0]), float(logps[0])
+                    baseline = float(state_value(value, obs[None])[0])
                     outcome = env.step(action)
                     buffer["obs"].append(obs)
                     buffer["actions"].append(action)

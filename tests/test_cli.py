@@ -159,29 +159,6 @@ def test_evaluate_with_traces(pipeline, tmp_path):
     assert all(name.endswith(".csv") for name in traces)
 
 
-def test_seed_list_override(pipeline, tmp_path):
-    out = str(tmp_path / "runs")
-    code = main([
-        "--config", pipeline["config"], "--out", out, "--seed-list", "5",
-        "train", "--data", os.path.join(pipeline["out"], "ingest"),
-    ])
-    assert code == 0
-    assert os.path.exists(os.path.join(out, "train", "policy_seed5.json"))
-    assert not os.path.exists(os.path.join(out, "train", "policy_seed1.json"))
-
-
-def test_levels_override(pipeline, tmp_path):
-    out = str(tmp_path / "runs")
-    code = main([
-        "--config", pipeline["config"], "--out", out, "--seed-list", "5",
-        "train", "--data", os.path.join(pipeline["out"], "ingest"), "--levels", "1",
-    ])
-    assert code == 0
-    rows = _lines(os.path.join(out, "train", "training_log.csv"))[1:]
-    assert len(rows) == 8
-    assert {row.split(",")[1] for row in rows} == {"1"}
-
-
 def test_print_config(capsys):
     assert main(["--print-config"]) == 0
     assert capsys.readouterr().out == config_to_ini(default_config())
@@ -256,15 +233,6 @@ def test_missing_triangle_exits_2(tmp_path):
 
 def test_report_without_tables_exits_2(tmp_path):
     assert main(["--out", str(tmp_path / "runs"), "report"]) == 2
-
-
-def test_bad_seed_list_exits_1(pipeline, tmp_path):
-    code = main([
-        "--config", pipeline["config"], "--out", str(tmp_path / "runs"),
-        "--seed-list", "a,b", "train",
-        "--data", os.path.join(pipeline["out"], "ingest"),
-    ])
-    assert code == 1
 
 
 def test_empty_seed_list_in_config_exits_1(pipeline, tmp_path):

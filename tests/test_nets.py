@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from reserve_rl.agent import PPOConfig, init_agent
+from reserve_rl.agent import AgentParams, PPOConfig, init_agent
 from reserve_rl.errors import DataError, NonFiniteActivation
 from reserve_rl.nets import (
     Adam,
@@ -20,6 +22,7 @@ from reserve_rl.nets import (
     log_softmax,
     mlp_backward,
     mlp_forward,
+    mlp_rows,
     orthogonal,
     save_networks,
     softmax,
@@ -75,13 +78,54 @@ def test_backward_matches_finite_differences():
             assert garr.flat[i] == pytest.approx(fd, abs=1e-5, rel=1e-5)
 
 
+@pytest.mark.parametrize("n_out", [7, 1])
+@pytest.mark.parametrize("hidden", [(8, 8), (16, 16), (64, 64)], ids=str)
+def test_rows_forward_is_batch_invariant(hidden, n_out):
+    """One ``mlp_rows`` call equals per-row calls byte for byte, as rollouts
+    assume when they act for a whole batch of episodes in one call.  The
+    inputs are a (episodes, horizon, 7) buffer's step column, as a strided
+    view and as a contiguous copy.  An einsum that rounds a row by the
+    batch around it fails here."""
+    rng = np.random.default_rng(len(hidden) * sum(hidden) + n_out)
+    net = init_mlp((7, *hidden, n_out), rng, final_gain=1.0, hidden_gain=3.0)
+    buffer = rng.normal(0.0, 2.0, size=(1000, 5, 7))
+    for batch in (1, 2, 7, 10, 100, 205, 1000):
+        for obs in (buffer[:batch, 3], np.ascontiguousarray(buffer[:batch, 3])):
+            out = mlp_rows(net, obs)
+            assert out.shape == (batch, n_out)
+            assert [row.tobytes() for row in out] == [
+                mlp_rows(net, row[None]).tobytes() for row in obs
+            ]
+
+
+def test_every_weight_is_c_ordered(tmp_path):
+    """``mlp_rows``'s bits depend on the weights' memory order, so every way
+    to make networks gives C-ordered arrays."""
+    rng = np.random.default_rng(12)
+    agent = init_agent(rng, PPOConfig(hidden=(16, 16)))
+    copy = AgentParams.from_networks(agent.policy, agent.value)
+    pickled = pickle.loads(pickle.dumps(agent))
+    path = tmp_path / "agent.json"
+    save_networks(str(path), agent.policy, agent.value, config_fingerprint="fp", seed=1)
+    loaded_policy, loaded_value, _, _ = load_networks(str(path))
+    made = [
+        init_mlp((7, 64, 64, 7), rng, final_gain=0.01),
+        agent.policy, agent.value,
+        copy.policy, copy.value,
+        pickled.policy, pickled.value,
+        loaded_policy, loaded_value,
+    ]
+    assert all(a.flags.c_contiguous for net in made for a in net.layers())
+
+
 def test_forward_rejects_non_finite():
     rng = np.random.default_rng(4)
     params = init_mlp((3, 4, 2), rng, final_gain=1.0)
     # tanh squashes an inf in a hidden layer, so poison the output layer
     params.weights[-1][:, :] = float("inf")
-    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteActivation):
-        mlp_forward(params, np.ones((1, 3)))
+    for forward in (mlp_forward, mlp_rows):
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteActivation):
+            forward(params, np.ones((1, 3)))
 
 
 def test_softmax_normalization_and_shift_invariance():
@@ -154,7 +198,7 @@ def test_save_load_round_trip(tmp_path):
 
 def test_loaded_agent_forwards_like_trained(tmp_path):
     """Networks read back from disk keep the training memory layout, so
-    B=1 and batched forwards match the in-memory networks bit for bit."""
+    both forward passes match the in-memory networks bit for bit."""
     rng = np.random.default_rng(11)
     agent = init_agent(rng, PPOConfig(hidden=(16, 16)))
     path = tmp_path / "agent.json"
@@ -164,9 +208,7 @@ def test_loaded_agent_forwards_like_trained(tmp_path):
     for net, loaded in ((agent.policy, loaded_policy), (agent.value, loaded_value)):
         assert [a.strides for a in loaded.layers()] == [a.strides for a in net.layers()]
         assert mlp_forward(loaded, rows)[0].tobytes() == mlp_forward(net, rows)[0].tobytes()
-        for row in rows:
-            ours, expected = mlp_forward(loaded, row[None])[0], mlp_forward(net, row[None])[0]
-            assert ours.tobytes() == expected.tobytes()
+        assert mlp_rows(loaded, rows).tobytes() == mlp_rows(net, rows).tobytes()
 
 
 def test_load_rejects_foreign_format(tmp_path):

@@ -16,11 +16,12 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .artifacts import write_csv
 from .env import ACTION_GRID, TIE_BREAK_ORDER, EnvFactory, EnvState
 from .errors import ConfigError, EmptyBatch, LengthMismatch, NonFiniteGradient
 from .nets import (
@@ -44,8 +45,6 @@ N_ACTIONS = len(ACTION_GRID)
 
 #: Divisor that maps the regime level into the observation's unit range.
 LEVEL_SCALE = 3.0
-
-_TIE_BREAK = np.asarray(TIE_BREAK_ORDER)
 
 #: Worker processes read their BLAS thread count from this variable at start.
 _BLAS_THREADS = "OPENBLAS_NUM_THREADS"
@@ -164,8 +163,8 @@ def act_greedy(policy: MLPParams, obs: np.ndarray) -> np.ndarray:
     """Most probable action (B,) for each row of ``obs`` (B, 7); ties
     prefer the smallest adjustment, then the negative-sign variant (so a
     uniform policy holds the reserve)."""
-    probs = softmax(mlp_rows(policy, obs))[:, _TIE_BREAK]
-    return _TIE_BREAK[np.argmax(probs == probs.max(axis=1, keepdims=True), axis=1)]
+    probs = softmax(mlp_rows(policy, obs))[:, TIE_BREAK_ORDER]
+    return TIE_BREAK_ORDER[np.argmax(probs == probs.max(axis=1, keepdims=True), axis=1)]
 
 
 def state_value(value: MLPParams, obs: np.ndarray) -> np.ndarray:
@@ -421,13 +420,7 @@ class TrainingResult:
 
 
 def write_training_log(rows: Sequence[TrainLogRow], path: str) -> None:
-    with open(path, "w", newline="") as handle:
-        handle.write(TRAINING_LOG_HEADER + "\n")
-        for r in rows:
-            handle.write(
-                f"{r.seed},{r.level},{r.episode},{r.mean_reward!r},"
-                f"{r.mean_shortfall!r},{r.mean_cvar!r},{r.violation_rate!r}\n"
-            )
+    write_csv(path, TRAINING_LOG_HEADER, map(astuple, rows))
 
 
 UPDATE_LOG_HEADER = (
@@ -438,12 +431,11 @@ UPDATE_LOG_HEADER = (
 def write_update_log(update_stats: dict[int, list[tuple[int, UpdateStats]]], path: str) -> None:
     """One row per update: seed, level, the update's index in its seed's run
     (from 0), then the :class:`UpdateStats` minibatch means."""
-    with open(path, "w", newline="") as handle:
-        handle.write(UPDATE_LOG_HEADER + "\n")
-        for seed, updates in update_stats.items():
-            for update, (level, stats) in enumerate(updates):
-                values = ",".join(repr(getattr(stats, f.name)) for f in fields(UpdateStats))
-                handle.write(f"{seed},{level},{update},{values}\n")
+    write_csv(path, UPDATE_LOG_HEADER, (
+        (seed, level, update, *astuple(stats))
+        for seed, updates in update_stats.items()
+        for update, (level, stats) in enumerate(updates)
+    ))
 
 
 class SeedRun(NamedTuple):

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .env import ACTION_GRID, TIE_BREAK_ORDER, EpisodeInfo, ReserveEnv, Trace
+from .artifacts import write_csv
+from .env import ACTION_GRID, HOLD_ACTION, TIE_BREAK_ORDER, EpisodeInfo, ReserveEnv, Trace
 from .errors import DegenerateResiduals, InsufficientData, MissingPremium
 from .triangles import DevelopmentFactors, LossTriangle, age_to_age_factors
 
@@ -32,9 +33,7 @@ RESERVE_TABLE_HEADER = "method,accident_year,latest,ultimate,reserve"
 
 #: Relative chase gap beyond which the replay jumps to the extreme action.
 _MAX_STEP = max(ACTION_GRID)
-HOLD_ACTION_INDEX = ACTION_GRID.index(0.0)
-_TIE_BREAK = np.asarray(TIE_BREAK_ORDER)
-_ORDERED_GRID = np.asarray(ACTION_GRID)[_TIE_BREAK]
+_ORDERED_GRID = np.asarray(ACTION_GRID)[TIE_BREAK_ORDER]
 
 
 @dataclass(frozen=True)
@@ -49,12 +48,7 @@ class ReserveRow:
 
 
 def write_reserve_rows_csv(rows: Sequence[ReserveRow], path: str) -> None:
-    with open(path, "w", newline="") as handle:
-        handle.write(RESERVE_TABLE_HEADER + "\n")
-        for r in rows:
-            handle.write(
-                f"{r.method},{r.accident_year},{r.latest!r},{r.ultimate!r},{r.reserve!r}\n"
-            )
+    write_csv(path, RESERVE_TABLE_HEADER, map(astuple, rows))
 
 
 def _check_factor_coverage(tri: LossTriangle, factors: DevelopmentFactors) -> None:
@@ -434,7 +428,6 @@ def replay_static_policy(
     env: ReserveEnv,
     path_builder: PathBuilder,
     episodes: int,
-    episode_offset: int = 0,
 ) -> Trace:
     """Drive the environment along a per-episode target reserve path.
 
@@ -451,9 +444,7 @@ def replay_static_policy(
         targets[e] = path_builder(info, env.horizon)
     last = env.horizon - 1
     return env.rollout(
-        paths,
-        lambda state: _chase_action(state.reserve, targets[:, min(state.t + 1, last)]),
-        episode_offset,
+        paths, lambda state: _chase_action(state.reserve, targets[:, min(state.t + 1, last)])
     )
 
 
@@ -464,10 +455,10 @@ def _chase_action(reserve: np.ndarray, target: np.ndarray) -> np.ndarray:
     solvent = reserve > 0.0
     ratio = target / np.where(solvent, reserve, 1.0) - 1.0
     # first minimum in tie-break order: nearest move, then smallest, cut first
-    nearest = _TIE_BREAK[np.argmin(np.abs(_ORDERED_GRID - ratio[..., None]), axis=-1)]
+    nearest = TIE_BREAK_ORDER[np.argmin(np.abs(_ORDERED_GRID - ratio[..., None]), axis=-1)]
     extreme = np.where(ratio > 0.0, len(ACTION_GRID) - 1, 0)
     chased = np.where(np.abs(ratio) <= _MAX_STEP + 1e-12, nearest, extreme)
-    bankrupt = np.where(target > 0.0, len(ACTION_GRID) - 1, HOLD_ACTION_INDEX)
+    bankrupt = np.where(target > 0.0, len(ACTION_GRID) - 1, HOLD_ACTION)
     return np.where(solvent, chased, bankrupt)
 
 

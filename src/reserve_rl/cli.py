@@ -12,8 +12,9 @@ Subcommands mirror the experiment stages and each writes its artifacts
 * ``sensitivity`` retrain/evaluate over a tail-level x floor grid
 * ``report``      merge all metric tables produced so far
 
-Exit codes: 0 success, 1 configuration/usage errors, 2 data errors,
-3 numerical failures.  ``RESERVE_RL_LOG`` sets the log level.
+Exit codes: 0 success, 1 configuration/usage errors, 2 data errors
+(a failed artifact write among them), 3 numerical failures.
+``RESERVE_RL_LOG`` sets the log level.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import sys
 import numpy as np
 
 from .agent import train_curriculum, write_training_log, write_update_log
+from .artifacts import git_blob_sha1, write_csv, write_json
 from .baselines import (
     BootstrapResult,
     bootstrap_chain_ladder,
@@ -44,10 +46,8 @@ from .config import (
     build_manifest,
     config_fingerprint,
     config_to_ini,
-    git_blob_sha1,
     load_config,
     to_env_config,
-    write_manifest,
 )
 from .env import EnvFactory
 from .errors import ConfigError, DataError, NumericalError, ReserveRlError
@@ -203,21 +203,15 @@ def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
     test_path = os.path.join(out, "test_triangle.csv")
     write_triangle_csv(train_tri, train_path)
     write_triangle_csv(test_tri, test_path)
-    with open(os.path.join(out, "normalization.json"), "w") as handle:
-        json.dump({"scale": params.scale, "offset": params.offset}, handle,
-                  sort_keys=True, separators=(",", ":"))
-        handle.write("\n")
-    with open(os.path.join(out, "factors.json"), "w") as handle:
-        json.dump({"factors": list(factors.factors)}, handle,
-                  sort_keys=True, separators=(",", ":"))
-        handle.write("\n")
-    manifest = build_manifest(
+    # the offset is always 0; the key stays so the artifact keeps its shape
+    write_json(os.path.join(out, "normalization.json"), {"scale": params.scale, "offset": 0.0})
+    write_json(os.path.join(out, "factors.json"), {"factors": list(factors.factors)})
+    write_json(os.path.join(out, "manifest.json"), build_manifest(
         "ingest", cfg,
         inputs={"triangle": args.triangle},
         outputs=["train_triangle.csv", "test_triangle.csv",
                  "normalization.json", "factors.json"],
-    )
-    write_manifest(os.path.join(out, "manifest.json"), manifest)
+    ))
     print(f"ingest: {tri.n_accident_years} years -> "
           f"{train_tri.n_accident_years} train / {test_tri.n_accident_years} test, "
           f"scale {params.scale!r}")
@@ -240,8 +234,8 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
         outputs.append(name)
     write_training_log(result.log, os.path.join(out, "training_log.csv"))
     write_update_log(result.update_stats, os.path.join(out, "updates.csv"))
-    manifest = build_manifest("train", cfg, inputs=data.input_paths(), outputs=outputs)
-    write_manifest(os.path.join(out, "manifest.json"), manifest)
+    write_json(os.path.join(out, "manifest.json"),
+               build_manifest("train", cfg, inputs=data.input_paths(), outputs=outputs))
     for seed in seeds:
         print(f"train: seed {seed} finished with {len(result.update_stats[seed])} updates")
     return 0
@@ -364,8 +358,8 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     if outcome.traces:
         outputs += [os.path.join("traces", n)
                     for n in _write_traces(outcome, os.path.join(out, "traces"))]
-    manifest = build_manifest(args.command, cfg, inputs=data.input_paths(), outputs=outputs)
-    write_manifest(os.path.join(out, "manifest.json"), manifest)
+    write_json(os.path.join(out, "manifest.json"),
+               build_manifest(args.command, cfg, inputs=data.input_paths(), outputs=outputs))
     for row in outcome.rows:
         print(f"{args.command}: {row.model:20s} {row.condition:28s} rar={row.rar:.3f} "
               f"cvar95={row.cvar95:.4f} ces={row.ces:.3f} rvr={row.rvr:.3f}")
@@ -383,13 +377,10 @@ def cmd_baselines(args: argparse.Namespace, cfg: RunConfig) -> int:
     elr, boot = _elr_and_bootstrap(train_tri, factors, cfg)
     rows += bornhuetter_ferguson(train_tri, factors, elr)
     write_reserve_rows_csv(rows, os.path.join(out, "reserves.csv"))
-    with open(os.path.join(out, "bootstrap.json"), "w") as handle:
-        json.dump(_bootstrap_summary(boot, elr), handle, sort_keys=True, separators=(",", ":"))
-        handle.write("\n")
-
-    manifest = build_manifest("baselines", cfg, inputs={"triangle": args.triangle},
-                              outputs=["reserves.csv", "bootstrap.json"])
-    write_manifest(os.path.join(out, "manifest.json"), manifest)
+    write_json(os.path.join(out, "bootstrap.json"), _bootstrap_summary(boot, elr))
+    write_json(os.path.join(out, "manifest.json"),
+               build_manifest("baselines", cfg, inputs={"triangle": args.triangle},
+                              outputs=["reserves.csv", "bootstrap.json"]))
     total_cl = sum(r.reserve for r in rows if r.method == "chain_ladder")
     print(f"baselines: chain-ladder total reserve {total_cl!r}, "
           f"bootstrap mean {boot.mean!r} (sd {boot.stddev!r}), elr {elr!r}")
@@ -414,7 +405,7 @@ def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
         os.path.join(args.out, "stress", "stress_metrics.csv"),
         os.path.join(args.out, "sensitivity", "sensitivity.csv"),
     ]
-    merged: list[str] = []
+    merged: list[list[str]] = []
     header: str | None = None
     found = []
     for source in sources:
@@ -428,19 +419,15 @@ def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
             header = lines[0]
         elif lines[0] != header:
             raise DataError(f"{source!r} has a mismatched header")
-        merged.extend(lines[1:])
+        merged.extend(line.split(",") for line in lines[1:])
         found.append(source)
     if header is None or not merged:
         raise DataError("no metric tables found to merge; run evaluate/stress/sensitivity first")
-    report_path = os.path.join(out, "combined_metrics.csv")
-    with open(report_path, "w", newline="") as handle:
-        handle.write(header + "\n")
-        for line in merged:
-            handle.write(line + "\n")
-    manifest = build_manifest("report", cfg,
+    write_csv(os.path.join(out, "combined_metrics.csv"), header, merged)
+    write_json(os.path.join(out, "manifest.json"),
+               build_manifest("report", cfg,
                               inputs={os.path.relpath(s, args.out): s for s in found},
-                              outputs=["combined_metrics.csv"])
-    write_manifest(os.path.join(out, "manifest.json"), manifest)
+                              outputs=["combined_metrics.csv"]))
     print(f"report: merged {len(merged)} rows from {len(found)} tables")
     return 0
 
@@ -476,10 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ReserveRlError as exc:

@@ -17,13 +17,13 @@ from __future__ import annotations
 import configparser
 import datetime
 import hashlib
-import json
 from dataclasses import dataclass, field, fields, replace
 from importlib import metadata
 from typing import Mapping, Sequence
 
+from .artifacts import git_blob_sha1
 from .env import DEFAULT_FLOOR, STRICT_FLOOR, EnvConfig, RewardWeights
-from .errors import ConfigError, IoFailure
+from .errors import ConfigError
 from .agent import PPOConfig
 from .regimes import CurriculumSchedule
 
@@ -239,17 +239,6 @@ def to_env_config(cfg: RunConfig, **overrides: object) -> EnvConfig:
 
 # --- manifests -----------------------------------------------------------------
 
-def git_blob_sha1(path: str) -> str:
-    """Content digest matching ``git hash-object`` on the file."""
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot hash {path!r}: {exc}") from exc
-    header = f"blob {len(data)}\0".encode()
-    return hashlib.sha1(header + data).hexdigest()
-
-
 def build_manifest(
     command: str,
     cfg: RunConfig,
@@ -271,11 +260,3 @@ def build_manifest(
         "outputs": sorted(outputs),
     }
 
-
-def write_manifest(path: str, manifest: Mapping[str, object]) -> None:
-    try:
-        with open(path, "w") as handle:
-            json.dump(manifest, handle, sort_keys=True, separators=(",", ":"))
-            handle.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write manifest {path!r}: {exc}") from exc

@@ -27,16 +27,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .artifacts import write_csv
 from .errors import ActionOutOfGrid, ConfigMismatch, EpisodeFinished
 from .regimes import (
-    DEFAULT_REGIME_TABLE,
     MIN_SHOCK,
     CurriculumSchedule,
-    RegimeSpec,
     ShockMode,
     Stochastic,
     effective_params,
@@ -54,7 +53,7 @@ HOLD_ACTION = ACTION_GRID.index(0.0)
 #: Action indices from smallest to largest move, the cut before the
 #: raise at equal size: (3, 2, 4, 1, 5, 0, 6).  Ties between equally
 #: good actions go to the earliest index in this order.
-TIE_BREAK_ORDER: tuple[int, ...] = tuple(
+TIE_BREAK_ORDER: np.ndarray = np.array(
     sorted(range(len(ACTION_GRID)), key=lambda i: (abs(ACTION_GRID[i]), ACTION_GRID[i]))
 )
 
@@ -99,7 +98,6 @@ class EnvConfig:
         alpha_override: Pin the tail level instead of adapting it to
             volatility (sensitivity studies).
         shock_mode: Default shock process for episodes.
-        regime_table: Custom severity table; None means the default.
     """
 
     horizon: int | None = None
@@ -113,7 +111,6 @@ class EnvConfig:
     warmup_min: int = 20
     alpha_override: float | None = None
     shock_mode: ShockMode = field(default_factory=lambda: Stochastic(0))
-    regime_table: Mapping[int, RegimeSpec] | None = None
 
     def __post_init__(self) -> None:
         if self.horizon is not None and self.horizon < 2:
@@ -150,8 +147,8 @@ class EnvState:
 
 @dataclass(frozen=True)
 class RewardComponents:
-    """Post-transition quantities entering the reward (floats for one
-    step, equal-shape arrays for a lockstep rollout)."""
+    """Post-transition quantities of one step: the four reward terms, the
+    floor they were checked against and the tail level."""
 
     shortfall: float
     cvar: float
@@ -245,13 +242,16 @@ def update_violation_memory(memory: float, violated: bool) -> float:
     return 0.95 * memory + 0.05 * violated
 
 
-def compute_reward(weights: RewardWeights, components: RewardComponents) -> float:
-    """Negative weighted sum of the four penalty components."""
+def compute_reward(
+    weights: RewardWeights, shortfall: float, cvar: float, inefficiency: float, violated: bool
+) -> float:
+    """Negative weighted sum of the four penalty components (floats for one
+    step, equal-shape arrays for a lockstep rollout)."""
     return -(
-        weights.shortfall * components.shortfall
-        + weights.cvar * components.cvar
-        + weights.inefficiency * components.inefficiency
-        + weights.floor * components.violated
+        weights.shortfall * shortfall
+        + weights.cvar * cvar
+        + weights.inefficiency * inefficiency
+        + weights.floor * violated
     )
 
 
@@ -311,7 +311,6 @@ class ReserveEnv:
         self.config = config
         self.horizon = horizon
         self.rng = rng
-        self._table = config.regime_table or DEFAULT_REGIME_TABLE
         self.buffer = ShortfallBuffer(config.buffer_capacity, config.warmup_min)
         self.state: EnvState | None = None
         self.episode_info: EpisodeInfo | None = None
@@ -343,13 +342,13 @@ class ReserveEnv:
         if shock_mode is not None:
             self._mode = shock_mode
         schedule = schedule if schedule is not None else CurriculumSchedule()
-        _, self._shock_var = effective_params(self._mode, episode_progress, schedule, self._table)
+        _, self._shock_var = effective_params(self._mode, episode_progress, schedule)
         self._ramp_progress = episode_progress
         self._schedule = schedule
 
         self.episode_info = self._draw_episode_info()
         initial_loss = self.episode_info.initial_loss
-        first_shock = shock_for_step(self._mode, episode_progress, schedule, self.rng, self._table)
+        first_shock = shock_for_step(self._mode, episode_progress, schedule, self.rng)
         self._growths = []
         self._done = False
         self.state = EnvState(
@@ -412,13 +411,11 @@ class ReserveEnv:
             floor=floor,
             alpha=alpha,
         )
-        reward = compute_reward(cfg.weights, components)
+        reward = compute_reward(cfg.weights, shortfall, estimate.cvar, inefficiency, violated)
 
         # Draw the next shock unconditionally so the stream advances the
         # same way every step (keeps common-random-number runs aligned).
-        next_shock = shock_for_step(
-            self._mode, self._ramp_progress, self._schedule, self.rng, self._table
-        )
+        next_shock = shock_for_step(self._mode, self._ramp_progress, self._schedule, self.rng)
 
         next_t = state.t + 1
         done = next_t == self.horizon
@@ -468,7 +465,7 @@ class ReserveEnv:
         cfg = self.config
         mode = self._mode
         progress = np.broadcast_to(episode_progress, (episodes,)).tolist()
-        params = [effective_params(mode, p, schedule, self._table) for p in progress]
+        params = [effective_params(mode, p, schedule) for p in progress]
         mu, var = np.array(params).reshape(-1, 2).T
         sd = np.sqrt(var)[:, None]
         stochastic = isinstance(mode, Stochastic)
@@ -510,9 +507,7 @@ class ReserveEnv:
             shock=shock,
         )
 
-    def rollout(
-        self, paths: LossPaths, policy: LockstepPolicy, episode_offset: int = 0
-    ) -> Trace:
+    def rollout(self, paths: LossPaths, policy: LockstepPolicy) -> Trace:
         """Step every episode of ``paths`` at once under ``policy``.
 
         The reserve, floor and violation memory advance one period at a
@@ -570,25 +565,16 @@ class ReserveEnv:
         loss = paths.loss[:, 1:]
         volatility = paths.volatility[:, 1:]
         shortfall = np.maximum(0.0, loss - reserve_path)
-        alpha = np.empty(shape)
         cvar = np.empty(shape)
-        flat_alpha, flat_cvar = alpha.reshape(-1), cvar.reshape(-1)
+        flat_cvar = cvar.reshape(-1)
         for i, (sf, vol) in enumerate(zip(shortfall.ravel().tolist(), volatility.ravel().tolist())):
             self.buffer.push(sf)
             a = cfg.alpha_override if cfg.alpha_override is not None else adaptive_alpha(vol)
-            flat_alpha[i] = a
             flat_cvar[i] = empirical_cvar(self.buffer, a).cvar
         inefficiency = np.abs(reserve_path - loss)
-        reward = compute_reward(cfg.weights, RewardComponents(
-            shortfall=shortfall,
-            cvar=cvar,
-            inefficiency=inefficiency,
-            violated=violated,
-            floor=solvency_floor(volatility, cfg.floor_base, cfg.floor_slope),
-            alpha=alpha,
-        ))
+        reward = compute_reward(cfg.weights, shortfall, cvar, inefficiency, violated)
         return Trace(
-            episode=np.repeat(np.arange(n_episodes) + episode_offset, horizon),
+            episode=np.repeat(np.arange(n_episodes), horizon),
             t=np.tile(np.arange(horizon), n_episodes),
             reserve=reserve_path.ravel(),
             loss=loss.ravel(),
@@ -668,15 +654,8 @@ class Trace:
         })
 
     def write_csv(self, path: str) -> None:
-        # tolist() yields Python ints and floats, whose repr is a plain
-        # decimal that round-trips (not "np.float64(...)")
-        columns = [
+        # Python ints for the integer columns, Python floats for the rest
+        write_csv(path, TRACE_HEADER, zip(*(
             getattr(self, name).astype(int if name in _CSV_INT_COLUMNS else float).tolist()
             for name in _TRACE_COLUMNS
-        ]
-        with open(path, "w", newline="") as handle:
-            handle.write(TRACE_HEADER + "\n")
-            handle.writelines(
-                f"{e},{t},{r!r},{l!r},{v!r},{k!r},{m!r},{s!r},{lv},{a!r},{w!r},{sf!r},{c!r},{x}\n"
-                for e, t, r, l, v, k, m, s, lv, a, w, sf, c, x in zip(*columns)
-            )
+        )))

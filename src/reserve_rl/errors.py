@@ -1,10 +1,10 @@
 """Typed exceptions shared across the package.
 
 Three failure families map onto CLI exit codes: configuration/usage
-problems (exit 1), data problems (exit 2), and numerical failures
-(exit 3).  Everything raised on purpose inside the package derives from
-:class:`ReserveRlError` so callers can catch broadly without swallowing
-genuine bugs.
+problems (exit 1), data and I/O problems (exit 2), and numerical
+failures (exit 3).  Everything raised on purpose inside the package
+derives from :class:`ReserveRlError` so callers can catch broadly without
+swallowing genuine bugs.
 """
 
 
@@ -134,5 +134,7 @@ class EmptyReport(DataError):
     """Report emission was requested with zero rows."""
 
 
-class IoFailure(ReserveRlError):
-    """Filesystem problem while writing an artifact."""
+# --- artifacts ---------------------------------------------------------------------
+
+class IoFailure(DataError):
+    """Filesystem problem while writing an artifact (CLI exit code 2)."""

@@ -19,10 +19,9 @@ rather than luck of the draw.
 
 from __future__ import annotations
 
-import json
 import logging
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -35,8 +34,9 @@ from .agent import (
     train_curriculum,
     train_seeds,
 )
+from .artifacts import write_csv, write_json
 from .env import EnvFactory, ReserveEnv, Trace
-from .errors import EmptyReport, IoFailure, NoEligibleSteps, TooFewSamples
+from .errors import EmptyReport, NoEligibleSteps, TooFewSamples
 from .nets import MLPParams
 from .regimes import CurriculumSchedule, FixedShock, ShockMode, Stochastic
 from .risk import tail_estimate
@@ -69,27 +69,23 @@ class MetricSet:
         return (self.rar, self.cvar95, self.ces, self.rvr)
 
 
-def compute_metrics(
-    trace: Trace,
-    rar_eps: float = RAR_LOSS_EPS,
-    min_tail_samples: int = MIN_TAIL_SAMPLES,
-) -> MetricSet:
+def compute_metrics(trace: Trace) -> MetricSet:
     """Summarize a trace into the four headline metrics.
 
     Raises:
-        NoEligibleSteps: Every step's loss sits below ``rar_eps``.
-        TooFewSamples: Fewer than ``min_tail_samples`` shortfall
+        NoEligibleSteps: Every step's loss sits below :data:`RAR_LOSS_EPS`.
+        TooFewSamples: Fewer than :data:`MIN_TAIL_SAMPLES` shortfall
             observations are available for the tail estimate.
     """
-    eligible = trace.loss >= rar_eps
+    eligible = trace.loss >= RAR_LOSS_EPS
     if not eligible.any():
         raise NoEligibleSteps(
-            f"no steps with loss >= {rar_eps!r} out of {trace.n_steps}"
+            f"no steps with loss >= {RAR_LOSS_EPS!r} out of {trace.n_steps}"
         )
     rar = float(np.mean(trace.reserve[eligible] / trace.loss[eligible]))
-    if trace.n_steps < min_tail_samples:
+    if trace.n_steps < MIN_TAIL_SAMPLES:
         raise TooFewSamples(
-            f"{trace.n_steps} shortfall samples < required {min_tail_samples}"
+            f"{trace.n_steps} shortfall samples < required {MIN_TAIL_SAMPLES}"
         )
     cvar95 = tail_estimate(trace.shortfall, 0.95).cvar
     ces = 1.0 - float(np.mean(np.abs(trace.reserve - trace.loss)))
@@ -114,14 +110,6 @@ class MetricsRow:
     cvar95_sd: float
     ces_sd: float
     rvr_sd: float
-
-    def to_csv_line(self) -> str:
-        return (
-            f"{self.model},{self.lob},{self.condition},"
-            f"{self.rar!r},{self.cvar95!r},{self.ces!r},{self.rvr!r},"
-            f"{self.n_episodes},{self.n_seeds},"
-            f"{self.rar_sd!r},{self.cvar95_sd!r},{self.ces_sd!r},{self.rvr_sd!r}"
-        )
 
 
 def aggregate_metrics(
@@ -154,19 +142,10 @@ def aggregate_metrics(
     )
 
 
-def run_policy_episodes(
-    env: ReserveEnv,
-    policy: MLPParams,
-    episodes: int,
-    episode_offset: int = 0,
-) -> Trace:
+def run_policy_episodes(env: ReserveEnv, policy: MLPParams, episodes: int) -> Trace:
     """Roll the greedy policy for a fixed number of episodes, all of
     them in lockstep (one batched forward pass per step)."""
-    return env.rollout(
-        env.draw_paths(episodes),
-        lambda state: act_greedy(policy, observe(state)),
-        episode_offset,
-    )
+    return env.rollout(env.draw_paths(episodes), lambda state: act_greedy(policy, observe(state)))
 
 
 def greedy_runner(policy: MLPParams) -> ModelRunner:
@@ -373,17 +352,8 @@ def emit_report(
     """
     if not rows:
         raise EmptyReport("refusing to write a metrics report with zero rows")
-    payload = dict(sidecar or {})
-    payload["n_rows"] = len(rows)
-    payload["columns"] = METRICS_HEADER.split(",")
-    try:
-        with open(csv_path, "w", newline="") as handle:
-            handle.write(METRICS_HEADER + "\n")
-            for row in rows:
-                handle.write(row.to_csv_line() + "\n")
-        sidecar_path = csv_path + ".json" if not csv_path.endswith(".csv") else csv_path[:-4] + ".json"
-        with open(sidecar_path, "w") as handle:
-            json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
-            handle.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"could not write report: {exc}") from exc
+    write_csv(csv_path, METRICS_HEADER, map(astuple, rows))
+    sidecar_path = csv_path[:-4] + ".json" if csv_path.endswith(".csv") else csv_path + ".json"
+    write_json(sidecar_path, {
+        **(sidecar or {}), "n_rows": len(rows), "columns": METRICS_HEADER.split(",")
+    })

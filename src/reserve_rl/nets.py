@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .artifacts import write_json
 from .errors import DataError, NonFiniteActivation
 
 
@@ -240,15 +241,13 @@ def save_networks(
     seed: int,
 ) -> None:
     """Write both networks plus provenance to a deterministic JSON file."""
-    doc = {
+    write_json(path, {
         "format": _FORMAT,
         "config_fingerprint": config_fingerprint,
         "seed": seed,
         "policy": _params_to_doc(policy),
         "value": _params_to_doc(value),
-    }
-    with open(path, "w") as handle:
-        json.dump(doc, handle, sort_keys=True, separators=(",", ":"))
+    })
 
 
 def load_networks(path: str) -> tuple[MLPParams, MLPParams, str, int]:

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .artifacts import write_csv
 from .errors import (
     DegenerateScale,
     DuplicateCell,
@@ -153,22 +154,18 @@ class LossTriangle:
 
 @dataclass(frozen=True)
 class NormalizationParams:
-    """Affine normalization x -> (x - offset) / scale applied to money columns.
-
-    The offset is kept for forward compatibility but is always 0.0 in the
-    current pipeline; the scale is the maximum cumulative incurred value
-    observed in the training split.
+    """Normalization x -> x / scale applied to money columns; the scale is
+    the maximum cumulative incurred value observed in the training split.
     """
 
     scale: float
-    offset: float = 0.0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.scale) or self.scale <= 0.0:
             raise DegenerateScale(f"normalization scale must be positive, got {self.scale!r}")
 
     def apply(self, x: float) -> float:
-        return (x - self.offset) / self.scale
+        return x / self.scale
 
 
 @dataclass(frozen=True)
@@ -324,7 +321,7 @@ def normalize(tri: LossTriangle, split: SplitSpec) -> tuple[LossTriangle, Normal
     scale = max(c.cum_incurred for c in tri.cells if c.accident_year in train_years)
     if scale <= 0.0:
         raise DegenerateScale(f"training split max cum_incurred is {scale}")
-    params = NormalizationParams(scale=scale, offset=0.0)
+    params = NormalizationParams(scale=scale)
     scaled = tuple(
         TriangleCell(
             accident_year=c.accident_year,
@@ -400,13 +397,7 @@ def age_to_age_factors(tri: LossTriangle) -> DevelopmentFactors:
 
 def write_triangle_csv(tri: LossTriangle, path: str) -> None:
     """Write a triangle in the canonical CSV format (full float precision)."""
-    with open(path, "w", newline="") as handle:
-        handle.write(CSV_HEADER + "\n")
-        for cell in tri.cells:
-            handle.write(
-                f"{cell.accident_year},{cell.dev_lag},{cell.cum_incurred!r},"
-                f"{cell.cum_paid!r},{cell.earned_premium!r}\n"
-            )
+    write_csv(path, CSV_HEADER, map(astuple, tri.cells))
 
 
 def triangle_from_arrays(

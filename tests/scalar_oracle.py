@@ -101,21 +101,19 @@ def chase_action(reserve: float, target: float) -> int:
     return len(ACTION_GRID) - 1 if ratio > 0.0 else 0
 
 
-def scalar_policy_episodes(
-    env: ReserveEnv, policy: MLPParams, episodes: int, episode_offset: int = 0
-) -> Trace:
+def scalar_policy_episodes(env: ReserveEnv, policy: MLPParams, episodes: int) -> Trace:
     """Greedy rollout, one episode and one step at a time."""
     recorder = TraceRecorder()
     for episode in range(episodes):
         state = env.reset()
         for t in range(env.horizon):
             outcome = env.step(greedy_action(policy, observe(state)))
-            recorder.record(episode_offset + episode, t, outcome)
+            recorder.record(episode, t, outcome)
             state = outcome.state
     return recorder.build()
 
 
-def scalar_replay(env: ReserveEnv, path_builder, episodes: int, episode_offset: int = 0) -> Trace:
+def scalar_replay(env: ReserveEnv, path_builder, episodes: int) -> Trace:
     """Static-path replay, one episode and one step at a time."""
     recorder = TraceRecorder()
     for episode in range(episodes):
@@ -124,7 +122,7 @@ def scalar_replay(env: ReserveEnv, path_builder, episodes: int, episode_offset: 
         for t in range(env.horizon):
             target = path[min(t + 1, path.size - 1)]
             outcome = env.step(chase_action(state.reserve, target))
-            recorder.record(episode_offset + episode, t, outcome)
+            recorder.record(episode, t, outcome)
             state = outcome.state
     return recorder.build()
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from reserve_rl.baselines import (
-    HOLD_ACTION_INDEX,
     RESERVE_TABLE_HEADER,
     _chase_action,
     _structural_zero_cells,
@@ -22,7 +21,7 @@ from reserve_rl.baselines import (
     replay_static_policy,
     write_reserve_rows_csv,
 )
-from reserve_rl.env import EnvConfig, ReserveEnv
+from reserve_rl.env import HOLD_ACTION, EnvConfig, ReserveEnv
 from reserve_rl.errors import InsufficientData, MissingPremium
 from reserve_rl.regimes import FixedShock
 from reserve_rl.triangles import (
@@ -214,12 +213,12 @@ def test_chase_action_cases():
     assert _chase_action(1.0, 1.05) == 5        # nearest to +5% is +6.6%
     assert _chase_action(1.0, 1.2) == 6         # beyond the grid: max raise
     assert _chase_action(1.0, 0.5) == 0         # beyond the grid: max cut
-    assert _chase_action(1.0, 1.0) == HOLD_ACTION_INDEX
+    assert _chase_action(1.0, 1.0) == HOLD_ACTION
     assert _chase_action(0.0, 5.0) == 6         # bankrupt but target positive
-    assert _chase_action(0.0, 0.0) == HOLD_ACTION_INDEX
+    assert _chase_action(0.0, 0.0) == HOLD_ACTION
     # near-midpoint targets resolve deterministically
     assert _chase_action(1.0, 1.0495) == 5
-    assert _chase_action(1.0, 1.0165) == HOLD_ACTION_INDEX
+    assert _chase_action(1.0, 1.0165) == HOLD_ACTION
     # the +10% edge itself is still treated as on-grid
     assert _chase_action(1.0, 1.10) == 6
 
@@ -250,17 +249,6 @@ def test_replay_tracks_grid_exact_path_perfectly():
     np.testing.assert_allclose(trace.reward, 0.0, atol=1e-12)
     # per-episode action pattern: +10%, +6.6%, hold (trace stores grid values)
     np.testing.assert_array_equal(trace.action[:3], [0.10, 0.066, 0.0])
-
-
-def test_replay_episode_offset():
-    env, factors = _flat_env()
-    trace = replay_static_policy(
-        env,
-        lambda info, horizon: chain_ladder_path(factors, info.initial_loss, horizon),
-        episodes=2,
-        episode_offset=10,
-    )
-    assert set(trace.episode.tolist()) == {10, 11}
 
 
 def test_runners_produce_traces():

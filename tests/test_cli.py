@@ -257,6 +257,24 @@ def test_missing_policies_exit_2(pipeline, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("stage, table", [
+    ("evaluate", os.path.join("eval", "metrics.csv")),
+    ("baselines", os.path.join("baselines", "reserves.csv")),
+])
+def test_failed_artifact_write_exits_2(pipeline, tmp_path, capsys, stage, table):
+    """A directory where a table should go fails the write: a data/IO
+    error, exit code 2, whichever stage writes it."""
+    out = tmp_path / "runs"
+    os.makedirs(out / table)
+    inputs = {
+        "evaluate": ["--data", os.path.join(pipeline["out"], "ingest"),
+                     "--policies", os.path.join(pipeline["out"], "train")],
+        "baselines": ["--triangle", pipeline["triangle"]],
+    }[stage]
+    assert main(["--config", pipeline["config"], "--out", str(out), stage] + inputs) == 2
+    assert f"cannot write {str(out / table)!r}" in capsys.readouterr().err
+
+
 def test_ingest_artifacts_missing_dir_raises(tmp_path):
     with pytest.raises(DataError):
         IngestArtifacts(str(tmp_path / "void"))

@@ -6,6 +6,7 @@ import subprocess
 import pytest
 
 from reserve_rl.agent import PPOConfig
+from reserve_rl.artifacts import git_blob_sha1, write_json
 from reserve_rl.cli import main
 from reserve_rl.config import (
     FLOOR_FORMS,
@@ -13,10 +14,8 @@ from reserve_rl.config import (
     config_fingerprint,
     config_to_ini,
     default_config,
-    git_blob_sha1,
     load_config,
     to_env_config,
-    write_manifest,
 )
 from reserve_rl.errors import ConfigError, ConfigMismatch, EmptyBatch, IoFailure, UnknownLevel
 from reserve_rl.regimes import CurriculumSchedule, FixedShock, Stochastic
@@ -187,7 +186,7 @@ def test_build_and_write_manifest(tmp_path):
     assert "created_at" in manifest
 
     out = tmp_path / "manifest.json"
-    write_manifest(str(out), manifest)
+    write_json(str(out), manifest)
     assert json.loads(out.read_text()) == manifest
     with pytest.raises(IoFailure):
-        write_manifest(str(tmp_path / "nope" / "m.json"), manifest)
+        write_json(str(tmp_path / "nope" / "m.json"), manifest)

@@ -121,9 +121,9 @@ def test_forced_floor_breach_penalized():
     outcome = env.step(HOLD_ACTION)
     assert outcome.components.floor == pytest.approx(0.4)
     assert outcome.components.violated
+    c = outcome.components
     zero_floor = compute_reward(
-        RewardWeights(floor=0.0),
-        outcome.components,
+        RewardWeights(floor=0.0), c.shortfall, c.cvar, c.inefficiency, c.violated
     )
     assert outcome.reward == pytest.approx(zero_floor - 10.0, abs=1e-12)
 

@@ -125,17 +125,18 @@ def test_aggregate_metrics_mean_and_sd():
         aggregate_metrics("m", "syn", "c", [], n_episodes=1)
 
 
-def test_metrics_row_csv_line():
+def test_metrics_row_csv_line(tmp_path):
     row = MetricsRow(
         model="m", lob="syn", condition="regime:0",
         rar=1.5, cvar95=0.25, ces=0.5, rvr=0.0,
         n_episodes=10, n_seeds=3,
         rar_sd=0.1, cvar95_sd=0.0, ces_sd=0.0, rvr_sd=0.0,
     )
-    assert row.to_csv_line() == (
-        "m,syn,regime:0,1.5,0.25,0.5,0.0,10,3,0.1,0.0,0.0,0.0"
-    )
-    assert len(row.to_csv_line().split(",")) == len(METRICS_HEADER.split(","))
+    path = tmp_path / "metrics.csv"
+    emit_report([row], str(path))
+    line = path.read_text().splitlines()[1]
+    assert line == "m,syn,regime:0,1.5,0.25,0.5,0.0,10,3,0.1,0.0,0.0,0.0"
+    assert len(line.split(",")) == len(METRICS_HEADER.split(","))
 
 
 def test_seed_medians():

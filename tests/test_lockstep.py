@@ -74,11 +74,12 @@ def buffer_bits(env: ReserveEnv) -> list[str]:
 
 
 def assert_same_run(make_env, lockstep, scalar, tmp_path) -> Trace:
-    """Two halves per env, so the second starts on a warm buffer."""
+    """Two halves per env, so the second starts on a warm buffer (each half
+    numbers its episodes from 0)."""
     env_a, env_b = make_env(), make_env()
     half = EPISODES // 2
-    traces_a = [lockstep(env_a, half, 0), lockstep(env_a, half, half)]
-    traces_b = [scalar(env_b, half, 0), scalar(env_b, half, half)]
+    traces_a = [lockstep(env_a, half), lockstep(env_a, half)]
+    traces_b = [scalar(env_b, half), scalar(env_b, half)]
     a, b = Trace.concat(traces_a), Trace.concat(traces_b)
     assert trace_bytes(a, tmp_path, "a.csv") == trace_bytes(b, tmp_path, "b.csv")
     assert env_a.rng.bit_generator.state == env_b.rng.bit_generator.state
@@ -99,8 +100,8 @@ def test_lockstep_matches_scalar(bundle, mode, config_name, tmp_path):
     policy = perturbed_policy()
     trace = assert_same_run(
         make_env,
-        lambda env, n, off: run_policy_episodes(env, policy, n, off),
-        lambda env, n, off: scalar_policy_episodes(env, policy, n, off),
+        lambda env, n: run_policy_episodes(env, policy, n),
+        lambda env, n: scalar_policy_episodes(env, policy, n),
         tmp_path,
     )
     assert len(np.unique(trace.action)) > 1  # the greedy choice really varies
@@ -120,16 +121,10 @@ def test_lockstep_matches_scalar(bundle, mode, config_name, tmp_path):
     for runner, builder in runners:
         assert_same_run(
             make_env,
-            # the runners number episodes from 0, so re-offset the second half
-            lambda env, n, off: _offset(runner(env, n), off),
-            lambda env, n, off: scalar_replay(env, builder, n, off),
+            runner,
+            lambda env, n: scalar_replay(env, builder, n),
             tmp_path,
         )
-
-
-def _offset(trace: Trace, offset: int) -> Trace:
-    trace.episode += offset
-    return trace
 
 
 def test_greedy_batch_matches_rows():

@@ -59,7 +59,6 @@ def test_normalize_scale_is_training_max(textbook_triangle):
     normalized, params = normalize(textbook_triangle, SplitSpec(a_train=2, a_test=1))
     # train years are 2001-2002; their largest cum_incurred is 175
     assert params.scale == 175.0
-    assert params.offset == 0.0
     assert normalized.value(2001, 3) == 1.0
 
 
@@ -77,7 +76,7 @@ def test_normalize_ignores_held_out_years():
 def denormalize(tri: LossTriangle, params: NormalizationParams) -> LossTriangle:
     """Invert :func:`normalize` (exact up to float rounding)."""
     def invert(x: float) -> float:
-        return x * params.scale + params.offset
+        return x * params.scale
 
     return LossTriangle(cells=tuple(
         TriangleCell(

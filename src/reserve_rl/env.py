@@ -396,7 +396,7 @@ class ReserveEnv:
 
         shortfall = max(0.0, new_loss - new_reserve)
         self.buffer.push(shortfall)
-        alpha = cfg.alpha_override if cfg.alpha_override is not None else adaptive_alpha(new_vol)
+        alpha = float(adaptive_alpha(new_vol)) if cfg.alpha_override is None else cfg.alpha_override
         estimate = empirical_cvar(self.buffer, alpha)
         floor = solvency_floor(new_vol, cfg.floor_base, cfg.floor_slope)
         violated = new_reserve < floor
@@ -512,9 +512,10 @@ class ReserveEnv:
 
         The reserve, floor and violation memory advance one period at a
         time for all episodes together.  The tail term then comes from
-        one pass over the shortfall buffer in episode-major order (push,
-        alpha, estimate), so the buffer ends, and every reward comes out,
-        exactly as stepping the episodes one by one would leave them.
+        one :meth:`ShortfallBuffer.push_many` call over the shortfalls and
+        alphas in episode-major order, so the buffer ends, and every
+        reward comes out, exactly as stepping the episodes one by one
+        would leave them.
 
         Raises:
             ActionOutOfGrid: ``policy`` returned anything but one valid
@@ -565,12 +566,8 @@ class ReserveEnv:
         loss = paths.loss[:, 1:]
         volatility = paths.volatility[:, 1:]
         shortfall = np.maximum(0.0, loss - reserve_path)
-        cvar = np.empty(shape)
-        flat_cvar = cvar.reshape(-1)
-        for i, (sf, vol) in enumerate(zip(shortfall.ravel().tolist(), volatility.ravel().tolist())):
-            self.buffer.push(sf)
-            a = cfg.alpha_override if cfg.alpha_override is not None else adaptive_alpha(vol)
-            flat_cvar[i] = empirical_cvar(self.buffer, a).cvar
+        alphas = adaptive_alpha(volatility) if cfg.alpha_override is None else cfg.alpha_override
+        cvar = self.buffer.push_many(shortfall.ravel(), np.ravel(alphas)).reshape(shape)
         inefficiency = np.abs(reserve_path - loss)
         reward = compute_reward(cfg.weights, shortfall, cvar, inefficiency, violated)
         return Trace(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 import statistics
+import time
 from dataclasses import astuple, dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -208,6 +209,7 @@ def evaluate_models(
     from ``(crn_base, condition index, seed)`` only, so all models in
     that cell see identical shock and noise sequences.
     """
+    started = time.perf_counter()
     outcome = EvalOutcome()
     for cond_idx, (label, mode) in enumerate(conditions):
         for name, seeded in models.items():
@@ -225,6 +227,10 @@ def evaluate_models(
             if keep_traces:
                 outcome.traces[(name, label)] = Trace.concat(cell_traces)
             log.info("evaluated %s under %s (%d seeds)", name, label, len(seeds))
+    seconds = time.perf_counter() - started
+    cells = len(conditions) * len(models) * len(seeds)
+    log.info("evaluated %d cells, %d episodes in %.2f s (%.0f episodes/s)",
+             cells, cells * episodes, seconds, cells * episodes / seconds)
     return outcome
 
 
@@ -309,7 +315,7 @@ def sensitivity_sweep(
     for alpha in alphas:
         alpha_label = "adaptive" if alpha is None else f"{alpha:g}"
         for floor_name, floor in floors.items():
-            cells.append((f"alpha:{alpha_label},floor:{floor_name}", *cell_factories(alpha, floor)))
+            cells.append((f"alpha:{alpha_label};floor:{floor_name}", *cell_factories(alpha, floor)))
     runs = iter(train_seeds(
         [(train_factory, ppo_config, schedule, seed)
          for _, train_factory, _ in cells for seed in seeds],

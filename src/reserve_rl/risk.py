@@ -32,6 +32,12 @@ from .errors import EmptyBuffer, InvalidAlpha
 #: (e.g. 0.95 * 100 evaluates to 95.00000000000001).
 _RANK_EPS = 1e-9
 
+#: Window samples per block of :meth:`ShortfallBuffer.push_many`'s tail
+#: pass: a block takes ``max(1, TAIL_BLOCK // capacity)`` queries (256 at the
+#: default capacity of 1024), so its gathered tails stay within about
+#: TAIL_BLOCK floats (2 MB) whatever the capacity.
+TAIL_BLOCK = 256 * 1024
+
 
 @dataclass(frozen=True)
 class TailEstimate:
@@ -133,12 +139,113 @@ class ShortfallBuffer:
         cvar = float(np.add.reduce(tail)) / tail.size
         return TailEstimate(alpha=alpha, var=var, cvar=cvar, tail_count=tail.size)
 
+    def push_many(self, shortfalls: np.ndarray, alphas: float | np.ndarray) -> np.ndarray:
+        """Push a 1-d run of shortfalls in order; the tail mean after each push.
 
-def adaptive_alpha(volatility: float) -> float:
-    """Tail level that deepens with market volatility: 0.90 + 0.05 * min(1, V)."""
-    if volatility < 0.0:
-        raise InvalidAlpha(f"volatility proxy must be >= 0, got {volatility!r}")
-    return 0.90 + 0.05 * min(1.0, volatility)
+        Entry i is ``empirical_cvar(self, alphas[i]).cvar`` taken right after
+        ``push(shortfalls[i])``, bit for bit (0.0 while warming up), and the
+        buffer ends as those pushes leave it.  ``alphas`` holds one level per
+        shortfall, or is one level for all of them.
+
+        One pass over the sorted list finds every nearest-rank VaR;
+        :func:`_tail_means` then sums the tails one block of queries at a
+        time (see :data:`TAIL_BLOCK`).
+
+        Raises:
+            ValueError: A shortfall is not finite or is negative.
+            InvalidAlpha: An alpha is outside (0, 1).
+            The first bad step decides which (a step's shortfall is checked
+            before its alpha, as in ``push`` then ``empirical_cvar``), and the
+            buffer is left as it was.
+        """
+        shortfalls = np.asarray(shortfalls, dtype=float)
+        alphas = np.broadcast_to(np.asarray(alphas, dtype=float), shortfalls.shape)
+        bad_shortfall = ~(np.isfinite(shortfalls) & (shortfalls >= 0.0))
+        bad = bad_shortfall | ~((alphas > 0.0) & (alphas < 1.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            if bad_shortfall[i]:
+                raise ValueError(
+                    f"shortfalls must be finite and >= 0, got {shortfalls[i].item()!r}"
+                )
+            _check_alpha(alphas[i].item())
+
+        cap, n0, q = self.capacity, self._count, shortfalls.size
+        # + 0.0 stores -0.0 as 0.0, as push does
+        stream = np.concatenate((self._window(), shortfalls + 0.0))
+        hi = np.arange(n0 + 1, n0 + q + 1)
+        size = np.minimum(hi, cap)
+        lo = hi - size  # after push i the window is stream[lo[i]:hi[i]]
+        ranks = np.clip(np.ceil(alphas * size - _RANK_EPS), 1, size).astype(int)
+
+        values = stream.tolist()
+        ordered = self._sorted
+        var = []
+        for value, start, rank in zip(values[n0:], lo.tolist(), ranks.tolist()):
+            if start:
+                del ordered[bisect_left(ordered, values[start - 1])]
+            insort(ordered, value)
+            var.append(ordered[rank - 1])
+
+        window = stream[-cap:]
+        self._ring[:window.size] = window
+        self._ring[cap:cap + window.size] = window
+        self._start, self._count = 0, window.size
+        self._total_pushed += q
+
+        var = np.array(var)
+        cvar = np.zeros(q)
+        block = max(1, TAIL_BLOCK // cap)
+        for a in range(int(np.searchsorted(size, self.warmup_min)), q, block):
+            b = min(a + block, q)
+            cvar[a:b] = _tail_means(stream, lo[a:b], hi[a:b], var[a:b])
+        return cvar
+
+
+def _tail_means(stream: np.ndarray, lo: np.ndarray, hi: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """For each query j, the mean of the samples ``>= var[j]`` in
+    ``stream[lo[j]:hi[j]]``.
+
+    A mask over the samples in reach of the queries that are at least the
+    smallest VaR picks each query's tail in FIFO order.  With the queries
+    sorted by tail length, the tails of one length form a C-contiguous
+    (queries, length) block, and numpy sums each row of
+    ``np.add.reduce(block, axis=1)`` exactly as it sums a lone tail
+    (``tests/test_risk.py`` pins this), so each mean is
+    ``float(np.add.reduce(tail)) / tail.size`` bit for bit.
+    """
+    span = stream[lo[0]:hi[-1]]
+    pos = np.flatnonzero(span >= var.min())
+    vals = span[pos]
+    pos += lo[0]
+    mask = (vals >= var[:, None]) & (pos >= lo[:, None]) & (pos < hi[:, None])
+    count = np.count_nonzero(mask, axis=1)
+    order = np.argsort(count, kind="stable")
+    count = count[order]
+    tails = np.broadcast_to(vals, mask.shape)[mask[order]]
+    sums = np.empty(count.size)
+    bounds = [0, *(np.flatnonzero(np.diff(count)) + 1).tolist(), count.size]
+    offset = 0
+    for first, last in zip(bounds, bounds[1:]):
+        length = int(count[first])
+        end = offset + (last - first) * length
+        sums[first:last] = np.add.reduce(tails[offset:end].reshape(-1, length), axis=1)
+        offset = end
+    means = np.empty(count.size)
+    means[order] = sums / count
+    return means
+
+
+def adaptive_alpha(volatility: float | np.ndarray) -> float | np.ndarray:
+    """Tail level that deepens with market volatility: 0.90 + 0.05 * min(1, V).
+
+    ``volatility`` is a float or an array (one level per entry); ``fmin``
+    keeps Python's ``min(1.0, V)`` for a NaN proxy too.
+    """
+    negative = np.asarray(volatility)[np.less(volatility, 0.0)]
+    if negative.size:
+        raise InvalidAlpha(f"volatility proxy must be >= 0, got {negative[0].item()!r}")
+    return 0.90 + 0.05 * np.fmin(1.0, volatility)
 
 
 def _check_alpha(alpha: float) -> None:

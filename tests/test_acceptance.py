@@ -441,13 +441,13 @@ def sweeps(bundle):
 
 @pytest.mark.slow
 def test_criterion_10_sensitivity_directions(sweeps):
-    labels = ["alpha:0.9,floor:default", "alpha:0.925,floor:default",
-              "alpha:0.95,floor:default"]
+    labels = ["alpha:0.9;floor:default", "alpha:0.925;floor:default",
+              "alpha:0.95;floor:default"]
     rvr = [sweeps["default"].seed_medians("rl_cvar", label).rvr for label in labels]
     rvr_monotone = all(cur <= prev + 1e-12 for prev, cur in zip(rvr, rvr[1:]))
 
-    strict = sweeps["strict"].seed_medians("rl_cvar", "alpha:0.95,floor:strict")
-    default = sweeps["default"].seed_medians("rl_cvar", "alpha:0.95,floor:default")
+    strict = sweeps["strict"].seed_medians("rl_cvar", "alpha:0.95;floor:strict")
+    default = sweeps["default"].seed_medians("rl_cvar", "alpha:0.95;floor:default")
     floor_ok = strict.rvr <= default.rvr + 1e-12 and strict.ces < default.ces
 
     elapsed = sweeps["seconds"]

@@ -1,5 +1,6 @@
 """End-to-end CLI pipeline on a small synthetic book, plus error mapping."""
 
+import csv
 import json
 import os
 
@@ -130,19 +131,23 @@ def test_baseline_artifacts(pipeline):
     assert boot["mean"] > 0
 
 
+def _csv_rows(path):
+    with open(path, newline="") as handle:
+        return list(csv.reader(handle))
+
+
 def test_sensitivity_artifacts(pipeline):
-    rows = _lines(os.path.join(pipeline["out"], "sensitivity", "sensitivity.csv"))
-    # one sweep alpha x both floor forms
+    rows = _csv_rows(os.path.join(pipeline["out"], "sensitivity", "sensitivity.csv"))
+    # one sweep alpha x both floor forms, every row as wide as the header
     assert len(rows) == 1 + 2
-    labels = sorted(line.split(",")[2] for line in rows[1:])
-    assert labels == ["alpha:0.9", "alpha:0.9"]
-    floors = sorted(line.split(",")[3] for line in rows[1:])
-    assert floors == ["floor:default", "floor:strict"]
+    assert [len(row) for row in rows] == [13] * 3
+    assert sorted(row[2] for row in rows[1:]) == ["alpha:0.9;floor:default", "alpha:0.9;floor:strict"]
 
 
 def test_report_merges_everything(pipeline):
-    merged = _lines(os.path.join(pipeline["out"], "reports", "combined_metrics.csv"))
+    merged = _csv_rows(os.path.join(pipeline["out"], "reports", "combined_metrics.csv"))
     assert len(merged) == 1 + 8 + 2 + 2
+    assert {len(row) for row in merged} == {13}
 
 
 def test_evaluate_with_traces(pipeline, tmp_path):

@@ -1,6 +1,8 @@
 """Metric formulas, CRN pairing, and report emission."""
 
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -212,6 +214,22 @@ def test_evaluate_models_distinct_cells_use_distinct_draws():
     assert not np.array_equal(first, second)
 
 
+def test_evaluate_models_logs_one_timing_line(caplog):
+    """One INFO line per call: (condition, model, seed) cells, episodes,
+    wall seconds and episodes per second."""
+    models = {
+        "cl": constant_runner(chain_ladder_runner(FLAT_FACTORS)),
+        "bf": constant_runner(bornhuetter_ferguson_runner(FLAT_FACTORS, 0.9)),
+    }
+    with caplog.at_level(logging.INFO, logger="reserve_rl.evaluate"):
+        evaluate_models(models, flat_env_factory, regime_conditions([0, 1]), seeds=(0, 1, 2),
+                        episodes=7)
+    timings = [r.getMessage() for r in caplog.records if "episodes/s" in r.getMessage()]
+    assert len(timings) == 1
+    assert re.fullmatch(r"evaluated 12 cells, 84 episodes in \d+\.\d\d s \(\d+ episodes/s\)",
+                        timings[0])
+
+
 def test_pooled_regime_metrics_matches_manual_pooling():
     runner = chain_ladder_runner(FLAT_FACTORS)
     pooled = pooled_regime_metrics(
@@ -253,15 +271,15 @@ def test_sensitivity_sweep_workers_are_bitwise_serial():
 
     serial, pooled = sweep(1), sweep(2)
     assert [row.condition for row in pooled.rows] == [
-        "alpha:0.9,floor:default", "alpha:0.9,floor:strict",
-        "alpha:adaptive,floor:default", "alpha:adaptive,floor:strict",
+        "alpha:0.9;floor:default", "alpha:0.9;floor:strict",
+        "alpha:adaptive;floor:default", "alpha:adaptive;floor:strict",
     ]
     assert pooled.rows == serial.rows
     assert pooled.per_seed == serial.per_seed
     # one cell on its own: its policies score the same
     train_factory, eval_factory = cell_factories(None, FLOOR_FORMS["strict"])
     trained = train_curriculum(train_factory, config, schedule, seeds)
-    assert pooled.per_seed[("rl_cvar", "alpha:adaptive,floor:strict")] == [
+    assert pooled.per_seed[("rl_cvar", "alpha:adaptive;floor:strict")] == [
         pooled_regime_metrics(greedy_runner(trained.policies[seed].policy), eval_factory,
                               (0, 1), seed, 4)
         for seed in seeds

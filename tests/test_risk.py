@@ -240,3 +240,104 @@ def test_sorted_window_matches_sort_reference_on_long_streams(capacity):
         buf.push(value)
         ref.samples.append(value)
         assert _bits(empirical_cvar(buf, alpha)) == _bits(ref.estimate(alpha))
+
+
+# --- batched replay ------------------------------------------------------------
+
+def test_row_reduce_sums_each_row_as_a_lone_array():
+    """``push_many`` sums tails of one length as the rows of a C-contiguous
+    block; on the installed numpy each row of ``np.add.reduce(block,
+    axis=1)`` must have the bytes of ``np.add.reduce`` on that row alone.
+    Lengths 1-1100 cover the 8-lane unrolled loop and the pairwise
+    recursion above 128."""
+    rng = np.random.default_rng(9)
+    for length in range(1, 1101):
+        rows = 1 + length % 4
+        block = rng.exponential(size=(rows, length)) * 10.0 ** rng.integers(-6, 7, (rows, length))
+        assert [s.tobytes() for s in np.add.reduce(block, axis=1)] == [
+            np.add.reduce(row.copy()).tobytes() for row in block
+        ]
+
+
+def _scalar_replay(buf: ShortfallBuffer, shortfalls, alphas) -> list[str]:
+    """What ``push_many`` replaces: a push and a tail estimate per step."""
+    cvars = []
+    for shortfall, alpha in zip(shortfalls, alphas):
+        buf.push(shortfall)
+        cvars.append(empirical_cvar(buf, alpha).cvar.hex())
+    return cvars
+
+
+def _replay_values(rng: np.random.Generator, n: int, zero_share: float, ties: bool) -> list[float]:
+    values = rng.choice([0.5, 1.0, 3.0], n) if ties else rng.exponential(size=n)
+    zero = np.where(rng.random(n) < 0.5, 0.0, -0.0)  # push stores -0.0 as 0.0
+    return np.where(rng.random(n) < zero_share, zero, values).tolist()
+
+
+@given(
+    capacity=st.one_of(st.integers(min_value=1, max_value=24), st.just(1024)),
+    warmup_min=st.integers(min_value=1, max_value=25),
+    prior=st.integers(min_value=0, max_value=1100),
+    batch=st.integers(min_value=0, max_value=600),
+    zero_share=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
+    ties=st.booleans(),
+    # 0.95 * 100 is 95.00000000000001: the rank's float guard must hold
+    fixed_alpha=st.one_of(st.none(), st.sampled_from([0.9, 0.95]), alphas),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_push_many_matches_scalar_pushes(
+    capacity, warmup_min, prior, batch, zero_share, ties, fixed_alpha, seed
+):
+    """Zero ties force VaR 0 and whole-window tails; long batches evict
+    through a non-empty prior window and, at capacity 1024, span several
+    blocks of the tail pass."""
+    rng = np.random.default_rng(seed)
+    batched = ShortfallBuffer(capacity, warmup_min)
+    scalar = ShortfallBuffer(capacity, warmup_min)
+    for value in _replay_values(rng, prior, zero_share, ties):
+        batched.push(value)
+        scalar.push(value)
+    shortfalls = _replay_values(rng, batch, zero_share, ties)
+    levels = rng.uniform(0.05, 0.99, batch) if fixed_alpha is None else np.full(batch, fixed_alpha)
+    got = batched.push_many(
+        np.array(shortfalls), levels if fixed_alpha is None else fixed_alpha
+    )
+    assert got.shape == (batch,)
+    assert [x.hex() for x in got.tolist()] == _scalar_replay(scalar, shortfalls, levels.tolist())
+    assert batched.as_array().tobytes() == scalar.as_array().tobytes()
+    assert (len(batched), batched.total_pushed) == (len(scalar), scalar.total_pushed)
+    if len(scalar):
+        assert _bits(empirical_cvar(batched, 0.9)) == _bits(empirical_cvar(scalar, 0.9))
+        assert _bits(empirical_cvar(batched, 0.05)) == _bits(empirical_cvar(scalar, 0.05))
+
+
+@pytest.mark.parametrize("shortfalls, levels", [
+    ([1.0, -0.1, 2.0], [0.9, 0.9, 0.9]),
+    ([1.0, float("nan")], [0.9, 0.9]),
+    ([float("inf")], [0.9]),
+    ([1.0, 2.0], [0.9, 1.0]),
+    ([1.0, 2.0], [0.0, 0.9]),
+    ([1.0], [float("nan")]),
+    ([1.0, 2.0, -1.0], [0.9, 1.5, 0.9]),   # the alpha at step 1 comes first
+    ([1.0, -1.0, 2.0], [0.9, 0.9, 1.5]),   # the shortfall at step 1 comes first
+    ([1.0, -1.0], [0.9, -0.5]),            # one step: its shortfall first
+])
+def test_push_many_rejects_what_the_scalar_path_rejects(shortfalls, levels):
+    scalar = ShortfallBuffer(capacity=4, warmup_min=1)
+    with pytest.raises((ValueError, InvalidAlpha)) as scalar_error:
+        _scalar_replay(scalar, shortfalls, levels)
+    batched = ShortfallBuffer(capacity=4, warmup_min=1)
+    batched.push(5.0)
+    with pytest.raises(scalar_error.type):
+        batched.push_many(np.array(shortfalls), np.array(levels))
+    assert batched.as_array().tolist() == [5.0] and batched.total_pushed == 1
+
+
+def test_adaptive_alpha_on_arrays_matches_python_min():
+    volatility = [0.0, 0.3, 0.7, 1.0, 7.0, float("nan")]  # min(1.0, nan) is 1.0
+    expected = [0.90 + 0.05 * min(1.0, v) for v in volatility]
+    assert adaptive_alpha(np.array(volatility)).tolist() == expected
+    assert [float(adaptive_alpha(v)) for v in volatility] == expected
+    with pytest.raises(InvalidAlpha):
+        adaptive_alpha(np.array([0.2, -0.1]))

@@ -1,11 +1,13 @@
 """The one way artifacts are written: CSV tables, JSON documents, digests.
 
-Every file under ``--out`` goes through :func:`write_csv` or
-:func:`write_json`, so one rule fixes their bytes:
+Every file under ``--out`` goes through :func:`write_csv`,
+:func:`write_csv_tables` or :func:`write_json`, so one rule fixes their
+bytes:
 
 * a CSV value is ``str`` of the Python value, and ``str`` of a float is its
   shortest round-trip ``repr`` (pass Python scalars, e.g. from
-  ``tolist()``, not numpy ones);
+  ``tolist()``, not numpy ones; :func:`write_csv_tables` takes numpy
+  columns and formats their ``tolist()`` values);
 * JSON has sorted keys, ``(",", ":")`` separators and a trailing newline.
 
 A filesystem error while writing becomes :class:`IoFailure`, a data
@@ -16,19 +18,75 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
+import time
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import IoFailure
+
+log = logging.getLogger(__name__)
+
+
+def _write_lines(path: str, header: str, lines: Iterable[str]) -> None:
+    try:
+        with open(path, "w", newline="") as handle:
+            handle.write(header + "\n")
+            handle.writelines(line + "\n" for line in lines)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path!r}: {exc}") from exc
 
 
 def write_csv(path: str, header: str, rows: Iterable[Sequence[object]]) -> None:
     """Write ``header`` then one comma-joined line per row."""
-    try:
-        with open(path, "w", newline="") as handle:
-            handle.write(header + "\n")
-            handle.writelines(",".join(map(str, row)) + "\n" for row in rows)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path!r}: {exc}") from exc
+    _write_lines(path, header, (",".join(map(str, row)) for row in rows))
+
+
+def _format_column(values: np.ndarray) -> np.ndarray:
+    """The text of every value of a numeric column, as an object array,
+    with one ``repr`` (for a Python int or float the same as ``str``) per
+    distinct value.  Floats are told apart by bit pattern, so -0.0 keeps
+    its sign next to 0.0 (a value-based unique would merge them and print
+    one for both)."""
+    floats = values.dtype.kind == "f"
+    keys = values.view(f"u{values.itemsize}") if floats else values
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    if floats:
+        distinct = distinct.view(values.dtype)
+    text = np.array(list(map(repr, distinct.tolist())), dtype=object)
+    return text[inverse]
+
+
+def write_csv_tables(
+    paths: Sequence[str], header: str, tables: Sequence[Sequence[np.ndarray]]
+) -> None:
+    """Write table ``i``, a sequence of equal-length numeric numpy columns,
+    to ``paths[i]``: the same bytes as :func:`write_csv` given the
+    columns' ``tolist()`` rows.
+
+    Tables in one call share the header and their columns' dtypes.  Each
+    column position is formatted once over all the tables, one ``repr``
+    per distinct value, so values repeated within and across tables (the
+    models of one condition under paired draws share their loss,
+    volatility and shock columns) cost one formatting between them.
+    Logs one INFO line: files, rows, seconds and rows per second.
+    """
+    started = time.perf_counter()
+    sizes = [len(table[0]) for table in tables]
+    formatted = [
+        _format_column(np.concatenate([table[j] for table in tables]))
+        for j in range(header.count(",") + 1)
+    ]
+    stop = 0
+    for path, size in zip(paths, sizes):
+        start, stop = stop, stop + size
+        _write_lines(path, header, map(",".join, zip(*(
+            column[start:stop].tolist() for column in formatted
+        ))))
+    seconds = time.perf_counter() - started
+    log.info("wrote %d CSV files, %d rows in %.3f s (%.0f rows/s)",
+             len(paths), stop, seconds, stop / seconds if seconds > 0.0 else 0.0)
 
 
 def write_json(path: str, doc: object) -> None:

@@ -15,6 +15,7 @@ policy uses, so comparisons share identical dynamics and random draws.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import astuple, dataclass
@@ -23,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .artifacts import write_csv
-from .env import ACTION_GRID, HOLD_ACTION, TIE_BREAK_ORDER, EpisodeInfo, ReserveEnv, Trace
+from .env import ACTION_GRID, HOLD_ACTION, TIE_BREAK_ORDER, ReserveEnv, Trace
 from .errors import DegenerateResiduals, InsufficientData, MissingPremium
 from .triangles import DevelopmentFactors, LossTriangle, age_to_age_factors
 
@@ -387,46 +388,48 @@ def _reproject(tri: LossTriangle, factor_samples: np.ndarray) -> np.ndarray:
 
 # --- static reserve paths and environment replay -----------------------------------
 
-def chain_ladder_path(
-    factors: DevelopmentFactors, initial_loss: float, horizon: int
-) -> np.ndarray:
-    """Deterministic chain-ladder projection of the starting loss."""
-    return initial_loss * factors.cumulative_profile(horizon)
+#: Static reserve targets of a run: ``(initial losses (E,), premiums (E,),
+#: horizon) -> (E, horizon)``, row e the path episode e chases.
+StaticTargets = Callable[[np.ndarray, np.ndarray, int], np.ndarray]
 
 
-def bornhuetter_ferguson_path(
-    factors: DevelopmentFactors,
-    elr: float,
-    premium: float,
-    initial_loss: float,
-    horizon: int,
-) -> np.ndarray:
+def chain_ladder_targets(factors: DevelopmentFactors) -> StaticTargets:
+    """Deterministic chain-ladder projection of each starting loss, the
+    profile computed once per horizon."""
+    profile = functools.cache(factors.cumulative_profile)
+    return lambda loss, _premium, horizon: np.multiply.outer(loss, profile(horizon))
+
+
+def bornhuetter_ferguson_targets(factors: DevelopmentFactors, elr: float) -> StaticTargets:
     """Expected cumulative losses by lag under the BF emergence pattern.
 
     Starts at the observed first-lag value and adds the prior's share of
-    each remaining development slice: ``L0 + premium * ELR *
-    (p_lag - p_1)`` with p the percent-developed curve.
+    each remaining development slice: ``L0 + premium * ELR * (p_lag -
+    p_1)``, evaluated left to right, with p the percent-developed curve.
+    Each p is the scalar :func:`percent_developed` (a reversed ``cumprod``
+    would multiply in another order), once per horizon.
     """
-    p1 = percent_developed(factors, 1)
-    path = np.empty(horizon)
-    for k in range(horizon):
-        path[k] = initial_loss + premium * elr * (percent_developed(factors, k + 1) - p1)
-    return path
+    curve = functools.cache(lambda horizon: np.array(
+        [percent_developed(factors, lag) for lag in range(1, horizon + 1)]
+    ))
+
+    def targets(loss: np.ndarray, premium: np.ndarray, horizon: int) -> np.ndarray:
+        p = curve(horizon)
+        return loss[:, None] + np.multiply.outer(premium * elr, p - p[0])
+
+    return targets
 
 
-def bootstrap_path(
-    result: BootstrapResult, initial_loss: float, horizon: int
-) -> np.ndarray:
-    """Bootstrap-mean projection of the starting loss."""
-    return initial_loss * result.mean_cumulative_profile(horizon)
-
-
-PathBuilder = Callable[[EpisodeInfo, int], np.ndarray]
+def bootstrap_targets(result: BootstrapResult) -> StaticTargets:
+    """Bootstrap-mean projection of each starting loss, the mean profile
+    computed once per horizon."""
+    profile = functools.cache(result.mean_cumulative_profile)
+    return lambda loss, _premium, horizon: np.multiply.outer(loss, profile(horizon))
 
 
 def replay_static_policy(
     env: ReserveEnv,
-    path_builder: PathBuilder,
+    targets: StaticTargets,
     episodes: int,
 ) -> Trace:
     """Drive the environment along a per-episode target reserve path.
@@ -435,16 +438,19 @@ def replay_static_policy(
     method prescribes for the post-action position, matching how the
     reward is scored): the nearest grid action when the required move is
     within the grid's range, otherwise the extreme action in that
-    direction.  The final step holds the path's last value.  All
-    episodes step in lockstep.
+    direction.  The final step holds the path's last value.  The paths
+    are built once for the run, from the episodes' initial losses and
+    premiums, and all episodes step in lockstep.
     """
     paths = env.draw_paths(episodes)
-    targets = np.empty((paths.n_episodes, env.horizon))
-    for e, info in enumerate(paths.infos):
-        targets[e] = path_builder(info, env.horizon)
+    target = targets(
+        np.array([info.initial_loss for info in paths.infos]),
+        np.array([info.premium for info in paths.infos]),
+        env.horizon,
+    )
     last = env.horizon - 1
     return env.rollout(
-        paths, lambda state: _chase_action(state.reserve, targets[:, min(state.t + 1, last)])
+        paths, lambda state: _chase_action(state.reserve, target[:, min(state.t + 1, last)])
     )
 
 
@@ -462,33 +468,20 @@ def _chase_action(reserve: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.where(solvent, chased, bankrupt)
 
 
-def _replay_runner(path_builder: PathBuilder) -> Callable[[ReserveEnv, int], Trace]:
+def _replay_runner(targets: StaticTargets) -> Callable[[ReserveEnv, int], Trace]:
     """Model runner replaying one static method's paths (for the eval harness)."""
-    return lambda env, episodes: replay_static_policy(env, path_builder, episodes)
+    return lambda env, episodes: replay_static_policy(env, targets, episodes)
 
 
 def chain_ladder_runner(factors: DevelopmentFactors) -> Callable[[ReserveEnv, int], Trace]:
-    return _replay_runner(
-        lambda info, horizon: chain_ladder_path(factors, info.initial_loss, horizon)
-    )
+    return _replay_runner(chain_ladder_targets(factors))
 
 
 def bornhuetter_ferguson_runner(
     factors: DevelopmentFactors, elr: float
 ) -> Callable[[ReserveEnv, int], Trace]:
-    return _replay_runner(lambda info, horizon: bornhuetter_ferguson_path(
-        factors, elr, info.premium, info.initial_loss, horizon
-    ))
+    return _replay_runner(bornhuetter_ferguson_targets(factors, elr))
 
 
 def bootstrap_runner(result: BootstrapResult) -> Callable[[ReserveEnv, int], Trace]:
-    """Replays :func:`bootstrap_path`, with the mean profile computed once
-    per horizon rather than once per episode."""
-    profiles: dict[int, np.ndarray] = {}
-
-    def path(info: EpisodeInfo, horizon: int) -> np.ndarray:
-        if horizon not in profiles:
-            profiles[horizon] = result.mean_cumulative_profile(horizon)
-        return info.initial_loss * profiles[horizon]
-
-    return _replay_runner(path)
+    return _replay_runner(bootstrap_targets(result))

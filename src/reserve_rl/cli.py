@@ -24,6 +24,7 @@ import json
 import logging
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -49,10 +50,11 @@ from .config import (
     load_config,
     to_env_config,
 )
-from .env import EnvFactory
+from .env import EnvFactory, Trace, write_traces
 from .errors import ConfigError, DataError, NumericalError, ReserveRlError
 from .evaluate import (
     EvalOutcome,
+    TraceSink,
     constant_runner,
     emit_report,
     evaluate_models,
@@ -270,19 +272,23 @@ def _elr_and_bootstrap(
     return elr, bootstrap_chain_ladder(train, cfg.baselines.bootstrap_sims, boot_rng)
 
 
-def _write_traces(outcome: EvalOutcome, directory: str) -> list[str]:
+def _trace_writer(directory: str, written: list[tuple[str, str, str]]) -> TraceSink:
+    """Sink writing each condition's traces into ``directory`` with one
+    :func:`write_traces` call, noting (model, label, file name) in
+    ``written``."""
     os.makedirs(directory, exist_ok=True)
-    written = []
-    for (model, label), trace in sorted(outcome.traces.items()):
+
+    def write(label: str, traces: dict[str, Trace]) -> None:
         safe = label.replace(":", "_").replace(",", "_").replace(".", "p")
-        name = f"{model}__{safe}.csv"
-        trace.write_csv(os.path.join(directory, name))
-        written.append(name)
-    return written
+        names = [f"{model}__{safe}.csv" for model in traces]
+        write_traces([os.path.join(directory, n) for n in names], list(traces.values()))
+        written.extend((model, label, name) for model, name in zip(traces, names))
+
+    return write
 
 
 def _policy_outcome(args: argparse.Namespace, cfg: RunConfig, data: IngestArtifacts,
-                    seeds: tuple[int, ...]) -> EvalOutcome:
+                    seeds: tuple[int, ...], traces: TraceSink | None) -> EvalOutcome:
     """``evaluate``: the trained policies and the three static baselines in
     each regime; ``stress``: the policies alone under each fixed shock."""
     policies = _load_policies(args.policies or os.path.join(args.out, "train"), seeds, cfg)
@@ -305,13 +311,13 @@ def _policy_outcome(args: argparse.Namespace, cfg: RunConfig, data: IngestArtifa
         cfg.eval.episodes,
         lob=cfg.run.lob,
         crn_base=cfg.eval.crn_base,
-        keep_traces=args.traces,
+        traces=traces,
     )
 
 
 def _sensitivity_outcome(args: argparse.Namespace, cfg: RunConfig, data: IngestArtifacts,
-                         seeds: tuple[int, ...]) -> EvalOutcome:
-    """Retrained policies over the tail-level x floor grid."""
+                         seeds: tuple[int, ...], _traces: None) -> EvalOutcome:
+    """Retrained policies over the tail-level x floor grid (no traces)."""
 
     def cell_factories(alpha: float | None, floor: tuple[float, float]):
         return _factories(data, cfg, alpha_override=alpha,
@@ -342,22 +348,25 @@ _EVALUATIONS = {
 
 def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     """``evaluate``, ``stress`` and ``sensitivity``: score models on the
-    ingested data, then write the metrics table with its sidecar, the
-    traces if any were kept, and the manifest."""
+    ingested data, writing each condition's traces as it finishes under
+    ``--traces``, then write the metrics table with its sidecar and the
+    manifest."""
     directory, table, outcome_of = _EVALUATIONS[args.command]
     out = _outdir(args, directory)
     data = IngestArtifacts(args.data or os.path.join(args.out, "ingest"))
     seeds = _seeds(cfg)
-    outcome = outcome_of(args, cfg, data, seeds)
+    written: list[tuple[str, str, str]] = []
+    sink = None
+    if getattr(args, "traces", False):
+        sink = _trace_writer(os.path.join(out, "traces"), written)
+    outcome = outcome_of(args, cfg, data, seeds, sink)
     emit_report(outcome.rows, os.path.join(out, f"{table}.csv"), sidecar={
         "config_fingerprint": config_fingerprint(cfg),
         "seeds": list(seeds),
         "inputs": data.input_digests(),
     })
     outputs = [f"{table}.csv", f"{table}.json"]
-    if outcome.traces:
-        outputs += [os.path.join("traces", n)
-                    for n in _write_traces(outcome, os.path.join(out, "traces"))]
+    outputs += [os.path.join("traces", name) for _, _, name in sorted(written)]
     write_json(os.path.join(out, "manifest.json"),
                build_manifest(args.command, cfg, inputs=data.input_paths(), outputs=outputs))
     for row in outcome.rows:
@@ -456,7 +465,10 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command is None:
             raise ConfigError("a subcommand is required (see --help)")
-        return _COMMANDS[args.command](args, cfg)
+        started = time.perf_counter()
+        code = _COMMANDS[args.command](args, cfg)
+        log.info("%s finished in %.2f s", args.command, time.perf_counter() - started)
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .artifacts import write_csv
+from .artifacts import write_csv_tables
 from .errors import ActionOutOfGrid, ConfigMismatch, EpisodeFinished
 from .regimes import (
     MIN_SHOCK,
@@ -651,8 +651,14 @@ class Trace:
         })
 
     def write_csv(self, path: str) -> None:
-        # Python ints for the integer columns, Python floats for the rest
-        write_csv(path, TRACE_HEADER, zip(*(
-            getattr(self, name).astype(int if name in _CSV_INT_COLUMNS else float).tolist()
-            for name in _TRACE_COLUMNS
-        )))
+        write_traces([path], [self])
+
+
+def write_traces(paths: Sequence[str], traces: Sequence[Trace]) -> None:
+    """Write trace ``i`` to ``paths[i]`` in one group call, so a value the
+    traces share is formatted once (see :func:`write_csv_tables`)."""
+    # ints for the integer columns, float64 for the rest
+    write_csv_tables(paths, TRACE_HEADER, [[
+        getattr(trace, name).astype(int if name in _CSV_INT_COLUMNS else float, copy=False)
+        for name in _TRACE_COLUMNS
+    ] for trace in traces])

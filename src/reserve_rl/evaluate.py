@@ -57,6 +57,9 @@ MIN_TAIL_SAMPLES = 20
 
 ModelRunner = Callable[[ReserveEnv, int], Trace]
 SeededRunner = Callable[[int], ModelRunner]
+#: Receives one condition's traces, ``sink(label, {model: trace})``, each
+#: model's seeds concatenated in seed order.
+TraceSink = Callable[[str, Mapping[str, Trace]], None]
 
 
 @dataclass(frozen=True)
@@ -180,7 +183,6 @@ class EvalOutcome:
 
     rows: list[MetricsRow] = field(default_factory=list)
     per_seed: dict[tuple[str, str], list[MetricSet]] = field(default_factory=dict)
-    traces: dict[tuple[str, str], Trace] = field(default_factory=dict)
 
     def seed_medians(self, model: str, condition: str) -> MetricSet:
         """Median across seeds, metric by metric (robust to one bad seed)."""
@@ -201,17 +203,22 @@ def evaluate_models(
     episodes: int,
     lob: str = "synthetic",
     crn_base: int = 0,
-    keep_traces: bool = False,
+    traces: TraceSink | None = None,
 ) -> EvalOutcome:
     """Run every model under every condition with paired random draws.
 
     The environment generator for a (condition, seed) cell is derived
     from ``(crn_base, condition index, seed)`` only, so all models in
-    that cell see identical shock and noise sequences.
+    that cell see identical shock and noise sequences.  ``traces``, if
+    given, receives each condition's traces as soon as its last model has
+    run, so no more than one condition's traces are held at a time.  The
+    timing line leaves the sink's time out.
     """
     started = time.perf_counter()
+    sink_seconds = 0.0
     outcome = EvalOutcome()
     for cond_idx, (label, mode) in enumerate(conditions):
+        cond_traces: dict[str, Trace] = {}
         for name, seeded in models.items():
             per_seed: list[MetricSet] = []
             cell_traces: list[Trace] = []
@@ -220,14 +227,18 @@ def evaluate_models(
                 env = make_env(mode, env_rng)
                 trace = seeded(seed)(env, episodes)
                 per_seed.append(compute_metrics(trace))
-                if keep_traces:
+                if traces is not None:
                     cell_traces.append(trace)
             outcome.per_seed[(name, label)] = per_seed
             outcome.rows.append(aggregate_metrics(name, lob, label, per_seed, episodes))
-            if keep_traces:
-                outcome.traces[(name, label)] = Trace.concat(cell_traces)
+            if traces is not None:
+                cond_traces[name] = Trace.concat(cell_traces)
             log.info("evaluated %s under %s (%d seeds)", name, label, len(seeds))
-    seconds = time.perf_counter() - started
+        if traces is not None:
+            sink_started = time.perf_counter()
+            traces(label, cond_traces)
+            sink_seconds += time.perf_counter() - sink_started
+    seconds = time.perf_counter() - started - sink_seconds
     cells = len(conditions) * len(models) * len(seeds)
     log.info("evaluated %d cells, %d episodes in %.2f s (%.0f episodes/s)",
              cells, cells * episodes, seconds, cells * episodes / seconds)

@@ -1,12 +1,14 @@
-"""Step-by-step reference for the lockstep rollouts, the flat optimiser
-and the block-wise bootstrap.
+"""Step-by-step reference for the lockstep rollouts, the flat optimiser,
+the block-wise bootstrap and the grouped CSV writer.
 
 These are the one-episode-at-a-time loops that evaluation and training
 ran before their rollouts moved to :meth:`ReserveEnv.rollout`:
 ``reset()``, then one ``step()`` per period, one B=1 forward pass per
-action, recorded step by step.  Training here also keeps its networks
-as separate arrays, with a per-array Adam and gradient clip.  The
-bootstrap here draws, refits and re-projects one simulation at a time.
+action, recorded step by step, with each static method's path built one
+episode at a time.  Training here also keeps its networks as separate
+arrays, with a per-array Adam and gradient clip.  The bootstrap here
+draws, refits and re-projects one simulation at a time, and the CSV
+writer formats every value of every row on its own.
 Tests run both on identically seeded inputs and require the same trace,
 network, log and sample bytes, generator states and buffer contents.
 """
@@ -33,12 +35,12 @@ from reserve_rl.agent import (
     ppo_loss_and_grads,
     state_value,
 )
-from reserve_rl.baselines import BootstrapResult, _residual_pool
-from reserve_rl.env import ACTION_GRID, ReserveEnv, StepOutcome, Trace
+from reserve_rl.baselines import BootstrapResult, _residual_pool, percent_developed
+from reserve_rl.env import ACTION_GRID, TRACE_HEADER, ReserveEnv, StepOutcome, Trace
 from reserve_rl.errors import DegenerateResiduals, NonFiniteGradient
 from reserve_rl.nets import MLPParams, init_mlp, mlp_rows, softmax
 from reserve_rl.regimes import CurriculumSchedule, Stochastic
-from reserve_rl.triangles import LossTriangle
+from reserve_rl.triangles import DevelopmentFactors, LossTriangle
 
 _TRACE_COLUMNS = (
     "episode", "t", "reserve", "loss", "volatility", "adequacy",
@@ -125,6 +127,47 @@ def scalar_replay(env: ReserveEnv, path_builder, episodes: int) -> Trace:
             recorder.record(episode, t, outcome)
             state = outcome.state
     return recorder.build()
+
+
+def chain_ladder_path(factors: DevelopmentFactors, initial_loss: float, horizon: int) -> np.ndarray:
+    """One episode's chain-ladder projection of its starting loss."""
+    return initial_loss * factors.cumulative_profile(horizon)
+
+
+def bornhuetter_ferguson_path(
+    factors: DevelopmentFactors, elr: float, premium: float, initial_loss: float, horizon: int
+) -> np.ndarray:
+    """One episode's BF path ``L0 + premium * ELR * (p_lag - p_1)``."""
+    p1 = percent_developed(factors, 1)
+    path = np.empty(horizon)
+    for k in range(horizon):
+        path[k] = initial_loss + premium * elr * (percent_developed(factors, k + 1) - p1)
+    return path
+
+
+def bootstrap_path(result: BootstrapResult, initial_loss: float, horizon: int) -> np.ndarray:
+    """One episode's bootstrap-mean projection of its starting loss."""
+    return initial_loss * result.mean_cumulative_profile(horizon)
+
+
+# --- CSV -------------------------------------------------------------------------
+
+def rowwise_write_csv(path: str, header: str, columns) -> None:
+    """Header, then each row's values as ``str`` of their ``tolist()``
+    scalars, joined one row at a time."""
+    with open(path, "w", newline="") as handle:
+        handle.write(header + "\n")
+        for row in zip(*(column.tolist() for column in columns)):
+            handle.write(",".join(map(str, row)) + "\n")
+
+
+def rowwise_write_trace(trace: Trace, path: str) -> None:
+    """A trace as :func:`rowwise_write_csv` writes it: Python ints for the
+    integer columns, Python floats for the rest."""
+    rowwise_write_csv(path, TRACE_HEADER, [
+        getattr(trace, name).astype(int if name in ("episode", "t", "level", "violated") else float)
+        for name in _TRACE_COLUMNS
+    ])
 
 
 # --- training ------------------------------------------------------------------

@@ -8,13 +8,13 @@ from reserve_rl.baselines import (
     _chase_action,
     _structural_zero_cells,
     bootstrap_chain_ladder,
-    bootstrap_path,
     bootstrap_runner,
+    bootstrap_targets,
     bornhuetter_ferguson,
-    bornhuetter_ferguson_path,
     bornhuetter_ferguson_runner,
-    chain_ladder_path,
+    bornhuetter_ferguson_targets,
     chain_ladder_runner,
+    chain_ladder_targets,
     chain_ladder_ultimates,
     implied_loss_ratio,
     percent_developed,
@@ -30,6 +30,7 @@ from reserve_rl.triangles import (
     age_to_age_factors,
     triangle_from_arrays,
 )
+from scalar_oracle import bootstrap_path, bornhuetter_ferguson_path, chain_ladder_path
 
 # hand-worked 3x3 example: volume-weighted factors are exactly (1.5, 7/6)
 # and every year carries the same 0.875 implied loss ratio.
@@ -188,23 +189,51 @@ def test_bootstrap_deterministic_given_seed(textbook_triangle):
 
 # --- deterministic paths ------------------------------------------------------
 
+def _one_path(targets, initial_loss, premium, horizon):
+    return targets(np.array([initial_loss]), np.array([premium]), horizon)[0]
+
+
 def test_chain_ladder_path(textbook_factors):
-    path = chain_ladder_path(textbook_factors, 100.0, horizon=4)
+    path = _one_path(chain_ladder_targets(textbook_factors), 100.0, 0.0, horizon=4)
     # tail beyond the last factor is flat
     np.testing.assert_allclose(path, [100.0, 150.0, 175.0, 175.0], atol=1e-9)
 
 
 def test_bf_path_matches_cl_on_proportional_example(textbook_factors):
-    path = bornhuetter_ferguson_path(
-        textbook_factors, elr=0.875, premium=200.0, initial_loss=100.0, horizon=3
-    )
+    path = _one_path(bornhuetter_ferguson_targets(textbook_factors, elr=0.875), 100.0, 200.0,
+                     horizon=3)
     np.testing.assert_allclose(path, [100.0, 150.0, 175.0], atol=1e-9)
 
 
 def test_bootstrap_path_on_degenerate_result(textbook_triangle):
     result = bootstrap_chain_ladder(textbook_triangle, 20, np.random.default_rng(1))
-    path = bootstrap_path(result, 100.0, horizon=3)
+    path = _one_path(bootstrap_targets(result), 100.0, 0.0, horizon=3)
     np.testing.assert_allclose(path, [100.0, 150.0, 175.0], atol=1e-9)
+
+
+def test_static_targets_match_per_episode_paths(bundle):
+    """Each row of a run's target matrix has the bits of the per-episode
+    path, at horizons shorter and longer than the factors, and the
+    per-horizon curves are reused."""
+    rng = np.random.default_rng(6)
+    losses = np.concatenate([rng.lognormal(0.0, 1.0, 200), [0.0, 1e-300, 3.0]])
+    premiums = np.concatenate([rng.uniform(0.0, 5.0, 200), [2.0, 0.0, 1e300]])
+    factors = bundle.factors
+    elr = implied_loss_ratio(bundle.train, factors)
+    boot = bootstrap_chain_ladder(bundle.train, 50, np.random.default_rng(3))
+    cases = [
+        (chain_ladder_targets(factors), lambda loss, premium, h: chain_ladder_path(factors, loss, h)),
+        (bornhuetter_ferguson_targets(factors, elr),
+         lambda loss, premium, h: bornhuetter_ferguson_path(factors, elr, premium, loss, h)),
+        (bootstrap_targets(boot), lambda loss, premium, h: bootstrap_path(boot, loss, h)),
+    ]
+    for targets, per_episode in cases:
+        for horizon in (2, bundle.horizon, bundle.horizon + 3, bundle.horizon):
+            matrix = targets(losses, premiums, horizon)
+            expected = np.array([per_episode(loss, premium, horizon)
+                                 for loss, premium in zip(losses.tolist(), premiums.tolist())])
+            assert matrix.shape == (losses.size, horizon)
+            assert matrix.tobytes() == expected.tobytes()
 
 
 # --- grid chasing -------------------------------------------------------------
@@ -238,11 +267,7 @@ def test_replay_tracks_grid_exact_path_perfectly():
     noiselessly, the chain-ladder replay has zero shortfall and zero
     inefficiency at every step."""
     env, factors = _flat_env()
-    trace = replay_static_policy(
-        env,
-        lambda info, horizon: chain_ladder_path(factors, info.initial_loss, horizon),
-        episodes=4,
-    )
+    trace = replay_static_policy(env, chain_ladder_targets(factors), episodes=4)
     assert trace.n_steps == 12
     np.testing.assert_allclose(trace.shortfall, 0.0, atol=1e-12)
     np.testing.assert_allclose(np.abs(trace.reserve - trace.loss), 0.0, atol=1e-12)

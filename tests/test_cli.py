@@ -2,7 +2,10 @@
 
 import csv
 import json
+import logging
 import os
+import re
+import shutil
 
 import pytest
 
@@ -164,6 +167,39 @@ def test_evaluate_with_traces(pipeline, tmp_path):
     assert all(name.endswith(".csv") for name in traces)
 
 
+def test_every_command_logs_its_wall_time(pipeline, tmp_path, caplog):
+    """One INFO line per command, also for those that log nothing else."""
+    out = str(tmp_path / "runs")
+    base = ["--config", pipeline["config"], "--out", out]
+    with caplog.at_level(logging.INFO, logger="reserve_rl.cli"):
+        assert main(base + ["ingest", "--triangle", pipeline["triangle"]]) == 0
+        assert main(base + ["baselines", "--triangle", pipeline["triangle"]]) == 0
+        shutil.copytree(os.path.join(pipeline["out"], "eval"), os.path.join(out, "eval"))
+        assert main(base + ["report"]) == 0
+    lines = [r.getMessage() for r in caplog.records if r.name == "reserve_rl.cli"]
+    assert len(lines) == 3
+    for line, command in zip(lines, ["ingest", "baselines", "report"]):
+        assert re.fullmatch(rf"{command} finished in \d+\.\d\d s", line)
+
+
+def test_evaluate_traces_are_written_per_condition(pipeline, tmp_path, caplog):
+    """``evaluate --traces`` writes each condition's files in one group
+    call (one INFO line each) and lists them in the manifest in (model,
+    label) order."""
+    out = str(tmp_path / "runs")
+    with caplog.at_level(logging.INFO, logger="reserve_rl.artifacts"):
+        assert main([
+            "--config", pipeline["config"], "--out", out, "evaluate",
+            "--data", os.path.join(pipeline["out"], "ingest"),
+            "--policies", os.path.join(pipeline["out"], "train"), "--traces",
+        ]) == 0
+    writes = [r.getMessage() for r in caplog.records if r.name == "reserve_rl.artifacts"]
+    # two regimes x four models x two seeds x four episodes x the horizon
+    assert [w.split(" in ")[0] for w in writes] == ["wrote 4 CSV files, 320 rows"] * 2
+    with open(os.path.join(out, "eval", "manifest.json")) as handle:
+        outputs = json.load(handle)["outputs"]
+    models = ["bootstrap", "bornhuetter_ferguson", "chain_ladder", "rl_cvar"]
+    assert outputs[2:] == [f"traces/{m}__regime_{level}.csv" for m in models for level in (0, 1)]
 def test_print_config(capsys):
     assert main(["--print-config"]) == 0
     assert capsys.readouterr().out == config_to_ini(default_config())

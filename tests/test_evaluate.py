@@ -3,12 +3,14 @@
 import json
 import logging
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from reserve_rl.baselines import bornhuetter_ferguson_runner, chain_ladder_runner
 from reserve_rl.agent import PPOConfig, train_curriculum
+import reserve_rl.evaluate as evaluate_module
 from reserve_rl.config import FLOOR_FORMS
 from reserve_rl.env import EnvConfig, EnvFactory, ReserveEnv, Trace
 from reserve_rl.errors import (
@@ -180,6 +182,7 @@ def test_evaluate_models_pairs_random_draws():
         "cl": constant_runner(chain_ladder_runner(FLAT_FACTORS)),
         "bf": constant_runner(bornhuetter_ferguson_runner(FLAT_FACTORS, 0.9)),
     }
+    traces = {}
     outcome = evaluate_models(
         models,
         flat_env_factory,
@@ -187,12 +190,12 @@ def test_evaluate_models_pairs_random_draws():
         seeds=(0, 1),
         episodes=7,
         crn_base=42,
-        keep_traces=True,
+        traces=lambda label, cond: traces.update({(m, label): t for m, t in cond.items()}),
     )
     assert len(outcome.rows) == 2
     assert all(r.n_seeds == 2 and r.n_episodes == 7 for r in outcome.rows)
-    cl = outcome.traces[("cl", "regime:0")]
-    bf = outcome.traces[("bf", "regime:0")]
+    cl = traces[("cl", "regime:0")]
+    bf = traces[("bf", "regime:0")]
     np.testing.assert_array_equal(cl.loss, bf.loss)
     np.testing.assert_array_equal(cl.shock, bf.shock)
     # actions are free to differ even though the draws are shared
@@ -201,15 +204,16 @@ def test_evaluate_models_pairs_random_draws():
 
 def test_evaluate_models_distinct_cells_use_distinct_draws():
     models = {"cl": constant_runner(chain_ladder_runner(FLAT_FACTORS))}
-    outcome = evaluate_models(
+    traces = {}
+    evaluate_models(
         models,
         flat_env_factory,
         conditions=regime_conditions([1]),
         seeds=(0, 1),
         episodes=7,
-        keep_traces=True,
+        traces=lambda label, cond: traces.update({(m, label): t for m, t in cond.items()}),
     )
-    trace = outcome.traces[("cl", "regime:1")]
+    trace = traces[("cl", "regime:1")]
     first, second = trace.loss[:21], trace.loss[21:]
     assert not np.array_equal(first, second)
 
@@ -228,6 +232,53 @@ def test_evaluate_models_logs_one_timing_line(caplog):
     assert len(timings) == 1
     assert re.fullmatch(r"evaluated 12 cells, 84 episodes in \d+\.\d\d s \(\d+ episodes/s\)",
                         timings[0])
+
+
+def test_evaluate_models_streams_traces_per_condition(caplog, monkeypatch):
+    """The sink gets each condition's traces, every model's seeds in seed
+    order, before the next condition runs; the timing line leaves the
+    sink's time out (a sink that takes 1000 s on a stub clock)."""
+    clock = [0.0]
+
+    def tick():
+        clock[0] += 0.001
+        return clock[0]
+
+    monkeypatch.setattr(evaluate_module, "time", SimpleNamespace(perf_counter=tick))
+    events = []
+
+    def logged(runner, name):
+        def run(env, episodes):
+            events.append(name)
+            return runner(env, episodes)
+        return constant_runner(run)
+
+    models = {
+        "cl": logged(chain_ladder_runner(FLAT_FACTORS), "cl"),
+        "bf": logged(bornhuetter_ferguson_runner(FLAT_FACTORS, 0.9), "bf"),
+    }
+    received = {}
+
+    def sink(label, traces):
+        events.append(label)
+        received[label] = dict(traces)
+        clock[0] += 1000.0
+
+    with caplog.at_level(logging.INFO, logger="reserve_rl.evaluate"):
+        evaluate_models(models, flat_env_factory, regime_conditions([0, 1]), seeds=(0, 1),
+                        episodes=7, crn_base=3, traces=sink)
+    assert events == ["cl", "cl", "bf", "bf", "regime:0", "cl", "cl", "bf", "bf", "regime:1"]
+    runner = chain_ladder_runner(FLAT_FACTORS)
+    for cond_idx, label in enumerate(["regime:0", "regime:1"]):
+        assert list(received[label]) == ["cl", "bf"]
+        expected = Trace.concat([
+            runner(flat_env_factory(Stochastic(cond_idx), np.random.default_rng([3, cond_idx, seed])), 7)
+            for seed in (0, 1)
+        ])
+        assert received[label]["cl"].reserve.tobytes() == expected.reserve.tobytes()
+    timing = [r.getMessage() for r in caplog.records if "episodes/s" in r.getMessage()]
+    assert len(timing) == 1
+    assert float(re.search(r"in (\d+\.\d\d) s", timing[0]).group(1)) < 1.0
 
 
 def test_pooled_regime_metrics_matches_manual_pooling():

@@ -24,24 +24,25 @@ from reserve_rl.agent import (
 from reserve_rl.baselines import (
     _chase_action,
     bootstrap_chain_ladder,
-    bootstrap_path,
     bootstrap_runner,
-    bornhuetter_ferguson_path,
     bornhuetter_ferguson_runner,
-    chain_ladder_path,
     chain_ladder_runner,
     implied_loss_ratio,
 )
-from reserve_rl.env import ACTION_GRID, EnvConfig, ReserveEnv, Trace
+from reserve_rl.env import ACTION_GRID, EnvConfig, ReserveEnv, Trace, write_traces
 from reserve_rl.errors import ActionOutOfGrid
 from reserve_rl.evaluate import run_policy_episodes
 from reserve_rl.nets import Adam, clip_global_norm, init_mlp, mlp_forward, save_networks
 from reserve_rl.regimes import CurriculumSchedule, FixedShock, Stochastic
 from scalar_oracle import (
     ListAdam,
+    bootstrap_path,
+    bornhuetter_ferguson_path,
+    chain_ladder_path,
     chase_action,
     greedy_action,
     list_clip_global_norm,
+    rowwise_write_trace,
     scalar_policy_episodes,
     scalar_replay,
     scalar_train_curriculum,
@@ -125,6 +126,32 @@ def test_lockstep_matches_scalar(bundle, mode, config_name, tmp_path):
             lambda env, n: scalar_replay(env, builder, n),
             tmp_path,
         )
+
+
+@pytest.mark.parametrize("mode", [Stochastic(0), Stochastic(3)], ids=repr)
+def test_trace_writers_match_rowwise_oracle(bundle, mode, tmp_path):
+    """One cell's four models, written as one group and one by one, give
+    each trace the row-wise writer's bytes.  Under paired draws they
+    share their loss, volatility and shock columns."""
+    elr = implied_loss_ratio(bundle.train, bundle.factors)
+    boot = bootstrap_chain_ladder(bundle.train, 50, np.random.default_rng(3))
+    runners = [
+        lambda env, n: run_policy_episodes(env, perturbed_policy(), n),
+        chain_ladder_runner(bundle.factors),
+        bornhuetter_ferguson_runner(bundle.factors, elr),
+        bootstrap_runner(boot),
+    ]
+    cfg = EnvConfig(shock_mode=mode)
+    traces = [run(ReserveEnv(bundle.train, bundle.factors, cfg, np.random.default_rng(9)), 40)
+              for run in runners]
+    assert all(np.array_equal(t.loss, traces[0].loss) for t in traces)
+    group = [str(tmp_path / f"group{i}.csv") for i in range(len(traces))]
+    write_traces(group, traces)
+    for i, trace in enumerate(traces):
+        rowwise_write_trace(trace, str(tmp_path / "oracle.csv"))
+        expected = (tmp_path / "oracle.csv").read_bytes()
+        assert (tmp_path / f"group{i}.csv").read_bytes() == expected
+        assert trace_bytes(trace, tmp_path, "single.csv") == expected
 
 
 def test_greedy_batch_matches_rows():

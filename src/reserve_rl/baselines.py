@@ -178,9 +178,6 @@ class BootstrapResult:
             n_retries=n_retries,
         )
 
-    def quantile(self, q: float) -> float:
-        return float(np.quantile(self.reserve_samples, q))
-
     def mean_cumulative_profile(self, horizon: int) -> np.ndarray:
         """Average over simulations of the cumulative growth profile."""
         n_sims, n_factors = self.factor_samples.shape
@@ -466,22 +463,3 @@ def _chase_action(reserve: np.ndarray, target: np.ndarray) -> np.ndarray:
     chased = np.where(np.abs(ratio) <= _MAX_STEP + 1e-12, nearest, extreme)
     bankrupt = np.where(target > 0.0, len(ACTION_GRID) - 1, HOLD_ACTION)
     return np.where(solvent, chased, bankrupt)
-
-
-def _replay_runner(targets: StaticTargets) -> Callable[[ReserveEnv, int], Trace]:
-    """Model runner replaying one static method's paths (for the eval harness)."""
-    return lambda env, episodes: replay_static_policy(env, targets, episodes)
-
-
-def chain_ladder_runner(factors: DevelopmentFactors) -> Callable[[ReserveEnv, int], Trace]:
-    return _replay_runner(chain_ladder_targets(factors))
-
-
-def bornhuetter_ferguson_runner(
-    factors: DevelopmentFactors, elr: float
-) -> Callable[[ReserveEnv, int], Trace]:
-    return _replay_runner(bornhuetter_ferguson_targets(factors, elr))
-
-
-def bootstrap_runner(result: BootstrapResult) -> Callable[[ReserveEnv, int], Trace]:
-    return _replay_runner(bootstrap_targets(result))

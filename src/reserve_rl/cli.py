@@ -33,10 +33,10 @@ from .artifacts import git_blob_sha1, write_csv, write_json
 from .baselines import (
     BootstrapResult,
     bootstrap_chain_ladder,
-    bootstrap_runner,
+    bootstrap_targets,
     bornhuetter_ferguson,
-    bornhuetter_ferguson_runner,
-    chain_ladder_runner,
+    bornhuetter_ferguson_targets,
+    chain_ladder_targets,
     chain_ladder_ultimates,
     implied_loss_ratio,
     write_reserve_rows_csv,
@@ -55,10 +55,8 @@ from .errors import ConfigError, DataError, NumericalError, ReserveRlError
 from .evaluate import (
     EvalOutcome,
     TraceSink,
-    constant_runner,
     emit_report,
     evaluate_models,
-    greedy_runner,
     regime_conditions,
     sensitivity_sweep,
     stress_conditions,
@@ -75,7 +73,9 @@ from .triangles import (
     write_triangle_csv,
 )
 
-log = logging.getLogger(__name__)
+#: Named for the module, not ``__name__``: under ``python -m reserve_rl.cli``
+#: that would be ``__main__``.
+log = logging.getLogger("reserve_rl.cli")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -293,14 +293,13 @@ def _policy_outcome(args: argparse.Namespace, cfg: RunConfig, data: IngestArtifa
     each regime; ``stress``: the policies alone under each fixed shock."""
     policies = _load_policies(args.policies or os.path.join(args.out, "train"), seeds, cfg)
     _, eval_factory = _factories(data, cfg)
-    models = {"rl_cvar": lambda seed: greedy_runner(policies[seed])}
+    models = {"rl_cvar": policies}
     if args.command == "evaluate":
         conditions = regime_conditions(cfg.eval.regimes)
         elr, boot = _elr_and_bootstrap(data.train, data.factors, cfg)
-        models["chain_ladder"] = constant_runner(chain_ladder_runner(data.factors))
-        models["bornhuetter_ferguson"] = constant_runner(
-            bornhuetter_ferguson_runner(data.factors, elr))
-        models["bootstrap"] = constant_runner(bootstrap_runner(boot))
+        models["chain_ladder"] = chain_ladder_targets(data.factors)
+        models["bornhuetter_ferguson"] = bornhuetter_ferguson_targets(data.factors, elr)
+        models["bootstrap"] = bootstrap_targets(boot)
     else:
         conditions = stress_conditions(cfg.eval.shocks)
     return evaluate_models(

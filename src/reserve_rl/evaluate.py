@@ -27,15 +27,16 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import baselines
 from .agent import (
     PPOConfig,
-    TrainingResult,
     act_greedy,
     observe,
     train_curriculum,
     train_seeds,
 )
 from .artifacts import write_csv, write_json
+from .baselines import StaticTargets
 from .env import EnvFactory, ReserveEnv, Trace
 from .errors import EmptyReport, NoEligibleSteps, TooFewSamples
 from .nets import MLPParams
@@ -55,8 +56,6 @@ RAR_LOSS_EPS = 0.01
 #: Minimum pooled shortfall count for a meaningful 95% tail estimate.
 MIN_TAIL_SAMPLES = 20
 
-ModelRunner = Callable[[ReserveEnv, int], Trace]
-SeededRunner = Callable[[int], ModelRunner]
 #: Receives one condition's traces, ``sink(label, {model: trace})``, each
 #: model's seeds concatenated in seed order.
 TraceSink = Callable[[str, Mapping[str, Trace]], None]
@@ -152,21 +151,16 @@ def run_policy_episodes(env: ReserveEnv, policy: MLPParams, episodes: int) -> Tr
     return env.rollout(env.draw_paths(episodes), lambda state: act_greedy(policy, observe(state)))
 
 
-def greedy_runner(policy: MLPParams) -> ModelRunner:
-    def run(env: ReserveEnv, episodes: int) -> Trace:
-        return run_policy_episodes(env, policy, episodes)
-    return run
-
-
-def constant_runner(runner: ModelRunner) -> SeededRunner:
-    """Lift a seed-independent runner (the static baselines) to the
-    seeded-runner interface."""
-    return lambda _seed: runner
-
-
-def policy_runners(result: TrainingResult) -> SeededRunner:
-    """Seeded runner dispatching to the matching trained policy."""
-    return lambda seed: greedy_runner(result.policies[seed].policy)
+def _run_model(
+    model: Mapping[int, MLPParams] | StaticTargets, env: ReserveEnv, seed: int, episodes: int
+) -> Trace:
+    """Run one model for ``episodes`` episodes: trained policies by seed
+    act greedily, a classical baseline's targets are replayed (the same
+    for every seed)."""
+    if isinstance(model, Mapping):
+        return run_policy_episodes(env, model[seed], episodes)
+    # looked up on the module at call time, so a wrapper installed there sees it
+    return baselines.replay_static_policy(env, model, episodes)
 
 
 def regime_conditions(levels: Sequence[int]) -> list[tuple[str, ShockMode]]:
@@ -196,7 +190,7 @@ class EvalOutcome:
 
 
 def evaluate_models(
-    models: Mapping[str, SeededRunner],
+    models: Mapping[str, Mapping[int, MLPParams] | StaticTargets],
     make_env: EnvFactory,
     conditions: Sequence[tuple[str, ShockMode]],
     seeds: Sequence[int],
@@ -207,9 +201,11 @@ def evaluate_models(
 ) -> EvalOutcome:
     """Run every model under every condition with paired random draws.
 
-    The environment generator for a (condition, seed) cell is derived
-    from ``(crn_base, condition index, seed)`` only, so all models in
-    that cell see identical shock and noise sequences.  ``traces``, if
+    A model is a ``{seed: policy}`` table or a baseline's
+    :data:`StaticTargets` (see :func:`_run_model`).  The environment
+    generator for a (condition, seed) cell is derived from ``(crn_base,
+    condition index, seed)`` only, so all models in that cell see
+    identical shock and noise sequences.  ``traces``, if
     given, receives each condition's traces as soon as its last model has
     run, so no more than one condition's traces are held at a time.  The
     timing line leaves the sink's time out.
@@ -219,13 +215,13 @@ def evaluate_models(
     outcome = EvalOutcome()
     for cond_idx, (label, mode) in enumerate(conditions):
         cond_traces: dict[str, Trace] = {}
-        for name, seeded in models.items():
+        for name, model in models.items():
             per_seed: list[MetricSet] = []
             cell_traces: list[Trace] = []
             for seed in seeds:
                 env_rng = np.random.default_rng([crn_base, cond_idx, seed])
                 env = make_env(mode, env_rng)
-                trace = seeded(seed)(env, episodes)
+                trace = _run_model(model, env, seed, episodes)
                 per_seed.append(compute_metrics(trace))
                 if traces is not None:
                     cell_traces.append(trace)
@@ -246,19 +242,20 @@ def evaluate_models(
 
 
 def pooled_regime_metrics(
-    runner: ModelRunner,
+    model: Mapping[int, MLPParams] | StaticTargets,
     make_env: EnvFactory,
     levels: Sequence[int],
     seed: int,
     episodes_per_level: int,
     crn_base: int = 0,
 ) -> MetricSet:
-    """One metric set from episodes pooled uniformly across regimes."""
+    """One metric set of ``model`` at ``seed``, from episodes pooled
+    uniformly across regimes."""
     traces = []
     for cond_idx, level in enumerate(levels):
         env_rng = np.random.default_rng([crn_base, cond_idx, seed])
         env = make_env(Stochastic(level), env_rng)
-        traces.append(runner(env, episodes_per_level))
+        traces.append(_run_model(model, env, seed, episodes_per_level))
     return compute_metrics(Trace.concat(traces))
 
 
@@ -266,7 +263,7 @@ def cold_regime_test(
     train_factory: EnvFactory,
     eval_factory: EnvFactory,
     ppo_config: PPOConfig,
-    baselines: Mapping[str, ModelRunner],
+    baselines: Mapping[str, StaticTargets],
     seeds: Sequence[int],
     train_levels: Sequence[int] = (0, 1),
     eval_level: int = 3,
@@ -287,11 +284,9 @@ def cold_regime_test(
         ramp_episodes=ramp_episodes,
     )
     trained = train_curriculum(train_factory, ppo_config, schedule, seeds)
-    models: dict[str, SeededRunner] = {"rl_cvar": policy_runners(trained)}
-    for name, runner in baselines.items():
-        models[name] = constant_runner(runner)
+    policies = {seed: agent.policy for seed, agent in trained.policies.items()}
     return evaluate_models(
-        models,
+        {"rl_cvar": policies, **baselines},
         eval_factory,
         [(f"regime:{eval_level}", Stochastic(eval_level))],
         seeds,
@@ -336,7 +331,7 @@ def sensitivity_sweep(
     for label, _, eval_factory in cells:
         per_seed = [
             pooled_regime_metrics(
-                greedy_runner(next(runs).agent.policy), eval_factory, eval_levels, seed,
+                {seed: next(runs).agent.policy}, eval_factory, eval_levels, seed,
                 episodes_per_level, crn_base,
             )
             for seed in seeds

@@ -117,17 +117,18 @@ class CurriculumSchedule:
         return min(1.0, (episode_idx + 1) / self.ramp_episodes)
 
 
-def regime_params(level: int, table: Mapping[int, RegimeSpec] | None = None) -> RegimeSpec:
+def regime_params(level: int) -> RegimeSpec:
     """Look up a severity level in the regime table.
 
     Raises:
         UnknownLevel: The level is not in the table.
     """
-    table = DEFAULT_REGIME_TABLE if table is None else table
     try:
-        return table[level]
+        return DEFAULT_REGIME_TABLE[level]
     except KeyError:
-        raise UnknownLevel(f"unknown regime level {level!r}; known: {sorted(table)}") from None
+        raise UnknownLevel(
+            f"unknown regime level {level!r}; known: {sorted(DEFAULT_REGIME_TABLE)}"
+        ) from None
 
 
 def interpolate(a: RegimeSpec, b: RegimeSpec, progress: float) -> tuple[float, float]:
@@ -154,7 +155,6 @@ def effective_params(
     mode: ShockMode,
     episode_progress: float,
     schedule: CurriculumSchedule,
-    table: Mapping[int, RegimeSpec] | None = None,
 ) -> tuple[float, float]:
     """Shock mean/variance in force for an episode.
 
@@ -163,15 +163,13 @@ def effective_params(
     mean is the pinned constant and the variance reported is the calm
     (lowest-level) variance, which also drives the development noise.
     """
-    table = DEFAULT_REGIME_TABLE if table is None else table
     if isinstance(mode, FixedShock):
-        calm = regime_params(min(table), table)
-        return (mode.m, calm.var)
-    current = regime_params(mode.level, table)
+        return (mode.m, regime_params(min(DEFAULT_REGIME_TABLE)).var)
+    current = regime_params(mode.level)
     prev_level = schedule.predecessor(mode.level)
     if prev_level is None or episode_progress >= 1.0:
         return (current.mu, current.var)
-    return interpolate(regime_params(prev_level, table), current, episode_progress)
+    return interpolate(regime_params(prev_level), current, episode_progress)
 
 
 def shock_for_step(
@@ -179,7 +177,6 @@ def shock_for_step(
     episode_progress: float,
     schedule: CurriculumSchedule,
     rng: np.random.Generator,
-    table: Mapping[int, RegimeSpec] | None = None,
 ) -> float:
     """Shock multiplier for one environment step.
 
@@ -190,7 +187,7 @@ def shock_for_step(
     """
     if isinstance(mode, FixedShock):
         return mode.m
-    mu, var = effective_params(mode, episode_progress, schedule, table)
+    mu, var = effective_params(mode, episode_progress, schedule)
     draw = sample_shock(mu, var, rng)
     if draw < MIN_SHOCK:
         log.debug("clamped shock draw %.6f to %.2f", draw, MIN_SHOCK)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -60,14 +59,7 @@ class ShortfallBuffer:
     Oldest samples are evicted once ``capacity`` is reached.  The buffer
     deliberately spans episode boundaries: the tail estimate should
     reflect recent operating history, not just the current episode.
-
-    Two views of the window are maintained on every push, so a tail
-    estimate costs a bisect lookup and one masked mean instead of a full
-    sort: a sorted list (order statistics) and a mirrored ring of length
-    ``2 * capacity`` in which every sample is stored twice, ``capacity``
-    slots apart, so the window in FIFO order is always one contiguous
-    slice (the tail mean then sums the same values in the same order as
-    a freshly built array would, bit for bit).
+    The window is one array, oldest first.
     """
 
     def __init__(self, capacity: int = 1024, warmup_min: int = 20) -> None:
@@ -77,67 +69,23 @@ class ShortfallBuffer:
             raise ValueError(f"warmup_min must be >= 1, got {warmup_min}")
         self.capacity = capacity
         self.warmup_min = warmup_min
-        self._ring = np.zeros(2 * capacity)
-        self._start = 0
-        self._count = 0
-        self._sorted: list[float] = []
-        self._total_pushed = 0
+        self._window = np.zeros(0)
 
     def push(self, shortfall: float) -> None:
         if not math.isfinite(shortfall) or shortfall < 0.0:
             raise ValueError(f"shortfalls must be finite and >= 0, got {shortfall!r}")
         # + 0.0 stores -0.0 as 0.0, so order statistics have one zero
-        value = float(shortfall) + 0.0
-        if self._count == self.capacity:
-            slot = self._start
-            del self._sorted[bisect_left(self._sorted, self._ring.item(slot))]
-            self._start = (slot + 1) % self.capacity
-        else:
-            slot = (self._start + self._count) % self.capacity
-            self._count += 1
-        self._ring[slot] = value
-        self._ring[slot + self.capacity] = value
-        insort(self._sorted, value)
-        self._total_pushed += 1
+        kept = self._window[max(0, self._window.size + 1 - self.capacity):]
+        self._window = np.append(kept, float(shortfall) + 0.0)
 
     def clear(self) -> None:
-        self._start = 0
-        self._count = 0
-        self._sorted.clear()
+        self._window = np.zeros(0)
 
     def __len__(self) -> int:
-        return self._count
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self._window().tolist())
-
-    @property
-    def total_pushed(self) -> int:
-        return self._total_pushed
-
-    def _window(self) -> np.ndarray:
-        """Current samples, oldest first, as a view into the ring."""
-        return self._ring[self._start:self._start + self._count]
+        return self._window.size
 
     def as_array(self) -> np.ndarray:
-        return self._window().copy()
-
-    def tail_estimate(self, alpha: float) -> TailEstimate:
-        """:func:`tail_estimate` of the current window, without sorting it.
-
-        Raises:
-            EmptyBuffer: The buffer holds no samples.
-            InvalidAlpha: alpha outside (0, 1).
-        """
-        _check_alpha(alpha)
-        if self._count == 0:
-            raise EmptyBuffer("cannot take a quantile of an empty sample")
-        var = self._sorted[_nearest_rank(alpha, self._count) - 1]
-        window = self._window()
-        tail = window[window >= var]
-        # the sum and division ndarray.mean performs, without its overhead
-        cvar = float(np.add.reduce(tail)) / tail.size
-        return TailEstimate(alpha=alpha, var=var, cvar=cvar, tail_count=tail.size)
+        return self._window.copy()
 
     def push_many(self, shortfalls: np.ndarray, alphas: float | np.ndarray) -> np.ndarray:
         """Push a 1-d run of shortfalls in order; the tail mean after each push.
@@ -147,9 +95,9 @@ class ShortfallBuffer:
         buffer ends as those pushes leave it.  ``alphas`` holds one level per
         shortfall, or is one level for all of them.
 
-        One pass over the sorted list finds every nearest-rank VaR;
-        :func:`_tail_means` then sums the tails one block of queries at a
-        time (see :data:`TAIL_BLOCK`).
+        The window is sorted once on entry, then one pass over that sorted
+        list finds every nearest-rank VaR; :func:`_tail_means` then sums
+        the tails one block of queries at a time (see :data:`TAIL_BLOCK`).
 
         Raises:
             ValueError: A shortfall is not finite or is negative.
@@ -170,16 +118,16 @@ class ShortfallBuffer:
                 )
             _check_alpha(alphas[i].item())
 
-        cap, n0, q = self.capacity, self._count, shortfalls.size
+        cap, n0, q = self.capacity, len(self), shortfalls.size
         # + 0.0 stores -0.0 as 0.0, as push does
-        stream = np.concatenate((self._window(), shortfalls + 0.0))
+        stream = np.concatenate((self._window, shortfalls + 0.0))
         hi = np.arange(n0 + 1, n0 + q + 1)
         size = np.minimum(hi, cap)
         lo = hi - size  # after push i the window is stream[lo[i]:hi[i]]
         ranks = np.clip(np.ceil(alphas * size - _RANK_EPS), 1, size).astype(int)
 
         values = stream.tolist()
-        ordered = self._sorted
+        ordered = np.sort(self._window).tolist()
         var = []
         for value, start, rank in zip(values[n0:], lo.tolist(), ranks.tolist()):
             if start:
@@ -187,11 +135,7 @@ class ShortfallBuffer:
             insort(ordered, value)
             var.append(ordered[rank - 1])
 
-        window = stream[-cap:]
-        self._ring[:window.size] = window
-        self._ring[cap:cap + window.size] = window
-        self._start, self._count = 0, window.size
-        self._total_pushed += q
+        self._window = stream[-cap:].copy()
 
         var = np.array(var)
         cvar = np.zeros(q)
@@ -300,7 +244,7 @@ def empirical_cvar(buffer: ShortfallBuffer, alpha: float) -> TailEstimate:
     _check_alpha(alpha)
     if len(buffer) < buffer.warmup_min:
         return TailEstimate(alpha=alpha, var=0.0, cvar=0.0, tail_count=0, warmup=True)
-    return buffer.tail_estimate(alpha)
+    return tail_estimate(buffer.as_array(), alpha)
 
 
 def cvar_rockafellar_oracle(samples: np.ndarray, alpha: float) -> float:

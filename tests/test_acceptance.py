@@ -28,7 +28,7 @@ from reserve_rl.agent import (
 )
 from reserve_rl.baselines import (
     bootstrap_chain_ladder,
-    chain_ladder_runner,
+    chain_ladder_targets,
     chain_ladder_ultimates,
 )
 from reserve_rl.cli import main as cli_main
@@ -36,9 +36,7 @@ from reserve_rl.config import FLOOR_FORMS
 from reserve_rl.env import HOLD_ACTION, EnvConfig, EnvFactory, ReserveEnv
 from reserve_rl.evaluate import (
     cold_regime_test,
-    constant_runner,
     evaluate_models,
-    policy_runners,
     regime_conditions,
     sensitivity_sweep,
     stress_conditions,
@@ -317,7 +315,7 @@ def full_run(bundle):
     t0 = time.perf_counter()
     trained = train_curriculum(train_factory, STABLE, schedule, SEEDS5, WORKERS)
     return {
-        "trained": trained,
+        "policies": {seed: agent.policy for seed, agent in trained.policies.items()},
         "eval_factory": eval_factory,
         "train_seconds": time.perf_counter() - t0,
     }
@@ -327,7 +325,7 @@ def full_run(bundle):
 def test_criterion_07_stress_monotonicity(full_run):
     t0 = time.perf_counter()
     outcome = evaluate_models(
-        {"rl_cvar": policy_runners(full_run["trained"])},
+        {"rl_cvar": full_run["policies"]},
         full_run["eval_factory"],
         stress_conditions((0.8, 1.0, 1.5, 2.0)),
         SEEDS5,
@@ -360,8 +358,8 @@ def test_criterion_08_beats_chain_ladder_in_rough_regimes(full_run, bundle):
     t0 = time.perf_counter()
     outcome = evaluate_models(
         {
-            "rl_cvar": policy_runners(full_run["trained"]),
-            "chain_ladder": constant_runner(chain_ladder_runner(bundle.factors)),
+            "rl_cvar": full_run["policies"],
+            "chain_ladder": chain_ladder_targets(bundle.factors),
         },
         full_run["eval_factory"],
         regime_conditions((2, 3)),
@@ -391,7 +389,7 @@ def test_criterion_09_cold_regime(bundle):
         train_factory,
         eval_factory,
         STABLE,
-        {"chain_ladder": chain_ladder_runner(bundle.factors)},
+        {"chain_ladder": chain_ladder_targets(bundle.factors)},
         seeds=SEEDS5,
     )
     elapsed = time.perf_counter() - t0

@@ -8,12 +8,9 @@ from reserve_rl.baselines import (
     _chase_action,
     _structural_zero_cells,
     bootstrap_chain_ladder,
-    bootstrap_runner,
     bootstrap_targets,
     bornhuetter_ferguson,
-    bornhuetter_ferguson_runner,
     bornhuetter_ferguson_targets,
-    chain_ladder_runner,
     chain_ladder_targets,
     chain_ladder_ultimates,
     implied_loss_ratio,
@@ -278,12 +275,12 @@ def test_replay_tracks_grid_exact_path_perfectly():
 
 def test_runners_produce_traces():
     env, factors = _flat_env()
-    trace = chain_ladder_runner(factors)(env, 2)
+    trace = replay_static_policy(env, chain_ladder_targets(factors), 2)
     assert trace.n_steps == 2 * env.horizon
 
     env2, _ = _flat_env()
     elr = 0.9
-    trace2 = bornhuetter_ferguson_runner(factors, elr)(env2, 2)
+    trace2 = replay_static_policy(env2, bornhuetter_ferguson_targets(factors, elr), 2)
     assert trace2.n_steps == 2 * env2.horizon
 
     tri = triangle_from_arrays(
@@ -291,7 +288,7 @@ def test_runners_produce_traces():
     )
     result = bootstrap_chain_ladder(tri, 20, np.random.default_rng(3))
     env3, _ = _flat_env()
-    trace3 = bootstrap_runner(result)(env3, 2)
+    trace3 = replay_static_policy(env3, bootstrap_targets(result), 2)
     assert trace3.n_steps == 2 * env3.horizon
 
 

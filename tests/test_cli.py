@@ -6,6 +6,8 @@ import logging
 import os
 import re
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -180,6 +182,23 @@ def test_every_command_logs_its_wall_time(pipeline, tmp_path, caplog):
     assert len(lines) == 3
     for line, command in zip(lines, ["ingest", "baselines", "report"]):
         assert re.fullmatch(rf"{command} finished in \d+\.\d\d s", line)
+
+
+def test_log_lines_name_the_cli_under_dash_m(pipeline, tmp_path):
+    """``python -m reserve_rl.cli`` runs the module as ``__main__``; its log
+    lines still carry the package logger's name."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, RESERVE_RL_LOG="INFO",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "reserve_rl.cli", "--out", str(tmp_path / "runs"),
+         "ingest", "--triangle", pipeline["triangle"]],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert re.search(r"^INFO reserve_rl\.cli: ingest finished in \d+\.\d\d s$",
+                     done.stderr, re.MULTILINE), done.stderr
+    assert "__main__" not in done.stderr
 
 
 def test_evaluate_traces_are_written_per_condition(pipeline, tmp_path, caplog):

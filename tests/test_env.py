@@ -281,10 +281,10 @@ def test_buffer_persists_across_episodes():
     env.reset()
     for _ in range(env.horizon):
         env.step(HOLD_ACTION)
-    assert env.buffer.total_pushed == env.horizon
+    assert len(env.buffer) == env.horizon
     env.reset()
     env.step(HOLD_ACTION)
-    assert env.buffer.total_pushed == env.horizon + 1
+    assert len(env.buffer) == env.horizon + 1
     env.clear_buffer()
     assert len(env.buffer) == 0
 

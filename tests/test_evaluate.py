@@ -8,7 +8,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from reserve_rl.baselines import bornhuetter_ferguson_runner, chain_ladder_runner
+import reserve_rl.baselines as baselines_module
+from reserve_rl.baselines import (
+    bornhuetter_ferguson_targets,
+    chain_ladder_targets,
+    replay_static_policy,
+)
 from reserve_rl.agent import PPOConfig, train_curriculum
 import reserve_rl.evaluate as evaluate_module
 from reserve_rl.config import FLOOR_FORMS
@@ -28,10 +33,8 @@ from reserve_rl.evaluate import (
     MetricsRow,
     aggregate_metrics,
     compute_metrics,
-    constant_runner,
     emit_report,
     evaluate_models,
-    greedy_runner,
     pooled_regime_metrics,
     regime_conditions,
     sensitivity_sweep,
@@ -179,8 +182,8 @@ def test_evaluate_models_pairs_random_draws():
     """Two different static models see bitwise-identical loss and shock
     streams in the same (condition, seed) cell."""
     models = {
-        "cl": constant_runner(chain_ladder_runner(FLAT_FACTORS)),
-        "bf": constant_runner(bornhuetter_ferguson_runner(FLAT_FACTORS, 0.9)),
+        "cl": chain_ladder_targets(FLAT_FACTORS),
+        "bf": bornhuetter_ferguson_targets(FLAT_FACTORS, 0.9),
     }
     traces = {}
     outcome = evaluate_models(
@@ -203,7 +206,7 @@ def test_evaluate_models_pairs_random_draws():
 
 
 def test_evaluate_models_distinct_cells_use_distinct_draws():
-    models = {"cl": constant_runner(chain_ladder_runner(FLAT_FACTORS))}
+    models = {"cl": chain_ladder_targets(FLAT_FACTORS)}
     traces = {}
     evaluate_models(
         models,
@@ -222,8 +225,8 @@ def test_evaluate_models_logs_one_timing_line(caplog):
     """One INFO line per call: (condition, model, seed) cells, episodes,
     wall seconds and episodes per second."""
     models = {
-        "cl": constant_runner(chain_ladder_runner(FLAT_FACTORS)),
-        "bf": constant_runner(bornhuetter_ferguson_runner(FLAT_FACTORS, 0.9)),
+        "cl": chain_ladder_targets(FLAT_FACTORS),
+        "bf": bornhuetter_ferguson_targets(FLAT_FACTORS, 0.9),
     }
     with caplog.at_level(logging.INFO, logger="reserve_rl.evaluate"):
         evaluate_models(models, flat_env_factory, regime_conditions([0, 1]), seeds=(0, 1, 2),
@@ -246,17 +249,17 @@ def test_evaluate_models_streams_traces_per_condition(caplog, monkeypatch):
 
     monkeypatch.setattr(evaluate_module, "time", SimpleNamespace(perf_counter=tick))
     events = []
-
-    def logged(runner, name):
-        def run(env, episodes):
-            events.append(name)
-            return runner(env, episodes)
-        return constant_runner(run)
-
     models = {
-        "cl": logged(chain_ladder_runner(FLAT_FACTORS), "cl"),
-        "bf": logged(bornhuetter_ferguson_runner(FLAT_FACTORS, 0.9), "bf"),
+        "cl": chain_ladder_targets(FLAT_FACTORS),
+        "bf": bornhuetter_ferguson_targets(FLAT_FACTORS, 0.9),
     }
+    names = {targets: name for name, targets in models.items()}
+
+    def logged(env, targets, episodes):
+        events.append(names[targets])
+        return replay_static_policy(env, targets, episodes)
+
+    monkeypatch.setattr(baselines_module, "replay_static_policy", logged)
     received = {}
 
     def sink(label, traces):
@@ -268,11 +271,13 @@ def test_evaluate_models_streams_traces_per_condition(caplog, monkeypatch):
         evaluate_models(models, flat_env_factory, regime_conditions([0, 1]), seeds=(0, 1),
                         episodes=7, crn_base=3, traces=sink)
     assert events == ["cl", "cl", "bf", "bf", "regime:0", "cl", "cl", "bf", "bf", "regime:1"]
-    runner = chain_ladder_runner(FLAT_FACTORS)
     for cond_idx, label in enumerate(["regime:0", "regime:1"]):
         assert list(received[label]) == ["cl", "bf"]
         expected = Trace.concat([
-            runner(flat_env_factory(Stochastic(cond_idx), np.random.default_rng([3, cond_idx, seed])), 7)
+            replay_static_policy(
+                flat_env_factory(Stochastic(cond_idx), np.random.default_rng([3, cond_idx, seed])),
+                models["cl"], 7,
+            )
             for seed in (0, 1)
         ])
         assert received[label]["cl"].reserve.tobytes() == expected.reserve.tobytes()
@@ -282,15 +287,15 @@ def test_evaluate_models_streams_traces_per_condition(caplog, monkeypatch):
 
 
 def test_pooled_regime_metrics_matches_manual_pooling():
-    runner = chain_ladder_runner(FLAT_FACTORS)
+    targets = chain_ladder_targets(FLAT_FACTORS)
     pooled = pooled_regime_metrics(
-        runner, flat_env_factory, levels=(0, 1), seed=5,
+        targets, flat_env_factory, levels=(0, 1), seed=5,
         episodes_per_level=4, crn_base=9,
     )
     traces = []
     for cond_idx, level in enumerate((0, 1)):
         env = flat_env_factory(Stochastic(level), np.random.default_rng([9, cond_idx, 5]))
-        traces.append(runner(env, 4))
+        traces.append(replay_static_policy(env, targets, 4))
     manual = compute_metrics(Trace.concat(traces))
     assert pooled == manual
 
@@ -331,7 +336,7 @@ def test_sensitivity_sweep_workers_are_bitwise_serial():
     train_factory, eval_factory = cell_factories(None, FLOOR_FORMS["strict"])
     trained = train_curriculum(train_factory, config, schedule, seeds)
     assert pooled.per_seed[("rl_cvar", "alpha:adaptive;floor:strict")] == [
-        pooled_regime_metrics(greedy_runner(trained.policies[seed].policy), eval_factory,
+        pooled_regime_metrics({seed: trained.policies[seed].policy}, eval_factory,
                               (0, 1), seed, 4)
         for seed in seeds
     ]

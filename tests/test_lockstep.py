@@ -24,10 +24,11 @@ from reserve_rl.agent import (
 from reserve_rl.baselines import (
     _chase_action,
     bootstrap_chain_ladder,
-    bootstrap_runner,
-    bornhuetter_ferguson_runner,
-    chain_ladder_runner,
+    bootstrap_targets,
+    bornhuetter_ferguson_targets,
+    chain_ladder_targets,
     implied_loss_ratio,
+    replay_static_policy,
 )
 from reserve_rl.env import ACTION_GRID, EnvConfig, ReserveEnv, Trace, write_traces
 from reserve_rl.errors import ActionOutOfGrid
@@ -71,7 +72,7 @@ def trace_bytes(trace: Trace, tmp_path, name: str) -> bytes:
 
 
 def buffer_bits(env: ReserveEnv) -> list[str]:
-    return [x.hex() for x in env.buffer]
+    return [x.hex() for x in env.buffer.as_array().tolist()]
 
 
 def assert_same_run(make_env, lockstep, scalar, tmp_path) -> Trace:
@@ -85,7 +86,6 @@ def assert_same_run(make_env, lockstep, scalar, tmp_path) -> Trace:
     assert trace_bytes(a, tmp_path, "a.csv") == trace_bytes(b, tmp_path, "b.csv")
     assert env_a.rng.bit_generator.state == env_b.rng.bit_generator.state
     assert buffer_bits(env_a) == buffer_bits(env_b)
-    assert env_a.buffer.total_pushed == env_b.buffer.total_pushed
     return a
 
 
@@ -111,18 +111,18 @@ def test_lockstep_matches_scalar(bundle, mode, config_name, tmp_path):
 
     elr = implied_loss_ratio(bundle.train, factors)
     boot = bootstrap_chain_ladder(bundle.train, 50, np.random.default_rng(3))
-    runners = [
-        (chain_ladder_runner(factors),
+    methods = [
+        (chain_ladder_targets(factors),
          lambda info, h: chain_ladder_path(factors, info.initial_loss, h)),
-        (bornhuetter_ferguson_runner(factors, elr),
+        (bornhuetter_ferguson_targets(factors, elr),
          lambda info, h: bornhuetter_ferguson_path(factors, elr, info.premium, info.initial_loss, h)),
-        (bootstrap_runner(boot),
+        (bootstrap_targets(boot),
          lambda info, h: bootstrap_path(boot, info.initial_loss, h)),
     ]
-    for runner, builder in runners:
+    for targets, builder in methods:
         assert_same_run(
             make_env,
-            runner,
+            lambda env, n: replay_static_policy(env, targets, n),
             lambda env, n: scalar_replay(env, builder, n),
             tmp_path,
         )
@@ -135,15 +135,17 @@ def test_trace_writers_match_rowwise_oracle(bundle, mode, tmp_path):
     share their loss, volatility and shock columns."""
     elr = implied_loss_ratio(bundle.train, bundle.factors)
     boot = bootstrap_chain_ladder(bundle.train, 50, np.random.default_rng(3))
-    runners = [
-        lambda env, n: run_policy_episodes(env, perturbed_policy(), n),
-        chain_ladder_runner(bundle.factors),
-        bornhuetter_ferguson_runner(bundle.factors, elr),
-        bootstrap_runner(boot),
-    ]
     cfg = EnvConfig(shock_mode=mode)
-    traces = [run(ReserveEnv(bundle.train, bundle.factors, cfg, np.random.default_rng(9)), 40)
-              for run in runners]
+
+    def env():
+        return ReserveEnv(bundle.train, bundle.factors, cfg, np.random.default_rng(9))
+
+    traces = [run_policy_episodes(env(), perturbed_policy(), 40)] + [
+        replay_static_policy(env(), targets, 40)
+        for targets in (chain_ladder_targets(bundle.factors),
+                        bornhuetter_ferguson_targets(bundle.factors, elr),
+                        bootstrap_targets(boot))
+    ]
     assert all(np.array_equal(t.loss, traces[0].loss) for t in traces)
     group = [str(tmp_path / f"group{i}.csv") for i in range(len(traces))]
     write_traces(group, traces)
@@ -294,4 +296,3 @@ def test_training_matches_scalar(bundle, case, tmp_path, monkeypatch):
         assert ours.bit_generator.state == ref.bit_generator.state
     for ours, ref in zip(envs, expected_envs):
         assert buffer_bits(ours) == buffer_bits(ref)
-        assert ours.buffer.total_pushed == ref.buffer.total_pushed

@@ -137,14 +137,22 @@ def test_fixed_shock_is_constant_and_validated():
         FixedShock(float("inf"))
 
 
+class _StubNormal:
+    """Generator stand-in whose every normal draw is ``value``."""
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+
+    def normal(self, loc: float, scale: float) -> float:
+        return self.value
+
+
 def test_shock_clamped_at_minimum():
-    # a pathological table whose draws are far negative always clamps
-    table = {0: RegimeSpec(level=0, mu=-5.0, var=1e-6)}
-    schedule = CurriculumSchedule(levels=(0,))
-    rng = np.random.default_rng(3)
-    for _ in range(32):
-        shock = shock_for_step(Stochastic(0), 1.0, schedule, rng, table)
-        assert shock == MIN_SHOCK
+    # draws far below the floor always clamp; one above it passes through
+    schedule = CurriculumSchedule()
+    for level in EXPECTED_TABLE:
+        assert shock_for_step(Stochastic(level), 1.0, schedule, _StubNormal(-5.0)) == MIN_SHOCK
+    assert shock_for_step(Stochastic(0), 1.0, schedule, _StubNormal(2 * MIN_SHOCK)) == 2 * MIN_SHOCK
 
 
 def test_sampler_moments_per_level():

@@ -7,7 +7,7 @@ random draws.  See the README for the experiment pipeline.
 """
 
 from .config import VERSION as __version__
-from .env import ACTION_GRID, EnvConfig, EnvFactory, ReserveEnv, RewardWeights
+from .env import ACTION_GRID, EnvConfig, EnvFactory, ReserveEnv
 from .errors import (
     ConfigError,
     DataError,
@@ -33,7 +33,6 @@ __all__ = [
     "EnvConfig",
     "EnvFactory",
     "ReserveEnv",
-    "RewardWeights",
     "ConfigError",
     "DataError",
     "NumericalError",

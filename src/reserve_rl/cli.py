@@ -25,6 +25,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -48,7 +49,6 @@ from .config import (
     config_fingerprint,
     config_to_ini,
     load_config,
-    to_env_config,
 )
 from .env import EnvFactory, Trace, write_traces
 from .errors import ConfigError, DataError, NumericalError, ReserveRlError
@@ -179,16 +179,16 @@ class IngestArtifacts:
 
 
 def _factories(
-    data: IngestArtifacts, cfg: RunConfig, **env_overrides: object
+    data: IngestArtifacts, cfg: RunConfig, **overrides: object
 ) -> tuple[EnvFactory, EnvFactory]:
     """Training factory on the train triangle, evaluation on the test one.
 
     Both pin the same horizon so policies see identical episode lengths;
-    ``env_overrides`` replace further :class:`EnvConfig` fields (a
-    sensitivity cell's tail level and floor).
+    ``overrides`` replace further ``[env]`` fields (a sensitivity cell's
+    ``alpha`` and ``floor``).
     """
     horizon = cfg.env.horizon if cfg.env.horizon is not None else data.horizon
-    env_cfg = to_env_config(cfg, horizon=horizon, **env_overrides)
+    env_cfg = replace(cfg.env, horizon=horizon, **overrides)
     return (EnvFactory(data.train, data.factors, env_cfg),
             EnvFactory(data.test, data.factors, env_cfg))
 
@@ -316,18 +316,20 @@ def _policy_outcome(args: argparse.Namespace, cfg: RunConfig, data: IngestArtifa
 
 def _sensitivity_outcome(args: argparse.Namespace, cfg: RunConfig, data: IngestArtifacts,
                          seeds: tuple[int, ...], _traces: None) -> EvalOutcome:
-    """Retrained policies over the tail-level x floor grid (no traces)."""
-
-    def cell_factories(alpha: float | None, floor: tuple[float, float]):
-        return _factories(data, cfg, alpha_override=alpha,
-                          floor_base=floor[0], floor_slope=floor[1])
-
+    """Retrained policies over the ``[eval] sweep_alphas`` x floor form
+    grid, one ``alpha:<a>;floor:<form>`` cell each (no traces)."""
+    cells = {
+        f"alpha:{alpha:g};floor:{name}": _factories(data, cfg, alpha=alpha, floor=floor)
+        for alpha in cfg.eval.sweep_alphas
+        for name, floor in FLOOR_FORMS.items()
+    }
+    if len(cells) < len(cfg.eval.sweep_alphas) * len(FLOOR_FORMS):
+        raise ConfigError(f"[eval] sweep_alphas {cfg.eval.sweep_alphas} repeat a level "
+                          "(labels print levels to 6 significant digits)")
     return sensitivity_sweep(
-        cell_factories,
+        cells,
         cfg.ppo,
         cfg.regimes,
-        list(cfg.eval.sweep_alphas),
-        FLOOR_FORMS,
         seeds,
         eval_levels=cfg.eval.regimes,
         episodes_per_level=cfg.eval.sweep_episodes_per_level,

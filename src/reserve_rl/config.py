@@ -4,12 +4,12 @@ A run is fully described by one INI file with six sections (``run``,
 ``env``, ``regimes``, ``ppo``, ``eval``, ``baselines``); every key has a
 default, unknown sections or keys are rejected rather than ignored, and
 the canonical re-serialization of the parsed config is hashed into a
-fingerprint that artifacts carry in their sidecars.  ``[regimes]`` and
-``[ppo]`` load straight into :class:`CurriculumSchedule` and
-:class:`PPOConfig`, so their checks run as the file is read.  Manifests
-record what a command read and wrote (with content digests) so outputs
-can be traced back to exact inputs; their timestamps are informational
-and not part of any comparison.
+fingerprint that artifacts carry in their sidecars.  ``[env]``,
+``[regimes]`` and ``[ppo]`` load straight into :class:`EnvConfig`,
+:class:`CurriculumSchedule` and :class:`PPOConfig`, so their checks run
+as the file is read.  Manifests record what a command read and wrote
+(with content digests) so outputs can be traced back to exact inputs;
+their timestamps are informational and not part of any comparison.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ from __future__ import annotations
 import configparser
 import datetime
 import hashlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from importlib import metadata
 from typing import Mapping, Sequence
 
 from .artifacts import git_blob_sha1
-from .env import DEFAULT_FLOOR, STRICT_FLOOR, EnvConfig, RewardWeights
+from .env import DEFAULT_FLOOR, STRICT_FLOOR, EnvConfig
 from .errors import ConfigError
 from .agent import PPOConfig
 from .regimes import CurriculumSchedule
@@ -32,10 +32,12 @@ try:
 except metadata.PackageNotFoundError:  # running from a source tree
     VERSION = "0.1.0"
 
+#: ``[env] floor`` name -> the (base, slope) pair :class:`EnvConfig` holds.
 FLOOR_FORMS: Mapping[str, tuple[float, float]] = {
     "default": DEFAULT_FLOOR,
     "strict": STRICT_FLOOR,
 }
+_FLOOR_NAMES = {form: name for name, form in FLOOR_FORMS.items()}
 
 
 @dataclass(frozen=True)
@@ -45,22 +47,6 @@ class RunSection:
     seeds: tuple[int, ...] = (1, 2, 3)
     a_train: int = 8
     a_test: int = 2
-
-
-@dataclass(frozen=True)
-class EnvSection:
-    horizon: int | None = None
-    vol_window: int = 4
-    vol_scale: float = 0.5
-    noise_gain: float = 1.0
-    floor: str = "default"
-    buffer_capacity: int = 1024
-    warmup_min: int = 20
-    alpha: float | None = None          # None -> volatility-adaptive
-    w_shortfall: float = 5.0
-    w_cvar: float = 8.0
-    w_inefficiency: float = 1.0
-    w_floor: float = 10.0
 
 
 @dataclass(frozen=True)
@@ -83,7 +69,7 @@ class BaselineSection:
 @dataclass(frozen=True)
 class RunConfig:
     run: RunSection = field(default_factory=RunSection)
-    env: EnvSection = field(default_factory=EnvSection)
+    env: EnvConfig = field(default_factory=EnvConfig)
     regimes: CurriculumSchedule = field(default_factory=CurriculumSchedule)
     ppo: PPOConfig = field(default_factory=PPOConfig)
     eval: EvalSection = field(default_factory=EvalSection)
@@ -103,12 +89,7 @@ def _parse_scalar(name: str, raw: str, default: object) -> object:
     raw = raw.strip()
     try:
         if name == "alpha":
-            if raw == "adaptive":
-                return None
-            value = float(raw)
-            if not 0.0 < value < 1.0:
-                raise ConfigError(f"alpha must lie in (0, 1), got {value!r}")
-            return value
+            return None if raw == "adaptive" else float(raw)
         if name == "horizon":
             return None if raw in ("", "auto") else int(raw)
         if name == "elr":
@@ -118,7 +99,7 @@ def _parse_scalar(name: str, raw: str, default: object) -> object:
                 raise ConfigError(
                     f"floor must be one of {sorted(FLOOR_FORMS)}, got {raw!r}"
                 )
-            return raw
+            return FLOOR_FORMS[raw]
         if isinstance(default, bool):
             if raw.lower() in ("true", "yes", "1"):
                 return True
@@ -145,9 +126,8 @@ def load_config(path: str | None) -> RunConfig:
 
     Raises:
         ConfigError: Unknown section or key, unreadable file, an
-            unparsable value, or a value the runtime classes reject
-            (``[regimes]``, ``[ppo]``, and ``[env]`` through
-            :func:`to_env_config`).
+            unparsable value, or a value the section's class rejects
+            (``[env]``, ``[regimes]`` and ``[ppo]``).
     """
     if path is None:
         return default_config()
@@ -173,9 +153,7 @@ def load_config(path: str | None) -> RunConfig:
                 raise ConfigError(f"unknown key {key!r} in section [{section_name}]")
             values[key] = _parse_scalar(key, raw, getattr(defaults, key))
         sections[section_name] = cls(**values)
-    cfg = RunConfig(**sections)
-    to_env_config(cfg)
-    return cfg
+    return RunConfig(**sections)
 
 
 def _format_value(value: object) -> str:
@@ -200,6 +178,8 @@ def config_to_ini(cfg: RunConfig) -> str:
                 rendered = "adaptive" if f.name == "alpha" else (
                     "pooled" if f.name == "elr" else "auto"
                 )
+            elif f.name == "floor":
+                rendered = _FLOOR_NAMES[value]
             else:
                 rendered = _format_value(value)
             lines.append(f"{f.name} = {rendered}")
@@ -209,32 +189,6 @@ def config_to_ini(cfg: RunConfig) -> str:
 
 def config_fingerprint(cfg: RunConfig) -> str:
     return hashlib.sha256(config_to_ini(cfg).encode()).hexdigest()
-
-
-def to_env_config(cfg: RunConfig, **overrides: object) -> EnvConfig:
-    """Materialize the environment config.  ``overrides`` replace
-    :class:`EnvConfig` fields by name; ``alpha_override=None`` selects the
-    volatility-adaptive level even where the INI pins one."""
-    env = cfg.env
-    floor_base, floor_slope = FLOOR_FORMS[env.floor]
-    base = EnvConfig(
-        horizon=env.horizon,
-        weights=RewardWeights(
-            shortfall=env.w_shortfall,
-            cvar=env.w_cvar,
-            inefficiency=env.w_inefficiency,
-            floor=env.w_floor,
-        ),
-        vol_window=env.vol_window,
-        vol_scale=env.vol_scale,
-        noise_gain=env.noise_gain,
-        floor_base=floor_base,
-        floor_slope=floor_slope,
-        buffer_capacity=env.buffer_capacity,
-        warmup_min=env.warmup_min,
-        alpha_override=env.alpha,
-    )
-    return replace(base, **overrides)
 
 
 # --- manifests -----------------------------------------------------------------

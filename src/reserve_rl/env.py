@@ -26,7 +26,7 @@ Most transition pieces below therefore take floats or equal-shape arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,51 +66,38 @@ TRACE_HEADER = "episode,t,R,L,V,K,nu,M,level,action,reward,shortfall,cvar,violat
 
 
 @dataclass(frozen=True)
-class RewardWeights:
-    """Penalty weights on the four reward components."""
-
-    shortfall: float = 5.0
-    cvar: float = 8.0
-    inefficiency: float = 1.0
-    floor: float = 10.0
-
-    def __post_init__(self) -> None:
-        for name in ("shortfall", "cvar", "inefficiency", "floor"):
-            if getattr(self, name) < 0.0:
-                raise ConfigMismatch(f"reward weight {name} must be >= 0")
-
-
-@dataclass(frozen=True)
 class EnvConfig:
-    """Environment knobs; defaults reproduce the reference setup.
+    """Environment knobs, the ``[env]`` INI section field for field (same
+    names, order and defaults); defaults reproduce the reference setup.
 
     Args:
         horizon: Episode length in periods; None means the triangle's
             development depth.
-        weights: Reward penalty weights.
         vol_window: Trailing growth observations feeding the volatility
             proxy.
         vol_scale: Growth stddev mapped to volatility 1.0.
         noise_gain: Multiplier on the regime stddev for development
             noise; 0 gives a deterministic environment.
-        floor_base / floor_slope: Solvency floor base + slope * V.
+        floor: (base, slope) of the solvency floor base + slope * V; the
+            INI names one of ``reserve_rl.config.FLOOR_FORMS``.
         buffer_capacity / warmup_min: Shortfall buffer sizing.
-        alpha_override: Pin the tail level instead of adapting it to
-            volatility (sensitivity studies).
-        shock_mode: Default shock process for episodes.
+        alpha: Pinned tail level in (0, 1); None adapts it to volatility.
+        w_shortfall / w_cvar / w_inefficiency / w_floor: Penalty weights
+            on the four reward components.
     """
 
     horizon: int | None = None
-    weights: RewardWeights = field(default_factory=RewardWeights)
     vol_window: int = 4
     vol_scale: float = 0.5
     noise_gain: float = 1.0
-    floor_base: float = DEFAULT_FLOOR[0]
-    floor_slope: float = DEFAULT_FLOOR[1]
+    floor: tuple[float, float] = DEFAULT_FLOOR
     buffer_capacity: int = 1024
     warmup_min: int = 20
-    alpha_override: float | None = None
-    shock_mode: ShockMode = field(default_factory=lambda: Stochastic(0))
+    alpha: float | None = None
+    w_shortfall: float = 5.0
+    w_cvar: float = 8.0
+    w_inefficiency: float = 1.0
+    w_floor: float = 10.0
 
     def __post_init__(self) -> None:
         if self.horizon is not None and self.horizon < 2:
@@ -121,10 +108,13 @@ class EnvConfig:
             raise ConfigMismatch(f"vol_scale must be > 0, got {self.vol_scale}")
         if self.noise_gain < 0.0:
             raise ConfigMismatch(f"noise_gain must be >= 0, got {self.noise_gain}")
-        if self.floor_base < 0.0 or self.floor_slope < 0.0:
+        if min(self.floor) < 0.0:
             raise ConfigMismatch("floor base and slope must be >= 0")
-        if self.alpha_override is not None and not 0.0 < self.alpha_override < 1.0:
-            raise ConfigMismatch(f"alpha_override must be in (0, 1), got {self.alpha_override}")
+        if self.alpha is not None and not 0.0 < self.alpha < 1.0:
+            raise ConfigMismatch(f"alpha must be in (0, 1), got {self.alpha}")
+        for name in ("w_shortfall", "w_cvar", "w_inefficiency", "w_floor"):
+            if getattr(self, name) < 0.0:
+                raise ConfigMismatch(f"reward weight {name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -243,15 +233,16 @@ def update_violation_memory(memory: float, violated: bool) -> float:
 
 
 def compute_reward(
-    weights: RewardWeights, shortfall: float, cvar: float, inefficiency: float, violated: bool
+    config: EnvConfig, shortfall: float, cvar: float, inefficiency: float, violated: bool
 ) -> float:
-    """Negative weighted sum of the four penalty components (floats for one
-    step, equal-shape arrays for a lockstep rollout)."""
+    """Negative weighted sum of the four penalty components under
+    ``config``'s ``w_*`` weights (floats for one step, equal-shape arrays
+    for a lockstep rollout)."""
     return -(
-        weights.shortfall * shortfall
-        + weights.cvar * cvar
-        + weights.inefficiency * inefficiency
-        + weights.floor * violated
+        config.w_shortfall * shortfall
+        + config.w_cvar * cvar
+        + config.w_inefficiency * inefficiency
+        + config.w_floor * violated
     )
 
 
@@ -280,7 +271,9 @@ LockstepPolicy = Callable[[EnvState], np.ndarray]
 
 
 class ReserveEnv:
-    """Finite-horizon reserving environment over one triangle.
+    """Finite-horizon reserving environment over one triangle, drawing
+    shocks from ``shock_mode`` until :meth:`reset` or :meth:`draw_paths`
+    is given another.
 
     The shortfall buffer persists across episodes (recent operating
     history); call :meth:`clear_buffer` at curriculum level boundaries.
@@ -295,6 +288,7 @@ class ReserveEnv:
         factors: DevelopmentFactors,
         config: EnvConfig,
         rng: np.random.Generator,
+        shock_mode: ShockMode = Stochastic(0),
     ) -> None:
         # The triangle only seeds episodes (lag-1 starting losses); the
         # horizon may exceed its observed depth as long as the factors
@@ -316,7 +310,7 @@ class ReserveEnv:
         self.episode_info: EpisodeInfo | None = None
         self._growths: list[float] = []
         self._shock_var = 0.0
-        self._mode: ShockMode = config.shock_mode
+        self._mode = shock_mode
         self._done = True
 
     def clear_buffer(self) -> None:
@@ -335,8 +329,8 @@ class ReserveEnv:
                 (the default) uses the regime's exact parameters.
             schedule: Curriculum schedule supplying the ramp
                 predecessor; only consulted when progress < 1.
-            shock_mode: Override the configured shock process for this
-                episode onward (used by the training loop when walking
+            shock_mode: Replace the environment's shock process for
+                this episode onward (used by the training loop when walking
                 curriculum levels).
         """
         if shock_mode is not None:
@@ -396,9 +390,9 @@ class ReserveEnv:
 
         shortfall = max(0.0, new_loss - new_reserve)
         self.buffer.push(shortfall)
-        alpha = float(adaptive_alpha(new_vol)) if cfg.alpha_override is None else cfg.alpha_override
+        alpha = float(adaptive_alpha(new_vol)) if cfg.alpha is None else cfg.alpha
         estimate = empirical_cvar(self.buffer, alpha)
-        floor = solvency_floor(new_vol, cfg.floor_base, cfg.floor_slope)
+        floor = solvency_floor(new_vol, *cfg.floor)
         violated = new_reserve < floor
         new_memory = update_violation_memory(state.violation_memory, violated)
         inefficiency = abs(new_reserve - new_loss)
@@ -411,7 +405,7 @@ class ReserveEnv:
             floor=floor,
             alpha=alpha,
         )
-        reward = compute_reward(cfg.weights, shortfall, estimate.cvar, inefficiency, violated)
+        reward = compute_reward(cfg, shortfall, estimate.cvar, inefficiency, violated)
 
         # Draw the next shock unconditionally so the stream advances the
         # same way every step (keeps common-random-number runs aligned).
@@ -556,7 +550,7 @@ class ReserveEnv:
                 )
             adjustment[:, t] = grid[actions]
             reserve = apply_action(reserve, adjustment[:, t])
-            floor = solvency_floor(paths.volatility[:, t + 1], cfg.floor_base, cfg.floor_slope)
+            floor = solvency_floor(paths.volatility[:, t + 1], *cfg.floor)
             violated[:, t] = reserve < floor
             memory = update_violation_memory(memory, violated[:, t])
             adequacy = 1.0 - np.abs(reserve - paths.loss[:, t + 1])
@@ -566,10 +560,10 @@ class ReserveEnv:
         loss = paths.loss[:, 1:]
         volatility = paths.volatility[:, 1:]
         shortfall = np.maximum(0.0, loss - reserve_path)
-        alphas = adaptive_alpha(volatility) if cfg.alpha_override is None else cfg.alpha_override
+        alphas = adaptive_alpha(volatility) if cfg.alpha is None else cfg.alpha
         cvar = self.buffer.push_many(shortfall.ravel(), np.ravel(alphas)).reshape(shape)
         inefficiency = np.abs(reserve_path - loss)
-        reward = compute_reward(cfg.weights, shortfall, cvar, inefficiency, violated)
+        reward = compute_reward(cfg, shortfall, cvar, inefficiency, violated)
         return Trace(
             episode=np.repeat(np.arange(n_episodes), horizon),
             t=np.tile(np.arange(horizon), n_episodes),
@@ -591,16 +585,15 @@ class ReserveEnv:
 @dataclass(frozen=True)
 class EnvFactory:
     """Builds fresh environments over one triangle: ``factory(mode, rng)``
-    is a :class:`ReserveEnv` under ``config`` with ``shock_mode`` set to
-    ``mode``, owning ``rng``.  Plain data, so it pickles into worker
-    processes."""
+    is a :class:`ReserveEnv` under ``config`` in shock mode ``mode``,
+    owning ``rng``.  Plain data, so it pickles into worker processes."""
 
     triangle: LossTriangle
     factors: DevelopmentFactors
     config: EnvConfig
 
     def __call__(self, mode: ShockMode, rng: np.random.Generator) -> ReserveEnv:
-        return ReserveEnv(self.triangle, self.factors, replace(self.config, shock_mode=mode), rng)
+        return ReserveEnv(self.triangle, self.factors, self.config, rng, mode)
 
 
 # --- per-step traces ----------------------------------------------------------

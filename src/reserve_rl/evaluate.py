@@ -28,13 +28,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import baselines
-from .agent import (
-    PPOConfig,
-    act_greedy,
-    observe,
-    train_curriculum,
-    train_seeds,
-)
+from .agent import PPOConfig, act_greedy, observe, train_seeds
 from .artifacts import write_csv, write_json
 from .baselines import StaticTargets
 from .env import EnvFactory, ReserveEnv, Trace
@@ -259,49 +253,10 @@ def pooled_regime_metrics(
     return compute_metrics(Trace.concat(traces))
 
 
-def cold_regime_test(
-    train_factory: EnvFactory,
-    eval_factory: EnvFactory,
-    ppo_config: PPOConfig,
-    baselines: Mapping[str, StaticTargets],
-    seeds: Sequence[int],
-    train_levels: Sequence[int] = (0, 1),
-    eval_level: int = 3,
-    episodes_per_level: int = 200,
-    ramp_episodes: int = 50,
-    eval_episodes: int = 100,
-    lob: str = "synthetic",
-    crn_base: int = 0,
-) -> EvalOutcome:
-    """Train on benign regimes only, then evaluate everyone in the worst.
-
-    Measures how the learned policy degrades on a regime it never saw,
-    against the static baselines (which never adapt anyway).
-    """
-    schedule = CurriculumSchedule(
-        levels=tuple(train_levels),
-        episodes_per_level=episodes_per_level,
-        ramp_episodes=ramp_episodes,
-    )
-    trained = train_curriculum(train_factory, ppo_config, schedule, seeds)
-    policies = {seed: agent.policy for seed, agent in trained.policies.items()}
-    return evaluate_models(
-        {"rl_cvar": policies, **baselines},
-        eval_factory,
-        [(f"regime:{eval_level}", Stochastic(eval_level))],
-        seeds,
-        eval_episodes,
-        lob=lob,
-        crn_base=crn_base,
-    )
-
-
 def sensitivity_sweep(
-    cell_factories: Callable[[float | None, tuple[float, float]], tuple[EnvFactory, EnvFactory]],
+    cells: Mapping[str, tuple[EnvFactory, EnvFactory]],
     ppo_config: PPOConfig,
     schedule: CurriculumSchedule,
-    alphas: Sequence[float | None],
-    floors: Mapping[str, tuple[float, float]],
     seeds: Sequence[int],
     eval_levels: Sequence[int] = (0, 1, 2, 3),
     episodes_per_level: int = 25,
@@ -309,26 +264,21 @@ def sensitivity_sweep(
     crn_base: int = 0,
     workers: int = 1,
 ) -> EvalOutcome:
-    """Retrain and re-evaluate over a grid of tail levels and floor rules.
+    """Retrain and re-evaluate once per cell of ``cells``, a mapping from
+    row label to that cell's (training, evaluation) environment factories.
 
-    Each (alpha, floor) cell trains fresh policies, then scores them on
-    episodes pooled uniformly across ``eval_levels``; ``alpha=None``
-    keeps the volatility-adaptive level.  Evaluation draws are paired
-    across cells.  Every (cell, seed) training is one job of a single
+    Each cell trains fresh policies, then scores them on episodes pooled
+    uniformly across ``eval_levels``.  Evaluation draws are paired across
+    cells.  Every (cell, seed) training is one job of a single
     :func:`train_seeds` call on up to ``workers`` processes.
     """
-    cells = []
-    for alpha in alphas:
-        alpha_label = "adaptive" if alpha is None else f"{alpha:g}"
-        for floor_name, floor in floors.items():
-            cells.append((f"alpha:{alpha_label};floor:{floor_name}", *cell_factories(alpha, floor)))
     runs = iter(train_seeds(
         [(train_factory, ppo_config, schedule, seed)
-         for _, train_factory, _ in cells for seed in seeds],
+         for train_factory, _ in cells.values() for seed in seeds],
         workers,
     ))
     outcome = EvalOutcome()
-    for label, _, eval_factory in cells:
+    for label, (_, eval_factory) in cells.items():
         per_seed = [
             pooled_regime_metrics(
                 {seed: next(runs).agent.policy}, eval_factory, eval_levels, seed,

@@ -35,7 +35,6 @@ from reserve_rl.cli import main as cli_main
 from reserve_rl.config import FLOOR_FORMS
 from reserve_rl.env import HOLD_ACTION, EnvConfig, EnvFactory, ReserveEnv
 from reserve_rl.evaluate import (
-    cold_regime_test,
     evaluate_models,
     regime_conditions,
     sensitivity_sweep,
@@ -79,12 +78,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 def env_factories(bundle, alpha=None, floor=FLOOR_FORMS["default"]):
     """(train, eval) environment factories over the shared data bundle."""
-    cfg = EnvConfig(
-        horizon=bundle.horizon,
-        alpha_override=alpha,
-        floor_base=floor[0],
-        floor_slope=floor[1],
-    )
+    cfg = EnvConfig(horizon=bundle.horizon, alpha=alpha, floor=floor)
     return (EnvFactory(bundle.train, bundle.factors, cfg),
             EnvFactory(bundle.test, bundle.factors, cfg))
 
@@ -184,11 +178,10 @@ def test_criterion_04_environment_algebra(bundle):
 
     # reward decomposition + adequacy identity under random actions,
     # with the tail term reproduced from an independent mirror buffer
-    cfg = EnvConfig(horizon=bundle.horizon, shock_mode=Stochastic(2))
-    env = ReserveEnv(bundle.train, bundle.factors, cfg, np.random.default_rng(404))
+    cfg = EnvConfig(horizon=bundle.horizon)
+    env = ReserveEnv(bundle.train, bundle.factors, cfg, np.random.default_rng(404), Stochastic(2))
     mirror = ShortfallBuffer(capacity=cfg.buffer_capacity, warmup_min=cfg.warmup_min)
     act_rng = np.random.default_rng(405)
-    w = cfg.weights
     max_reward_err = 0.0
     max_adequacy_err = 0.0
     for _ in range(1000):
@@ -199,13 +192,13 @@ def test_criterion_04_environment_algebra(bundle):
             shortfall = max(0.0, s.loss - s.reserve)
             mirror.push(shortfall)
             cvar = empirical_cvar(mirror, adaptive_alpha(s.volatility)).cvar
-            floor = cfg.floor_base + cfg.floor_slope * s.volatility
+            floor = cfg.floor[0] + cfg.floor[1] * s.volatility
             violated = 1.0 if s.reserve < floor else 0.0
             expected = -(
-                w.shortfall * shortfall
-                + w.cvar * cvar
-                + w.inefficiency * abs(s.reserve - s.loss)
-                + w.floor * violated
+                cfg.w_shortfall * shortfall
+                + cfg.w_cvar * cvar
+                + cfg.w_inefficiency * abs(s.reserve - s.loss)
+                + cfg.w_floor * violated
             )
             max_reward_err = max(max_reward_err, abs(outcome.reward - expected))
             max_adequacy_err = max(
@@ -214,10 +207,7 @@ def test_criterion_04_environment_algebra(bundle):
             steps += 1
 
     # violation memory follows 1 - 0.95^t when every step breaches
-    mem_cfg = EnvConfig(
-        horizon=bundle.horizon, floor_base=10.0, floor_slope=0.0,
-        shock_mode=Stochastic(0),
-    )
+    mem_cfg = EnvConfig(horizon=bundle.horizon, floor=(10.0, 0.0))
     mem_env = ReserveEnv(bundle.train, bundle.factors, mem_cfg, np.random.default_rng(406))
     max_memory_err = 0.0
     for _ in range(4):
@@ -230,8 +220,9 @@ def test_criterion_04_environment_algebra(bundle):
             steps += 1
 
     # noiseless unit shocks reduce development to the chain-ladder path
-    det_cfg = EnvConfig(horizon=bundle.horizon, noise_gain=0.0, shock_mode=FixedShock(1.0))
-    det_env = ReserveEnv(bundle.train, bundle.factors, det_cfg, np.random.default_rng(407))
+    det_cfg = EnvConfig(horizon=bundle.horizon, noise_gain=0.0)
+    det_env = ReserveEnv(bundle.train, bundle.factors, det_cfg, np.random.default_rng(407),
+                         FixedShock(1.0))
     profile = bundle.factors.cumulative_profile(bundle.horizon + 1)
     max_path_err = 0.0
     for _ in range(4):
@@ -383,14 +374,22 @@ def test_criterion_08_beats_chain_ladder_in_rough_regimes(full_run, bundle):
 
 @pytest.mark.slow
 def test_criterion_09_cold_regime(bundle):
+    """Train on the benign regimes 0 and 1 only, then evaluate the policies
+    and chain ladder (which never adapts anyway) in regime 3."""
     train_factory, eval_factory = env_factories(bundle)
+    schedule = CurriculumSchedule(levels=(0, 1), episodes_per_level=200, ramp_episodes=50)
     t0 = time.perf_counter()
-    outcome = cold_regime_test(
-        train_factory,
+    trained = train_curriculum(train_factory, STABLE, schedule, SEEDS5, WORKERS)
+    outcome = evaluate_models(
+        {
+            "rl_cvar": {seed: agent.policy for seed, agent in trained.policies.items()},
+            "chain_ladder": chain_ladder_targets(bundle.factors),
+        },
         eval_factory,
-        STABLE,
-        {"chain_ladder": chain_ladder_targets(bundle.factors)},
-        seeds=SEEDS5,
+        regime_conditions((3,)),
+        SEEDS5,
+        episodes=100,
+        crn_base=0,
     )
     elapsed = time.perf_counter() - t0
     rl = outcome.seed_medians("rl_cvar", "regime:3")
@@ -404,48 +403,38 @@ def test_criterion_09_cold_regime(bundle):
 
 @pytest.fixture(scope="module")
 def sweeps(bundle):
-    def cell_factories(alpha, floor):
-        return env_factories(bundle, alpha=alpha, floor=floor)
-
+    """One sweep over four cells: three tail levels under the default
+    floor and the strict floor at 0.95, all 20 trainings in one pool."""
+    cells = {
+        f"alpha:{alpha:g};floor:default": env_factories(bundle, alpha=alpha)
+        for alpha in (0.90, 0.925, 0.95)
+    }
+    cells["alpha:0.95;floor:strict"] = env_factories(
+        bundle, alpha=0.95, floor=FLOOR_FORMS["strict"]
+    )
     schedule = CurriculumSchedule(levels=(0, 1, 2, 3), episodes_per_level=1200,
                                   ramp_episodes=50)
     t0 = time.perf_counter()
-    default_sweep = sensitivity_sweep(
-        cell_factories, STABLE, schedule,
-        alphas=[0.90, 0.925, 0.95],
-        floors={"default": FLOOR_FORMS["default"]},
+    sweep = sensitivity_sweep(
+        cells, STABLE, schedule,
         eval_levels=(0, 1, 2, 3),
         episodes_per_level=50,
         seeds=SEEDS5,
         crn_base=0,
         workers=WORKERS,
     )
-    strict_sweep = sensitivity_sweep(
-        cell_factories, STABLE, schedule,
-        alphas=[0.95],
-        floors={"strict": FLOOR_FORMS["strict"]},
-        eval_levels=(0, 1, 2, 3),
-        episodes_per_level=50,
-        seeds=SEEDS5,
-        crn_base=0,
-        workers=WORKERS,
-    )
-    return {
-        "default": default_sweep,
-        "strict": strict_sweep,
-        "seconds": time.perf_counter() - t0,
-    }
+    return {"sweep": sweep, "seconds": time.perf_counter() - t0}
 
 
 @pytest.mark.slow
 def test_criterion_10_sensitivity_directions(sweeps):
     labels = ["alpha:0.9;floor:default", "alpha:0.925;floor:default",
               "alpha:0.95;floor:default"]
-    rvr = [sweeps["default"].seed_medians("rl_cvar", label).rvr for label in labels]
+    rvr = [sweeps["sweep"].seed_medians("rl_cvar", label).rvr for label in labels]
     rvr_monotone = all(cur <= prev + 1e-12 for prev, cur in zip(rvr, rvr[1:]))
 
-    strict = sweeps["strict"].seed_medians("rl_cvar", "alpha:0.95;floor:strict")
-    default = sweeps["default"].seed_medians("rl_cvar", "alpha:0.95;floor:default")
+    strict = sweeps["sweep"].seed_medians("rl_cvar", "alpha:0.95;floor:strict")
+    default = sweeps["sweep"].seed_medians("rl_cvar", "alpha:0.95;floor:default")
     floor_ok = strict.rvr <= default.rvr + 1e-12 and strict.ces < default.ces
 
     elapsed = sweeps["seconds"]

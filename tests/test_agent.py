@@ -257,7 +257,7 @@ def tiny_factory():
     factors = DevelopmentFactors(factors=(1.10, 1.066))
 
     def make(mode, rng):
-        return ReserveEnv(tri, factors, EnvConfig(shock_mode=mode), rng)
+        return ReserveEnv(tri, factors, EnvConfig(), rng, mode)
 
     return make
 

@@ -255,8 +255,9 @@ def _flat_env(horizon=3, episodes_seed=0):
         premiums=[2.0, 2.0, 2.0],
     )
     factors = DevelopmentFactors(factors=(1.10, 1.066))
-    cfg = EnvConfig(horizon=horizon, noise_gain=0.0, shock_mode=FixedShock(1.0))
-    return ReserveEnv(tri, factors, cfg, np.random.default_rng(episodes_seed)), factors
+    cfg = EnvConfig(horizon=horizon, noise_gain=0.0)
+    env = ReserveEnv(tri, factors, cfg, np.random.default_rng(episodes_seed), FixedShock(1.0))
+    return env, factors
 
 
 def test_replay_tracks_grid_exact_path_perfectly():

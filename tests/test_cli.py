@@ -307,6 +307,21 @@ def test_empty_seed_list_in_config_exits_1(pipeline, tmp_path):
     assert not (out / "train" / "training_log.csv").exists()
 
 
+@pytest.mark.parametrize("alphas", ["0.9,0.9", "0.9999991,0.9999992"])
+def test_sweep_alphas_sharing_a_label_exit_1(pipeline, tmp_path, alphas):
+    """Sweep cells are keyed by label, so two levels that print alike
+    would silently merge into one cell."""
+    config = tmp_path / "repeated.ini"
+    config.write_text(PIPELINE_INI.replace("sweep_alphas = 0.9", f"sweep_alphas = {alphas}"))
+    out = tmp_path / "runs"
+    code = main([
+        "--config", str(config), "--out", str(out), "sensitivity",
+        "--data", os.path.join(pipeline["out"], "ingest"),
+    ])
+    assert code == 1
+    assert not (out / "sensitivity" / "sensitivity.csv").exists()
+
+
 def test_missing_policies_exit_2(pipeline, tmp_path):
     code = main([
         "--config", pipeline["config"], "--out", str(tmp_path / "runs"),

@@ -15,10 +15,10 @@ from reserve_rl.config import (
     config_to_ini,
     default_config,
     load_config,
-    to_env_config,
 )
+from reserve_rl.env import EnvConfig
 from reserve_rl.errors import ConfigError, ConfigMismatch, EmptyBatch, IoFailure, UnknownLevel
-from reserve_rl.regimes import CurriculumSchedule, FixedShock, Stochastic
+from reserve_rl.regimes import CurriculumSchedule
 from test_cli import PIPELINE_INI
 
 
@@ -42,6 +42,10 @@ def test_fingerprint_is_pinned(tmp_path):
     )
     assert config_fingerprint(load_config(write_ini(tmp_path, PIPELINE_INI))) == (
         "bd0cb437780575956299a8a84388aa133ed4c421c2f435e83f909639f9faf279"
+    )
+    env_ini = "[env]\nhorizon = 12\nfloor = strict\nalpha = 0.93\nw_cvar = 4.0\n"
+    assert config_fingerprint(load_config(write_ini(tmp_path, env_ini))) == (
+        "6e3d1bd4e7563ddfdf829882e8862eef5bf2e26b316a1f3ff2ca109755d5102e"
     )
 
 
@@ -73,7 +77,7 @@ def test_horizon_special_values(tmp_path):
 def test_elr_and_floor_special_values(tmp_path):
     assert load_config(write_ini(tmp_path, "[baselines]\nelr = pooled\n")).baselines.elr is None
     assert load_config(write_ini(tmp_path, "[baselines]\nelr = 0.85\n")).baselines.elr == 0.85
-    assert load_config(write_ini(tmp_path, "[env]\nfloor = strict\n")).env.floor == "strict"
+    assert load_config(write_ini(tmp_path, "[env]\nfloor = strict\n")).env.floor == (0.5, 0.3)
     with pytest.raises(ConfigError):
         load_config(write_ini(tmp_path, "[env]\nfloor = bogus\n"))
 
@@ -105,33 +109,10 @@ def test_unreadable_and_malformed_files(tmp_path):
         load_config(write_ini(tmp_path, "key_without_section = 1\n"))
 
 
-def test_to_env_config_defaults_and_overrides():
-    cfg = load_config(None)
-    env_cfg = to_env_config(cfg)
-    assert (env_cfg.floor_base, env_cfg.floor_slope) == FLOOR_FORMS["default"]
-    assert env_cfg.alpha_override is None
-    assert env_cfg.shock_mode == Stochastic(0)
-    assert env_cfg.horizon is None
-
-    overridden = to_env_config(
-        cfg,
-        shock_mode=FixedShock(1.5),
-        alpha_override=0.99,
-        floor_base=FLOOR_FORMS["strict"][0],
-        floor_slope=FLOOR_FORMS["strict"][1],
-        horizon=7,
-    )
-    assert overridden.shock_mode == FixedShock(1.5)
-    assert overridden.alpha_override == 0.99
-    assert (overridden.floor_base, overridden.floor_slope) == (0.5, 0.3)
-    assert overridden.horizon == 7
-
-
-def test_to_env_config_alpha_none_is_an_override(tmp_path):
-    """Passing alpha_override=None explicitly must win over a pinned config value."""
-    cfg = load_config(write_ini(tmp_path, "[env]\nalpha = 0.93\n"))
-    assert to_env_config(cfg).alpha_override == 0.93
-    assert to_env_config(cfg, alpha_override=None).alpha_override is None
+def test_env_section_loads_as_env_config(tmp_path):
+    cfg = load_config(write_ini(tmp_path, "[env]\nfloor = strict\nalpha = 0.93\nw_cvar = 4.0\n"))
+    assert cfg.env == EnvConfig(floor=FLOOR_FORMS["strict"], alpha=0.93, w_cvar=4.0)
+    assert "floor = strict\n" in config_to_ini(cfg)
 
 
 def test_ppo_section_loads_as_ppo_config(tmp_path):

@@ -12,8 +12,8 @@ from reserve_rl.env import (
     DEFAULT_FLOOR,
     HOLD_ACTION,
     EnvConfig,
+    EnvFactory,
     ReserveEnv,
-    RewardWeights,
     Trace,
     apply_action,
     compute_reward,
@@ -40,9 +40,10 @@ def flat_triangle(initial: float = 1.0):
     )
 
 
-def make_env(config: EnvConfig | None = None, seed: int = 0, initial: float = 1.0):
+def make_env(config: EnvConfig | None = None, seed: int = 0, initial: float = 1.0,
+             mode=Stochastic(0)):
     cfg = config if config is not None else EnvConfig()
-    return ReserveEnv(flat_triangle(initial), GRID_FACTORS, cfg, np.random.default_rng(seed))
+    return ReserveEnv(flat_triangle(initial), GRID_FACTORS, cfg, np.random.default_rng(seed), mode)
 
 
 def test_reset_seeds_episode_from_triangle():
@@ -93,7 +94,7 @@ def test_solvency_floor_forms():
 def test_reward_decomposition_identity():
     env = make_env(seed=5)
     rng = np.random.default_rng(17)
-    w = env.config.weights
+    cfg = env.config
     for _ in range(8):
         env.reset()
         done = False
@@ -101,10 +102,10 @@ def test_reward_decomposition_identity():
             outcome = env.step(int(rng.integers(len(ACTION_GRID))))
             c = outcome.components
             expected = -(
-                w.shortfall * c.shortfall
-                + w.cvar * c.cvar
-                + w.inefficiency * c.inefficiency
-                + w.floor * (1.0 if c.violated else 0.0)
+                cfg.w_shortfall * c.shortfall
+                + cfg.w_cvar * c.cvar
+                + cfg.w_inefficiency * c.inefficiency
+                + cfg.w_floor * (1.0 if c.violated else 0.0)
             )
             assert outcome.reward == pytest.approx(expected, abs=1e-12)
             assert outcome.state.adequacy == pytest.approx(
@@ -123,15 +124,14 @@ def test_forced_floor_breach_penalized():
     assert outcome.components.violated
     c = outcome.components
     zero_floor = compute_reward(
-        RewardWeights(floor=0.0), c.shortfall, c.cvar, c.inefficiency, c.violated
+        EnvConfig(w_floor=0.0), c.shortfall, c.cvar, c.inefficiency, c.violated
     )
     assert outcome.reward == pytest.approx(zero_floor - 10.0, abs=1e-12)
 
 
 def test_violation_memory_closed_form():
     # an unreachable floor forces a breach every step: nu_t = 1 - 0.95^t
-    cfg = EnvConfig(floor_base=10.0, floor_slope=0.0)
-    env = make_env(cfg)
+    env = make_env(EnvConfig(floor=(10.0, 0.0)))
     env.reset()
     for t in range(1, env.horizon + 1):
         outcome = env.step(HOLD_ACTION)
@@ -155,8 +155,7 @@ def test_floor_checked_on_post_action_reserve():
 
 
 def test_noiseless_chain_ladder_reduction():
-    cfg = EnvConfig(noise_gain=0.0, shock_mode=FixedShock(1.0))
-    env = make_env(cfg)
+    env = make_env(EnvConfig(noise_gain=0.0), mode=FixedShock(1.0))
     for _ in range(4):
         state = env.reset()
         path = state.loss * GRID_FACTORS.cumulative_profile(env.horizon + 1)
@@ -170,9 +169,8 @@ def test_replaying_same_seed_aligns_streams():
     # the random stream is consumed identically per step, so two runs
     # with equal seeds see the same loss and shock paths even under
     # different action sequences (common random numbers)
-    cfg = EnvConfig(shock_mode=Stochastic(2))
-    env_a = make_env(cfg, seed=7)
-    env_b = make_env(cfg, seed=7)
+    env_a = make_env(seed=7, mode=Stochastic(2))
+    env_b = make_env(seed=7, mode=Stochastic(2))
     sa = env_a.reset()
     sb = env_b.reset()
     assert sa.shock == sb.shock
@@ -230,15 +228,15 @@ def test_env_config_validation():
     with pytest.raises(ConfigMismatch):
         EnvConfig(noise_gain=-0.1)
     with pytest.raises(ConfigMismatch):
-        EnvConfig(floor_base=-0.4)
+        EnvConfig(floor=(-0.4, 0.2))
     with pytest.raises(ConfigMismatch):
-        EnvConfig(alpha_override=1.0)
+        EnvConfig(alpha=1.0)
     with pytest.raises(ConfigMismatch):
-        RewardWeights(cvar=-1.0)
+        EnvConfig(w_cvar=-1.0)
 
 
 def test_alpha_override_and_adaptive():
-    env = make_env(EnvConfig(alpha_override=0.93))
+    env = make_env(EnvConfig(alpha=0.93))
     env.reset()
     done = False
     while not done:
@@ -257,7 +255,7 @@ def test_alpha_override_and_adaptive():
 
 
 def test_fixed_shock_mode_state():
-    env = make_env(EnvConfig(shock_mode=FixedShock(1.5)))
+    env = make_env(mode=FixedShock(1.5))
     state = env.reset()
     assert state.level == 0
     assert state.shock == 1.5
@@ -266,8 +264,15 @@ def test_fixed_shock_mode_state():
     assert outcome.state.shock == 1.5
 
 
+def test_factory_builds_env_in_its_shock_mode():
+    factory = EnvFactory(flat_triangle(), GRID_FACTORS, EnvConfig())
+    paths = factory(FixedShock(1.5), np.random.default_rng(0)).draw_paths(3)
+    assert np.all(paths.shock == 1.5)
+    assert factory(Stochastic(2), np.random.default_rng(0)).reset().level == 2
+
+
 def test_shock_applied_is_pre_step_shock():
-    env = make_env(EnvConfig(shock_mode=Stochastic(1)))
+    env = make_env(mode=Stochastic(1))
     state = env.reset()
     pending = state.shock
     for _ in range(env.horizon):

@@ -174,8 +174,7 @@ def flat_env_factory(mode, rng):
         [[1.0, 1.1, 1.17], [1.0, 1.1], [1.0]],
         premiums=[2.0, 2.0, 2.0],
     )
-    cfg = EnvConfig(horizon=3, shock_mode=mode)
-    return ReserveEnv(tri, FLAT_FACTORS, cfg, rng)
+    return ReserveEnv(tri, FLAT_FACTORS, EnvConfig(horizon=3), rng, mode)
 
 
 def test_evaluate_models_pairs_random_draws():
@@ -306,9 +305,14 @@ def test_sensitivity_sweep_workers_are_bitwise_serial():
     tri = triangle_from_arrays([[1.0, 1.1, 1.17], [1.0, 1.1], [1.0]], premiums=[2.0] * 3)
 
     def cell_factories(alpha, floor):
-        cfg = EnvConfig(horizon=3, alpha_override=alpha, floor_base=floor[0],
-                        floor_slope=floor[1])
+        cfg = EnvConfig(horizon=3, alpha=alpha, floor=floor)
         return EnvFactory(tri, FLAT_FACTORS, cfg), EnvFactory(tri, FLAT_FACTORS, cfg)
+
+    cells = {
+        f"alpha:{alpha_label};floor:{floor_name}": cell_factories(alpha, floor)
+        for alpha_label, alpha in (("0.9", 0.9), ("adaptive", None))
+        for floor_name, floor in FLOOR_FORMS.items()
+    }
 
     config = PPOConfig(batch_size=12, minibatch_size=6, epochs=1, hidden=(8,))
     schedule = CurriculumSchedule(levels=(0, 1), episodes_per_level=6, ramp_episodes=2)
@@ -316,9 +320,7 @@ def test_sensitivity_sweep_workers_are_bitwise_serial():
 
     def sweep(workers):
         return sensitivity_sweep(
-            cell_factories, config, schedule,
-            alphas=[0.9, None],
-            floors=FLOOR_FORMS,
+            cells, config, schedule,
             seeds=seeds,
             eval_levels=(0, 1),
             episodes_per_level=4,

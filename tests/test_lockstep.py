@@ -55,7 +55,7 @@ CONDITIONS = [Stochastic(0), Stochastic(1), Stochastic(2), Stochastic(3),
 CONFIGS = {
     "default": {},
     "noiseless": {"noise_gain": 0.0},
-    "alpha_override": {"alpha_override": 0.97},
+    "alpha_override": {"alpha": 0.97},
     "small_buffer": {"buffer_capacity": 64},
 }
 
@@ -92,11 +92,11 @@ def assert_same_run(make_env, lockstep, scalar, tmp_path) -> Trace:
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
 @pytest.mark.parametrize("mode", CONDITIONS, ids=repr)
 def test_lockstep_matches_scalar(bundle, mode, config_name, tmp_path):
-    cfg = EnvConfig(shock_mode=mode, **CONFIGS[config_name])
+    cfg = EnvConfig(**CONFIGS[config_name])
     factors = bundle.factors
 
     def make_env():
-        return ReserveEnv(bundle.train, factors, cfg, np.random.default_rng([5, 11]))
+        return ReserveEnv(bundle.train, factors, cfg, np.random.default_rng([5, 11]), mode)
 
     policy = perturbed_policy()
     trace = assert_same_run(
@@ -135,10 +135,8 @@ def test_trace_writers_match_rowwise_oracle(bundle, mode, tmp_path):
     share their loss, volatility and shock columns."""
     elr = implied_loss_ratio(bundle.train, bundle.factors)
     boot = bootstrap_chain_ladder(bundle.train, 50, np.random.default_rng(3))
-    cfg = EnvConfig(shock_mode=mode)
-
     def env():
-        return ReserveEnv(bundle.train, bundle.factors, cfg, np.random.default_rng(9))
+        return ReserveEnv(bundle.train, bundle.factors, EnvConfig(), np.random.default_rng(9), mode)
 
     traces = [run_policy_episodes(env(), perturbed_policy(), 40)] + [
         replay_static_policy(env(), targets, 40)
@@ -259,8 +257,8 @@ def test_training_matches_scalar(bundle, case, tmp_path, monkeypatch):
             return generators[-1]
 
         def make_env(mode, rng):
-            cfg = EnvConfig(shock_mode=mode, **env_kwargs)
-            envs.append(ReserveEnv(bundle.train, bundle.factors, cfg, rng))
+            cfg = EnvConfig(**env_kwargs)
+            envs.append(ReserveEnv(bundle.train, bundle.factors, cfg, rng, mode))
             return envs[-1]
 
         with monkeypatch.context() as patch:

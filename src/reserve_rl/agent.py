@@ -253,7 +253,8 @@ class Batch:
     actions: np.ndarray      # (B,) int
     old_logp: np.ndarray     # (B,)
     advantages: np.ndarray   # (B,)
-    returns: np.ndarray      # (B,)
+    returns: np.ndarray      # (B,) GAE returns G = advantages + values
+    values: np.ndarray       # (B,) value estimates V made during the rollout
 
     def __len__(self) -> int:
         return int(self.actions.size)
@@ -265,17 +266,33 @@ class Batch:
             old_logp=self.old_logp[idx],
             advantages=self.advantages[idx],
             returns=self.returns[idx],
+            values=self.values[idx],
         )
 
 
 @dataclass
 class UpdateStats:
+    """One minibatch's loss terms and pre-clip gradient norm or, from
+    :func:`ppo_update`, their means over an update's minibatches plus the
+    value head's explained variance over the whole batch."""
+
     policy_loss: float
     value_loss: float
     entropy: float
     clip_fraction: float
     approx_kl: float
-    grad_norm: float
+    grad_norm: float = 0.0
+    explained_variance: float = math.nan
+
+
+def explained_variance(values: np.ndarray, returns: np.ndarray) -> float:
+    """``1 - Var(G - V) / Var(G)`` of returns G against value estimates V:
+    1 for a perfect value head, 0 for a constant one; NaN when G does not
+    vary."""
+    var_returns = returns.var()
+    if var_returns == 0.0:
+        return math.nan
+    return float(1.0 - (returns - values).var() / var_returns)
 
 
 def ppo_loss_and_grads(
@@ -345,7 +362,6 @@ def ppo_loss_and_grads(
         entropy=mean_entropy,
         clip_fraction=_mean(~use_raw),
         approx_kl=_mean(batch.old_logp - logp),
-        grad_norm=0.0,
     )
     return loss, stats
 
@@ -361,7 +377,8 @@ def ppo_update(
 
     Advantages are normalized to zero mean / unit variance over the
     whole batch before any epoch.  ``adam`` steps ``agent.vector``.
-    Returns the mean of the minibatches' statistics.
+    Returns the mean of the minibatches' statistics and the batch's
+    :func:`explained_variance`.
 
     Raises:
         EmptyBatch: No transitions.
@@ -370,6 +387,7 @@ def ppo_update(
     n = len(batch)
     if n == 0:
         raise EmptyBatch("cannot update from an empty batch")
+    explained = explained_variance(batch.values, batch.returns)
     adv = batch.advantages
     batch = replace(batch, advantages=(adv - _mean(adv)) / (adv.std() + 1e-8))
     grads = AgentParams.empty_like(agent.policy, agent.value)
@@ -387,7 +405,8 @@ def ppo_update(
     return UpdateStats(**{
         f.name: float(np.mean([getattr(s, f.name) for s in minibatch_stats]))
         for f in fields(UpdateStats)
-    })
+        if f.name != "explained_variance"
+    }, explained_variance=explained)
 
 
 # --- curriculum training -------------------------------------------------------
@@ -424,13 +443,15 @@ def write_training_log(rows: Sequence[TrainLogRow], path: str) -> None:
 
 
 UPDATE_LOG_HEADER = (
-    "seed,level,update,policy_loss,value_loss,entropy,clip_fraction,approx_kl,grad_norm"
+    "seed,level,update,policy_loss,value_loss,entropy,clip_fraction,approx_kl,grad_norm,"
+    "explained_variance"
 )
 
 
 def write_update_log(update_stats: dict[int, list[tuple[int, UpdateStats]]], path: str) -> None:
     """One row per update: seed, level, the update's index in its seed's run
-    (from 0), then the :class:`UpdateStats` minibatch means."""
+    (from 0), then the :class:`UpdateStats` fields (minibatch means, then
+    the batch's explained variance)."""
     write_csv(path, UPDATE_LOG_HEADER, (
         (seed, level, update, *astuple(stats))
         for seed, updates in update_stats.items()
@@ -517,6 +538,7 @@ def train_seed(
             old_logp=logps.ravel(),
             advantages=advantages,
             returns=returns,
+            values=values.ravel(),
         )
 
     per_batch = -(-config.batch_size // horizon)

@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .artifacts import write_csv
-from .env import ACTION_GRID, HOLD_ACTION, TIE_BREAK_ORDER, ReserveEnv, Trace
+from .env import ACTION_GRID, HOLD_ACTION, TIE_BREAK_ORDER, LossPaths, ReserveEnv, Trace
 from .errors import DegenerateResiduals, InsufficientData, MissingPremium
 from .triangles import DevelopmentFactors, LossTriangle, age_to_age_factors
 
@@ -428,18 +428,21 @@ def replay_static_policy(
     env: ReserveEnv,
     targets: StaticTargets,
     episodes: int,
+    paths: LossPaths | None = None,
 ) -> Trace:
-    """Drive the environment along a per-episode target reserve path.
+    """Drive the environment along a per-episode target reserve path over
+    ``paths`` (``episodes`` episodes; drawn from ``env`` when not given).
 
     At step t the adapter steers toward ``path[t + 1]`` (the level the
     method prescribes for the post-action position, matching how the
     reward is scored): the nearest grid action when the required move is
     within the grid's range, otherwise the extreme action in that
-    direction.  The final step holds the path's last value.  The paths
-    are built once for the run, from the episodes' initial losses and
-    premiums, and all episodes step in lockstep.
+    direction.  The final step holds the path's last value.  The target
+    paths are built once for the run, from the episodes' initial losses
+    and premiums, and all episodes step in lockstep.
     """
-    paths = env.draw_paths(episodes)
+    if paths is None:
+        paths = env.draw_paths(episodes)
     target = targets(
         np.array([info.initial_loss for info in paths.infos]),
         np.array([info.premium for info in paths.infos]),

@@ -18,19 +18,16 @@ import configparser
 import datetime
 import hashlib
 from dataclasses import dataclass, field, fields
-from importlib import metadata
 from typing import Mapping, Sequence
 
 from .artifacts import git_blob_sha1
 from .env import DEFAULT_FLOOR, STRICT_FLOOR, EnvConfig
-from .errors import ConfigError
+from .errors import ConfigError, ConfigMismatch
 from .agent import PPOConfig
 from .regimes import CurriculumSchedule
 
-try:
-    VERSION = metadata.version("reserve-rl")
-except metadata.PackageNotFoundError:  # running from a source tree
-    VERSION = "0.1.0"
+#: ``[project] version`` of ``pyproject.toml``, which a test keeps equal.
+VERSION = "0.1.0"
 
 #: ``[env] floor`` name -> the (base, slope) pair :class:`EnvConfig` holds.
 FLOOR_FORMS: Mapping[str, tuple[float, float]] = {
@@ -38,6 +35,12 @@ FLOOR_FORMS: Mapping[str, tuple[float, float]] = {
     "strict": STRICT_FLOOR,
 }
 _FLOOR_NAMES = {form: name for name, form in FLOOR_FORMS.items()}
+
+
+def _require_positive(section: object, *names: str) -> None:
+    for name in names:
+        if getattr(section, name) < 1:
+            raise ConfigMismatch(f"{name} must be >= 1, got {getattr(section, name)}")
 
 
 @dataclass(frozen=True)
@@ -58,12 +61,18 @@ class EvalSection:
     sweep_alphas: tuple[float, ...] = (0.90, 0.95, 0.99)
     sweep_episodes_per_level: int = 25
 
+    def __post_init__(self) -> None:
+        _require_positive(self, "episodes", "sweep_episodes_per_level")
+
 
 @dataclass(frozen=True)
 class BaselineSection:
     bootstrap_sims: int = 1000
     bootstrap_seed: int = 7
     elr: float | None = None            # None -> pooled implied ratio
+
+    def __post_init__(self) -> None:
+        _require_positive(self, "bootstrap_sims")
 
 
 @dataclass(frozen=True)
@@ -127,7 +136,8 @@ def load_config(path: str | None) -> RunConfig:
     Raises:
         ConfigError: Unknown section or key, unreadable file, an
             unparsable value, or a value the section's class rejects
-            (``[env]``, ``[regimes]`` and ``[ppo]``).
+            (``[env]``, ``[regimes]``, ``[ppo]``, and a count below 1 in
+            ``[eval]`` or ``[baselines]``).
     """
     if path is None:
         return default_config()

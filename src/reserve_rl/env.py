@@ -458,7 +458,9 @@ class ReserveEnv:
         schedule = schedule if schedule is not None else CurriculumSchedule()
         cfg = self.config
         mode = self._mode
-        progress = np.broadcast_to(episode_progress, (episodes,)).tolist()
+        # a scalar progress gives one (mu, var) pair, broadcast over the episodes
+        shape = (episodes,) if np.ndim(episode_progress) else (1,)
+        progress = np.broadcast_to(episode_progress, shape).tolist()
         params = [effective_params(mode, p, schedule) for p in progress]
         mu, var = np.array(params).reshape(-1, 2).T
         sd = np.sqrt(var)[:, None]

@@ -12,7 +12,7 @@ Four headline metrics summarize a trace of post-transition snapshots:
 * ``rvr``   -- regulatory violation rate, fraction of steps below the
   solvency floor.
 
-Comparisons between models reuse identical environment seeds per
+Comparisons between models replay one draw of loss paths per
 (condition, seed) cell, so paired differences reflect policy choices
 rather than luck of the draw.
 """
@@ -31,7 +31,7 @@ from . import baselines
 from .agent import PPOConfig, act_greedy, observe, train_seeds
 from .artifacts import write_csv, write_json
 from .baselines import StaticTargets
-from .env import EnvFactory, ReserveEnv, Trace
+from .env import EnvFactory, LossPaths, ReserveEnv, Trace
 from .errors import EmptyReport, NoEligibleSteps, TooFewSamples
 from .nets import MLPParams
 from .regimes import CurriculumSchedule, FixedShock, ShockMode, Stochastic
@@ -139,22 +139,31 @@ def aggregate_metrics(
     )
 
 
-def run_policy_episodes(env: ReserveEnv, policy: MLPParams, episodes: int) -> Trace:
-    """Roll the greedy policy for a fixed number of episodes, all of
-    them in lockstep (one batched forward pass per step)."""
-    return env.rollout(env.draw_paths(episodes), lambda state: act_greedy(policy, observe(state)))
+def run_policy_episodes(
+    env: ReserveEnv, policy: MLPParams, episodes: int, paths: LossPaths | None = None
+) -> Trace:
+    """Roll the greedy policy over ``paths`` (``episodes`` episodes; drawn
+    from ``env`` when not given), all of them in lockstep (one batched
+    forward pass per step)."""
+    if paths is None:
+        paths = env.draw_paths(episodes)
+    return env.rollout(paths, lambda state: act_greedy(policy, observe(state)))
 
 
 def _run_model(
-    model: Mapping[int, MLPParams] | StaticTargets, env: ReserveEnv, seed: int, episodes: int
+    model: Mapping[int, MLPParams] | StaticTargets,
+    env: ReserveEnv,
+    seed: int,
+    episodes: int,
+    paths: LossPaths | None = None,
 ) -> Trace:
     """Run one model for ``episodes`` episodes: trained policies by seed
     act greedily, a classical baseline's targets are replayed (the same
     for every seed)."""
     if isinstance(model, Mapping):
-        return run_policy_episodes(env, model[seed], episodes)
+        return run_policy_episodes(env, model[seed], episodes, paths)
     # looked up on the module at call time, so a wrapper installed there sees it
-    return baselines.replay_static_policy(env, model, episodes)
+    return baselines.replay_static_policy(env, model, episodes, paths)
 
 
 def regime_conditions(levels: Sequence[int]) -> list[tuple[str, ShockMode]]:
@@ -196,26 +205,30 @@ def evaluate_models(
     """Run every model under every condition with paired random draws.
 
     A model is a ``{seed: policy}`` table or a baseline's
-    :data:`StaticTargets` (see :func:`_run_model`).  The environment
-    generator for a (condition, seed) cell is derived from ``(crn_base,
-    condition index, seed)`` only, so all models in that cell see
-    identical shock and noise sequences.  ``traces``, if
-    given, receives each condition's traces as soon as its last model has
-    run, so no more than one condition's traces are held at a time.  The
-    timing line leaves the sink's time out.
+    :data:`StaticTargets` (see :func:`_run_model`).  The loss paths of a
+    (condition, seed) cell are drawn once, from a generator seeded with
+    ``(crn_base, condition index, seed)`` only, and every model replays
+    them on a fresh environment (an empty tail buffer), so all models in
+    that cell see identical shock and noise sequences.  A condition's
+    paths are drawn before its models run.  ``traces``, if given,
+    receives each condition's traces as soon as its last model has run,
+    so no more than one condition's paths and traces are held at a time.
+    The timing line leaves the sink's time out.
     """
     started = time.perf_counter()
     sink_seconds = 0.0
     outcome = EvalOutcome()
     for cond_idx, (label, mode) in enumerate(conditions):
+        draws = []
+        for seed in seeds:
+            env_rng = np.random.default_rng([crn_base, cond_idx, seed])
+            draws.append((seed, env_rng, make_env(mode, env_rng).draw_paths(episodes)))
         cond_traces: dict[str, Trace] = {}
         for name, model in models.items():
             per_seed: list[MetricSet] = []
             cell_traces: list[Trace] = []
-            for seed in seeds:
-                env_rng = np.random.default_rng([crn_base, cond_idx, seed])
-                env = make_env(mode, env_rng)
-                trace = _run_model(model, env, seed, episodes)
+            for seed, env_rng, paths in draws:
+                trace = _run_model(model, make_env(mode, env_rng), seed, episodes, paths)
                 per_seed.append(compute_metrics(trace))
                 if traces is not None:
                     cell_traces.append(trace)
@@ -230,8 +243,9 @@ def evaluate_models(
             sink_seconds += time.perf_counter() - sink_started
     seconds = time.perf_counter() - started - sink_seconds
     cells = len(conditions) * len(models) * len(seeds)
-    log.info("evaluated %d cells, %d episodes in %.2f s (%.0f episodes/s)",
-             cells, cells * episodes, seconds, cells * episodes / seconds)
+    log.info("evaluated %d cells, %d episodes from %d path draws in %.2f s (%.0f episodes/s)",
+             cells, cells * episodes, len(conditions) * len(seeds), seconds,
+             cells * episodes / seconds)
     return outcome
 
 

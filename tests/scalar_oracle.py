@@ -204,8 +204,12 @@ def list_clip_global_norm(grads, max_norm):
 
 
 def list_ppo_update(policy, value, batch, config, adam, rng):
-    """The multi-epoch update over per-array networks; mean minibatch stats."""
+    """The multi-epoch update over per-array networks; mean minibatch stats
+    and the batch's explained variance."""
     n = len(batch)
+    var_returns = np.var(batch.returns)
+    explained = (math.nan if var_returns == 0.0
+                 else float(1.0 - np.var(batch.returns - batch.values) / var_returns))
     adv = batch.advantages
     batch = Batch(
         obs=batch.obs,
@@ -213,6 +217,7 @@ def list_ppo_update(policy, value, batch, config, adam, rng):
         old_logp=batch.old_logp,
         advantages=(adv - adv.mean()) / (adv.std() + 1e-8),
         returns=batch.returns,
+        values=batch.values,
     )
     params = policy.layers() + value.layers()
     flat_grads = AgentParams.empty_like(policy, value)
@@ -230,8 +235,9 @@ def list_ppo_update(policy, value, batch, config, adam, rng):
             adam.step(params, grads)
             seen.append(stats)
     return UpdateStats(**{
-        f.name: float(np.mean([getattr(s, f.name) for s in seen])) for f in fields(UpdateStats)
-    })
+        f.name: float(np.mean([getattr(s, f.name) for s in seen]))
+        for f in fields(UpdateStats) if f.name != "explained_variance"
+    }, explained_variance=explained)
 
 
 def scalar_train_curriculum(make_env, config: PPOConfig, schedule: CurriculumSchedule, seeds):
@@ -263,6 +269,7 @@ def scalar_train_curriculum(make_env, config: PPOConfig, schedule: CurriculumSch
                 old_logp=np.asarray(buffer["logps"]),
                 advantages=advantages,
                 returns=returns,
+                values=np.asarray(buffer["values"]),
             )
             stats.append((level, list_ppo_update(policy, value, batch, config, adam, update_rng)))
             for column in buffer.values():

@@ -149,6 +149,7 @@ def test_criterion_03_gradient_check():
             old_logp=np.log(rng.uniform(0.1, 0.9, size=10)),
             advantages=rng.normal(size=10),
             returns=rng.normal(size=10),
+            values=np.zeros(10),  # not read by the loss; drawing it would move the rng
         )
         grads = AgentParams.empty_like(policy, value)
         probe_grads = AgentParams.empty_like(policy, value)

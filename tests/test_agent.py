@@ -165,6 +165,7 @@ def make_batch(rng, n=16):
         old_logp=np.log(rng.uniform(0.05, 0.9, size=n)),
         advantages=rng.normal(size=n),
         returns=rng.normal(size=n),
+        values=rng.normal(size=n),
     )
 
 
@@ -230,6 +231,7 @@ def test_ppo_loss_empty_minibatch_rejected():
         old_logp=np.empty(0),
         advantages=np.empty(0),
         returns=np.empty(0),
+        values=np.empty(0),
     )
     with pytest.raises(EmptyBatch):
         ppo_loss_and_grads(agent.policy, agent.value, empty, config,
@@ -315,9 +317,51 @@ def test_write_training_log(tmp_path):
     level, stats = result.update_stats[1][0]
     assert lines[1:] == [
         f"1,0,0,{stats.policy_loss!r},{stats.value_loss!r},{stats.entropy!r},"
-        f"{stats.clip_fraction!r},{stats.approx_kl!r},{stats.grad_norm!r}"
+        f"{stats.clip_fraction!r},{stats.approx_kl!r},{stats.grad_norm!r},"
+        f"{stats.explained_variance!r}"
     ]
     assert level == 0
+
+
+def test_update_log_explained_variance_matches_numpy(tmp_path, monkeypatch):
+    """The ``explained_variance`` column is ``1 - Var(G - V) / Var(G)`` of
+    each update's batch, G the GAE returns and V the rollout's values."""
+    batches = []
+    update = agent_module.ppo_update
+
+    def recording(agent, batch, *args):
+        batches.append((batch.returns.copy(), batch.values.copy()))
+        return update(agent, batch, *args)
+
+    monkeypatch.setattr(agent_module, "ppo_update", recording)
+    config = PPOConfig(batch_size=12, minibatch_size=6, hidden=(8,))
+    schedule = CurriculumSchedule(levels=(0, 1), episodes_per_level=8, ramp_episodes=2)
+    result = train_curriculum(tiny_factory(), config, schedule, (4,))
+    path = tmp_path / "updates.csv"
+    write_update_log(result.update_stats, str(path))
+    lines = path.read_text().splitlines()
+    assert lines[0].split(",")[-1] == "explained_variance"
+    column = [float(line.split(",")[-1]) for line in lines[1:]]
+    expected = []
+    for returns, values in batches:
+        residual = returns - values
+        var_g = np.mean((returns - np.mean(returns)) ** 2)
+        expected.append(1.0 - np.mean((residual - np.mean(residual)) ** 2) / var_g)
+    assert len(column) == len(batches) == 4  # 2 levels x 8 episodes, 4 episodes per batch
+    np.testing.assert_allclose(column, expected, rtol=1e-12, atol=1e-12)
+    assert len(set(column)) > 1
+
+
+def test_explained_variance_is_nan_for_constant_returns(tmp_path):
+    returns = np.full(5, 2.0)
+    assert np.isnan(agent_module.explained_variance(np.arange(5.0), returns))
+    assert agent_module.explained_variance(np.arange(5.0), np.arange(5.0)) == 1.0
+    assert agent_module.explained_variance(returns, np.arange(5.0)) == 0.0
+    stats = agent_module.UpdateStats(0.5, 0.25, 1.0, 0.0, 0.0, 0.125,
+                                     agent_module.explained_variance(returns, returns))
+    path = tmp_path / "updates.csv"
+    write_update_log({3: [(1, stats)]}, str(path))
+    assert path.read_text().splitlines()[1] == "3,1,0,0.5,0.25,1.0,0.0,0.0,0.125,nan"
 
 
 def has_child_process() -> bool:

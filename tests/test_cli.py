@@ -286,6 +286,29 @@ def test_unknown_config_key_exits_1(tmp_path):
     assert main(["--config", str(bad), "--print-config"]) == 1
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("baselines", "bootstrap_sims", "0"),
+    ("baselines", "bootstrap_sims", "-5"),
+    ("eval", "episodes", "-3"),
+    ("eval", "episodes", "0"),
+])
+def test_non_positive_counts_exit_1_without_traceback(pipeline, tmp_path, section, key, value):
+    """A count below 1 is refused as the INI loads, with one ``error:`` line."""
+    config = tmp_path / "bad_count.ini"
+    config.write_text(f"[{section}]\n{key} = {value}\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "reserve_rl.cli", "--config", str(config),
+         "--out", str(tmp_path / "runs"), "evaluate",
+         "--data", os.path.join(pipeline["out"], "ingest")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1, done.stderr
+    assert done.stderr == f"error: {key} must be >= 1, got {value}\n"
+
+
 def test_missing_triangle_exits_2(tmp_path):
     out = str(tmp_path / "runs")
     assert main(["--out", out, "ingest", "--triangle", str(tmp_path / "nope.csv")]) == 2

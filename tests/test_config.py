@@ -1,7 +1,9 @@
 """INI config loading, canonical rendering, and manifest identity."""
 
 import json
+import os
 import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +12,7 @@ from reserve_rl.artifacts import git_blob_sha1, write_json
 from reserve_rl.cli import main
 from reserve_rl.config import (
     FLOOR_FORMS,
+    VERSION,
     build_manifest,
     config_fingerprint,
     config_to_ini,
@@ -132,12 +135,35 @@ def test_regimes_section_loads_as_schedule(tmp_path):
     ("[regimes]\nramp_episodes = 0\n", UnknownLevel),
     ("[regimes]\nlevels = 2,1\n", UnknownLevel),
     ("[env]\nvol_window = 1\n", ConfigMismatch),
+    ("[eval]\nepisodes = 0\n", ConfigMismatch),
+    ("[eval]\nepisodes = -3\n", ConfigMismatch),
+    ("[eval]\nsweep_episodes_per_level = 0\n", ConfigMismatch),
+    ("[baselines]\nbootstrap_sims = 0\n", ConfigMismatch),
+    ("[baselines]\nbootstrap_sims = -5\n", ConfigMismatch),
 ])
 def test_invalid_runtime_values_fail_on_load(tmp_path, body, error):
     path = write_ini(tmp_path, body)
     with pytest.raises(error):
         load_config(path)
     assert main(["--config", path, "--print-config"]) == 1
+
+
+def test_smallest_counts_load(tmp_path):
+    cfg = load_config(write_ini(
+        tmp_path,
+        "[eval]\nepisodes = 1\nsweep_episodes_per_level = 1\n[baselines]\nbootstrap_sims = 1\n",
+    ))
+    assert (cfg.eval.episodes, cfg.eval.sweep_episodes_per_level) == (1, 1)
+    assert cfg.baselines.bootstrap_sims == 1
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_version_matches_pyproject():
+    import tomllib
+
+    with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml"), "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    assert VERSION == project["version"]
 
 
 def test_git_blob_sha1_matches_git(tmp_path):

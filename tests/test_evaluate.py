@@ -40,6 +40,7 @@ from reserve_rl.evaluate import (
     sensitivity_sweep,
     stress_conditions,
 )
+from reserve_rl.nets import init_mlp
 from reserve_rl.regimes import CurriculumSchedule, Stochastic
 from reserve_rl.risk import tail_estimate
 from reserve_rl.triangles import DevelopmentFactors, triangle_from_arrays
@@ -220,9 +221,34 @@ def test_evaluate_models_distinct_cells_use_distinct_draws():
     assert not np.array_equal(first, second)
 
 
+def test_evaluate_models_draws_each_cell_once(monkeypatch):
+    """One ``draw_paths`` call per (condition, seed) cell, however many
+    models replay it."""
+    draws = []
+    draw_paths = ReserveEnv.draw_paths
+
+    def counted(self, episodes, *args, **kwargs):
+        draws.append(episodes)
+        return draw_paths(self, episodes, *args, **kwargs)
+
+    monkeypatch.setattr(ReserveEnv, "draw_paths", counted)
+    seeds = (0, 1)
+    policy = init_mlp((7, 8, 7), np.random.default_rng(2), final_gain=1.0)
+    models = {
+        "rl": {seed: policy for seed in seeds},
+        "cl": chain_ladder_targets(FLAT_FACTORS),
+        "bf": bornhuetter_ferguson_targets(FLAT_FACTORS, 0.9),
+    }
+    conditions = regime_conditions([0, 2]) + stress_conditions([1.5])
+    outcome = evaluate_models(models, flat_env_factory, conditions, seeds, episodes=7)
+    assert draws == [7] * len(conditions) * len(seeds)
+    assert len(outcome.rows) == len(conditions) * len(models)
+
+
 def test_evaluate_models_logs_one_timing_line(caplog):
     """One INFO line per call: (condition, model, seed) cells, episodes,
-    wall seconds and episodes per second."""
+    path draws (one per condition and seed), wall seconds and episodes
+    per second."""
     models = {
         "cl": chain_ladder_targets(FLAT_FACTORS),
         "bf": bornhuetter_ferguson_targets(FLAT_FACTORS, 0.9),
@@ -232,8 +258,10 @@ def test_evaluate_models_logs_one_timing_line(caplog):
                         episodes=7)
     timings = [r.getMessage() for r in caplog.records if "episodes/s" in r.getMessage()]
     assert len(timings) == 1
-    assert re.fullmatch(r"evaluated 12 cells, 84 episodes in \d+\.\d\d s \(\d+ episodes/s\)",
-                        timings[0])
+    assert re.fullmatch(
+        r"evaluated 12 cells, 84 episodes from 6 path draws in \d+\.\d\d s \(\d+ episodes/s\)",
+        timings[0],
+    )
 
 
 def test_evaluate_models_streams_traces_per_condition(caplog, monkeypatch):
@@ -254,9 +282,9 @@ def test_evaluate_models_streams_traces_per_condition(caplog, monkeypatch):
     }
     names = {targets: name for name, targets in models.items()}
 
-    def logged(env, targets, episodes):
+    def logged(env, targets, episodes, paths):
         events.append(names[targets])
-        return replay_static_policy(env, targets, episodes)
+        return replay_static_policy(env, targets, episodes, paths)
 
     monkeypatch.setattr(baselines_module, "replay_static_policy", logged)
     received = {}

@@ -30,9 +30,14 @@ from reserve_rl.baselines import (
     implied_loss_ratio,
     replay_static_policy,
 )
-from reserve_rl.env import ACTION_GRID, EnvConfig, ReserveEnv, Trace, write_traces
+from reserve_rl.env import ACTION_GRID, EnvConfig, EnvFactory, ReserveEnv, Trace, write_traces
 from reserve_rl.errors import ActionOutOfGrid
-from reserve_rl.evaluate import run_policy_episodes
+from reserve_rl.evaluate import (
+    evaluate_models,
+    regime_conditions,
+    run_policy_episodes,
+    stress_conditions,
+)
 from reserve_rl.nets import Adam, clip_global_norm, init_mlp, mlp_forward, save_networks
 from reserve_rl.regimes import CurriculumSchedule, FixedShock, Stochastic
 from scalar_oracle import (
@@ -152,6 +157,39 @@ def test_trace_writers_match_rowwise_oracle(bundle, mode, tmp_path):
         expected = (tmp_path / "oracle.csv").read_bytes()
         assert (tmp_path / f"group{i}.csv").read_bytes() == expected
         assert trace_bytes(trace, tmp_path, "single.csv") == expected
+
+
+def test_shared_draws_match_fresh_draws_per_model(bundle, tmp_path):
+    """``evaluate_models`` draws each (condition, seed) cell's paths once
+    and replays them for every model; each model's traces have the bytes
+    of a fresh environment drawing for that model alone, for a policy
+    table and for all three static targets."""
+    factors = bundle.factors
+    elr = implied_loss_ratio(bundle.train, factors)
+    boot = bootstrap_chain_ladder(bundle.train, 50, np.random.default_rng(3))
+    seeds = (1, 2)
+    policies = {seed: perturbed_policy(seed) for seed in seeds}
+    models = {
+        "rl_cvar": policies,
+        "chain_ladder": chain_ladder_targets(factors),
+        "bornhuetter_ferguson": bornhuetter_ferguson_targets(factors, elr),
+        "bootstrap": bootstrap_targets(boot),
+    }
+    conditions = regime_conditions([0, 3]) + stress_conditions([2.0])
+    make_env = EnvFactory(bundle.train, factors, EnvConfig())
+    received = {}
+    evaluate_models(models, make_env, conditions, seeds, 30, crn_base=4,
+                    traces=lambda label, traces: received.update(
+                        {(name, label): trace for name, trace in traces.items()}))
+    for cond_idx, (label, mode) in enumerate(conditions):
+        for name, model in models.items():
+            fresh = []
+            for seed in seeds:
+                env = make_env(mode, np.random.default_rng([4, cond_idx, seed]))
+                fresh.append(run_policy_episodes(env, model[seed], 30) if name == "rl_cvar"
+                             else replay_static_policy(env, model, 30))
+            assert (trace_bytes(received[(name, label)], tmp_path, "shared.csv")
+                    == trace_bytes(Trace.concat(fresh), tmp_path, "fresh.csv")), (name, label)
 
 
 def test_greedy_batch_matches_rows():

@@ -16,12 +16,12 @@ import logging
 import math
 import os
 import time
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .artifacts import write_csv
+from .artifacts import field_values, write_csv
 from .env import ACTION_GRID, TIE_BREAK_ORDER, EnvFactory, EnvState
 from .errors import ConfigError, EmptyBatch, LengthMismatch, NonFiniteGradient
 from .nets import (
@@ -439,7 +439,7 @@ class TrainingResult:
 
 
 def write_training_log(rows: Sequence[TrainLogRow], path: str) -> None:
-    write_csv(path, TRAINING_LOG_HEADER, map(astuple, rows))
+    write_csv(path, TRAINING_LOG_HEADER, map(field_values(TrainLogRow), rows))
 
 
 UPDATE_LOG_HEADER = (
@@ -452,8 +452,9 @@ def write_update_log(update_stats: dict[int, list[tuple[int, UpdateStats]]], pat
     """One row per update: seed, level, the update's index in its seed's run
     (from 0), then the :class:`UpdateStats` fields (minibatch means, then
     the batch's explained variance)."""
+    values = field_values(UpdateStats)
     write_csv(path, UPDATE_LOG_HEADER, (
-        (seed, level, update, *astuple(stats))
+        (seed, level, update, *values(stats))
         for seed, updates in update_stats.items()
         for update, (level, stats) in enumerate(updates)
     ))

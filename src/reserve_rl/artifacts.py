@@ -19,8 +19,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import operator
 import time
-from typing import Iterable, Sequence
+from dataclasses import fields
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -41,6 +43,12 @@ def _write_lines(path: str, header: str, lines: Iterable[str]) -> None:
 def write_csv(path: str, header: str, rows: Iterable[Sequence[object]]) -> None:
     """Write ``header`` then one comma-joined line per row."""
     _write_lines(path, header, (",".join(map(str, row)) for row in rows))
+
+
+def field_values(cls: type) -> Callable[[object], tuple]:
+    """Getter of a flat dataclass's field values as a tuple (two or more
+    fields): ``dataclasses.astuple`` without its deep copy of each one."""
+    return operator.attrgetter(*(f.name for f in fields(cls)))
 
 
 def _format_column(values: np.ndarray) -> np.ndarray:
@@ -90,11 +98,12 @@ def write_csv_tables(
 
 
 def write_json(path: str, doc: object) -> None:
-    """Write ``doc`` as compact JSON with sorted keys and a trailing newline."""
+    """Write ``doc`` as compact JSON with sorted keys and a trailing newline,
+    encoded in C by ``json.dumps`` (not ``json.dump``'s Python encoder)."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     try:
         with open(path, "w") as handle:
-            json.dump(doc, handle, sort_keys=True, separators=(",", ":"))
-            handle.write("\n")
+            handle.write(text)
     except OSError as exc:
         raise IoFailure(f"cannot write {path!r}: {exc}") from exc
 

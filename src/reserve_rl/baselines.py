@@ -18,12 +18,12 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .artifacts import write_csv
+from .artifacts import field_values, write_csv
 from .env import ACTION_GRID, HOLD_ACTION, TIE_BREAK_ORDER, LossPaths, ReserveEnv, Trace
 from .errors import DegenerateResiduals, InsufficientData, MissingPremium
 from .triangles import DevelopmentFactors, LossTriangle, age_to_age_factors
@@ -49,7 +49,7 @@ class ReserveRow:
 
 
 def write_reserve_rows_csv(rows: Sequence[ReserveRow], path: str) -> None:
-    write_csv(path, RESERVE_TABLE_HEADER, map(astuple, rows))
+    write_csv(path, RESERVE_TABLE_HEADER, map(field_values(ReserveRow), rows))
 
 
 def _check_factor_coverage(tri: LossTriangle, factors: DevelopmentFactors) -> None:
@@ -166,15 +166,14 @@ class BootstrapResult:
         cls, reserve_samples: np.ndarray, factor_samples: np.ndarray, n_retries: int
     ) -> "BootstrapResult":
         n_sims = reserve_samples.size
+        levels = (0.5, 0.75, 0.95, 0.995)
         return cls(
             n_sims=n_sims,
             reserve_samples=reserve_samples,
             factor_samples=factor_samples,
             mean=float(reserve_samples.mean()),
             stddev=float(reserve_samples.std(ddof=1)) if n_sims > 1 else 0.0,
-            quantiles={
-                q: float(np.quantile(reserve_samples, q)) for q in (0.5, 0.75, 0.95, 0.995)
-            },
+            quantiles=dict(zip(levels, np.quantile(reserve_samples, levels).tolist())),
             n_retries=n_retries,
         )
 
@@ -230,7 +229,7 @@ def _structural_zero_cells(tri: LossTriangle) -> set[tuple[int, int]]:
 
 
 #: Bootstrap rows drawn and refit together; bounds the block arrays' memory.
-BOOTSTRAP_CHUNK = 256
+BOOTSTRAP_CHUNK = 1024
 #: Consecutive unusable pseudo-triangles after which the bootstrap gives up.
 MAX_REFIT_ATTEMPTS = 50
 
@@ -255,7 +254,8 @@ def bootstrap_chain_ladder(
     samples, retries and the generator's final state are bit for bit
     those of drawing and refitting one simulation at a time (the sums
     keep that loop's order).  This relies on a ``(k, n)`` ``choice``
-    drawing what ``k`` calls of size ``n`` draw.
+    drawing what ``k`` calls of size ``n`` draw.  Blocks are refit, and
+    factors kept, lag-major: each array operation runs over simulations.
 
     Args:
         tri: Triangle with at least three accident years.
@@ -270,17 +270,20 @@ def bootstrap_chain_ladder(
     """
     keys, m_arr, pool = _residual_pool(tri)
     n_cells = len(keys)
-    sqrt_m = np.sqrt(m_arr)
-    factor_samples = np.empty((n_sims, tri.n_dev_lags - 1))
+    m_col = m_arr[:, None]
+    sqrt_m = np.sqrt(m_col)
+    factors = np.empty((tri.n_dev_lags - 1, n_sims))  # lag-major
     n_retries = 0
     failures = 0  # unusable rows since the last usable one, across blocks
     filled = 0
     while filled < n_sims:
         k = min(BOOTSTRAP_CHUNK, n_sims - filled)
         draws = rng.choice(pool, size=(k, n_cells), replace=True)
-        block, usable = _refit_block(tri, m_arr + draws * sqrt_m)
+        inc = np.multiply(draws.T, sqrt_m, order="C")
+        inc += m_col
+        block, usable = _refit_block(tri, inc)
         if usable.all():
-            factor_samples[filled:filled + k] = block
+            factors[:, filled:filled + k] = block
             filled += k
             failures = 0
             continue
@@ -291,11 +294,11 @@ def bootstrap_chain_ladder(
                     "bootstrap could not build a usable pseudo-triangle after "
                     f"{MAX_REFIT_ATTEMPTS} attempts"
                 )
-        kept = block[usable]
-        factor_samples[filled:filled + len(kept)] = kept
-        filled += len(kept)
-        n_retries += k - len(kept)
-    return BootstrapResult.from_samples(_reproject(tri, factor_samples), factor_samples, n_retries)
+        kept = block[:, usable]
+        factors[:, filled:filled + kept.shape[1]] = kept
+        filled += kept.shape[1]
+        n_retries += k - kept.shape[1]
+    return BootstrapResult.from_samples(_reproject(tri, factors), factors.T, n_retries)
 
 
 def _residual_pool(tri: LossTriangle) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
@@ -339,47 +342,52 @@ def _residual_pool(tri: LossTriangle) -> tuple[list[tuple[int, int]], np.ndarray
 def _refit_block(tri: LossTriangle, inc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Volume-weighted factors of a block of pseudo-triangles at once.
 
-    Each row of ``inc`` holds one pseudo-triangle's incrementals in
-    (year, lag) order, so each year's cells are adjacent.  Returns the
-    ``(k, n_factors)`` factors and the ``(k,)`` mask of usable rows: a row
-    is unusable when some factor's numerator or denominator is not
-    positive, and its factors are then meaningless.
+    Column s of ``inc`` holds pseudo-triangle s's incrementals in (year,
+    lag) order, so each year's cells are adjacent rows; they are summed
+    in place.  Returns the ``(n_factors, k)`` factors and the ``(k,)``
+    mask of usable columns: a column is unusable when some factor's
+    numerator or denominator is not positive, and its factors are then
+    meaningless.
 
     The sums keep a per-triangle loop's order, so the factors carry its
-    bits: cumulatives are prefix sums along the lags (``accumulate`` is
-    strictly sequential; it starts from the first incremental rather than
-    0.0 plus it, which could differ only for a -0.0 that positive fitted
-    incrementals never produce), and each factor's column sums add the
-    contributing years one at a time, oldest first, from 0.0 (a numpy
-    reduction over eight or more years would sum pairwise).
+    bits: cumulatives are running sums, one row add per lag (starting
+    from the first incremental rather than 0.0 plus it, which could differ
+    only for a -0.0 that positive fitted incrementals never produce;
+    ``np.add.accumulate`` adds alike but five times slower, its short lag
+    axis innermost), and each factor's column sums add the contributing
+    years one at a time, oldest first, from 0.0 (a numpy reduction over
+    eight or more years would sum pairwise).
     """
-    numer = np.zeros((len(inc), tri.n_dev_lags - 1))
+    numer = np.zeros((tri.n_dev_lags - 1, inc.shape[1]))
     denom = np.zeros_like(numer)
     start = 0
     for year in tri.years:
         last = tri.latest_lag(year)
-        cum = np.add.accumulate(inc[:, start:start + last], axis=1)
+        cum = inc[start:start + last]
+        for lag in range(1, last):
+            cum[lag] += cum[lag - 1]
         # this year feeds the factors whose lags j and j+1 it has observed
-        numer[:, :last - 1] += cum[:, 1:]
-        denom[:, :last - 1] += cum[:, :-1]
+        numer[:last - 1] += cum[1:]
+        denom[:last - 1] += cum[:-1]
         start += last
     # "not (<= 0)": a NaN sum passes, as in a per-triangle "<= 0.0" test
-    usable = ~((denom <= 0.0) | (numer <= 0.0)).any(axis=1)
+    usable = ~((denom <= 0.0) | (numer <= 0.0)).any(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return numer / denom, usable
+        return np.divide(numer, denom, out=numer), usable
 
 
-def _reproject(tri: LossTriangle, factor_samples: np.ndarray) -> np.ndarray:
+def _reproject(tri: LossTriangle, factors: np.ndarray) -> np.ndarray:
     """Total reserve per simulation: the actual latest diagonal developed
-    with each row's factors, year by year and factor by factor."""
-    n_sims, n_factors = factor_samples.shape
+    with each column's factors, year by year and factor by factor."""
+    n_factors, n_sims = factors.shape
     total = np.zeros(n_sims)
     for year in tri.years:
         latest = tri.value(year, tri.latest_lag(year))
         ultimate = np.full(n_sims, latest)
         for j in range(tri.latest_lag(year) - 1, n_factors):
-            ultimate = ultimate * factor_samples[:, j]
-        total = total + (ultimate - latest)
+            ultimate *= factors[j]
+        ultimate -= latest
+        total += ultimate
     return total
 
 

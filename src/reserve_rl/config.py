@@ -177,7 +177,11 @@ def _format_value(value: object) -> str:
 
 
 def config_to_ini(cfg: RunConfig) -> str:
-    """Canonical INI rendering: fixed section and key order, repr floats."""
+    """Canonical INI rendering: fixed section and key order, repr floats.
+
+    Raises:
+        ConfigError: ``env.floor`` is not one of :data:`FLOOR_FORMS`.
+    """
     lines = []
     for section_name in _SECTION_TYPES:
         section = getattr(cfg, section_name)
@@ -189,6 +193,8 @@ def config_to_ini(cfg: RunConfig) -> str:
                     "pooled" if f.name == "elr" else "auto"
                 )
             elif f.name == "floor":
+                if value not in _FLOOR_NAMES:
+                    raise ConfigError(f"floor {value!r} is none of the forms {dict(FLOOR_FORMS)}")
                 rendered = _FLOOR_NAMES[value]
             else:
                 rendered = _format_value(value)

@@ -22,14 +22,14 @@ from __future__ import annotations
 import logging
 import statistics
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import baselines
 from .agent import PPOConfig, act_greedy, observe, train_seeds
-from .artifacts import write_csv, write_json
+from .artifacts import field_values, write_csv, write_json
 from .baselines import StaticTargets
 from .env import EnvFactory, LossPaths, ReserveEnv, Trace
 from .errors import EmptyReport, NoEligibleSteps, TooFewSamples
@@ -328,7 +328,7 @@ def emit_report(
     """
     if not rows:
         raise EmptyReport("refusing to write a metrics report with zero rows")
-    write_csv(csv_path, METRICS_HEADER, map(astuple, rows))
+    write_csv(csv_path, METRICS_HEADER, map(field_values(MetricsRow), rows))
     sidecar_path = csv_path[:-4] + ".json" if csv_path.endswith(".csv") else csv_path + ".json"
     write_json(sidecar_path, {
         **(sidecar or {}), "n_rows": len(rows), "columns": METRICS_HEADER.split(",")

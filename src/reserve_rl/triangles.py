@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .artifacts import write_csv
+from .artifacts import field_values, write_csv
 from .errors import (
     DegenerateScale,
     DuplicateCell,
@@ -397,7 +397,7 @@ def age_to_age_factors(tri: LossTriangle) -> DevelopmentFactors:
 
 def write_triangle_csv(tri: LossTriangle, path: str) -> None:
     """Write a triangle in the canonical CSV format (full float precision)."""
-    write_csv(path, CSV_HEADER, map(astuple, tri.cells))
+    write_csv(path, CSV_HEADER, map(field_values(TriangleCell), tri.cells))
 
 
 def triangle_from_arrays(

@@ -9,8 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reserve_rl import nets
 from reserve_rl.artifacts import write_csv, write_csv_tables, write_json
+from reserve_rl.baselines import bootstrap_chain_ladder
+from reserve_rl.cli import _bootstrap_summary
+from reserve_rl.config import build_manifest, default_config
 from reserve_rl.errors import DataError, IoFailure
+from reserve_rl.triangles import triangle_from_arrays, write_triangle_csv
 from scalar_oracle import rowwise_write_csv
 
 #: Floats whose text a value-based or rounding formatter could get wrong:
@@ -94,6 +99,42 @@ def test_json_layout(tmp_path):
     write_json(str(path), doc)
     assert path.read_bytes() == b'{"a":{"y":null,"z":1},"b":[1.5,0.30000000000000004]}\n'
     assert json.loads(path.read_text()) == doc
+
+
+def test_json_bytes_match_the_python_encoder(tmp_path, monkeypatch):
+    """``write_json`` encodes in C; ``json.dump`` to a file runs the
+    pure-Python encoder.  Both give the same bytes on a policy file, a
+    manifest and a bootstrap summary."""
+    written = {}
+
+    def recording_write_json(path, doc):
+        written[path] = doc
+        write_json(path, doc)
+
+    monkeypatch.setattr(nets, "write_json", recording_write_json)
+    rng = np.random.default_rng(5)
+    nets.save_networks(str(tmp_path / "policy.json"), nets.init_mlp((11, 16, 16, 5), rng, 0.01),
+                       nets.init_mlp((11, 16, 16, 1), rng, 1.0), "ab" * 32, 3)
+    tri = triangle_from_arrays([[100, 300, 310, 311], [100, 120, 400], [50, 60], [10]])
+    write_triangle_csv(tri, str(tmp_path / "triangle.csv"))
+    recording_write_json(str(tmp_path / "manifest.json"), build_manifest(
+        "ingest", default_config(), {"triangle": str(tmp_path / "triangle.csv")}, ["a.csv"]))
+    boot = bootstrap_chain_ladder(tri, 500, np.random.default_rng(3))
+    recording_write_json(str(tmp_path / "bootstrap.json"), _bootstrap_summary(boot, 0.1 + 0.2))
+    assert boot.n_retries > 0
+    python_encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+    assert len(written) == 3
+    for path, doc in written.items():
+        python_text = "".join(python_encoder.iterencode(doc)) + "\n"
+        with open(path, "rb") as handle:
+            assert handle.read() == python_text.encode()
+
+
+def test_unencodable_json_leaves_no_file(tmp_path):
+    path = tmp_path / "d.json"
+    with pytest.raises(TypeError):
+        write_json(str(path), {"a": np.int64(1)})
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("write", [

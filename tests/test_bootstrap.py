@@ -30,7 +30,12 @@ FAILING_ROWS = [
     [416.3, 416.8],
     [0.0001422],
 ]
-SIM_COUNTS = [1, BOOTSTRAP_CHUNK - 1, BOOTSTRAP_CHUNK, BOOTSTRAP_CHUNK + 1, 2 * BOOTSTRAP_CHUNK + 37]
+#: One simulation, counts inside one block, and the edges of one, two and
+#: four blocks of the size the bootstrap runs with.
+SIM_COUNTS = sorted({
+    1, 255, 256, 257, 549, BOOTSTRAP_CHUNK - 1, BOOTSTRAP_CHUNK, BOOTSTRAP_CHUNK + 1,
+    2 * BOOTSTRAP_CHUNK + 37, 4 * BOOTSTRAP_CHUNK + 37,
+})
 
 
 def train_split(seed: int):
@@ -98,6 +103,30 @@ def test_small_blocks_match_scalar(monkeypatch, chunk):
     assert_same_bootstrap(triangle_from_arrays(FAILING_ROWS), 100, 0)
     with pytest.raises(DegenerateResiduals, match="50 attempts"):
         bootstrap_chain_ladder(triangle_from_arrays(FAILING_ROWS), 300, np.random.default_rng(1))
+
+
+def test_sim_counts_follow_the_block_size():
+    """The oracle cases sit at the block size the bootstrap runs with, so
+    they move with any retuning of it."""
+    assert BOOTSTRAP_CHUNK == baselines.BOOTSTRAP_CHUNK > 1
+    around = {BOOTSTRAP_CHUNK - 1, BOOTSTRAP_CHUNK, BOOTSTRAP_CHUNK + 1}
+    assert around | {2 * BOOTSTRAP_CHUNK + 37, 4 * BOOTSTRAP_CHUNK + 37} <= set(SIM_COUNTS)
+
+
+@pytest.mark.parametrize("samples", [
+    np.array([2.5]),
+    np.array([3.0, -1.0]),
+    np.random.default_rng(0).standard_normal(1001),
+    np.random.default_rng(1).lognormal(size=50_000),
+    np.repeat(np.random.default_rng(2).random(37), 27),
+])
+def test_one_quantile_call_equals_scalar_calls(samples):
+    """The summary's assumption: one ``np.quantile`` call at all four
+    levels gives each level's scalar call, bit for bit."""
+    levels = (0.5, 0.75, 0.95, 0.995)
+    together = np.quantile(samples, levels)
+    alone = np.array([np.quantile(samples, q) for q in levels])
+    assert together.tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("population", [1, 2, 7, 52, 2**31 + 5, 2**40 + 3])

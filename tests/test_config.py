@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -83,6 +84,15 @@ def test_elr_and_floor_special_values(tmp_path):
     assert load_config(write_ini(tmp_path, "[env]\nfloor = strict\n")).env.floor == (0.5, 0.3)
     with pytest.raises(ConfigError):
         load_config(write_ini(tmp_path, "[env]\nfloor = bogus\n"))
+
+
+@pytest.mark.parametrize("render", [config_to_ini, config_fingerprint])
+def test_unnamed_floor_raises_config_error(render):
+    """An ``EnvConfig`` built in code may hold a floor no INI can name."""
+    cfg = replace(default_config(), env=replace(default_config().env, floor=(0.7, 0.2)))
+    with pytest.raises(ConfigError) as info:
+        render(cfg)
+    assert str(info.value) == f"floor (0.7, 0.2) is none of the forms {dict(FLOOR_FORMS)}"
 
 
 def test_bool_and_tuple_parsing(tmp_path):

@@ -145,7 +145,7 @@ def _outdir(args: argparse.Namespace, name: str) -> str:
 
 
 class IngestArtifacts:
-    """Lazy view over an ingest directory's outputs."""
+    """An ingest directory's outputs, parsed when the view is built."""
 
     def __init__(self, directory: str) -> None:
         self.directory = directory

@@ -24,7 +24,7 @@ from .artifacts import git_blob_sha1
 from .env import DEFAULT_FLOOR, STRICT_FLOOR, EnvConfig
 from .errors import ConfigError, ConfigMismatch
 from .agent import PPOConfig
-from .regimes import CurriculumSchedule
+from .regimes import CurriculumSchedule, FixedShock, regime_params
 
 #: ``[project] version`` of ``pyproject.toml``, which a test keeps equal.
 VERSION = "0.1.0"
@@ -51,6 +51,11 @@ class RunSection:
     a_train: int = 8
     a_test: int = 2
 
+    def __post_init__(self) -> None:
+        # every metrics CSV carries lob in a field of its own, unquoted
+        if any(c in self.lob for c in ",\r\n"):
+            raise ConfigError(f"lob must hold no comma or line break, got {self.lob!r}")
+
 
 @dataclass(frozen=True)
 class EvalSection:
@@ -63,6 +68,12 @@ class EvalSection:
 
     def __post_init__(self) -> None:
         _require_positive(self, "episodes", "sweep_episodes_per_level")
+        for level in self.regimes:
+            regime_params(level)
+        for m in self.shocks:
+            FixedShock(m)
+        for alpha in self.sweep_alphas:
+            EnvConfig(alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -136,8 +147,10 @@ def load_config(path: str | None) -> RunConfig:
     Raises:
         ConfigError: Unknown section or key, unreadable file, an
             unparsable value, or a value the section's class rejects
-            (``[env]``, ``[regimes]``, ``[ppo]``, and a count below 1 in
-            ``[eval]`` or ``[baselines]``).
+            (``[env]``, ``[regimes]``, ``[ppo]``, a ``[run] lob`` holding a
+            comma or line break, a count below 1 in ``[eval]`` or
+            ``[baselines]``, and an ``[eval]`` regime level, shock or
+            sweep alpha that the environment would reject).
     """
     if path is None:
         return default_config()

@@ -12,9 +12,9 @@ Four headline metrics summarize a trace of post-transition snapshots:
 * ``rvr``   -- regulatory violation rate, fraction of steps below the
   solvency floor.
 
-Comparisons between models replay one draw of loss paths per
-(condition, seed) cell, so paired differences reflect policy choices
-rather than luck of the draw.
+Comparisons between models replay one draw of loss paths per (shock
+mode, seed) cell, so paired differences reflect policy choices rather
+than luck of the draw.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .agent import PPOConfig, act_greedy, observe, train_seeds
 from .artifacts import field_values, write_csv, write_json
 from .baselines import StaticTargets
 from .env import EnvFactory, LossPaths, ReserveEnv, Trace
-from .errors import EmptyReport, NoEligibleSteps, TooFewSamples
+from .errors import ConfigError, EmptyReport, NoEligibleSteps, TooFewSamples
 from .nets import MLPParams
 from .regimes import CurriculumSchedule, FixedShock, ShockMode, Stochastic
 from .risk import tail_estimate
@@ -154,24 +154,26 @@ def _run_model(
     model: Mapping[int, MLPParams] | StaticTargets,
     env: ReserveEnv,
     seed: int,
-    episodes: int,
-    paths: LossPaths | None = None,
+    paths: LossPaths,
 ) -> Trace:
-    """Run one model for ``episodes`` episodes: trained policies by seed
-    act greedily, a classical baseline's targets are replayed (the same
-    for every seed)."""
+    """Run one model over ``paths``: trained policies by seed act greedily,
+    a classical baseline's targets are replayed (the same for every seed)."""
     if isinstance(model, Mapping):
-        return run_policy_episodes(env, model[seed], episodes, paths)
+        return run_policy_episodes(env, model[seed], paths.n_episodes, paths)
     # looked up on the module at call time, so a wrapper installed there sees it
-    return baselines.replay_static_policy(env, model, episodes, paths)
+    return baselines.replay_static_policy(env, model, paths.n_episodes, paths)
 
 
-def regime_conditions(levels: Sequence[int]) -> list[tuple[str, ShockMode]]:
-    return [(f"regime:{level}", Stochastic(level)) for level in levels]
+#: A report row's label and the shock modes whose episodes the row pools.
+Condition = tuple[str, Sequence[ShockMode]]
 
 
-def stress_conditions(shocks: Sequence[float]) -> list[tuple[str, ShockMode]]:
-    return [(f"shock:{m:g}", FixedShock(m)) for m in shocks]
+def regime_conditions(levels: Sequence[int]) -> list[Condition]:
+    return [(f"regime:{level}", (Stochastic(level),)) for level in levels]
+
+
+def stress_conditions(shocks: Sequence[float]) -> list[Condition]:
+    return [(f"shock:{m:g}", (FixedShock(m),)) for m in shocks]
 
 
 @dataclass
@@ -195,7 +197,7 @@ class EvalOutcome:
 def evaluate_models(
     models: Mapping[str, Mapping[int, MLPParams] | StaticTargets],
     make_env: EnvFactory,
-    conditions: Sequence[tuple[str, ShockMode]],
+    conditions: Sequence[Condition],
     seeds: Sequence[int],
     episodes: int,
     lob: str = "synthetic",
@@ -205,37 +207,52 @@ def evaluate_models(
     """Run every model under every condition with paired random draws.
 
     A model is a ``{seed: policy}`` table or a baseline's
-    :data:`StaticTargets` (see :func:`_run_model`).  The loss paths of a
-    (condition, seed) cell are drawn once, from a generator seeded with
-    ``(crn_base, condition index, seed)`` only, and every model replays
-    them on a fresh environment (an empty tail buffer), so all models in
-    that cell see identical shock and noise sequences.  A condition's
+    :data:`StaticTargets` (see :func:`_run_model`).  The ``episodes``
+    loss paths of a (mode, seed) cell are drawn once, from a generator
+    seeded with ``(crn_base, mode index, seed)`` only, modes counted in
+    order across all conditions, and every model replays them on a fresh
+    environment (an empty tail buffer), so all models in that cell see
+    identical shock and noise sequences.  A model's trace at a seed is
+    its replays of the condition's modes in mode order.  A condition's
     paths are drawn before its models run.  ``traces``, if given,
     receives each condition's traces as soon as its last model has run,
     so no more than one condition's paths and traces are held at a time.
     The timing line leaves the sink's time out.
+
+    Raises:
+        ConfigError: Two conditions share a label (before any draw).
     """
+    labels = [label for label, _ in conditions]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ConfigError(f"condition labels repeat: {', '.join(repeated)}")
     started = time.perf_counter()
     sink_seconds = 0.0
     outcome = EvalOutcome()
-    for cond_idx, (label, mode) in enumerate(conditions):
+    n_modes = 0
+    for label, modes in conditions:
         draws = []
         for seed in seeds:
-            env_rng = np.random.default_rng([crn_base, cond_idx, seed])
-            draws.append((seed, env_rng, make_env(mode, env_rng).draw_paths(episodes)))
+            cell = []
+            for mode_idx, mode in enumerate(modes, n_modes):
+                env_rng = np.random.default_rng([crn_base, mode_idx, seed])
+                cell.append((mode, env_rng, make_env(mode, env_rng).draw_paths(episodes)))
+            draws.append((seed, cell))
+        n_modes += len(modes)
         cond_traces: dict[str, Trace] = {}
         for name, model in models.items():
             per_seed: list[MetricSet] = []
-            cell_traces: list[Trace] = []
-            for seed, env_rng, paths in draws:
-                trace = _run_model(model, make_env(mode, env_rng), seed, episodes, paths)
+            seed_traces: list[Trace] = []
+            for seed, cell in draws:
+                trace = Trace.concat([_run_model(model, make_env(mode, env_rng), seed, paths)
+                                      for mode, env_rng, paths in cell])
                 per_seed.append(compute_metrics(trace))
                 if traces is not None:
-                    cell_traces.append(trace)
+                    seed_traces.append(trace)
             outcome.per_seed[(name, label)] = per_seed
-            outcome.rows.append(aggregate_metrics(name, lob, label, per_seed, episodes))
+            outcome.rows.append(aggregate_metrics(name, lob, label, per_seed, episodes * len(modes)))
             if traces is not None:
-                cond_traces[name] = Trace.concat(cell_traces)
+                cond_traces[name] = Trace.concat(seed_traces)
             log.info("evaluated %s under %s (%d seeds)", name, label, len(seeds))
         if traces is not None:
             sink_started = time.perf_counter()
@@ -243,28 +260,10 @@ def evaluate_models(
             sink_seconds += time.perf_counter() - sink_started
     seconds = time.perf_counter() - started - sink_seconds
     cells = len(conditions) * len(models) * len(seeds)
+    runs = n_modes * len(models) * len(seeds)
     log.info("evaluated %d cells, %d episodes from %d path draws in %.2f s (%.0f episodes/s)",
-             cells, cells * episodes, len(conditions) * len(seeds), seconds,
-             cells * episodes / seconds)
+             cells, runs * episodes, n_modes * len(seeds), seconds, runs * episodes / seconds)
     return outcome
-
-
-def pooled_regime_metrics(
-    model: Mapping[int, MLPParams] | StaticTargets,
-    make_env: EnvFactory,
-    levels: Sequence[int],
-    seed: int,
-    episodes_per_level: int,
-    crn_base: int = 0,
-) -> MetricSet:
-    """One metric set of ``model`` at ``seed``, from episodes pooled
-    uniformly across regimes."""
-    traces = []
-    for cond_idx, level in enumerate(levels):
-        env_rng = np.random.default_rng([crn_base, cond_idx, seed])
-        env = make_env(Stochastic(level), env_rng)
-        traces.append(_run_model(model, env, seed, episodes_per_level))
-    return compute_metrics(Trace.concat(traces))
 
 
 def sensitivity_sweep(
@@ -281,32 +280,25 @@ def sensitivity_sweep(
     """Retrain and re-evaluate once per cell of ``cells``, a mapping from
     row label to that cell's (training, evaluation) environment factories.
 
-    Each cell trains fresh policies, then scores them on episodes pooled
-    uniformly across ``eval_levels``.  Evaluation draws are paired across
-    cells.  Every (cell, seed) training is one job of a single
-    :func:`train_seeds` call on up to ``workers`` processes.
+    Each cell trains fresh policies, then scores them with
+    :func:`evaluate_models` on one condition pooling ``eval_levels``, so
+    evaluation draws are paired across cells.  Every (cell, seed)
+    training is one job of a single :func:`train_seeds` call on up to
+    ``workers`` processes.
     """
     runs = iter(train_seeds(
         [(train_factory, ppo_config, schedule, seed)
          for train_factory, _ in cells.values() for seed in seeds],
         workers,
     ))
+    modes = [Stochastic(level) for level in eval_levels]
     outcome = EvalOutcome()
     for label, (_, eval_factory) in cells.items():
-        per_seed = [
-            pooled_regime_metrics(
-                {seed: next(runs).agent.policy}, eval_factory, eval_levels, seed,
-                episodes_per_level, crn_base,
-            )
-            for seed in seeds
-        ]
-        outcome.per_seed[("rl_cvar", label)] = per_seed
-        outcome.rows.append(
-            aggregate_metrics(
-                "rl_cvar", lob, label, per_seed,
-                episodes_per_level * len(eval_levels),
-            )
-        )
+        policies = {seed: next(runs).agent.policy for seed in seeds}
+        cell = evaluate_models({"rl_cvar": policies}, eval_factory, [(label, modes)], seeds,
+                               episodes_per_level, lob, crn_base)
+        outcome.rows += cell.rows
+        outcome.per_seed.update(cell.per_seed)
         log.info("sweep cell %s done", label)
     return outcome
 

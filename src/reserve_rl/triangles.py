@@ -276,16 +276,10 @@ def parse_triangle_csv(path: str) -> LossTriangle:
     if not cells:
         raise EmptyTriangle(f"{path}: no data rows")
 
-    seen: set[tuple[int, int]] = set()
-    for cell in cells:
-        key = (cell.accident_year, cell.dev_lag)
-        if key in seen:
-            raise DuplicateCell(
-                f"{path}: duplicate cell for accident_year={key[0]}, dev_lag={key[1]}"
-            )
-        seen.add(key)
-
-    triangle = LossTriangle(cells=tuple(cells))
+    try:
+        triangle = LossTriangle(cells=tuple(cells))
+    except DuplicateCell as exc:
+        raise DuplicateCell(f"{path}: {exc}") from None
     _check_runoff_shape(triangle, path)
     return triangle
 

@@ -15,6 +15,7 @@ import reserve_rl.cli as cli
 from reserve_rl.cli import IngestArtifacts, main
 from reserve_rl.agent import PPOConfig, train_curriculum
 from reserve_rl.config import config_to_ini, default_config
+from reserve_rl.env import ReserveEnv
 from reserve_rl.errors import DataError, NonFiniteGradient, NumericalError, ReserveRlError
 from reserve_rl.regimes import CurriculumSchedule
 from reserve_rl.synthetic import SyntheticSpec, make_synthetic_triangle
@@ -343,6 +344,29 @@ def test_sweep_alphas_sharing_a_label_exit_1(pipeline, tmp_path, alphas):
     ])
     assert code == 1
     assert not (out / "sensitivity" / "sensitivity.csv").exists()
+
+
+@pytest.mark.parametrize("command, key, values, label", [
+    ("stress", "shocks", "1.0,1.0000001", "shock:1"),
+    ("evaluate", "regimes", "0,0", "regime:0"),
+])
+def test_repeated_condition_labels_exit_1(pipeline, tmp_path, capsys, monkeypatch,
+                                          command, key, values, label):
+    """Rows, trace files and manifest entries are keyed by condition
+    label, so two conditions that print alike are refused before any
+    path is drawn or any table or trace written."""
+    monkeypatch.setattr(ReserveEnv, "draw_paths", lambda *a, **k: pytest.fail("drew paths"))
+    config = tmp_path / "repeated.ini"
+    config.write_text(re.sub(rf"^{key} = .*$", f"{key} = {values}", PIPELINE_INI, flags=re.M))
+    out = tmp_path / "runs"
+    code = main([
+        "--config", str(config), "--out", str(out), command, "--traces",
+        "--data", os.path.join(pipeline["out"], "ingest"),
+        "--policies", os.path.join(pipeline["out"], "train"),
+    ])
+    assert code == 1
+    assert label in capsys.readouterr().err
+    assert not list(out.rglob("*.csv"))
 
 
 def test_missing_policies_exit_2(pipeline, tmp_path):

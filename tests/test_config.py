@@ -150,6 +150,11 @@ def test_regimes_section_loads_as_schedule(tmp_path):
     ("[eval]\nsweep_episodes_per_level = 0\n", ConfigMismatch),
     ("[baselines]\nbootstrap_sims = 0\n", ConfigMismatch),
     ("[baselines]\nbootstrap_sims = -5\n", ConfigMismatch),
+    ("[eval]\nregimes = 7\n", UnknownLevel),
+    ("[eval]\nshocks = -1.0\n", UnknownLevel),
+    ("[eval]\nsweep_alphas = 1.5\n", ConfigMismatch),
+    ("[run]\nlob = workers comp, other liability\n", ConfigError),
+    ("[run]\nlob = workers comp\n  other liability\n", ConfigError),
 ])
 def test_invalid_runtime_values_fail_on_load(tmp_path, body, error):
     path = write_ini(tmp_path, body)

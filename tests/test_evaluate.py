@@ -35,7 +35,6 @@ from reserve_rl.evaluate import (
     compute_metrics,
     emit_report,
     evaluate_models,
-    pooled_regime_metrics,
     regime_conditions,
     sensitivity_sweep,
     stress_conditions,
@@ -313,18 +312,34 @@ def test_evaluate_models_streams_traces_per_condition(caplog, monkeypatch):
     assert float(re.search(r"in (\d+\.\d\d) s", timing[0]).group(1)) < 1.0
 
 
-def test_pooled_regime_metrics_matches_manual_pooling():
+def test_evaluate_models_pools_a_condition_over_its_modes(caplog):
+    """A pooled condition scores each seed on its per-mode replays in mode
+    order, and modes are counted across conditions for the draw seeds:
+    the pooled condition's two levels take indices 0 and 1, the next
+    condition's one mode index 2."""
     targets = chain_ladder_targets(FLAT_FACTORS)
-    pooled = pooled_regime_metrics(
-        targets, flat_env_factory, levels=(0, 1), seed=5,
-        episodes_per_level=4, crn_base=9,
-    )
-    traces = []
-    for cond_idx, level in enumerate((0, 1)):
-        env = flat_env_factory(Stochastic(level), np.random.default_rng([9, cond_idx, 5]))
-        traces.append(replay_static_policy(env, targets, 4))
-    manual = compute_metrics(Trace.concat(traces))
-    assert pooled == manual
+    seeds = (5, 6)
+    conditions = [("pooled", [Stochastic(0), Stochastic(1)])] + regime_conditions([3])
+    with caplog.at_level(logging.INFO, logger="reserve_rl.evaluate"):
+        outcome = evaluate_models({"cl": targets}, flat_env_factory, conditions, seeds,
+                                  episodes=7, crn_base=9)
+
+    def manual(levels, first_idx):
+        per_seed = []
+        for seed in seeds:
+            traces = [
+                replay_static_policy(flat_env_factory(
+                    Stochastic(level), np.random.default_rng([9, idx, seed])), targets, 7)
+                for idx, level in enumerate(levels, first_idx)
+            ]
+            per_seed.append(compute_metrics(Trace.concat(traces)))
+        return per_seed
+
+    assert outcome.per_seed[("cl", "pooled")] == manual((0, 1), 0)
+    assert outcome.per_seed[("cl", "regime:3")] == manual((3,), 2)
+    assert [row.n_episodes for row in outcome.rows] == [14, 7]
+    timing = [r.getMessage() for r in caplog.records if "episodes/s" in r.getMessage()]
+    assert timing[0].startswith("evaluated 4 cells, 42 episodes from 6 path draws in ")
 
 
 def test_sensitivity_sweep_workers_are_bitwise_serial():
@@ -365,11 +380,12 @@ def test_sensitivity_sweep_workers_are_bitwise_serial():
     # one cell on its own: its policies score the same
     train_factory, eval_factory = cell_factories(None, FLOOR_FORMS["strict"])
     trained = train_curriculum(train_factory, config, schedule, seeds)
-    assert pooled.per_seed[("rl_cvar", "alpha:adaptive;floor:strict")] == [
-        pooled_regime_metrics({seed: trained.policies[seed].policy}, eval_factory,
-                              (0, 1), seed, 4)
-        for seed in seeds
-    ]
+    alone = evaluate_models(
+        {"rl_cvar": {seed: trained.policies[seed].policy for seed in seeds}}, eval_factory,
+        [("cell", [Stochastic(0), Stochastic(1)])], seeds, 4,
+    )
+    assert pooled.per_seed[("rl_cvar", "alpha:adaptive;floor:strict")] == \
+        alone.per_seed[("rl_cvar", "cell")]
 
 
 def test_emit_report_round_trip(tmp_path):

@@ -181,7 +181,7 @@ def test_shared_draws_match_fresh_draws_per_model(bundle, tmp_path):
     evaluate_models(models, make_env, conditions, seeds, 30, crn_base=4,
                     traces=lambda label, traces: received.update(
                         {(name, label): trace for name, trace in traces.items()}))
-    for cond_idx, (label, mode) in enumerate(conditions):
+    for cond_idx, (label, (mode,)) in enumerate(conditions):
         for name, model in models.items():
             fresh = []
             for seed in seeds:

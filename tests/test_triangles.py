@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,7 +170,7 @@ def test_parser_rejects_duplicates_and_empty(tmp_path):
     path = tmp_path / "bad.csv"
     rows = "2001,1,100,80,200\n2001,1,100,80,200\n2001,2,150,120,200\n"
     path.write_text(CSV_HEADER + "\n" + rows)
-    with pytest.raises(DuplicateCell):
+    with pytest.raises(DuplicateCell, match=re.escape(f"{path}: duplicate cell")):
         parse_triangle_csv(str(path))
     path.write_text(CSV_HEADER + "\n")
     with pytest.raises(EmptyTriangle):

@@ -436,10 +436,10 @@ def replay_static_policy(
     env: ReserveEnv,
     targets: StaticTargets,
     episodes: int,
-    paths: LossPaths | None = None,
+    paths: LossPaths,
 ) -> Trace:
     """Drive the environment along a per-episode target reserve path over
-    ``paths`` (``episodes`` episodes; drawn from ``env`` when not given).
+    the ``episodes`` episodes of ``paths``.
 
     At step t the adapter steers toward ``path[t + 1]`` (the level the
     method prescribes for the post-action position, matching how the
@@ -449,8 +449,6 @@ def replay_static_policy(
     paths are built once for the run, from the episodes' initial losses
     and premiums, and all episodes step in lockstep.
     """
-    if paths is None:
-        paths = env.draw_paths(episodes)
     target = targets(
         np.array([info.initial_loss for info in paths.infos]),
         np.array([info.premium for info in paths.infos]),

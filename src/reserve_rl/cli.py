@@ -87,8 +87,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _usable_cores() -> int:
-    """Processes to train on: the cores this process may run on (``taskset``
-    and cpusets narrow them), or every core where the OS cannot say."""
+    """Processes to train and evaluate on: the cores this process may run on
+    (``taskset`` and cpusets narrow them), or every core where the OS cannot
+    say."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -272,17 +273,19 @@ def _elr_and_bootstrap(
     return elr, bootstrap_chain_ladder(train, cfg.baselines.bootstrap_sims, boot_rng)
 
 
-def _trace_writer(directory: str, written: list[tuple[str, str, str]]) -> TraceSink:
+def _trace_name(model: str, label: str) -> str:
+    safe = label.replace(":", "_").replace(",", "_").replace(".", "p")
+    return f"{model}__{safe}.csv"
+
+
+def _trace_writer(directory: str) -> TraceSink:
     """Sink writing each condition's traces into ``directory`` with one
-    :func:`write_traces` call, noting (model, label, file name) in
-    ``written``."""
+    :func:`write_traces` call, files named by :func:`_trace_name`."""
     os.makedirs(directory, exist_ok=True)
 
     def write(label: str, traces: dict[str, Trace]) -> None:
-        safe = label.replace(":", "_").replace(",", "_").replace(".", "p")
-        names = [f"{model}__{safe}.csv" for model in traces]
-        write_traces([os.path.join(directory, n) for n in names], list(traces.values()))
-        written.extend((model, label, name) for model, name in zip(traces, names))
+        write_traces([os.path.join(directory, _trace_name(model, label)) for model in traces],
+                     list(traces.values()))
 
     return write
 
@@ -311,6 +314,7 @@ def _policy_outcome(args: argparse.Namespace, cfg: RunConfig, data: IngestArtifa
         lob=cfg.run.lob,
         crn_base=cfg.eval.crn_base,
         traces=traces,
+        workers=_usable_cores(),
     )
 
 
@@ -356,10 +360,9 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = _outdir(args, directory)
     data = IngestArtifacts(args.data or os.path.join(args.out, "ingest"))
     seeds = _seeds(cfg)
-    written: list[tuple[str, str, str]] = []
     sink = None
     if getattr(args, "traces", False):
-        sink = _trace_writer(os.path.join(out, "traces"), written)
+        sink = _trace_writer(os.path.join(out, "traces"))
     outcome = outcome_of(args, cfg, data, seeds, sink)
     emit_report(outcome.rows, os.path.join(out, f"{table}.csv"), sidecar={
         "config_fingerprint": config_fingerprint(cfg),
@@ -367,7 +370,9 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
         "inputs": data.input_digests(),
     })
     outputs = [f"{table}.csv", f"{table}.json"]
-    outputs += [os.path.join("traces", name) for _, _, name in sorted(written)]
+    if sink is not None:
+        outputs += [os.path.join("traces", _trace_name(model, label))
+                    for model, label in sorted((row.model, row.condition) for row in outcome.rows)]
     write_json(os.path.join(out, "manifest.json"),
                build_manifest(args.command, cfg, inputs=data.input_paths(), outputs=outputs))
     for row in outcome.rows:

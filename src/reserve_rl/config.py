@@ -55,6 +55,10 @@ class RunSection:
         # every metrics CSV carries lob in a field of its own, unquoted
         if any(c in self.lob for c in ",\r\n"):
             raise ConfigError(f"lob must hold no comma or line break, got {self.lob!r}")
+        # a repeated seed would count twice in n_seeds and the seed spread
+        repeated = sorted({seed for seed in self.seeds if self.seeds.count(seed) > 1})
+        if repeated:
+            raise ConfigError(f"[run] seeds repeat: {', '.join(map(str, repeated))}")
 
 
 @dataclass(frozen=True)

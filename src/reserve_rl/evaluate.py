@@ -19,8 +19,10 @@ than luck of the draw.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import statistics
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -32,7 +34,7 @@ from .agent import PPOConfig, act_greedy, observe, train_seeds
 from .artifacts import field_values, write_csv, write_json
 from .baselines import StaticTargets
 from .env import EnvFactory, LossPaths, ReserveEnv, Trace
-from .errors import ConfigError, EmptyReport, NoEligibleSteps, TooFewSamples
+from .errors import ConfigError, EmptyReport, NoEligibleSteps, ReserveRlError, TooFewSamples
 from .nets import MLPParams
 from .regimes import CurriculumSchedule, FixedShock, ShockMode, Stochastic
 from .risk import tail_estimate
@@ -140,13 +142,10 @@ def aggregate_metrics(
 
 
 def run_policy_episodes(
-    env: ReserveEnv, policy: MLPParams, episodes: int, paths: LossPaths | None = None
+    env: ReserveEnv, policy: MLPParams, episodes: int, paths: LossPaths
 ) -> Trace:
-    """Roll the greedy policy over ``paths`` (``episodes`` episodes; drawn
-    from ``env`` when not given), all of them in lockstep (one batched
-    forward pass per step)."""
-    if paths is None:
-        paths = env.draw_paths(episodes)
+    """Roll the greedy policy over the ``episodes`` episodes of ``paths``,
+    all of them in lockstep (one batched forward pass per step)."""
     return env.rollout(paths, lambda state: act_greedy(policy, observe(state)))
 
 
@@ -194,6 +193,80 @@ class EvalOutcome:
         )
 
 
+def _send_results(run: Callable[[int], EvalOutcome], share: range, conn) -> None:
+    """A forked child's side of :func:`_map_split`: ``(True, run(i))`` for
+    each ``i`` of ``share`` in order, or ``(False, exception)`` and stop."""
+    with conn:
+        for i in share:
+            try:
+                conn.send((True, run(i)))
+            except Exception as exc:
+                conn.send((False, exc))
+                return
+
+
+def _map_split(run: Callable[[int], EvalOutcome], n: int, workers: int) -> list[EvalOutcome]:
+    """``[run(i) for i in range(n)]``, the indices dealt round-robin to
+    ``min(workers, n)`` processes: the caller runs ``0, P, 2P, ...`` and
+    ``fork``-started children the rest, each sending its results back
+    through a pipe as it goes.  An exception reaches the caller with its
+    type; when several indices raise, the lowest one's does, as in the
+    loop.  No child outlives the call.  Serial where ``fork`` is not
+    offered."""
+    n_procs = min(workers, n)
+    if n_procs > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            n_procs = 1
+    if n_procs <= 1:
+        return [run(i) for i in range(n)]
+    ctx = multiprocessing.get_context("fork")
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []
+    complete = False
+    try:
+        for p in range(1, n_procs):
+            reader, writer = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_send_results, args=(run, range(p, n, n_procs), writer))
+            child.start()
+            writer.close()
+            children.append((child, reader))
+        results: dict[int, EvalOutcome] = {}
+        error: tuple[int, BaseException] | None = None
+        for i in range(0, n, n_procs):
+            try:
+                results[i] = run(i)
+            except Exception as exc:
+                error = (i, exc)
+                break
+        for p, (child, reader) in enumerate(children, 1):
+            for i in range(p, n, n_procs):
+                if error is not None and i > error[0]:
+                    break
+                try:
+                    ok, value = reader.recv()
+                except EOFError:
+                    child.join()
+                    ok, value = False, ReserveRlError(
+                        f"worker exited with code {child.exitcode} before returning item {i}")
+                if not ok:
+                    error = (i, value)
+                    break
+                results[i] = value
+        if error is not None:
+            raise error[1]
+        complete = True
+        return [results[i] for i in range(n)]
+    finally:
+        for child, reader in children:
+            if not complete:
+                child.terminate()
+            child.join()
+            reader.close()
+
+
 def evaluate_models(
     models: Mapping[str, Mapping[int, MLPParams] | StaticTargets],
     make_env: EnvFactory,
@@ -203,6 +276,7 @@ def evaluate_models(
     lob: str = "synthetic",
     crn_base: int = 0,
     traces: TraceSink | None = None,
+    workers: int = 1,
 ) -> EvalOutcome:
     """Run every model under every condition with paired random draws.
 
@@ -216,29 +290,44 @@ def evaluate_models(
     its replays of the condition's modes in mode order.  A condition's
     paths are drawn before its models run.  ``traces``, if given,
     receives each condition's traces as soon as its last model has run,
-    so no more than one condition's paths and traces are held at a time.
-    The timing line leaves the sink's time out.
+    so no process holds more than one condition's paths and traces at a
+    time.
+
+    The conditions are dealt round-robin to ``min(workers, len(conditions))``
+    processes, the caller and children started by ``fork`` (see
+    :func:`_map_split`), each running the same per-condition loop, and the
+    outcome is merged in condition order, so it is the serial one whatever
+    ``workers`` is.  A condition's sink call runs in the process that
+    evaluated it, so with ``workers`` above 1 a sink must act on files,
+    not on the caller's memory.  The timing line covers the whole call
+    less the caller's own sink calls.
 
     Raises:
-        ConfigError: Two conditions share a label (before any draw).
+        ConfigError: Two conditions share a label, or ``workers`` is below
+            1 (before any draw).
     """
     labels = [label for label, _ in conditions]
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
         raise ConfigError(f"condition labels repeat: {', '.join(repeated)}")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     started = time.perf_counter()
-    sink_seconds = 0.0
-    outcome = EvalOutcome()
-    n_modes = 0
-    for label, modes in conditions:
+    sink_seconds = 0.0  # the caller's own sink calls; a child's add up in the child
+    first_modes = list(itertools.accumulate((len(modes) for _, modes in conditions), initial=0))
+
+    def run(c: int) -> EvalOutcome:
+        """Condition ``c``: draw its cells, run every model, hand its traces on."""
+        nonlocal sink_seconds
+        label, modes = conditions[c]
         draws = []
         for seed in seeds:
             cell = []
-            for mode_idx, mode in enumerate(modes, n_modes):
+            for mode_idx, mode in enumerate(modes, first_modes[c]):
                 env_rng = np.random.default_rng([crn_base, mode_idx, seed])
                 cell.append((mode, env_rng, make_env(mode, env_rng).draw_paths(episodes)))
             draws.append((seed, cell))
-        n_modes += len(modes)
+        outcome = EvalOutcome()
         cond_traces: dict[str, Trace] = {}
         for name, model in models.items():
             per_seed: list[MetricSet] = []
@@ -250,7 +339,8 @@ def evaluate_models(
                 if traces is not None:
                     seed_traces.append(trace)
             outcome.per_seed[(name, label)] = per_seed
-            outcome.rows.append(aggregate_metrics(name, lob, label, per_seed, episodes * len(modes)))
+            outcome.rows.append(aggregate_metrics(name, lob, label, per_seed,
+                                                  episodes * len(modes)))
             if traces is not None:
                 cond_traces[name] = Trace.concat(seed_traces)
             log.info("evaluated %s under %s (%d seeds)", name, label, len(seeds))
@@ -258,7 +348,15 @@ def evaluate_models(
             sink_started = time.perf_counter()
             traces(label, cond_traces)
             sink_seconds += time.perf_counter() - sink_started
+        return outcome
+
+    parts = _map_split(run, len(conditions), workers)
+    outcome = EvalOutcome()
+    for part in parts:
+        outcome.rows += part.rows
+        outcome.per_seed.update(part.per_seed)
     seconds = time.perf_counter() - started - sink_seconds
+    n_modes = first_modes[-1]
     cells = len(conditions) * len(models) * len(seeds)
     runs = n_modes * len(models) * len(seeds)
     log.info("evaluated %d cells, %d episodes from %d path draws in %.2f s (%.0f episodes/s)",

@@ -519,7 +519,7 @@ def test_criterion_11_rerun_determinism(tmp_path, monkeypatch):
     out_a = str(tmp_path / "run_a")
     out_b = str(tmp_path / "run_b")
     _run_pipeline(config_path, triangle_csv, out_a)
-    # The second run sees one usable core, so it trains serially.
+    # The second run sees one usable core, so it trains, evaluates and stresses serially.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     _run_pipeline(config_path, triangle_csv, out_b)
     elapsed = time.perf_counter() - t0

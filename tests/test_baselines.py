@@ -265,7 +265,7 @@ def test_replay_tracks_grid_exact_path_perfectly():
     noiselessly, the chain-ladder replay has zero shortfall and zero
     inefficiency at every step."""
     env, factors = _flat_env()
-    trace = replay_static_policy(env, chain_ladder_targets(factors), episodes=4)
+    trace = replay_static_policy(env, chain_ladder_targets(factors), 4, env.draw_paths(4))
     assert trace.n_steps == 12
     np.testing.assert_allclose(trace.shortfall, 0.0, atol=1e-12)
     np.testing.assert_allclose(np.abs(trace.reserve - trace.loss), 0.0, atol=1e-12)
@@ -276,12 +276,13 @@ def test_replay_tracks_grid_exact_path_perfectly():
 
 def test_runners_produce_traces():
     env, factors = _flat_env()
-    trace = replay_static_policy(env, chain_ladder_targets(factors), 2)
+    trace = replay_static_policy(env, chain_ladder_targets(factors), 2, env.draw_paths(2))
     assert trace.n_steps == 2 * env.horizon
 
     env2, _ = _flat_env()
     elr = 0.9
-    trace2 = replay_static_policy(env2, bornhuetter_ferguson_targets(factors, elr), 2)
+    trace2 = replay_static_policy(env2, bornhuetter_ferguson_targets(factors, elr), 2,
+                                  env2.draw_paths(2))
     assert trace2.n_steps == 2 * env2.horizon
 
     tri = triangle_from_arrays(
@@ -289,7 +290,7 @@ def test_runners_produce_traces():
     )
     result = bootstrap_chain_ladder(tri, 20, np.random.default_rng(3))
     env3, _ = _flat_env()
-    trace3 = replay_static_policy(env3, bootstrap_targets(result), 2)
+    trace3 = replay_static_policy(env3, bootstrap_targets(result), 2, env3.draw_paths(2))
     assert trace3.n_steps == 2 * env3.horizon
 
 

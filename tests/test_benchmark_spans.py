@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -94,7 +95,9 @@ CALLED_SPANS = (
 )
 
 
-def test_spans_record_the_pipeline_calls(tmp_path):
+def test_spans_record_the_pipeline_calls(tmp_path, monkeypatch):
+    # on one usable core every stage runs in this process, where the spans are
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     triangle = str(tmp_path / "triangle.csv")
     write_triangle_csv(make_synthetic_triangle(SyntheticSpec(), seed=0), triangle)
     config = tmp_path / "run.ini"

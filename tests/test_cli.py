@@ -14,9 +14,10 @@ import pytest
 import reserve_rl.cli as cli
 from reserve_rl.cli import IngestArtifacts, main
 from reserve_rl.agent import PPOConfig, train_curriculum
-from reserve_rl.config import config_to_ini, default_config
+from reserve_rl.config import config_to_ini, default_config, load_config
 from reserve_rl.env import ReserveEnv
 from reserve_rl.errors import DataError, NonFiniteGradient, NumericalError, ReserveRlError
+from reserve_rl.evaluate import evaluate_models, regime_conditions
 from reserve_rl.regimes import CurriculumSchedule
 from reserve_rl.synthetic import SyntheticSpec, make_synthetic_triangle
 from reserve_rl.triangles import write_triangle_csv
@@ -202,10 +203,12 @@ def test_log_lines_name_the_cli_under_dash_m(pipeline, tmp_path):
     assert "__main__" not in done.stderr
 
 
-def test_evaluate_traces_are_written_per_condition(pipeline, tmp_path, caplog):
+def test_evaluate_traces_are_written_per_condition(pipeline, tmp_path, caplog, monkeypatch):
     """``evaluate --traces`` writes each condition's files in one group
     call (one INFO line each) and lists them in the manifest in (model,
-    label) order."""
+    label) order.  On one usable core every condition is evaluated in
+    this process, where ``caplog`` sees its log records."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     out = str(tmp_path / "runs")
     with caplog.at_level(logging.INFO, logger="reserve_rl.artifacts"):
         assert main([
@@ -226,9 +229,13 @@ def test_print_config(capsys):
 
 
 def _tree(directory):
-    """File bytes under ``directory``; manifests without their timestamp."""
+    """File bytes under ``directory``, a nested dict per subdirectory;
+    manifests without their timestamp."""
     files = {}
     for name in sorted(os.listdir(directory)):
+        if os.path.isdir(os.path.join(directory, name)):
+            files[name] = _tree(os.path.join(directory, name))
+            continue
         with open(os.path.join(directory, name), "rb") as handle:
             files[name] = handle.read()
         if name == "manifest.json":
@@ -246,6 +253,87 @@ def test_train_bytes_do_not_depend_on_usable_cores(pipeline, tmp_path, monkeypat
         trees.append(_tree(os.path.join(out, "train")))
     assert trees[0] == trees[1]
     assert trees[0] == _tree(os.path.join(pipeline["out"], "train"))
+
+
+def assert_no_child_process():
+    """No child of this process exists, running or exited (none is reaped)."""
+    with pytest.raises(ChildProcessError):
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+
+
+def test_evaluate_bytes_do_not_depend_on_usable_cores(pipeline, tmp_path, monkeypatch):
+    """``evaluate`` and ``stress`` deal their conditions to one process per
+    usable core; three of each split unevenly over two cores, and every
+    table, trace and manifest keeps the one-core bytes."""
+    config = tmp_path / "three.ini"
+    config.write_text(PIPELINE_INI.replace("regimes = 0,1", "regimes = 0,1,2")
+                      .replace("shocks = 1.0,1.5", "shocks = 1.0,1.5,2.0"))
+    trees = []
+    for cores in ({0}, {0, 1}, {0, 1, 2}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+        out = str(tmp_path / f"cores{len(cores)}")
+        tree = {}
+        for command, directory in (("evaluate", "eval"), ("stress", "stress")):
+            assert main(["--config", str(config), "--out", out, command, "--traces",
+                         "--data", os.path.join(pipeline["out"], "ingest"),
+                         "--policies", os.path.join(pipeline["out"], "train")]) == 0
+            assert_no_child_process()
+            tree[directory] = _tree(os.path.join(out, directory))
+        trees.append(tree)
+    assert len(trees[0]["eval"]["traces"]) == 4 * 3
+    assert len(trees[0]["stress"]["traces"]) == 3
+    assert trees[1] == trees[0]
+    assert trees[2] == trees[0]
+
+
+class RefusingLevels:
+    """Evaluation factory refusing the regime levels in ``levels``, naming
+    the level and the process."""
+
+    def __init__(self, factory, levels):
+        self.factory, self.levels = factory, levels
+
+    def __call__(self, mode, rng):
+        if getattr(mode, "level", None) in self.levels:
+            raise NonFiniteGradient(f"level {mode.level} refused in process {os.getpid()}")
+        return self.factory(mode, rng)
+
+
+@pytest.mark.parametrize("levels, raised", [
+    ((1,), 1),       # dealt to the child alone
+    ((1, 2), 1),     # the child's level 1 comes before the caller's level 2
+    ((0, 1), 0),     # the caller's level 0 comes first
+])
+def test_evaluate_error_keeps_type_exit_code_and_order(pipeline, tmp_path, capsys, monkeypatch,
+                                                        levels, raised):
+    """On two cores the caller evaluates regime levels 0 and 2 and a forked
+    child 1 and 3.  A refused level raises what one core raises: its type,
+    the exit code, and the lowest refused level first; no child remains."""
+    config = tmp_path / "four.ini"
+    config.write_text(PIPELINE_INI.replace("regimes = 0,1", "regimes = 0,1,2,3"))
+    factories = cli._factories
+
+    def refusing(*args, **kwargs):
+        train_factory, eval_factory = factories(*args, **kwargs)
+        return train_factory, RefusingLevels(eval_factory, levels)
+
+    monkeypatch.setattr(cli, "_factories", refusing)
+    for cores in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+        assert main(["--config", str(config), "--out", str(tmp_path / "runs"), "evaluate",
+                     "--data", os.path.join(pipeline["out"], "ingest"),
+                     "--policies", os.path.join(pipeline["out"], "train")]) == 3
+        assert f"error: level {raised} refused" in capsys.readouterr().err
+        assert_no_child_process()
+    cfg = load_config(str(config))
+    _, eval_factory = refusing(IngestArtifacts(os.path.join(pipeline["out"], "ingest")), cfg)
+    policies = cli._load_policies(os.path.join(pipeline["out"], "train"), (1, 2), cfg)
+    with pytest.raises(NonFiniteGradient, match=rf"^level {raised} refused") as err:
+        evaluate_models({"rl_cvar": policies}, eval_factory, regime_conditions([0, 1, 2, 3]),
+                        (1, 2), 4, workers=2)
+    # raised where that level was evaluated: the caller for level 0, else the child
+    assert (f"process {os.getpid()}" in str(err.value)) == (raised == 0)
+    assert_no_child_process()
 
 
 def test_runs_where_the_os_has_no_affinity(monkeypatch, capsys):
@@ -329,6 +417,14 @@ def test_empty_seed_list_in_config_exits_1(pipeline, tmp_path):
     ])
     assert code == 1
     assert not (out / "train" / "training_log.csv").exists()
+
+
+def test_repeated_seeds_in_config_exit_1(tmp_path, capsys):
+    """A repeated seed would train once and count twice in ``n_seeds``."""
+    config = tmp_path / "repeated_seeds.ini"
+    config.write_text(PIPELINE_INI.replace("seeds = 1,2", "seeds = 2,1,2"))
+    assert main(["--config", str(config), "--print-config"]) == 1
+    assert "seeds repeat: 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("alphas", ["0.9,0.9", "0.9999991,0.9999992"])

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import os
 import re
 from types import SimpleNamespace
 
@@ -19,6 +20,7 @@ import reserve_rl.evaluate as evaluate_module
 from reserve_rl.config import FLOOR_FORMS
 from reserve_rl.env import EnvConfig, EnvFactory, ReserveEnv, Trace
 from reserve_rl.errors import (
+    ConfigError,
     EmptyReport,
     IoFailure,
     NoEligibleSteps,
@@ -177,6 +179,11 @@ def flat_env_factory(mode, rng):
     return ReserveEnv(tri, FLAT_FACTORS, EnvConfig(horizon=3), rng, mode)
 
 
+def drawn_replay(env, targets, episodes):
+    """The targets replayed over ``episodes`` paths drawn from ``env`` itself."""
+    return replay_static_policy(env, targets, episodes, env.draw_paths(episodes))
+
+
 def test_evaluate_models_pairs_random_draws():
     """Two different static models see bitwise-identical loss and shock
     streams in the same (condition, seed) cell."""
@@ -300,7 +307,7 @@ def test_evaluate_models_streams_traces_per_condition(caplog, monkeypatch):
     for cond_idx, label in enumerate(["regime:0", "regime:1"]):
         assert list(received[label]) == ["cl", "bf"]
         expected = Trace.concat([
-            replay_static_policy(
+            drawn_replay(
                 flat_env_factory(Stochastic(cond_idx), np.random.default_rng([3, cond_idx, seed])),
                 models["cl"], 7,
             )
@@ -328,7 +335,7 @@ def test_evaluate_models_pools_a_condition_over_its_modes(caplog):
         per_seed = []
         for seed in seeds:
             traces = [
-                replay_static_policy(flat_env_factory(
+                drawn_replay(flat_env_factory(
                     Stochastic(level), np.random.default_rng([9, idx, seed])), targets, 7)
                 for idx, level in enumerate(levels, first_idx)
             ]
@@ -340,6 +347,62 @@ def test_evaluate_models_pools_a_condition_over_its_modes(caplog):
     assert [row.n_episodes for row in outcome.rows] == [14, 7]
     timing = [r.getMessage() for r in caplog.records if "episodes/s" in r.getMessage()]
     assert timing[0].startswith("evaluated 4 cells, 42 episodes from 6 path draws in ")
+
+
+def test_evaluate_models_workers_are_bitwise_serial(tmp_path):
+    """Conditions dealt to two and three processes, a pooled two-mode
+    condition among them, give the serial rows, per-seed metrics and
+    trace bytes; the sink runs where its condition ran, so it writes files."""
+    seeds = (0, 1)
+    policy = init_mlp((7, 8, 7), np.random.default_rng(2), final_gain=1.0)
+    models = {
+        "rl": {seed: policy for seed in seeds},
+        "cl": chain_ladder_targets(FLAT_FACTORS),
+    }
+    conditions = ([("pooled", [Stochastic(0), Stochastic(2)])] + regime_conditions([1, 3])
+                  + stress_conditions([1.5]))
+
+    def run(workers):
+        directory = tmp_path / f"workers{workers}"
+        directory.mkdir()
+
+        def sink(label, traces):
+            for name, trace in traces.items():
+                trace.write_csv(str(directory / f"{name}__{label}.csv"))
+
+        outcome = evaluate_models(models, flat_env_factory, conditions, seeds, episodes=7,
+                                  crn_base=5, traces=sink, workers=workers)
+        files = {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+        return outcome, files
+
+    serial, serial_files = run(1)
+    assert len(serial_files) == len(conditions) * len(models)
+    for workers in (2, 3):
+        split, split_files = run(workers)
+        assert split.rows == serial.rows
+        assert list(split.per_seed.items()) == list(serial.per_seed.items())
+        assert split_files == serial_files
+        with pytest.raises(ChildProcessError):  # every child was joined
+            os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+
+
+def test_evaluate_models_is_serial_where_fork_is_not_offered(monkeypatch):
+    """Without ``fork`` every condition runs in the caller, so a sink that
+    keeps traces in memory sees them all."""
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    received = []
+    evaluate_models({"cl": chain_ladder_targets(FLAT_FACTORS)}, flat_env_factory,
+                    regime_conditions([0, 1, 2]), (0,), episodes=7, workers=2,
+                    traces=lambda label, traces: received.append(label))
+    assert received == ["regime:0", "regime:1", "regime:2"]
+
+
+def test_evaluate_models_rejects_no_workers():
+    with pytest.raises(ConfigError, match="workers"):
+        evaluate_models({"cl": chain_ladder_targets(FLAT_FACTORS)}, flat_env_factory,
+                        regime_conditions([0]), (0,), episodes=7, workers=0)
 
 
 def test_sensitivity_sweep_workers_are_bitwise_serial():

@@ -70,6 +70,16 @@ def perturbed_policy(seed: int = 7):
     return init_mlp((7, 64, 64, 7), np.random.default_rng(seed), final_gain=1.0, hidden_gain=10.0)
 
 
+def drawn_policy_run(env: ReserveEnv, policy, episodes: int) -> Trace:
+    """The greedy policy over ``episodes`` paths drawn from ``env`` itself."""
+    return run_policy_episodes(env, policy, episodes, env.draw_paths(episodes))
+
+
+def drawn_replay(env: ReserveEnv, targets, episodes: int) -> Trace:
+    """The targets replayed over ``episodes`` paths drawn from ``env`` itself."""
+    return replay_static_policy(env, targets, episodes, env.draw_paths(episodes))
+
+
 def trace_bytes(trace: Trace, tmp_path, name: str) -> bytes:
     path = tmp_path / name
     trace.write_csv(str(path))
@@ -106,7 +116,7 @@ def test_lockstep_matches_scalar(bundle, mode, config_name, tmp_path):
     policy = perturbed_policy()
     trace = assert_same_run(
         make_env,
-        lambda env, n: run_policy_episodes(env, policy, n),
+        lambda env, n: drawn_policy_run(env, policy, n),
         lambda env, n: scalar_policy_episodes(env, policy, n),
         tmp_path,
     )
@@ -127,7 +137,7 @@ def test_lockstep_matches_scalar(bundle, mode, config_name, tmp_path):
     for targets, builder in methods:
         assert_same_run(
             make_env,
-            lambda env, n: replay_static_policy(env, targets, n),
+            lambda env, n: drawn_replay(env, targets, n),
             lambda env, n: scalar_replay(env, builder, n),
             tmp_path,
         )
@@ -143,8 +153,8 @@ def test_trace_writers_match_rowwise_oracle(bundle, mode, tmp_path):
     def env():
         return ReserveEnv(bundle.train, bundle.factors, EnvConfig(), np.random.default_rng(9), mode)
 
-    traces = [run_policy_episodes(env(), perturbed_policy(), 40)] + [
-        replay_static_policy(env(), targets, 40)
+    traces = [drawn_policy_run(env(), perturbed_policy(), 40)] + [
+        drawn_replay(env(), targets, 40)
         for targets in (chain_ladder_targets(bundle.factors),
                         bornhuetter_ferguson_targets(bundle.factors, elr),
                         bootstrap_targets(boot))
@@ -186,8 +196,8 @@ def test_shared_draws_match_fresh_draws_per_model(bundle, tmp_path):
             fresh = []
             for seed in seeds:
                 env = make_env(mode, np.random.default_rng([4, cond_idx, seed]))
-                fresh.append(run_policy_episodes(env, model[seed], 30) if name == "rl_cvar"
-                             else replay_static_policy(env, model, 30))
+                fresh.append(drawn_policy_run(env, model[seed], 30) if name == "rl_cvar"
+                             else drawn_replay(env, model, 30))
             assert (trace_bytes(received[(name, label)], tmp_path, "shared.csv")
                     == trace_bytes(Trace.concat(fresh), tmp_path, "fresh.csv")), (name, label)
 

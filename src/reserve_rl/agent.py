@@ -7,7 +7,7 @@ squared-error value loss; advantages come from generalized advantage
 estimation over whole-episode rollouts.  Each seed trains from its own
 random streams, so a (seed, config) pair fully determines its policy bit
 for bit, whether the seeds train one after another or in parallel worker
-processes (:func:`train_seeds`).
+processes (:func:`train_curriculum`).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -80,6 +80,14 @@ class PPOConfig:
             raise EmptyBatch("batch_size and minibatch_size must be >= 1")
         if not 0.0 <= self.discount <= 1.0 or not 0.0 <= self.gae_lambda <= 1.0:
             raise LengthMismatch("discount and gae_lambda must lie in [0, 1]")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if any(width < 1 for width in self.hidden):
+            raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
+        # a negative rate would climb the loss, an infinite one diverge at once
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, "
+                              f"got {self.learning_rate!r}")
 
 
 def observe(state: EnvState) -> np.ndarray:
@@ -424,22 +432,25 @@ class TrainLogRow:
     violation_rate: float
 
 
+class SeedRun(NamedTuple):
+    """One seed's training: the seed, the final networks, its training-log
+    rows, its per-update ``(level, statistics)`` (the statistics being
+    means over the minibatches) and the environment steps it took."""
+
+    seed: int
+    agent: AgentParams
+    log: list[TrainLogRow]
+    update_stats: list[tuple[int, UpdateStats]]
+    env_steps: int
+
+
 TRAINING_LOG_HEADER = "seed,level,episode,mean_reward,mean_shortfall,mean_cvar,violation_rate"
 
 
-@dataclass
-class TrainingResult:
-    """Final networks, the per-episode log, and each seed's per-update
-    ``(level, statistics)``, the statistics being means over the
-    minibatches."""
-
-    policies: dict[int, AgentParams]
-    log: list[TrainLogRow] = field(default_factory=list)
-    update_stats: dict[int, list[tuple[int, UpdateStats]]] = field(default_factory=dict)
-
-
-def write_training_log(rows: Sequence[TrainLogRow], path: str) -> None:
-    write_csv(path, TRAINING_LOG_HEADER, map(field_values(TrainLogRow), rows))
+def write_training_log(runs: Sequence[SeedRun], path: str) -> None:
+    """Every run's episode rows, run by run."""
+    values = field_values(TrainLogRow)
+    write_csv(path, TRAINING_LOG_HEADER, (values(row) for run in runs for row in run.log))
 
 
 UPDATE_LOG_HEADER = (
@@ -448,26 +459,20 @@ UPDATE_LOG_HEADER = (
 )
 
 
-def write_update_log(update_stats: dict[int, list[tuple[int, UpdateStats]]], path: str) -> None:
-    """One row per update: seed, level, the update's index in its seed's run
-    (from 0), then the :class:`UpdateStats` fields (minibatch means, then
-    the batch's explained variance)."""
+def write_update_log(runs: Sequence[SeedRun], path: str) -> None:
+    """One row per update, run by run: seed, level, the update's index in
+    its seed's run (from 0), then the :class:`UpdateStats` fields
+    (minibatch means, then the batch's explained variance)."""
     values = field_values(UpdateStats)
     write_csv(path, UPDATE_LOG_HEADER, (
-        (seed, level, update, *values(stats))
-        for seed, updates in update_stats.items()
-        for update, (level, stats) in enumerate(updates)
+        (run.seed, level, update, *values(stats))
+        for run in runs
+        for update, (level, stats) in enumerate(run.update_stats)
     ))
 
 
-class SeedRun(NamedTuple):
-    """One seed's training: the final networks, its training-log rows, its
-    per-update ``(level, statistics)`` and the environment steps it took."""
-
-    agent: AgentParams
-    log: list[TrainLogRow]
-    update_stats: list[tuple[int, UpdateStats]]
-    env_steps: int
+#: One training, ``(make_env, config, schedule, seed)``: :func:`train_seed`'s arguments.
+TrainJob = tuple[EnvFactory, PPOConfig, CurriculumSchedule, int]
 
 
 def train_seed(
@@ -551,12 +556,10 @@ def train_seed(
             episodes = range(first, min(first + per_batch, schedule.episodes_per_level))
             batch = rollout_batch(level, episodes)
             stats.append((level, ppo_update(agent, batch, config, adam, update_rng)))
-    return SeedRun(agent, log_rows, stats, len(log_rows) * horizon)
+    return SeedRun(seed, agent, log_rows, stats, len(log_rows) * horizon)
 
 
-def _pooled_runs(
-    jobs: Sequence[tuple[EnvFactory, PPOConfig, CurriculumSchedule, int]], n_procs: int
-) -> list[SeedRun]:
+def _pooled_runs(jobs: Sequence[TrainJob], n_procs: int) -> list[SeedRun]:
     import concurrent.futures
     import multiprocessing
 
@@ -581,12 +584,9 @@ def _stop_resource_tracker(tracker: object) -> None:
         log.debug("resource tracker left running", exc_info=True)
 
 
-def train_seeds(
-    jobs: Sequence[tuple[EnvFactory, PPOConfig, CurriculumSchedule, int]],
-    workers: int,
-) -> list[SeedRun]:
-    """:func:`train_seed` over each ``(make_env, config, schedule, seed)``
-    job, results in job order.
+def train_curriculum(jobs: Sequence[TrainJob], workers: int = 1) -> list[SeedRun]:
+    """Train one policy per job along the regime curriculum (see
+    :func:`train_seed`), the runs in job order.
 
     With more than one worker and job, the jobs run in a pool of
     ``min(workers, len(jobs))`` processes started by ``spawn``, with
@@ -595,9 +595,10 @@ def train_seeds(
     already run, and a ``forkserver`` would outlive the call as the
     caller's child).  No process the call starts outlives a call that
     returns.  Each job then needs a factory that pickles, such as
-    :class:`EnvFactory`.  A job's outputs depend on its seed alone, so they
-    are the serial run's bit for bit, and an exception raised in a worker
-    reaches the caller with its type.
+    :class:`EnvFactory`; with one worker, ``make_env`` may be any callable
+    ``(mode, rng) -> ReserveEnv``.  A job's outputs depend on its seed
+    alone, so they are the serial run's bit for bit, and an exception
+    raised in a worker reaches the caller with its type.
 
     Raises:
         ConfigError: ``workers`` is below 1.
@@ -629,28 +630,3 @@ def train_seeds(
     log.info("trained %d policies on %d workers in %.2f s (%.0f env steps/s)",
              len(jobs), n_procs, seconds, steps / seconds)
     return runs
-
-
-def train_curriculum(
-    make_env: EnvFactory,
-    config: PPOConfig,
-    schedule: CurriculumSchedule,
-    seeds: Sequence[int],
-    workers: int = 1,
-) -> TrainingResult:
-    """Train one policy per seed along the regime curriculum (see
-    :func:`train_seed`), on up to ``workers`` processes (see
-    :func:`train_seeds`; with one, ``make_env`` may be any callable
-    ``(mode, rng) -> ReserveEnv``).
-
-    Returns:
-        :class:`TrainingResult` with final networks per seed, the
-        per-episode log and the per-update statistics, in seed order.
-    """
-    runs = train_seeds([(make_env, config, schedule, seed) for seed in seeds], workers)
-    result = TrainingResult(policies={})
-    for seed, run in zip(seeds, runs):
-        result.policies[seed] = run.agent
-        result.log.extend(run.log)
-        result.update_stats[seed] = run.update_stats
-    return result

@@ -226,21 +226,22 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     data = IngestArtifacts(args.data or os.path.join(args.out, "ingest"))
     seeds = _seeds(cfg)
     train_factory, _ = _factories(data, cfg)
-    result = train_curriculum(train_factory, cfg.ppo, cfg.regimes, seeds, _usable_cores())
+    runs = train_curriculum([(train_factory, cfg.ppo, cfg.regimes, seed) for seed in seeds],
+                            _usable_cores())
 
     fingerprint = config_fingerprint(cfg)
     outputs = ["training_log.csv", "updates.csv"]
-    for seed, trained in sorted(result.policies.items()):
-        name = f"policy_seed{seed}.json"
-        save_networks(os.path.join(out, name), trained.policy, trained.value,
-                      fingerprint, seed)
+    for run in runs:
+        name = f"policy_seed{run.seed}.json"
+        save_networks(os.path.join(out, name), run.agent.policy, run.agent.value,
+                      fingerprint, run.seed)
         outputs.append(name)
-    write_training_log(result.log, os.path.join(out, "training_log.csv"))
-    write_update_log(result.update_stats, os.path.join(out, "updates.csv"))
+    write_training_log(runs, os.path.join(out, "training_log.csv"))
+    write_update_log(runs, os.path.join(out, "updates.csv"))
     write_json(os.path.join(out, "manifest.json"),
                build_manifest("train", cfg, inputs=data.input_paths(), outputs=outputs))
-    for seed in seeds:
-        print(f"train: seed {seed} finished with {len(result.update_stats[seed])} updates")
+    for run in runs:
+        print(f"train: seed {run.seed} finished with {len(run.update_stats)} updates")
     return 0
 
 
@@ -343,11 +344,13 @@ def _sensitivity_outcome(args: argparse.Namespace, cfg: RunConfig, data: IngestA
     )
 
 
-#: Subcommand -> (output directory, metrics table name, outcome function).
+#: Subcommand -> (output directory, metrics table name, outcome function,
+#: the ``[eval]`` lists it runs over).
 _EVALUATIONS = {
-    "evaluate": ("eval", "metrics", _policy_outcome),
-    "stress": ("stress", "stress_metrics", _policy_outcome),
-    "sensitivity": ("sensitivity", "sensitivity", _sensitivity_outcome),
+    "evaluate": ("eval", "metrics", _policy_outcome, ("regimes",)),
+    "stress": ("stress", "stress_metrics", _policy_outcome, ("shocks",)),
+    "sensitivity": ("sensitivity", "sensitivity", _sensitivity_outcome,
+                    ("regimes", "sweep_alphas")),
 }
 
 
@@ -355,11 +358,15 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     """``evaluate``, ``stress`` and ``sensitivity``: score models on the
     ingested data, writing each condition's traces as it finishes under
     ``--traces``, then write the metrics table with its sidecar and the
-    manifest."""
-    directory, table, outcome_of = _EVALUATIONS[args.command]
+    manifest.  An empty ``[run] seeds`` or ``[eval]`` list the command runs
+    over is refused before anything is read."""
+    directory, table, outcome_of, lists = _EVALUATIONS[args.command]
+    seeds = _seeds(cfg)
+    for key in lists:
+        if not getattr(cfg.eval, key):
+            raise ConfigError(f"[eval] {key} is empty: {args.command} needs at least one value")
     out = _outdir(args, directory)
     data = IngestArtifacts(args.data or os.path.join(args.out, "ingest"))
-    seeds = _seeds(cfg)
     sink = None
     if getattr(args, "traces", False):
         sink = _trace_writer(os.path.join(out, "traces"))

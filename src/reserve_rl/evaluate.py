@@ -30,7 +30,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import baselines
-from .agent import PPOConfig, act_greedy, observe, train_seeds
+from .agent import PPOConfig, act_greedy, observe, train_curriculum
 from .artifacts import field_values, write_csv, write_json
 from .baselines import StaticTargets
 from .env import EnvFactory, LossPaths, ReserveEnv, Trace
@@ -381,10 +381,10 @@ def sensitivity_sweep(
     Each cell trains fresh policies, then scores them with
     :func:`evaluate_models` on one condition pooling ``eval_levels``, so
     evaluation draws are paired across cells.  Every (cell, seed)
-    training is one job of a single :func:`train_seeds` call on up to
-    ``workers`` processes.
+    training is one job of a single :func:`train_curriculum` call on up
+    to ``workers`` processes.
     """
-    runs = iter(train_seeds(
+    runs = iter(train_curriculum(
         [(train_factory, ppo_config, schedule, seed)
          for train_factory, _ in cells.values() for seed in seeds],
         workers,

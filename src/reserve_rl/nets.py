@@ -253,14 +253,23 @@ def save_networks(
 def load_networks(path: str) -> tuple[MLPParams, MLPParams, str, int]:
     """Inverse of :func:`save_networks`; floats round-trip exactly into
     C-ordered arrays, as in training, so a loaded policy acts as the
-    trained one did, bit for bit."""
+    trained one did, bit for bit.
+
+    Raises:
+        DataError: The file is not a network file of this format, or it
+            is corrupt or cut short.
+    """
     with open(path) as handle:
-        doc = json.load(handle)
-    if doc.get("format") != _FORMAT:
-        raise DataError(f"unrecognized network file format in {path}")
-    return (
-        _params_from_doc(doc["policy"]),
-        _params_from_doc(doc["value"]),
-        doc["config_fingerprint"],
-        int(doc["seed"]),
-    )
+        try:
+            doc = json.load(handle)
+            if doc.get("format") != _FORMAT:
+                raise DataError(f"unrecognized network file format in {path}")
+            return (
+                _params_from_doc(doc["policy"]),
+                _params_from_doc(doc["value"]),
+                doc["config_fingerprint"],
+                int(doc["seed"]),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"unreadable network file {path!r}: "
+                            f"{type(exc).__name__}: {exc}") from exc

@@ -24,9 +24,8 @@ import numpy as np
 from reserve_rl.agent import (
     AgentParams,
     Batch,
-    PPOConfig,
     RunningReturnNormalizer,
-    TrainingResult,
+    SeedRun,
     TrainLogRow,
     UpdateStats,
     act_sample,
@@ -39,7 +38,7 @@ from reserve_rl.baselines import BootstrapResult, _residual_pool, percent_develo
 from reserve_rl.env import ACTION_GRID, TRACE_HEADER, ReserveEnv, StepOutcome, Trace
 from reserve_rl.errors import DegenerateResiduals, NonFiniteGradient
 from reserve_rl.nets import MLPParams, init_mlp, mlp_rows, softmax
-from reserve_rl.regimes import CurriculumSchedule, Stochastic
+from reserve_rl.regimes import Stochastic
 from reserve_rl.triangles import DevelopmentFactors, LossTriangle
 
 _TRACE_COLUMNS = (
@@ -240,10 +239,11 @@ def list_ppo_update(policy, value, batch, config, adam, rng):
     }, explained_variance=explained)
 
 
-def scalar_train_curriculum(make_env, config: PPOConfig, schedule: CurriculumSchedule, seeds):
-    """Curriculum training one episode and one step at a time."""
-    result = TrainingResult(policies={})
-    for seed in seeds:
+def scalar_train_curriculum(jobs):
+    """Curriculum training one episode and one step at a time, one
+    :class:`SeedRun` per ``(make_env, config, schedule, seed)`` job."""
+    runs = []
+    for make_env, config, schedule, seed in jobs:
         streams = np.random.SeedSequence(seed).spawn(4)
         init_rng, env_rng, action_rng, update_rng = map(np.random.default_rng, streams)
         sizes = (7, *config.hidden)
@@ -253,7 +253,7 @@ def scalar_train_curriculum(make_env, config: PPOConfig, schedule: CurriculumSch
         normalizer = RunningReturnNormalizer(config.discount, enabled=config.reward_norm)
         env = make_env(Stochastic(schedule.levels[0]), env_rng)
         buffer = {name: [] for name in ("obs", "actions", "logps", "values", "dones", "rewards")}
-        stats = result.update_stats[seed] = []
+        stats, log = [], []
 
         def run_update(level):
             advantages, returns = compute_gae(
@@ -302,7 +302,7 @@ def scalar_train_curriculum(make_env, config: PPOConfig, schedule: CurriculumSch
                     ep_cvars.append(outcome.components.cvar)
                     ep_violations.append(1.0 if outcome.components.violated else 0.0)
                     state = outcome.state
-                result.log.append(TrainLogRow(
+                log.append(TrainLogRow(
                     seed=seed,
                     level=level,
                     episode=episode,
@@ -316,8 +316,9 @@ def scalar_train_curriculum(make_env, config: PPOConfig, schedule: CurriculumSch
             if buffer["actions"]:
                 run_update(level)  # flush the level's remainder
 
-        result.policies[seed] = SimpleNamespace(policy=policy, value=value)
-    return result
+        agent = SimpleNamespace(policy=policy, value=value)
+        runs.append(SeedRun(seed, agent, log, stats, len(log) * env.horizon))
+    return runs
 
 
 # --- bootstrap -----------------------------------------------------------------

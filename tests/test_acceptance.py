@@ -283,11 +283,12 @@ def test_criterion_06_training_improves_returns(bundle):
     schedule = CurriculumSchedule(levels=(0,), episodes_per_level=200, ramp_episodes=50)
     train_factory, _ = env_factories(bundle)
     t0 = time.perf_counter()
-    result = train_curriculum(train_factory, config, schedule, (1, 2, 3), WORKERS)
+    runs = train_curriculum([(train_factory, config, schedule, seed) for seed in (1, 2, 3)],
+                            WORKERS)
     elapsed = time.perf_counter() - t0
     margins = []
     for seed in (1, 2, 3):
-        rewards = [row.mean_reward for row in result.log if row.seed == seed]
+        rewards = [row.mean_reward for run in runs for row in run.log if row.seed == seed]
         first = float(np.mean(rewards[:20]))
         last = float(np.mean(rewards[-20:]))
         margins.append((last - first) / (0.2 * abs(first)))
@@ -305,9 +306,10 @@ def full_run(bundle):
     schedule = CurriculumSchedule(levels=(0, 1, 2, 3), episodes_per_level=200,
                                   ramp_episodes=50)
     t0 = time.perf_counter()
-    trained = train_curriculum(train_factory, STABLE, schedule, SEEDS5, WORKERS)
+    trained = train_curriculum([(train_factory, STABLE, schedule, seed) for seed in SEEDS5],
+                               WORKERS)
     return {
-        "policies": {seed: agent.policy for seed, agent in trained.policies.items()},
+        "policies": {run.seed: run.agent.policy for run in trained},
         "eval_factory": eval_factory,
         "train_seconds": time.perf_counter() - t0,
     }
@@ -380,10 +382,11 @@ def test_criterion_09_cold_regime(bundle):
     train_factory, eval_factory = env_factories(bundle)
     schedule = CurriculumSchedule(levels=(0, 1), episodes_per_level=200, ramp_episodes=50)
     t0 = time.perf_counter()
-    trained = train_curriculum(train_factory, STABLE, schedule, SEEDS5, WORKERS)
+    trained = train_curriculum([(train_factory, STABLE, schedule, seed) for seed in SEEDS5],
+                               WORKERS)
     outcome = evaluate_models(
         {
-            "rl_cvar": {seed: agent.policy for seed, agent in trained.policies.items()},
+            "rl_cvar": {run.seed: run.agent.policy for run in trained},
             "chain_ladder": chain_ladder_targets(bundle.factors),
         },
         eval_factory,

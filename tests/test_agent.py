@@ -272,16 +272,16 @@ def test_train_curriculum_smoke():
         hidden=(16, 16),
     )
     schedule = CurriculumSchedule(levels=(0,), episodes_per_level=12, ramp_episodes=4)
-    result = train_curriculum(tiny_factory(), config, schedule, (1,))
-    assert set(result.policies) == {1}
-    trained = result.policies[1]
+    runs = train_curriculum([(tiny_factory(), config, schedule, 1)])
+    assert {run.seed for run in runs} == {1}
+    trained = runs[0].agent
     assert trained.policy.weights[0].shape == (OBS_DIM, 16)
-    log_rows = [r for r in result.log if r.seed == 1]
+    log_rows = [r for r in runs[0].log if r.seed == 1]
     assert len(log_rows) == 12
     assert all(r.level == 0 for r in log_rows)
     assert all(np.isfinite(r.mean_reward) for r in log_rows)
     # 12 episodes x 3 steps = 36 transitions: one full batch plus a flush
-    assert len(result.update_stats[1]) == 2
+    assert len(runs[0].update_stats) == 2
 
 
 def test_train_curriculum_is_deterministic_per_seed():
@@ -292,29 +292,27 @@ def test_train_curriculum_is_deterministic_per_seed():
         hidden=(8,),
     )
     schedule = CurriculumSchedule(levels=(0, 1), episodes_per_level=6, ramp_episodes=2)
-    a = train_curriculum(tiny_factory(), config, schedule, (7,))
-    b = train_curriculum(tiny_factory(), config, schedule, (7,))
-    for arr_a, arr_b in zip(
-        a.policies[7].policy.layers(), b.policies[7].policy.layers()
-    ):
+    [a] = train_curriculum([(tiny_factory(), config, schedule, 7)])
+    [b] = train_curriculum([(tiny_factory(), config, schedule, 7)])
+    for arr_a, arr_b in zip(a.agent.policy.layers(), b.agent.policy.layers()):
         np.testing.assert_array_equal(arr_a, arr_b)
 
 
 def test_write_training_log(tmp_path):
     config = PPOConfig(batch_size=30, minibatch_size=15, hidden=(8,))
     schedule = CurriculumSchedule(levels=(0,), episodes_per_level=4, ramp_episodes=2)
-    result = train_curriculum(tiny_factory(), config, schedule, (1,))
+    runs = train_curriculum([(tiny_factory(), config, schedule, 1)])
     path = tmp_path / "log.csv"
-    write_training_log(result.log, str(path))
+    write_training_log(runs, str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == TRAINING_LOG_HEADER
     assert len(lines) == 5
     updates = tmp_path / "updates.csv"
-    write_update_log(result.update_stats, str(updates))
+    write_update_log(runs, str(updates))
     lines = updates.read_text().splitlines()
     assert lines[0] == UPDATE_LOG_HEADER
     # 4 episodes x 3 steps fit one batch of 30
-    level, stats = result.update_stats[1][0]
+    level, stats = runs[0].update_stats[0]
     assert lines[1:] == [
         f"1,0,0,{stats.policy_loss!r},{stats.value_loss!r},{stats.entropy!r},"
         f"{stats.clip_fraction!r},{stats.approx_kl!r},{stats.grad_norm!r},"
@@ -336,9 +334,9 @@ def test_update_log_explained_variance_matches_numpy(tmp_path, monkeypatch):
     monkeypatch.setattr(agent_module, "ppo_update", recording)
     config = PPOConfig(batch_size=12, minibatch_size=6, hidden=(8,))
     schedule = CurriculumSchedule(levels=(0, 1), episodes_per_level=8, ramp_episodes=2)
-    result = train_curriculum(tiny_factory(), config, schedule, (4,))
+    runs = train_curriculum([(tiny_factory(), config, schedule, 4)])
     path = tmp_path / "updates.csv"
-    write_update_log(result.update_stats, str(path))
+    write_update_log(runs, str(path))
     lines = path.read_text().splitlines()
     assert lines[0].split(",")[-1] == "explained_variance"
     column = [float(line.split(",")[-1]) for line in lines[1:]]
@@ -360,7 +358,7 @@ def test_explained_variance_is_nan_for_constant_returns(tmp_path):
     stats = agent_module.UpdateStats(0.5, 0.25, 1.0, 0.0, 0.0, 0.125,
                                      agent_module.explained_variance(returns, returns))
     path = tmp_path / "updates.csv"
-    write_update_log({3: [(1, stats)]}, str(path))
+    write_update_log([agent_module.SeedRun(3, None, [], [(1, stats)], 0)], str(path))
     assert path.read_text().splitlines()[1] == "3,1,0,0.5,0.25,1.0,0.0,0.0,0.125,nan"
 
 
@@ -384,23 +382,24 @@ def test_train_curriculum_workers_are_bitwise_serial(bundle):
     schedule = CurriculumSchedule(levels=(0, 1), episodes_per_level=30, ramp_episodes=10)
     factory = EnvFactory(bundle.train, bundle.factors, EnvConfig(horizon=bundle.horizon))
     seeds = (4, 9, 2)
-    serial = train_curriculum(factory, config, schedule, seeds, workers=1)
+    jobs = [(factory, config, schedule, seed) for seed in seeds]
+    serial = train_curriculum(jobs, workers=1)
     had_children = has_child_process()
-    pooled = train_curriculum(factory, config, schedule, seeds, workers=2)
+    pooled = train_curriculum(jobs, workers=2)
     assert has_child_process() == had_children  # no worker or helper left behind
     gc.collect()  # nor one restarted by the pool's semaphores when freed
     assert has_child_process() == had_children
-    assert list(pooled.policies) == list(seeds)
-    for seed in seeds:
-        ours, ref = pooled.policies[seed], serial.policies[seed]
+    assert [run.seed for run in pooled] == list(seeds)
+    for pooled_run, serial_run in zip(pooled, serial):
+        ours, ref = pooled_run.agent, serial_run.agent
         assert ours.vector.tobytes() == ref.vector.tobytes()
         for a, b in zip(ours.layers(), ref.layers()):
             assert a.strides == b.strides
             assert np.shares_memory(a, ours.vector)
-    assert pooled.log == serial.log
-    assert pooled.update_stats == serial.update_stats
+    assert [run.log for run in pooled] == [run.log for run in serial]
+    assert [run.update_stats for run in pooled] == [run.update_stats for run in serial]
     with pytest.raises(ConfigError):
-        train_curriculum(factory, config, schedule, seeds, workers=0)
+        train_curriculum(jobs, workers=0)
 
 
 def test_pooled_results_survive_a_tracker_that_will_not_stop(bundle, monkeypatch):
@@ -413,10 +412,11 @@ def test_pooled_results_survive_a_tracker_that_will_not_stop(bundle, monkeypatch
     config = PPOConfig(batch_size=20, minibatch_size=10, epochs=1, hidden=(4,))
     schedule = CurriculumSchedule(levels=(0,), episodes_per_level=4, ramp_episodes=1)
     factory = EnvFactory(bundle.train, bundle.factors, EnvConfig(horizon=bundle.horizon))
+    jobs = [(factory, config, schedule, seed) for seed in (1, 2)]
     try:
-        pooled = train_curriculum(factory, config, schedule, (1, 2), workers=2)
+        pooled = train_curriculum(jobs, workers=2)
     finally:
         tracker._stop()
-    serial = train_curriculum(factory, config, schedule, (1, 2), workers=1)
-    assert pooled.log == serial.log
-    assert pooled.update_stats == serial.update_stats
+    serial = train_curriculum(jobs, workers=1)
+    assert [run.log for run in pooled] == [run.log for run in serial]
+    assert [run.update_stats for run in pooled] == [run.update_stats for run in serial]

@@ -352,7 +352,8 @@ def test_worker_error_keeps_type_and_exit_code(pipeline, tmp_path, monkeypatch):
     schedule = CurriculumSchedule(levels=(0,), episodes_per_level=2, ramp_episodes=1)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
     with pytest.raises(NonFiniteGradient, match="BLAS threads 1$") as raised:
-        train_curriculum(refusing_factory, config, schedule, (1, 2), workers=2)
+        train_curriculum([(refusing_factory, config, schedule, seed) for seed in (1, 2)],
+                         workers=2)
     assert f"process {os.getpid()}," not in str(raised.value)
     assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
     monkeypatch.setattr(cli, "_factories", lambda *a, **k: (refusing_factory, refusing_factory))
@@ -473,6 +474,50 @@ def test_missing_policies_exit_2(pipeline, tmp_path):
         "--policies", str(tmp_path / "empty"),
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["evaluate", "stress"])
+@pytest.mark.parametrize("body", [
+    pytest.param('{"format": "reserve-rl-policy-v1", "seed": 1, "pol', id="not_json"),
+    pytest.param('{"format": "reserve-rl-policy-v1", "seed": 1}', id="no_networks"),
+])
+def test_unreadable_policy_exits_2_without_traceback(pipeline, tmp_path, command, body):
+    """A policy file that does not parse, or parses without its networks,
+    is a data error naming the file, not a crash."""
+    policies = tmp_path / "train"
+    shutil.copytree(os.path.join(pipeline["out"], "train"), policies)
+    (policies / "policy_seed1.json").write_text(body)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "reserve_rl.cli", "--config", pipeline["config"],
+         "--out", str(tmp_path / "runs"), command,
+         "--data", os.path.join(pipeline["out"], "ingest"), "--policies", str(policies)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error: unreadable network file ")
+    assert repr(str(policies / "policy_seed1.json")) in line
+
+
+@pytest.mark.parametrize("command, key", [
+    ("evaluate", "regimes"),
+    ("stress", "shocks"),
+    ("sensitivity", "sweep_alphas"),
+    ("sensitivity", "regimes"),
+])
+def test_empty_eval_list_exits_1_before_any_work(tmp_path, capsys, monkeypatch, command, key):
+    """An ``[eval]`` list the command runs over is refused, by name, before
+    the ingest artifacts or policies are read or anything is trained."""
+    monkeypatch.setattr(cli, "IngestArtifacts", lambda *a: pytest.fail("read the artifacts"))
+    config = tmp_path / "empty.ini"
+    config.write_text(re.sub(rf"^{key} = .*$", f"{key} =", PIPELINE_INI, flags=re.M))
+    out = tmp_path / "runs"
+    assert main(["--config", str(config), "--out", str(out), command]) == 1
+    assert f"error: [eval] {key} is empty" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("stage, table", [

@@ -155,6 +155,13 @@ def test_regimes_section_loads_as_schedule(tmp_path):
     ("[eval]\nsweep_alphas = 1.5\n", ConfigMismatch),
     ("[run]\nlob = workers comp, other liability\n", ConfigError),
     ("[run]\nlob = workers comp\n  other liability\n", ConfigError),
+    ("[ppo]\nepochs = 0\n", ConfigError),
+    ("[ppo]\nhidden = 0\n", ConfigError),
+    ("[ppo]\nhidden = 16,-3\n", ConfigError),
+    ("[ppo]\nhidden = -3\n", ConfigError),
+    ("[ppo]\nlearning_rate = -1\n", ConfigError),
+    ("[ppo]\nlearning_rate = 0\n", ConfigError),
+    ("[ppo]\nlearning_rate = inf\n", ConfigError),
 ])
 def test_invalid_runtime_values_fail_on_load(tmp_path, body, error):
     path = write_ini(tmp_path, body)

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import multiprocessing
 import os
 import re
 from types import SimpleNamespace
@@ -24,6 +25,7 @@ from reserve_rl.errors import (
     EmptyReport,
     IoFailure,
     NoEligibleSteps,
+    ReserveRlError,
     TooFewSamples,
 )
 from reserve_rl.evaluate import (
@@ -386,6 +388,23 @@ def test_evaluate_models_workers_are_bitwise_serial(tmp_path):
             os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
 
 
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the split forks its workers")
+def test_map_split_reports_a_worker_that_exits_without_its_result():
+    """A child that exits before sending an item fails the split with the
+    exit code and the item; it and the child still running are joined."""
+    def run(i):
+        if i == 1:
+            os._exit(7)
+        return i
+
+    with pytest.raises(ReserveRlError,
+                       match=r"^worker exited with code 7 before returning item 1$"):
+        evaluate_module._map_split(run, 6, 3)
+    with pytest.raises(ChildProcessError):  # every child was joined
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+
+
 def test_evaluate_models_is_serial_where_fork_is_not_offered(monkeypatch):
     """Without ``fork`` every condition runs in the caller, so a sink that
     keeps traces in memory sees them all."""
@@ -442,9 +461,9 @@ def test_sensitivity_sweep_workers_are_bitwise_serial():
     assert pooled.per_seed == serial.per_seed
     # one cell on its own: its policies score the same
     train_factory, eval_factory = cell_factories(None, FLOOR_FORMS["strict"])
-    trained = train_curriculum(train_factory, config, schedule, seeds)
+    trained = train_curriculum([(train_factory, config, schedule, seed) for seed in seeds])
     alone = evaluate_models(
-        {"rl_cvar": {seed: trained.policies[seed].policy for seed in seeds}}, eval_factory,
+        {"rl_cvar": {run.seed: run.agent.policy for run in trained}}, eval_factory,
         [("cell", [Stochastic(0), Stochastic(1)])], seeds, 4,
     )
     assert pooled.per_seed[("rl_cvar", "alpha:adaptive;floor:strict")] == \

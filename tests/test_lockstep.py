@@ -311,7 +311,7 @@ def test_training_matches_scalar(bundle, case, tmp_path, monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(np.random, "default_rng", recording_rng)
-            result = train(make_env, config, schedule, seeds)
+            result = train([(make_env, config, schedule, seed) for seed in seeds])
         return result, envs, generators
 
     def forbid_step(self, action):
@@ -322,21 +322,21 @@ def test_training_matches_scalar(bundle, case, tmp_path, monkeypatch):
         result, envs, generators = run(train_curriculum)
     expected, expected_envs, expected_generators = run(scalar_train_curriculum)
 
-    for seed in seeds:
+    for i, seed in enumerate(seeds):
         paths = []
         for name, res in (("a", result), ("b", expected)):
             path = tmp_path / f"{name}{seed}.json"
-            trained = res.policies[seed]
+            trained = res[i].agent
             save_networks(str(path), trained.policy, trained.value, "fp", seed)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
     logs = []
     for name, res in (("a", result), ("b", expected)):
-        write_training_log(res.log, str(tmp_path / f"{name}.csv"))
+        write_training_log(res, str(tmp_path / f"{name}.csv"))
         logs.append((tmp_path / f"{name}.csv").read_bytes())
     assert logs[0] == logs[1]
-    assert len(result.log) == len(seeds) * 4 * 12
-    assert result.update_stats == expected.update_stats
+    assert sum(len(run.log) for run in result) == len(seeds) * 4 * 12
+    assert [run.update_stats for run in result] == [run.update_stats for run in expected]
     assert len(generators) == len(expected_generators) == 4 * len(seeds)
     for ours, ref in zip(generators, expected_generators):
         assert ours.bit_generator.state == ref.bit_generator.state

@@ -23,7 +23,7 @@ import numpy as np
 
 from .artifacts import field_values, write_csv
 from .env import ACTION_GRID, TIE_BREAK_ORDER, EnvFactory, EnvState
-from .errors import ConfigError, EmptyBatch, LengthMismatch, NonFiniteGradient
+from .errors import ConfigError, NumericalError
 from .nets import (
     Adam,
     MLPParams,
@@ -77,9 +77,9 @@ class PPOConfig:
 
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.minibatch_size < 1:
-            raise EmptyBatch("batch_size and minibatch_size must be >= 1")
+            raise ConfigError("batch_size and minibatch_size must be >= 1")
         if not 0.0 <= self.discount <= 1.0 or not 0.0 <= self.gae_lambda <= 1.0:
-            raise LengthMismatch("discount and gae_lambda must lie in [0, 1]")
+            raise ConfigError("discount and gae_lambda must lie in [0, 1]")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if any(width < 1 for width in self.hidden):
@@ -88,6 +88,15 @@ class PPOConfig:
         if not 0.0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be positive and finite, "
                               f"got {self.learning_rate!r}")
+        # a clip range or norm bound <= 0 inverts or freezes every update,
+        # and a negative value weight trains the value head by ascent
+        if not self.clip_range > 0.0:
+            raise ConfigError(f"clip_range must be > 0, got {self.clip_range!r}")
+        if not self.max_grad_norm > 0.0:
+            raise ConfigError(f"max_grad_norm must be > 0 (inf disables clipping), "
+                              f"got {self.max_grad_norm!r}")
+        if not 0.0 <= self.value_coef < math.inf:
+            raise ConfigError(f"value_coef must be >= 0 and finite, got {self.value_coef!r}")
 
 
 def observe(state: EnvState) -> np.ndarray:
@@ -195,18 +204,18 @@ def compute_gae(
     returns = advantages + values.
 
     Raises:
-        LengthMismatch: Input arrays disagree in length.
+        ConfigError: Input arrays disagree in length.
     """
     rewards = np.asarray(rewards, dtype=float)
     values = np.asarray(values, dtype=float)
     dones = np.asarray(dones, dtype=float)
     n = rewards.size
     if values.size != n or dones.size != n:
-        raise LengthMismatch(
+        raise ConfigError(
             f"rewards/values/dones lengths differ: {n}/{values.size}/{dones.size}"
         )
     if n == 0:
-        raise EmptyBatch("cannot run GAE on an empty rollout")
+        raise ConfigError("cannot run GAE on an empty rollout")
     advantages = np.empty(n)
     next_advantage = 0.0
     next_value = 0.0
@@ -321,7 +330,7 @@ def ppo_loss_and_grads(
     """
     n = len(batch)
     if n == 0:
-        raise EmptyBatch("empty minibatch")
+        raise ConfigError("empty minibatch")
     clip = config.clip_range
 
     logits, policy_cache = mlp_forward(policy, batch.obs)
@@ -389,12 +398,12 @@ def ppo_update(
     :func:`explained_variance`.
 
     Raises:
-        EmptyBatch: No transitions.
-        NonFiniteGradient: NaN or infinity in any gradient.
+        ConfigError: No transitions.
+        NumericalError: NaN or infinity in any gradient.
     """
     n = len(batch)
     if n == 0:
-        raise EmptyBatch("cannot update from an empty batch")
+        raise ConfigError("cannot update from an empty batch")
     explained = explained_variance(batch.values, batch.returns)
     adv = batch.advantages
     batch = replace(batch, advantages=(adv - _mean(adv)) / (adv.std() + 1e-8))
@@ -406,7 +415,7 @@ def ppo_update(
             mini = batch.select(order[start : start + config.minibatch_size])
             _, stats = ppo_loss_and_grads(agent.policy, agent.value, mini, config, grads)
             if not np.isfinite(grads.vector).all():
-                raise NonFiniteGradient("non-finite gradient in update")
+                raise NumericalError("non-finite gradient in update")
             stats.grad_norm = clip_global_norm(grads.vector, grads.layers(), config.max_grad_norm)
             adam.step(agent.vector, grads.vector)
             minibatch_stats.append(stats)

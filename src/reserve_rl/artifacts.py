@@ -10,8 +10,8 @@ bytes:
   columns and formats their ``tolist()`` values);
 * JSON has sorted keys, ``(",", ":")`` separators and a trailing newline.
 
-A filesystem error while writing becomes :class:`IoFailure`, a data
-error (CLI exit code 2).
+A filesystem error while writing becomes :class:`DataError` (CLI exit
+code 2).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import IoFailure
+from .errors import DataError
 
 log = logging.getLogger(__name__)
 
@@ -37,7 +37,7 @@ def _write_lines(path: str, header: str, lines: Iterable[str]) -> None:
             handle.write(header + "\n")
             handle.writelines(line + "\n" for line in lines)
     except OSError as exc:
-        raise IoFailure(f"cannot write {path!r}: {exc}") from exc
+        raise DataError(f"cannot write {path!r}: {exc}") from exc
 
 
 def write_csv(path: str, header: str, rows: Iterable[Sequence[object]]) -> None:
@@ -105,7 +105,7 @@ def write_json(path: str, doc: object) -> None:
         with open(path, "w") as handle:
             handle.write(text)
     except OSError as exc:
-        raise IoFailure(f"cannot write {path!r}: {exc}") from exc
+        raise DataError(f"cannot write {path!r}: {exc}") from exc
 
 
 def git_blob_sha1(path: str) -> str:
@@ -114,6 +114,6 @@ def git_blob_sha1(path: str) -> str:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as exc:
-        raise IoFailure(f"cannot hash {path!r}: {exc}") from exc
+        raise DataError(f"cannot hash {path!r}: {exc}") from exc
     header = f"blob {len(data)}\0".encode()
     return hashlib.sha1(header + data).hexdigest()

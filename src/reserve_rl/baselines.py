@@ -25,7 +25,7 @@ import numpy as np
 
 from .artifacts import field_values, write_csv
 from .env import ACTION_GRID, HOLD_ACTION, TIE_BREAK_ORDER, LossPaths, ReserveEnv, Trace
-from .errors import DegenerateResiduals, InsufficientData, MissingPremium
+from .errors import DataError
 from .triangles import DevelopmentFactors, LossTriangle, age_to_age_factors
 
 log = logging.getLogger(__name__)
@@ -54,7 +54,7 @@ def write_reserve_rows_csv(rows: Sequence[ReserveRow], path: str) -> None:
 
 def _check_factor_coverage(tri: LossTriangle, factors: DevelopmentFactors) -> None:
     if len(factors) < tri.n_dev_lags - 1:
-        raise InsufficientData(
+        raise DataError(
             f"{len(factors)} factors cannot develop a {tri.n_dev_lags}-lag triangle"
         )
 
@@ -68,7 +68,7 @@ def chain_ladder_ultimates(
     reserve is the ultimate minus the latest observed value.
 
     Raises:
-        InsufficientData: Factors do not cover the triangle's lags.
+        DataError: Factors do not cover the triangle's lags.
     """
     _check_factor_coverage(tri, factors)
     rows = []
@@ -93,7 +93,7 @@ def chain_ladder_ultimates(
 def percent_developed(factors: DevelopmentFactors, lag: int) -> float:
     """Expected fraction of ultimate emerged by ``lag`` (1.0 at the end)."""
     if lag < 1:
-        raise InsufficientData(f"dev lag must be >= 1, got {lag}")
+        raise DataError(f"dev lag must be >= 1, got {lag}")
     remaining = 1.0
     for j in range(lag - 1, len(factors)):
         remaining *= factors.factors[j]
@@ -105,7 +105,7 @@ def implied_loss_ratio(tri: LossTriangle, factors: DevelopmentFactors) -> float:
     rows = chain_ladder_ultimates(tri, factors)
     total_premium = sum(tri.premium(r.accident_year) for r in rows)
     if total_premium <= 0.0:
-        raise MissingPremium("total earned premium is not positive")
+        raise DataError("total earned premium is not positive")
     return sum(r.ultimate for r in rows) / total_premium
 
 
@@ -120,9 +120,9 @@ def bornhuetter_ferguson(
     expected loss ratio may be a single pooled value or a per-year map.
 
     Raises:
-        MissingPremium: A year that still needs development has no
-            positive premium.
-        InsufficientData: Factors do not cover the triangle's lags.
+        DataError: A year that still needs development has no
+            positive premium, or the factors do not cover the
+            triangle's lags.
     """
     _check_factor_coverage(tri, factors)
     rows = []
@@ -133,7 +133,7 @@ def bornhuetter_ferguson(
         year_elr = elr[year] if isinstance(elr, Mapping) else float(elr)
         premium = tri.premium(year)
         if premium <= 0.0 and p < 1.0:
-            raise MissingPremium(f"accident year {year} has no premium but needs development")
+            raise DataError(f"accident year {year} has no premium but needs development")
         reserve = premium * year_elr * (1.0 - p)
         rows.append(
             ReserveRow(
@@ -263,10 +263,10 @@ def bootstrap_chain_ladder(
         rng: Random generator (owns all resampling draws).
 
     Raises:
-        InsufficientData: Fewer than three accident years.
-        DegenerateResiduals: Fitted incrementals non-positive, or
-            :data:`MAX_REFIT_ATTEMPTS` unusable pseudo-triangles in a row
-            (the generator may then have drawn past the last of them).
+        DataError: Fewer than three accident years, fitted incrementals
+            non-positive, or :data:`MAX_REFIT_ATTEMPTS` unusable
+            pseudo-triangles in a row (the generator may then have drawn
+            past the last of them).
     """
     keys, m_arr, pool = _residual_pool(tri)
     n_cells = len(keys)
@@ -290,7 +290,7 @@ def bootstrap_chain_ladder(
         for ok in usable.tolist():
             failures = 0 if ok else failures + 1
             if failures == MAX_REFIT_ATTEMPTS:
-                raise DegenerateResiduals(
+                raise DataError(
                     "bootstrap could not build a usable pseudo-triangle after "
                     f"{MAX_REFIT_ATTEMPTS} attempts"
                 )
@@ -306,18 +306,18 @@ def _residual_pool(tri: LossTriangle) -> tuple[list[tuple[int, int]], np.ndarray
     the pool of dof-adjusted Pearson residuals to resample from.
 
     Raises:
-        InsufficientData: Fewer than three accident years.
-        DegenerateResiduals: A fitted incremental is non-positive.
+        DataError: Fewer than three accident years, or a fitted
+            incremental is non-positive.
     """
     if tri.n_accident_years < 3:
-        raise InsufficientData(
+        raise DataError(
             f"bootstrap needs >= 3 accident years, got {tri.n_accident_years}"
         )
     factors = age_to_age_factors(tri)
     fitted, actual = _fitted_incrementals(tri, factors)
     for key, m in fitted.items():
         if m <= 0.0:
-            raise DegenerateResiduals(f"fitted incremental at {key} is {m!r}")
+            raise DataError(f"fitted incremental at {key} is {m!r}")
 
     keys = sorted(fitted)
     m_arr = np.array([fitted[k] for k in keys])

@@ -132,13 +132,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _seeds(cfg: RunConfig) -> tuple[int, ...]:
-    seeds = cfg.run.seeds
-    if not seeds:
-        raise ConfigError("no training seeds: [run] seeds is empty")
-    return seeds
-
-
 def _outdir(args: argparse.Namespace, name: str) -> str:
     path = os.path.join(args.out, name)
     os.makedirs(path, exist_ok=True)
@@ -224,10 +217,9 @@ def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = _outdir(args, "train")
     data = IngestArtifacts(args.data or os.path.join(args.out, "ingest"))
-    seeds = _seeds(cfg)
     train_factory, _ = _factories(data, cfg)
-    runs = train_curriculum([(train_factory, cfg.ppo, cfg.regimes, seed) for seed in seeds],
-                            _usable_cores())
+    runs = train_curriculum(
+        [(train_factory, cfg.ppo, cfg.regimes, seed) for seed in cfg.run.seeds], _usable_cores())
 
     fingerprint = config_fingerprint(cfg)
     outputs = ["training_log.csv", "updates.csv"]
@@ -358,10 +350,9 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     """``evaluate``, ``stress`` and ``sensitivity``: score models on the
     ingested data, writing each condition's traces as it finishes under
     ``--traces``, then write the metrics table with its sidecar and the
-    manifest.  An empty ``[run] seeds`` or ``[eval]`` list the command runs
-    over is refused before anything is read."""
+    manifest.  An empty ``[eval]`` list the command runs over is refused
+    before anything is read."""
     directory, table, outcome_of, lists = _EVALUATIONS[args.command]
-    seeds = _seeds(cfg)
     for key in lists:
         if not getattr(cfg.eval, key):
             raise ConfigError(f"[eval] {key} is empty: {args.command} needs at least one value")
@@ -370,10 +361,10 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     sink = None
     if getattr(args, "traces", False):
         sink = _trace_writer(os.path.join(out, "traces"))
-    outcome = outcome_of(args, cfg, data, seeds, sink)
+    outcome = outcome_of(args, cfg, data, cfg.run.seeds, sink)
     emit_report(outcome.rows, os.path.join(out, f"{table}.csv"), sidecar={
         "config_fingerprint": config_fingerprint(cfg),
-        "seeds": list(seeds),
+        "seeds": list(cfg.run.seeds),
         "inputs": data.input_digests(),
     })
     outputs = [f"{table}.csv", f"{table}.json"]

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from .artifacts import git_blob_sha1
 from .env import DEFAULT_FLOOR, STRICT_FLOOR, EnvConfig
-from .errors import ConfigError, ConfigMismatch
+from .errors import ConfigError
 from .agent import PPOConfig
 from .regimes import CurriculumSchedule, FixedShock, regime_params
 
@@ -40,7 +40,7 @@ _FLOOR_NAMES = {form: name for name, form in FLOOR_FORMS.items()}
 def _require_positive(section: object, *names: str) -> None:
     for name in names:
         if getattr(section, name) < 1:
-            raise ConfigMismatch(f"{name} must be >= 1, got {getattr(section, name)}")
+            raise ConfigError(f"{name} must be >= 1, got {getattr(section, name)}")
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,8 @@ class RunSection:
         # every metrics CSV carries lob in a field of its own, unquoted
         if any(c in self.lob for c in ",\r\n"):
             raise ConfigError(f"lob must hold no comma or line break, got {self.lob!r}")
+        if not self.seeds:
+            raise ConfigError("no training seeds: [run] seeds is empty")
         # a repeated seed would count twice in n_seeds and the seed spread
         repeated = sorted({seed for seed in self.seeds if self.seeds.count(seed) > 1})
         if repeated:
@@ -152,7 +154,8 @@ def load_config(path: str | None) -> RunConfig:
         ConfigError: Unknown section or key, unreadable file, an
             unparsable value, or a value the section's class rejects
             (``[env]``, ``[regimes]``, ``[ppo]``, a ``[run] lob`` holding a
-            comma or line break, a count below 1 in ``[eval]`` or
+            comma or line break, an empty or repeating ``[run] seeds``,
+            a count below 1 in ``[eval]`` or
             ``[baselines]``, and an ``[eval]`` regime level, shock or
             sweep alpha that the environment would reject).
     """

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .artifacts import write_csv_tables
-from .errors import ActionOutOfGrid, ConfigMismatch, EpisodeFinished
+from .errors import ConfigError, ReserveRlError
 from .regimes import (
     MIN_SHOCK,
     CurriculumSchedule,
@@ -101,20 +101,20 @@ class EnvConfig:
 
     def __post_init__(self) -> None:
         if self.horizon is not None and self.horizon < 2:
-            raise ConfigMismatch(f"horizon must be >= 2, got {self.horizon}")
+            raise ConfigError(f"horizon must be >= 2, got {self.horizon}")
         if self.vol_window < 2:
-            raise ConfigMismatch(f"vol_window must be >= 2, got {self.vol_window}")
+            raise ConfigError(f"vol_window must be >= 2, got {self.vol_window}")
         if self.vol_scale <= 0.0:
-            raise ConfigMismatch(f"vol_scale must be > 0, got {self.vol_scale}")
+            raise ConfigError(f"vol_scale must be > 0, got {self.vol_scale}")
         if self.noise_gain < 0.0:
-            raise ConfigMismatch(f"noise_gain must be >= 0, got {self.noise_gain}")
+            raise ConfigError(f"noise_gain must be >= 0, got {self.noise_gain}")
         if min(self.floor) < 0.0:
-            raise ConfigMismatch("floor base and slope must be >= 0")
+            raise ConfigError("floor base and slope must be >= 0")
         if self.alpha is not None and not 0.0 < self.alpha < 1.0:
-            raise ConfigMismatch(f"alpha must be in (0, 1), got {self.alpha}")
+            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
         for name in ("w_shortfall", "w_cvar", "w_inefficiency", "w_floor"):
             if getattr(self, name) < 0.0:
-                raise ConfigMismatch(f"reward weight {name} must be >= 0")
+                raise ConfigError(f"reward weight {name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -294,10 +294,8 @@ class ReserveEnv:
         # horizon may exceed its observed depth as long as the factors
         # cover every development step.
         horizon = config.horizon if config.horizon is not None else triangle.n_dev_lags
-        if horizon < 2:
-            raise ConfigMismatch(f"horizon must be >= 2, got {horizon}")
         if len(factors) < horizon - 1:
-            raise ConfigMismatch(
+            raise ConfigError(
                 f"need at least {horizon - 1} development factors, got {len(factors)}"
             )
         self.triangle = triangle
@@ -368,11 +366,11 @@ class ReserveEnv:
     def step(self, action_index: int) -> StepOutcome:
         """Advance one period under the chosen reserve adjustment."""
         if self._done or self.state is None:
-            raise EpisodeFinished("reset() must be called before stepping")
+            raise ReserveRlError("reset() must be called before stepping")
         if not isinstance(action_index, (int, np.integer)) or isinstance(action_index, bool):
-            raise ActionOutOfGrid(f"action index must be an integer, got {action_index!r}")
+            raise ConfigError(f"action index must be an integer, got {action_index!r}")
         if not 0 <= action_index < len(ACTION_GRID):
-            raise ActionOutOfGrid(
+            raise ConfigError(
                 f"action index {action_index} outside grid of size {len(ACTION_GRID)}"
             )
         state = self.state
@@ -514,7 +512,7 @@ class ReserveEnv:
         would leave them.
 
         Raises:
-            ActionOutOfGrid: ``policy`` returned anything but one valid
+            ConfigError: ``policy`` returned anything but one valid
                 integer action index per episode.
         """
         cfg = self.config
@@ -546,7 +544,7 @@ class ReserveEnv:
                 or actions.dtype.kind not in "iu"
                 or np.any((actions < 0) | (actions >= len(ACTION_GRID)))
             ):
-                raise ActionOutOfGrid(
+                raise ConfigError(
                     f"policy must return {n_episodes} action indices in "
                     f"[0, {len(ACTION_GRID)}), got {actions!r}"
                 )

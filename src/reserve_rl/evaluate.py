@@ -34,7 +34,7 @@ from .agent import PPOConfig, act_greedy, observe, train_curriculum
 from .artifacts import field_values, write_csv, write_json
 from .baselines import StaticTargets
 from .env import EnvFactory, LossPaths, ReserveEnv, Trace
-from .errors import ConfigError, EmptyReport, NoEligibleSteps, ReserveRlError, TooFewSamples
+from .errors import ConfigError, DataError, ReserveRlError
 from .nets import MLPParams
 from .regimes import CurriculumSchedule, FixedShock, ShockMode, Stochastic
 from .risk import tail_estimate
@@ -72,18 +72,18 @@ def compute_metrics(trace: Trace) -> MetricSet:
     """Summarize a trace into the four headline metrics.
 
     Raises:
-        NoEligibleSteps: Every step's loss sits below :data:`RAR_LOSS_EPS`.
-        TooFewSamples: Fewer than :data:`MIN_TAIL_SAMPLES` shortfall
-            observations are available for the tail estimate.
+        DataError: Every step's loss sits below :data:`RAR_LOSS_EPS`, or
+            fewer than :data:`MIN_TAIL_SAMPLES` shortfall observations
+            are available for the tail estimate.
     """
     eligible = trace.loss >= RAR_LOSS_EPS
     if not eligible.any():
-        raise NoEligibleSteps(
+        raise DataError(
             f"no steps with loss >= {RAR_LOSS_EPS!r} out of {trace.n_steps}"
         )
     rar = float(np.mean(trace.reserve[eligible] / trace.loss[eligible]))
     if trace.n_steps < MIN_TAIL_SAMPLES:
-        raise TooFewSamples(
+        raise DataError(
             f"{trace.n_steps} shortfall samples < required {MIN_TAIL_SAMPLES}"
         )
     cvar95 = tail_estimate(trace.shortfall, 0.95).cvar
@@ -120,7 +120,7 @@ def aggregate_metrics(
 ) -> MetricsRow:
     """Mean and sample standard deviation across seeds (sd 0 for one seed)."""
     if not per_seed:
-        raise EmptyReport(f"no per-seed metrics for {model}/{condition}")
+        raise DataError(f"no per-seed metrics for {model}/{condition}")
     cols = list(zip(*(m.as_tuple() for m in per_seed)))
     means = [float(np.mean(c)) for c in cols]
     sds = [float(np.std(c, ddof=1)) if len(per_seed) > 1 else 0.0 for c in cols]
@@ -369,11 +369,11 @@ def sensitivity_sweep(
     ppo_config: PPOConfig,
     schedule: CurriculumSchedule,
     seeds: Sequence[int],
-    eval_levels: Sequence[int] = (0, 1, 2, 3),
-    episodes_per_level: int = 25,
-    lob: str = "synthetic",
-    crn_base: int = 0,
-    workers: int = 1,
+    eval_levels: Sequence[int],
+    episodes_per_level: int,
+    lob: str,
+    crn_base: int,
+    workers: int,
 ) -> EvalOutcome:
     """Retrain and re-evaluate once per cell of ``cells``, a mapping from
     row label to that cell's (training, evaluation) environment factories.
@@ -413,11 +413,10 @@ def emit_report(
     fingerprint, seeds, input digests) plus the row count.
 
     Raises:
-        EmptyReport: ``rows`` is empty.
-        IoFailure: The filesystem rejected a write.
+        DataError: ``rows`` is empty, or the filesystem rejected a write.
     """
     if not rows:
-        raise EmptyReport("refusing to write a metrics report with zero rows")
+        raise DataError("refusing to write a metrics report with zero rows")
     write_csv(csv_path, METRICS_HEADER, map(field_values(MetricsRow), rows))
     sidecar_path = csv_path[:-4] + ".json" if csv_path.endswith(".csv") else csv_path + ".json"
     write_json(sidecar_path, {

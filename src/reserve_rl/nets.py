@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .artifacts import write_json
-from .errors import DataError, NonFiniteActivation
+from .errors import DataError, NumericalError
 
 
 @dataclass
@@ -93,7 +93,7 @@ def mlp_forward(params: MLPParams, x: np.ndarray) -> tuple[np.ndarray, list[np.n
         for the backward pass.
 
     Raises:
-        NonFiniteActivation: NaN or infinity appeared in the output.
+        NumericalError: NaN or infinity appeared in the output.
     """
     cache = [x]
     h = x
@@ -104,7 +104,7 @@ def mlp_forward(params: MLPParams, x: np.ndarray) -> tuple[np.ndarray, list[np.n
         if i < last:
             cache.append(h)
     if not np.isfinite(h).all():
-        raise NonFiniteActivation("non-finite value in network output")
+        raise NumericalError("non-finite value in network output")
     return h, cache
 
 
@@ -119,7 +119,7 @@ def mlp_rows(params: MLPParams, x: np.ndarray) -> np.ndarray:
     last place.
 
     Raises:
-        NonFiniteActivation: NaN or infinity appeared in the output.
+        NumericalError: NaN or infinity appeared in the output.
     """
     h = x
     last = params.n_layers - 1
@@ -127,7 +127,7 @@ def mlp_rows(params: MLPParams, x: np.ndarray) -> np.ndarray:
         z = np.einsum("bi,io->bo", h, w) + b
         h = z if i == last else np.tanh(z)
     if not np.isfinite(h).all():
-        raise NonFiniteActivation("non-finite value in network output")
+        raise NumericalError("non-finite value in network output")
     return h
 
 
@@ -153,21 +153,15 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(logits))
 
 
+#: Adam's moment decay rates and denominator guard (Kingma and Ba's defaults).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """First/second-moment adaptive gradient descent over one flat vector."""
 
-    def __init__(
-        self,
-        params: np.ndarray,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
+    def __init__(self, params: np.ndarray, lr: float) -> None:
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = np.zeros_like(params)
         self._v = np.zeros_like(params)
@@ -179,21 +173,21 @@ class Adam:
         ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
         ``p -= (lr*(m/b1c)) / (sqrt(v/b2c) + eps)``, rounded in that order."""
         self.step_count += 1
-        b1c = 1.0 - self.beta1 ** self.step_count
-        b2c = 1.0 - self.beta2 ** self.step_count
+        b1c = 1.0 - ADAM_BETA1 ** self.step_count
+        b2c = 1.0 - ADAM_BETA2 ** self.step_count
         m, v, t1, t2 = self._m, self._v, self._t1, self._t2
-        m *= self.beta1
-        np.multiply(grads, 1.0 - self.beta1, out=t1)
+        m *= ADAM_BETA1
+        np.multiply(grads, 1.0 - ADAM_BETA1, out=t1)
         m += t1
-        v *= self.beta2
-        np.multiply(grads, 1.0 - self.beta2, out=t1)
+        v *= ADAM_BETA2
+        np.multiply(grads, 1.0 - ADAM_BETA2, out=t1)
         t1 *= grads
         v += t1
         np.divide(m, b1c, out=t1)
         t1 *= self.lr
         np.divide(v, b2c, out=t2)
         np.sqrt(t2, out=t2)
-        t2 += self.eps
+        t2 += ADAM_EPS
         t1 /= t2
         params -= t1
 

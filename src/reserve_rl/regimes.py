@@ -16,7 +16,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import InvalidProgress, UnknownLevel
+from .errors import ConfigError
 
 log = logging.getLogger(__name__)
 
@@ -35,9 +35,9 @@ class RegimeSpec:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.mu):
-            raise UnknownLevel(f"regime mu must be finite, got {self.mu!r}")
+            raise ConfigError(f"regime mu must be finite, got {self.mu!r}")
         if not math.isfinite(self.var) or self.var < 0.0:
-            raise UnknownLevel(f"regime var must be >= 0, got {self.var!r}")
+            raise ConfigError(f"regime var must be >= 0, got {self.var!r}")
 
 
 #: Calm -> Moderate -> Volatile -> Recession severity ladder.
@@ -66,7 +66,7 @@ class FixedShock:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.m) or self.m <= 0.0:
-            raise UnknownLevel(f"fixed shock must be positive, got {self.m!r}")
+            raise ConfigError(f"fixed shock must be positive, got {self.m!r}")
 
 
 ShockMode = Union[Stochastic, FixedShock]
@@ -90,19 +90,19 @@ class CurriculumSchedule:
 
     def __post_init__(self) -> None:
         if not self.levels:
-            raise UnknownLevel("curriculum needs at least one level")
+            raise ConfigError("curriculum needs at least one level")
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
-            raise UnknownLevel(f"curriculum levels must be strictly ascending, got {self.levels}")
+            raise ConfigError(f"curriculum levels must be strictly ascending, got {self.levels}")
         if self.episodes_per_level < 1:
-            raise UnknownLevel(f"episodes_per_level must be >= 1, got {self.episodes_per_level}")
+            raise ConfigError(f"episodes_per_level must be >= 1, got {self.episodes_per_level}")
         if not 1 <= self.ramp_episodes <= self.episodes_per_level:
-            raise UnknownLevel(
+            raise ConfigError(
                 f"ramp_episodes must be in [1, episodes_per_level], got {self.ramp_episodes}"
             )
 
     def predecessor(self, level: int) -> int | None:
         if level not in self.levels:
-            raise UnknownLevel(f"level {level} is not part of the schedule {self.levels}")
+            raise ConfigError(f"level {level} is not part of the schedule {self.levels}")
         idx = self.levels.index(level)
         return self.levels[idx - 1] if idx > 0 else None
 
@@ -113,7 +113,7 @@ class CurriculumSchedule:
         there for the remainder of the level.
         """
         if episode_idx < 0:
-            raise InvalidProgress(f"episode index must be >= 0, got {episode_idx}")
+            raise ConfigError(f"episode index must be >= 0, got {episode_idx}")
         return min(1.0, (episode_idx + 1) / self.ramp_episodes)
 
 
@@ -121,12 +121,12 @@ def regime_params(level: int) -> RegimeSpec:
     """Look up a severity level in the regime table.
 
     Raises:
-        UnknownLevel: The level is not in the table.
+        ConfigError: The level is not in the table.
     """
     try:
         return DEFAULT_REGIME_TABLE[level]
     except KeyError:
-        raise UnknownLevel(
+        raise ConfigError(
             f"unknown regime level {level!r}; known: {sorted(DEFAULT_REGIME_TABLE)}"
         ) from None
 
@@ -138,10 +138,10 @@ def interpolate(a: RegimeSpec, b: RegimeSpec, progress: float) -> tuple[float, f
     bitwise at progress 0 and 1.
 
     Raises:
-        InvalidProgress: progress outside [0, 1].
+        ConfigError: progress outside [0, 1].
     """
     if not 0.0 <= progress <= 1.0:
-        raise InvalidProgress(f"progress must be in [0, 1], got {progress!r}")
+        raise ConfigError(f"progress must be in [0, 1], got {progress!r}")
     w = 1.0 - progress
     return (w * a.mu + progress * b.mu, w * a.var + progress * b.var)
 

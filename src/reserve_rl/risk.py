@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBuffer, InvalidAlpha
+from .errors import ConfigError, NumericalError
 
 #: Guard against float fuzz when alpha * N is an exact integer
 #: (e.g. 0.95 * 100 evaluates to 95.00000000000001).
@@ -101,7 +101,7 @@ class ShortfallBuffer:
 
         Raises:
             ValueError: A shortfall is not finite or is negative.
-            InvalidAlpha: An alpha is outside (0, 1).
+            ConfigError: An alpha is outside (0, 1).
             The first bad step decides which (a step's shortfall is checked
             before its alpha, as in ``push`` then ``empirical_cvar``), and the
             buffer is left as it was.
@@ -188,13 +188,13 @@ def adaptive_alpha(volatility: float | np.ndarray) -> float | np.ndarray:
     """
     negative = np.asarray(volatility)[np.less(volatility, 0.0)]
     if negative.size:
-        raise InvalidAlpha(f"volatility proxy must be >= 0, got {negative[0].item()!r}")
+        raise ConfigError(f"volatility proxy must be >= 0, got {negative[0].item()!r}")
     return 0.90 + 0.05 * np.fmin(1.0, volatility)
 
 
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
-        raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha!r}")
+        raise ConfigError(f"alpha must be in (0, 1), got {alpha!r}")
 
 
 def _nearest_rank(alpha: float, n: int) -> int:
@@ -210,14 +210,14 @@ def empirical_var(samples: np.ndarray, alpha: float) -> float:
         alpha: Tail level in (0, 1).
 
     Raises:
-        EmptyBuffer: No samples.
-        InvalidAlpha: alpha outside (0, 1).
+        NumericalError: No samples.
+        ConfigError: alpha outside (0, 1).
     """
     _check_alpha(alpha)
     samples = np.asarray(samples, dtype=float)
     n = samples.size
     if n == 0:
-        raise EmptyBuffer("cannot take a quantile of an empty sample")
+        raise NumericalError("cannot take a quantile of an empty sample")
     return float(np.sort(samples)[_nearest_rank(alpha, n) - 1])
 
 
@@ -256,13 +256,13 @@ def cvar_rockafellar_oracle(samples: np.ndarray, alpha: float) -> float:
     brute force: this is a test oracle, not a production path.
 
     Raises:
-        EmptyBuffer: No samples.
-        InvalidAlpha: alpha outside (0, 1).
+        NumericalError: No samples.
+        ConfigError: alpha outside (0, 1).
     """
     _check_alpha(alpha)
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
-        raise EmptyBuffer("cannot compute CVaR of an empty sample")
+        raise NumericalError("cannot compute CVaR of an empty sample")
     z = samples[:, None]
     excess = np.maximum(samples[None, :] - z, 0.0)
     objectives = z[:, 0] + excess.mean(axis=1) / (1.0 - alpha)

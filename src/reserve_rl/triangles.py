@@ -25,16 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .artifacts import field_values, write_csv
-from .errors import (
-    DegenerateScale,
-    DuplicateCell,
-    EmptyTriangle,
-    InsufficientData,
-    InvalidSplit,
-    IrregularTriangle,
-    MalformedRow,
-    ZeroDenominator,
-)
+from .errors import ConfigError, DataError, NumericalError
 
 CSV_HEADER = "accident_year,dev_lag,cum_incurred,cum_paid,earned_premium"
 _CSV_FIELDS = CSV_HEADER.split(",")
@@ -61,15 +52,15 @@ class TriangleCell:
 
     def __post_init__(self) -> None:
         if not isinstance(self.accident_year, int) or isinstance(self.accident_year, bool):
-            raise MalformedRow(f"accident_year must be an integer, got {self.accident_year!r}")
+            raise DataError(f"accident_year must be an integer, got {self.accident_year!r}")
         if not isinstance(self.dev_lag, int) or isinstance(self.dev_lag, bool):
-            raise MalformedRow(f"dev_lag must be an integer, got {self.dev_lag!r}")
+            raise DataError(f"dev_lag must be an integer, got {self.dev_lag!r}")
         if self.dev_lag < 1:
-            raise MalformedRow(f"dev_lag must be >= 1, got {self.dev_lag}")
+            raise DataError(f"dev_lag must be >= 1, got {self.dev_lag}")
         for name in ("cum_incurred", "cum_paid", "earned_premium"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0.0:
-                raise MalformedRow(f"{name} must be finite and non-negative, got {value!r}")
+                raise DataError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +79,7 @@ class LossTriangle:
 
     def __post_init__(self) -> None:
         if not self.cells:
-            raise EmptyTriangle("a triangle needs at least one cell")
+            raise DataError("a triangle needs at least one cell")
         ordered = tuple(sorted(self.cells, key=lambda c: (c.accident_year, c.dev_lag)))
         object.__setattr__(self, "cells", ordered)
 
@@ -96,26 +87,26 @@ class LossTriangle:
         for cell in ordered:
             key = (cell.accident_year, cell.dev_lag)
             if key in by_key:
-                raise DuplicateCell(f"duplicate cell for accident_year={key[0]}, dev_lag={key[1]}")
+                raise DataError(f"duplicate cell for accident_year={key[0]}, dev_lag={key[1]}")
             by_key[key] = cell
 
         years = tuple(sorted({c.accident_year for c in ordered}))
         n_lags = max(c.dev_lag for c in ordered)
         if n_lags < 2:
-            raise IrregularTriangle("a triangle needs at least two development lags")
+            raise DataError("a triangle needs at least two development lags")
 
         lags_by_year: dict[int, tuple[int, ...]] = {}
         premium_by_year: dict[int, float] = {}
         for year in years:
             lags = tuple(sorted(c.dev_lag for c in ordered if c.accident_year == year))
             if lags != tuple(range(1, len(lags) + 1)):
-                raise IrregularTriangle(
+                raise DataError(
                     f"accident year {year} has non-contiguous dev lags {lags}"
                 )
             lags_by_year[year] = lags
             premiums = {c.earned_premium for c in ordered if c.accident_year == year}
             if len(premiums) > 1:
-                raise MalformedRow(
+                raise DataError(
                     f"accident year {year} has inconsistent earned_premium values {sorted(premiums)}"
                 )
             premium_by_year[year] = premiums.pop()
@@ -162,7 +153,7 @@ class NormalizationParams:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.scale) or self.scale <= 0.0:
-            raise DegenerateScale(f"normalization scale must be positive, got {self.scale!r}")
+            raise DataError(f"normalization scale must be positive, got {self.scale!r}")
 
     def apply(self, x: float) -> float:
         return x / self.scale
@@ -177,9 +168,9 @@ class SplitSpec:
 
     def __post_init__(self) -> None:
         if self.a_train < 2:
-            raise InvalidSplit(f"a_train must be >= 2, got {self.a_train}")
+            raise ConfigError(f"a_train must be >= 2, got {self.a_train}")
         if self.a_test < 1:
-            raise InvalidSplit(f"a_test must be >= 1, got {self.a_test}")
+            raise ConfigError(f"a_test must be >= 1, got {self.a_test}")
 
 
 @dataclass(frozen=True)
@@ -190,10 +181,10 @@ class DevelopmentFactors:
 
     def __post_init__(self) -> None:
         if not self.factors:
-            raise InsufficientData("no development factors")
+            raise DataError("no development factors")
         for j, f in enumerate(self.factors, start=1):
             if not math.isfinite(f) or f <= 0.0:
-                raise ZeroDenominator(f"development factor f_{j} must be positive, got {f!r}")
+                raise NumericalError(f"development factor f_{j} must be positive, got {f!r}")
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -236,11 +227,11 @@ def parse_triangle_csv(path: str) -> LossTriangle:
         The parsed :class:`LossTriangle`.
 
     Raises:
-        MalformedRow: Bad header, field count, type, or negative value
-            (message carries the offending line number).
-        DuplicateCell: Repeated (accident_year, dev_lag) pair.
-        EmptyTriangle: No data rows after the header.
-        IrregularTriangle: Cells do not form a run-off shape.
+        DataError: Bad header, field count, type, or negative value
+            (the message carries the offending line number), a repeated
+            (accident_year, dev_lag) pair, no data rows after the header,
+            or cells that do not form a run-off shape.  Every message
+            starts with ``path``.
     """
     cells: list[TriangleCell] = []
     with open(path, newline="") as handle:
@@ -248,16 +239,16 @@ def parse_triangle_csv(path: str) -> LossTriangle:
         try:
             header = next(reader)
         except StopIteration:
-            raise EmptyTriangle(f"{path}: file is empty") from None
+            raise DataError(f"{path}: file is empty") from None
         if header != _CSV_FIELDS:
-            raise MalformedRow(
+            raise DataError(
                 f"{path}:1: expected header {CSV_HEADER!r}, got {','.join(header)!r}"
             )
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not field.strip() for field in row):
                 continue  # ignore blank lines
             if len(row) != len(_CSV_FIELDS):
-                raise MalformedRow(
+                raise DataError(
                     f"{path}:{lineno}: expected {len(_CSV_FIELDS)} fields, got {len(row)}"
                 )
             try:
@@ -268,18 +259,16 @@ def parse_triangle_csv(path: str) -> LossTriangle:
                     cum_paid=float(row[3]),
                     earned_premium=float(row[4]),
                 )
-            except MalformedRow as exc:
-                raise MalformedRow(f"{path}:{lineno}: {exc}") from None
-            except ValueError as exc:
-                raise MalformedRow(f"{path}:{lineno}: {exc}") from None
+            except (DataError, ValueError) as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
             cells.append(cell)
     if not cells:
-        raise EmptyTriangle(f"{path}: no data rows")
+        raise DataError(f"{path}: no data rows")
 
     try:
         triangle = LossTriangle(cells=tuple(cells))
-    except DuplicateCell as exc:
-        raise DuplicateCell(f"{path}: {exc}") from None
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     _check_runoff_shape(triangle, path)
     return triangle
 
@@ -293,7 +282,7 @@ def _check_runoff_shape(tri: LossTriangle, path: str) -> None:
         expected = min(t_max, diagonal - idx + 1)
         observed = tri.latest_lag(year)
         if observed != expected:
-            raise IrregularTriangle(
+            raise DataError(
                 f"{path}: accident year {year} observed through lag {observed}, "
                 f"expected lag {expected} for a run-off shape"
             )
@@ -307,14 +296,14 @@ def normalize(tri: LossTriangle, split: SplitSpec) -> tuple[LossTriangle, Normal
     normalized values may legitimately exceed 1).
 
     Raises:
-        InvalidSplit: Split sizes inconsistent with the triangle.
-        DegenerateScale: Training maximum is not positive.
+        ConfigError: Split sizes inconsistent with the triangle.
+        DataError: Training maximum is not positive.
     """
     _validate_split(tri, split)
     train_years = set(tri.years[: split.a_train])
     scale = max(c.cum_incurred for c in tri.cells if c.accident_year in train_years)
     if scale <= 0.0:
-        raise DegenerateScale(f"training split max cum_incurred is {scale}")
+        raise DataError(f"training split max cum_incurred is {scale}")
     params = NormalizationParams(scale=scale)
     scaled = tuple(
         TriangleCell(
@@ -331,7 +320,7 @@ def normalize(tri: LossTriangle, split: SplitSpec) -> tuple[LossTriangle, Normal
 
 def _validate_split(tri: LossTriangle, split: SplitSpec) -> None:
     if split.a_train + split.a_test != tri.n_accident_years:
-        raise InvalidSplit(
+        raise ConfigError(
             f"a_train + a_test = {split.a_train + split.a_test} does not match "
             f"{tri.n_accident_years} accident years"
         )
@@ -365,9 +354,9 @@ def age_to_age_factors(tri: LossTriangle) -> DevelopmentFactors:
         :class:`DevelopmentFactors` with T-1 entries for a T-lag triangle.
 
     Raises:
-        InsufficientData: Some adjacent-lag pair has no accident year
+        DataError: Some adjacent-lag pair has no accident year
             observed at both lags.
-        ZeroDenominator: A denominator column sums to zero.
+        NumericalError: A denominator column sums to zero.
     """
     factors: list[float] = []
     for lag in range(1, tri.n_dev_lags):
@@ -380,11 +369,11 @@ def age_to_age_factors(tri: LossTriangle) -> DevelopmentFactors:
                 denom += tri.value(year, lag)
                 pairs += 1
         if pairs == 0:
-            raise InsufficientData(
+            raise DataError(
                 f"no accident years observed at both lags {lag} and {lag + 1}"
             )
         if denom == 0.0:
-            raise ZeroDenominator(f"column sum at lag {lag} is zero")
+            raise NumericalError(f"column sum at lag {lag} is zero")
         factors.append(numer / denom)
     return DevelopmentFactors(factors=tuple(factors))
 

@@ -36,7 +36,7 @@ from reserve_rl.agent import (
 )
 from reserve_rl.baselines import BootstrapResult, _residual_pool, percent_developed
 from reserve_rl.env import ACTION_GRID, TRACE_HEADER, ReserveEnv, StepOutcome, Trace
-from reserve_rl.errors import DegenerateResiduals, NonFiniteGradient
+from reserve_rl.errors import DataError, NumericalError
 from reserve_rl.nets import MLPParams, init_mlp, mlp_rows, softmax
 from reserve_rl.regimes import Stochastic
 from reserve_rl.triangles import DevelopmentFactors, LossTriangle
@@ -229,7 +229,7 @@ def list_ppo_update(policy, value, batch, config, adam, rng):
             # separate C-ordered arrays, as a fresh matrix product returns them
             grads = [np.array(g, order="C") for g in flat_grads.layers()]
             if not all(np.all(np.isfinite(g)) for g in grads):
-                raise NonFiniteGradient("non-finite gradient in update")
+                raise NumericalError("non-finite gradient in update")
             stats.grad_norm = list_clip_global_norm(grads, config.max_grad_norm)
             adam.step(params, grads)
             seen.append(stats)
@@ -345,7 +345,7 @@ def scalar_bootstrap_chain_ladder(
                 break
             n_retries += 1
         else:
-            raise DegenerateResiduals(
+            raise DataError(
                 "bootstrap could not build a usable pseudo-triangle after 50 attempts"
             )
         factor_samples[s] = pseudo

@@ -424,6 +424,7 @@ def sweeps(bundle):
         eval_levels=(0, 1, 2, 3),
         episodes_per_level=50,
         seeds=SEEDS5,
+        lob="synthetic",
         crn_base=0,
         workers=WORKERS,
     )

@@ -30,12 +30,7 @@ from reserve_rl.agent import (
     write_update_log,
 )
 from reserve_rl.env import HOLD_ACTION, EnvConfig, EnvFactory, EnvState, ReserveEnv
-from reserve_rl.errors import (
-    ConfigError,
-    EmptyBatch,
-    LengthMismatch,
-    NumericalError,
-)
+from reserve_rl.errors import ConfigError, NumericalError
 from reserve_rl.nets import Adam, init_mlp, log_softmax
 from reserve_rl.regimes import CurriculumSchedule
 from reserve_rl.triangles import DevelopmentFactors, triangle_from_arrays
@@ -94,9 +89,9 @@ def test_gae_does_not_leak_across_episodes():
 
 
 def test_gae_input_guards():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ConfigError, match="lengths differ: 3/2/3"):
         compute_gae(np.ones(3), np.ones(2), np.zeros(3), 0.99, 0.95)
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(ConfigError, match="GAE on an empty rollout"):
         compute_gae(np.ones(0), np.ones(0), np.zeros(0), 0.99, 0.95)
 
 
@@ -145,17 +140,22 @@ def test_return_normalizer_resets_accumulator_on_done():
 
 
 def test_ppo_config_validation():
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(ConfigError, match="batch_size and minibatch_size") as batch:
         PPOConfig(batch_size=0)
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(ConfigError, match="batch_size and minibatch_size"):
         PPOConfig(minibatch_size=0)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ConfigError, match="discount and gae_lambda") as discount:
         PPOConfig(discount=1.5)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ConfigError, match="discount and gae_lambda"):
         PPOConfig(gae_lambda=-0.1)
-    # both are ConfigError subtypes, so the CLI maps them to exit code 1
-    assert issubclass(EmptyBatch, ConfigError)
-    assert issubclass(LengthMismatch, ConfigError)
+    # the family itself is raised, so the CLI maps both to exit code 1
+    assert batch.type is ConfigError
+    assert discount.type is ConfigError
+    with pytest.raises(ConfigError, match="max_grad_norm must be > 0"):
+        PPOConfig(max_grad_norm=float("nan"))
+    with pytest.raises(ConfigError, match="value_coef must be >= 0 and finite"):
+        PPOConfig(value_coef=float("inf"))
+    assert PPOConfig(max_grad_norm=float("inf"), value_coef=0.0).max_grad_norm == float("inf")
 
 
 def make_batch(rng, n=16):
@@ -233,7 +233,7 @@ def test_ppo_loss_empty_minibatch_rejected():
         returns=np.empty(0),
         values=np.empty(0),
     )
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(ConfigError, match="empty minibatch"):
         ppo_loss_and_grads(agent.policy, agent.value, empty, config,
                            AgentParams.empty_like(agent.policy, agent.value))
 

@@ -19,7 +19,7 @@ from reserve_rl.baselines import (
     write_reserve_rows_csv,
 )
 from reserve_rl.env import HOLD_ACTION, EnvConfig, ReserveEnv
-from reserve_rl.errors import InsufficientData, MissingPremium
+from reserve_rl.errors import DataError
 from reserve_rl.regimes import FixedShock
 from reserve_rl.triangles import (
     DevelopmentFactors,
@@ -45,7 +45,7 @@ def implied_loss_ratios_by_year(
     for row in chain_ladder_ultimates(tri, factors):
         premium = tri.premium(row.accident_year)
         if premium <= 0.0:
-            raise MissingPremium(f"accident year {row.accident_year} has no premium")
+            raise DataError(f"accident year {row.accident_year} has no premium")
         ratios[row.accident_year] = row.ultimate / premium
     return ratios
 
@@ -69,7 +69,7 @@ def test_chain_ladder_hand_oracle(textbook_triangle, textbook_factors):
 
 def test_chain_ladder_requires_factor_coverage(textbook_triangle):
     short = DevelopmentFactors(factors=(1.5,))
-    with pytest.raises(InsufficientData):
+    with pytest.raises(DataError, match="1 factors cannot develop a 3-lag triangle"):
         chain_ladder_ultimates(textbook_triangle, short)
 
 
@@ -79,7 +79,7 @@ def test_percent_developed(textbook_factors):
     assert percent_developed(textbook_factors, 3) == 1.0
     # lags beyond the observed end are fully developed
     assert percent_developed(textbook_factors, 7) == 1.0
-    with pytest.raises(InsufficientData):
+    with pytest.raises(DataError, match="dev lag must be >= 1, got 0"):
         percent_developed(textbook_factors, 0)
 
 
@@ -111,9 +111,9 @@ def test_bf_missing_premium():
         first_year=2001,
     )
     factors = age_to_age_factors(tri)
-    with pytest.raises(MissingPremium):
+    with pytest.raises(DataError, match="2003 has no premium but needs development"):
         bornhuetter_ferguson(tri, factors, 0.875)
-    with pytest.raises(MissingPremium):
+    with pytest.raises(DataError, match="2003 has no premium$"):
         implied_loss_ratios_by_year(tri, factors)
 
 
@@ -170,7 +170,7 @@ def test_bootstrap_mean_tracks_chain_ladder_total():
 
 def test_bootstrap_needs_three_accident_years():
     tri = triangle_from_arrays([[100.0, 150.0], [110.0]])
-    with pytest.raises(InsufficientData):
+    with pytest.raises(DataError, match="bootstrap needs >= 3 accident years, got 2"):
         bootstrap_chain_ladder(tri, 10, np.random.default_rng(0))
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from reserve_rl import baselines
 from reserve_rl.baselines import BOOTSTRAP_CHUNK, bootstrap_chain_ladder
-from reserve_rl.errors import DegenerateResiduals
+from reserve_rl.errors import DataError
 from reserve_rl.synthetic import SyntheticSpec, make_synthetic_triangle
 from reserve_rl.triangles import SplitSpec, normalize, split_rolling_origin, triangle_from_arrays
 from scalar_oracle import scalar_bootstrap_chain_ladder
@@ -90,7 +90,7 @@ def test_matches_scalar_with_long_failure_runs(seed):
 def test_fifty_failures_in_a_row_raise_like_scalar():
     tri = triangle_from_arrays(FAILING_ROWS)
     for bootstrap in (bootstrap_chain_ladder, scalar_bootstrap_chain_ladder):
-        with pytest.raises(DegenerateResiduals, match="50 attempts"):
+        with pytest.raises(DataError, match="usable pseudo-triangle after 50 attempts"):
             bootstrap(tri, 300, np.random.default_rng(1))
 
 
@@ -101,7 +101,7 @@ def test_small_blocks_match_scalar(monkeypatch, chunk):
     monkeypatch.setattr(baselines, "BOOTSTRAP_CHUNK", chunk)
     assert_same_bootstrap(triangle_from_arrays(RETRY_ROWS), 300, 3)
     assert_same_bootstrap(triangle_from_arrays(FAILING_ROWS), 100, 0)
-    with pytest.raises(DegenerateResiduals, match="50 attempts"):
+    with pytest.raises(DataError, match="usable pseudo-triangle after 50 attempts"):
         bootstrap_chain_ladder(triangle_from_arrays(FAILING_ROWS), 300, np.random.default_rng(1))
 
 

@@ -16,7 +16,7 @@ from reserve_rl.cli import IngestArtifacts, main
 from reserve_rl.agent import PPOConfig, train_curriculum
 from reserve_rl.config import config_to_ini, default_config, load_config
 from reserve_rl.env import ReserveEnv
-from reserve_rl.errors import DataError, NonFiniteGradient, NumericalError, ReserveRlError
+from reserve_rl.errors import DataError, NumericalError, ReserveRlError
 from reserve_rl.evaluate import evaluate_models, regime_conditions
 from reserve_rl.regimes import CurriculumSchedule
 from reserve_rl.synthetic import SyntheticSpec, make_synthetic_triangle
@@ -295,7 +295,7 @@ class RefusingLevels:
 
     def __call__(self, mode, rng):
         if getattr(mode, "level", None) in self.levels:
-            raise NonFiniteGradient(f"level {mode.level} refused in process {os.getpid()}")
+            raise NumericalError(f"level {mode.level} refused in process {os.getpid()}")
         return self.factory(mode, rng)
 
 
@@ -328,7 +328,7 @@ def test_evaluate_error_keeps_type_exit_code_and_order(pipeline, tmp_path, capsy
     cfg = load_config(str(config))
     _, eval_factory = refusing(IngestArtifacts(os.path.join(pipeline["out"], "ingest")), cfg)
     policies = cli._load_policies(os.path.join(pipeline["out"], "train"), (1, 2), cfg)
-    with pytest.raises(NonFiniteGradient, match=rf"^level {raised} refused") as err:
+    with pytest.raises(NumericalError, match=rf"^level {raised} refused") as err:
         evaluate_models({"rl_cvar": policies}, eval_factory, regime_conditions([0, 1, 2, 3]),
                         (1, 2), 4, workers=2)
     # raised where that level was evaluated: the caller for level 0, else the child
@@ -344,14 +344,14 @@ def test_runs_where_the_os_has_no_affinity(monkeypatch, capsys):
 
 def refusing_factory(mode, rng):
     blas = os.environ.get("OPENBLAS_NUM_THREADS")
-    raise NonFiniteGradient(f"refused in process {os.getpid()}, BLAS threads {blas}")
+    raise NumericalError(f"refused in process {os.getpid()}, BLAS threads {blas}")
 
 
 def test_worker_error_keeps_type_and_exit_code(pipeline, tmp_path, monkeypatch):
     config = PPOConfig(batch_size=10, minibatch_size=5, hidden=(4,))
     schedule = CurriculumSchedule(levels=(0,), episodes_per_level=2, ramp_episodes=1)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
-    with pytest.raises(NonFiniteGradient, match="BLAS threads 1$") as raised:
+    with pytest.raises(NumericalError, match="BLAS threads 1$") as raised:
         train_curriculum([(refusing_factory, config, schedule, seed) for seed in (1, 2)],
                          workers=2)
     assert f"process {os.getpid()}," not in str(raised.value)
@@ -418,6 +418,24 @@ def test_empty_seed_list_in_config_exits_1(pipeline, tmp_path):
     ])
     assert code == 1
     assert not (out / "train" / "training_log.csv").exists()
+    assert not (out / "train").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("max_grad_norm", "-1", "max_grad_norm must be > 0 (inf disables clipping), got -1.0"),
+    ("max_grad_norm", "0", "max_grad_norm must be > 0 (inf disables clipping), got 0.0"),
+    ("clip_range", "-0.5", "clip_range must be > 0, got -0.5"),
+    ("value_coef", "-1", "value_coef must be >= 0 and finite, got -1.0"),
+])
+def test_untrainable_ppo_values_exit_1(tmp_path, capsys, key, value, message):
+    """Each value trains wrongly without a sign: a negative norm bound or
+    clip range inverts the update, a zero bound freezes the weights, and a
+    negative value weight trains the value head by ascent."""
+    config = tmp_path / "ppo.ini"
+    config.write_text(f"[ppo]\n{key} = {value}\n")
+    assert main(["--config", str(config), "--print-config"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_repeated_seeds_in_config_exit_1(tmp_path, capsys):

@@ -21,7 +21,7 @@ from reserve_rl.config import (
     load_config,
 )
 from reserve_rl.env import EnvConfig
-from reserve_rl.errors import ConfigError, ConfigMismatch, EmptyBatch, IoFailure, UnknownLevel
+from reserve_rl.errors import ConfigError, DataError
 from reserve_rl.regimes import CurriculumSchedule
 from test_cli import PIPELINE_INI
 
@@ -103,7 +103,7 @@ def test_bool_and_tuple_parsing(tmp_path):
     assert cfg.regimes.levels == (0, 2)
     cfg = load_config(write_ini(tmp_path, "[eval]\nshocks = 0.5,1.25\n"))
     assert cfg.eval.shocks == (0.5, 1.25)
-    assert load_config(write_ini(tmp_path, "[run]\nseeds =\n")).run.seeds == ()
+    assert load_config(write_ini(tmp_path, "[eval]\nregimes =\n")).eval.regimes == ()
     with pytest.raises(ConfigError):
         load_config(write_ini(tmp_path, "[ppo]\nreward_norm = maybe\n"))
 
@@ -140,32 +140,37 @@ def test_regimes_section_loads_as_schedule(tmp_path):
     assert cfg.regimes == CurriculumSchedule(levels=(0, 1), episodes_per_level=5, ramp_episodes=2)
 
 
-@pytest.mark.parametrize("body, error", [
-    ("[ppo]\nminibatch_size = 0\n", EmptyBatch),
-    ("[regimes]\nramp_episodes = 0\n", UnknownLevel),
-    ("[regimes]\nlevels = 2,1\n", UnknownLevel),
-    ("[env]\nvol_window = 1\n", ConfigMismatch),
-    ("[eval]\nepisodes = 0\n", ConfigMismatch),
-    ("[eval]\nepisodes = -3\n", ConfigMismatch),
-    ("[eval]\nsweep_episodes_per_level = 0\n", ConfigMismatch),
-    ("[baselines]\nbootstrap_sims = 0\n", ConfigMismatch),
-    ("[baselines]\nbootstrap_sims = -5\n", ConfigMismatch),
-    ("[eval]\nregimes = 7\n", UnknownLevel),
-    ("[eval]\nshocks = -1.0\n", UnknownLevel),
-    ("[eval]\nsweep_alphas = 1.5\n", ConfigMismatch),
-    ("[run]\nlob = workers comp, other liability\n", ConfigError),
-    ("[run]\nlob = workers comp\n  other liability\n", ConfigError),
-    ("[ppo]\nepochs = 0\n", ConfigError),
-    ("[ppo]\nhidden = 0\n", ConfigError),
-    ("[ppo]\nhidden = 16,-3\n", ConfigError),
-    ("[ppo]\nhidden = -3\n", ConfigError),
-    ("[ppo]\nlearning_rate = -1\n", ConfigError),
-    ("[ppo]\nlearning_rate = 0\n", ConfigError),
-    ("[ppo]\nlearning_rate = inf\n", ConfigError),
-])
-def test_invalid_runtime_values_fail_on_load(tmp_path, body, error):
+INVALID_VALUES = [
+    ("[ppo]\nminibatch_size = 0\n", "batch_size and minibatch_size must be >= 1"),
+    ("[regimes]\nramp_episodes = 0\n", r"ramp_episodes must be in \[1, episodes_per_level\]"),
+    ("[regimes]\nlevels = 2,1\n", r"levels must be strictly ascending, got \(2, 1\)"),
+    ("[env]\nvol_window = 1\n", "vol_window must be >= 2, got 1"),
+    ("[eval]\nepisodes = 0\n", "^episodes must be >= 1, got 0"),
+    ("[eval]\nepisodes = -3\n", "^episodes must be >= 1, got -3"),
+    ("[eval]\nsweep_episodes_per_level = 0\n", "sweep_episodes_per_level must be >= 1"),
+    ("[baselines]\nbootstrap_sims = 0\n", "bootstrap_sims must be >= 1, got 0"),
+    ("[baselines]\nbootstrap_sims = -5\n", "bootstrap_sims must be >= 1, got -5"),
+    ("[eval]\nregimes = 7\n", "unknown regime level 7"),
+    ("[eval]\nshocks = -1.0\n", "fixed shock must be positive, got -1.0"),
+    ("[eval]\nsweep_alphas = 1.5\n", r"alpha must be in \(0, 1\), got 1.5"),
+    ("[run]\nlob = workers comp, other liability\n", "lob must hold no comma or line break"),
+    ("[run]\nlob = workers comp\n  other liability\n", "lob must hold no comma or line break"),
+    ("[run]\nseeds =\n", "no training seeds"),
+    ("[ppo]\nepochs = 0\n", "epochs must be >= 1, got 0"),
+    ("[ppo]\nhidden = 0\n", r"hidden widths must be >= 1, got \(0,\)"),
+    ("[ppo]\nhidden = 16,-3\n", r"hidden widths must be >= 1, got \(16, -3\)"),
+    ("[ppo]\nhidden = -3\n", r"hidden widths must be >= 1, got \(-3,\)"),
+    ("[ppo]\nlearning_rate = -1\n", "learning_rate must be positive and finite, got -1.0"),
+    ("[ppo]\nlearning_rate = 0\n", "learning_rate must be positive and finite, got 0.0"),
+    ("[ppo]\nlearning_rate = inf\n", "learning_rate must be positive and finite, got inf"),
+]
+
+
+@pytest.mark.parametrize("body, message", INVALID_VALUES,
+                         ids=[f"{body}-ConfigError" for body, _ in INVALID_VALUES])
+def test_invalid_runtime_values_fail_on_load(tmp_path, body, message):
     path = write_ini(tmp_path, body)
-    with pytest.raises(error):
+    with pytest.raises(ConfigError, match=message):
         load_config(path)
     assert main(["--config", path, "--print-config"]) == 1
 
@@ -196,7 +201,7 @@ def test_git_blob_sha1_matches_git(tmp_path):
         capture_output=True, text=True, check=True,
     ).stdout.strip()
     assert git_blob_sha1(str(path)) == expected
-    with pytest.raises(IoFailure):
+    with pytest.raises(DataError, match="cannot hash .*missing.bin"):
         git_blob_sha1(str(tmp_path / "missing.bin"))
 
 
@@ -217,5 +222,5 @@ def test_build_and_write_manifest(tmp_path):
     out = tmp_path / "manifest.json"
     write_json(str(out), manifest)
     assert json.loads(out.read_text()) == manifest
-    with pytest.raises(IoFailure):
+    with pytest.raises(DataError, match="cannot write .*m.json"):
         write_json(str(tmp_path / "nope" / "m.json"), manifest)

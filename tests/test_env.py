@@ -22,7 +22,7 @@ from reserve_rl.env import (
     update_violation_memory,
     volatility_proxy,
 )
-from reserve_rl.errors import ActionOutOfGrid, ConfigMismatch, EpisodeFinished
+from reserve_rl.errors import ConfigError, ReserveRlError
 from reserve_rl.regimes import FixedShock, Stochastic
 from reserve_rl.triangles import DevelopmentFactors, triangle_from_arrays
 from scalar_oracle import TraceRecorder
@@ -189,49 +189,51 @@ def test_replaying_same_seed_aligns_streams():
 def test_action_guards():
     env = make_env()
     env.reset()
-    with pytest.raises(ActionOutOfGrid):
+    with pytest.raises(ConfigError, match=f"index {len(ACTION_GRID)} outside grid"):
         env.step(len(ACTION_GRID))
-    with pytest.raises(ActionOutOfGrid):
+    with pytest.raises(ConfigError, match="index -1 outside grid"):
         env.step(-1)
-    with pytest.raises(ActionOutOfGrid):
+    with pytest.raises(ConfigError, match="must be an integer, got True"):
         env.step(True)
-    with pytest.raises(ActionOutOfGrid):
+    with pytest.raises(ConfigError, match="must be an integer, got 2.0"):
         env.step(2.0)
 
 
 def test_step_after_done_rejected():
     env = make_env()
-    with pytest.raises(EpisodeFinished):
+    with pytest.raises(ReserveRlError, match=r"reset\(\) must be called") as before:
         env.step(HOLD_ACTION)  # before any reset
     env.reset()
     for _ in range(env.horizon):
         outcome = env.step(HOLD_ACTION)
     assert outcome.done
-    with pytest.raises(EpisodeFinished):
+    with pytest.raises(ReserveRlError, match=r"reset\(\) must be called") as after:
         env.step(HOLD_ACTION)
+    # a usage slip in no family: the CLI maps it to exit 1, not as a ConfigError
+    assert before.type is after.type is ReserveRlError
 
 
 def test_horizon_requires_factor_coverage():
-    with pytest.raises(ConfigMismatch):
+    with pytest.raises(ConfigError, match="need at least 3 development factors, got 2"):
         make_env(EnvConfig(horizon=4))  # only two factors available
     env = make_env(EnvConfig(horizon=3))
     assert env.horizon == 3
 
 
 def test_env_config_validation():
-    with pytest.raises(ConfigMismatch):
+    with pytest.raises(ConfigError, match="horizon must be >= 2, got 1"):
         EnvConfig(horizon=1)
-    with pytest.raises(ConfigMismatch):
+    with pytest.raises(ConfigError, match="vol_window must be >= 2, got 1"):
         EnvConfig(vol_window=1)
-    with pytest.raises(ConfigMismatch):
+    with pytest.raises(ConfigError, match="vol_scale must be > 0, got 0.0"):
         EnvConfig(vol_scale=0.0)
-    with pytest.raises(ConfigMismatch):
+    with pytest.raises(ConfigError, match="noise_gain must be >= 0, got -0.1"):
         EnvConfig(noise_gain=-0.1)
-    with pytest.raises(ConfigMismatch):
+    with pytest.raises(ConfigError, match="floor base and slope must be >= 0"):
         EnvConfig(floor=(-0.4, 0.2))
-    with pytest.raises(ConfigMismatch):
+    with pytest.raises(ConfigError, match=r"alpha must be in \(0, 1\), got 1.0"):
         EnvConfig(alpha=1.0)
-    with pytest.raises(ConfigMismatch):
+    with pytest.raises(ConfigError, match="reward weight w_cvar must be >= 0"):
         EnvConfig(w_cvar=-1.0)
 
 

@@ -20,14 +20,7 @@ from reserve_rl.agent import PPOConfig, train_curriculum
 import reserve_rl.evaluate as evaluate_module
 from reserve_rl.config import FLOOR_FORMS
 from reserve_rl.env import EnvConfig, EnvFactory, ReserveEnv, Trace
-from reserve_rl.errors import (
-    ConfigError,
-    EmptyReport,
-    IoFailure,
-    NoEligibleSteps,
-    ReserveRlError,
-    TooFewSamples,
-)
+from reserve_rl.errors import ConfigError, DataError, ReserveRlError
 from reserve_rl.evaluate import (
     METRICS_HEADER,
     MIN_TAIL_SAMPLES,
@@ -107,14 +100,14 @@ def test_compute_metrics_matches_risk_module():
 
 def test_compute_metrics_no_eligible_steps():
     trace = make_trace(24, loss=np.full(24, RAR_LOSS_EPS / 2))
-    with pytest.raises(NoEligibleSteps):
+    with pytest.raises(DataError, match="no steps with loss >= .* out of 24"):
         compute_metrics(trace)
 
 
 def test_compute_metrics_too_few_samples():
     n = MIN_TAIL_SAMPLES - 1
     trace = make_trace(n, reserve=np.ones(n), loss=np.ones(n))
-    with pytest.raises(TooFewSamples):
+    with pytest.raises(DataError, match=f"{n} shortfall samples < required {MIN_TAIL_SAMPLES}"):
         compute_metrics(trace)
 
 
@@ -132,7 +125,7 @@ def test_aggregate_metrics_mean_and_sd():
     single = aggregate_metrics("m", "syn", "c", sets[:1], n_episodes=1)
     assert single.rar_sd == 0.0 and single.rvr_sd == 0.0
 
-    with pytest.raises(EmptyReport):
+    with pytest.raises(DataError, match="no per-seed metrics for m/c"):
         aggregate_metrics("m", "syn", "c", [], n_episodes=1)
 
 
@@ -449,6 +442,8 @@ def test_sensitivity_sweep_workers_are_bitwise_serial():
             seeds=seeds,
             eval_levels=(0, 1),
             episodes_per_level=4,
+            lob="synthetic",
+            crn_base=0,
             workers=workers,
         )
 
@@ -497,7 +492,7 @@ def test_emit_report_round_trip(tmp_path):
 
 
 def test_emit_report_rejects_empty_rows(tmp_path):
-    with pytest.raises(EmptyReport):
+    with pytest.raises(DataError, match="metrics report with zero rows"):
         emit_report([], str(tmp_path / "metrics.csv"))
 
 
@@ -510,5 +505,5 @@ def test_emit_report_wraps_os_errors(tmp_path):
             rar_sd=0.0, cvar95_sd=0.0, ces_sd=0.0, rvr_sd=0.0,
         )
     ]
-    with pytest.raises(IoFailure):
+    with pytest.raises(DataError, match="cannot write .*no_such_dir"):
         emit_report(rows, str(tmp_path / "no_such_dir" / "metrics.csv"))

@@ -31,7 +31,7 @@ from reserve_rl.baselines import (
     replay_static_policy,
 )
 from reserve_rl.env import ACTION_GRID, EnvConfig, EnvFactory, ReserveEnv, Trace, write_traces
-from reserve_rl.errors import ActionOutOfGrid
+from reserve_rl.errors import ConfigError
 from reserve_rl.evaluate import (
     evaluate_models,
     regime_conditions,
@@ -240,7 +240,7 @@ def test_rollout_rejects_bad_actions(bundle):
     paths = env.draw_paths(3)
     for bad in (np.array([0, 1]), np.array([0, 1, 7]), np.array([0, -1, 2]),
                 np.array([0.0, 1.0, 2.0])):
-        with pytest.raises(ActionOutOfGrid):
+        with pytest.raises(ConfigError, match=r"policy must return 3 action indices in \[0, "):
             env.rollout(paths, lambda state, bad=bad: bad)
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from reserve_rl.agent import AgentParams, PPOConfig, init_agent
-from reserve_rl.errors import DataError, NonFiniteActivation
+from reserve_rl.errors import DataError, NumericalError
 from reserve_rl.nets import (
     Adam,
     MLPParams,
@@ -124,8 +124,9 @@ def test_forward_rejects_non_finite():
     # tanh squashes an inf in a hidden layer, so poison the output layer
     params.weights[-1][:, :] = float("inf")
     for forward in (mlp_forward, mlp_rows):
-        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteActivation):
-            forward(params, np.ones((1, 3)))
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalError, match="non-finite value in network output"):
+                forward(params, np.ones((1, 3)))
 
 
 def test_softmax_normalization_and_shift_invariance():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from reserve_rl.errors import InvalidProgress, UnknownLevel
+from reserve_rl.errors import ConfigError
 from reserve_rl.regimes import (
     DEFAULT_REGIME_TABLE,
     MIN_SHOCK,
@@ -40,16 +40,16 @@ def test_regime_names_cover_all_levels():
 
 
 def test_unknown_level_rejected():
-    with pytest.raises(UnknownLevel):
+    with pytest.raises(ConfigError, match="unknown regime level 4"):
         regime_params(4)
-    with pytest.raises(UnknownLevel):
+    with pytest.raises(ConfigError, match="unknown regime level -1"):
         regime_params(-1)
 
 
 def test_regime_spec_validation():
-    with pytest.raises(UnknownLevel):
+    with pytest.raises(ConfigError, match="regime mu must be finite, got nan"):
         RegimeSpec(level=0, mu=float("nan"), var=0.01)
-    with pytest.raises(UnknownLevel):
+    with pytest.raises(ConfigError, match="regime var must be >= 0, got -0.01"):
         RegimeSpec(level=0, mu=1.0, var=-0.01)
 
 
@@ -69,7 +69,7 @@ def test_interpolation_midpoint_is_convex_combination():
 def test_interpolation_rejects_bad_progress():
     a, b = regime_params(0), regime_params(1)
     for progress in (-0.01, 1.01, float("nan")):
-        with pytest.raises(InvalidProgress):
+        with pytest.raises(ConfigError, match=r"progress must be in \[0, 1\], got"):
             interpolate(a, b, progress)
 
 
@@ -78,22 +78,22 @@ def test_predecessor_chain():
     assert schedule.predecessor(0) is None
     assert schedule.predecessor(1) == 0
     assert schedule.predecessor(3) == 1
-    with pytest.raises(UnknownLevel):
+    with pytest.raises(ConfigError, match=r"level 2 is not part of the schedule \(0, 1, 3\)"):
         schedule.predecessor(2)
 
 
 def test_schedule_validation():
-    with pytest.raises(UnknownLevel):
+    with pytest.raises(ConfigError, match="curriculum needs at least one level"):
         CurriculumSchedule(levels=())
-    with pytest.raises(UnknownLevel):
+    with pytest.raises(ConfigError, match=r"strictly ascending, got \(1, 0\)"):
         CurriculumSchedule(levels=(1, 0))
-    with pytest.raises(UnknownLevel):
+    with pytest.raises(ConfigError, match=r"strictly ascending, got \(0, 0\)"):
         CurriculumSchedule(levels=(0, 0))
-    with pytest.raises(UnknownLevel):
+    with pytest.raises(ConfigError, match="episodes_per_level must be >= 1, got 0"):
         CurriculumSchedule(levels=(0,), episodes_per_level=0)
-    with pytest.raises(UnknownLevel):
+    with pytest.raises(ConfigError, match=r"ramp_episodes must be in \[1, .*got 0$"):
         CurriculumSchedule(levels=(0,), episodes_per_level=10, ramp_episodes=0)
-    with pytest.raises(UnknownLevel):
+    with pytest.raises(ConfigError, match=r"ramp_episodes must be in \[1, .*got 11$"):
         CurriculumSchedule(levels=(0,), episodes_per_level=10, ramp_episodes=11)
 
 
@@ -102,7 +102,7 @@ def test_ramp_progress_reaches_one_at_ramp_end():
     assert schedule.ramp_progress(0) == pytest.approx(0.2)
     assert schedule.ramp_progress(4) == 1.0
     assert schedule.ramp_progress(19) == 1.0
-    with pytest.raises(InvalidProgress):
+    with pytest.raises(ConfigError, match="episode index must be >= 0, got -1"):
         schedule.ramp_progress(-1)
 
 
@@ -131,9 +131,9 @@ def test_fixed_shock_is_constant_and_validated():
     rng = np.random.default_rng(0)
     draws = {shock_for_step(FixedShock(2.0), 1.0, schedule, rng) for _ in range(16)}
     assert draws == {2.0}
-    with pytest.raises(UnknownLevel):
+    with pytest.raises(ConfigError, match="fixed shock must be positive, got 0.0"):
         FixedShock(0.0)
-    with pytest.raises(UnknownLevel):
+    with pytest.raises(ConfigError, match="fixed shock must be positive, got inf"):
         FixedShock(float("inf"))
 
 
@@ -164,5 +164,5 @@ def test_sampler_moments_per_level():
 
 
 def test_unknown_stochastic_level_surfaces_on_use():
-    with pytest.raises(UnknownLevel):
+    with pytest.raises(ConfigError, match="unknown regime level 9"):
         effective_params(Stochastic(9), 1.0, CurriculumSchedule())

@@ -4,6 +4,7 @@ oracle, and the rolling shortfall buffer."""
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reserve_rl.errors import EmptyBuffer, InvalidAlpha
+from reserve_rl.errors import ConfigError, NumericalError
 from reserve_rl.risk import (
     ShortfallBuffer,
     TailEstimate,
@@ -75,22 +76,22 @@ def test_adaptive_alpha_mapping():
     assert adaptive_alpha(0.5) == pytest.approx(0.925)
     assert adaptive_alpha(1.0) == pytest.approx(0.95)
     assert adaptive_alpha(7.0) == pytest.approx(0.95)  # volatility is capped
-    with pytest.raises(InvalidAlpha):
+    with pytest.raises(ConfigError, match="volatility proxy must be >= 0, got -0.1"):
         adaptive_alpha(-0.1)
 
 
 def test_alpha_domain_checked():
     for alpha in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(InvalidAlpha):
+        with pytest.raises(ConfigError, match=rf"alpha must be in \(0, 1\), got {alpha}"):
             empirical_var(ONE_TO_HUNDRED, alpha)
-        with pytest.raises(InvalidAlpha):
+        with pytest.raises(ConfigError, match=rf"alpha must be in \(0, 1\), got {alpha}"):
             cvar_rockafellar_oracle(ONE_TO_HUNDRED, alpha)
 
 
 def test_empty_sample_rejected():
-    with pytest.raises(EmptyBuffer):
+    with pytest.raises(NumericalError, match="quantile of an empty sample"):
         empirical_var(np.array([]), 0.9)
-    with pytest.raises(EmptyBuffer):
+    with pytest.raises(NumericalError, match="CVaR of an empty sample"):
         cvar_rockafellar_oracle(np.array([]), 0.9)
 
 
@@ -324,11 +325,12 @@ def test_push_many_matches_scalar_pushes(
 ])
 def test_push_many_rejects_what_the_scalar_path_rejects(shortfalls, levels):
     scalar = ShortfallBuffer(capacity=4, warmup_min=1)
-    with pytest.raises((ValueError, InvalidAlpha)) as scalar_error:
+    with pytest.raises((ValueError, ConfigError),
+                       match="shortfalls must be finite|alpha must be in") as scalar_error:
         _scalar_replay(scalar, shortfalls, levels)
     batched = ShortfallBuffer(capacity=4, warmup_min=1)
     batched.push(5.0)
-    with pytest.raises(scalar_error.type):
+    with pytest.raises(scalar_error.type, match=f"^{re.escape(str(scalar_error.value))}$"):
         batched.push_many(np.array(shortfalls), np.array(levels))
     assert batched.as_array().tolist() == [5.0]
 
@@ -338,5 +340,5 @@ def test_adaptive_alpha_on_arrays_matches_python_min():
     expected = [0.90 + 0.05 * min(1.0, v) for v in volatility]
     assert adaptive_alpha(np.array(volatility)).tolist() == expected
     assert [float(adaptive_alpha(v)) for v in volatility] == expected
-    with pytest.raises(InvalidAlpha):
+    with pytest.raises(ConfigError, match="volatility proxy must be >= 0, got -0.1"):
         adaptive_alpha(np.array([0.2, -0.1]))

@@ -9,14 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reserve_rl.errors import (
-    DegenerateScale,
-    DuplicateCell,
-    EmptyTriangle,
-    InvalidSplit,
-    IrregularTriangle,
-    MalformedRow,
-)
+from reserve_rl.errors import ConfigError, DataError
 from reserve_rl.triangles import (
     CSV_HEADER,
     DevelopmentFactors,
@@ -127,11 +120,11 @@ def test_split_disjoint_and_exhaustive():
 
 
 def test_split_size_mismatch_rejected(textbook_triangle):
-    with pytest.raises(InvalidSplit):
+    with pytest.raises(ConfigError, match=r"a_train \+ a_test = 4 does not match 3 accident"):
         split_rolling_origin(textbook_triangle, SplitSpec(a_train=3, a_test=1))
-    with pytest.raises(InvalidSplit):
+    with pytest.raises(ConfigError, match="a_train must be >= 2, got 1"):
         SplitSpec(a_train=1, a_test=2)  # a_train floor is 2
-    with pytest.raises(InvalidSplit):
+    with pytest.raises(ConfigError, match="a_test must be >= 1, got 0"):
         SplitSpec(a_train=2, a_test=0)
 
 
@@ -145,24 +138,24 @@ def test_csv_round_trip(tmp_path, textbook_triangle):
 def test_parser_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("year,lag,incurred,paid,premium\n1,1,1,1,1\n")
-    with pytest.raises(MalformedRow, match="header"):
+    with pytest.raises(DataError, match=re.escape(f"{path}:1: expected header")):
         parse_triangle_csv(str(path))
 
 
 def test_parser_rejects_short_row(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(CSV_HEADER + "\n2001,1,100,80\n")
-    with pytest.raises(MalformedRow, match=":2:"):
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: expected 5 fields, got 4")):
         parse_triangle_csv(str(path))
 
 
 def test_parser_rejects_negative_and_non_numeric(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(CSV_HEADER + "\n2001,1,-5,80,200\n")
-    with pytest.raises(MalformedRow):
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: cum_incurred must be finite")):
         parse_triangle_csv(str(path))
     path.write_text(CSV_HEADER + "\n2001,one,100,80,200\n")
-    with pytest.raises(MalformedRow):
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: invalid literal for int()")):
         parse_triangle_csv(str(path))
 
 
@@ -170,13 +163,27 @@ def test_parser_rejects_duplicates_and_empty(tmp_path):
     path = tmp_path / "bad.csv"
     rows = "2001,1,100,80,200\n2001,1,100,80,200\n2001,2,150,120,200\n"
     path.write_text(CSV_HEADER + "\n" + rows)
-    with pytest.raises(DuplicateCell, match=re.escape(f"{path}: duplicate cell")):
+    with pytest.raises(DataError, match=re.escape(f"{path}: duplicate cell")):
         parse_triangle_csv(str(path))
     path.write_text(CSV_HEADER + "\n")
-    with pytest.raises(EmptyTriangle):
+    with pytest.raises(DataError, match=re.escape(f"{path}: no data rows")):
         parse_triangle_csv(str(path))
     path.write_text("")
-    with pytest.raises(EmptyTriangle):
+    with pytest.raises(DataError, match=re.escape(f"{path}: file is empty")):
+        parse_triangle_csv(str(path))
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("2001,1,100,80,200\n2001,3,150,120,200\n",
+     "accident year 2001 has non-contiguous dev lags (1, 3)"),
+    ("2001,1,100,80,200\n2001,2,150,120,999\n",
+     "accident year 2001 has inconsistent earned_premium values [200.0, 999.0]"),
+])
+def test_parser_prefixes_triangle_refusals_with_the_path(tmp_path, rows, message):
+    """A refusal raised while the parsed cells become a triangle names the file."""
+    path = tmp_path / "bad.csv"
+    path.write_text(CSV_HEADER + "\n" + rows)
+    with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
         parse_triangle_csv(str(path))
 
 
@@ -185,12 +192,13 @@ def test_parser_rejects_non_runoff_outline(tmp_path):
     tri = triangle_from_arrays([[100.0, 150.0, 175.0], [110.0], [120.0]])
     path = tmp_path / "gap.csv"
     write_triangle_csv(tri, str(path))
-    with pytest.raises(IrregularTriangle):
+    with pytest.raises(DataError, match=re.escape(f"{path}: accident year 2 observed through lag 1, "
+                                                  "expected lag 2")):
         parse_triangle_csv(str(path))
 
 
 def test_triangle_needs_two_lags():
-    with pytest.raises(IrregularTriangle):
+    with pytest.raises(DataError, match="a triangle needs at least two development lags"):
         triangle_from_arrays([[100.0], [110.0]])
 
 
@@ -199,7 +207,7 @@ def test_premium_must_be_constant_within_year():
         TriangleCell(2001, 1, 100.0, 80.0, 200.0),
         TriangleCell(2001, 2, 150.0, 120.0, 999.0),
     )
-    with pytest.raises(MalformedRow, match="earned_premium"):
+    with pytest.raises(DataError, match="2001 has inconsistent earned_premium"):
         LossTriangle(cells=cells)
 
 
@@ -208,13 +216,13 @@ def test_non_contiguous_lags_rejected():
         TriangleCell(2001, 1, 100.0, 80.0, 200.0),
         TriangleCell(2001, 3, 150.0, 120.0, 200.0),
     )
-    with pytest.raises(IrregularTriangle):
+    with pytest.raises(DataError, match=r"2001 has non-contiguous dev lags \(1, 3\)"):
         LossTriangle(cells=cells)
 
 
 def test_degenerate_scale_rejected():
     tri = triangle_from_arrays([[0.0, 0.0], [0.0], [0.0]], premiums=[0.0, 0.0, 0.0])
-    with pytest.raises(DegenerateScale):
+    with pytest.raises(DataError, match="training split max cum_incurred is 0.0"):
         # zero-valued training cells cannot define a scale
         normalize(tri, SplitSpec(a_train=2, a_test=1))
 

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .artifacts import field_values, write_csv
+from .artifacts import write_records
 from .env import ACTION_GRID, TIE_BREAK_ORDER, EnvFactory, EnvState
 from .errors import ConfigError, NumericalError
 from .nets import (
@@ -453,31 +453,20 @@ class SeedRun(NamedTuple):
     env_steps: int
 
 
-TRAINING_LOG_HEADER = "seed,level,episode,mean_reward,mean_shortfall,mean_cvar,violation_rate"
-
-
 def write_training_log(runs: Sequence[SeedRun], path: str) -> None:
     """Every run's episode rows, run by run."""
-    values = field_values(TrainLogRow)
-    write_csv(path, TRAINING_LOG_HEADER, (values(row) for run in runs for row in run.log))
-
-
-UPDATE_LOG_HEADER = (
-    "seed,level,update,policy_loss,value_loss,entropy,clip_fraction,approx_kl,grad_norm,"
-    "explained_variance"
-)
+    write_records(path, TrainLogRow, (row for run in runs for row in run.log))
 
 
 def write_update_log(runs: Sequence[SeedRun], path: str) -> None:
     """One row per update, run by run: seed, level, the update's index in
     its seed's run (from 0), then the :class:`UpdateStats` fields
     (minibatch means, then the batch's explained variance)."""
-    values = field_values(UpdateStats)
-    write_csv(path, UPDATE_LOG_HEADER, (
-        (run.seed, level, update, *values(stats))
+    write_records(path, UpdateStats, (
+        (run.seed, level, update, stats)
         for run in runs
         for update, (level, stats) in enumerate(run.update_stats)
-    ))
+    ), keys=("seed", "level", "update"))
 
 
 #: One training, ``(make_env, config, schedule, seed)``: :func:`train_seed`'s arguments.

@@ -1,8 +1,8 @@
 """The one way artifacts are written: CSV tables, JSON documents, digests.
 
-Every file under ``--out`` goes through :func:`write_csv`,
-:func:`write_csv_tables` or :func:`write_json`, so one rule fixes their
-bytes:
+Every file under ``--out`` goes through :func:`write_csv` (a record
+table through :func:`write_records`), :func:`write_csv_tables` or
+:func:`write_json`, so one rule fixes their bytes:
 
 * a CSV value is ``str`` of the Python value, and ``str`` of a float is its
   shortest round-trip ``repr`` (pass Python scalars, e.g. from
@@ -45,10 +45,24 @@ def write_csv(path: str, header: str, rows: Iterable[Sequence[object]]) -> None:
     _write_lines(path, header, (",".join(map(str, row)) for row in rows))
 
 
+def field_names(cls: type) -> tuple[str, ...]:
+    """A dataclass's field names in declaration order."""
+    return tuple(f.name for f in fields(cls))
+
+
 def field_values(cls: type) -> Callable[[object], tuple]:
     """Getter of a flat dataclass's field values as a tuple (two or more
     fields): ``dataclasses.astuple`` without its deep copy of each one."""
-    return operator.attrgetter(*(f.name for f in fields(cls)))
+    return operator.attrgetter(*field_names(cls))
+
+
+def write_records(path: str, cls: type, rows: Iterable, keys: Sequence[str] = ()) -> None:
+    """Write ``rows`` of the flat dataclass ``cls``, one line each, under a
+    header of its field names.  ``keys`` name columns written before the
+    fields; each row is then ``(*key_values, record)``."""
+    values = field_values(cls)
+    lines = ((*row[:-1], *values(row[-1])) for row in rows) if keys else map(values, rows)
+    write_csv(path, ",".join((*keys, *field_names(cls))), lines)
 
 
 def _format_column(values: np.ndarray) -> np.ndarray:

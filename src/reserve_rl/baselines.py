@@ -19,18 +19,15 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
-from .artifacts import field_values, write_csv
 from .env import ACTION_GRID, HOLD_ACTION, TIE_BREAK_ORDER, LossPaths, ReserveEnv, Trace
 from .errors import DataError
 from .triangles import DevelopmentFactors, LossTriangle, age_to_age_factors
 
 log = logging.getLogger(__name__)
-
-RESERVE_TABLE_HEADER = "method,accident_year,latest,ultimate,reserve"
 
 #: Relative chase gap beyond which the replay jumps to the extreme action.
 _MAX_STEP = max(ACTION_GRID)
@@ -46,10 +43,6 @@ class ReserveRow:
     latest: float
     ultimate: float
     reserve: float
-
-
-def write_reserve_rows_csv(rows: Sequence[ReserveRow], path: str) -> None:
-    write_csv(path, RESERVE_TABLE_HEADER, map(field_values(ReserveRow), rows))
 
 
 def _check_factor_coverage(tri: LossTriangle, factors: DevelopmentFactors) -> None:

@@ -30,9 +30,10 @@ from dataclasses import replace
 import numpy as np
 
 from .agent import train_curriculum, write_training_log, write_update_log
-from .artifacts import git_blob_sha1, write_csv, write_json
+from .artifacts import git_blob_sha1, write_csv, write_json, write_records
 from .baselines import (
     BootstrapResult,
+    ReserveRow,
     bootstrap_chain_ladder,
     bootstrap_targets,
     bornhuetter_ferguson,
@@ -40,7 +41,6 @@ from .baselines import (
     chain_ladder_targets,
     chain_ladder_ultimates,
     implied_loss_ratio,
-    write_reserve_rows_csv,
 )
 from .config import (
     FLOOR_FORMS,
@@ -389,7 +389,7 @@ def cmd_baselines(args: argparse.Namespace, cfg: RunConfig) -> int:
     rows = chain_ladder_ultimates(train_tri, factors)
     elr, boot = _elr_and_bootstrap(train_tri, factors, cfg)
     rows += bornhuetter_ferguson(train_tri, factors, elr)
-    write_reserve_rows_csv(rows, os.path.join(out, "reserves.csv"))
+    write_records(os.path.join(out, "reserves.csv"), ReserveRow, rows)
     write_json(os.path.join(out, "bootstrap.json"), _bootstrap_summary(boot, elr))
     write_json(os.path.join(out, "manifest.json"),
                build_manifest("baselines", cfg, inputs={"triangle": args.triangle},

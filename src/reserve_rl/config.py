@@ -43,6 +43,12 @@ def _require_positive(section: object, *names: str) -> None:
             raise ConfigError(f"{name} must be >= 1, got {getattr(section, name)}")
 
 
+def _require_seed(name: str, value: int) -> None:
+    """numpy seeds its generators from non-negative integers only."""
+    if value < 0:
+        raise ConfigError(f"{name} must be >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class RunSection:
     lob: str = "synthetic"
@@ -57,6 +63,8 @@ class RunSection:
             raise ConfigError(f"lob must hold no comma or line break, got {self.lob!r}")
         if not self.seeds:
             raise ConfigError("no training seeds: [run] seeds is empty")
+        for seed in self.seeds:
+            _require_seed("seeds", seed)
         # a repeated seed would count twice in n_seeds and the seed spread
         repeated = sorted({seed for seed in self.seeds if self.seeds.count(seed) > 1})
         if repeated:
@@ -74,6 +82,7 @@ class EvalSection:
 
     def __post_init__(self) -> None:
         _require_positive(self, "episodes", "sweep_episodes_per_level")
+        _require_seed("crn_base", self.crn_base)
         for level in self.regimes:
             regime_params(level)
         for m in self.shocks:
@@ -90,6 +99,7 @@ class BaselineSection:
 
     def __post_init__(self) -> None:
         _require_positive(self, "bootstrap_sims")
+        _require_seed("bootstrap_seed", self.bootstrap_seed)
 
 
 @dataclass(frozen=True)
@@ -155,8 +165,9 @@ def load_config(path: str | None) -> RunConfig:
             unparsable value, or a value the section's class rejects
             (``[env]``, ``[regimes]``, ``[ppo]``, a ``[run] lob`` holding a
             comma or line break, an empty or repeating ``[run] seeds``,
-            a count below 1 in ``[eval]`` or
-            ``[baselines]``, and an ``[eval]`` regime level, shock or
+            a negative ``[run] seeds``, ``[eval] crn_base`` or
+            ``[baselines] bootstrap_seed``, a count below 1 in ``[eval]``
+            or ``[baselines]``, and an ``[eval]`` regime level, shock or
             sweep alpha that the environment would reject).
     """
     if path is None:

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .artifacts import write_csv_tables
+from .artifacts import field_names, write_csv_tables
 from .errors import ConfigError, ReserveRlError
 from .regimes import (
     MIN_SHOCK,
@@ -80,7 +80,8 @@ class EnvConfig:
             noise; 0 gives a deterministic environment.
         floor: (base, slope) of the solvency floor base + slope * V; the
             INI names one of ``reserve_rl.config.FLOOR_FORMS``.
-        buffer_capacity / warmup_min: Shortfall buffer sizing.
+        buffer_capacity / warmup_min: Shortfall buffer sizing (both >= 1,
+            warmup_min <= buffer_capacity).
         alpha: Pinned tail level in (0, 1); None adapts it to volatility.
         w_shortfall / w_cvar / w_inefficiency / w_floor: Penalty weights
             on the four reward components.
@@ -110,6 +111,13 @@ class EnvConfig:
             raise ConfigError(f"noise_gain must be >= 0, got {self.noise_gain}")
         if min(self.floor) < 0.0:
             raise ConfigError("floor base and slope must be >= 0")
+        for name in ("buffer_capacity", "warmup_min"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # a warm-up the buffer cannot hold would leave the tail estimate at 0 for good
+        if self.warmup_min > self.buffer_capacity:
+            raise ConfigError(f"warmup_min must be <= buffer_capacity ({self.buffer_capacity}), "
+                              f"got {self.warmup_min}")
         if self.alpha is not None and not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
         for name in ("w_shortfall", "w_cvar", "w_inefficiency", "w_floor"):
@@ -598,11 +606,6 @@ class EnvFactory:
 
 # --- per-step traces ----------------------------------------------------------
 
-_TRACE_COLUMNS = (
-    "episode", "t", "reserve", "loss", "volatility", "adequacy",
-    "violation_memory", "shock", "level", "action", "reward",
-    "shortfall", "cvar", "violated",
-)
 _CSV_INT_COLUMNS = ("episode", "t", "level", "violated")
 
 
@@ -645,6 +648,10 @@ class Trace:
 
     def write_csv(self, path: str) -> None:
         write_traces([path], [self])
+
+
+#: :class:`Trace`'s columns in order, written under :data:`TRACE_HEADER`'s names.
+_TRACE_COLUMNS = field_names(Trace)
 
 
 def write_traces(paths: Sequence[str], traces: Sequence[Trace]) -> None:

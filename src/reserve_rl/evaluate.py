@@ -31,7 +31,7 @@ import numpy as np
 
 from . import baselines
 from .agent import PPOConfig, act_greedy, observe, train_curriculum
-from .artifacts import field_values, write_csv, write_json
+from .artifacts import field_names, field_values, write_json, write_records
 from .baselines import StaticTargets
 from .env import EnvFactory, LossPaths, ReserveEnv, Trace
 from .errors import ConfigError, DataError, ReserveRlError
@@ -40,11 +40,6 @@ from .regimes import CurriculumSchedule, FixedShock, ShockMode, Stochastic
 from .risk import tail_estimate
 
 log = logging.getLogger(__name__)
-
-METRICS_HEADER = (
-    "model,lob,condition,rar,cvar95,ces,rvr,"
-    "n_episodes,n_seeds,rar_sd,cvar95_sd,ces_sd,rvr_sd"
-)
 
 #: Loss floor below which a reserve/loss ratio is not counted.
 RAR_LOSS_EPS = 0.01
@@ -63,9 +58,6 @@ class MetricSet:
     cvar95: float
     ces: float
     rvr: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.rar, self.cvar95, self.ces, self.rvr)
 
 
 def compute_metrics(trace: Trace) -> MetricSet:
@@ -118,27 +110,14 @@ def aggregate_metrics(
     per_seed: Sequence[MetricSet],
     n_episodes: int,
 ) -> MetricsRow:
-    """Mean and sample standard deviation across seeds (sd 0 for one seed)."""
+    """Mean and sample standard deviation across seeds (sd 0 for one seed),
+    each in :class:`MetricSet` field order as :class:`MetricsRow` holds them."""
     if not per_seed:
         raise DataError(f"no per-seed metrics for {model}/{condition}")
-    cols = list(zip(*(m.as_tuple() for m in per_seed)))
+    cols = list(zip(*map(field_values(MetricSet), per_seed)))
     means = [float(np.mean(c)) for c in cols]
     sds = [float(np.std(c, ddof=1)) if len(per_seed) > 1 else 0.0 for c in cols]
-    return MetricsRow(
-        model=model,
-        lob=lob,
-        condition=condition,
-        rar=means[0],
-        cvar95=means[1],
-        ces=means[2],
-        rvr=means[3],
-        n_episodes=n_episodes,
-        n_seeds=len(per_seed),
-        rar_sd=sds[0],
-        cvar95_sd=sds[1],
-        ces_sd=sds[2],
-        rvr_sd=sds[3],
-    )
+    return MetricsRow(model, lob, condition, *means, n_episodes, len(per_seed), *sds)
 
 
 def run_policy_episodes(
@@ -185,12 +164,7 @@ class EvalOutcome:
     def seed_medians(self, model: str, condition: str) -> MetricSet:
         """Median across seeds, metric by metric (robust to one bad seed)."""
         sets = self.per_seed[(model, condition)]
-        return MetricSet(
-            rar=statistics.median(m.rar for m in sets),
-            cvar95=statistics.median(m.cvar95 for m in sets),
-            ces=statistics.median(m.ces for m in sets),
-            rvr=statistics.median(m.rvr for m in sets),
-        )
+        return MetricSet(*map(statistics.median, zip(*map(field_values(MetricSet), sets))))
 
 
 def _send_results(run: Callable[[int], EvalOutcome], share: range, conn) -> None:
@@ -303,13 +277,16 @@ def evaluate_models(
     less the caller's own sink calls.
 
     Raises:
-        ConfigError: Two conditions share a label, or ``workers`` is below
-            1 (before any draw).
+        ConfigError: Two conditions share a label, a condition has no
+            shock modes, or ``workers`` is below 1 (before any draw).
     """
     labels = [label for label, _ in conditions]
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
         raise ConfigError(f"condition labels repeat: {', '.join(repeated)}")
+    empty = [label for label, modes in conditions if not modes]
+    if empty:
+        raise ConfigError(f"conditions pool no shock modes: {', '.join(empty)}")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     started = time.perf_counter()
@@ -417,8 +394,8 @@ def emit_report(
     """
     if not rows:
         raise DataError("refusing to write a metrics report with zero rows")
-    write_csv(csv_path, METRICS_HEADER, map(field_values(MetricsRow), rows))
+    write_records(csv_path, MetricsRow, rows)
     sidecar_path = csv_path[:-4] + ".json" if csv_path.endswith(".csv") else csv_path + ".json"
     write_json(sidecar_path, {
-        **(sidecar or {}), "n_rows": len(rows), "columns": METRICS_HEADER.split(",")
+        **(sidecar or {}), "n_rows": len(rows), "columns": list(field_names(MetricsRow))
     })

@@ -77,7 +77,8 @@ class CurriculumSchedule:
     """Order and pacing of regime levels during training.
 
     Args:
-        levels: Strictly ascending severity levels to visit.
+        levels: Strictly ascending severity levels to visit, each one
+            of the regime table's.
         episodes_per_level: Episodes spent at each level.
         ramp_episodes: Episodes over which a level's parameters are
             linearly interpolated from its predecessor's (the first
@@ -91,6 +92,8 @@ class CurriculumSchedule:
     def __post_init__(self) -> None:
         if not self.levels:
             raise ConfigError("curriculum needs at least one level")
+        for level in self.levels:
+            regime_params(level)
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ConfigError(f"curriculum levels must be strictly ascending, got {self.levels}")
         if self.episodes_per_level < 1:

@@ -10,7 +10,8 @@ through this module, so the shape and scale conventions are pinned here:
   the training split only (no leakage from held-out accident years),
 * train/test splits are by accident year, oldest years in train.
 
-CSV format (header must match exactly, one cell per row)::
+CSV format (header must match exactly, one cell per row; the columns are
+:class:`TriangleCell`'s fields)::
 
     accident_year,dev_lag,cum_incurred,cum_paid,earned_premium
 """
@@ -24,11 +25,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .artifacts import field_values, write_csv
+from .artifacts import field_names, write_records
 from .errors import ConfigError, DataError, NumericalError
-
-CSV_HEADER = "accident_year,dev_lag,cum_incurred,cum_paid,earned_premium"
-_CSV_FIELDS = CSV_HEADER.split(",")
 
 
 @dataclass(frozen=True)
@@ -61,6 +59,11 @@ class TriangleCell:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0.0:
                 raise DataError(f"{name} must be finite and non-negative, got {value!r}")
+
+
+#: The CSV columns, :class:`TriangleCell`'s fields.
+_CSV_FIELDS = list(field_names(TriangleCell))
+CSV_HEADER = ",".join(_CSV_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -252,13 +255,7 @@ def parse_triangle_csv(path: str) -> LossTriangle:
                     f"{path}:{lineno}: expected {len(_CSV_FIELDS)} fields, got {len(row)}"
                 )
             try:
-                cell = TriangleCell(
-                    accident_year=int(row[0]),
-                    dev_lag=int(row[1]),
-                    cum_incurred=float(row[2]),
-                    cum_paid=float(row[3]),
-                    earned_premium=float(row[4]),
-                )
+                cell = TriangleCell(int(row[0]), int(row[1]), *map(float, row[2:]))
             except (DataError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
             cells.append(cell)
@@ -380,7 +377,7 @@ def age_to_age_factors(tri: LossTriangle) -> DevelopmentFactors:
 
 def write_triangle_csv(tri: LossTriangle, path: str) -> None:
     """Write a triangle in the canonical CSV format (full float precision)."""
-    write_csv(path, CSV_HEADER, map(field_values(TriangleCell), tri.cells))
+    write_records(path, TriangleCell, tri.cells)
 
 
 def triangle_from_arrays(

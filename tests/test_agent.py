@@ -12,8 +12,6 @@ from reserve_rl import agent as agent_module
 from reserve_rl.agent import (
     N_ACTIONS,
     OBS_DIM,
-    TRAINING_LOG_HEADER,
-    UPDATE_LOG_HEADER,
     AgentParams,
     Batch,
     PPOConfig,
@@ -305,12 +303,13 @@ def test_write_training_log(tmp_path):
     path = tmp_path / "log.csv"
     write_training_log(runs, str(path))
     lines = path.read_text().splitlines()
-    assert lines[0] == TRAINING_LOG_HEADER
+    assert lines[0] == "seed,level,episode,mean_reward,mean_shortfall,mean_cvar,violation_rate"
     assert len(lines) == 5
     updates = tmp_path / "updates.csv"
     write_update_log(runs, str(updates))
     lines = updates.read_text().splitlines()
-    assert lines[0] == UPDATE_LOG_HEADER
+    assert lines[0] == ("seed,level,update,policy_loss,value_loss,entropy,clip_fraction,"
+                        "approx_kl,grad_norm,explained_variance")
     # 4 episodes x 3 steps fit one batch of 30
     level, stats = runs[0].update_stats[0]
     assert lines[1:] == [

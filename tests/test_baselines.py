@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from reserve_rl.artifacts import write_records
 from reserve_rl.baselines import (
-    RESERVE_TABLE_HEADER,
+    ReserveRow,
     _chase_action,
     _structural_zero_cells,
     bootstrap_chain_ladder,
@@ -16,7 +17,6 @@ from reserve_rl.baselines import (
     implied_loss_ratio,
     percent_developed,
     replay_static_policy,
-    write_reserve_rows_csv,
 )
 from reserve_rl.env import HOLD_ACTION, EnvConfig, ReserveEnv
 from reserve_rl.errors import DataError
@@ -297,8 +297,8 @@ def test_runners_produce_traces():
 def test_write_reserve_rows_csv(tmp_path, textbook_triangle, textbook_factors):
     rows = chain_ladder_ultimates(textbook_triangle, textbook_factors)
     path = tmp_path / "reserves.csv"
-    write_reserve_rows_csv(rows, str(path))
+    write_records(str(path), ReserveRow, rows)
     lines = path.read_text().splitlines()
-    assert lines[0] == RESERVE_TABLE_HEADER
+    assert lines[0] == "method,accident_year,latest,ultimate,reserve"
     assert len(lines) == 1 + len(rows)
     assert lines[1].startswith("chain_ladder,2001,")

@@ -121,6 +121,31 @@ def test_evaluate_artifacts(pipeline):
     assert sidecar["seeds"] == [1, 2]
 
 
+#: Each record table's header as a literal: a field rename that would
+#: change a file format fails here.
+RECORD_HEADERS = {
+    "train/training_log.csv":
+        "seed,level,episode,mean_reward,mean_shortfall,mean_cvar,violation_rate",
+    "train/updates.csv":
+        "seed,level,update,policy_loss,value_loss,entropy,clip_fraction,approx_kl,grad_norm,"
+        "explained_variance",
+    "baselines/reserves.csv": "method,accident_year,latest,ultimate,reserve",
+    "eval/metrics.csv":
+        "model,lob,condition,rar,cvar95,ces,rvr,n_episodes,n_seeds,rar_sd,cvar95_sd,ces_sd,rvr_sd",
+    "ingest/train_triangle.csv": "accident_year,dev_lag,cum_incurred,cum_paid,earned_premium",
+}
+
+
+@pytest.mark.parametrize("name", RECORD_HEADERS)
+def test_record_table_header_is_pinned(pipeline, name):
+    path = os.path.join(pipeline["out"], *name.split("/"))
+    header = RECORD_HEADERS[name]
+    assert _lines(path)[0] == header
+    if name == "eval/metrics.csv":
+        with open(path[:-4] + ".json") as handle:
+            assert json.load(handle)["columns"] == header.split(",")
+
+
 def test_stress_artifacts(pipeline):
     rows = _lines(os.path.join(pipeline["out"], "stress", "stress_metrics.csv"))
     assert len(rows) == 1 + 2

@@ -163,6 +163,15 @@ INVALID_VALUES = [
     ("[ppo]\nlearning_rate = -1\n", "learning_rate must be positive and finite, got -1.0"),
     ("[ppo]\nlearning_rate = 0\n", "learning_rate must be positive and finite, got 0.0"),
     ("[ppo]\nlearning_rate = inf\n", "learning_rate must be positive and finite, got inf"),
+    ("[env]\nbuffer_capacity = 0\n", "buffer_capacity must be >= 1, got 0"),
+    ("[env]\nwarmup_min = 0\n", "warmup_min must be >= 1, got 0"),
+    ("[env]\nbuffer_capacity = 10\nwarmup_min = 11\n",
+     r"warmup_min must be <= buffer_capacity \(10\), got 11"),
+    ("[run]\nseeds = -1\n", "seeds must be >= 0, got -1"),
+    ("[run]\nseeds = 1,-2\n", "seeds must be >= 0, got -2"),
+    ("[eval]\ncrn_base = -1\n", "crn_base must be >= 0, got -1"),
+    ("[baselines]\nbootstrap_seed = -1\n", "bootstrap_seed must be >= 0, got -1"),
+    ("[regimes]\nlevels = 0,7\n", "unknown regime level 7"),
 ]
 
 
@@ -173,6 +182,10 @@ def test_invalid_runtime_values_fail_on_load(tmp_path, body, message):
     with pytest.raises(ConfigError, match=message):
         load_config(path)
     assert main(["--config", path, "--print-config"]) == 1
+    # refused at load, before a command makes its directory
+    out = tmp_path / "runs"
+    assert main(["--config", path, "--out", str(out), "train"]) == 1
+    assert not (out / "train").exists()
 
 
 def test_smallest_counts_load(tmp_path):

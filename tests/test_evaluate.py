@@ -17,12 +17,12 @@ from reserve_rl.baselines import (
     replay_static_policy,
 )
 from reserve_rl.agent import PPOConfig, train_curriculum
+from reserve_rl.artifacts import field_values
 import reserve_rl.evaluate as evaluate_module
 from reserve_rl.config import FLOOR_FORMS
 from reserve_rl.env import EnvConfig, EnvFactory, ReserveEnv, Trace
 from reserve_rl.errors import ConfigError, DataError, ReserveRlError
 from reserve_rl.evaluate import (
-    METRICS_HEADER,
     MIN_TAIL_SAMPLES,
     RAR_LOSS_EPS,
     EvalOutcome,
@@ -87,7 +87,8 @@ def test_compute_metrics_hand_values():
     expected_ces = 1.0 - (20 * 1.0 + 4 * 0.499) / 24
     assert m.ces == pytest.approx(expected_ces, abs=1e-12)
     assert m.rvr == pytest.approx(6 / 24, abs=1e-15)
-    assert m.as_tuple() == (m.rar, m.cvar95, m.ces, m.rvr)
+    # aggregate_metrics and seed_medians read the metrics in this order
+    assert field_values(MetricSet)(m) == (m.rar, m.cvar95, m.ces, m.rvr)
 
 
 def test_compute_metrics_matches_risk_module():
@@ -140,7 +141,7 @@ def test_metrics_row_csv_line(tmp_path):
     emit_report([row], str(path))
     line = path.read_text().splitlines()[1]
     assert line == "m,syn,regime:0,1.5,0.25,0.5,0.0,10,3,0.1,0.0,0.0,0.0"
-    assert len(line.split(",")) == len(METRICS_HEADER.split(","))
+    assert len(line.split(",")) == 13
 
 
 def test_seed_medians():
@@ -411,6 +412,16 @@ def test_evaluate_models_is_serial_where_fork_is_not_offered(monkeypatch):
     assert received == ["regime:0", "regime:1", "regime:2"]
 
 
+def test_evaluate_models_rejects_a_condition_without_modes():
+    """A condition pooling no shock modes is refused, by label, before any draw."""
+    def no_env(mode, rng):
+        raise AssertionError("an environment was built before the refusal")
+
+    with pytest.raises(ConfigError, match="conditions pool no shock modes: x$"):
+        evaluate_models({"cl": chain_ladder_targets(FLAT_FACTORS)}, no_env,
+                        [("regime:0", (Stochastic(0),)), ("x", ())], (0,), episodes=7)
+
+
 def test_evaluate_models_rejects_no_workers():
     with pytest.raises(ConfigError, match="workers"):
         evaluate_models({"cl": chain_ladder_targets(FLAT_FACTORS)}, flat_env_factory,
@@ -477,12 +488,12 @@ def test_emit_report_round_trip(tmp_path):
     csv_path = tmp_path / "metrics.csv"
     emit_report(rows, str(csv_path), sidecar={"fingerprint": "deadbeef"})
     lines = csv_path.read_text().splitlines()
-    assert lines[0] == METRICS_HEADER
+    assert lines[0] == "model,lob,condition,rar,cvar95,ces,rvr,n_episodes,n_seeds,rar_sd,cvar95_sd,ces_sd,rvr_sd"
     assert len(lines) == 2
 
     sidecar = json.loads((tmp_path / "metrics.json").read_text())
     assert sidecar["n_rows"] == 1
-    assert sidecar["columns"] == METRICS_HEADER.split(",")
+    assert sidecar["columns"] == lines[0].split(",")
     assert sidecar["fingerprint"] == "deadbeef"
 
     # emitting the same rows again must reproduce the bytes exactly

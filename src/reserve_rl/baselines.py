@@ -23,8 +23,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .env import ACTION_GRID, HOLD_ACTION, TIE_BREAK_ORDER, LossPaths, ReserveEnv, Trace
-from .errors import DataError
+from .env import ACTION_GRID, HOLD_ACTION, TIE_BREAK_ORDER, LossPaths, Model, ReserveEnv, Trace
+from .errors import ConfigError, DataError
 from .triangles import DevelopmentFactors, LossTriangle, age_to_age_factors
 
 log = logging.getLogger(__name__)
@@ -391,11 +391,15 @@ def _reproject(tri: LossTriangle, factors: np.ndarray) -> np.ndarray:
 StaticTargets = Callable[[np.ndarray, np.ndarray, int], np.ndarray]
 
 
-def chain_ladder_targets(factors: DevelopmentFactors) -> StaticTargets:
-    """Deterministic chain-ladder projection of each starting loss, the
-    profile computed once per horizon."""
-    profile = functools.cache(factors.cumulative_profile)
+def _scaled_profile(profile: Callable[[int], np.ndarray]) -> StaticTargets:
+    """Each starting loss times ``profile(horizon)``, computed once per horizon."""
+    profile = functools.cache(profile)
     return lambda loss, _premium, horizon: np.multiply.outer(loss, profile(horizon))
+
+
+def chain_ladder_targets(factors: DevelopmentFactors) -> StaticTargets:
+    """Deterministic chain-ladder projection of each starting loss."""
+    return _scaled_profile(factors.cumulative_profile)
 
 
 def bornhuetter_ferguson_targets(factors: DevelopmentFactors, elr: float) -> StaticTargets:
@@ -419,10 +423,8 @@ def bornhuetter_ferguson_targets(factors: DevelopmentFactors, elr: float) -> Sta
 
 
 def bootstrap_targets(result: BootstrapResult) -> StaticTargets:
-    """Bootstrap-mean projection of each starting loss, the mean profile
-    computed once per horizon."""
-    profile = functools.cache(result.mean_cumulative_profile)
-    return lambda loss, _premium, horizon: np.multiply.outer(loss, profile(horizon))
+    """Bootstrap-mean projection of each starting loss."""
+    return _scaled_profile(result.mean_cumulative_profile)
 
 
 def replay_static_policy(
@@ -441,16 +443,32 @@ def replay_static_policy(
     direction.  The final step holds the path's last value.  The target
     paths are built once for the run, from the episodes' initial losses
     and premiums, and all episodes step in lockstep.
+
+    Raises:
+        ConfigError: ``episodes`` is not the number of episodes in ``paths``.
     """
-    target = targets(
-        np.array([info.initial_loss for info in paths.infos]),
-        np.array([info.premium for info in paths.infos]),
-        env.horizon,
-    )
+    if episodes != paths.n_episodes:
+        raise ConfigError(f"episodes is {episodes} but the paths hold {paths.n_episodes}")
+    target = targets(paths.loss[:, 0], np.array([info.premium for info in paths.infos]),
+                     env.horizon)
     last = env.horizon - 1
     return env.rollout(
         paths, lambda state: _chase_action(state.reserve, target[:, min(state.t + 1, last)])
     )
+
+
+def static_model(targets: StaticTargets) -> Model:
+    """The model replaying ``targets`` (the same for every seed)."""
+    # looked up on the module at call time, so a wrapper installed there sees it
+    return lambda env, _seed, paths: replay_static_policy(env, targets, paths.n_episodes, paths)
+
+
+def classical_models(factors: DevelopmentFactors, elr: float,
+                     boot: BootstrapResult) -> dict[str, Model]:
+    """The three methods' models by report name, Bornhuetter-Ferguson at ``elr``."""
+    return {"chain_ladder": static_model(chain_ladder_targets(factors)),
+            "bornhuetter_ferguson": static_model(bornhuetter_ferguson_targets(factors, elr)),
+            "bootstrap": static_model(bootstrap_targets(boot))}
 
 
 def _chase_action(reserve: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -35,11 +35,9 @@ from .baselines import (
     BootstrapResult,
     ReserveRow,
     bootstrap_chain_ladder,
-    bootstrap_targets,
     bornhuetter_ferguson,
-    bornhuetter_ferguson_targets,
-    chain_ladder_targets,
     chain_ladder_ultimates,
+    classical_models,
     implied_loss_ratio,
 )
 from .config import (
@@ -57,6 +55,7 @@ from .evaluate import (
     TraceSink,
     emit_report,
     evaluate_models,
+    greedy_model,
     regime_conditions,
     sensitivity_sweep,
     stress_conditions,
@@ -289,13 +288,11 @@ def _policy_outcome(args: argparse.Namespace, cfg: RunConfig, data: IngestArtifa
     each regime; ``stress``: the policies alone under each fixed shock."""
     policies = _load_policies(args.policies or os.path.join(args.out, "train"), seeds, cfg)
     _, eval_factory = _factories(data, cfg)
-    models = {"rl_cvar": policies}
+    models = {"rl_cvar": greedy_model(policies)}
     if args.command == "evaluate":
         conditions = regime_conditions(cfg.eval.regimes)
         elr, boot = _elr_and_bootstrap(data.train, data.factors, cfg)
-        models["chain_ladder"] = chain_ladder_targets(data.factors)
-        models["bornhuetter_ferguson"] = bornhuetter_ferguson_targets(data.factors, elr)
-        models["bootstrap"] = bootstrap_targets(boot)
+        models.update(classical_models(data.factors, elr, boot))
     else:
         conditions = stress_conditions(cfg.eval.shocks)
     return evaluate_models(

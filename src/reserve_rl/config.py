@@ -84,7 +84,7 @@ class EvalSection:
         _require_positive(self, "episodes", "sweep_episodes_per_level")
         _require_seed("crn_base", self.crn_base)
         for level in self.regimes:
-            regime_params(level)
+            regime_params(level, "[eval] regimes: ")
         for m in self.shocks:
             FixedShock(m)
         for alpha in self.sweep_alphas:

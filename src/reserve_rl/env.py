@@ -277,6 +277,9 @@ class LossPaths:
 #: Lockstep action rule: (E,) action indices for a lockstep state.
 LockstepPolicy = Callable[[EnvState], np.ndarray]
 
+#: A scored model: ``model(env, seed, paths)`` is its trace on ``paths`` for seed ``seed``.
+Model = Callable[["ReserveEnv", int, LossPaths], "Trace"]
+
 
 class ReserveEnv:
     """Finite-horizon reserving environment over one triangle, drawing

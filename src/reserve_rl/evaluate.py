@@ -29,11 +29,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import baselines
 from .agent import PPOConfig, act_greedy, observe, train_curriculum
 from .artifacts import field_names, field_values, write_json, write_records
-from .baselines import StaticTargets
-from .env import EnvFactory, LossPaths, ReserveEnv, Trace
+from .env import EnvFactory, LossPaths, Model, ReserveEnv, Trace
 from .errors import ConfigError, DataError, ReserveRlError
 from .nets import MLPParams
 from .regimes import CurriculumSchedule, FixedShock, ShockMode, Stochastic
@@ -124,22 +122,21 @@ def run_policy_episodes(
     env: ReserveEnv, policy: MLPParams, episodes: int, paths: LossPaths
 ) -> Trace:
     """Roll the greedy policy over the ``episodes`` episodes of ``paths``,
-    all of them in lockstep (one batched forward pass per step)."""
+    all of them in lockstep (one batched forward pass per step).
+
+    Raises:
+        ConfigError: ``episodes`` is not the number of episodes in ``paths``.
+    """
+    if episodes != paths.n_episodes:
+        raise ConfigError(f"episodes is {episodes} but the paths hold {paths.n_episodes}")
     return env.rollout(paths, lambda state: act_greedy(policy, observe(state)))
 
 
-def _run_model(
-    model: Mapping[int, MLPParams] | StaticTargets,
-    env: ReserveEnv,
-    seed: int,
-    paths: LossPaths,
-) -> Trace:
-    """Run one model over ``paths``: trained policies by seed act greedily,
-    a classical baseline's targets are replayed (the same for every seed)."""
-    if isinstance(model, Mapping):
-        return run_policy_episodes(env, model[seed], paths.n_episodes, paths)
+def greedy_model(policies: Mapping[int, MLPParams]) -> Model:
+    """The model acting greedily with the policy trained under each seed."""
     # looked up on the module at call time, so a wrapper installed there sees it
-    return baselines.replay_static_policy(env, model, paths.n_episodes, paths)
+    return lambda env, seed, paths: run_policy_episodes(
+        env, policies[seed], paths.n_episodes, paths)
 
 
 #: A report row's label and the shock modes whose episodes the row pools.
@@ -242,7 +239,7 @@ def _map_split(run: Callable[[int], EvalOutcome], n: int, workers: int) -> list[
 
 
 def evaluate_models(
-    models: Mapping[str, Mapping[int, MLPParams] | StaticTargets],
+    models: Mapping[str, Model],
     make_env: EnvFactory,
     conditions: Sequence[Condition],
     seeds: Sequence[int],
@@ -254,8 +251,7 @@ def evaluate_models(
 ) -> EvalOutcome:
     """Run every model under every condition with paired random draws.
 
-    A model is a ``{seed: policy}`` table or a baseline's
-    :data:`StaticTargets` (see :func:`_run_model`).  The ``episodes``
+    Each model is called as ``model(env, seed, paths)``.  The ``episodes``
     loss paths of a (mode, seed) cell are drawn once, from a generator
     seeded with ``(crn_base, mode index, seed)`` only, modes counted in
     order across all conditions, and every model replays them on a fresh
@@ -310,7 +306,7 @@ def evaluate_models(
             per_seed: list[MetricSet] = []
             seed_traces: list[Trace] = []
             for seed, cell in draws:
-                trace = Trace.concat([_run_model(model, make_env(mode, env_rng), seed, paths)
+                trace = Trace.concat([model(make_env(mode, env_rng), seed, paths)
                                       for mode, env_rng, paths in cell])
                 per_seed.append(compute_metrics(trace))
                 if traces is not None:
@@ -370,8 +366,8 @@ def sensitivity_sweep(
     outcome = EvalOutcome()
     for label, (_, eval_factory) in cells.items():
         policies = {seed: next(runs).agent.policy for seed in seeds}
-        cell = evaluate_models({"rl_cvar": policies}, eval_factory, [(label, modes)], seeds,
-                               episodes_per_level, lob, crn_base)
+        cell = evaluate_models({"rl_cvar": greedy_model(policies)}, eval_factory,
+                               [(label, modes)], seeds, episodes_per_level, lob, crn_base)
         outcome.rows += cell.rows
         outcome.per_seed.update(cell.per_seed)
         log.info("sweep cell %s done", label)

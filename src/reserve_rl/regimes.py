@@ -93,7 +93,7 @@ class CurriculumSchedule:
         if not self.levels:
             raise ConfigError("curriculum needs at least one level")
         for level in self.levels:
-            regime_params(level)
+            regime_params(level, "[regimes] levels: ")
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ConfigError(f"curriculum levels must be strictly ascending, got {self.levels}")
         if self.episodes_per_level < 1:
@@ -120,17 +120,18 @@ class CurriculumSchedule:
         return min(1.0, (episode_idx + 1) / self.ramp_episodes)
 
 
-def regime_params(level: int) -> RegimeSpec:
+def regime_params(level: int, prefix: str = "") -> RegimeSpec:
     """Look up a severity level in the regime table.
 
     Raises:
-        ConfigError: The level is not in the table.
+        ConfigError: The level is not in the table; the message starts
+            with ``prefix``, which names the setting the level came from.
     """
     try:
         return DEFAULT_REGIME_TABLE[level]
     except KeyError:
         raise ConfigError(
-            f"unknown regime level {level!r}; known: {sorted(DEFAULT_REGIME_TABLE)}"
+            f"{prefix}unknown regime level {level!r}; known: {sorted(DEFAULT_REGIME_TABLE)}"
         ) from None
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -379,35 +378,3 @@ def write_triangle_csv(tri: LossTriangle, path: str) -> None:
     """Write a triangle in the canonical CSV format (full float precision)."""
     write_records(path, TriangleCell, tri.cells)
 
-
-def triangle_from_arrays(
-    cum_incurred: Sequence[Sequence[float]],
-    premiums: Iterable[float] | None = None,
-    first_year: int = 1,
-    paid_ratio: float = 0.8,
-) -> LossTriangle:
-    """Build a triangle from nested incurred rows (test/demo convenience).
-
-    Row i holds the observed cumulative incurred values of accident year
-    ``first_year + i`` from lag 1 onward.  Paid amounts are synthesized
-    as a flat fraction of incurred; premiums default to each year's last
-    observed incurred (loss ratio 1 at the observation edge).
-    """
-    rows = [list(map(float, row)) for row in cum_incurred]
-    if premiums is None:
-        prem_list = [row[-1] for row in rows]
-    else:
-        prem_list = [float(p) for p in premiums]
-    cells = []
-    for i, row in enumerate(rows):
-        for j, value in enumerate(row, start=1):
-            cells.append(
-                TriangleCell(
-                    accident_year=first_year + i,
-                    dev_lag=j,
-                    cum_incurred=value,
-                    cum_paid=paid_ratio * value,
-                    earned_premium=prem_list[i],
-                )
-            )
-    return LossTriangle(cells=tuple(cells))

@@ -1,9 +1,11 @@
-"""Shared fixtures: the hand-checkable textbook triangle and the
-synthetic data bundle every integration-level test runs on."""
+"""Shared fixtures and helpers: a triangle from nested rows, the
+hand-checkable textbook triangle and the synthetic data bundle every
+integration-level test runs on."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import pytest
 
@@ -12,10 +14,10 @@ from reserve_rl.triangles import (
     DevelopmentFactors,
     LossTriangle,
     SplitSpec,
+    TriangleCell,
     age_to_age_factors,
     normalize,
     split_rolling_origin,
-    triangle_from_arrays,
 )
 
 # One verdict line per acceptance criterion; flushed into the terminal
@@ -28,6 +30,39 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in sorted(CRITERION_LINES):
             terminalreporter.write_line(line)
+
+
+def triangle_from_arrays(
+    cum_incurred: Sequence[Sequence[float]],
+    premiums: Iterable[float] | None = None,
+    first_year: int = 1,
+    paid_ratio: float = 0.8,
+) -> LossTriangle:
+    """Build a triangle from nested incurred rows.
+
+    Row i holds the observed cumulative incurred values of accident year
+    ``first_year + i`` from lag 1 onward.  Paid amounts are synthesized
+    as a flat fraction of incurred; premiums default to each year's last
+    observed incurred (loss ratio 1 at the observation edge).
+    """
+    rows = [list(map(float, row)) for row in cum_incurred]
+    if premiums is None:
+        prem_list = [row[-1] for row in rows]
+    else:
+        prem_list = [float(p) for p in premiums]
+    cells = []
+    for i, row in enumerate(rows):
+        for j, value in enumerate(row, start=1):
+            cells.append(
+                TriangleCell(
+                    accident_year=first_year + i,
+                    dev_lag=j,
+                    cum_incurred=value,
+                    cum_paid=paid_ratio * value,
+                    earned_premium=prem_list[i],
+                )
+            )
+    return LossTriangle(cells=tuple(cells))
 
 
 @pytest.fixture()

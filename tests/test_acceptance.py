@@ -30,12 +30,14 @@ from reserve_rl.baselines import (
     bootstrap_chain_ladder,
     chain_ladder_targets,
     chain_ladder_ultimates,
+    static_model,
 )
 from reserve_rl.cli import main as cli_main
 from reserve_rl.config import FLOOR_FORMS
 from reserve_rl.env import HOLD_ACTION, EnvConfig, EnvFactory, ReserveEnv
 from reserve_rl.evaluate import (
     evaluate_models,
+    greedy_model,
     regime_conditions,
     sensitivity_sweep,
     stress_conditions,
@@ -319,7 +321,7 @@ def full_run(bundle):
 def test_criterion_07_stress_monotonicity(full_run):
     t0 = time.perf_counter()
     outcome = evaluate_models(
-        {"rl_cvar": full_run["policies"]},
+        {"rl_cvar": greedy_model(full_run["policies"])},
         full_run["eval_factory"],
         stress_conditions((0.8, 1.0, 1.5, 2.0)),
         SEEDS5,
@@ -352,8 +354,8 @@ def test_criterion_08_beats_chain_ladder_in_rough_regimes(full_run, bundle):
     t0 = time.perf_counter()
     outcome = evaluate_models(
         {
-            "rl_cvar": full_run["policies"],
-            "chain_ladder": chain_ladder_targets(bundle.factors),
+            "rl_cvar": greedy_model(full_run["policies"]),
+            "chain_ladder": static_model(chain_ladder_targets(bundle.factors)),
         },
         full_run["eval_factory"],
         regime_conditions((2, 3)),
@@ -386,8 +388,8 @@ def test_criterion_09_cold_regime(bundle):
                                WORKERS)
     outcome = evaluate_models(
         {
-            "rl_cvar": {run.seed: run.agent.policy for run in trained},
-            "chain_ladder": chain_ladder_targets(bundle.factors),
+            "rl_cvar": greedy_model({run.seed: run.agent.policy for run in trained}),
+            "chain_ladder": static_model(chain_ladder_targets(bundle.factors)),
         },
         eval_factory,
         regime_conditions((3,)),

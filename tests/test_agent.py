@@ -8,6 +8,8 @@ import os
 import numpy as np
 import pytest
 
+from conftest import triangle_from_arrays
+
 from reserve_rl import agent as agent_module
 from reserve_rl.agent import (
     N_ACTIONS,
@@ -31,7 +33,7 @@ from reserve_rl.env import HOLD_ACTION, EnvConfig, EnvFactory, EnvState, Reserve
 from reserve_rl.errors import ConfigError, NumericalError
 from reserve_rl.nets import Adam, init_mlp, log_softmax
 from reserve_rl.regimes import CurriculumSchedule
-from reserve_rl.triangles import DevelopmentFactors, triangle_from_arrays
+from reserve_rl.triangles import DevelopmentFactors
 
 
 def test_observe_layout():

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import triangle_from_arrays
+
 from reserve_rl import nets
 from reserve_rl.artifacts import write_csv, write_csv_tables, write_json
 from reserve_rl.baselines import bootstrap_chain_ladder
 from reserve_rl.cli import _bootstrap_summary
 from reserve_rl.config import build_manifest, default_config
 from reserve_rl.errors import DataError
-from reserve_rl.triangles import triangle_from_arrays, write_triangle_csv
+from reserve_rl.triangles import write_triangle_csv
 from scalar_oracle import rowwise_write_csv
 
 #: Floats whose text a value-based or rounding formatter could get wrong:

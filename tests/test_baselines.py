@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import triangle_from_arrays
+
 from reserve_rl.artifacts import write_records
 from reserve_rl.baselines import (
     ReserveRow,
@@ -14,19 +16,15 @@ from reserve_rl.baselines import (
     bornhuetter_ferguson_targets,
     chain_ladder_targets,
     chain_ladder_ultimates,
+    classical_models,
     implied_loss_ratio,
     percent_developed,
     replay_static_policy,
 )
 from reserve_rl.env import HOLD_ACTION, EnvConfig, ReserveEnv
-from reserve_rl.errors import DataError
+from reserve_rl.errors import ConfigError, DataError
 from reserve_rl.regimes import FixedShock
-from reserve_rl.triangles import (
-    DevelopmentFactors,
-    LossTriangle,
-    age_to_age_factors,
-    triangle_from_arrays,
-)
+from reserve_rl.triangles import DevelopmentFactors, LossTriangle, age_to_age_factors
 from scalar_oracle import bootstrap_path, bornhuetter_ferguson_path, chain_ladder_path
 
 # hand-worked 3x3 example: volume-weighted factors are exactly (1.5, 7/6)
@@ -292,6 +290,28 @@ def test_runners_produce_traces():
     env3, _ = _flat_env()
     trace3 = replay_static_policy(env3, bootstrap_targets(result), 2, env3.draw_paths(2))
     assert trace3.n_steps == 2 * env3.horizon
+
+
+def test_replay_refuses_an_episode_count_off_the_paths():
+    env, factors = _flat_env()
+    with pytest.raises(ConfigError, match="^episodes is 3 but the paths hold 2$"):
+        replay_static_policy(env, chain_ladder_targets(factors), 3, env.draw_paths(2))
+
+
+def test_classical_models_replay_each_method_in_report_order():
+    """Each model replays its method's targets for any seed, on the paths given."""
+    _, factors = _flat_env()
+    tri = triangle_from_arrays([[100.0, 150.0, 175.0], [110.0, 165.0], [120.0]])
+    result = bootstrap_chain_ladder(tri, 20, np.random.default_rng(3))
+    models = classical_models(factors, 0.9, result)
+    assert list(models) == ["chain_ladder", "bornhuetter_ferguson", "bootstrap"]
+    targets = (chain_ladder_targets(factors), bornhuetter_ferguson_targets(factors, 0.9),
+               bootstrap_targets(result))
+    for model, method in zip(models.values(), targets):
+        (env_a, _), (env_b, _) = _flat_env(), _flat_env()
+        scored = model(env_a, 5, env_a.draw_paths(2))
+        replayed = replay_static_policy(env_b, method, 2, env_b.draw_paths(2))
+        assert scored.reserve.tobytes() == replayed.reserve.tobytes()
 
 
 def test_write_reserve_rows_csv(tmp_path, textbook_triangle, textbook_factors):

@@ -10,6 +10,7 @@ keep loading.  These tests read ``perfbench/`` and change nothing there.
 
 from __future__ import annotations
 
+import csv
 import importlib
 import importlib.util
 import os
@@ -20,7 +21,7 @@ from types import SimpleNamespace
 import pytest
 
 import reserve_rl.cli as cli
-from reserve_rl.config import load_config
+from reserve_rl.config import EvalSection, load_config
 from reserve_rl.synthetic import SyntheticSpec, make_synthetic_triangle
 from reserve_rl.triangles import write_triangle_csv
 
@@ -119,6 +120,17 @@ def test_spans_record_the_pipeline_calls(tmp_path, monkeypatch):
     assert tracer.counters["evaluate.run_policy_episodes.episodes"] == (
         seeds * (regimes + shocks) * episodes
     )
+    # the benchmark expects MODELS * REGIMES rows in eval/metrics.csv
+    with open(tmp_path / "runs" / "eval" / "metrics.csv") as handle:
+        models = {row["model"] for row in csv.DictReader(handle)}
+    assert len(models) == _load_run().MODELS
+
+
+def test_benchmark_row_counts_match_the_default_config():
+    """The default ``[eval]`` lists give the rows the benchmark's checks expect."""
+    run = _load_run()
+    assert len(EvalSection().regimes) == run.REGIMES
+    assert len(EvalSection().shocks) == run.SHOCKS
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -13,11 +13,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import triangle_from_arrays
+
 from reserve_rl import baselines
 from reserve_rl.baselines import BOOTSTRAP_CHUNK, bootstrap_chain_ladder
 from reserve_rl.errors import DataError
 from reserve_rl.synthetic import SyntheticSpec, make_synthetic_triangle
-from reserve_rl.triangles import SplitSpec, normalize, split_rolling_origin, triangle_from_arrays
+from reserve_rl.triangles import SplitSpec, normalize, split_rolling_origin
 from scalar_oracle import scalar_bootstrap_chain_ladder
 
 #: About one pseudo-triangle in five is unusable.

@@ -17,7 +17,7 @@ from reserve_rl.agent import PPOConfig, train_curriculum
 from reserve_rl.config import config_to_ini, default_config, load_config
 from reserve_rl.env import ReserveEnv
 from reserve_rl.errors import DataError, NumericalError, ReserveRlError
-from reserve_rl.evaluate import evaluate_models, regime_conditions
+from reserve_rl.evaluate import evaluate_models, greedy_model, regime_conditions
 from reserve_rl.regimes import CurriculumSchedule
 from reserve_rl.synthetic import SyntheticSpec, make_synthetic_triangle
 from reserve_rl.triangles import write_triangle_csv
@@ -354,8 +354,8 @@ def test_evaluate_error_keeps_type_exit_code_and_order(pipeline, tmp_path, capsy
     _, eval_factory = refusing(IngestArtifacts(os.path.join(pipeline["out"], "ingest")), cfg)
     policies = cli._load_policies(os.path.join(pipeline["out"], "train"), (1, 2), cfg)
     with pytest.raises(NumericalError, match=rf"^level {raised} refused") as err:
-        evaluate_models({"rl_cvar": policies}, eval_factory, regime_conditions([0, 1, 2, 3]),
-                        (1, 2), 4, workers=2)
+        evaluate_models({"rl_cvar": greedy_model(policies)}, eval_factory,
+                        regime_conditions([0, 1, 2, 3]), (1, 2), 4, workers=2)
     # raised where that level was evaluated: the caller for level 0, else the child
     assert (f"process {os.getpid()}" in str(err.value)) == (raised == 0)
     assert_no_child_process()

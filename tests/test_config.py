@@ -188,6 +188,18 @@ def test_invalid_runtime_values_fail_on_load(tmp_path, body, message):
     assert not (out / "train").exists()
 
 
+def test_unknown_regime_level_names_its_key(tmp_path, capsys):
+    """The same unknown level in either list exits 1 with a line naming
+    the key it sits under, so the two lines differ."""
+    errors = []
+    for key, body in (("[regimes] levels", "[regimes]\nlevels = 0,7\n"),
+                      ("[eval] regimes", "[eval]\nregimes = 7\n")):
+        assert main(["--config", write_ini(tmp_path, body), "--print-config"]) == 1
+        errors.append(capsys.readouterr().err)
+        assert errors[-1] == f"error: {key}: unknown regime level 7; known: [0, 1, 2, 3]\n"
+    assert errors[0] != errors[1]
+
+
 def test_smallest_counts_load(tmp_path):
     cfg = load_config(write_ini(
         tmp_path,

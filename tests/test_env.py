@@ -7,6 +7,8 @@ import csv
 import numpy as np
 import pytest
 
+from conftest import triangle_from_arrays
+
 from reserve_rl.env import (
     ACTION_GRID,
     DEFAULT_FLOOR,
@@ -24,7 +26,7 @@ from reserve_rl.env import (
 )
 from reserve_rl.errors import ConfigError, ReserveRlError
 from reserve_rl.regimes import FixedShock, Stochastic
-from reserve_rl.triangles import DevelopmentFactors, triangle_from_arrays
+from reserve_rl.triangles import DevelopmentFactors
 from scalar_oracle import TraceRecorder
 
 GRID_FACTORS = DevelopmentFactors(factors=(1.10, 1.066))

@@ -10,11 +10,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import triangle_from_arrays
+
 import reserve_rl.baselines as baselines_module
 from reserve_rl.baselines import (
     bornhuetter_ferguson_targets,
     chain_ladder_targets,
     replay_static_policy,
+    static_model,
 )
 from reserve_rl.agent import PPOConfig, train_curriculum
 from reserve_rl.artifacts import field_values
@@ -32,14 +35,16 @@ from reserve_rl.evaluate import (
     compute_metrics,
     emit_report,
     evaluate_models,
+    greedy_model,
     regime_conditions,
+    run_policy_episodes,
     sensitivity_sweep,
     stress_conditions,
 )
 from reserve_rl.nets import init_mlp
 from reserve_rl.regimes import CurriculumSchedule, Stochastic
 from reserve_rl.risk import tail_estimate
-from reserve_rl.triangles import DevelopmentFactors, triangle_from_arrays
+from reserve_rl.triangles import DevelopmentFactors
 
 
 def make_trace(
@@ -180,12 +185,19 @@ def drawn_replay(env, targets, episodes):
     return replay_static_policy(env, targets, episodes, env.draw_paths(episodes))
 
 
+def test_run_policy_episodes_refuses_an_episode_count_off_the_paths():
+    env = flat_env_factory(Stochastic(0), np.random.default_rng(0))
+    policy = init_mlp((7, 8, 7), np.random.default_rng(2), final_gain=1.0)
+    with pytest.raises(ConfigError, match="^episodes is 6 but the paths hold 7$"):
+        run_policy_episodes(env, policy, 6, env.draw_paths(7))
+
+
 def test_evaluate_models_pairs_random_draws():
     """Two different static models see bitwise-identical loss and shock
     streams in the same (condition, seed) cell."""
     models = {
-        "cl": chain_ladder_targets(FLAT_FACTORS),
-        "bf": bornhuetter_ferguson_targets(FLAT_FACTORS, 0.9),
+        "cl": static_model(chain_ladder_targets(FLAT_FACTORS)),
+        "bf": static_model(bornhuetter_ferguson_targets(FLAT_FACTORS, 0.9)),
     }
     traces = {}
     outcome = evaluate_models(
@@ -208,7 +220,7 @@ def test_evaluate_models_pairs_random_draws():
 
 
 def test_evaluate_models_distinct_cells_use_distinct_draws():
-    models = {"cl": chain_ladder_targets(FLAT_FACTORS)}
+    models = {"cl": static_model(chain_ladder_targets(FLAT_FACTORS))}
     traces = {}
     evaluate_models(
         models,
@@ -237,9 +249,9 @@ def test_evaluate_models_draws_each_cell_once(monkeypatch):
     seeds = (0, 1)
     policy = init_mlp((7, 8, 7), np.random.default_rng(2), final_gain=1.0)
     models = {
-        "rl": {seed: policy for seed in seeds},
-        "cl": chain_ladder_targets(FLAT_FACTORS),
-        "bf": bornhuetter_ferguson_targets(FLAT_FACTORS, 0.9),
+        "rl": greedy_model({seed: policy for seed in seeds}),
+        "cl": static_model(chain_ladder_targets(FLAT_FACTORS)),
+        "bf": static_model(bornhuetter_ferguson_targets(FLAT_FACTORS, 0.9)),
     }
     conditions = regime_conditions([0, 2]) + stress_conditions([1.5])
     outcome = evaluate_models(models, flat_env_factory, conditions, seeds, episodes=7)
@@ -252,8 +264,8 @@ def test_evaluate_models_logs_one_timing_line(caplog):
     path draws (one per condition and seed), wall seconds and episodes
     per second."""
     models = {
-        "cl": chain_ladder_targets(FLAT_FACTORS),
-        "bf": bornhuetter_ferguson_targets(FLAT_FACTORS, 0.9),
+        "cl": static_model(chain_ladder_targets(FLAT_FACTORS)),
+        "bf": static_model(bornhuetter_ferguson_targets(FLAT_FACTORS, 0.9)),
     }
     with caplog.at_level(logging.INFO, logger="reserve_rl.evaluate"):
         evaluate_models(models, flat_env_factory, regime_conditions([0, 1]), seeds=(0, 1, 2),
@@ -278,11 +290,12 @@ def test_evaluate_models_streams_traces_per_condition(caplog, monkeypatch):
 
     monkeypatch.setattr(evaluate_module, "time", SimpleNamespace(perf_counter=tick))
     events = []
-    models = {
+    targets_of = {
         "cl": chain_ladder_targets(FLAT_FACTORS),
         "bf": bornhuetter_ferguson_targets(FLAT_FACTORS, 0.9),
     }
-    names = {targets: name for name, targets in models.items()}
+    models = {name: static_model(targets) for name, targets in targets_of.items()}
+    names = {targets: name for name, targets in targets_of.items()}
 
     def logged(env, targets, episodes, paths):
         events.append(names[targets])
@@ -305,7 +318,7 @@ def test_evaluate_models_streams_traces_per_condition(caplog, monkeypatch):
         expected = Trace.concat([
             drawn_replay(
                 flat_env_factory(Stochastic(cond_idx), np.random.default_rng([3, cond_idx, seed])),
-                models["cl"], 7,
+                targets_of["cl"], 7,
             )
             for seed in (0, 1)
         ])
@@ -324,8 +337,8 @@ def test_evaluate_models_pools_a_condition_over_its_modes(caplog):
     seeds = (5, 6)
     conditions = [("pooled", [Stochastic(0), Stochastic(1)])] + regime_conditions([3])
     with caplog.at_level(logging.INFO, logger="reserve_rl.evaluate"):
-        outcome = evaluate_models({"cl": targets}, flat_env_factory, conditions, seeds,
-                                  episodes=7, crn_base=9)
+        outcome = evaluate_models({"cl": static_model(targets)}, flat_env_factory, conditions,
+                                  seeds, episodes=7, crn_base=9)
 
     def manual(levels, first_idx):
         per_seed = []
@@ -352,8 +365,8 @@ def test_evaluate_models_workers_are_bitwise_serial(tmp_path):
     seeds = (0, 1)
     policy = init_mlp((7, 8, 7), np.random.default_rng(2), final_gain=1.0)
     models = {
-        "rl": {seed: policy for seed in seeds},
-        "cl": chain_ladder_targets(FLAT_FACTORS),
+        "rl": greedy_model({seed: policy for seed in seeds}),
+        "cl": static_model(chain_ladder_targets(FLAT_FACTORS)),
     }
     conditions = ([("pooled", [Stochastic(0), Stochastic(2)])] + regime_conditions([1, 3])
                   + stress_conditions([1.5]))
@@ -406,7 +419,7 @@ def test_evaluate_models_is_serial_where_fork_is_not_offered(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     received = []
-    evaluate_models({"cl": chain_ladder_targets(FLAT_FACTORS)}, flat_env_factory,
+    evaluate_models({"cl": static_model(chain_ladder_targets(FLAT_FACTORS))}, flat_env_factory,
                     regime_conditions([0, 1, 2]), (0,), episodes=7, workers=2,
                     traces=lambda label, traces: received.append(label))
     assert received == ["regime:0", "regime:1", "regime:2"]
@@ -418,13 +431,13 @@ def test_evaluate_models_rejects_a_condition_without_modes():
         raise AssertionError("an environment was built before the refusal")
 
     with pytest.raises(ConfigError, match="conditions pool no shock modes: x$"):
-        evaluate_models({"cl": chain_ladder_targets(FLAT_FACTORS)}, no_env,
+        evaluate_models({"cl": static_model(chain_ladder_targets(FLAT_FACTORS))}, no_env,
                         [("regime:0", (Stochastic(0),)), ("x", ())], (0,), episodes=7)
 
 
 def test_evaluate_models_rejects_no_workers():
     with pytest.raises(ConfigError, match="workers"):
-        evaluate_models({"cl": chain_ladder_targets(FLAT_FACTORS)}, flat_env_factory,
+        evaluate_models({"cl": static_model(chain_ladder_targets(FLAT_FACTORS))}, flat_env_factory,
                         regime_conditions([0]), (0,), episodes=7, workers=0)
 
 
@@ -468,8 +481,9 @@ def test_sensitivity_sweep_workers_are_bitwise_serial():
     # one cell on its own: its policies score the same
     train_factory, eval_factory = cell_factories(None, FLOOR_FORMS["strict"])
     trained = train_curriculum([(train_factory, config, schedule, seed) for seed in seeds])
+    policies = {run.seed: run.agent.policy for run in trained}
     alone = evaluate_models(
-        {"rl_cvar": {run.seed: run.agent.policy for run in trained}}, eval_factory,
+        {"rl_cvar": greedy_model(policies)}, eval_factory,
         [("cell", [Stochastic(0), Stochastic(1)])], seeds, 4,
     )
     assert pooled.per_seed[("rl_cvar", "alpha:adaptive;floor:strict")] == \

@@ -27,6 +27,7 @@ from reserve_rl.baselines import (
     bootstrap_targets,
     bornhuetter_ferguson_targets,
     chain_ladder_targets,
+    classical_models,
     implied_loss_ratio,
     replay_static_policy,
 )
@@ -34,6 +35,7 @@ from reserve_rl.env import ACTION_GRID, EnvConfig, EnvFactory, ReserveEnv, Trace
 from reserve_rl.errors import ConfigError
 from reserve_rl.evaluate import (
     evaluate_models,
+    greedy_model,
     regime_conditions,
     run_policy_episodes,
     stress_conditions,
@@ -172,19 +174,19 @@ def test_trace_writers_match_rowwise_oracle(bundle, mode, tmp_path):
 def test_shared_draws_match_fresh_draws_per_model(bundle, tmp_path):
     """``evaluate_models`` draws each (condition, seed) cell's paths once
     and replays them for every model; each model's traces have the bytes
-    of a fresh environment drawing for that model alone, for a policy
-    table and for all three static targets."""
+    of a fresh environment drawing for that model alone, for the greedy
+    model and for all three classical models."""
     factors = bundle.factors
     elr = implied_loss_ratio(bundle.train, factors)
     boot = bootstrap_chain_ladder(bundle.train, 50, np.random.default_rng(3))
     seeds = (1, 2)
     policies = {seed: perturbed_policy(seed) for seed in seeds}
-    models = {
-        "rl_cvar": policies,
+    targets = {
         "chain_ladder": chain_ladder_targets(factors),
         "bornhuetter_ferguson": bornhuetter_ferguson_targets(factors, elr),
         "bootstrap": bootstrap_targets(boot),
     }
+    models = {"rl_cvar": greedy_model(policies), **classical_models(factors, elr, boot)}
     conditions = regime_conditions([0, 3]) + stress_conditions([2.0])
     make_env = EnvFactory(bundle.train, factors, EnvConfig())
     received = {}
@@ -192,12 +194,12 @@ def test_shared_draws_match_fresh_draws_per_model(bundle, tmp_path):
                     traces=lambda label, traces: received.update(
                         {(name, label): trace for name, trace in traces.items()}))
     for cond_idx, (label, (mode,)) in enumerate(conditions):
-        for name, model in models.items():
+        for name in models:
             fresh = []
             for seed in seeds:
                 env = make_env(mode, np.random.default_rng([4, cond_idx, seed]))
-                fresh.append(drawn_policy_run(env, model[seed], 30) if name == "rl_cvar"
-                             else drawn_replay(env, model, 30))
+                fresh.append(drawn_policy_run(env, policies[seed], 30) if name == "rl_cvar"
+                             else drawn_replay(env, targets[name], 30))
             assert (trace_bytes(received[(name, label)], tmp_path, "shared.csv")
                     == trace_bytes(Trace.concat(fresh), tmp_path, "fresh.csv")), (name, label)
 

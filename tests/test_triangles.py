@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import triangle_from_arrays
+
 from reserve_rl.errors import ConfigError, DataError
 from reserve_rl.triangles import (
     CSV_HEADER,
@@ -21,7 +23,6 @@ from reserve_rl.triangles import (
     normalize,
     parse_triangle_csv,
     split_rolling_origin,
-    triangle_from_arrays,
     write_triangle_csv,
 )
 

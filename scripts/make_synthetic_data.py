@@ -16,11 +16,15 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="data/triangle.csv", help="output CSV path")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--years", type=int, default=10)
-    parser.add_argument("--loss-ratio", type=float, default=0.65)
+    defaults = SyntheticSpec()
+    parser.add_argument("--years", type=int, default=defaults.n_years)
+    parser.add_argument("--loss-ratio", type=float, default=defaults.loss_ratio)
     args = parser.parse_args()
 
-    spec = SyntheticSpec(n_years=args.years, loss_ratio=args.loss_ratio)
+    try:
+        spec = SyntheticSpec(n_years=args.years, loss_ratio=args.loss_ratio)
+    except ValueError as exc:
+        parser.error(str(exc))
     tri = make_synthetic_triangle(spec, seed=args.seed)
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     write_triangle_csv(tri, args.out)

@@ -57,6 +57,7 @@ from .evaluate import (
     evaluate_models,
     greedy_model,
     regime_conditions,
+    sensitivity_label,
     sensitivity_sweep,
     stress_conditions,
 )
@@ -64,7 +65,6 @@ from .nets import load_networks, save_networks
 from .triangles import (
     DevelopmentFactors,
     LossTriangle,
-    SplitSpec,
     age_to_age_factors,
     normalize,
     parse_triangle_csv,
@@ -141,7 +141,6 @@ class IngestArtifacts:
     """An ingest directory's outputs, parsed when the view is built."""
 
     def __init__(self, directory: str) -> None:
-        self.directory = directory
         self.train_path = os.path.join(directory, "train_triangle.csv")
         self.test_path = os.path.join(directory, "test_triangle.csv")
         self.factors_path = os.path.join(directory, "factors.json")
@@ -156,10 +155,6 @@ class IngestArtifacts:
                 f"ingest artifacts missing or unreadable in {directory!r}: {exc}"
             ) from exc
 
-    @property
-    def horizon(self) -> int:
-        return len(self.factors) + 1
-
     def input_paths(self) -> dict[str, str]:
         return {
             "train_triangle.csv": self.train_path,
@@ -167,21 +162,14 @@ class IngestArtifacts:
             "factors.json": self.factors_path,
         }
 
-    def input_digests(self) -> dict[str, str]:
-        return {name: git_blob_sha1(p) for name, p in self.input_paths().items()}
-
 
 def _factories(
     data: IngestArtifacts, cfg: RunConfig, **overrides: object
 ) -> tuple[EnvFactory, EnvFactory]:
-    """Training factory on the train triangle, evaluation on the test one.
-
-    Both pin the same horizon so policies see identical episode lengths;
-    ``overrides`` replace further ``[env]`` fields (a sensitivity cell's
-    ``alpha`` and ``floor``).
-    """
-    horizon = cfg.env.horizon if cfg.env.horizon is not None else data.horizon
-    env_cfg = replace(cfg.env, horizon=horizon, **overrides)
+    """Training factory on the train triangle, evaluation on the test one,
+    on the same factors and so the same horizon; ``overrides`` replace
+    ``[env]`` fields (a sensitivity cell's ``alpha`` and ``floor``)."""
+    env_cfg = replace(cfg.env, **overrides)
     return (EnvFactory(data.train, data.factors, env_cfg),
             EnvFactory(data.test, data.factors, env_cfg))
 
@@ -189,9 +177,8 @@ def _factories(
 def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = _outdir(args, "ingest")
     tri = parse_triangle_csv(args.triangle)
-    split = SplitSpec(a_train=cfg.run.a_train, a_test=cfg.run.a_test)
-    normalized, params = normalize(tri, split)
-    train_tri, test_tri = split_rolling_origin(normalized, split)
+    normalized, params = normalize(tri, cfg.run.split)
+    train_tri, test_tri = split_rolling_origin(normalized, cfg.run.split)
     factors = age_to_age_factors(train_tri)
 
     train_path = os.path.join(out, "train_triangle.csv")
@@ -313,13 +300,10 @@ def _sensitivity_outcome(args: argparse.Namespace, cfg: RunConfig, data: IngestA
     """Retrained policies over the ``[eval] sweep_alphas`` x floor form
     grid, one ``alpha:<a>;floor:<form>`` cell each (no traces)."""
     cells = {
-        f"alpha:{alpha:g};floor:{name}": _factories(data, cfg, alpha=alpha, floor=floor)
+        sensitivity_label(alpha, name): _factories(data, cfg, alpha=alpha, floor=floor)
         for alpha in cfg.eval.sweep_alphas
         for name, floor in FLOOR_FORMS.items()
     }
-    if len(cells) < len(cfg.eval.sweep_alphas) * len(FLOOR_FORMS):
-        raise ConfigError(f"[eval] sweep_alphas {cfg.eval.sweep_alphas} repeat a level "
-                          "(labels print levels to 6 significant digits)")
     return sensitivity_sweep(
         cells,
         cfg.ppo,
@@ -362,7 +346,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     emit_report(outcome.rows, os.path.join(out, f"{table}.csv"), sidecar={
         "config_fingerprint": config_fingerprint(cfg),
         "seeds": list(cfg.run.seeds),
-        "inputs": data.input_digests(),
+        "inputs": {name: git_blob_sha1(p) for name, p in data.input_paths().items()},
     })
     outputs = [f"{table}.csv", f"{table}.json"]
     if sink is not None:
@@ -379,8 +363,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_baselines(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = _outdir(args, "baselines")
     tri = parse_triangle_csv(args.triangle)
-    split = SplitSpec(a_train=cfg.run.a_train, a_test=cfg.run.a_test)
-    train_tri, _ = split_rolling_origin(tri, split)
+    train_tri, _ = split_rolling_origin(tri, cfg.run.split)
     factors = age_to_age_factors(train_tri)
 
     rows = chain_ladder_ultimates(train_tri, factors)

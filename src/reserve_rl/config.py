@@ -18,13 +18,16 @@ import configparser
 import datetime
 import hashlib
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Mapping, Sequence
 
 from .artifacts import git_blob_sha1
 from .env import DEFAULT_FLOOR, STRICT_FLOOR, EnvConfig
 from .errors import ConfigError
 from .agent import PPOConfig
-from .regimes import CurriculumSchedule, FixedShock, regime_params
+from .evaluate import regime_conditions, sensitivity_label, stress_conditions
+from .regimes import CurriculumSchedule, regime_params
+from .triangles import SplitSpec
 
 #: ``[project] version`` of ``pyproject.toml``, which a test keeps equal.
 VERSION = "0.1.0"
@@ -34,7 +37,19 @@ FLOOR_FORMS: Mapping[str, tuple[float, float]] = {
     "default": DEFAULT_FLOOR,
     "strict": STRICT_FLOOR,
 }
-_FLOOR_NAMES = {form: name for name, form in FLOOR_FORMS.items()}
+
+#: The words a true/false key takes, any case.
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+#: Worded key -> (word -> the value it stands for, the type of the key's
+#: other values, or None where every value is a word).  A value is written
+#: as its first word.
+_WORDS: Mapping[str, tuple[Mapping[str, object], type | None]] = {
+    "alpha": ({"adaptive": None}, float),
+    "horizon": ({"auto": None, "": None}, int),
+    "elr": ({"pooled": None}, float),
+    "floor": (FLOOR_FORMS, None),
+}
 
 
 def _require_positive(section: object, *names: str) -> None:
@@ -49,6 +64,18 @@ def _require_seed(name: str, value: int) -> None:
         raise ConfigError(f"{name} must be >= 0, got {value}")
 
 
+def _refuse_repeats(key: str, labels: Sequence[str]) -> None:
+    repeated = [label for label in dict.fromkeys(labels) if labels.count(label) > 1]
+    if repeated:
+        raise ConfigError(f"{key} repeat: {', '.join(repeated)}")
+
+
+#: The INI dialect: ``;`` and ``#`` comments, and no ``%`` interpolation,
+#: since :func:`config_to_ini` writes every value as it is.
+_ini_parser = partial(configparser.ConfigParser, inline_comment_prefixes=(";", "#"),
+                      interpolation=None)
+
+
 @dataclass(frozen=True)
 class RunSection:
     lob: str = "synthetic"
@@ -61,14 +88,23 @@ class RunSection:
         # every metrics CSV carries lob in a field of its own, unquoted
         if any(c in self.lob for c in ",\r\n"):
             raise ConfigError(f"lob must hold no comma or line break, got {self.lob!r}")
+        # written bare, a lob with end blanks or a " ;" or " #" comment would load back changed
+        parser = _ini_parser()
+        parser.read_string(f"[run]\nlob = {self.lob}\n")
+        if parser.get("run", "lob") != self.lob:
+            raise ConfigError(f"lob must read back from the INI unchanged, got {self.lob!r}")
         if not self.seeds:
             raise ConfigError("no training seeds: [run] seeds is empty")
         for seed in self.seeds:
             _require_seed("seeds", seed)
         # a repeated seed would count twice in n_seeds and the seed spread
-        repeated = sorted({seed for seed in self.seeds if self.seeds.count(seed) > 1})
-        if repeated:
-            raise ConfigError(f"[run] seeds repeat: {', '.join(map(str, repeated))}")
+        _refuse_repeats("[run] seeds", [str(seed) for seed in self.seeds])
+        self.split  # SplitSpec checks the sizes
+
+    @property
+    def split(self) -> SplitSpec:
+        """The ``a_train`` / ``a_test`` split (checked as the section loads)."""
+        return SplitSpec(a_train=self.a_train, a_test=self.a_test)
 
 
 @dataclass(frozen=True)
@@ -85,10 +121,14 @@ class EvalSection:
         _require_seed("crn_base", self.crn_base)
         for level in self.regimes:
             regime_params(level, "[eval] regimes: ")
-        for m in self.shocks:
-            FixedShock(m)
         for alpha in self.sweep_alphas:
             EnvConfig(alpha=alpha)
+        # rows, trace files and sweep cells are keyed by the labels the
+        # commands print, so two entries printing alike would share them
+        _refuse_repeats("[eval] regimes", [label for label, _ in regime_conditions(self.regimes)])
+        _refuse_repeats("[eval] shocks", [label for label, _ in stress_conditions(self.shocks)])
+        _refuse_repeats("[eval] sweep_alphas", [
+            sensitivity_label(alpha, name) for alpha in self.sweep_alphas for name in FLOOR_FORMS])
 
 
 @dataclass(frozen=True)
@@ -116,44 +156,29 @@ class RunConfig:
 _SECTION_TYPES = {f.name: f.default_factory for f in fields(RunConfig)}
 
 
-def default_config() -> RunConfig:
-    return RunConfig()
-
-
 def _parse_scalar(name: str, raw: str, default: object) -> object:
-    """Coerce ``raw`` to the type of ``default`` (driven by field name)."""
+    """Coerce ``raw`` to the type of ``default``, or through :data:`_WORDS`
+    for a worded key."""
     raw = raw.strip()
     try:
-        if name == "alpha":
-            return None if raw == "adaptive" else float(raw)
-        if name == "horizon":
-            return None if raw in ("", "auto") else int(raw)
-        if name == "elr":
-            return None if raw == "pooled" else float(raw)
-        if name == "floor":
-            if raw not in FLOOR_FORMS:
-                raise ConfigError(
-                    f"floor must be one of {sorted(FLOOR_FORMS)}, got {raw!r}"
-                )
-            return FLOOR_FORMS[raw]
+        if name in _WORDS:
+            words, other = _WORDS[name]
+            if raw in words:
+                return words[raw]
+            if other is None:
+                raise ConfigError(f"{name} must be one of {sorted(words)}, got {raw!r}")
+            return other(raw)
         if isinstance(default, bool):
-            if raw.lower() in ("true", "yes", "1"):
-                return True
-            if raw.lower() in ("false", "no", "0"):
-                return False
-            raise ValueError(raw)
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
+            return _BOOLS[raw.lower()]
+        if isinstance(default, (int, float)):
+            return type(default)(raw)
         if isinstance(default, tuple):
             if raw == "":
                 return ()
-            element = default[0] if default else 0
-            conv = int if isinstance(element, int) else float
+            conv = type(default[0]) if default else int
             return tuple(conv(part.strip()) for part in raw.split(","))
         return raw
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"could not parse {name} = {raw!r}") from exc
 
 
@@ -162,17 +187,12 @@ def load_config(path: str | None) -> RunConfig:
 
     Raises:
         ConfigError: Unknown section or key, unreadable file, an
-            unparsable value, or a value the section's class rejects
-            (``[env]``, ``[regimes]``, ``[ppo]``, a ``[run] lob`` holding a
-            comma or line break, an empty or repeating ``[run] seeds``,
-            a negative ``[run] seeds``, ``[eval] crn_base`` or
-            ``[baselines] bootstrap_seed``, a count below 1 in ``[eval]``
-            or ``[baselines]``, and an ``[eval]`` regime level, shock or
-            sweep alpha that the environment would reject).
+            unparsable value, or a value its section's class rejects as it
+            is built (the README's Configuration section lists them).
     """
     if path is None:
-        return default_config()
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        return RunConfig()
+    parser = _ini_parser()
     try:
         with open(path) as handle:
             parser.read_file(handle)
@@ -219,17 +239,11 @@ def config_to_ini(cfg: RunConfig) -> str:
         lines.append(f"[{section_name}]")
         for f in fields(section):
             value = getattr(section, f.name)
-            if value is None:
-                rendered = "adaptive" if f.name == "alpha" else (
-                    "pooled" if f.name == "elr" else "auto"
-                )
-            elif f.name == "floor":
-                if value not in _FLOOR_NAMES:
-                    raise ConfigError(f"floor {value!r} is none of the forms {dict(FLOOR_FORMS)}")
-                rendered = _FLOOR_NAMES[value]
-            else:
-                rendered = _format_value(value)
-            lines.append(f"{f.name} = {rendered}")
+            words, other = _WORDS.get(f.name, ({}, type(value)))
+            named = [word for word, meaning in words.items() if meaning == value]
+            if not named and other is None:
+                raise ConfigError(f"{f.name} {value!r} is none of the forms {dict(words)}")
+            lines.append(f"{f.name} = {named[0] if named else _format_value(value)}")
         lines.append("")
     return "\n".join(lines)
 

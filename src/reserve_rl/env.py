@@ -71,8 +71,9 @@ class EnvConfig:
     names, order and defaults); defaults reproduce the reference setup.
 
     Args:
-        horizon: Episode length in periods; None means the triangle's
-            development depth.
+        horizon: Episode length in periods; None means the number of
+            development factors plus one, the depth of the triangle they
+            were fitted on.
         vol_window: Trailing growth observations feeding the volatility
             proxy.
         vol_scale: Growth stddev mapped to volatility 1.0.
@@ -304,7 +305,7 @@ class ReserveEnv:
         # The triangle only seeds episodes (lag-1 starting losses); the
         # horizon may exceed its observed depth as long as the factors
         # cover every development step.
-        horizon = config.horizon if config.horizon is not None else triangle.n_dev_lags
+        horizon = config.horizon if config.horizon is not None else len(factors) + 1
         if len(factors) < horizon - 1:
             raise ConfigError(
                 f"need at least {horizon - 1} development factors, got {len(factors)}"

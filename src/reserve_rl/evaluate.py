@@ -151,6 +151,11 @@ def stress_conditions(shocks: Sequence[float]) -> list[Condition]:
     return [(f"shock:{m:g}", (FixedShock(m),)) for m in shocks]
 
 
+def sensitivity_label(alpha: float, floor: str) -> str:
+    """A sensitivity cell's row label: tail level ``alpha``, floor form ``floor``."""
+    return f"alpha:{alpha:g};floor:{floor}"
+
+
 @dataclass
 class EvalOutcome:
     """Aggregated rows plus the per-seed values they were built from."""
@@ -269,8 +274,8 @@ def evaluate_models(
     outcome is merged in condition order, so it is the serial one whatever
     ``workers`` is.  A condition's sink call runs in the process that
     evaluated it, so with ``workers`` above 1 a sink must act on files,
-    not on the caller's memory.  The timing line covers the whole call
-    less the caller's own sink calls.
+    not on the caller's memory.  The timing line covers the whole call,
+    sink calls included.
 
     Raises:
         ConfigError: Two conditions share a label, a condition has no
@@ -286,12 +291,10 @@ def evaluate_models(
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     started = time.perf_counter()
-    sink_seconds = 0.0  # the caller's own sink calls; a child's add up in the child
     first_modes = list(itertools.accumulate((len(modes) for _, modes in conditions), initial=0))
 
     def run(c: int) -> EvalOutcome:
         """Condition ``c``: draw its cells, run every model, hand its traces on."""
-        nonlocal sink_seconds
         label, modes = conditions[c]
         draws = []
         for seed in seeds:
@@ -318,9 +321,7 @@ def evaluate_models(
                 cond_traces[name] = Trace.concat(seed_traces)
             log.info("evaluated %s under %s (%d seeds)", name, label, len(seeds))
         if traces is not None:
-            sink_started = time.perf_counter()
             traces(label, cond_traces)
-            sink_seconds += time.perf_counter() - sink_started
         return outcome
 
     parts = _map_split(run, len(conditions), workers)
@@ -328,7 +329,7 @@ def evaluate_models(
     for part in parts:
         outcome.rows += part.rows
         outcome.per_seed.update(part.per_seed)
-    seconds = time.perf_counter() - started - sink_seconds
+    seconds = time.perf_counter() - started
     n_modes = first_modes[-1]
     cells = len(conditions) * len(models) * len(seeds)
     runs = n_modes * len(models) * len(seeds)

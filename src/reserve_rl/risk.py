@@ -32,9 +32,9 @@ from .errors import ConfigError, NumericalError
 _RANK_EPS = 1e-9
 
 #: Window samples per block of :meth:`ShortfallBuffer.push_many`'s tail
-#: pass: a block takes ``max(1, TAIL_BLOCK // capacity)`` queries (256 at the
-#: default capacity of 1024), so its gathered tails stay within about
-#: TAIL_BLOCK floats (2 MB) whatever the capacity.
+#: pass: a block takes ``max(1, TAIL_BLOCK // capacity)`` queries (256 at
+#: ``EnvConfig``'s default capacity of 1024), so its gathered tails stay
+#: within about TAIL_BLOCK floats (2 MB) whatever the capacity.
 TAIL_BLOCK = 256 * 1024
 
 
@@ -62,7 +62,7 @@ class ShortfallBuffer:
     The window is one array, oldest first.
     """
 
-    def __init__(self, capacity: int = 1024, warmup_min: int = 20) -> None:
+    def __init__(self, capacity: int, warmup_min: int) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         if warmup_min < 1:

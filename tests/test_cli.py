@@ -9,16 +9,17 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import reserve_rl.cli as cli
 from reserve_rl.cli import IngestArtifacts, main
 from reserve_rl.agent import PPOConfig, train_curriculum
-from reserve_rl.config import config_to_ini, default_config, load_config
-from reserve_rl.env import ReserveEnv
+from reserve_rl.config import RunConfig, config_to_ini, load_config
+from reserve_rl.env import EnvConfig, EnvFactory, ReserveEnv
 from reserve_rl.errors import DataError, NumericalError, ReserveRlError
 from reserve_rl.evaluate import evaluate_models, greedy_model, regime_conditions
-from reserve_rl.regimes import CurriculumSchedule
+from reserve_rl.regimes import CurriculumSchedule, Stochastic
 from reserve_rl.synthetic import SyntheticSpec, make_synthetic_triangle
 from reserve_rl.triangles import write_triangle_csv
 
@@ -90,9 +91,18 @@ def test_ingest_artifacts(pipeline):
     assert manifest["tool"] == "reserve-rl"
 
     data = IngestArtifacts(ingest)
-    assert data.horizon == 10
     assert data.train.n_accident_years == 8
     assert data.test.n_accident_years == 2
+
+
+def test_auto_horizon_is_the_fitted_triangles_depth_on_both_splits(pipeline):
+    """``horizon = auto`` is one period per development factor plus one,
+    on the held-out triangle (two lags deep) as on the training one."""
+    data = IngestArtifacts(os.path.join(pipeline["out"], "ingest"))
+    assert (data.train.n_dev_lags, data.test.n_dev_lags) == (10, 2)
+    for triangle in (data.train, data.test):
+        make_env = EnvFactory(triangle, data.factors, EnvConfig())
+        assert make_env(Stochastic(0), np.random.default_rng(0)).horizon == 10
 
 
 def test_train_artifacts(pipeline):
@@ -250,7 +260,7 @@ def test_evaluate_traces_are_written_per_condition(pipeline, tmp_path, caplog, m
     assert outputs[2:] == [f"traces/{m}__regime_{level}.csv" for m in models for level in (0, 1)]
 def test_print_config(capsys):
     assert main(["--print-config"]) == 0
-    assert capsys.readouterr().out == config_to_ini(default_config())
+    assert capsys.readouterr().out == config_to_ini(RunConfig())
 
 
 def _tree(directory):

@@ -14,10 +14,12 @@ from reserve_rl.cli import main
 from reserve_rl.config import (
     FLOOR_FORMS,
     VERSION,
+    RunConfig,
+    RunSection,
+    _WORDS,
     build_manifest,
     config_fingerprint,
     config_to_ini,
-    default_config,
     load_config,
 )
 from reserve_rl.env import EnvConfig
@@ -33,7 +35,7 @@ def write_ini(tmp_path, body):
 
 
 def test_defaults_round_trip(tmp_path):
-    cfg = default_config()
+    cfg = RunConfig()
     path = write_ini(tmp_path, config_to_ini(cfg))
     assert load_config(path) == cfg
     assert load_config(None) == cfg
@@ -41,7 +43,7 @@ def test_defaults_round_trip(tmp_path):
 
 def test_fingerprint_is_pinned(tmp_path):
     """The canonical INI, and so every sidecar's fingerprint, stays put."""
-    assert config_fingerprint(default_config()) == (
+    assert config_fingerprint(RunConfig()) == (
         "6d574b07f05c5b6527eaedd7a90b2b0a37da89b06d1f96c98230066ce6dd31f5"
     )
     assert config_fingerprint(load_config(write_ini(tmp_path, PIPELINE_INI))) == (
@@ -54,8 +56,8 @@ def test_fingerprint_is_pinned(tmp_path):
 
 
 def test_fingerprint_tracks_content(tmp_path):
-    cfg = default_config()
-    assert config_fingerprint(cfg) == config_fingerprint(default_config())
+    cfg = RunConfig()
+    assert config_fingerprint(cfg) == config_fingerprint(RunConfig())
     other = load_config(write_ini(tmp_path, "[run]\nseed = 99\n"))
     assert config_fingerprint(other) != config_fingerprint(cfg)
     assert len(config_fingerprint(cfg)) == 64  # sha256 hex
@@ -86,10 +88,34 @@ def test_elr_and_floor_special_values(tmp_path):
         load_config(write_ini(tmp_path, "[env]\nfloor = bogus\n"))
 
 
+#: Worded key -> its section and one value no word stands for, as written
+#: and as loaded (``floor`` has none: every value is a word).
+NON_WORDS = {"alpha": ("env", "0.93", 0.93), "horizon": ("env", "12", 12),
+             "elr": ("baselines", "0.85", 0.85), "floor": ("env", None, None)}
+
+
+@pytest.mark.parametrize("key, raw, value", [
+    *((key, word, meaning) for key, (words, _) in _WORDS.items()
+      for word, meaning in words.items()),
+    *((key, raw, value) for key, (_, raw, value) in NON_WORDS.items() if raw is not None),
+])
+def test_every_word_round_trips_through_the_ini(tmp_path, key, raw, value):
+    """Each word of the table, and one other value of each worded key,
+    loads as its value, and ``config_to_ini`` writes that config so that
+    it loads back equal, under the same fingerprint."""
+    assert set(NON_WORDS) == set(_WORDS)
+    section = NON_WORDS[key][0]
+    cfg = load_config(write_ini(tmp_path, f"[{section}]\n{key} = {raw}\n"))
+    assert getattr(getattr(cfg, section), key) == value
+    loaded = load_config(write_ini(tmp_path, config_to_ini(cfg)))
+    assert loaded == cfg
+    assert config_fingerprint(loaded) == config_fingerprint(cfg)
+
+
 @pytest.mark.parametrize("render", [config_to_ini, config_fingerprint])
 def test_unnamed_floor_raises_config_error(render):
     """An ``EnvConfig`` built in code may hold a floor no INI can name."""
-    cfg = replace(default_config(), env=replace(default_config().env, floor=(0.7, 0.2)))
+    cfg = replace(RunConfig(), env=replace(RunConfig().env, floor=(0.7, 0.2)))
     with pytest.raises(ConfigError) as info:
         render(cfg)
     assert str(info.value) == f"floor (0.7, 0.2) is none of the forms {dict(FLOOR_FORMS)}"
@@ -172,6 +198,12 @@ INVALID_VALUES = [
     ("[eval]\ncrn_base = -1\n", "crn_base must be >= 0, got -1"),
     ("[baselines]\nbootstrap_seed = -1\n", "bootstrap_seed must be >= 0, got -1"),
     ("[regimes]\nlevels = 0,7\n", "unknown regime level 7"),
+    ("[eval]\nregimes = 1,1\n", r"^\[eval\] regimes repeat: regime:1$"),
+    ("[eval]\nshocks = 1.0,1\n", r"^\[eval\] shocks repeat: shock:1$"),
+    ("[eval]\nsweep_alphas = 0.9,0.90\n",
+     r"^\[eval\] sweep_alphas repeat: alpha:0.9;floor:default, alpha:0.9;floor:strict$"),
+    ("[run]\na_train = 1\n", "a_train must be >= 2, got 1"),
+    ("[run]\na_test = 0\n", "a_test must be >= 1, got 0"),
 ]
 
 
@@ -186,6 +218,20 @@ def test_invalid_runtime_values_fail_on_load(tmp_path, body, message):
     out = tmp_path / "runs"
     assert main(["--config", path, "--out", str(out), "train"]) == 1
     assert not (out / "train").exists()
+
+
+@pytest.mark.parametrize("lob", [" wc", "wc ", "wc #1", "wc ;1", "wc\t;1"])
+def test_lob_that_would_not_read_back_is_refused(lob):
+    """``config_to_ini`` writes ``lob`` bare, so a lob that the INI would
+    read back as another one (and so under another fingerprint) is refused."""
+    with pytest.raises(ConfigError, match="lob must read back from the INI unchanged"):
+        RunSection(lob=lob)
+
+
+@pytest.mark.parametrize("lob", ["wc#1", "wc;1", "", "wc = 1", "[wc]", "50%", "50%%", "%(x)s"])
+def test_lob_that_reads_back_loads_back(tmp_path, lob):
+    cfg = RunConfig(run=RunSection(lob=lob))
+    assert load_config(write_ini(tmp_path, config_to_ini(cfg))) == cfg
 
 
 def test_unknown_regime_level_names_its_key(tmp_path, capsys):
@@ -233,7 +279,7 @@ def test_git_blob_sha1_matches_git(tmp_path):
 def test_build_and_write_manifest(tmp_path):
     blob = tmp_path / "input.csv"
     blob.write_text("a,b\n1,2\n")
-    cfg = default_config()
+    cfg = RunConfig()
     manifest = build_manifest(
         "train", cfg, inputs={"triangle": str(blob)}, outputs=["b.json", "a.csv"]
     )

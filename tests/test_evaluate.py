@@ -280,8 +280,8 @@ def test_evaluate_models_logs_one_timing_line(caplog):
 
 def test_evaluate_models_streams_traces_per_condition(caplog, monkeypatch):
     """The sink gets each condition's traces, every model's seeds in seed
-    order, before the next condition runs; the timing line leaves the
-    sink's time out (a sink that takes 1000 s on a stub clock)."""
+    order, before the next condition runs; the timing line covers the
+    sink's time too (a sink that takes 1000 s on a stub clock)."""
     clock = [0.0]
 
     def tick():
@@ -325,7 +325,7 @@ def test_evaluate_models_streams_traces_per_condition(caplog, monkeypatch):
         assert received[label]["cl"].reserve.tobytes() == expected.reserve.tobytes()
     timing = [r.getMessage() for r in caplog.records if "episodes/s" in r.getMessage()]
     assert len(timing) == 1
-    assert float(re.search(r"in (\d+\.\d\d) s", timing[0]).group(1)) < 1.0
+    assert 2000.0 <= float(re.search(r"in (\d+\.\d\d) s", timing[0]).group(1)) < 2001.0
 
 
 def test_evaluate_models_pools_a_condition_over_its_modes(caplog):

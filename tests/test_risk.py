@@ -119,7 +119,7 @@ def test_buffer_fifo_eviction():
 
 
 def test_buffer_push_validation():
-    buf = ShortfallBuffer()
+    buf = ShortfallBuffer(capacity=1024, warmup_min=20)
     for bad in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             buf.push(bad)

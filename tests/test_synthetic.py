@@ -1,5 +1,9 @@
 """Synthetic triangle generator: shape, determinism, calibration."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -84,3 +88,26 @@ def test_feeds_the_standard_pipeline():
     assert len(factors) == 9
     horizon = len(factors) + 1
     assert horizon == 10
+
+
+@pytest.mark.parametrize("years, message", [
+    (11, "factor profile covers 10 lags, cannot build 11 years"),
+    (1, "need at least 2 accident years, got 1"),
+])
+def test_script_reports_a_year_count_it_cannot_build_as_a_usage_error(tmp_path, years, message):
+    """``scripts/make_synthetic_data.py`` refuses the count through argparse:
+    exit 2, its usage, one ``error:`` line and no traceback or file."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = tmp_path / "triangle.csv"
+    done = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "make_synthetic_data.py"),
+         "--years", str(years), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("usage: make_synthetic_data.py")
+    assert done.stderr.splitlines()[-1] == f"make_synthetic_data.py: error: {message}"
+    assert "Traceback" not in done.stderr
+    assert not out.exists()

@@ -21,6 +21,8 @@ def main() -> None:
     parser.add_argument("--loss-ratio", type=float, default=defaults.loss_ratio)
     args = parser.parse_args()
 
+    if args.seed < 0:  # numpy seeds its generators from non-negative integers only
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     try:
         spec = SyntheticSpec(n_years=args.years, loss_ratio=args.loss_ratio)
     except ValueError as exc:

@@ -499,14 +499,15 @@ def train_seed(
     agent = init_agent(init_rng, config)
     adam = Adam(agent.vector, lr=config.learning_rate)
     normalizer = RunningReturnNormalizer(config.discount, enabled=config.reward_norm)
-    env = make_env(Stochastic(schedule.levels[0]), env_rng)
+    env = make_env()
     horizon = env.horizon
     log_rows: list[TrainLogRow] = []
 
     def rollout_batch(level: int, episodes: range) -> Batch:
         n = len(episodes)
         paths = env.draw_paths(
-            n, [schedule.ramp_progress(ep) for ep in episodes], schedule, Stochastic(level)
+            env_rng, Stochastic(level), n, [schedule.ramp_progress(ep) for ep in episodes],
+            schedule,
         )
         uniforms = action_rng.random((n, horizon))
         obs = np.empty((n, horizon, OBS_DIM))
@@ -594,7 +595,7 @@ def train_curriculum(jobs: Sequence[TrainJob], workers: int = 1) -> list[SeedRun
     caller's child).  No process the call starts outlives a call that
     returns.  Each job then needs a factory that pickles, such as
     :class:`EnvFactory`; with one worker, ``make_env`` may be any callable
-    ``(mode, rng) -> ReserveEnv``.  A job's outputs depend on its seed
+    ``() -> ReserveEnv``.  A job's outputs depend on its seed
     alone, so they are the serial run's bit for bit, and an exception
     raised in a worker reaches the caller with its type.
 

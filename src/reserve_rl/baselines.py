@@ -449,8 +449,7 @@ def replay_static_policy(
     """
     if episodes != paths.n_episodes:
         raise ConfigError(f"episodes is {episodes} but the paths hold {paths.n_episodes}")
-    target = targets(paths.loss[:, 0], np.array([info.premium for info in paths.infos]),
-                     env.horizon)
+    target = targets(paths.loss[:, 0], paths.premium, env.horizon)
     last = env.horizon - 1
     return env.rollout(
         paths, lambda state: _chase_action(state.reserve, target[:, min(state.t + 1, last)])

@@ -53,6 +53,7 @@ from .errors import ConfigError, DataError, NumericalError, ReserveRlError
 from .evaluate import (
     EvalOutcome,
     TraceSink,
+    drawn_conditions,
     emit_report,
     evaluate_models,
     greedy_model,
@@ -62,6 +63,7 @@ from .evaluate import (
     stress_conditions,
 )
 from .nets import load_networks, save_networks
+from .regimes import Stochastic
 from .triangles import (
     DevelopmentFactors,
     LossTriangle,
@@ -168,10 +170,15 @@ def _factories(
 ) -> tuple[EnvFactory, EnvFactory]:
     """Training factory on the train triangle, evaluation on the test one,
     on the same factors and so the same horizon; ``overrides`` replace
-    ``[env]`` fields (a sensitivity cell's ``alpha`` and ``floor``)."""
+    ``[env]`` fields (a sensitivity cell's ``alpha`` and ``floor``).  Each
+    builds one environment here, so a horizon the factors cannot cover is
+    refused before a stage makes its directory."""
     env_cfg = replace(cfg.env, **overrides)
-    return (EnvFactory(data.train, data.factors, env_cfg),
-            EnvFactory(data.test, data.factors, env_cfg))
+    factories = (EnvFactory(data.train, data.factors, env_cfg),
+                 EnvFactory(data.test, data.factors, env_cfg))
+    for factory in factories:
+        factory()
+    return factories
 
 
 def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -201,9 +208,9 @@ def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
-    out = _outdir(args, "train")
     data = IngestArtifacts(args.data or os.path.join(args.out, "ingest"))
     train_factory, _ = _factories(data, cfg)
+    out = _outdir(args, "train")
     runs = train_curriculum(
         [(train_factory, cfg.ppo, cfg.regimes, seed) for seed in cfg.run.seeds], _usable_cores())
 
@@ -270,11 +277,11 @@ def _trace_writer(directory: str) -> TraceSink:
 
 
 def _policy_outcome(args: argparse.Namespace, cfg: RunConfig, data: IngestArtifacts,
-                    seeds: tuple[int, ...], traces: TraceSink | None) -> EvalOutcome:
+                    eval_factory: EnvFactory, traces: TraceSink | None) -> EvalOutcome:
     """``evaluate``: the trained policies and the three static baselines in
     each regime; ``stress``: the policies alone under each fixed shock."""
+    seeds = cfg.run.seeds
     policies = _load_policies(args.policies or os.path.join(args.out, "train"), seeds, cfg)
-    _, eval_factory = _factories(data, cfg)
     models = {"rl_cvar": greedy_model(policies)}
     if args.command == "evaluate":
         conditions = regime_conditions(cfg.eval.regimes)
@@ -285,36 +292,29 @@ def _policy_outcome(args: argparse.Namespace, cfg: RunConfig, data: IngestArtifa
     return evaluate_models(
         models,
         eval_factory,
-        conditions,
+        drawn_conditions(eval_factory, conditions, cfg.eval.episodes, cfg.eval.crn_base),
         seeds,
-        cfg.eval.episodes,
         lob=cfg.run.lob,
-        crn_base=cfg.eval.crn_base,
         traces=traces,
         workers=_usable_cores(),
     )
 
 
 def _sensitivity_outcome(args: argparse.Namespace, cfg: RunConfig, data: IngestArtifacts,
-                         seeds: tuple[int, ...], _traces: None) -> EvalOutcome:
+                         eval_factory: EnvFactory, _traces: None) -> EvalOutcome:
     """Retrained policies over the ``[eval] sweep_alphas`` x floor form
-    grid, one ``alpha:<a>;floor:<form>`` cell each (no traces)."""
+    grid, one ``alpha:<a>;floor:<form>`` cell each (no traces), all replaying
+    one draw from the unswept factory: a draw reads neither ``alpha`` nor ``floor``."""
     cells = {
         sensitivity_label(alpha, name): _factories(data, cfg, alpha=alpha, floor=floor)
         for alpha in cfg.eval.sweep_alphas
         for name, floor in FLOOR_FORMS.items()
     }
-    return sensitivity_sweep(
-        cells,
-        cfg.ppo,
-        cfg.regimes,
-        seeds,
-        eval_levels=cfg.eval.regimes,
-        episodes_per_level=cfg.eval.sweep_episodes_per_level,
-        lob=cfg.run.lob,
-        crn_base=cfg.eval.crn_base,
-        workers=_usable_cores(),
-    )
+    levels = [Stochastic(level) for level in cfg.eval.regimes]
+    [(_, paths)] = drawn_conditions(eval_factory, [("sweep", levels)],
+                                    cfg.eval.sweep_episodes_per_level, cfg.eval.crn_base)
+    return sensitivity_sweep(cells, cfg.ppo, cfg.regimes, cfg.run.seeds, paths,
+                             lob=cfg.run.lob, workers=_usable_cores())
 
 
 #: Subcommand -> (output directory, metrics table name, outcome function,
@@ -337,12 +337,13 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     for key in lists:
         if not getattr(cfg.eval, key):
             raise ConfigError(f"[eval] {key} is empty: {args.command} needs at least one value")
-    out = _outdir(args, directory)
     data = IngestArtifacts(args.data or os.path.join(args.out, "ingest"))
+    _, eval_factory = _factories(data, cfg)
+    out = _outdir(args, directory)
     sink = None
     if getattr(args, "traces", False):
         sink = _trace_writer(os.path.join(out, "traces"))
-    outcome = outcome_of(args, cfg, data, cfg.run.seeds, sink)
+    outcome = outcome_of(args, cfg, data, eval_factory, sink)
     emit_report(outcome.rows, os.path.join(out, f"{table}.csv"), sidecar={
         "config_fingerprint": config_fingerprint(cfg),
         "seeds": list(cfg.run.seeds),

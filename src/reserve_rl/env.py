@@ -167,15 +167,6 @@ class StepOutcome:
     action_value: float
 
 
-@dataclass(frozen=True)
-class EpisodeInfo:
-    """Identity of the accident year an episode replays."""
-
-    accident_year: int
-    premium: float
-    initial_loss: float
-
-
 # --- pure transition pieces (unit-testable in isolation) ---------------------
 
 def apply_action(reserve: float, adjustment: float) -> float:
@@ -264,7 +255,7 @@ class LossPaths:
     Nothing here depends on the reserve, so one draw serves any policy.
     """
 
-    infos: tuple[EpisodeInfo, ...]
+    premium: np.ndarray     # (E,) earned premium of each episode's accident year
     level: int
     loss: np.ndarray        # (E, H + 1) cumulative incurred losses
     volatility: np.ndarray  # (E, H + 1) volatility proxy
@@ -272,7 +263,7 @@ class LossPaths:
 
     @property
     def n_episodes(self) -> int:
-        return len(self.infos)
+        return self.loss.shape[0]
 
 
 #: Lockstep action rule: (E,) action indices for a lockstep state.
@@ -283,25 +274,18 @@ Model = Callable[["ReserveEnv", int, LossPaths], "Trace"]
 
 
 class ReserveEnv:
-    """Finite-horizon reserving environment over one triangle, drawing
-    shocks from ``shock_mode`` until :meth:`reset` or :meth:`draw_paths`
-    is given another.
+    """Finite-horizon reserving environment over one triangle; the random
+    stream and shock mode come with each :meth:`reset` or :meth:`draw_paths`.
 
     The shortfall buffer persists across episodes (recent operating
     history); call :meth:`clear_buffer` at curriculum level boundaries.
-    The random stream is consumed identically every step regardless of
-    the action taken, so runs with a shared seed see identical loss and
+    The stream is consumed identically every step regardless of the
+    action taken, so runs with a shared seed see identical loss and
     shock paths under any policy (common random numbers).
     """
 
-    def __init__(
-        self,
-        triangle: LossTriangle,
-        factors: DevelopmentFactors,
-        config: EnvConfig,
-        rng: np.random.Generator,
-        shock_mode: ShockMode = Stochastic(0),
-    ) -> None:
+    def __init__(self, triangle: LossTriangle, factors: DevelopmentFactors,
+                 config: EnvConfig) -> None:
         # The triangle only seeds episodes (lag-1 starting losses); the
         # horizon may exceed its observed depth as long as the factors
         # cover every development step.
@@ -314,13 +298,9 @@ class ReserveEnv:
         self.factors = factors
         self.config = config
         self.horizon = horizon
-        self.rng = rng
         self.buffer = ShortfallBuffer(config.buffer_capacity, config.warmup_min)
         self.state: EnvState | None = None
-        self.episode_info: EpisodeInfo | None = None
-        self._growths: list[float] = []
-        self._shock_var = 0.0
-        self._mode = shock_mode
+        self.premium: float | None = None
         self._done = True
 
     def clear_buffer(self) -> None:
@@ -328,31 +308,28 @@ class ReserveEnv:
 
     def reset(
         self,
+        rng: np.random.Generator,
+        mode: ShockMode,
         episode_progress: float = 1.0,
         schedule: CurriculumSchedule | None = None,
-        shock_mode: ShockMode | None = None,
     ) -> EnvState:
-        """Start a new episode on a freshly sampled accident year.
+        """Start a new episode on an accident year drawn from ``rng``; the
+        episode's :meth:`step` calls draw from ``rng`` in shock mode ``mode``.
 
         Args:
             episode_progress: Curriculum ramp progress in [0, 1]; 1.0
                 (the default) uses the regime's exact parameters.
             schedule: Curriculum schedule supplying the ramp
                 predecessor; only consulted when progress < 1.
-            shock_mode: Replace the environment's shock process for
-                this episode onward (used by the training loop when walking
-                curriculum levels).
         """
-        if shock_mode is not None:
-            self._mode = shock_mode
         schedule = schedule if schedule is not None else CurriculumSchedule()
-        _, self._shock_var = effective_params(self._mode, episode_progress, schedule)
+        _, self._shock_var = effective_params(mode, episode_progress, schedule)
+        self._rng, self._mode = rng, mode
         self._ramp_progress = episode_progress
         self._schedule = schedule
 
-        self.episode_info = self._draw_episode_info()
-        initial_loss = self.episode_info.initial_loss
-        first_shock = shock_for_step(self._mode, episode_progress, schedule, self.rng)
+        self.premium, initial_loss = self._draw_year(rng)
+        first_shock = shock_for_step(mode, episode_progress, schedule, rng)
         self._growths = []
         self._done = False
         self.state = EnvState(
@@ -362,18 +339,15 @@ class ReserveEnv:
             adequacy=1.0,
             violation_memory=0.0,
             shock=first_shock,
-            level=self._mode.level if isinstance(self._mode, Stochastic) else 0,
+            level=mode.level if isinstance(mode, Stochastic) else 0,
             t=0,
         )
         return self.state
 
-    def _draw_episode_info(self) -> EpisodeInfo:
-        year = self.triangle.years[int(self.rng.integers(self.triangle.n_accident_years))]
-        return EpisodeInfo(
-            accident_year=year,
-            premium=self.triangle.premium(year),
-            initial_loss=self.triangle.value(year, 1),
-        )
+    def _draw_year(self, rng: np.random.Generator) -> tuple[float, float]:
+        """Premium and first-lag loss of an accident year drawn from ``rng``."""
+        year = self.triangle.years[int(rng.integers(self.triangle.n_accident_years))]
+        return self.triangle.premium(year), self.triangle.value(year, 1)
 
     def step(self, action_index: int) -> StepOutcome:
         """Advance one period under the chosen reserve adjustment."""
@@ -392,7 +366,7 @@ class ReserveEnv:
         new_reserve = float(apply_action(state.reserve, adjustment))
         factor = self.factors.factor_for_step(state.t)
         new_loss = develop_losses(
-            state.loss, factor, state.shock, self._shock_var, cfg.noise_gain, self.rng
+            state.loss, factor, state.shock, self._shock_var, cfg.noise_gain, self._rng
         )
         growth = new_loss / state.loss - 1.0 if state.loss > 0.0 else 0.0
         self._growths.append(growth)
@@ -419,7 +393,7 @@ class ReserveEnv:
 
         # Draw the next shock unconditionally so the stream advances the
         # same way every step (keeps common-random-number runs aligned).
-        next_shock = shock_for_step(self._mode, self._ramp_progress, self._schedule, self.rng)
+        next_shock = shock_for_step(self._mode, self._ramp_progress, self._schedule, self._rng)
 
         next_t = state.t + 1
         done = next_t == self.horizon
@@ -446,14 +420,16 @@ class ReserveEnv:
 
     def draw_paths(
         self,
+        rng: np.random.Generator,
+        mode: ShockMode,
         episodes: int,
         episode_progress: float | Sequence[float] = 1.0,
         schedule: CurriculumSchedule | None = None,
-        shock_mode: ShockMode | None = None,
     ) -> LossPaths:
-        """Draw the loss paths of the next ``episodes`` episodes.
+        """Draw the loss paths of ``episodes`` episodes from ``rng`` in
+        shock mode ``mode``; the environment itself is left as it was.
 
-        The generator moves exactly as ``episodes`` rounds of
+        ``rng`` moves exactly as ``episodes`` rounds of
         :meth:`reset` (same arguments, with episode e at ramp progress
         ``episode_progress[e]`` when a sequence is given) and ``horizon``
         :meth:`step` calls would move it: per episode the accident year,
@@ -463,11 +439,8 @@ class ReserveEnv:
         is how the generator forms a normal, so each value matches its
         scalar draw bit for bit.
         """
-        if shock_mode is not None:
-            self._mode = shock_mode
         schedule = schedule if schedule is not None else CurriculumSchedule()
         cfg = self.config
-        mode = self._mode
         # a scalar progress gives one (mu, var) pair, broadcast over the episodes
         shape = (episodes,) if np.ndim(episode_progress) else (1,)
         progress = np.broadcast_to(episode_progress, shape).tolist()
@@ -478,12 +451,12 @@ class ReserveEnv:
         horizon = self.horizon
         n_normals = 1 + 2 * horizon if stochastic else horizon
 
-        infos = []
+        premium = np.empty(episodes)
+        loss = np.empty((episodes, horizon + 1))
         z = np.empty((episodes, n_normals))
         for e in range(episodes):
-            infos.append(self._draw_episode_info())
-            z[e] = self.rng.standard_normal(n_normals)
-        self._done = True  # the stream has moved past any episode in progress
+            premium[e], loss[e, 0] = self._draw_year(rng)
+            z[e] = rng.standard_normal(n_normals)
 
         if stochastic:
             shock = mu[:, None] + sd * z[:, 0::2]
@@ -494,8 +467,6 @@ class ReserveEnv:
             noise = z
         eps = 0.0 + cfg.noise_gain * sd * noise
 
-        loss = np.empty((episodes, horizon + 1))
-        loss[:, 0] = [info.initial_loss for info in infos]
         growth = np.empty((horizon, episodes))
         volatility = np.zeros((episodes, horizon + 1))
         for t in range(horizon):
@@ -506,7 +477,7 @@ class ReserveEnv:
             growth[t] = np.where(alive, new / np.where(alive, prev, 1.0) - 1.0, 0.0)
             volatility[:, t + 1] = volatility_proxy(growth[:t + 1], cfg.vol_window, cfg.vol_scale)
         return LossPaths(
-            infos=tuple(infos),
+            premium=premium,
             level=mode.level if stochastic else 0,
             loss=loss,
             volatility=volatility,
@@ -524,11 +495,15 @@ class ReserveEnv:
         would leave them.
 
         Raises:
-            ConfigError: ``policy`` returned anything but one valid
-                integer action index per episode.
+            ConfigError: ``paths`` span another horizon than the
+                environment's, or ``policy`` returned anything but one
+                valid integer action index per episode.
         """
         cfg = self.config
         n_episodes, horizon = paths.n_episodes, self.horizon
+        if paths.loss.shape[1] != horizon + 1:
+            raise ConfigError(f"paths span {paths.loss.shape[1] - 1} periods, "
+                              f"the environment's horizon is {horizon}")
         grid = np.asarray(ACTION_GRID)
         shape = (n_episodes, horizon)
         reserve_path = np.empty(shape)
@@ -596,16 +571,16 @@ class ReserveEnv:
 
 @dataclass(frozen=True)
 class EnvFactory:
-    """Builds fresh environments over one triangle: ``factory(mode, rng)``
-    is a :class:`ReserveEnv` under ``config`` in shock mode ``mode``,
-    owning ``rng``.  Plain data, so it pickles into worker processes."""
+    """Builds fresh environments over one triangle: ``factory()`` is a
+    :class:`ReserveEnv` under ``config`` with an empty tail buffer.  Plain
+    data, so it pickles into worker processes."""
 
     triangle: LossTriangle
     factors: DevelopmentFactors
     config: EnvConfig
 
-    def __call__(self, mode: ShockMode, rng: np.random.Generator) -> ReserveEnv:
-        return ReserveEnv(self.triangle, self.factors, self.config, rng, mode)
+    def __call__(self) -> ReserveEnv:
+        return ReserveEnv(self.triangle, self.factors, self.config)
 
 
 # --- per-step traces ----------------------------------------------------------

@@ -12,14 +12,14 @@ Four headline metrics summarize a trace of post-transition snapshots:
 * ``rvr``   -- regulatory violation rate, fraction of steps below the
   solvency floor.
 
-Comparisons between models replay one draw of loss paths per (shock
-mode, seed) cell, so paired differences reflect policy choices rather
-than luck of the draw.
+Comparisons between models replay the loss paths each condition carries,
+one draw per (shock mode, seed), so paired differences reflect policy
+choices rather than luck of the draw.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import logging
 import statistics
 import sys
@@ -142,6 +142,11 @@ def greedy_model(policies: Mapping[int, MLPParams]) -> Model:
 #: A report row's label and the shock modes whose episodes the row pools.
 Condition = tuple[str, Sequence[ShockMode]]
 
+#: A report row's label and its paths: ``paths(seed)`` holds the loss paths
+#: the row pools at training seed ``seed``, one :class:`LossPaths` per part,
+#: replayed in order.
+DrawnCondition = tuple[str, Callable[[int], Sequence[LossPaths]]]
+
 
 def regime_conditions(levels: Sequence[int]) -> list[Condition]:
     return [(f"regime:{level}", (Stochastic(level),)) for level in levels]
@@ -149,6 +154,32 @@ def regime_conditions(levels: Sequence[int]) -> list[Condition]:
 
 def stress_conditions(shocks: Sequence[float]) -> list[Condition]:
     return [(f"shock:{m:g}", (FixedShock(m),)) for m in shocks]
+
+
+def drawn_conditions(make_env: EnvFactory, conditions: Sequence[Condition], episodes: int,
+                     crn_base: int) -> list[DrawnCondition]:
+    """``conditions`` with their paths: at seed ``seed`` each mode draws
+    ``episodes`` episodes from ``default_rng([crn_base, k, seed])``, where
+    ``k`` counts the modes in order across all of ``conditions``.  A draw is
+    made when its condition's paths are asked for.
+
+    Raises:
+        ConfigError: A condition has no shock modes (before any draw).
+    """
+    empty = [label for label, modes in conditions if not modes]
+    if empty:
+        raise ConfigError(f"conditions pool no shock modes: {', '.join(empty)}")
+    env = make_env()
+
+    def draw(numbered: list[tuple[int, ShockMode]], seed: int) -> list[LossPaths]:
+        return [env.draw_paths(np.random.default_rng([crn_base, k, seed]), mode, episodes)
+                for k, mode in numbered]
+
+    drawn, first = [], 0
+    for label, modes in conditions:
+        drawn.append((label, functools.partial(draw, list(enumerate(modes, first)))))
+        first += len(modes)
+    return drawn
 
 
 def sensitivity_label(alpha: float, floor: str) -> str:
@@ -246,27 +277,23 @@ def _map_split(run: Callable[[int], EvalOutcome], n: int, workers: int) -> list[
 def evaluate_models(
     models: Mapping[str, Model],
     make_env: EnvFactory,
-    conditions: Sequence[Condition],
+    conditions: Sequence[DrawnCondition],
     seeds: Sequence[int],
-    episodes: int,
     lob: str = "synthetic",
-    crn_base: int = 0,
     traces: TraceSink | None = None,
     workers: int = 1,
 ) -> EvalOutcome:
-    """Run every model under every condition with paired random draws.
+    """Score every model on the paths of every condition.
 
-    Each model is called as ``model(env, seed, paths)``.  The ``episodes``
-    loss paths of a (mode, seed) cell are drawn once, from a generator
-    seeded with ``(crn_base, mode index, seed)`` only, modes counted in
-    order across all conditions, and every model replays them on a fresh
-    environment (an empty tail buffer), so all models in that cell see
-    identical shock and noise sequences.  A model's trace at a seed is
-    its replays of the condition's modes in mode order.  A condition's
-    paths are drawn before its models run.  ``traces``, if given,
+    Each model is called as ``model(env, seed, paths)`` once per part of
+    ``paths(seed)``, on a fresh environment from ``make_env`` (an empty
+    tail buffer), so all models of a (condition, seed) cell replay one
+    shared object.  A model's trace at a seed is its replays of the parts
+    in order.  A condition's paths are asked for before its models run,
+    in the process that runs the condition.  ``traces``, if given,
     receives each condition's traces as soon as its last model has run,
     so no process holds more than one condition's paths and traces at a
-    time.
+    time.  A row's ``n_episodes`` counts its first seed's episodes.
 
     The conditions are dealt round-robin to ``min(workers, len(conditions))``
     processes, the caller and children started by ``fork`` (see
@@ -278,45 +305,34 @@ def evaluate_models(
     sink calls included.
 
     Raises:
-        ConfigError: Two conditions share a label, a condition has no
-            shock modes, or ``workers`` is below 1 (before any draw).
+        ConfigError: Two conditions share a label, or ``workers`` is below
+            1 (before any path is asked for).
     """
     labels = [label for label, _ in conditions]
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
         raise ConfigError(f"condition labels repeat: {', '.join(repeated)}")
-    empty = [label for label, modes in conditions if not modes]
-    if empty:
-        raise ConfigError(f"conditions pool no shock modes: {', '.join(empty)}")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     started = time.perf_counter()
-    first_modes = list(itertools.accumulate((len(modes) for _, modes in conditions), initial=0))
 
     def run(c: int) -> EvalOutcome:
-        """Condition ``c``: draw its cells, run every model, hand its traces on."""
-        label, modes = conditions[c]
-        draws = []
-        for seed in seeds:
-            cell = []
-            for mode_idx, mode in enumerate(modes, first_modes[c]):
-                env_rng = np.random.default_rng([crn_base, mode_idx, seed])
-                cell.append((mode, env_rng, make_env(mode, env_rng).draw_paths(episodes)))
-            draws.append((seed, cell))
+        """Condition ``c``: take its paths, run every model, hand its traces on."""
+        label, paths = conditions[c]
+        draws = [(seed, paths(seed)) for seed in seeds]
+        n_episodes = sum(part.n_episodes for part in draws[0][1]) if draws else 0
         outcome = EvalOutcome()
         cond_traces: dict[str, Trace] = {}
         for name, model in models.items():
             per_seed: list[MetricSet] = []
             seed_traces: list[Trace] = []
-            for seed, cell in draws:
-                trace = Trace.concat([model(make_env(mode, env_rng), seed, paths)
-                                      for mode, env_rng, paths in cell])
+            for seed, parts in draws:
+                trace = Trace.concat([model(make_env(), seed, part) for part in parts])
                 per_seed.append(compute_metrics(trace))
                 if traces is not None:
                     seed_traces.append(trace)
             outcome.per_seed[(name, label)] = per_seed
-            outcome.rows.append(aggregate_metrics(name, lob, label, per_seed,
-                                                  episodes * len(modes)))
+            outcome.rows.append(aggregate_metrics(name, lob, label, per_seed, n_episodes))
             if traces is not None:
                 cond_traces[name] = Trace.concat(seed_traces)
             log.info("evaluated %s under %s (%d seeds)", name, label, len(seeds))
@@ -324,17 +340,15 @@ def evaluate_models(
             traces(label, cond_traces)
         return outcome
 
-    parts = _map_split(run, len(conditions), workers)
     outcome = EvalOutcome()
-    for part in parts:
+    for part in _map_split(run, len(conditions), workers):
         outcome.rows += part.rows
         outcome.per_seed.update(part.per_seed)
     seconds = time.perf_counter() - started
-    n_modes = first_modes[-1]
     cells = len(conditions) * len(models) * len(seeds)
-    runs = n_modes * len(models) * len(seeds)
-    log.info("evaluated %d cells, %d episodes from %d path draws in %.2f s (%.0f episodes/s)",
-             cells, runs * episodes, n_modes * len(seeds), seconds, runs * episodes / seconds)
+    episodes = sum(row.n_episodes * row.n_seeds for row in outcome.rows)
+    log.info("evaluated %d cells, %d episodes in %.2f s (%.0f episodes/s)",
+             cells, episodes, seconds, episodes / seconds)
     return outcome
 
 
@@ -343,32 +357,31 @@ def sensitivity_sweep(
     ppo_config: PPOConfig,
     schedule: CurriculumSchedule,
     seeds: Sequence[int],
-    eval_levels: Sequence[int],
-    episodes_per_level: int,
+    paths: Callable[[int], Sequence[LossPaths]],
     lob: str,
-    crn_base: int,
     workers: int,
 ) -> EvalOutcome:
     """Retrain and re-evaluate once per cell of ``cells``, a mapping from
     row label to that cell's (training, evaluation) environment factories.
 
     Each cell trains fresh policies, then scores them with
-    :func:`evaluate_models` on one condition pooling ``eval_levels``, so
-    evaluation draws are paired across cells.  Every (cell, seed)
-    training is one job of a single :func:`train_curriculum` call on up
-    to ``workers`` processes.
+    :func:`evaluate_models` on one condition whose paths are ``paths``,
+    asked for once per seed and replayed by every cell under its own
+    evaluation factory, so the cells are paired on one shared draw.
+    Every (cell, seed) training is one job of a single
+    :func:`train_curriculum` call on up to ``workers`` processes.
     """
     runs = iter(train_curriculum(
         [(train_factory, ppo_config, schedule, seed)
          for train_factory, _ in cells.values() for seed in seeds],
         workers,
     ))
-    modes = [Stochastic(level) for level in eval_levels]
+    shared = functools.cache(paths)
     outcome = EvalOutcome()
     for label, (_, eval_factory) in cells.items():
         policies = {seed: next(runs).agent.policy for seed in seeds}
         cell = evaluate_models({"rl_cvar": greedy_model(policies)}, eval_factory,
-                               [(label, modes)], seeds, episodes_per_level, lob, crn_base)
+                               [(label, shared)], seeds, lob)
         outcome.rows += cell.rows
         outcome.per_seed.update(cell.per_seed)
         log.info("sweep cell %s done", label)

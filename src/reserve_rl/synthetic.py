@@ -48,6 +48,9 @@ class SyntheticSpec:
                 f"factor profile covers {len(self.factor_profile) + 1} lags, "
                 f"cannot build {self.n_years} years"
             )
+        # a non-positive ratio gives a triangle ingest refuses, or negative losses
+        if not (math.isfinite(self.loss_ratio) and self.loss_ratio > 0.0):
+            raise ValueError(f"loss ratio must be finite and positive, got {self.loss_ratio}")
 
 
 def _lognormal(rng: np.random.Generator, sigma: float) -> float:

@@ -3,9 +3,9 @@ the block-wise bootstrap and the grouped CSV writer.
 
 These are the one-episode-at-a-time loops that evaluation and training
 ran before their rollouts moved to :meth:`ReserveEnv.rollout`:
-``reset()``, then one ``step()`` per period, one B=1 forward pass per
-action, recorded step by step, with each static method's path built one
-episode at a time.  Training here also keeps its networks as separate
+``reset(rng, mode)``, then one ``step()`` per period, one B=1 forward
+pass per action, recorded step by step, with each static method's path
+built one episode at a time.  Training here also keeps its networks as separate
 arrays, with a per-array Adam and gradient clip.  The bootstrap here
 draws, refits and re-projects one simulation at a time, and the CSV
 writer formats every value of every row on its own.
@@ -38,7 +38,7 @@ from reserve_rl.baselines import BootstrapResult, _residual_pool, percent_develo
 from reserve_rl.env import ACTION_GRID, TRACE_HEADER, ReserveEnv, StepOutcome, Trace
 from reserve_rl.errors import DataError, NumericalError
 from reserve_rl.nets import MLPParams, init_mlp, mlp_rows, softmax
-from reserve_rl.regimes import Stochastic
+from reserve_rl.regimes import ShockMode, Stochastic
 from reserve_rl.triangles import DevelopmentFactors, LossTriangle
 
 _TRACE_COLUMNS = (
@@ -102,11 +102,12 @@ def chase_action(reserve: float, target: float) -> int:
     return len(ACTION_GRID) - 1 if ratio > 0.0 else 0
 
 
-def scalar_policy_episodes(env: ReserveEnv, policy: MLPParams, episodes: int) -> Trace:
+def scalar_policy_episodes(env: ReserveEnv, rng: np.random.Generator, mode: ShockMode,
+                           policy: MLPParams, episodes: int) -> Trace:
     """Greedy rollout, one episode and one step at a time."""
     recorder = TraceRecorder()
     for episode in range(episodes):
-        state = env.reset()
+        state = env.reset(rng, mode)
         for t in range(env.horizon):
             outcome = env.step(greedy_action(policy, observe(state)))
             recorder.record(episode, t, outcome)
@@ -114,12 +115,14 @@ def scalar_policy_episodes(env: ReserveEnv, policy: MLPParams, episodes: int) ->
     return recorder.build()
 
 
-def scalar_replay(env: ReserveEnv, path_builder, episodes: int) -> Trace:
-    """Static-path replay, one episode and one step at a time."""
+def scalar_replay(env: ReserveEnv, rng: np.random.Generator, mode: ShockMode,
+                  path_builder, episodes: int) -> Trace:
+    """Static-path replay, one episode and one step at a time;
+    ``path_builder(premium, initial_loss, horizon)`` is an episode's path."""
     recorder = TraceRecorder()
     for episode in range(episodes):
-        state = env.reset()
-        path = np.asarray(path_builder(env.episode_info, env.horizon), dtype=float)
+        state = env.reset(rng, mode)
+        path = np.asarray(path_builder(env.premium, state.loss, env.horizon), dtype=float)
         for t in range(env.horizon):
             target = path[min(t + 1, path.size - 1)]
             outcome = env.step(chase_action(state.reserve, target))
@@ -251,7 +254,7 @@ def scalar_train_curriculum(jobs):
         value = init_mlp((*sizes, 1), init_rng, final_gain=1.0)
         adam = ListAdam(policy.layers() + value.layers(), lr=config.learning_rate)
         normalizer = RunningReturnNormalizer(config.discount, enabled=config.reward_norm)
-        env = make_env(Stochastic(schedule.levels[0]), env_rng)
+        env = make_env()
         buffer = {name: [] for name in ("obs", "actions", "logps", "values", "dones", "rewards")}
         stats, log = [], []
 
@@ -280,9 +283,10 @@ def scalar_train_curriculum(jobs):
                 env.clear_buffer()
             for episode in range(schedule.episodes_per_level):
                 state = env.reset(
+                    env_rng,
+                    Stochastic(level),
                     episode_progress=schedule.ramp_progress(episode),
                     schedule=schedule,
-                    shock_mode=Stochastic(level),
                 )
                 ep_rewards, ep_shortfalls, ep_cvars, ep_violations = [], [], [], []
                 for _ in range(env.horizon):

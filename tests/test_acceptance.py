@@ -36,6 +36,7 @@ from reserve_rl.cli import main as cli_main
 from reserve_rl.config import FLOOR_FORMS
 from reserve_rl.env import HOLD_ACTION, EnvConfig, EnvFactory, ReserveEnv
 from reserve_rl.evaluate import (
+    drawn_conditions,
     evaluate_models,
     greedy_model,
     regime_conditions,
@@ -182,13 +183,13 @@ def test_criterion_04_environment_algebra(bundle):
     # reward decomposition + adequacy identity under random actions,
     # with the tail term reproduced from an independent mirror buffer
     cfg = EnvConfig(horizon=bundle.horizon)
-    env = ReserveEnv(bundle.train, bundle.factors, cfg, np.random.default_rng(404), Stochastic(2))
+    env, env_rng = ReserveEnv(bundle.train, bundle.factors, cfg), np.random.default_rng(404)
     mirror = ShortfallBuffer(capacity=cfg.buffer_capacity, warmup_min=cfg.warmup_min)
     act_rng = np.random.default_rng(405)
     max_reward_err = 0.0
     max_adequacy_err = 0.0
     for _ in range(1000):
-        env.reset()
+        env.reset(env_rng, Stochastic(2))
         for _ in range(env.horizon):
             outcome = env.step(int(act_rng.integers(0, N_ACTIONS)))
             s = outcome.state
@@ -211,10 +212,10 @@ def test_criterion_04_environment_algebra(bundle):
 
     # violation memory follows 1 - 0.95^t when every step breaches
     mem_cfg = EnvConfig(horizon=bundle.horizon, floor=(10.0, 0.0))
-    mem_env = ReserveEnv(bundle.train, bundle.factors, mem_cfg, np.random.default_rng(406))
+    mem_env, mem_rng = ReserveEnv(bundle.train, bundle.factors, mem_cfg), np.random.default_rng(406)
     max_memory_err = 0.0
     for _ in range(4):
-        mem_env.reset()
+        mem_env.reset(mem_rng, Stochastic(0))
         for _ in range(mem_env.horizon):
             s = mem_env.step(HOLD_ACTION).state
             max_memory_err = max(
@@ -224,12 +225,11 @@ def test_criterion_04_environment_algebra(bundle):
 
     # noiseless unit shocks reduce development to the chain-ladder path
     det_cfg = EnvConfig(horizon=bundle.horizon, noise_gain=0.0)
-    det_env = ReserveEnv(bundle.train, bundle.factors, det_cfg, np.random.default_rng(407),
-                         FixedShock(1.0))
+    det_env, det_rng = ReserveEnv(bundle.train, bundle.factors, det_cfg), np.random.default_rng(407)
     profile = bundle.factors.cumulative_profile(bundle.horizon + 1)
     max_path_err = 0.0
     for _ in range(4):
-        state = det_env.reset()
+        state = det_env.reset(det_rng, FixedShock(1.0))
         initial = state.loss
         for t in range(det_env.horizon):
             s = det_env.step(HOLD_ACTION).state
@@ -323,10 +323,8 @@ def test_criterion_07_stress_monotonicity(full_run):
     outcome = evaluate_models(
         {"rl_cvar": greedy_model(full_run["policies"])},
         full_run["eval_factory"],
-        stress_conditions((0.8, 1.0, 1.5, 2.0)),
+        drawn_conditions(full_run["eval_factory"], stress_conditions((0.8, 1.0, 1.5, 2.0)), 100, 0),
         SEEDS5,
-        episodes=100,
-        crn_base=0,
     )
     elapsed = full_run["train_seconds"] + (time.perf_counter() - t0)
     labels = ["shock:0.8", "shock:1", "shock:1.5", "shock:2"]
@@ -358,10 +356,8 @@ def test_criterion_08_beats_chain_ladder_in_rough_regimes(full_run, bundle):
             "chain_ladder": static_model(chain_ladder_targets(bundle.factors)),
         },
         full_run["eval_factory"],
-        regime_conditions((2, 3)),
+        drawn_conditions(full_run["eval_factory"], regime_conditions((2, 3)), 100, 0),
         SEEDS5,
-        episodes=100,
-        crn_base=0,
     )
     elapsed = full_run["train_seconds"] + (time.perf_counter() - t0)
     parts = []
@@ -392,10 +388,8 @@ def test_criterion_09_cold_regime(bundle):
             "chain_ladder": static_model(chain_ladder_targets(bundle.factors)),
         },
         eval_factory,
-        regime_conditions((3,)),
+        drawn_conditions(eval_factory, regime_conditions((3,)), 100, 0),
         SEEDS5,
-        episodes=100,
-        crn_base=0,
     )
     elapsed = time.perf_counter() - t0
     rl = outcome.seed_medians("rl_cvar", "regime:3")
@@ -420,14 +414,14 @@ def sweeps(bundle):
     )
     schedule = CurriculumSchedule(levels=(0, 1, 2, 3), episodes_per_level=1200,
                                   ramp_episodes=50)
+    levels = [Stochastic(level) for level in (0, 1, 2, 3)]
+    [(_, paths)] = drawn_conditions(env_factories(bundle)[1], [("sweep", levels)], 50, 0)
     t0 = time.perf_counter()
     sweep = sensitivity_sweep(
         cells, STABLE, schedule,
-        eval_levels=(0, 1, 2, 3),
-        episodes_per_level=50,
+        paths=paths,
         seeds=SEEDS5,
         lob="synthetic",
-        crn_base=0,
         workers=WORKERS,
     )
     return {"sweep": sweep, "seconds": time.perf_counter() - t0}

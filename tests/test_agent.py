@@ -258,8 +258,8 @@ def tiny_factory():
     )
     factors = DevelopmentFactors(factors=(1.10, 1.066))
 
-    def make(mode, rng):
-        return ReserveEnv(tri, factors, EnvConfig(), rng, mode)
+    def make():
+        return ReserveEnv(tri, factors, EnvConfig())
 
     return make
 

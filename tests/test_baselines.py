@@ -247,15 +247,19 @@ def test_chase_action_cases():
     assert _chase_action(1.0, 1.10) == 6
 
 
-def _flat_env(horizon=3, episodes_seed=0):
+def _flat_env(horizon=3):
     tri = triangle_from_arrays(
         [[1.0, 1.1, 1.17], [1.0, 1.1], [1.0]],
         premiums=[2.0, 2.0, 2.0],
     )
     factors = DevelopmentFactors(factors=(1.10, 1.066))
     cfg = EnvConfig(horizon=horizon, noise_gain=0.0)
-    env = ReserveEnv(tri, factors, cfg, np.random.default_rng(episodes_seed), FixedShock(1.0))
-    return env, factors
+    return ReserveEnv(tri, factors, cfg), factors
+
+
+def _paths(env, episodes):
+    """``episodes`` noiseless unit-shock paths on ``env``."""
+    return env.draw_paths(np.random.default_rng(0), FixedShock(1.0), episodes)
 
 
 def test_replay_tracks_grid_exact_path_perfectly():
@@ -263,7 +267,7 @@ def test_replay_tracks_grid_exact_path_perfectly():
     noiselessly, the chain-ladder replay has zero shortfall and zero
     inefficiency at every step."""
     env, factors = _flat_env()
-    trace = replay_static_policy(env, chain_ladder_targets(factors), 4, env.draw_paths(4))
+    trace = replay_static_policy(env, chain_ladder_targets(factors), 4, _paths(env, 4))
     assert trace.n_steps == 12
     np.testing.assert_allclose(trace.shortfall, 0.0, atol=1e-12)
     np.testing.assert_allclose(np.abs(trace.reserve - trace.loss), 0.0, atol=1e-12)
@@ -274,13 +278,13 @@ def test_replay_tracks_grid_exact_path_perfectly():
 
 def test_runners_produce_traces():
     env, factors = _flat_env()
-    trace = replay_static_policy(env, chain_ladder_targets(factors), 2, env.draw_paths(2))
+    trace = replay_static_policy(env, chain_ladder_targets(factors), 2, _paths(env, 2))
     assert trace.n_steps == 2 * env.horizon
 
     env2, _ = _flat_env()
     elr = 0.9
     trace2 = replay_static_policy(env2, bornhuetter_ferguson_targets(factors, elr), 2,
-                                  env2.draw_paths(2))
+                                  _paths(env2, 2))
     assert trace2.n_steps == 2 * env2.horizon
 
     tri = triangle_from_arrays(
@@ -288,14 +292,14 @@ def test_runners_produce_traces():
     )
     result = bootstrap_chain_ladder(tri, 20, np.random.default_rng(3))
     env3, _ = _flat_env()
-    trace3 = replay_static_policy(env3, bootstrap_targets(result), 2, env3.draw_paths(2))
+    trace3 = replay_static_policy(env3, bootstrap_targets(result), 2, _paths(env3, 2))
     assert trace3.n_steps == 2 * env3.horizon
 
 
 def test_replay_refuses_an_episode_count_off_the_paths():
     env, factors = _flat_env()
     with pytest.raises(ConfigError, match="^episodes is 3 but the paths hold 2$"):
-        replay_static_policy(env, chain_ladder_targets(factors), 3, env.draw_paths(2))
+        replay_static_policy(env, chain_ladder_targets(factors), 3, _paths(env, 2))
 
 
 def test_classical_models_replay_each_method_in_report_order():
@@ -309,8 +313,8 @@ def test_classical_models_replay_each_method_in_report_order():
                bootstrap_targets(result))
     for model, method in zip(models.values(), targets):
         (env_a, _), (env_b, _) = _flat_env(), _flat_env()
-        scored = model(env_a, 5, env_a.draw_paths(2))
-        replayed = replay_static_policy(env_b, method, 2, env_b.draw_paths(2))
+        scored = model(env_a, 5, _paths(env_a, 2))
+        replayed = replay_static_policy(env_b, method, 2, _paths(env_b, 2))
         assert scored.reserve.tobytes() == replayed.reserve.tobytes()
 
 

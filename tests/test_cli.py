@@ -9,7 +9,6 @@ import shutil
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import reserve_rl.cli as cli
@@ -18,8 +17,8 @@ from reserve_rl.agent import PPOConfig, train_curriculum
 from reserve_rl.config import RunConfig, config_to_ini, load_config
 from reserve_rl.env import EnvConfig, EnvFactory, ReserveEnv
 from reserve_rl.errors import DataError, NumericalError, ReserveRlError
-from reserve_rl.evaluate import evaluate_models, greedy_model, regime_conditions
-from reserve_rl.regimes import CurriculumSchedule, Stochastic
+from reserve_rl.evaluate import drawn_conditions, evaluate_models, greedy_model, regime_conditions
+from reserve_rl.regimes import CurriculumSchedule
 from reserve_rl.synthetic import SyntheticSpec, make_synthetic_triangle
 from reserve_rl.triangles import write_triangle_csv
 
@@ -101,8 +100,7 @@ def test_auto_horizon_is_the_fitted_triangles_depth_on_both_splits(pipeline):
     data = IngestArtifacts(os.path.join(pipeline["out"], "ingest"))
     assert (data.train.n_dev_lags, data.test.n_dev_lags) == (10, 2)
     for triangle in (data.train, data.test):
-        make_env = EnvFactory(triangle, data.factors, EnvConfig())
-        assert make_env(Stochastic(0), np.random.default_rng(0)).horizon == 10
+        assert EnvFactory(triangle, data.factors, EnvConfig())().horizon == 10
 
 
 def test_train_artifacts(pipeline):
@@ -322,16 +320,23 @@ def test_evaluate_bytes_do_not_depend_on_usable_cores(pipeline, tmp_path, monkey
 
 
 class RefusingLevels:
-    """Evaluation factory refusing the regime levels in ``levels``, naming
-    the level and the process."""
+    """Evaluation factory whose environments refuse to replay paths of the
+    regime levels in ``levels``, naming the level and the process."""
 
     def __init__(self, factory, levels):
         self.factory, self.levels = factory, levels
 
-    def __call__(self, mode, rng):
-        if getattr(mode, "level", None) in self.levels:
-            raise NumericalError(f"level {mode.level} refused in process {os.getpid()}")
-        return self.factory(mode, rng)
+    def __call__(self):
+        env = self.factory()
+        rollout = env.rollout
+
+        def refusing(paths, policy):
+            if paths.level in self.levels:
+                raise NumericalError(f"level {paths.level} refused in process {os.getpid()}")
+            return rollout(paths, policy)
+
+        env.rollout = refusing
+        return env
 
 
 @pytest.mark.parametrize("levels, raised", [
@@ -365,7 +370,8 @@ def test_evaluate_error_keeps_type_exit_code_and_order(pipeline, tmp_path, capsy
     policies = cli._load_policies(os.path.join(pipeline["out"], "train"), (1, 2), cfg)
     with pytest.raises(NumericalError, match=rf"^level {raised} refused") as err:
         evaluate_models({"rl_cvar": greedy_model(policies)}, eval_factory,
-                        regime_conditions([0, 1, 2, 3]), (1, 2), 4, workers=2)
+                        drawn_conditions(eval_factory, regime_conditions([0, 1, 2, 3]), 4, 0),
+                        (1, 2), workers=2)
     # raised where that level was evaluated: the caller for level 0, else the child
     assert (f"process {os.getpid()}" in str(err.value)) == (raised == 0)
     assert_no_child_process()
@@ -377,7 +383,7 @@ def test_runs_where_the_os_has_no_affinity(monkeypatch, capsys):
     assert cli._usable_cores() == (os.cpu_count() or 1)
 
 
-def refusing_factory(mode, rng):
+def refusing_factory():
     blas = os.environ.get("OPENBLAS_NUM_THREADS")
     raise NumericalError(f"refused in process {os.getpid()}, BLAS threads {blas}")
 
@@ -395,6 +401,21 @@ def test_worker_error_keeps_type_and_exit_code(pipeline, tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert main(["--config", pipeline["config"], "--out", str(tmp_path / "runs"), "train",
                  "--data", os.path.join(pipeline["out"], "ingest")]) == 3
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "stress", "sensitivity"])
+def test_a_horizon_the_factors_cannot_cover_is_refused_before_any_stage_directory(
+        pipeline, tmp_path, capsys, command):
+    """``[env] horizon = 12`` on the ten-lag book (nine factors) passes the
+    config check, which knows no triangle; each stage that builds
+    environments refuses it before it makes its directory."""
+    config = tmp_path / "long.ini"
+    config.write_text(PIPELINE_INI + "\n[env]\nhorizon = 12\n")
+    out = tmp_path / "runs"
+    assert main(["--config", str(config), "--out", str(out), command,
+                 "--data", os.path.join(pipeline["out"], "ingest")]) == 1
+    assert capsys.readouterr().err == "error: need at least 11 development factors, got 9\n"
+    assert not out.exists()
 
 
 def test_no_subcommand_is_usage_error():

@@ -42,23 +42,29 @@ def flat_triangle(initial: float = 1.0):
     )
 
 
-def make_env(config: EnvConfig | None = None, seed: int = 0, initial: float = 1.0,
-             mode=Stochastic(0)):
+#: The calm regime, the shock mode of every test that does not name one.
+CALM = Stochastic(0)
+
+
+def make_env(config: EnvConfig | None = None, initial: float = 1.0):
     cfg = config if config is not None else EnvConfig()
-    return ReserveEnv(flat_triangle(initial), GRID_FACTORS, cfg, np.random.default_rng(seed), mode)
+    return ReserveEnv(flat_triangle(initial), GRID_FACTORS, cfg)
+
+
+def rng(seed: int = 0):
+    return np.random.default_rng(seed)
 
 
 def test_reset_seeds_episode_from_triangle():
     env = make_env()
-    state = env.reset()
+    state = env.reset(rng(), CALM)
     assert state.reserve == state.loss == 1.0
     assert state.adequacy == 1.0
     assert state.volatility == 0.0
     assert state.violation_memory == 0.0
     assert state.t == 0
-    assert env.episode_info is not None
-    assert env.episode_info.initial_loss == 1.0
-    assert env.horizon == 3  # triangle depth when not overridden
+    assert env.premium == 2.0
+    assert env.horizon == 3  # one period per factor plus one under horizon = auto
 
 
 def test_action_grid_constants():
@@ -94,14 +100,14 @@ def test_solvency_floor_forms():
 
 
 def test_reward_decomposition_identity():
-    env = make_env(seed=5)
-    rng = np.random.default_rng(17)
+    env, env_rng = make_env(), rng(5)
+    act_rng = np.random.default_rng(17)
     cfg = env.config
     for _ in range(8):
-        env.reset()
+        env.reset(env_rng, CALM)
         done = False
         while not done:
-            outcome = env.step(int(rng.integers(len(ACTION_GRID))))
+            outcome = env.step(int(act_rng.integers(len(ACTION_GRID))))
             c = outcome.components
             expected = -(
                 cfg.w_shortfall * c.shortfall
@@ -120,7 +126,7 @@ def test_forced_floor_breach_penalized():
     # start below the floor with V=0: any admissible action leaves the
     # post-action reserve under 0.4, so the breach penalty must fire
     env = make_env(initial=0.2)
-    env.reset()
+    env.reset(rng(), CALM)
     outcome = env.step(HOLD_ACTION)
     assert outcome.components.floor == pytest.approx(0.4)
     assert outcome.components.violated
@@ -134,7 +140,7 @@ def test_forced_floor_breach_penalized():
 def test_violation_memory_closed_form():
     # an unreachable floor forces a breach every step: nu_t = 1 - 0.95^t
     env = make_env(EnvConfig(floor=(10.0, 0.0)))
-    env.reset()
+    env.reset(rng(), CALM)
     for t in range(1, env.horizon + 1):
         outcome = env.step(HOLD_ACTION)
         assert outcome.components.violated
@@ -146,20 +152,20 @@ def test_violation_memory_closed_form():
 def test_floor_checked_on_post_action_reserve():
     # pre-action reserve sits above the floor; stepping down crosses it
     env = make_env(initial=0.42)
-    env.reset()
+    env.reset(rng(), CALM)
     outcome = env.step(0)  # -10% -> 0.378 < 0.4
     assert outcome.state.reserve == pytest.approx(0.378)
     assert outcome.components.violated
     env2 = make_env(initial=0.42)
-    env2.reset()
+    env2.reset(rng(), CALM)
     outcome2 = env2.step(HOLD_ACTION)  # 0.42 stays above 0.4
     assert not outcome2.components.violated
 
 
 def test_noiseless_chain_ladder_reduction():
-    env = make_env(EnvConfig(noise_gain=0.0), mode=FixedShock(1.0))
+    env, env_rng = make_env(EnvConfig(noise_gain=0.0)), rng()
     for _ in range(4):
-        state = env.reset()
+        state = env.reset(env_rng, FixedShock(1.0))
         path = state.loss * GRID_FACTORS.cumulative_profile(env.horizon + 1)
         for t in range(env.horizon):
             outcome = env.step(HOLD_ACTION)
@@ -171,10 +177,9 @@ def test_replaying_same_seed_aligns_streams():
     # the random stream is consumed identically per step, so two runs
     # with equal seeds see the same loss and shock paths even under
     # different action sequences (common random numbers)
-    env_a = make_env(seed=7, mode=Stochastic(2))
-    env_b = make_env(seed=7, mode=Stochastic(2))
-    sa = env_a.reset()
-    sb = env_b.reset()
+    env_a, env_b = make_env(), make_env()
+    sa = env_a.reset(rng(7), Stochastic(2))
+    sb = env_b.reset(rng(7), Stochastic(2))
     assert sa.shock == sb.shock
     la, lb = [sa.loss], [sb.loss]
     done = False
@@ -190,7 +195,7 @@ def test_replaying_same_seed_aligns_streams():
 
 def test_action_guards():
     env = make_env()
-    env.reset()
+    env.reset(rng(), CALM)
     with pytest.raises(ConfigError, match=f"index {len(ACTION_GRID)} outside grid"):
         env.step(len(ACTION_GRID))
     with pytest.raises(ConfigError, match="index -1 outside grid"):
@@ -205,7 +210,7 @@ def test_step_after_done_rejected():
     env = make_env()
     with pytest.raises(ReserveRlError, match=r"reset\(\) must be called") as before:
         env.step(HOLD_ACTION)  # before any reset
-    env.reset()
+    env.reset(rng(), CALM)
     for _ in range(env.horizon):
         outcome = env.step(HOLD_ACTION)
     assert outcome.done
@@ -241,7 +246,7 @@ def test_env_config_validation():
 
 def test_alpha_override_and_adaptive():
     env = make_env(EnvConfig(alpha=0.93))
-    env.reset()
+    env.reset(rng(), CALM)
     done = False
     while not done:
         outcome = env.step(HOLD_ACTION)
@@ -249,7 +254,7 @@ def test_alpha_override_and_adaptive():
         done = outcome.done
 
     env = make_env()
-    env.reset()
+    env.reset(rng(), CALM)
     done = False
     while not done:
         outcome = env.step(HOLD_ACTION)
@@ -259,8 +264,8 @@ def test_alpha_override_and_adaptive():
 
 
 def test_fixed_shock_mode_state():
-    env = make_env(mode=FixedShock(1.5))
-    state = env.reset()
+    env = make_env()
+    state = env.reset(rng(), FixedShock(1.5))
     assert state.level == 0
     assert state.shock == 1.5
     outcome = env.step(HOLD_ACTION)
@@ -268,16 +273,49 @@ def test_fixed_shock_mode_state():
     assert outcome.state.shock == 1.5
 
 
-def test_factory_builds_env_in_its_shock_mode():
-    factory = EnvFactory(flat_triangle(), GRID_FACTORS, EnvConfig())
-    paths = factory(FixedShock(1.5), np.random.default_rng(0)).draw_paths(3)
-    assert np.all(paths.shock == 1.5)
-    assert factory(Stochastic(2), np.random.default_rng(0)).reset().level == 2
+def test_draw_paths_and_reset_use_the_mode_they_are_given():
+    """A factory's environment carries no shock mode: each call names its
+    own, and nothing of one call's mode stays for the next."""
+    env = EnvFactory(flat_triangle(), GRID_FACTORS, EnvConfig())()
+    stream = rng()
+    fixed = env.draw_paths(stream, FixedShock(1.5), 3)
+    assert np.all(fixed.shock == 1.5) and fixed.level == 0
+    assert env.draw_paths(stream, Stochastic(2), 3).level == 2
+    assert env.reset(stream, Stochastic(2)).level == 2
+    state = env.reset(stream, FixedShock(1.5))
+    assert (state.level, state.shock) == (0, 1.5)
+    assert env.step(HOLD_ACTION).state.shock == 1.5
+    assert not np.any(env.draw_paths(stream, Stochastic(1), 3).shock == 1.5)
+
+
+def test_draw_paths_leaves_the_environment_as_it_was():
+    """Drawing reads the environment's configuration and nothing else: an
+    episode in progress steps on, on its own generator, as if no draw
+    were made."""
+    env, other = make_env(), make_env()
+    env.reset(rng(3), Stochastic(1))
+    other.reset(rng(3), Stochastic(1))
+    env.step(HOLD_ACTION)
+    other.step(HOLD_ACTION)
+    paths = env.draw_paths(rng(4), Stochastic(2), 5)
+    assert (paths.n_episodes, paths.premium.tolist()) == (5, [2.0] * 5)
+    assert env.step(HOLD_ACTION) == other.step(HOLD_ACTION)
+    assert len(env.buffer) == 2
+
+
+def test_rollout_refuses_paths_of_another_horizon():
+    """Paths can come from outside the environment, so their horizon is checked."""
+    paths = make_env().draw_paths(rng(), CALM, 2)  # three periods
+    short = make_env(EnvConfig(horizon=2))
+    with pytest.raises(ConfigError,
+                       match="^paths span 3 periods, the environment's horizon is 2$"):
+        short.rollout(paths, lambda state: np.full(2, HOLD_ACTION))
+    assert len(short.buffer) == 0
 
 
 def test_shock_applied_is_pre_step_shock():
-    env = make_env(mode=Stochastic(1))
-    state = env.reset()
+    env = make_env()
+    state = env.reset(rng(), Stochastic(1))
     pending = state.shock
     for _ in range(env.horizon):
         outcome = env.step(HOLD_ACTION)
@@ -286,12 +324,12 @@ def test_shock_applied_is_pre_step_shock():
 
 
 def test_buffer_persists_across_episodes():
-    env = make_env()
-    env.reset()
+    env, env_rng = make_env(), rng()
+    env.reset(env_rng, CALM)
     for _ in range(env.horizon):
         env.step(HOLD_ACTION)
     assert len(env.buffer) == env.horizon
-    env.reset()
+    env.reset(env_rng, CALM)
     env.step(HOLD_ACTION)
     assert len(env.buffer) == env.horizon + 1
     env.clear_buffer()
@@ -309,7 +347,7 @@ def test_develop_losses_clamps_at_zero():
 def test_trace_recorder_and_concat(tmp_path):
     env = make_env()
     rec = TraceRecorder()
-    env.reset()
+    env.reset(rng(), CALM)
     for t in range(env.horizon):
         rec.record(0, t, env.step(HOLD_ACTION))
     trace = rec.build()

@@ -33,6 +33,7 @@ from reserve_rl.evaluate import (
     MetricsRow,
     aggregate_metrics,
     compute_metrics,
+    drawn_conditions,
     emit_report,
     evaluate_models,
     greedy_model,
@@ -172,24 +173,27 @@ def test_condition_label_formats():
 FLAT_FACTORS = DevelopmentFactors(factors=(1.10, 1.066))
 
 
-def flat_env_factory(mode, rng):
-    tri = triangle_from_arrays(
-        [[1.0, 1.1, 1.17], [1.0, 1.1], [1.0]],
-        premiums=[2.0, 2.0, 2.0],
-    )
-    return ReserveEnv(tri, FLAT_FACTORS, EnvConfig(horizon=3), rng, mode)
+FLAT_TRIANGLE = triangle_from_arrays([[1.0, 1.1, 1.17], [1.0, 1.1], [1.0]], premiums=[2.0] * 3)
+
+flat_env_factory = EnvFactory(FLAT_TRIANGLE, FLAT_FACTORS, EnvConfig(horizon=3))
 
 
-def drawn_replay(env, targets, episodes):
-    """The targets replayed over ``episodes`` paths drawn from ``env`` itself."""
-    return replay_static_policy(env, targets, episodes, env.draw_paths(episodes))
+def drawn(conditions, episodes=7, crn_base=0):
+    """``conditions`` with the paths ``flat_env_factory`` draws for them."""
+    return drawn_conditions(flat_env_factory, conditions, episodes, crn_base)
+
+
+def drawn_replay(env, rng, mode, targets, episodes):
+    """The targets replayed over ``episodes`` paths ``env`` draws from ``rng`` in ``mode``."""
+    return replay_static_policy(env, targets, episodes, env.draw_paths(rng, mode, episodes))
 
 
 def test_run_policy_episodes_refuses_an_episode_count_off_the_paths():
-    env = flat_env_factory(Stochastic(0), np.random.default_rng(0))
+    env = flat_env_factory()
     policy = init_mlp((7, 8, 7), np.random.default_rng(2), final_gain=1.0)
     with pytest.raises(ConfigError, match="^episodes is 6 but the paths hold 7$"):
-        run_policy_episodes(env, policy, 6, env.draw_paths(7))
+        run_policy_episodes(env, policy, 6, env.draw_paths(np.random.default_rng(0),
+                                                             Stochastic(0), 7))
 
 
 def test_evaluate_models_pairs_random_draws():
@@ -203,10 +207,8 @@ def test_evaluate_models_pairs_random_draws():
     outcome = evaluate_models(
         models,
         flat_env_factory,
-        conditions=regime_conditions([0]),
+        conditions=drawn(regime_conditions([0]), crn_base=42),
         seeds=(0, 1),
-        episodes=7,
-        crn_base=42,
         traces=lambda label, cond: traces.update({(m, label): t for m, t in cond.items()}),
     )
     assert len(outcome.rows) == 2
@@ -225,9 +227,8 @@ def test_evaluate_models_distinct_cells_use_distinct_draws():
     evaluate_models(
         models,
         flat_env_factory,
-        conditions=regime_conditions([1]),
+        conditions=drawn(regime_conditions([1])),
         seeds=(0, 1),
-        episodes=7,
         traces=lambda label, cond: traces.update({(m, label): t for m, t in cond.items()}),
     )
     trace = traces[("cl", "regime:1")]
@@ -241,9 +242,9 @@ def test_evaluate_models_draws_each_cell_once(monkeypatch):
     draws = []
     draw_paths = ReserveEnv.draw_paths
 
-    def counted(self, episodes, *args, **kwargs):
+    def counted(self, rng, mode, episodes, *args, **kwargs):
         draws.append(episodes)
-        return draw_paths(self, episodes, *args, **kwargs)
+        return draw_paths(self, rng, mode, episodes, *args, **kwargs)
 
     monkeypatch.setattr(ReserveEnv, "draw_paths", counted)
     seeds = (0, 1)
@@ -254,26 +255,25 @@ def test_evaluate_models_draws_each_cell_once(monkeypatch):
         "bf": static_model(bornhuetter_ferguson_targets(FLAT_FACTORS, 0.9)),
     }
     conditions = regime_conditions([0, 2]) + stress_conditions([1.5])
-    outcome = evaluate_models(models, flat_env_factory, conditions, seeds, episodes=7)
+    outcome = evaluate_models(models, flat_env_factory, drawn(conditions), seeds)
     assert draws == [7] * len(conditions) * len(seeds)
     assert len(outcome.rows) == len(conditions) * len(models)
 
 
 def test_evaluate_models_logs_one_timing_line(caplog):
     """One INFO line per call: (condition, model, seed) cells, episodes,
-    path draws (one per condition and seed), wall seconds and episodes
-    per second."""
+    wall seconds and episodes per second."""
     models = {
         "cl": static_model(chain_ladder_targets(FLAT_FACTORS)),
         "bf": static_model(bornhuetter_ferguson_targets(FLAT_FACTORS, 0.9)),
     }
     with caplog.at_level(logging.INFO, logger="reserve_rl.evaluate"):
-        evaluate_models(models, flat_env_factory, regime_conditions([0, 1]), seeds=(0, 1, 2),
-                        episodes=7)
+        evaluate_models(models, flat_env_factory, drawn(regime_conditions([0, 1])),
+                        seeds=(0, 1, 2))
     timings = [r.getMessage() for r in caplog.records if "episodes/s" in r.getMessage()]
     assert len(timings) == 1
     assert re.fullmatch(
-        r"evaluated 12 cells, 84 episodes from 6 path draws in \d+\.\d\d s \(\d+ episodes/s\)",
+        r"evaluated 12 cells, 84 episodes in \d+\.\d\d s \(\d+ episodes/s\)",
         timings[0],
     )
 
@@ -310,16 +310,14 @@ def test_evaluate_models_streams_traces_per_condition(caplog, monkeypatch):
         clock[0] += 1000.0
 
     with caplog.at_level(logging.INFO, logger="reserve_rl.evaluate"):
-        evaluate_models(models, flat_env_factory, regime_conditions([0, 1]), seeds=(0, 1),
-                        episodes=7, crn_base=3, traces=sink)
+        evaluate_models(models, flat_env_factory, drawn(regime_conditions([0, 1]), crn_base=3),
+                        seeds=(0, 1), traces=sink)
     assert events == ["cl", "cl", "bf", "bf", "regime:0", "cl", "cl", "bf", "bf", "regime:1"]
     for cond_idx, label in enumerate(["regime:0", "regime:1"]):
         assert list(received[label]) == ["cl", "bf"]
         expected = Trace.concat([
-            drawn_replay(
-                flat_env_factory(Stochastic(cond_idx), np.random.default_rng([3, cond_idx, seed])),
-                targets_of["cl"], 7,
-            )
+            drawn_replay(flat_env_factory(), np.random.default_rng([3, cond_idx, seed]),
+                         Stochastic(cond_idx), targets_of["cl"], 7)
             for seed in (0, 1)
         ])
         assert received[label]["cl"].reserve.tobytes() == expected.reserve.tobytes()
@@ -337,15 +335,15 @@ def test_evaluate_models_pools_a_condition_over_its_modes(caplog):
     seeds = (5, 6)
     conditions = [("pooled", [Stochastic(0), Stochastic(1)])] + regime_conditions([3])
     with caplog.at_level(logging.INFO, logger="reserve_rl.evaluate"):
-        outcome = evaluate_models({"cl": static_model(targets)}, flat_env_factory, conditions,
-                                  seeds, episodes=7, crn_base=9)
+        outcome = evaluate_models({"cl": static_model(targets)}, flat_env_factory,
+                                  drawn(conditions, crn_base=9), seeds)
 
     def manual(levels, first_idx):
         per_seed = []
         for seed in seeds:
             traces = [
-                drawn_replay(flat_env_factory(
-                    Stochastic(level), np.random.default_rng([9, idx, seed])), targets, 7)
+                drawn_replay(flat_env_factory(), np.random.default_rng([9, idx, seed]),
+                             Stochastic(level), targets, 7)
                 for idx, level in enumerate(levels, first_idx)
             ]
             per_seed.append(compute_metrics(Trace.concat(traces)))
@@ -355,7 +353,7 @@ def test_evaluate_models_pools_a_condition_over_its_modes(caplog):
     assert outcome.per_seed[("cl", "regime:3")] == manual((3,), 2)
     assert [row.n_episodes for row in outcome.rows] == [14, 7]
     timing = [r.getMessage() for r in caplog.records if "episodes/s" in r.getMessage()]
-    assert timing[0].startswith("evaluated 4 cells, 42 episodes from 6 path draws in ")
+    assert timing[0].startswith("evaluated 4 cells, 42 episodes in ")
 
 
 def test_evaluate_models_workers_are_bitwise_serial(tmp_path):
@@ -379,8 +377,8 @@ def test_evaluate_models_workers_are_bitwise_serial(tmp_path):
             for name, trace in traces.items():
                 trace.write_csv(str(directory / f"{name}__{label}.csv"))
 
-        outcome = evaluate_models(models, flat_env_factory, conditions, seeds, episodes=7,
-                                  crn_base=5, traces=sink, workers=workers)
+        outcome = evaluate_models(models, flat_env_factory, drawn(conditions, crn_base=5), seeds,
+                                  traces=sink, workers=workers)
         files = {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
         return outcome, files
 
@@ -420,36 +418,39 @@ def test_evaluate_models_is_serial_where_fork_is_not_offered(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     received = []
     evaluate_models({"cl": static_model(chain_ladder_targets(FLAT_FACTORS))}, flat_env_factory,
-                    regime_conditions([0, 1, 2]), (0,), episodes=7, workers=2,
+                    drawn(regime_conditions([0, 1, 2])), (0,), workers=2,
                     traces=lambda label, traces: received.append(label))
     assert received == ["regime:0", "regime:1", "regime:2"]
 
 
-def test_evaluate_models_rejects_a_condition_without_modes():
+def test_drawn_conditions_rejects_a_condition_without_modes():
     """A condition pooling no shock modes is refused, by label, before any draw."""
-    def no_env(mode, rng):
+    def no_env():
         raise AssertionError("an environment was built before the refusal")
 
     with pytest.raises(ConfigError, match="conditions pool no shock modes: x$"):
-        evaluate_models({"cl": static_model(chain_ladder_targets(FLAT_FACTORS))}, no_env,
-                        [("regime:0", (Stochastic(0),)), ("x", ())], (0,), episodes=7)
+        drawn_conditions(no_env, [("regime:0", (Stochastic(0),)), ("x", ())], 7, 0)
 
 
 def test_evaluate_models_rejects_no_workers():
+    def no_paths(seed):
+        raise AssertionError("paths were asked for before the refusal")
+
     with pytest.raises(ConfigError, match="workers"):
         evaluate_models({"cl": static_model(chain_ladder_targets(FLAT_FACTORS))}, flat_env_factory,
-                        regime_conditions([0]), (0,), episodes=7, workers=0)
+                        [("regime:0", no_paths)], (0,), workers=0)
+
+
+def cell_factories(alpha, floor):
+    """A sensitivity cell's (training, evaluation) factories on the flat book."""
+    cfg = EnvConfig(horizon=3, alpha=alpha, floor=floor)
+    factory = EnvFactory(FLAT_TRIANGLE, FLAT_FACTORS, cfg)
+    return factory, factory
 
 
 def test_sensitivity_sweep_workers_are_bitwise_serial():
     """All (cell, seed) trainings in one pool of two workers give the
     serial sweep's rows and per-seed metrics exactly."""
-    tri = triangle_from_arrays([[1.0, 1.1, 1.17], [1.0, 1.1], [1.0]], premiums=[2.0] * 3)
-
-    def cell_factories(alpha, floor):
-        cfg = EnvConfig(horizon=3, alpha=alpha, floor=floor)
-        return EnvFactory(tri, FLAT_FACTORS, cfg), EnvFactory(tri, FLAT_FACTORS, cfg)
-
     cells = {
         f"alpha:{alpha_label};floor:{floor_name}": cell_factories(alpha, floor)
         for alpha_label, alpha in (("0.9", 0.9), ("adaptive", None))
@@ -459,17 +460,10 @@ def test_sensitivity_sweep_workers_are_bitwise_serial():
     config = PPOConfig(batch_size=12, minibatch_size=6, epochs=1, hidden=(8,))
     schedule = CurriculumSchedule(levels=(0, 1), episodes_per_level=6, ramp_episodes=2)
     seeds = (3, 1)
+    [(_, paths)] = drawn([("sweep", [Stochastic(0), Stochastic(1)])], episodes=4)
 
     def sweep(workers):
-        return sensitivity_sweep(
-            cells, config, schedule,
-            seeds=seeds,
-            eval_levels=(0, 1),
-            episodes_per_level=4,
-            lob="synthetic",
-            crn_base=0,
-            workers=workers,
-        )
+        return sensitivity_sweep(cells, config, schedule, seeds, paths, "synthetic", workers)
 
     serial, pooled = sweep(1), sweep(2)
     assert [row.condition for row in pooled.rows] == [
@@ -484,10 +478,57 @@ def test_sensitivity_sweep_workers_are_bitwise_serial():
     policies = {run.seed: run.agent.policy for run in trained}
     alone = evaluate_models(
         {"rl_cvar": greedy_model(policies)}, eval_factory,
-        [("cell", [Stochastic(0), Stochastic(1)])], seeds, 4,
+        drawn_conditions(eval_factory, [("cell", [Stochastic(0), Stochastic(1)])], 4, 0), seeds,
     )
     assert pooled.per_seed[("rl_cvar", "alpha:adaptive;floor:strict")] == \
         alone.per_seed[("rl_cvar", "cell")]
+
+
+def test_sensitivity_cells_replay_one_shared_draw(monkeypatch):
+    """A default-grid sweep (three alphas x two floor forms, four levels,
+    three seeds) makes one evaluation draw per (level, seed), 12 in all,
+    not one more per cell; each cell's rows are the ones that cell scores
+    on its own, drawing from its own evaluation factory."""
+    draw_paths = ReserveEnv.draw_paths
+    training, trained, evaluation_draws = [], [], []
+
+    def counted(self, rng, mode, episodes, *args, **kwargs):
+        paths = draw_paths(self, rng, mode, episodes, *args, **kwargs)
+        if not training:
+            evaluation_draws.append(paths.loss.tobytes())
+        return paths
+
+    def training_run(jobs, workers):
+        training.append(True)
+        try:
+            trained.extend(train_curriculum(jobs, workers))
+        finally:
+            training.clear()
+        return trained
+
+    monkeypatch.setattr(ReserveEnv, "draw_paths", counted)
+    monkeypatch.setattr(evaluate_module, "train_curriculum", training_run)
+    cells = {
+        f"alpha:{alpha:g};floor:{floor_name}": cell_factories(alpha, floor)
+        for alpha in (0.90, 0.95, 0.99)
+        for floor_name, floor in FLOOR_FORMS.items()
+    }
+    modes = [Stochastic(level) for level in (0, 1, 2, 3)]
+    seeds = (1, 2, 3)
+    config = PPOConfig(batch_size=12, minibatch_size=6, epochs=1, hidden=(8,))
+    schedule = CurriculumSchedule(levels=(0, 1), episodes_per_level=4, ramp_episodes=2)
+    [(_, paths)] = drawn([("sweep", modes)], episodes=4, crn_base=2)
+    sweep = sensitivity_sweep(cells, config, schedule, seeds, paths, "synthetic", 1)
+    assert len(evaluation_draws) == len(set(evaluation_draws)) == len(modes) * len(seeds) == 12
+
+    assert len(trained) == len(cells) * len(seeds)
+    for c, (label, (_, eval_factory)) in enumerate(cells.items()):
+        runs = trained[c * len(seeds):(c + 1) * len(seeds)]
+        policies = {run.seed: run.agent.policy for run in runs}
+        alone = evaluate_models({"rl_cvar": greedy_model(policies)}, eval_factory,
+                                drawn_conditions(eval_factory, [(label, modes)], 4, 2), seeds)
+        assert [row for row in sweep.rows if row.condition == label] == alone.rows
+        assert sweep.per_seed[("rl_cvar", label)] == alone.per_seed[("rl_cvar", label)]
 
 
 def test_emit_report_round_trip(tmp_path):

@@ -34,6 +34,7 @@ from reserve_rl.baselines import (
 from reserve_rl.env import ACTION_GRID, EnvConfig, EnvFactory, ReserveEnv, Trace, write_traces
 from reserve_rl.errors import ConfigError
 from reserve_rl.evaluate import (
+    drawn_conditions,
     evaluate_models,
     greedy_model,
     regime_conditions,
@@ -72,14 +73,14 @@ def perturbed_policy(seed: int = 7):
     return init_mlp((7, 64, 64, 7), np.random.default_rng(seed), final_gain=1.0, hidden_gain=10.0)
 
 
-def drawn_policy_run(env: ReserveEnv, policy, episodes: int) -> Trace:
-    """The greedy policy over ``episodes`` paths drawn from ``env`` itself."""
-    return run_policy_episodes(env, policy, episodes, env.draw_paths(episodes))
+def drawn_policy_run(env: ReserveEnv, rng, mode, policy, episodes: int) -> Trace:
+    """The greedy policy over ``episodes`` paths ``env`` draws from ``rng`` in ``mode``."""
+    return run_policy_episodes(env, policy, episodes, env.draw_paths(rng, mode, episodes))
 
 
-def drawn_replay(env: ReserveEnv, targets, episodes: int) -> Trace:
-    """The targets replayed over ``episodes`` paths drawn from ``env`` itself."""
-    return replay_static_policy(env, targets, episodes, env.draw_paths(episodes))
+def drawn_replay(env: ReserveEnv, rng, mode, targets, episodes: int) -> Trace:
+    """The targets replayed over ``episodes`` paths ``env`` draws from ``rng`` in ``mode``."""
+    return replay_static_policy(env, targets, episodes, env.draw_paths(rng, mode, episodes))
 
 
 def trace_bytes(trace: Trace, tmp_path, name: str) -> bytes:
@@ -93,15 +94,15 @@ def buffer_bits(env: ReserveEnv) -> list[str]:
 
 
 def assert_same_run(make_env, lockstep, scalar, tmp_path) -> Trace:
-    """Two halves per env, so the second starts on a warm buffer (each half
-    numbers its episodes from 0)."""
-    env_a, env_b = make_env(), make_env()
+    """Two halves per (env, generator) pair, so the second starts on a warm
+    buffer (each half numbers its episodes from 0)."""
+    (env_a, rng_a), (env_b, rng_b) = make_env(), make_env()
     half = EPISODES // 2
-    traces_a = [lockstep(env_a, half), lockstep(env_a, half)]
-    traces_b = [scalar(env_b, half), scalar(env_b, half)]
+    traces_a = [lockstep(env_a, rng_a, half), lockstep(env_a, rng_a, half)]
+    traces_b = [scalar(env_b, rng_b, half), scalar(env_b, rng_b, half)]
     a, b = Trace.concat(traces_a), Trace.concat(traces_b)
     assert trace_bytes(a, tmp_path, "a.csv") == trace_bytes(b, tmp_path, "b.csv")
-    assert env_a.rng.bit_generator.state == env_b.rng.bit_generator.state
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
     assert buffer_bits(env_a) == buffer_bits(env_b)
     return a
 
@@ -113,13 +114,13 @@ def test_lockstep_matches_scalar(bundle, mode, config_name, tmp_path):
     factors = bundle.factors
 
     def make_env():
-        return ReserveEnv(bundle.train, factors, cfg, np.random.default_rng([5, 11]), mode)
+        return ReserveEnv(bundle.train, factors, cfg), np.random.default_rng([5, 11])
 
     policy = perturbed_policy()
     trace = assert_same_run(
         make_env,
-        lambda env, n: drawn_policy_run(env, policy, n),
-        lambda env, n: scalar_policy_episodes(env, policy, n),
+        lambda env, rng, n: drawn_policy_run(env, rng, mode, policy, n),
+        lambda env, rng, n: scalar_policy_episodes(env, rng, mode, policy, n),
         tmp_path,
     )
     assert len(np.unique(trace.action)) > 1  # the greedy choice really varies
@@ -130,17 +131,17 @@ def test_lockstep_matches_scalar(bundle, mode, config_name, tmp_path):
     boot = bootstrap_chain_ladder(bundle.train, 50, np.random.default_rng(3))
     methods = [
         (chain_ladder_targets(factors),
-         lambda info, h: chain_ladder_path(factors, info.initial_loss, h)),
+         lambda premium, loss, h: chain_ladder_path(factors, loss, h)),
         (bornhuetter_ferguson_targets(factors, elr),
-         lambda info, h: bornhuetter_ferguson_path(factors, elr, info.premium, info.initial_loss, h)),
+         lambda premium, loss, h: bornhuetter_ferguson_path(factors, elr, premium, loss, h)),
         (bootstrap_targets(boot),
-         lambda info, h: bootstrap_path(boot, info.initial_loss, h)),
+         lambda premium, loss, h: bootstrap_path(boot, loss, h)),
     ]
     for targets, builder in methods:
         assert_same_run(
             make_env,
-            lambda env, n: drawn_replay(env, targets, n),
-            lambda env, n: scalar_replay(env, builder, n),
+            lambda env, rng, n: drawn_replay(env, rng, mode, targets, n),
+            lambda env, rng, n: scalar_replay(env, rng, mode, builder, n),
             tmp_path,
         )
 
@@ -153,10 +154,13 @@ def test_trace_writers_match_rowwise_oracle(bundle, mode, tmp_path):
     elr = implied_loss_ratio(bundle.train, bundle.factors)
     boot = bootstrap_chain_ladder(bundle.train, 50, np.random.default_rng(3))
     def env():
-        return ReserveEnv(bundle.train, bundle.factors, EnvConfig(), np.random.default_rng(9), mode)
+        return ReserveEnv(bundle.train, bundle.factors, EnvConfig())
 
-    traces = [drawn_policy_run(env(), perturbed_policy(), 40)] + [
-        drawn_replay(env(), targets, 40)
+    def rng():
+        return np.random.default_rng(9)
+
+    traces = [drawn_policy_run(env(), rng(), mode, perturbed_policy(), 40)] + [
+        drawn_replay(env(), rng(), mode, targets, 40)
         for targets in (chain_ladder_targets(bundle.factors),
                         bornhuetter_ferguson_targets(bundle.factors, elr),
                         bootstrap_targets(boot))
@@ -190,16 +194,17 @@ def test_shared_draws_match_fresh_draws_per_model(bundle, tmp_path):
     conditions = regime_conditions([0, 3]) + stress_conditions([2.0])
     make_env = EnvFactory(bundle.train, factors, EnvConfig())
     received = {}
-    evaluate_models(models, make_env, conditions, seeds, 30, crn_base=4,
+    evaluate_models(models, make_env, drawn_conditions(make_env, conditions, 30, 4), seeds,
                     traces=lambda label, traces: received.update(
                         {(name, label): trace for name, trace in traces.items()}))
     for cond_idx, (label, (mode,)) in enumerate(conditions):
         for name in models:
             fresh = []
             for seed in seeds:
-                env = make_env(mode, np.random.default_rng([4, cond_idx, seed]))
-                fresh.append(drawn_policy_run(env, policies[seed], 30) if name == "rl_cvar"
-                             else drawn_replay(env, targets[name], 30))
+                env, rng = make_env(), np.random.default_rng([4, cond_idx, seed])
+                run = (drawn_policy_run(env, rng, mode, policies[seed], 30) if name == "rl_cvar"
+                       else drawn_replay(env, rng, mode, targets[name], 30))
+                fresh.append(run)
             assert (trace_bytes(received[(name, label)], tmp_path, "shared.csv")
                     == trace_bytes(Trace.concat(fresh), tmp_path, "fresh.csv")), (name, label)
 
@@ -238,8 +243,8 @@ def test_chase_action_vector_matches_scalar():
 
 
 def test_rollout_rejects_bad_actions(bundle):
-    env = ReserveEnv(bundle.train, bundle.factors, EnvConfig(), np.random.default_rng(0))
-    paths = env.draw_paths(3)
+    env = ReserveEnv(bundle.train, bundle.factors, EnvConfig())
+    paths = env.draw_paths(np.random.default_rng(0), Stochastic(0), 3)
     for bad in (np.array([0, 1]), np.array([0, 1, 7]), np.array([0, -1, 2]),
                 np.array([0.0, 1.0, 2.0])):
         with pytest.raises(ConfigError, match=r"policy must return 3 action indices in \[0, "):
@@ -306,9 +311,9 @@ def test_training_matches_scalar(bundle, case, tmp_path, monkeypatch):
             generators.append(make_rng(seed))
             return generators[-1]
 
-        def make_env(mode, rng):
+        def make_env():
             cfg = EnvConfig(**env_kwargs)
-            envs.append(ReserveEnv(bundle.train, bundle.factors, cfg, rng, mode))
+            envs.append(ReserveEnv(bundle.train, bundle.factors, cfg))
             return envs[-1]
 
         with monkeypatch.context() as patch:

@@ -65,6 +65,9 @@ def test_spec_validation():
         SyntheticSpec(n_years=1)
     with pytest.raises(ValueError):
         SyntheticSpec(n_years=11)  # profile covers ten lags at most
+    for ratio in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^loss ratio must be finite and positive, got "):
+            SyntheticSpec(loss_ratio=ratio)
 
 
 def test_zero_noise_reproduces_profile_exactly():
@@ -97,11 +100,30 @@ def test_feeds_the_standard_pipeline():
 def test_script_reports_a_year_count_it_cannot_build_as_a_usage_error(tmp_path, years, message):
     """``scripts/make_synthetic_data.py`` refuses the count through argparse:
     exit 2, its usage, one ``error:`` line and no traceback or file."""
+    assert_script_usage_error(tmp_path, ["--years", str(years)], message)
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--loss-ratio", "-1", "loss ratio must be finite and positive, got -1.0"),
+    ("--loss-ratio", "nan", "loss ratio must be finite and positive, got nan"),
+    ("--loss-ratio", "0", "loss ratio must be finite and positive, got 0.0"),
+    ("--seed", "-1", "--seed must be >= 0, got -1"),
+])
+def test_script_reports_a_loss_ratio_or_seed_it_cannot_use_as_a_usage_error(
+        tmp_path, option, value, message):
+    """A loss ratio that would make negative, undefined or all-zero losses,
+    and a seed numpy cannot take, are refused like a year count."""
+    assert_script_usage_error(tmp_path, [option, value], message)
+
+
+def assert_script_usage_error(tmp_path, argv, message):
+    """The script run with ``argv`` exits 2 with its usage, one ``error:``
+    line and no traceback or file."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     out = tmp_path / "triangle.csv"
     done = subprocess.run(
         [sys.executable, os.path.join(root, "scripts", "make_synthetic_data.py"),
-         "--years", str(years), "--out", str(out)],
+         *argv, "--out", str(out)],
         env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
         capture_output=True, text=True, timeout=120,
     )

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import time
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Sequence
@@ -36,6 +35,7 @@ from .nets import (
     mlp_rows,
     softmax,
 )
+from .parallel import map_split, one_blas_thread
 from .regimes import CurriculumSchedule, Stochastic
 
 log = logging.getLogger(__name__)
@@ -45,9 +45,6 @@ N_ACTIONS = len(ACTION_GRID)
 
 #: Divisor that maps the regime level into the observation's unit range.
 LEVEL_SCALE = 3.0
-
-#: Worker processes read their BLAS thread count from this variable at start.
-_BLAS_THREADS = "OPENBLAS_NUM_THREADS"
 
 
 def _mean(x: np.ndarray) -> float:
@@ -277,14 +274,7 @@ class Batch:
         return int(self.actions.size)
 
     def select(self, idx: np.ndarray) -> "Batch":
-        return Batch(
-            obs=self.obs[idx],
-            actions=self.actions[idx],
-            old_logp=self.old_logp[idx],
-            advantages=self.advantages[idx],
-            returns=self.returns[idx],
-            values=self.values[idx],
-        )
+        return Batch(*(getattr(self, f.name)[idx] for f in fields(self)))
 
 
 @dataclass
@@ -558,46 +548,16 @@ def train_seed(
     return SeedRun(seed, agent, log_rows, stats, len(log_rows) * horizon)
 
 
-def _pooled_runs(jobs: Sequence[TrainJob], n_procs: int) -> list[SeedRun]:
-    import concurrent.futures
-    import multiprocessing
-
-    with concurrent.futures.ProcessPoolExecutor(
-        n_procs, mp_context=multiprocessing.get_context("spawn")
-    ) as pool:
-        return list(pool.map(train_seed, *zip(*jobs)))
-
-
-def _stop_resource_tracker(tracker: object) -> None:
-    """Stop the resource tracker a pool started, which would otherwise
-    outlive the call as a child of this process.
-
-    ``_stop`` is private to CPython; where it is missing or fails, the
-    tracker runs on until this process exits.  Call it only once the pool
-    is gone (:func:`_pooled_runs` has returned): a pool semaphore freed
-    later unregisters itself and so starts the tracker again.
-    """
-    try:
-        tracker._stop()  # type: ignore[attr-defined]
-    except (AttributeError, OSError, RuntimeError):  # never hide the results or the error
-        log.debug("resource tracker left running", exc_info=True)
-
-
 def train_curriculum(jobs: Sequence[TrainJob], workers: int = 1) -> list[SeedRun]:
     """Train one policy per job along the regime curriculum (see
     :func:`train_seed`), the runs in job order.
 
-    With more than one worker and job, the jobs run in a pool of
-    ``min(workers, len(jobs))`` processes started by ``spawn``, with
-    ``OPENBLAS_NUM_THREADS=1`` in their environment so they do not
-    oversubscribe the cores (``fork`` would copy a parent whose BLAS threads
-    already run, and a ``forkserver`` would outlive the call as the
-    caller's child).  No process the call starts outlives a call that
-    returns.  Each job then needs a factory that pickles, such as
-    :class:`EnvFactory`; with one worker, ``make_env`` may be any callable
-    ``() -> ReserveEnv``.  A job's outputs depend on its seed
-    alone, so they are the serial run's bit for bit, and an exception
-    raised in a worker reaches the caller with its type.
+    The jobs are dealt to up to ``workers`` processes by
+    :func:`~reserve_rl.parallel.map_split`, with numpy's OpenBLAS on one
+    thread per process for the whole call
+    (:func:`~reserve_rl.parallel.one_blas_thread`), or all trained in the
+    caller where no OpenBLAS is found to pin.  A job's outputs depend on
+    its seed alone, so they are the serial run's bit for bit.
 
     Raises:
         ConfigError: ``workers`` is below 1.
@@ -605,25 +565,9 @@ def train_curriculum(jobs: Sequence[TrainJob], workers: int = 1) -> list[SeedRun
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     started = time.perf_counter()
-    n_procs = min(workers, len(jobs))
-    if n_procs > 1:
-        from multiprocessing import resource_tracker
-
-        tracker = getattr(resource_tracker, "_resource_tracker", None)
-        tracker_was_running = getattr(tracker, "_fd", None) is not None
-        saved = os.environ.get(_BLAS_THREADS)
-        os.environ[_BLAS_THREADS] = "1"
-        try:
-            runs = _pooled_runs(jobs, n_procs)
-        finally:
-            if saved is None:
-                del os.environ[_BLAS_THREADS]
-            else:
-                os.environ[_BLAS_THREADS] = saved
-            if not tracker_was_running:
-                _stop_resource_tracker(tracker)
-    else:
-        runs = [train_seed(*job) for job in jobs]
+    with one_blas_thread() as pinned:
+        n_procs = min(workers, len(jobs)) if pinned else 1
+        runs = map_split(lambda i: train_seed(*jobs[i]), len(jobs), n_procs)
     seconds = time.perf_counter() - started
     steps = sum(run.env_steps for run in runs)
     log.info("trained %d policies on %d workers in %.2f s (%.0f env steps/s)",

@@ -26,6 +26,7 @@ import os
 import sys
 import time
 from dataclasses import replace
+from typing import Callable
 
 import numpy as np
 
@@ -277,9 +278,10 @@ def _trace_writer(directory: str) -> TraceSink:
 
 
 def _policy_outcome(args: argparse.Namespace, cfg: RunConfig, data: IngestArtifacts,
-                    eval_factory: EnvFactory, traces: TraceSink | None) -> EvalOutcome:
+                    eval_factory: EnvFactory) -> Callable[[TraceSink | None], EvalOutcome]:
     """``evaluate``: the trained policies and the three static baselines in
-    each regime; ``stress``: the policies alone under each fixed shock."""
+    each regime; ``stress``: the policies alone under each fixed shock.
+    The policies load now; the returned call scores them, given the sink."""
     seeds = cfg.run.seeds
     policies = _load_policies(args.policies or os.path.join(args.out, "train"), seeds, cfg)
     models = {"rl_cvar": greedy_model(policies)}
@@ -289,19 +291,13 @@ def _policy_outcome(args: argparse.Namespace, cfg: RunConfig, data: IngestArtifa
         models.update(classical_models(data.factors, elr, boot))
     else:
         conditions = stress_conditions(cfg.eval.shocks)
-    return evaluate_models(
-        models,
-        eval_factory,
-        drawn_conditions(eval_factory, conditions, cfg.eval.episodes, cfg.eval.crn_base),
-        seeds,
-        lob=cfg.run.lob,
-        traces=traces,
-        workers=_usable_cores(),
-    )
+    drawn = drawn_conditions(eval_factory, conditions, cfg.eval.episodes, cfg.eval.crn_base)
+    return lambda traces: evaluate_models(models, eval_factory, drawn, seeds, lob=cfg.run.lob,
+                                          traces=traces, workers=_usable_cores())
 
 
 def _sensitivity_outcome(args: argparse.Namespace, cfg: RunConfig, data: IngestArtifacts,
-                         eval_factory: EnvFactory, _traces: None) -> EvalOutcome:
+                         eval_factory: EnvFactory) -> Callable[[None], EvalOutcome]:
     """Retrained policies over the ``[eval] sweep_alphas`` x floor form
     grid, one ``alpha:<a>;floor:<form>`` cell each (no traces), all replaying
     one draw from the unswept factory: a draw reads neither ``alpha`` nor ``floor``."""
@@ -313,12 +309,12 @@ def _sensitivity_outcome(args: argparse.Namespace, cfg: RunConfig, data: IngestA
     levels = [Stochastic(level) for level in cfg.eval.regimes]
     [(_, paths)] = drawn_conditions(eval_factory, [("sweep", levels)],
                                     cfg.eval.sweep_episodes_per_level, cfg.eval.crn_base)
-    return sensitivity_sweep(cells, cfg.ppo, cfg.regimes, cfg.run.seeds, paths,
-                             lob=cfg.run.lob, workers=_usable_cores())
+    return lambda _traces: sensitivity_sweep(cells, cfg.ppo, cfg.regimes, cfg.run.seeds, paths,
+                                             lob=cfg.run.lob, workers=_usable_cores())
 
 
-#: Subcommand -> (output directory, metrics table name, outcome function,
-#: the ``[eval]`` lists it runs over).
+#: Subcommand -> (output directory, metrics table name, input reader that
+#: returns the scoring call, the ``[eval]`` lists it runs over).
 _EVALUATIONS = {
     "evaluate": ("eval", "metrics", _policy_outcome, ("regimes",)),
     "stress": ("stress", "stress_metrics", _policy_outcome, ("shocks",)),
@@ -332,18 +328,19 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     ingested data, writing each condition's traces as it finishes under
     ``--traces``, then write the metrics table with its sidecar and the
     manifest.  An empty ``[eval]`` list the command runs over is refused
-    before anything is read."""
+    before anything is read, the policies before the directory is made."""
     directory, table, outcome_of, lists = _EVALUATIONS[args.command]
     for key in lists:
         if not getattr(cfg.eval, key):
             raise ConfigError(f"[eval] {key} is empty: {args.command} needs at least one value")
     data = IngestArtifacts(args.data or os.path.join(args.out, "ingest"))
     _, eval_factory = _factories(data, cfg)
+    score = outcome_of(args, cfg, data, eval_factory)
     out = _outdir(args, directory)
     sink = None
     if getattr(args, "traces", False):
         sink = _trace_writer(os.path.join(out, "traces"))
-    outcome = outcome_of(args, cfg, data, eval_factory, sink)
+    outcome = score(sink)
     emit_report(outcome.rows, os.path.join(out, f"{table}.csv"), sidecar={
         "config_fingerprint": config_fingerprint(cfg),
         "seeds": list(cfg.run.seeds),
@@ -454,18 +451,11 @@ def main(argv: list[str] | None = None) -> int:
         code = _COMMANDS[args.command](args, cfg)
         log.info("%s finished in %.2f s", args.command, time.perf_counter() - started)
         return code
-    except ConfigError as exc:
+    except (ReserveRlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ReserveRlError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, NumericalError):
+            return 3
+        return 2 if isinstance(exc, (DataError, OSError)) else 1
 
 
 if __name__ == "__main__":

@@ -572,8 +572,7 @@ class ReserveEnv:
 @dataclass(frozen=True)
 class EnvFactory:
     """Builds fresh environments over one triangle: ``factory()`` is a
-    :class:`ReserveEnv` under ``config`` with an empty tail buffer.  Plain
-    data, so it pickles into worker processes."""
+    :class:`ReserveEnv` under ``config`` with an empty tail buffer."""
 
     triangle: LossTriangle
     factors: DevelopmentFactors

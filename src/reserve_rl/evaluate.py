@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import logging
 import statistics
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -32,8 +31,9 @@ import numpy as np
 from .agent import PPOConfig, act_greedy, observe, train_curriculum
 from .artifacts import field_names, field_values, write_json, write_records
 from .env import EnvFactory, LossPaths, Model, ReserveEnv, Trace
-from .errors import ConfigError, DataError, ReserveRlError
+from .errors import ConfigError, DataError
 from .nets import MLPParams
+from .parallel import map_split
 from .regimes import CurriculumSchedule, FixedShock, ShockMode, Stochastic
 from .risk import tail_estimate
 
@@ -200,80 +200,6 @@ class EvalOutcome:
         return MetricSet(*map(statistics.median, zip(*map(field_values(MetricSet), sets))))
 
 
-def _send_results(run: Callable[[int], EvalOutcome], share: range, conn) -> None:
-    """A forked child's side of :func:`_map_split`: ``(True, run(i))`` for
-    each ``i`` of ``share`` in order, or ``(False, exception)`` and stop."""
-    with conn:
-        for i in share:
-            try:
-                conn.send((True, run(i)))
-            except Exception as exc:
-                conn.send((False, exc))
-                return
-
-
-def _map_split(run: Callable[[int], EvalOutcome], n: int, workers: int) -> list[EvalOutcome]:
-    """``[run(i) for i in range(n)]``, the indices dealt round-robin to
-    ``min(workers, n)`` processes: the caller runs ``0, P, 2P, ...`` and
-    ``fork``-started children the rest, each sending its results back
-    through a pipe as it goes.  An exception reaches the caller with its
-    type; when several indices raise, the lowest one's does, as in the
-    loop.  No child outlives the call.  Serial where ``fork`` is not
-    offered."""
-    n_procs = min(workers, n)
-    if n_procs > 1:
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            n_procs = 1
-    if n_procs <= 1:
-        return [run(i) for i in range(n)]
-    ctx = multiprocessing.get_context("fork")
-    sys.stdout.flush()
-    sys.stderr.flush()
-    children = []
-    complete = False
-    try:
-        for p in range(1, n_procs):
-            reader, writer = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_send_results, args=(run, range(p, n, n_procs), writer))
-            child.start()
-            writer.close()
-            children.append((child, reader))
-        results: dict[int, EvalOutcome] = {}
-        error: tuple[int, BaseException] | None = None
-        for i in range(0, n, n_procs):
-            try:
-                results[i] = run(i)
-            except Exception as exc:
-                error = (i, exc)
-                break
-        for p, (child, reader) in enumerate(children, 1):
-            for i in range(p, n, n_procs):
-                if error is not None and i > error[0]:
-                    break
-                try:
-                    ok, value = reader.recv()
-                except EOFError:
-                    child.join()
-                    ok, value = False, ReserveRlError(
-                        f"worker exited with code {child.exitcode} before returning item {i}")
-                if not ok:
-                    error = (i, value)
-                    break
-                results[i] = value
-        if error is not None:
-            raise error[1]
-        complete = True
-        return [results[i] for i in range(n)]
-    finally:
-        for child, reader in children:
-            if not complete:
-                child.terminate()
-            child.join()
-            reader.close()
-
-
 def evaluate_models(
     models: Mapping[str, Model],
     make_env: EnvFactory,
@@ -295,14 +221,13 @@ def evaluate_models(
     so no process holds more than one condition's paths and traces at a
     time.  A row's ``n_episodes`` counts its first seed's episodes.
 
-    The conditions are dealt round-robin to ``min(workers, len(conditions))``
-    processes, the caller and children started by ``fork`` (see
-    :func:`_map_split`), each running the same per-condition loop, and the
-    outcome is merged in condition order, so it is the serial one whatever
-    ``workers`` is.  A condition's sink call runs in the process that
-    evaluated it, so with ``workers`` above 1 a sink must act on files,
-    not on the caller's memory.  The timing line covers the whole call,
-    sink calls included.
+    The conditions are dealt to up to ``workers`` processes by
+    :func:`~reserve_rl.parallel.map_split`, each running the same
+    per-condition loop, and merged in condition order, so the outcome is
+    the serial one whatever ``workers`` is.  A condition's sink call runs
+    in the process that evaluated it, so with ``workers`` above 1 a sink
+    must act on files, not on the caller's memory.  The timing line covers
+    the whole call, sink calls included.
 
     Raises:
         ConfigError: Two conditions share a label, or ``workers`` is below
@@ -341,7 +266,7 @@ def evaluate_models(
         return outcome
 
     outcome = EvalOutcome()
-    for part in _map_split(run, len(conditions), workers):
+    for part in map_split(run, len(conditions), workers):
         outcome.rows += part.rows
         outcome.per_seed.update(part.per_seed)
     seconds = time.perf_counter() - started

@@ -11,6 +11,7 @@ import pytest
 from conftest import triangle_from_arrays
 
 from reserve_rl import agent as agent_module
+from reserve_rl import parallel
 from reserve_rl.agent import (
     N_ACTIONS,
     OBS_DIM,
@@ -372,11 +373,10 @@ def has_child_process() -> bool:
     return True
 
 
-# The resource tracker must stop only once the pool's semaphores are
-# freed; stopped before, it unlinks them and their finalizers then fail.
+# Freeing the split's pipes and child handles must raise nothing unraisable.
 @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 def test_train_curriculum_workers_are_bitwise_serial(bundle):
-    """Three seeds on two spawned workers (one worker trains two) equal the
+    """Three seeds on two forked workers (the caller trains two) equal the
     serial run bit for bit, at a minibatch and width where the parent's
     BLAS may use several threads."""
     config = PPOConfig(batch_size=300, minibatch_size=256, epochs=2, hidden=(64, 64))
@@ -388,7 +388,7 @@ def test_train_curriculum_workers_are_bitwise_serial(bundle):
     had_children = has_child_process()
     pooled = train_curriculum(jobs, workers=2)
     assert has_child_process() == had_children  # no worker or helper left behind
-    gc.collect()  # nor one restarted by the pool's semaphores when freed
+    gc.collect()  # nor one started when the split's objects are freed
     assert has_child_process() == had_children
     assert [run.seed for run in pooled] == list(seeds)
     for pooled_run, serial_run in zip(pooled, serial):
@@ -403,21 +403,40 @@ def test_train_curriculum_workers_are_bitwise_serial(bundle):
         train_curriculum(jobs, workers=0)
 
 
-def test_pooled_results_survive_a_tracker_that_will_not_stop(bundle, monkeypatch):
-    """Stopping multiprocessing's resource tracker uses CPython internals;
-    where they are missing, training still returns its results."""
-    from multiprocessing import resource_tracker
-
-    tracker = resource_tracker._resource_tracker
-    monkeypatch.setattr(resource_tracker, "_resource_tracker", None)
+def test_train_curriculum_without_openblas_trains_in_the_caller(bundle, monkeypatch):
+    """Where no OpenBLAS can be pinned, two workers start no child and
+    return the serial run's bits."""
     config = PPOConfig(batch_size=20, minibatch_size=10, epochs=1, hidden=(4,))
     schedule = CurriculumSchedule(levels=(0,), episodes_per_level=4, ramp_episodes=1)
     factory = EnvFactory(bundle.train, bundle.factors, EnvConfig(horizon=bundle.horizon))
     jobs = [(factory, config, schedule, seed) for seed in (1, 2)]
-    try:
-        pooled = train_curriculum(jobs, workers=2)
-    finally:
-        tracker._stop()
     serial = train_curriculum(jobs, workers=1)
-    assert [run.log for run in pooled] == [run.log for run in serial]
-    assert [run.update_stats for run in pooled] == [run.update_stats for run in serial]
+
+    def no_fork():
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(parallel, "openblas", lambda: None)
+    monkeypatch.setattr(os, "fork", no_fork)
+    had_children = has_child_process()
+    unpinned = train_curriculum(jobs, workers=2)
+    assert has_child_process() == had_children
+    assert [run.seed for run in unpinned] == [1, 2]
+    for ours, ref in zip(unpinned, serial):
+        assert ours.agent.vector.tobytes() == ref.agent.vector.tobytes()
+        assert ours.log == ref.log
+        assert ours.update_stats == ref.update_stats
+
+
+def test_openblas_is_found_where_numpy_names_it():
+    """A numpy built against OpenBLAS must have it found, or every training
+    would quietly run in one process."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas.lower():
+        pytest.skip(f"numpy uses {blas}, not OpenBLAS")
+    found = parallel.openblas()
+    assert found is not None
+    get = found[0]
+    saved = get()
+    with parallel.one_blas_thread() as pinned:
+        assert pinned and get() == 1
+    assert get() == saved

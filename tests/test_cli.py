@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import reserve_rl.cli as cli
+from reserve_rl import parallel
 from reserve_rl.cli import IngestArtifacts, main
 from reserve_rl.agent import PPOConfig, train_curriculum
 from reserve_rl.config import RunConfig, config_to_ini, load_config
@@ -383,24 +384,61 @@ def test_runs_where_the_os_has_no_affinity(monkeypatch, capsys):
     assert cli._usable_cores() == (os.cpu_count() or 1)
 
 
-def refusing_factory():
-    blas = os.environ.get("OPENBLAS_NUM_THREADS")
-    raise NumericalError(f"refused in process {os.getpid()}, BLAS threads {blas}")
+class ChildRefusing:
+    """An environment factory that builds in the calling process and, in
+    any other, refuses with its process id and BLAS thread count."""
+
+    def __init__(self, factory):
+        self.factory, self.caller = factory, os.getpid()
+
+    def __call__(self):
+        if os.getpid() == self.caller:
+            return self.factory()
+        get_threads = parallel.openblas()[0]
+        raise NumericalError(f"refused in process {os.getpid()}, BLAS threads {get_threads()}")
 
 
+@pytest.mark.skipif(parallel.openblas() is None, reason="no OpenBLAS to pin: training is serial")
 def test_worker_error_keeps_type_and_exit_code(pipeline, tmp_path, monkeypatch):
+    """The caller trains seed 1 and a forked child seed 2, whose refusal
+    reaches the caller with its type and the exit code; the child ran on
+    one BLAS thread, and the caller's count is restored."""
     config = PPOConfig(batch_size=10, minibatch_size=5, hidden=(4,))
     schedule = CurriculumSchedule(levels=(0,), episodes_per_level=2, ramp_episodes=1)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
-    with pytest.raises(NumericalError, match="BLAS threads 1$") as raised:
-        train_curriculum([(refusing_factory, config, schedule, seed) for seed in (1, 2)],
-                         workers=2)
+    data = IngestArtifacts(os.path.join(pipeline["out"], "ingest"))
+    train_factory, _ = cli._factories(data, load_config(pipeline["config"]))
+    get_threads, set_threads, _ = parallel.openblas()
+    saved = get_threads()
+    set_threads(3)
+    try:
+        with pytest.raises(NumericalError, match="BLAS threads 1$") as raised:
+            train_curriculum([(ChildRefusing(train_factory), config, schedule, seed)
+                              for seed in (1, 2)], workers=2)
+        assert get_threads() == 3
+    finally:
+        set_threads(saved)
     assert f"process {os.getpid()}," not in str(raised.value)
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
-    monkeypatch.setattr(cli, "_factories", lambda *a, **k: (refusing_factory, refusing_factory))
+    assert_no_child_process()
+    factories = cli._factories
+    monkeypatch.setattr(cli, "_factories", lambda *a, **k: tuple(
+        ChildRefusing(factory) for factory in factories(*a, **k)))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert main(["--config", pipeline["config"], "--out", str(tmp_path / "runs"), "train",
                  "--data", os.path.join(pipeline["out"], "ingest")]) == 3
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("command, directory", [("evaluate", "eval"), ("stress", "stress")])
+def test_missing_policies_are_refused_before_the_stage_directory(pipeline, tmp_path, capsys,
+                                                                 command, directory):
+    """``evaluate`` or ``stress`` with no trained policies exits 2 and
+    leaves no stage directory behind."""
+    out = tmp_path / "runs"
+    assert main(["--config", pipeline["config"], "--out", str(out), command,
+                 "--data", os.path.join(pipeline["out"], "ingest")]) == 2
+    missing = os.path.join(str(out), "train", "policy_seed1.json")
+    assert capsys.readouterr().err.startswith(f"error: missing trained policy {missing!r}")
+    assert not (out / directory).exists()
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate", "stress", "sensitivity"])

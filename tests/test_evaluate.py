@@ -5,6 +5,7 @@ import logging
 import multiprocessing
 import os
 import re
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,6 +26,7 @@ import reserve_rl.evaluate as evaluate_module
 from reserve_rl.config import FLOOR_FORMS
 from reserve_rl.env import EnvConfig, EnvFactory, ReserveEnv, Trace
 from reserve_rl.errors import ConfigError, DataError, ReserveRlError
+from reserve_rl.parallel import map_split
 from reserve_rl.evaluate import (
     MIN_TAIL_SAMPLES,
     RAR_LOSS_EPS,
@@ -405,9 +407,31 @@ def test_map_split_reports_a_worker_that_exits_without_its_result():
 
     with pytest.raises(ReserveRlError,
                        match=r"^worker exited with code 7 before returning item 1$"):
-        evaluate_module._map_split(run, 6, 3)
+        map_split(run, 6, 3)
     with pytest.raises(ChildProcessError):  # every child was joined
         os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the split forks its workers")
+def test_map_split_children_run_their_share_before_the_caller_reads(tmp_path):
+    """A child runs its whole share while the caller is still busy with its
+    own: results far larger than a pipe's buffer wait in the child until
+    the caller reads them, so they never stall the child mid-share."""
+    last_done = tmp_path / "child-ran-item-3"
+    big = bytes(1 << 20)
+
+    def run(i):
+        if i == 0:  # the caller's first item waits for the child's last
+            deadline = time.monotonic() + 10
+            while not last_done.exists():
+                assert time.monotonic() < deadline, "the child stalled mid-share"
+                time.sleep(0.01)
+        if i == 3:
+            last_done.touch()
+        return big
+
+    assert map_split(run, 4, 2) == [big] * 4
 
 
 def test_evaluate_models_is_serial_where_fork_is_not_offered(monkeypatch):

@@ -22,8 +22,7 @@ def library_example() -> str:
 
 @pytest.mark.slow
 def test_library_use_example_runs(tmp_path):
-    """Run as a script of its own, so the spawned workers import it again
-    through its ``__main__`` guard."""
+    """Run as a script of its own, as a user runs it, with two workers."""
     triangle = tmp_path / "triangle.csv"
     write_triangle_csv(make_synthetic_triangle(SyntheticSpec(), seed=0), str(triangle))
     code = library_example()

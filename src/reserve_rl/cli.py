@@ -26,11 +26,11 @@ import os
 import sys
 import time
 from dataclasses import replace
-from typing import Callable
+from typing import Iterable
 
 import numpy as np
 
-from .agent import train_curriculum, write_training_log, write_update_log
+from .agent import N_ACTIONS, OBS_DIM, train_curriculum, write_training_log, write_update_log
 from .artifacts import git_blob_sha1, write_csv, write_json, write_records
 from .baselines import (
     BootstrapResult,
@@ -134,10 +134,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _outdir(args: argparse.Namespace, name: str) -> str:
-    path = os.path.join(args.out, name)
-    os.makedirs(path, exist_ok=True)
-    return path
+class _Stage:
+    """A command's directory under ``--out``, made on the first :meth:`path`
+    call, and its manifest, which lists exactly the names handed out."""
+
+    def __init__(self, args: argparse.Namespace, directory: str) -> None:
+        self.command = args.command
+        self.directory = os.path.join(args.out, directory)
+        self.names: list[str] = []
+
+    def path(self, name: str) -> str:
+        """Where to write output ``name``, relative to the stage directory."""
+        path = os.path.join(self.directory, name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        self.names.append(name)
+        return path
+
+    def finish(self, cfg: RunConfig, inputs: dict[str, str]) -> None:
+        """Write ``manifest.json``: ``inputs`` digested, and every name handed out."""
+        write_json(os.path.join(self.directory, "manifest.json"),
+                   build_manifest(self.command, cfg, inputs=inputs, outputs=self.names))
 
 
 class IngestArtifacts:
@@ -151,12 +167,15 @@ class IngestArtifacts:
             self.train = parse_triangle_csv(self.train_path)
             self.test = parse_triangle_csv(self.test_path)
             with open(self.factors_path) as handle:
-                doc = json.load(handle)
-            self.factors = DevelopmentFactors(factors=tuple(doc["factors"]))
+                factors = tuple(json.load(handle)["factors"])
         except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
             raise DataError(
                 f"ingest artifacts missing or unreadable in {directory!r}: {exc}"
             ) from exc
+        try:
+            self.factors = DevelopmentFactors(factors=factors)
+        except (DataError, NumericalError, TypeError) as exc:  # a bad file, not a numerical failure
+            raise DataError(f"corrupt factors file {self.factors_path!r}: {exc}") from exc
 
     def input_paths(self) -> dict[str, str]:
         return {
@@ -183,25 +202,18 @@ def _factories(
 
 
 def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
-    out = _outdir(args, "ingest")
     tri = parse_triangle_csv(args.triangle)
     normalized, params = normalize(tri, cfg.run.split)
     train_tri, test_tri = split_rolling_origin(normalized, cfg.run.split)
     factors = age_to_age_factors(train_tri)
 
-    train_path = os.path.join(out, "train_triangle.csv")
-    test_path = os.path.join(out, "test_triangle.csv")
-    write_triangle_csv(train_tri, train_path)
-    write_triangle_csv(test_tri, test_path)
+    stage = _Stage(args, "ingest")
+    write_triangle_csv(train_tri, stage.path("train_triangle.csv"))
+    write_triangle_csv(test_tri, stage.path("test_triangle.csv"))
     # the offset is always 0; the key stays so the artifact keeps its shape
-    write_json(os.path.join(out, "normalization.json"), {"scale": params.scale, "offset": 0.0})
-    write_json(os.path.join(out, "factors.json"), {"factors": list(factors.factors)})
-    write_json(os.path.join(out, "manifest.json"), build_manifest(
-        "ingest", cfg,
-        inputs={"triangle": args.triangle},
-        outputs=["train_triangle.csv", "test_triangle.csv",
-                 "normalization.json", "factors.json"],
-    ))
+    write_json(stage.path("normalization.json"), {"scale": params.scale, "offset": 0.0})
+    write_json(stage.path("factors.json"), {"factors": list(factors.factors)})
+    stage.finish(cfg, {"triangle": args.triangle})
     print(f"ingest: {tri.n_accident_years} years -> "
           f"{train_tri.n_accident_years} train / {test_tri.n_accident_years} test, "
           f"scale {params.scale!r}")
@@ -211,37 +223,39 @@ def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     data = IngestArtifacts(args.data or os.path.join(args.out, "ingest"))
     train_factory, _ = _factories(data, cfg)
-    out = _outdir(args, "train")
     runs = train_curriculum(
         [(train_factory, cfg.ppo, cfg.regimes, seed) for seed in cfg.run.seeds], _usable_cores())
 
+    stage = _Stage(args, "train")
     fingerprint = config_fingerprint(cfg)
-    outputs = ["training_log.csv", "updates.csv"]
     for run in runs:
-        name = f"policy_seed{run.seed}.json"
-        save_networks(os.path.join(out, name), run.agent.policy, run.agent.value,
-                      fingerprint, run.seed)
-        outputs.append(name)
-    write_training_log(runs, os.path.join(out, "training_log.csv"))
-    write_update_log(runs, os.path.join(out, "updates.csv"))
-    write_json(os.path.join(out, "manifest.json"),
-               build_manifest("train", cfg, inputs=data.input_paths(), outputs=outputs))
+        save_networks(stage.path(f"policy_seed{run.seed}.json"), run.agent.policy,
+                      run.agent.value, fingerprint, run.seed)
+    write_training_log(runs, stage.path("training_log.csv"))
+    write_update_log(runs, stage.path("updates.csv"))
+    stage.finish(cfg, data.input_paths())
     for run in runs:
         print(f"train: seed {run.seed} finished with {len(run.update_stats)} updates")
     return 0
 
 
 def _load_policies(directory: str, seeds: tuple[int, ...], cfg: RunConfig):
+    """Seed -> policy from ``directory``; networks the agent cannot act with are refused."""
     fingerprint = config_fingerprint(cfg)
     policies = {}
     for seed in seeds:
         path = os.path.join(directory, f"policy_seed{seed}.json")
         try:
-            policy, _value, saved_fp, saved_seed = load_networks(path)
+            policy, value, saved_fp, saved_seed = load_networks(path)
         except OSError as exc:
             raise DataError(f"missing trained policy {path!r}: {exc}") from exc
         if saved_seed != seed:
             raise DataError(f"{path!r} holds seed {saved_seed}, expected {seed}")
+        for name, net, n_out in (("policy", policy, N_ACTIONS), ("value", value, 1)):
+            widths = (net.weights[0].shape[0], net.weights[-1].shape[1])
+            if widths != (OBS_DIM, n_out):
+                raise DataError(f"{path!r} holds a {name} network of {widths[0]} inputs and "
+                                f"{widths[1]} outputs, expected {OBS_DIM} and {n_out}")
         if saved_fp != fingerprint:
             log.warning("policy %s was trained under a different config fingerprint", path)
         policies[seed] = policy
@@ -265,42 +279,78 @@ def _trace_name(model: str, label: str) -> str:
     return f"{model}__{safe}.csv"
 
 
-def _trace_writer(directory: str) -> TraceSink:
-    """Sink writing each condition's traces into ``directory`` with one
-    :func:`write_traces` call, files named by :func:`_trace_name`."""
-    os.makedirs(directory, exist_ok=True)
+def _trace_writer(stage: _Stage, models: Iterable[str], labels: Iterable[str]) -> TraceSink:
+    """Sink writing each condition's traces with one :func:`write_traces`
+    call, to paths taken from ``stage`` now, one per (model, condition
+    label) and named by :func:`_trace_name`: a forked child writes to the
+    paths the caller's manifest lists."""
+    paths = {(model, label): stage.path(os.path.join("traces", _trace_name(model, label)))
+             for model in models for label in labels}
 
     def write(label: str, traces: dict[str, Trace]) -> None:
-        write_traces([os.path.join(directory, _trace_name(model, label)) for model in traces],
-                     list(traces.values()))
+        write_traces([paths[model, label] for model in traces], list(traces.values()))
 
     return write
 
 
-def _policy_outcome(args: argparse.Namespace, cfg: RunConfig, data: IngestArtifacts,
-                    eval_factory: EnvFactory) -> Callable[[TraceSink | None], EvalOutcome]:
+def _require(cfg: RunConfig, command: str, *keys: str) -> None:
+    """Refuse an empty ``[eval]`` list that ``command`` runs over."""
+    for key in keys:
+        if not getattr(cfg.eval, key):
+            raise ConfigError(f"[eval] {key} is empty: {command} needs at least one value")
+
+
+def _report(stage: _Stage, table: str, outcome: EvalOutcome, cfg: RunConfig,
+            data: IngestArtifacts) -> None:
+    """Write the metrics table, its sidecar (which :func:`emit_report`
+    puts next to the table) and the manifest; print one line per row."""
+    table_path = stage.path(f"{table}.csv")
+    stage.path(f"{table}.json")
+    emit_report(outcome.rows, table_path, sidecar={
+        "config_fingerprint": config_fingerprint(cfg),
+        "seeds": list(cfg.run.seeds),
+        "inputs": {name: git_blob_sha1(p) for name, p in data.input_paths().items()},
+    })
+    stage.finish(cfg, data.input_paths())
+    for row in outcome.rows:
+        print(f"{stage.command}: {row.model:20s} {row.condition:28s} rar={row.rar:.3f} "
+              f"cvar95={row.cvar95:.4f} ces={row.ces:.3f} rvr={row.rvr:.3f}")
+
+
+def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     """``evaluate``: the trained policies and the three static baselines in
     each regime; ``stress``: the policies alone under each fixed shock.
-    The policies load now; the returned call scores them, given the sink."""
+    Under ``--traces`` each condition's traces are written as it finishes."""
+    evaluate = args.command == "evaluate"
+    _require(cfg, args.command, "regimes" if evaluate else "shocks")
+    data = IngestArtifacts(args.data or os.path.join(args.out, "ingest"))
+    _, eval_factory = _factories(data, cfg)
     seeds = cfg.run.seeds
     policies = _load_policies(args.policies or os.path.join(args.out, "train"), seeds, cfg)
     models = {"rl_cvar": greedy_model(policies)}
-    if args.command == "evaluate":
+    if evaluate:
         conditions = regime_conditions(cfg.eval.regimes)
         elr, boot = _elr_and_bootstrap(data.train, data.factors, cfg)
         models.update(classical_models(data.factors, elr, boot))
     else:
         conditions = stress_conditions(cfg.eval.shocks)
     drawn = drawn_conditions(eval_factory, conditions, cfg.eval.episodes, cfg.eval.crn_base)
-    return lambda traces: evaluate_models(models, eval_factory, drawn, seeds, lob=cfg.run.lob,
-                                          traces=traces, workers=_usable_cores())
+
+    stage = _Stage(args, "eval" if evaluate else "stress")
+    sink = _trace_writer(stage, models, [label for label, _ in drawn]) if args.traces else None
+    outcome = evaluate_models(models, eval_factory, drawn, seeds, lob=cfg.run.lob,
+                              traces=sink, workers=_usable_cores())
+    _report(stage, "metrics" if evaluate else "stress_metrics", outcome, cfg, data)
+    return 0
 
 
-def _sensitivity_outcome(args: argparse.Namespace, cfg: RunConfig, data: IngestArtifacts,
-                         eval_factory: EnvFactory) -> Callable[[None], EvalOutcome]:
+def cmd_sensitivity(args: argparse.Namespace, cfg: RunConfig) -> int:
     """Retrained policies over the ``[eval] sweep_alphas`` x floor form
-    grid, one ``alpha:<a>;floor:<form>`` cell each (no traces), all replaying
-    one draw from the unswept factory: a draw reads neither ``alpha`` nor ``floor``."""
+    grid, one ``alpha:<a>;floor:<form>`` cell each, all replaying one draw
+    from the unswept factory: a draw reads neither ``alpha`` nor ``floor``."""
+    _require(cfg, args.command, "regimes", "sweep_alphas")
+    data = IngestArtifacts(args.data or os.path.join(args.out, "ingest"))
+    _, eval_factory = _factories(data, cfg)
     cells = {
         sensitivity_label(alpha, name): _factories(data, cfg, alpha=alpha, floor=floor)
         for alpha in cfg.eval.sweep_alphas
@@ -309,69 +359,24 @@ def _sensitivity_outcome(args: argparse.Namespace, cfg: RunConfig, data: IngestA
     levels = [Stochastic(level) for level in cfg.eval.regimes]
     [(_, paths)] = drawn_conditions(eval_factory, [("sweep", levels)],
                                     cfg.eval.sweep_episodes_per_level, cfg.eval.crn_base)
-    return lambda _traces: sensitivity_sweep(cells, cfg.ppo, cfg.regimes, cfg.run.seeds, paths,
-                                             lob=cfg.run.lob, workers=_usable_cores())
-
-
-#: Subcommand -> (output directory, metrics table name, input reader that
-#: returns the scoring call, the ``[eval]`` lists it runs over).
-_EVALUATIONS = {
-    "evaluate": ("eval", "metrics", _policy_outcome, ("regimes",)),
-    "stress": ("stress", "stress_metrics", _policy_outcome, ("shocks",)),
-    "sensitivity": ("sensitivity", "sensitivity", _sensitivity_outcome,
-                    ("regimes", "sweep_alphas")),
-}
-
-
-def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
-    """``evaluate``, ``stress`` and ``sensitivity``: score models on the
-    ingested data, writing each condition's traces as it finishes under
-    ``--traces``, then write the metrics table with its sidecar and the
-    manifest.  An empty ``[eval]`` list the command runs over is refused
-    before anything is read, the policies before the directory is made."""
-    directory, table, outcome_of, lists = _EVALUATIONS[args.command]
-    for key in lists:
-        if not getattr(cfg.eval, key):
-            raise ConfigError(f"[eval] {key} is empty: {args.command} needs at least one value")
-    data = IngestArtifacts(args.data or os.path.join(args.out, "ingest"))
-    _, eval_factory = _factories(data, cfg)
-    score = outcome_of(args, cfg, data, eval_factory)
-    out = _outdir(args, directory)
-    sink = None
-    if getattr(args, "traces", False):
-        sink = _trace_writer(os.path.join(out, "traces"))
-    outcome = score(sink)
-    emit_report(outcome.rows, os.path.join(out, f"{table}.csv"), sidecar={
-        "config_fingerprint": config_fingerprint(cfg),
-        "seeds": list(cfg.run.seeds),
-        "inputs": {name: git_blob_sha1(p) for name, p in data.input_paths().items()},
-    })
-    outputs = [f"{table}.csv", f"{table}.json"]
-    if sink is not None:
-        outputs += [os.path.join("traces", _trace_name(model, label))
-                    for model, label in sorted((row.model, row.condition) for row in outcome.rows)]
-    write_json(os.path.join(out, "manifest.json"),
-               build_manifest(args.command, cfg, inputs=data.input_paths(), outputs=outputs))
-    for row in outcome.rows:
-        print(f"{args.command}: {row.model:20s} {row.condition:28s} rar={row.rar:.3f} "
-              f"cvar95={row.cvar95:.4f} ces={row.ces:.3f} rvr={row.rvr:.3f}")
+    outcome = sensitivity_sweep(cells, cfg.ppo, cfg.regimes, cfg.run.seeds, paths,
+                                lob=cfg.run.lob, workers=_usable_cores())
+    _report(_Stage(args, "sensitivity"), "sensitivity", outcome, cfg, data)
     return 0
 
 
 def cmd_baselines(args: argparse.Namespace, cfg: RunConfig) -> int:
-    out = _outdir(args, "baselines")
     tri = parse_triangle_csv(args.triangle)
     train_tri, _ = split_rolling_origin(tri, cfg.run.split)
     factors = age_to_age_factors(train_tri)
-
     rows = chain_ladder_ultimates(train_tri, factors)
     elr, boot = _elr_and_bootstrap(train_tri, factors, cfg)
     rows += bornhuetter_ferguson(train_tri, factors, elr)
-    write_records(os.path.join(out, "reserves.csv"), ReserveRow, rows)
-    write_json(os.path.join(out, "bootstrap.json"), _bootstrap_summary(boot, elr))
-    write_json(os.path.join(out, "manifest.json"),
-               build_manifest("baselines", cfg, inputs={"triangle": args.triangle},
-                              outputs=["reserves.csv", "bootstrap.json"]))
+
+    stage = _Stage(args, "baselines")
+    write_records(stage.path("reserves.csv"), ReserveRow, rows)
+    write_json(stage.path("bootstrap.json"), _bootstrap_summary(boot, elr))
+    stage.finish(cfg, {"triangle": args.triangle})
     total_cl = sum(r.reserve for r in rows if r.method == "chain_ladder")
     print(f"baselines: chain-ladder total reserve {total_cl!r}, "
           f"bootstrap mean {boot.mean!r} (sd {boot.stddev!r}), elr {elr!r}")
@@ -390,7 +395,6 @@ def _bootstrap_summary(boot: BootstrapResult, elr: float) -> dict:
 
 
 def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
-    out = _outdir(args, "reports")
     sources = [
         os.path.join(args.out, "eval", "metrics.csv"),
         os.path.join(args.out, "stress", "stress_metrics.csv"),
@@ -414,11 +418,10 @@ def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
         found.append(source)
     if header is None or not merged:
         raise DataError("no metric tables found to merge; run evaluate/stress/sensitivity first")
-    write_csv(os.path.join(out, "combined_metrics.csv"), header, merged)
-    write_json(os.path.join(out, "manifest.json"),
-               build_manifest("report", cfg,
-                              inputs={os.path.relpath(s, args.out): s for s in found},
-                              outputs=["combined_metrics.csv"]))
+
+    stage = _Stage(args, "reports")
+    write_csv(stage.path("combined_metrics.csv"), header, merged)
+    stage.finish(cfg, {os.path.relpath(s, args.out): s for s in found})
     print(f"report: merged {len(merged)} rows from {len(found)} tables")
     return 0
 
@@ -429,7 +432,7 @@ _COMMANDS = {
     "evaluate": cmd_evaluate,
     "stress": cmd_evaluate,
     "baselines": cmd_baselines,
-    "sensitivity": cmd_evaluate,
+    "sensitivity": cmd_sensitivity,
     "report": cmd_report,
 }
 

@@ -219,12 +219,21 @@ def _params_to_doc(params: MLPParams) -> dict:
     }
 
 
-def _params_from_doc(doc: dict) -> MLPParams:
+def _params_from_doc(doc: dict, name: str) -> MLPParams:
+    """The ``name`` network in ``doc``, refused (``ValueError``) unless it
+    has a layer, its weight and bias shapes chain and every value is finite."""
     arrays = [
         np.asarray(flat, dtype=float).reshape(shape)
-        for shape, flat in zip(doc["shapes"], doc["arrays"])
+        for shape, flat in zip(doc["shapes"], doc["arrays"], strict=True)
     ]
-    return MLPParams(weights=arrays[0::2], biases=arrays[1::2])
+    weights, biases = arrays[0::2], arrays[1::2]
+    paired = bool(weights) and len(weights) == len(biases) and all(
+        w.ndim == 2 and b.shape == w.shape[1:] for w, b in zip(weights, biases))
+    if not paired or any(w.shape[1] != v.shape[0] for w, v in zip(weights, weights[1:])):
+        raise ValueError(f"{name} layer shapes {[list(a.shape) for a in arrays]} do not chain")
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(f"non-finite {name} weight or bias")
+    return MLPParams(weights=weights, biases=biases)
 
 
 def save_networks(
@@ -251,7 +260,8 @@ def load_networks(path: str) -> tuple[MLPParams, MLPParams, str, int]:
 
     Raises:
         DataError: The file is not a network file of this format, or it
-            is corrupt or cut short.
+            is corrupt or cut short, or a network in it has no layers,
+            shapes that do not chain or a value that is not finite.
     """
     with open(path) as handle:
         try:
@@ -259,8 +269,8 @@ def load_networks(path: str) -> tuple[MLPParams, MLPParams, str, int]:
             if doc.get("format") != _FORMAT:
                 raise DataError(f"unrecognized network file format in {path}")
             return (
-                _params_from_doc(doc["policy"]),
-                _params_from_doc(doc["value"]),
+                _params_from_doc(doc["policy"], "policy"),
+                _params_from_doc(doc["value"], "value"),
                 doc["config_fingerprint"],
                 int(doc["seed"]),
             )

@@ -441,6 +441,86 @@ def test_missing_policies_are_refused_before_the_stage_directory(pipeline, tmp_p
     assert not (out / directory).exists()
 
 
+def _drop_last_policy_layer(doc):
+    for key in ("shapes", "arrays"):
+        del doc["policy"][key][-2:]
+
+
+def _cut_first_policy_weight(doc):
+    doc["policy"]["shapes"][0][0] = 3
+    doc["policy"]["arrays"][0] = doc["policy"]["arrays"][0][:3 * doc["policy"]["shapes"][0][1]]
+
+
+def _empty_value_net(doc):
+    doc["value"] = {"shapes": [], "arrays": []}
+
+
+def _nan_policy_weight(doc):
+    doc["policy"]["arrays"][0][0] = float("nan")
+
+
+@pytest.mark.parametrize("command, directory", [("evaluate", "eval"), ("stress", "stress")])
+@pytest.mark.parametrize("corrupt, message", [
+    pytest.param(_drop_last_policy_layer,
+                 "holds a policy network of 7 inputs and 8 outputs, expected 7 and",
+                 id="no_last_layer"),
+    pytest.param(_cut_first_policy_weight, "holds a policy network of 3 inputs and",
+                 id="three_inputs"),
+    pytest.param(_empty_value_net, "ValueError: value layer shapes [] do not chain",
+                 id="empty_value_net"),
+    pytest.param(_nan_policy_weight, "ValueError: non-finite policy weight or bias",
+                 id="nan_weight"),
+])
+def test_a_policy_file_the_agent_cannot_act_with_exits_2(pipeline, tmp_path, capsys, command,
+                                                         directory, corrupt, message):
+    """A policy file that parses but holds no network the agent can act
+    with (the wrong widths, no layers, a NaN) is refused as it loads: one
+    ``error:`` line naming the file, exit 2, no stage directory."""
+    policies = tmp_path / "train"
+    shutil.copytree(os.path.join(pipeline["out"], "train"), policies)
+    path = policies / "policy_seed1.json"
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "runs"
+    assert main(["--config", pipeline["config"], "--out", str(out), command,
+                 "--data", os.path.join(pipeline["out"], "ingest"),
+                 "--policies", str(policies)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and repr(str(path)) in line and message in line, line
+    assert not (out / directory).exists()
+
+
+def test_a_corrupt_factors_file_exits_2(pipeline, tmp_path, capsys):
+    """Factors refused as ``factors.json`` loads (one not positive, none, one
+    not a number) are a bad input file (exit 2, named, no ``train/``); a
+    factor refused as ``ingest`` computes it from the triangle stays a
+    numerical failure (exit 3, no ``ingest/``)."""
+    ingest = tmp_path / "ingest"
+    shutil.copytree(os.path.join(pipeline["out"], "ingest"), ingest)
+    path = ingest / "factors.json"
+    factors = json.loads(path.read_text())["factors"]
+    out = tmp_path / "runs"
+    for body, message in (
+        ([factors[0], -1.0, *factors[2:]], "development factor f_2 must be positive, got -1.0"),
+        ([], "no development factors"),
+        ([factors[0], "x", *factors[2:]], "must be real number, not str"),
+    ):
+        path.write_text(json.dumps({"factors": body}))
+        assert main(["--config", pipeline["config"], "--out", str(out), "train",
+                     "--data", str(ingest)]) == 2
+        assert capsys.readouterr().err == f"error: corrupt factors file {str(path)!r}: {message}\n"
+    triangle = tmp_path / "zero_tail.csv"
+    with open(pipeline["triangle"]) as handle:
+        # the one year seen at lag 10 develops to zero, so f_9 = 0
+        triangle.write_text(re.sub(r"^(\d+,10),[^,]*,[^,]*,", r"\1,0.0,0.0,", handle.read(),
+                                   flags=re.M))
+    assert main(["--config", pipeline["config"], "--out", str(out), "ingest",
+                 "--triangle", str(triangle)]) == 3
+    assert capsys.readouterr().err == "error: development factor f_9 must be positive, got 0.0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "evaluate", "stress", "sensitivity"])
 def test_a_horizon_the_factors_cannot_cover_is_refused_before_any_stage_directory(
         pipeline, tmp_path, capsys, command):
@@ -500,6 +580,53 @@ def test_missing_triangle_exits_2(tmp_path):
 
 def test_report_without_tables_exits_2(tmp_path):
     assert main(["--out", str(tmp_path / "runs"), "report"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["ingest", "--triangle", "BAD"], "BAD:1: expected header ", id="ingest"),
+    pytest.param(["baselines", "--triangle", "BAD"], "BAD:1: expected header ", id="baselines"),
+    pytest.param(["report"],
+                 "no metric tables found to merge; run evaluate/stress/sensitivity first",
+                 id="report"),
+])
+def test_refused_input_leaves_no_stage_directory(tmp_path, capsys, argv, message):
+    """A command that refuses its input exits 2 with one ``error:`` line
+    and makes nothing under ``--out``."""
+    bad = tmp_path / "bad.csv"
+    bad.write_text("year,lag,incurred\n2001,1,1.0\n")
+    out = tmp_path / "runs"
+    assert main(["--out", str(out)] + [str(bad) if a == "BAD" else a for a in argv]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: " + message.replace("BAD", str(bad))), line
+    assert not out.exists()
+
+
+def _files(directory):
+    """Every file under ``directory``, as sorted paths relative to it."""
+    return sorted(os.path.relpath(os.path.join(root, name), directory)
+                  for root, _, names in os.walk(directory) for name in names)
+
+
+def test_every_manifest_lists_exactly_its_stage_files(pipeline, tmp_path):
+    """On a pipeline run with ``--traces`` and ``sensitivity``, each stage's
+    manifest ``outputs`` are the files in its directory, its own aside."""
+    out = tmp_path / "runs"
+    for stage in ("ingest", "train"):
+        shutil.copytree(os.path.join(pipeline["out"], stage), out / stage)
+    base = ["--config", pipeline["config"], "--out", str(out)]
+    assert main(base + ["evaluate", "--traces"]) == 0
+    assert main(base + ["stress", "--traces"]) == 0
+    assert main(base + ["baselines", "--triangle", pipeline["triangle"]]) == 0
+    assert main(base + ["sensitivity"]) == 0
+    assert main(base + ["report"]) == 0
+    stages = sorted(os.listdir(out))
+    assert stages == ["baselines", "eval", "ingest", "reports", "sensitivity", "stress", "train"]
+    for stage in stages:
+        with open(out / stage / "manifest.json") as handle:
+            outputs = json.load(handle)["outputs"]
+        assert outputs == [name for name in _files(out / stage) if name != "manifest.json"], stage
+    assert len(_files(out / "eval" / "traces")) == 4 * 2
+    assert len(_files(out / "stress" / "traces")) == 2
 
 
 def test_empty_seed_list_in_config_exits_1(pipeline, tmp_path):

@@ -94,6 +94,8 @@ class PPOConfig:
                               f"got {self.max_grad_norm!r}")
         if not 0.0 <= self.value_coef < math.inf:
             raise ConfigError(f"value_coef must be >= 0 and finite, got {self.value_coef!r}")
+        if not math.isfinite(self.entropy_coef):
+            raise ConfigError(f"entropy_coef must be finite, got {self.entropy_coef!r}")
 
 
 def observe(state: EnvState) -> np.ndarray:

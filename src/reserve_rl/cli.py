@@ -1,8 +1,8 @@
 """Command-line pipeline for the reserving experiments.
 
 Subcommands mirror the experiment stages and each writes its artifacts
-(plus a manifest with content digests) into its own directory under
-``--out``:
+(plus a manifest digesting every input it read) into its own directory
+under ``--out``, swapped in whole only when the command succeeds:
 
 * ``ingest``      parse, validate, split, and normalize a triangle CSV
 * ``train``       curriculum-train policies on the training split
@@ -23,15 +23,16 @@ import argparse
 import json
 import logging
 import os
+import shutil
 import sys
 import time
 from dataclasses import replace
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .agent import N_ACTIONS, OBS_DIM, train_curriculum, write_training_log, write_update_log
-from .artifacts import git_blob_sha1, write_csv, write_json, write_records
+from .artifacts import field_names, git_blob_sha1, write_csv, write_json, write_records
 from .baselines import (
     BootstrapResult,
     ReserveRow,
@@ -53,9 +54,9 @@ from .env import EnvFactory, Trace, write_traces
 from .errors import ConfigError, DataError, NumericalError, ReserveRlError
 from .evaluate import (
     EvalOutcome,
+    MetricsRow,
     TraceSink,
     drawn_conditions,
-    emit_report,
     evaluate_models,
     greedy_model,
     regime_conditions,
@@ -135,37 +136,66 @@ def _build_parser() -> _Parser:
 
 
 class _Stage:
-    """A command's directory under ``--out``, made on the first :meth:`path`
-    call, and its manifest, which lists exactly the names handed out."""
+    """One run of a command's stage ``directory``: outputs go under
+    ``<directory>.partial/``, made on the first :meth:`path` call, inputs
+    are recorded as :meth:`read` passes them on, and :meth:`finish` swaps
+    the whole directory in, so ``directory`` holds one complete run (after
+    a failure, the last one).  It first clears what a killed run left."""
 
-    def __init__(self, args: argparse.Namespace, directory: str) -> None:
-        self.command = args.command
-        self.directory = os.path.join(args.out, directory)
+    def __init__(self, command: str, directory: str) -> None:
+        self.command = command
+        self.directory = directory
+        self.partial, self.old = directory + ".partial", directory + ".old"
         self.names: list[str] = []
+        self.inputs: dict[str, str] = {}
+        self.discard()
+
+    def read(self, name: str, path: str) -> str:
+        """Record input ``path`` under ``name`` for the manifest; return ``path``."""
+        self.inputs[name] = path
+        return path
 
     def path(self, name: str) -> str:
         """Where to write output ``name``, relative to the stage directory."""
-        path = os.path.join(self.directory, name)
+        path = os.path.join(self.partial, name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         self.names.append(name)
         return path
 
-    def finish(self, cfg: RunConfig, inputs: dict[str, str]) -> None:
-        """Write ``manifest.json``: ``inputs`` digested, and every name handed out."""
-        write_json(os.path.join(self.directory, "manifest.json"),
-                   build_manifest(self.command, cfg, inputs=inputs, outputs=self.names))
+    def finish(self, cfg: RunConfig) -> None:
+        """Write ``manifest.json`` (every input read, digested, and every name
+        handed out); move the previous run to ``.old``, the partial
+        directory into its place, and delete ``.old``."""
+        write_json(os.path.join(self.partial, "manifest.json"),
+                   build_manifest(self.command, cfg, inputs=self.inputs, outputs=self.names))
+        if os.path.exists(self.directory):
+            os.rename(self.directory, self.old)
+        os.rename(self.partial, self.directory)
+        shutil.rmtree(self.old, ignore_errors=True)
+
+    def discard(self) -> None:
+        """Remove the partial directory, and ``.old`` too, unless a swap cut
+        short left it in place of the stage directory: then it moves back."""
+        shutil.rmtree(self.partial, ignore_errors=True)
+        if os.path.isdir(self.old) and not os.path.exists(self.directory):
+            os.rename(self.old, self.directory)
+        shutil.rmtree(self.old, ignore_errors=True)
+
+
+#: The ingest outputs that later stages read, by name.
+_INGEST_INPUTS = ("train_triangle.csv", "test_triangle.csv", "factors.json")
 
 
 class IngestArtifacts:
-    """An ingest directory's outputs, parsed when the view is built."""
+    """An ingest directory's outputs, parsed when the view is built; each
+    path goes through ``read(name, path)`` first (a stage's :meth:`_Stage.read`)."""
 
-    def __init__(self, directory: str) -> None:
-        self.train_path = os.path.join(directory, "train_triangle.csv")
-        self.test_path = os.path.join(directory, "test_triangle.csv")
-        self.factors_path = os.path.join(directory, "factors.json")
+    def __init__(self, directory: str, read: Callable[[str, str], str]) -> None:
+        train_path, test_path, self.factors_path = (
+            read(name, os.path.join(directory, name)) for name in _INGEST_INPUTS)
         try:
-            self.train = parse_triangle_csv(self.train_path)
-            self.test = parse_triangle_csv(self.test_path)
+            self.train = parse_triangle_csv(train_path)
+            self.test = parse_triangle_csv(test_path)
             with open(self.factors_path) as handle:
                 factors = tuple(json.load(handle)["factors"])
         except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
@@ -177,13 +207,6 @@ class IngestArtifacts:
         except (DataError, NumericalError, TypeError) as exc:  # a bad file, not a numerical failure
             raise DataError(f"corrupt factors file {self.factors_path!r}: {exc}") from exc
 
-    def input_paths(self) -> dict[str, str]:
-        return {
-            "train_triangle.csv": self.train_path,
-            "test_triangle.csv": self.test_path,
-            "factors.json": self.factors_path,
-        }
-
 
 def _factories(
     data: IngestArtifacts, cfg: RunConfig, **overrides: object
@@ -192,7 +215,7 @@ def _factories(
     on the same factors and so the same horizon; ``overrides`` replace
     ``[env]`` fields (a sensitivity cell's ``alpha`` and ``floor``).  Each
     builds one environment here, so a horizon the factors cannot cover is
-    refused before a stage makes its directory."""
+    refused before any training or scoring."""
     env_cfg = replace(cfg.env, **overrides)
     factories = (EnvFactory(data.train, data.factors, env_cfg),
                  EnvFactory(data.test, data.factors, env_cfg))
@@ -201,50 +224,47 @@ def _factories(
     return factories
 
 
-def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
-    tri = parse_triangle_csv(args.triangle)
+def cmd_ingest(args: argparse.Namespace, cfg: RunConfig, stage: _Stage) -> None:
+    tri = parse_triangle_csv(stage.read("triangle", args.triangle))
     normalized, params = normalize(tri, cfg.run.split)
     train_tri, test_tri = split_rolling_origin(normalized, cfg.run.split)
     factors = age_to_age_factors(train_tri)
 
-    stage = _Stage(args, "ingest")
     write_triangle_csv(train_tri, stage.path("train_triangle.csv"))
     write_triangle_csv(test_tri, stage.path("test_triangle.csv"))
     # the offset is always 0; the key stays so the artifact keeps its shape
     write_json(stage.path("normalization.json"), {"scale": params.scale, "offset": 0.0})
     write_json(stage.path("factors.json"), {"factors": list(factors.factors)})
-    stage.finish(cfg, {"triangle": args.triangle})
     print(f"ingest: {tri.n_accident_years} years -> "
           f"{train_tri.n_accident_years} train / {test_tri.n_accident_years} test, "
           f"scale {params.scale!r}")
-    return 0
 
 
-def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
-    data = IngestArtifacts(args.data or os.path.join(args.out, "ingest"))
+def cmd_train(args: argparse.Namespace, cfg: RunConfig, stage: _Stage) -> None:
+    data = IngestArtifacts(args.data or os.path.join(args.out, "ingest"), stage.read)
     train_factory, _ = _factories(data, cfg)
     runs = train_curriculum(
         [(train_factory, cfg.ppo, cfg.regimes, seed) for seed in cfg.run.seeds], _usable_cores())
 
-    stage = _Stage(args, "train")
     fingerprint = config_fingerprint(cfg)
     for run in runs:
         save_networks(stage.path(f"policy_seed{run.seed}.json"), run.agent.policy,
                       run.agent.value, fingerprint, run.seed)
     write_training_log(runs, stage.path("training_log.csv"))
     write_update_log(runs, stage.path("updates.csv"))
-    stage.finish(cfg, data.input_paths())
     for run in runs:
         print(f"train: seed {run.seed} finished with {len(run.update_stats)} updates")
-    return 0
 
 
-def _load_policies(directory: str, seeds: tuple[int, ...], cfg: RunConfig):
-    """Seed -> policy from ``directory``; networks the agent cannot act with are refused."""
+def _load_policies(directory: str, seeds: tuple[int, ...], cfg: RunConfig,
+                   read: Callable[[str, str], str]):
+    """Seed -> policy from ``directory``, each file's path passed through
+    ``read(name, path)``; networks the agent cannot act with are refused."""
     fingerprint = config_fingerprint(cfg)
     policies = {}
     for seed in seeds:
-        path = os.path.join(directory, f"policy_seed{seed}.json")
+        basename = f"policy_seed{seed}.json"
+        path = read(basename, os.path.join(directory, basename))
         try:
             policy, value, saved_fp, saved_seed = load_networks(path)
         except OSError as exc:
@@ -300,33 +320,36 @@ def _require(cfg: RunConfig, command: str, *keys: str) -> None:
             raise ConfigError(f"[eval] {key} is empty: {command} needs at least one value")
 
 
-def _report(stage: _Stage, table: str, outcome: EvalOutcome, cfg: RunConfig,
-            data: IngestArtifacts) -> None:
-    """Write the metrics table, its sidecar (which :func:`emit_report`
-    puts next to the table) and the manifest; print one line per row."""
-    table_path = stage.path(f"{table}.csv")
-    stage.path(f"{table}.json")
-    emit_report(outcome.rows, table_path, sidecar={
+def _report(stage: _Stage, table: str, outcome: EvalOutcome, cfg: RunConfig) -> None:
+    """Write the metrics table and its sidecar (config fingerprint, seeds,
+    ingest file digests, row count, columns) and print one line per row;
+    a table of zero rows is refused (``DataError``)."""
+    if not outcome.rows:
+        raise DataError("refusing to write a metrics report with zero rows")
+    write_records(stage.path(f"{table}.csv"), MetricsRow, outcome.rows)
+    write_json(stage.path(f"{table}.json"), {
         "config_fingerprint": config_fingerprint(cfg),
         "seeds": list(cfg.run.seeds),
-        "inputs": {name: git_blob_sha1(p) for name, p in data.input_paths().items()},
+        "inputs": {name: git_blob_sha1(stage.inputs[name]) for name in _INGEST_INPUTS},
+        "n_rows": len(outcome.rows),
+        "columns": list(field_names(MetricsRow)),
     })
-    stage.finish(cfg, data.input_paths())
     for row in outcome.rows:
         print(f"{stage.command}: {row.model:20s} {row.condition:28s} rar={row.rar:.3f} "
               f"cvar95={row.cvar95:.4f} ces={row.ces:.3f} rvr={row.rvr:.3f}")
 
 
-def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig, stage: _Stage) -> None:
     """``evaluate``: the trained policies and the three static baselines in
     each regime; ``stress``: the policies alone under each fixed shock.
     Under ``--traces`` each condition's traces are written as it finishes."""
     evaluate = args.command == "evaluate"
     _require(cfg, args.command, "regimes" if evaluate else "shocks")
-    data = IngestArtifacts(args.data or os.path.join(args.out, "ingest"))
+    data = IngestArtifacts(args.data or os.path.join(args.out, "ingest"), stage.read)
     _, eval_factory = _factories(data, cfg)
     seeds = cfg.run.seeds
-    policies = _load_policies(args.policies or os.path.join(args.out, "train"), seeds, cfg)
+    policies = _load_policies(args.policies or os.path.join(args.out, "train"), seeds, cfg,
+                              stage.read)
     models = {"rl_cvar": greedy_model(policies)}
     if evaluate:
         conditions = regime_conditions(cfg.eval.regimes)
@@ -336,20 +359,18 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
         conditions = stress_conditions(cfg.eval.shocks)
     drawn = drawn_conditions(eval_factory, conditions, cfg.eval.episodes, cfg.eval.crn_base)
 
-    stage = _Stage(args, "eval" if evaluate else "stress")
     sink = _trace_writer(stage, models, [label for label, _ in drawn]) if args.traces else None
     outcome = evaluate_models(models, eval_factory, drawn, seeds, lob=cfg.run.lob,
                               traces=sink, workers=_usable_cores())
-    _report(stage, "metrics" if evaluate else "stress_metrics", outcome, cfg, data)
-    return 0
+    _report(stage, "metrics" if evaluate else "stress_metrics", outcome, cfg)
 
 
-def cmd_sensitivity(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_sensitivity(args: argparse.Namespace, cfg: RunConfig, stage: _Stage) -> None:
     """Retrained policies over the ``[eval] sweep_alphas`` x floor form
     grid, one ``alpha:<a>;floor:<form>`` cell each, all replaying one draw
     from the unswept factory: a draw reads neither ``alpha`` nor ``floor``."""
     _require(cfg, args.command, "regimes", "sweep_alphas")
-    data = IngestArtifacts(args.data or os.path.join(args.out, "ingest"))
+    data = IngestArtifacts(args.data or os.path.join(args.out, "ingest"), stage.read)
     _, eval_factory = _factories(data, cfg)
     cells = {
         sensitivity_label(alpha, name): _factories(data, cfg, alpha=alpha, floor=floor)
@@ -361,26 +382,22 @@ def cmd_sensitivity(args: argparse.Namespace, cfg: RunConfig) -> int:
                                     cfg.eval.sweep_episodes_per_level, cfg.eval.crn_base)
     outcome = sensitivity_sweep(cells, cfg.ppo, cfg.regimes, cfg.run.seeds, paths,
                                 lob=cfg.run.lob, workers=_usable_cores())
-    _report(_Stage(args, "sensitivity"), "sensitivity", outcome, cfg, data)
-    return 0
+    _report(stage, "sensitivity", outcome, cfg)
 
 
-def cmd_baselines(args: argparse.Namespace, cfg: RunConfig) -> int:
-    tri = parse_triangle_csv(args.triangle)
+def cmd_baselines(args: argparse.Namespace, cfg: RunConfig, stage: _Stage) -> None:
+    tri = parse_triangle_csv(stage.read("triangle", args.triangle))
     train_tri, _ = split_rolling_origin(tri, cfg.run.split)
     factors = age_to_age_factors(train_tri)
     rows = chain_ladder_ultimates(train_tri, factors)
     elr, boot = _elr_and_bootstrap(train_tri, factors, cfg)
     rows += bornhuetter_ferguson(train_tri, factors, elr)
 
-    stage = _Stage(args, "baselines")
     write_records(stage.path("reserves.csv"), ReserveRow, rows)
     write_json(stage.path("bootstrap.json"), _bootstrap_summary(boot, elr))
-    stage.finish(cfg, {"triangle": args.triangle})
     total_cl = sum(r.reserve for r in rows if r.method == "chain_ladder")
     print(f"baselines: chain-ladder total reserve {total_cl!r}, "
           f"bootstrap mean {boot.mean!r} (sd {boot.stddev!r}), elr {elr!r}")
-    return 0
 
 
 def _bootstrap_summary(boot: BootstrapResult, elr: float) -> dict:
@@ -394,7 +411,10 @@ def _bootstrap_summary(boot: BootstrapResult, elr: float) -> dict:
     }
 
 
-def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_report(args: argparse.Namespace, cfg: RunConfig, stage: _Stage) -> None:
+    """Merge the metrics tables under ``--out``; each must have been made
+    under this run's config, as its sidecar's fingerprint records."""
+    fingerprint = config_fingerprint(cfg)
     sources = [
         os.path.join(args.out, "eval", "metrics.csv"),
         os.path.join(args.out, "stress", "stress_metrics.csv"),
@@ -402,11 +422,11 @@ def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
     ]
     merged: list[list[str]] = []
     header: str | None = None
-    found = []
+    found = 0
     for source in sources:
         if not os.path.exists(source):
             continue
-        with open(source) as handle:
+        with open(stage.read(os.path.relpath(source, args.out), source)) as handle:
             lines = handle.read().splitlines()
         if not lines:
             continue
@@ -414,26 +434,33 @@ def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
             header = lines[0]
         elif lines[0] != header:
             raise DataError(f"{source!r} has a mismatched header")
+        sidecar = source[:-4] + ".json"
+        try:
+            with open(stage.read(os.path.relpath(sidecar, args.out), sidecar)) as handle:
+                made_under = json.load(handle)["config_fingerprint"]
+        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise DataError(f"sidecar of {source!r} missing or unreadable: {exc}") from exc
+        if made_under != fingerprint:
+            raise DataError(f"{source!r} was made under config fingerprint {made_under}, "
+                            f"not this run's {fingerprint}")
         merged.extend(line.split(",") for line in lines[1:])
-        found.append(source)
+        found += 1
     if header is None or not merged:
         raise DataError("no metric tables found to merge; run evaluate/stress/sensitivity first")
 
-    stage = _Stage(args, "reports")
     write_csv(stage.path("combined_metrics.csv"), header, merged)
-    stage.finish(cfg, {os.path.relpath(s, args.out): s for s in found})
-    print(f"report: merged {len(merged)} rows from {len(found)} tables")
-    return 0
+    print(f"report: merged {len(merged)} rows from {found} tables")
 
 
+#: Command -> its function and its stage directory under ``--out``.
 _COMMANDS = {
-    "ingest": cmd_ingest,
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "stress": cmd_evaluate,
-    "baselines": cmd_baselines,
-    "sensitivity": cmd_sensitivity,
-    "report": cmd_report,
+    "ingest": (cmd_ingest, "ingest"),
+    "train": (cmd_train, "train"),
+    "evaluate": (cmd_evaluate, "eval"),
+    "stress": (cmd_evaluate, "stress"),
+    "baselines": (cmd_baselines, "baselines"),
+    "sensitivity": (cmd_sensitivity, "sensitivity"),
+    "report": (cmd_report, "reports"),
 }
 
 
@@ -450,10 +477,16 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command is None:
             raise ConfigError("a subcommand is required (see --help)")
+        command, directory = _COMMANDS[args.command]
         started = time.perf_counter()
-        code = _COMMANDS[args.command](args, cfg)
+        stage = _Stage(args.command, os.path.join(args.out, directory))
+        try:
+            command(args, cfg, stage)
+            stage.finish(cfg)
+        finally:
+            stage.discard()
         log.info("%s finished in %.2f s", args.command, time.perf_counter() - started)
-        return code
+        return 0
     except (ReserveRlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, NumericalError):

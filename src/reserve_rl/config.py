@@ -17,6 +17,7 @@ from __future__ import annotations
 import configparser
 import datetime
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Mapping, Sequence
@@ -140,6 +141,9 @@ class BaselineSection:
     def __post_init__(self) -> None:
         _require_positive(self, "bootstrap_sims")
         _require_seed("bootstrap_seed", self.bootstrap_seed)
+        # Bornhuetter-Ferguson reserves scale with it
+        if self.elr is not None and not 0.0 < self.elr < math.inf:
+            raise ConfigError(f"elr must be > 0 and finite, got {self.elr!r}")
 
 
 @dataclass(frozen=True)

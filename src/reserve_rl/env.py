@@ -106,6 +106,11 @@ class EnvConfig:
             raise ConfigError(f"horizon must be >= 2, got {self.horizon}")
         if self.vol_window < 2:
             raise ConfigError(f"vol_window must be >= 2, got {self.vol_window}")
+        # nan passes every range check below, and inf or nan reaches the reward
+        for name in ("vol_scale", "noise_gain", "w_shortfall", "w_cvar", "w_inefficiency",
+                     "w_floor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.vol_scale <= 0.0:
             raise ConfigError(f"vol_scale must be > 0, got {self.vol_scale}")
         if self.noise_gain < 0.0:

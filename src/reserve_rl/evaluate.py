@@ -1,4 +1,4 @@
-"""Evaluation harness: metrics, common-random-number comparisons, reports.
+"""Evaluation harness: metrics and common-random-number comparisons.
 
 Four headline metrics summarize a trace of post-transition snapshots:
 
@@ -29,7 +29,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .agent import PPOConfig, act_greedy, observe, train_curriculum
-from .artifacts import field_names, field_values, write_json, write_records
+from .artifacts import field_values
 from .env import EnvFactory, LossPaths, Model, ReserveEnv, Trace
 from .errors import ConfigError, DataError
 from .nets import MLPParams
@@ -312,25 +312,3 @@ def sensitivity_sweep(
         log.info("sweep cell %s done", label)
     return outcome
 
-
-def emit_report(
-    rows: Sequence[MetricsRow],
-    csv_path: str,
-    sidecar: Mapping[str, object] | None = None,
-) -> None:
-    """Write the metrics table and a JSON sidecar describing its lineage.
-
-    The sidecar lands next to the CSV with a ``.json`` suffix and holds
-    whatever identifying material the caller supplies (config
-    fingerprint, seeds, input digests) plus the row count.
-
-    Raises:
-        DataError: ``rows`` is empty, or the filesystem rejected a write.
-    """
-    if not rows:
-        raise DataError("refusing to write a metrics report with zero rows")
-    write_records(csv_path, MetricsRow, rows)
-    sidecar_path = csv_path[:-4] + ".json" if csv_path.endswith(".csv") else csv_path + ".json"
-    write_json(sidecar_path, {
-        **(sidecar or {}), "n_rows": len(rows), "columns": list(field_names(MetricsRow))
-    })

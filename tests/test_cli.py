@@ -15,7 +15,8 @@ import reserve_rl.cli as cli
 from reserve_rl import parallel
 from reserve_rl.cli import IngestArtifacts, main
 from reserve_rl.agent import PPOConfig, train_curriculum
-from reserve_rl.config import RunConfig, config_to_ini, load_config
+from reserve_rl.artifacts import git_blob_sha1
+from reserve_rl.config import RunConfig, config_fingerprint, config_to_ini, load_config
 from reserve_rl.env import EnvConfig, EnvFactory, ReserveEnv
 from reserve_rl.errors import DataError, NumericalError, ReserveRlError
 from reserve_rl.evaluate import drawn_conditions, evaluate_models, greedy_model, regime_conditions
@@ -72,6 +73,12 @@ def pipeline(tmp_path_factory):
     return {"out": out, "config": config_path, "triangle": triangle_csv}
 
 
+def unrecorded(name, path):
+    """A reader for :class:`IngestArtifacts` and ``_load_policies`` that
+    records nothing, where no stage runs."""
+    return path
+
+
 def _lines(path):
     with open(path) as handle:
         return handle.read().splitlines()
@@ -90,7 +97,7 @@ def test_ingest_artifacts(pipeline):
     assert manifest["command"] == "ingest"
     assert manifest["tool"] == "reserve-rl"
 
-    data = IngestArtifacts(ingest)
+    data = IngestArtifacts(ingest, unrecorded)
     assert data.train.n_accident_years == 8
     assert data.test.n_accident_years == 2
 
@@ -98,7 +105,7 @@ def test_ingest_artifacts(pipeline):
 def test_auto_horizon_is_the_fitted_triangles_depth_on_both_splits(pipeline):
     """``horizon = auto`` is one period per development factor plus one,
     on the held-out triangle (two lags deep) as on the training one."""
-    data = IngestArtifacts(os.path.join(pipeline["out"], "ingest"))
+    data = IngestArtifacts(os.path.join(pipeline["out"], "ingest"), unrecorded)
     assert (data.train.n_dev_lags, data.test.n_dev_lags) == (10, 2)
     for triangle in (data.train, data.test):
         assert EnvFactory(triangle, data.factors, EnvConfig())().horizon == 10
@@ -367,8 +374,10 @@ def test_evaluate_error_keeps_type_exit_code_and_order(pipeline, tmp_path, capsy
         assert f"error: level {raised} refused" in capsys.readouterr().err
         assert_no_child_process()
     cfg = load_config(str(config))
-    _, eval_factory = refusing(IngestArtifacts(os.path.join(pipeline["out"], "ingest")), cfg)
-    policies = cli._load_policies(os.path.join(pipeline["out"], "train"), (1, 2), cfg)
+    _, eval_factory = refusing(
+        IngestArtifacts(os.path.join(pipeline["out"], "ingest"), unrecorded), cfg)
+    policies = cli._load_policies(os.path.join(pipeline["out"], "train"), (1, 2), cfg,
+                                  unrecorded)
     with pytest.raises(NumericalError, match=rf"^level {raised} refused") as err:
         evaluate_models({"rl_cvar": greedy_model(policies)}, eval_factory,
                         drawn_conditions(eval_factory, regime_conditions([0, 1, 2, 3]), 4, 0),
@@ -405,7 +414,7 @@ def test_worker_error_keeps_type_and_exit_code(pipeline, tmp_path, monkeypatch):
     one BLAS thread, and the caller's count is restored."""
     config = PPOConfig(batch_size=10, minibatch_size=5, hidden=(4,))
     schedule = CurriculumSchedule(levels=(0,), episodes_per_level=2, ramp_episodes=1)
-    data = IngestArtifacts(os.path.join(pipeline["out"], "ingest"))
+    data = IngestArtifacts(os.path.join(pipeline["out"], "ingest"), unrecorded)
     train_factory, _ = cli._factories(data, load_config(pipeline["config"]))
     get_threads, set_threads, _ = parallel.openblas()
     saved = get_threads()
@@ -609,7 +618,8 @@ def _files(directory):
 
 def test_every_manifest_lists_exactly_its_stage_files(pipeline, tmp_path):
     """On a pipeline run with ``--traces`` and ``sensitivity``, each stage's
-    manifest ``outputs`` are the files in its directory, its own aside."""
+    manifest ``outputs`` are the files in its directory, its own aside, and
+    its ``inputs`` are the files the command read."""
     out = tmp_path / "runs"
     for stage in ("ingest", "train"):
         shutil.copytree(os.path.join(pipeline["out"], stage), out / stage)
@@ -627,6 +637,155 @@ def test_every_manifest_lists_exactly_its_stage_files(pipeline, tmp_path):
         assert outputs == [name for name in _files(out / stage) if name != "manifest.json"], stage
     assert len(_files(out / "eval" / "traces")) == 4 * 2
     assert len(_files(out / "stress" / "traces")) == 2
+    ingest = ["factors.json", "test_triangle.csv", "train_triangle.csv"]
+    scored = sorted(ingest + ["policy_seed1.json", "policy_seed2.json"])
+    tables = [f"{stage}/{table}.{suffix}" for stage, table in (
+        ("eval", "metrics"), ("sensitivity", "sensitivity"), ("stress", "stress_metrics"))
+        for suffix in ("csv", "json")]
+    assert {stage: sorted(_manifest(out / stage)["inputs"]) for stage in stages} == {
+        "baselines": ["triangle"], "eval": scored, "ingest": ["triangle"], "reports": tables,
+        "sensitivity": ingest, "stress": scored, "train": ingest}
+
+
+def _manifest(directory):
+    with open(os.path.join(directory, "manifest.json")) as handle:
+        return json.load(handle)
+
+
+def _contents(directory):
+    """Every file under ``directory`` with its bytes, by relative path."""
+    contents = {}
+    for name in _files(directory):
+        with open(os.path.join(directory, name), "rb") as handle:
+            contents[name] = handle.read()
+    return contents
+
+
+def test_a_rerun_leaves_no_stale_file(pipeline, tmp_path):
+    """A re-run swaps in its stage directory whole: a plain ``evaluate``
+    after a traced one leaves no ``traces/``, and ``train`` on seed 1 over
+    a seeds-1,2 run leaves no ``policy_seed2.json``."""
+    out = tmp_path / "runs"
+    evaluate = ["--config", pipeline["config"], "--out", str(out), "evaluate",
+                "--data", os.path.join(pipeline["out"], "ingest"),
+                "--policies", os.path.join(pipeline["out"], "train")]
+    assert main(evaluate + ["--traces"]) == 0
+    assert len(_files(out / "eval" / "traces")) == 4 * 2
+    assert main(evaluate) == 0
+    assert _files(out / "eval") == ["manifest.json", "metrics.csv", "metrics.json"]
+    shutil.copytree(os.path.join(pipeline["out"], "train"), out / "train")
+    config = tmp_path / "one_seed.ini"
+    config.write_text(PIPELINE_INI.replace("seeds = 1,2", "seeds = 1"))
+    assert main(["--config", str(config), "--out", str(out), "train",
+                 "--data", os.path.join(pipeline["out"], "ingest")]) == 0
+    assert _files(out / "train") == ["manifest.json", "policy_seed1.json", "training_log.csv",
+                                     "updates.csv"]
+    assert _manifest(out / "train")["outputs"] == _files(out / "train")[1:]
+    assert sorted(os.listdir(out)) == ["eval", "train"]
+
+
+@pytest.mark.parametrize("cores", [{0}, {0, 1}], ids=["one_core", "two_cores"])
+def test_a_failed_traced_evaluate_keeps_the_previous_run(pipeline, tmp_path, capsys, monkeypatch,
+                                                         cores):
+    """A traced ``evaluate`` refused mid-scoring, after the caller has
+    written regime 0's traces (on two cores the forked child refuses
+    level 1), exits 3 and leaves the previous ``eval/`` byte for byte, with
+    no ``eval.partial`` or ``eval.old`` beside it."""
+    config = tmp_path / "four.ini"
+    config.write_text(PIPELINE_INI.replace("regimes = 0,1", "regimes = 0,1,2,3"))
+    out = tmp_path / "runs"
+    argv = ["--config", str(config), "--out", str(out), "evaluate",
+            "--data", os.path.join(pipeline["out"], "ingest"),
+            "--policies", os.path.join(pipeline["out"], "train")]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+    assert main(argv) == 0
+    before = _contents(out / "eval")
+    factories = cli._factories
+
+    def refusing(*args, **kwargs):
+        train_factory, eval_factory = factories(*args, **kwargs)
+        return train_factory, RefusingLevels(eval_factory, (1,))
+
+    monkeypatch.setattr(cli, "_factories", refusing)
+    capsys.readouterr()
+    assert main(argv + ["--traces"]) == 3
+    assert "error: level 1 refused" in capsys.readouterr().err
+    assert_no_child_process()
+    assert os.listdir(out) == ["eval"]
+    assert _contents(out / "eval") == before
+
+
+@pytest.mark.parametrize("command, directory", [("evaluate", "eval"), ("stress", "stress")])
+def test_a_swapped_policy_file_changes_the_manifest_inputs(pipeline, tmp_path, command,
+                                                           directory):
+    """``evaluate`` and ``stress`` digest every policy file they load into
+    their manifest's ``inputs``, so scoring another seed-2 policy changes
+    that digest and no other."""
+    policies = tmp_path / "train"
+    shutil.copytree(os.path.join(pipeline["out"], "train"), policies)
+    out = tmp_path / "runs"
+    argv = ["--config", pipeline["config"], "--out", str(out), command,
+            "--data", os.path.join(pipeline["out"], "ingest"), "--policies", str(policies)]
+    assert main(argv) == 0
+    before = _manifest(out / directory)["inputs"]
+    path = policies / "policy_seed2.json"
+    assert before["policy_seed2.json"] == git_blob_sha1(str(path))
+    doc = json.loads(path.read_text())
+    doc["policy"]["arrays"][0][0] += 0.5
+    path.write_text(json.dumps(doc))
+    assert main(argv) == 0
+    after = _manifest(out / directory)["inputs"]
+    assert after.pop("policy_seed2.json") == git_blob_sha1(str(path))
+    assert before.pop("policy_seed2.json") != git_blob_sha1(str(path))
+    assert after == before
+
+
+def test_a_killed_runs_leftovers_go_with_the_next_run(pipeline, tmp_path, capsys):
+    """A ``.partial`` or ``.old`` directory that a killed run left is
+    cleared when its command next runs.  An ``.old`` standing in for the
+    stage directory, left by a swap cut short, is the previous run: it
+    moves back, even when the next run is refused."""
+    out = tmp_path / "runs"
+    shutil.copytree(os.path.join(pipeline["out"], "eval"), out / "eval")
+    for leftover in ("eval.partial", "eval.old"):
+        os.makedirs(out / leftover / "traces")
+        (out / leftover / "metrics.csv").write_text("stale\n")
+    base = ["--config", pipeline["config"], "--out", str(out)]
+    data = ["--data", os.path.join(pipeline["out"], "ingest")]
+    assert main(base + ["evaluate", "--policies", os.path.join(pipeline["out"], "train")]
+                + data) == 0
+    assert os.listdir(out) == ["eval"]
+    assert _manifest(out / "eval")["outputs"] == ["metrics.csv", "metrics.json"]
+    shutil.copytree(os.path.join(pipeline["out"], "stress"), out / "stress.old")
+    previous = _contents(out / "stress.old")
+    assert main(base + ["stress", "--policies", str(tmp_path / "none")] + data) == 2
+    assert "error: missing trained policy" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["eval", "stress"]
+    assert _contents(out / "stress") == previous
+
+
+def test_report_refuses_a_table_made_under_another_config(pipeline, tmp_path, capsys):
+    """``report`` merges only tables whose sidecar fingerprint is this
+    run's config: an ``eval/metrics.csv`` made at ``episodes = 4`` is
+    refused, by name, under ``episodes = 6``, and a table without its
+    sidecar is refused too."""
+    out = tmp_path / "runs"
+    for stage in ("eval", "stress"):
+        shutil.copytree(os.path.join(pipeline["out"], stage), out / stage)
+    config = tmp_path / "six.ini"
+    config.write_text(PIPELINE_INI.replace("episodes = 4", "episodes = 6"))
+    assert main(["--config", str(config), "--out", str(out), "report"]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    table = str(out / "eval" / "metrics.csv")
+    fingerprints = [config_fingerprint(load_config(path)) for path in (pipeline["config"], config)]
+    assert line == (f"error: {table!r} was made under config fingerprint {fingerprints[0]}, "
+                    f"not this run's {fingerprints[1]}")
+    assert sorted(os.listdir(out)) == ["eval", "stress"]
+    assert main(["--config", pipeline["config"], "--out", str(out), "report"]) == 0
+    os.remove(out / "stress" / "stress_metrics.json")
+    assert main(["--config", pipeline["config"], "--out", str(out), "report"]) == 2
+    table = str(out / "stress" / "stress_metrics.csv")
+    assert capsys.readouterr().err.startswith(f"error: sidecar of {table!r} missing or unreadable")
 
 
 def test_empty_seed_list_in_config_exits_1(pipeline, tmp_path):
@@ -763,30 +922,42 @@ def test_empty_eval_list_exits_1_before_any_work(tmp_path, capsys, monkeypatch, 
     ("evaluate", os.path.join("eval", "metrics.csv")),
     ("baselines", os.path.join("baselines", "reserves.csv")),
 ])
-def test_failed_artifact_write_exits_2(pipeline, tmp_path, capsys, stage, table):
+def test_failed_artifact_write_exits_2(pipeline, tmp_path, capsys, monkeypatch, stage, table):
     """A directory where a table should go fails the write: a data/IO
-    error, exit code 2, whichever stage writes it."""
+    error, exit code 2, whichever stage writes it, and the partial stage
+    directory goes."""
     out = tmp_path / "runs"
-    os.makedirs(out / table)
+    directory, name = os.path.split(table)
+    stage_path = cli._Stage.path
+
+    def blocked(self, output):
+        path = stage_path(self, output)
+        if output == name:
+            os.makedirs(path)
+        return path
+
+    monkeypatch.setattr(cli._Stage, "path", blocked)
     inputs = {
         "evaluate": ["--data", os.path.join(pipeline["out"], "ingest"),
                      "--policies", os.path.join(pipeline["out"], "train")],
         "baselines": ["--triangle", pipeline["triangle"]],
     }[stage]
     assert main(["--config", pipeline["config"], "--out", str(out), stage] + inputs) == 2
-    assert f"cannot write {str(out / table)!r}" in capsys.readouterr().err
+    partial = out / f"{directory}.partial"
+    assert f"cannot write {str(partial / name)!r}" in capsys.readouterr().err
+    assert os.listdir(out) == []
 
 
 def test_ingest_artifacts_missing_dir_raises(tmp_path):
     with pytest.raises(DataError):
-        IngestArtifacts(str(tmp_path / "void"))
+        IngestArtifacts(str(tmp_path / "void"), unrecorded)
 
 
 def test_exit_code_mapping(monkeypatch):
     def raising(exc):
-        def cmd(args, cfg):
+        def cmd(args, cfg, stage):
             raise exc
-        return cmd
+        return cmd, "reports"
 
     monkeypatch.setitem(cli._COMMANDS, "report", raising(NumericalError("boom")))
     assert main(["report"]) == 3

@@ -204,6 +204,18 @@ INVALID_VALUES = [
      r"^\[eval\] sweep_alphas repeat: alpha:0.9;floor:default, alpha:0.9;floor:strict$"),
     ("[run]\na_train = 1\n", "a_train must be >= 2, got 1"),
     ("[run]\na_test = 0\n", "a_test must be >= 1, got 0"),
+    # a non-finite float loads as a float, so only these rows keep it out of training and BF
+    ("[env]\nvol_scale = nan\n", "^vol_scale must be finite, got nan$"),
+    ("[env]\nnoise_gain = inf\n", "^noise_gain must be finite, got inf$"),
+    ("[env]\nw_shortfall = inf\n", "^w_shortfall must be finite, got inf$"),
+    ("[env]\nw_cvar = nan\n", "^w_cvar must be finite, got nan$"),
+    ("[env]\nw_inefficiency = inf\n", "^w_inefficiency must be finite, got inf$"),
+    ("[env]\nw_floor = nan\n", "^w_floor must be finite, got nan$"),
+    ("[ppo]\nentropy_coef = nan\n", "^entropy_coef must be finite, got nan$"),
+    ("[baselines]\nelr = nan\n", "^elr must be > 0 and finite, got nan$"),
+    ("[baselines]\nelr = inf\n", "^elr must be > 0 and finite, got inf$"),
+    ("[baselines]\nelr = -0.5\n", r"^elr must be > 0 and finite, got -0\.5$"),
+    ("[baselines]\nelr = 0\n", r"^elr must be > 0 and finite, got 0\.0$"),
 ]
 
 

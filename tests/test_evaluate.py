@@ -1,4 +1,4 @@
-"""Metric formulas, CRN pairing, and report emission."""
+"""Metric formulas, CRN pairing, and metrics reports."""
 
 import json
 import logging
@@ -21,9 +21,10 @@ from reserve_rl.baselines import (
     static_model,
 )
 from reserve_rl.agent import PPOConfig, train_curriculum
-from reserve_rl.artifacts import field_values
+import reserve_rl.cli as cli
+from reserve_rl.artifacts import field_values, git_blob_sha1, write_records
 import reserve_rl.evaluate as evaluate_module
-from reserve_rl.config import FLOOR_FORMS
+from reserve_rl.config import FLOOR_FORMS, RunConfig, config_fingerprint
 from reserve_rl.env import EnvConfig, EnvFactory, ReserveEnv, Trace
 from reserve_rl.errors import ConfigError, DataError, ReserveRlError
 from reserve_rl.parallel import map_split
@@ -36,7 +37,6 @@ from reserve_rl.evaluate import (
     aggregate_metrics,
     compute_metrics,
     drawn_conditions,
-    emit_report,
     evaluate_models,
     greedy_model,
     regime_conditions,
@@ -146,7 +146,7 @@ def test_metrics_row_csv_line(tmp_path):
         rar_sd=0.1, cvar95_sd=0.0, ces_sd=0.0, rvr_sd=0.0,
     )
     path = tmp_path / "metrics.csv"
-    emit_report([row], str(path))
+    write_records(str(path), MetricsRow, [row])
     line = path.read_text().splitlines()[1]
     assert line == "m,syn,regime:0,1.5,0.25,0.5,0.0,10,3,0.1,0.0,0.0,0.0"
     assert len(line.split(",")) == 13
@@ -555,7 +555,17 @@ def test_sensitivity_cells_replay_one_shared_draw(monkeypatch):
         assert sweep.per_seed[("rl_cvar", label)] == alone.per_seed[("rl_cvar", label)]
 
 
-def test_emit_report_round_trip(tmp_path):
+def _reporting_stage(tmp_path):
+    """An ``evaluate`` stage under ``tmp_path`` that has read three
+    stand-in ingest files."""
+    stage = cli._Stage("evaluate", str(tmp_path / "eval"))
+    for name in cli._INGEST_INPUTS:
+        (tmp_path / name).write_text(name)
+        stage.read(name, str(tmp_path / name))
+    return stage
+
+
+def test_report_round_trip(tmp_path, capsys):
     rows = [
         MetricsRow(
             model="m", lob="syn", condition="c",
@@ -564,29 +574,38 @@ def test_emit_report_round_trip(tmp_path):
             rar_sd=0.0, cvar95_sd=0.0, ces_sd=0.0, rvr_sd=0.0,
         )
     ]
-    csv_path = tmp_path / "metrics.csv"
-    emit_report(rows, str(csv_path), sidecar={"fingerprint": "deadbeef"})
+    cfg = RunConfig()
+    stage = _reporting_stage(tmp_path)
+    cli._report(stage, "metrics", EvalOutcome(rows=rows), cfg)
+    assert stage.names == ["metrics.csv", "metrics.json"]
+    csv_path = tmp_path / "eval.partial" / "metrics.csv"
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "model,lob,condition,rar,cvar95,ces,rvr,n_episodes,n_seeds,rar_sd,cvar95_sd,ces_sd,rvr_sd"
     assert len(lines) == 2
+    assert capsys.readouterr().out.startswith("evaluate: m ")
 
-    sidecar = json.loads((tmp_path / "metrics.json").read_text())
-    assert sidecar["n_rows"] == 1
-    assert sidecar["columns"] == lines[0].split(",")
-    assert sidecar["fingerprint"] == "deadbeef"
+    sidecar = json.loads((tmp_path / "eval.partial" / "metrics.json").read_text())
+    assert sidecar == {
+        "config_fingerprint": config_fingerprint(cfg),
+        "seeds": [1, 2, 3],
+        "inputs": {name: git_blob_sha1(str(tmp_path / name)) for name in cli._INGEST_INPUTS},
+        "n_rows": 1,
+        "columns": lines[0].split(","),
+    }
 
-    # emitting the same rows again must reproduce the bytes exactly
+    # reporting the same rows again must reproduce the bytes exactly
     before = csv_path.read_bytes()
-    emit_report(rows, str(csv_path), sidecar={"fingerprint": "deadbeef"})
+    cli._report(_reporting_stage(tmp_path), "metrics", EvalOutcome(rows=rows), cfg)
     assert csv_path.read_bytes() == before
 
 
-def test_emit_report_rejects_empty_rows(tmp_path):
+def test_report_rejects_empty_rows(tmp_path):
     with pytest.raises(DataError, match="metrics report with zero rows"):
-        emit_report([], str(tmp_path / "metrics.csv"))
+        cli._report(_reporting_stage(tmp_path), "metrics", EvalOutcome(), RunConfig())
+    assert not (tmp_path / "eval.partial").exists()
 
 
-def test_emit_report_wraps_os_errors(tmp_path):
+def test_metrics_table_write_wraps_os_errors(tmp_path):
     rows = [
         MetricsRow(
             model="m", lob="syn", condition="c",
@@ -596,4 +615,4 @@ def test_emit_report_wraps_os_errors(tmp_path):
         )
     ]
     with pytest.raises(DataError, match="cannot write .*no_such_dir"):
-        emit_report(rows, str(tmp_path / "no_such_dir" / "metrics.csv"))
+        write_records(str(tmp_path / "no_such_dir" / "metrics.csv"), MetricsRow, rows)

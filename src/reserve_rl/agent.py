@@ -35,7 +35,7 @@ from .nets import (
     mlp_rows,
     softmax,
 )
-from .parallel import map_split, one_blas_thread
+from .parallel import map_split, one_blas_thread, process_count
 from .regimes import CurriculumSchedule, Stochastic
 
 log = logging.getLogger(__name__)
@@ -481,10 +481,10 @@ def train_seed(
     batch.  A batch is the level's next ``ceil(batch_size / horizon)``
     episodes or the rest of the level.  They roll out together
     (draw_paths, rollout) with the action uniforms drawn up front as one
-    (episodes, horizon) array and one forward pass per network per step
-    over all of them, bit for bit as stepping one episode at a time would
-    (the forward is batch invariant).  The environment's shortfall buffer
-    is cleared at level transitions.
+    (episodes, horizon) array, one policy forward pass per step over all
+    of them and one value pass over the whole batch after, bit for bit as
+    stepping one episode at a time would (the forward is batch invariant).
+    The environment's shortfall buffer is cleared at level transitions.
     """
     streams = np.random.SeedSequence(seed).spawn(4)
     init_rng, env_rng, action_rng, update_rng = map(np.random.default_rng, streams)
@@ -505,17 +505,17 @@ def train_seed(
         obs = np.empty((n, horizon, OBS_DIM))
         actions = np.empty((n, horizon), dtype=int)
         logps = np.empty((n, horizon))
-        values = np.empty((n, horizon))
 
         def sample(state: EnvState) -> np.ndarray:
             t = state.t
             rows = obs[:, t]
             rows[...] = observe(state)
             actions[:, t], logps[:, t] = act_sample(agent.policy, rows, uniforms[:, t])
-            values[:, t] = state_value(agent.value, rows)
             return actions[:, t]
 
         trace = env.rollout(paths, sample)
+        flat_obs = obs.reshape(-1, OBS_DIM)
+        values = state_value(agent.value, flat_obs)
         done = trace.t == horizon - 1
         rewards = [
             normalizer.normalize(reward, last)
@@ -527,15 +527,15 @@ def train_seed(
         ]
         log_rows.extend(TrainLogRow(seed, level, *row) for row in zip(episodes, *means))
         advantages, returns = compute_gae(
-            np.asarray(rewards), values.ravel(), done, config.discount, config.gae_lambda
+            np.asarray(rewards), values, done, config.discount, config.gae_lambda
         )
         return Batch(
-            obs=obs.reshape(-1, OBS_DIM),
+            obs=flat_obs,
             actions=actions.ravel(),
             old_logp=logps.ravel(),
             advantages=advantages,
             returns=returns,
-            values=values.ravel(),
+            values=values,
         )
 
     per_batch = -(-config.batch_size // horizon)
@@ -554,7 +554,7 @@ def train_curriculum(jobs: Sequence[TrainJob], workers: int = 1) -> list[SeedRun
     """Train one policy per job along the regime curriculum (see
     :func:`train_seed`), the runs in job order.
 
-    The jobs are dealt to up to ``workers`` processes by
+    The jobs are dealt over ``workers`` cores by
     :func:`~reserve_rl.parallel.map_split`, with numpy's OpenBLAS on one
     thread per process for the whole call
     (:func:`~reserve_rl.parallel.one_blas_thread`), or all trained in the
@@ -568,10 +568,10 @@ def train_curriculum(jobs: Sequence[TrainJob], workers: int = 1) -> list[SeedRun
         raise ConfigError(f"workers must be >= 1, got {workers}")
     started = time.perf_counter()
     with one_blas_thread() as pinned:
-        n_procs = min(workers, len(jobs)) if pinned else 1
-        runs = map_split(lambda i: train_seed(*jobs[i]), len(jobs), n_procs)
+        cores = workers if pinned else 1
+        runs = map_split(lambda i: train_seed(*jobs[i]), len(jobs), cores)
     seconds = time.perf_counter() - started
     steps = sum(run.env_steps for run in runs)
-    log.info("trained %d policies on %d workers in %.2f s (%.0f env steps/s)",
-             len(jobs), n_procs, seconds, steps / seconds)
+    log.info("trained %d policies in %d processes on %d cores in %.2f s (%.0f env steps/s)",
+             len(jobs), process_count(len(jobs), cores), cores, seconds, steps / seconds)
     return runs

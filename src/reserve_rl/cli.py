@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 configuration/usage errors, 2 data errors
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -90,7 +91,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _usable_cores() -> int:
-    """Processes to train and evaluate on: the cores this process may run on
+    """Cores to train and evaluate on: the ones this process may run on
     (``taskset`` and cpusets narrow them), or every core where the OS cannot
     say."""
     if hasattr(os, "sched_getaffinity"):
@@ -151,8 +152,11 @@ class _Stage:
         self.discard()
 
     def read(self, name: str, path: str) -> str:
-        """Record input ``path`` under ``name`` for the manifest; return ``path``."""
-        self.inputs[name] = path
+        """Record the digest of input ``path``, as it is now, under ``name``
+        for the manifest; return ``path``.  A file that cannot be read is
+        left for the caller's own open to report."""
+        with contextlib.suppress(DataError):
+            self.inputs[name] = git_blob_sha1(path)
         return path
 
     def path(self, name: str) -> str:
@@ -163,7 +167,7 @@ class _Stage:
         return path
 
     def finish(self, cfg: RunConfig) -> None:
-        """Write ``manifest.json`` (every input read, digested, and every name
+        """Write ``manifest.json`` (every input's digest and every name
         handed out); move the previous run to ``.old``, the partial
         directory into its place, and delete ``.old``."""
         write_json(os.path.join(self.partial, "manifest.json"),
@@ -330,7 +334,7 @@ def _report(stage: _Stage, table: str, outcome: EvalOutcome, cfg: RunConfig) -> 
     write_json(stage.path(f"{table}.json"), {
         "config_fingerprint": config_fingerprint(cfg),
         "seeds": list(cfg.run.seeds),
-        "inputs": {name: git_blob_sha1(stage.inputs[name]) for name in _INGEST_INPUTS},
+        "inputs": {name: stage.inputs[name] for name in _INGEST_INPUTS},
         "n_rows": len(outcome.rows),
         "columns": list(field_names(MetricsRow)),
     })

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Mapping, Sequence
 
-from .artifacts import git_blob_sha1
 from .env import DEFAULT_FLOOR, STRICT_FLOOR, EnvConfig
 from .errors import ConfigError
 from .agent import PPOConfig
@@ -264,7 +263,8 @@ def build_manifest(
     inputs: Mapping[str, str],
     outputs: Sequence[str],
 ) -> dict:
-    """Describe one command invocation: config identity, inputs, outputs.
+    """Describe one command invocation: config identity, inputs (name to
+    git blob digest), outputs.
 
     The ``created_at`` timestamp is informational only; comparisons
     between manifests must ignore it.
@@ -275,7 +275,7 @@ def build_manifest(
         "command": command,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config_fingerprint": config_fingerprint(cfg),
-        "inputs": {name: git_blob_sha1(p) for name, p in sorted(inputs.items())},
+        "inputs": dict(sorted(inputs.items())),
         "outputs": sorted(outputs),
     }
 

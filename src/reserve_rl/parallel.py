@@ -1,7 +1,8 @@
 """The one way jobs spread over processes: training and evaluation deal
-their jobs through :func:`map_split`, a ``fork`` split, and training pins
-numpy's OpenBLAS to one thread around it (:func:`one_blas_thread`), a
-count the forked children inherit."""
+their jobs through :func:`map_split`, a ``fork`` split over
+:func:`process_count` processes, and training pins numpy's OpenBLAS to one
+thread around it (:func:`one_blas_thread`), a count the forked children
+inherit."""
 
 from __future__ import annotations
 
@@ -81,17 +82,30 @@ def _run_share(run: Callable[[int], T], share: range, conn) -> None:
             conn.send(([], exc))
 
 
+def process_count(n: int, workers: int) -> int:
+    """How many processes, the caller counted, :func:`map_split` deals
+    ``n`` items to on ``workers`` cores: with ``c = min(workers, n)``, the
+    fewest whose largest share, ``ceil(n / P)`` items, is no more than one
+    core's fair load ``n / c``, that is ``P = ceil(n / floor(n / c))``.
+    While items are left, the OS slices these P processes over the c cores
+    and no core idles: 3 items on 2 cores take 3 processes, 4 take 2.
+    P is at most ``n`` and at most ``2c - 1``."""
+    cores = min(workers, n)
+    return cores if cores <= 1 else -(-n // (n // cores))
+
+
 def map_split(run: Callable[[int], T], n: int, workers: int) -> list[T]:
     """``[run(i) for i in range(n)]``, the indices dealt round-robin to
-    ``min(workers, n)`` processes: the caller runs ``0, P, 2P, ...`` and
-    ``fork``-started children the rest, each sending its results back
-    through a pipe when its share is done, so a result must pickle.  An
-    exception reaches the caller with its type; when several indices
-    raise, the lowest one's does, as in the loop.  No child outlives the
-    call.  Serial where ``fork`` is not offered."""
+    ``P = process_count(n, workers)`` processes for ``workers`` usable
+    cores: the caller runs ``0, P, 2P, ...`` and ``fork``-started children
+    the rest, each sending its results back through a pipe when its share
+    is done, so a result must pickle.  An exception reaches the caller with
+    its type; when several indices raise, the lowest one's does, as in the
+    loop.  No child outlives the call.  Serial where ``fork`` is not
+    offered."""
     import multiprocessing
 
-    n_procs = min(workers, n)
+    n_procs = process_count(n, workers)
     if n_procs <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         return [run(i) for i in range(n)]
     ctx = multiprocessing.get_context("fork")

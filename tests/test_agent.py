@@ -376,9 +376,9 @@ def has_child_process() -> bool:
 # Freeing the split's pipes and child handles must raise nothing unraisable.
 @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 def test_train_curriculum_workers_are_bitwise_serial(bundle):
-    """Three seeds on two forked workers (the caller trains two) equal the
-    serial run bit for bit, at a minibatch and width where the parent's
-    BLAS may use several threads."""
+    """Three seeds on two cores (three processes, one seed each, two of
+    them forked) equal the serial run bit for bit, at a minibatch and width
+    where the parent's BLAS may use several threads."""
     config = PPOConfig(batch_size=300, minibatch_size=256, epochs=2, hidden=(64, 64))
     schedule = CurriculumSchedule(levels=(0, 1), episodes_per_level=30, ramp_episodes=10)
     factory = EnvFactory(bundle.train, bundle.factors, EnvConfig(horizon=bundle.horizon))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import triangle_from_arrays
 
 from reserve_rl import nets
-from reserve_rl.artifacts import write_csv, write_csv_tables, write_json
+from reserve_rl.artifacts import git_blob_sha1, write_csv, write_csv_tables, write_json
 from reserve_rl.baselines import bootstrap_chain_ladder
 from reserve_rl.cli import _bootstrap_summary
 from reserve_rl.config import RunConfig, build_manifest
@@ -120,7 +120,8 @@ def test_json_bytes_match_the_python_encoder(tmp_path, monkeypatch):
     tri = triangle_from_arrays([[100, 300, 310, 311], [100, 120, 400], [50, 60], [10]])
     write_triangle_csv(tri, str(tmp_path / "triangle.csv"))
     recording_write_json(str(tmp_path / "manifest.json"), build_manifest(
-        "ingest", RunConfig(), {"triangle": str(tmp_path / "triangle.csv")}, ["a.csv"]))
+        "ingest", RunConfig(), {"triangle": git_blob_sha1(str(tmp_path / "triangle.csv"))},
+        ["a.csv"]))
     boot = bootstrap_chain_ladder(tri, 500, np.random.default_rng(3))
     recording_write_json(str(tmp_path / "bootstrap.json"), _bootstrap_summary(boot, 0.1 + 0.2))
     assert boot.n_retries > 0

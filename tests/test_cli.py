@@ -740,6 +740,30 @@ def test_a_swapped_policy_file_changes_the_manifest_inputs(pipeline, tmp_path, c
     assert after == before
 
 
+def test_the_manifest_digests_the_policy_that_was_scored(pipeline, tmp_path, monkeypatch):
+    """A policy file rewritten after ``evaluate`` has loaded it leaves the
+    manifest with the digest of the bytes that were scored."""
+    policies = tmp_path / "train"
+    shutil.copytree(os.path.join(pipeline["out"], "train"), policies)
+    path = policies / "policy_seed2.json"
+    scored = git_blob_sha1(str(path))
+    score = cli.evaluate_models
+
+    def rewrite_then_score(*args, **kwargs):
+        doc = json.loads(path.read_text())
+        doc["policy"]["arrays"][0][0] += 0.5
+        path.write_text(json.dumps(doc))
+        return score(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_models", rewrite_then_score)
+    out = tmp_path / "runs"
+    assert main(["--config", pipeline["config"], "--out", str(out), "evaluate",
+                 "--data", os.path.join(pipeline["out"], "ingest"),
+                 "--policies", str(policies)]) == 0
+    assert git_blob_sha1(str(path)) != scored
+    assert _manifest(out / "eval")["inputs"]["policy_seed2.json"] == scored
+
+
 def test_a_killed_runs_leftovers_go_with_the_next_run(pipeline, tmp_path, capsys):
     """A ``.partial`` or ``.old`` directory that a killed run left is
     cleared when its command next runs.  An ``.old`` standing in for the

@@ -293,7 +293,7 @@ def test_build_and_write_manifest(tmp_path):
     blob.write_text("a,b\n1,2\n")
     cfg = RunConfig()
     manifest = build_manifest(
-        "train", cfg, inputs={"triangle": str(blob)}, outputs=["b.json", "a.csv"]
+        "train", cfg, inputs={"triangle": git_blob_sha1(str(blob))}, outputs=["b.json", "a.csv"]
     )
     assert manifest["tool"] == "reserve-rl"
     assert manifest["command"] == "train"

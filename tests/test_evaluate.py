@@ -27,7 +27,7 @@ import reserve_rl.evaluate as evaluate_module
 from reserve_rl.config import FLOOR_FORMS, RunConfig, config_fingerprint
 from reserve_rl.env import EnvConfig, EnvFactory, ReserveEnv, Trace
 from reserve_rl.errors import ConfigError, DataError, ReserveRlError
-from reserve_rl.parallel import map_split
+from reserve_rl.parallel import map_split, process_count
 from reserve_rl.evaluate import (
     MIN_TAIL_SAMPLES,
     RAR_LOSS_EPS,
@@ -393,6 +393,38 @@ def test_evaluate_models_workers_are_bitwise_serial(tmp_path):
         assert split_files == serial_files
         with pytest.raises(ChildProcessError):  # every child was joined
             os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+
+
+@pytest.mark.parametrize("n, workers, processes", [
+    (3, 2, 3), (4, 2, 2), (5, 2, 3), (20, 2, 2), (5, 4, 5), (6, 3, 3),
+    (1, 2, 1), (2, 1, 1), (3, 3, 3),
+])
+def test_process_count_keeps_every_core_busy_with_the_fewest_processes(n, workers, processes):
+    assert process_count(n, workers) == processes
+
+
+def test_process_count_never_exceeds_the_items_or_twice_the_cores():
+    """No process holds more than one core's fair share of items, and no
+    fewer processes would do; the count stays within ``min(n, 2c - 1)``."""
+    for n in range(1, 65):
+        for workers in range(1, 65):
+            p = process_count(n, workers)
+            cores = min(n, workers)
+            assert 1 <= p <= min(n, 2 * cores - 1)
+            assert -(-n // p) * cores <= n
+            assert p == 1 or -(-n // (p - 1)) * cores > n
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the split forks its workers")
+def test_map_split_runs_three_items_on_two_cores_in_three_processes():
+    """Three items on two cores take one process each, the caller running
+    item 0, and come back in item order."""
+    results = map_split(lambda i: (i, os.getpid()), 3, 2)
+    assert [i for i, _ in results] == [0, 1, 2]
+    pids = [pid for _, pid in results]
+    assert pids[0] == os.getpid()
+    assert len(set(pids)) == 3
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),

@@ -26,6 +26,7 @@ from .errors import ConfigError, NumericalError
 from .nets import (
     Adam,
     MLPParams,
+    MLPStack,
     clip_global_norm,
     flat_views,
     init_mlp,
@@ -120,19 +121,22 @@ def observe(state: EnvState) -> np.ndarray:
 
 @dataclass
 class AgentParams:
-    """Policy and value networks as views into one float64 ``vector`` (see
-    :func:`reserve_rl.nets.flat_views`).  Gradients share the layout, so the
-    finiteness check, the clip and the optimiser step each see one array."""
+    """Policy and value networks as views into one float64 ``vector``, and
+    the pair as one :class:`~reserve_rl.nets.MLPStack` of the same memory,
+    which training runs (see :func:`reserve_rl.nets.flat_views`; both
+    networks are built from ``[ppo] hidden``).  Gradients share the layout,
+    so the clip and the optimiser step each see one array."""
 
     vector: np.ndarray
     policy: MLPParams
     value: MLPParams
+    stack: MLPStack
 
     @classmethod
     def empty_like(cls, policy: MLPParams, value: MLPParams) -> "AgentParams":
-        """Uninitialized arrays laid out like ``policy`` then ``value``."""
-        vector, (policy_view, value_view) = flat_views((policy, value))
-        return cls(vector=vector, policy=policy_view, value=value_view)
+        """Uninitialized arrays shaped like ``policy`` and ``value``."""
+        vector, (policy_view, value_view), stack = flat_views((policy, value))
+        return cls(vector=vector, policy=policy_view, value=value_view, stack=stack)
 
     @classmethod
     def from_networks(cls, policy: MLPParams, value: MLPParams) -> "AgentParams":
@@ -148,6 +152,8 @@ class AgentParams:
         return (AgentParams.from_networks, (self.policy, self.value))
 
     def layers(self) -> list[np.ndarray]:
+        """The policy's arrays, then the value network's: the order the
+        gradient norm sums in."""
         return self.policy.layers() + self.value.layers()
 
 
@@ -275,7 +281,8 @@ class Batch:
     def __len__(self) -> int:
         return int(self.actions.size)
 
-    def select(self, idx: np.ndarray) -> "Batch":
+    def select(self, idx: np.ndarray | slice) -> "Batch":
+        """The rows ``idx``: copies for an index array, views for a slice."""
         return Batch(*(getattr(self, f.name)[idx] for f in fields(self)))
 
 
@@ -305,8 +312,7 @@ def explained_variance(values: np.ndarray, returns: np.ndarray) -> float:
 
 
 def ppo_loss_and_grads(
-    policy: MLPParams,
-    value: MLPParams,
+    agent: AgentParams,
     batch: Batch,
     config: PPOConfig,
     grads: AgentParams,
@@ -317,15 +323,16 @@ def ppo_loss_and_grads(
     with importance ratio r against the stored behaviour log-probs.
     Advantages are used exactly as passed in (the caller owns any
     normalization), which keeps this function a pure, finite-difference
-    checkable map from parameters to a scalar.  The gradients are
-    written into ``grads`` (see :meth:`AgentParams.empty_like`).
+    checkable map from parameters to a scalar.  Both networks run as one
+    stack, forward and backward, and the gradients are written into
+    ``grads`` (see :meth:`AgentParams.empty_like`).
     """
     n = len(batch)
     if n == 0:
         raise ConfigError("empty minibatch")
     clip = config.clip_range
 
-    logits, policy_cache = mlp_forward(policy, batch.obs)
+    (logits, values_out), cache = mlp_forward(agent.stack, batch.obs)
     logp_all = log_softmax(logits)
     probs = np.exp(logp_all)
     rows = np.arange(n)
@@ -334,16 +341,13 @@ def ppo_loss_and_grads(
 
     adv = batch.advantages
     surr_raw = ratio * adv
-    clipped_ratio = np.clip(ratio, 1.0 - clip, 1.0 + clip)
-    surr_clipped = clipped_ratio * adv
+    surr_clipped = np.minimum(np.maximum(ratio, 1.0 - clip), 1.0 + clip) * adv
     use_raw = surr_raw <= surr_clipped  # min(); ties take the raw branch
     surrogate = np.where(use_raw, surr_raw, surr_clipped)
 
     entropy = -(probs * logp_all).sum(axis=1)
 
-    values_out, value_cache = mlp_forward(value, batch.obs)
-    v = values_out[:, 0]
-    value_err = v - batch.returns
+    value_err = values_out[:, 0] - batch.returns
 
     policy_loss = -_mean(surrogate)
     mean_entropy = _mean(entropy)
@@ -352,18 +356,15 @@ def ppo_loss_and_grads(
 
     # d loss / d logp  (only where the active branch depends on the ratio)
     inside = (ratio > 1.0 - clip) & (ratio < 1.0 + clip)
-    dsurr_dlogp = np.where(use_raw, ratio * adv, np.where(inside, ratio * adv, 0.0))
-    dlogp = -dsurr_dlogp / n
+    dlogp = -np.where(use_raw | inside, surr_raw, 0.0) / n
 
     # d loss / d logits: chosen-action term plus entropy term.
     dlogits = probs * (-dlogp)[:, None]
     dlogits[rows, batch.actions] += dlogp
     dlogits += (config.entropy_coef / n) * probs * (logp_all + entropy[:, None])
 
-    mlp_backward(policy, policy_cache, dlogits, grads.policy)
-
     dv = (2.0 * config.value_coef / n) * value_err
-    mlp_backward(value, value_cache, dv[:, None], grads.value)
+    mlp_backward(agent.stack, cache, (dlogits, dv[:, None]), grads.stack)
 
     stats = UpdateStats(
         policy_loss=policy_loss,
@@ -385,9 +386,10 @@ def ppo_update(
     """Run the full multi-epoch minibatch update over one batch in place.
 
     Advantages are normalized to zero mean / unit variance over the
-    whole batch before any epoch.  ``adam`` steps ``agent.vector``.
-    Returns the mean of the minibatches' statistics and the batch's
-    :func:`explained_variance`.
+    whole batch before any epoch.  Each epoch shuffles the batch once and
+    takes its minibatches as consecutive slices.  ``adam`` steps
+    ``agent.vector``.  Returns the mean of the minibatches' statistics and
+    the batch's :func:`explained_variance`.
 
     Raises:
         ConfigError: No transitions.
@@ -400,15 +402,21 @@ def ppo_update(
     adv = batch.advantages
     batch = replace(batch, advantages=(adv - _mean(adv)) / (adv.std() + 1e-8))
     grads = AgentParams.empty_like(agent.policy, agent.value)
+    squares = AgentParams.empty_like(agent.policy, agent.value)
+    square_layers = squares.layers()
     minibatch_stats = []
     for _ in range(config.epochs):
-        order = rng.permutation(n)
+        shuffled = batch.select(rng.permutation(n))
         for start in range(0, n, config.minibatch_size):
-            mini = batch.select(order[start : start + config.minibatch_size])
-            _, stats = ppo_loss_and_grads(agent.policy, agent.value, mini, config, grads)
-            if not np.isfinite(grads.vector).all():
+            mini = shuffled.select(slice(start, start + config.minibatch_size))
+            _, stats = ppo_loss_and_grads(agent, mini, config, grads)
+            stats.grad_norm = clip_global_norm(
+                grads.vector, squares.vector, square_layers, config.max_grad_norm)
+            # A finite norm means every entry is finite.  Otherwise the clip
+            # left a NaN as it was and scaled an infinity to 0 * inf = NaN,
+            # so this scan finds every gradient the unclipped one would.
+            if not math.isfinite(stats.grad_norm) and not np.isfinite(grads.vector).all():
                 raise NumericalError("non-finite gradient in update")
-            stats.grad_norm = clip_global_norm(grads.vector, grads.layers(), config.max_grad_norm)
             adam.step(agent.vector, grads.vector)
             minibatch_stats.append(stats)
     return UpdateStats(**{

@@ -1,9 +1,11 @@
 """Small feedforward networks with hand-written backprop.
 
-The policy and value approximators are two-hidden-layer tanh MLPs, kept
-in plain numpy (float64) so gradients are analytic, checkable against
-finite differences, and bitwise reproducible per seed.  No autograd
-framework is involved anywhere in training.
+The policy and value approximators are tanh MLPs with the same hidden
+widths, kept in plain numpy (float64) so gradients are analytic,
+checkable against finite differences, and bitwise reproducible per seed.
+Training runs the two as one :class:`MLPStack`, one matrix product per
+hidden layer for both.  No autograd framework is involved anywhere in
+training.
 """
 
 from __future__ import annotations
@@ -35,21 +37,46 @@ class MLPParams:
         return [a for w, b in zip(self.weights, self.biases) for a in (w, b)]
 
 
-def flat_views(nets: Sequence[MLPParams]) -> tuple[np.ndarray, list[MLPParams]]:
-    """A new uninitialized float64 vector, and networks shaped like ``nets``
-    whose arrays are C-ordered views into it, net after net in
-    :meth:`MLPParams.layers` order.
+@dataclass
+class MLPStack:
+    """Networks with equal hidden shapes run as one (see :func:`flat_views`):
+    each hidden layer's weights stacked (k, n_in, n_out) and biases
+    (k, 1, n_out), then each network's own linear output layer."""
+
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
+    heads: list[tuple[np.ndarray, np.ndarray]]
+
+
+def flat_views(nets: Sequence[MLPParams]) -> tuple[np.ndarray, list[MLPParams], MLPStack]:
+    """A new uninitialized float64 vector, networks shaped like ``nets``
+    whose arrays are C-ordered views into it, and the same arrays as one
+    :class:`MLPStack`.
+
+    The vector is laid out layer by layer: the nets' weights of a layer
+    side by side, then their biases, so each stacked hidden layer is a
+    reshape of one contiguous slice.
+
+    Raises:
+        ValueError: The nets' hidden layer shapes differ.
     """
+    if len({tuple(w.shape for w in net.weights[:-1]) for net in nets}) > 1:
+        raise ValueError("stacked networks need equal hidden shapes")
     vector = np.empty(sum(a.size for net in nets for a in net.layers()))
-    views = []
+    arrays: list[list[np.ndarray]] = [[] for _ in nets]
+    stacked = []
     offset = 0
-    for net in nets:
-        arrays = []
-        for like in net.layers():
-            arrays.append(vector[offset:offset + like.size].reshape(like.shape))
-            offset += like.size
-        views.append(MLPParams(weights=arrays[0::2], biases=arrays[1::2]))
-    return vector, views
+    for i in range(nets[0].n_layers):
+        for group in ([net.weights[i] for net in nets], [net.biases[i] for net in nets]):
+            start = offset
+            for out, like in zip(arrays, group):
+                out.append(vector[offset:offset + like.size].reshape(like.shape))
+                offset += like.size
+            if i < nets[0].n_layers - 1:
+                stacked.append(vector[start:offset].reshape(len(nets), -1, group[0].shape[-1]))
+    views = [MLPParams(weights=a[0::2], biases=a[1::2]) for a in arrays]
+    heads = [(view.weights[-1], view.biases[-1]) for view in views]
+    return vector, views, MLPStack(weights=stacked[0::2], biases=stacked[1::2], heads=heads)
 
 
 def orthogonal(n_in: int, n_out: int, gain: float, rng: np.random.Generator) -> np.ndarray:
@@ -82,30 +109,41 @@ def init_mlp(
     return MLPParams(weights=weights, biases=biases)
 
 
-def mlp_forward(params: MLPParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass with tanh hidden layers and a linear output.
+def mlp_forward(stack: MLPStack, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Forward pass of every network in ``stack`` over the same inputs:
+    tanh hidden layers, then each network's linear output layer.
+
+    Each hidden layer is one ``np.matmul`` for all the networks, which
+    numpy runs as one BLAS call per network, so each network's bits are
+    those of its own pass.
 
     Args:
         x: Batch of inputs, shape (B, n_in).
 
     Returns:
-        (output, cache) where cache holds each layer's input activation
-        for the backward pass.
+        (outputs, cache): network j's output (B, n_out_j), and each
+        layer's input activation for :func:`mlp_backward`: ``x``, then
+        the stacked (k, B, n) hidden activations.
 
     Raises:
-        NumericalError: NaN or infinity appeared in the output.
+        NumericalError: NaN or infinity appeared in an output.
     """
     cache = [x]
     h = x
-    last = params.n_layers - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w + b
-        h = z if i == last else np.tanh(z)
-        if i < last:
-            cache.append(h)
-    if not np.isfinite(h).all():
-        raise NumericalError("non-finite value in network output")
-    return h, cache
+    for w, b in zip(stack.weights, stack.biases):
+        h = np.matmul(h, w)
+        h += b
+        np.tanh(h, out=h)
+        cache.append(h)
+    tops = h if stack.weights else [x] * len(stack.heads)
+    outputs = []
+    for top, (w, b) in zip(tops, stack.heads):
+        out = np.matmul(top, w)
+        out += b
+        if not np.isfinite(out).all():
+            raise NumericalError("non-finite value in network output")
+        outputs.append(out)
+    return outputs, cache
 
 
 def mlp_rows(params: MLPParams, x: np.ndarray) -> np.ndarray:
@@ -132,16 +170,35 @@ def mlp_rows(params: MLPParams, x: np.ndarray) -> np.ndarray:
 
 
 def mlp_backward(
-    params: MLPParams, cache: list[np.ndarray], dout: np.ndarray, out: MLPParams
+    stack: MLPStack, cache: list[np.ndarray], douts: Sequence[np.ndarray], grads: MLPStack
 ) -> None:
-    """Backprop ``dout`` (B, n_out) through the network into the gradient
-    arrays ``out``, shaped like ``params``."""
-    delta = dout
-    for i in range(params.n_layers - 1, -1, -1):
-        out.weights[i][...] = cache[i].T @ delta
-        out.biases[i][...] = delta.sum(axis=0)
+    """Backprop network j's ``douts[j]`` (B, n_out_j) into ``grads``, shaped
+    like ``stack``.  The hidden activations in ``cache`` are overwritten.
+
+    A one-output head's (B, 1) @ (1, n) product is an outer product, which
+    numpy's matmul computes without BLAS as ``0.0 + a*b``; ``a*b + 0.0``
+    is that bit for bit (-0.0 included) at a fraction of the cost.
+    """
+    top = cache[-1]
+    tops = top if stack.weights else [top] * len(stack.heads)
+    delta = np.empty((len(stack.heads), *top.shape[-2:]))
+    for j, ((w, _), (gw, gb), dout) in enumerate(zip(stack.heads, grads.heads, douts)):
+        np.matmul(tops[j].T, dout, out=gw)
+        np.add.reduce(dout, axis=0, out=gb)
+        if w.shape[1] == 1:
+            np.multiply(dout, w.T, out=delta[j])
+            delta[j] += 0.0
+        else:
+            np.matmul(dout, w.T, out=delta[j])
+    for i in range(len(stack.weights) - 1, -1, -1):
+        h = cache[i + 1]  # tanh' = 1 - h**2, in place
+        np.square(h, out=h)
+        np.subtract(1.0, h, out=h)
+        delta *= h
+        np.matmul(cache[i].swapaxes(-1, -2), delta, out=grads.weights[i])
+        np.add.reduce(delta, axis=1, keepdims=True, out=grads.biases[i])
         if i > 0:
-            delta = (delta @ params.weights[i].T) * (1.0 - cache[i] ** 2)
+            delta = np.matmul(delta, stack.weights[i].swapaxes(-1, -2))
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -192,15 +249,19 @@ class Adam:
         params -= t1
 
 
-def clip_global_norm(grads: np.ndarray, layers: Sequence[np.ndarray], max_norm: float) -> float:
+def clip_global_norm(
+    grads: np.ndarray, squares: np.ndarray, layers: Sequence[np.ndarray], max_norm: float
+) -> float:
     """Scale the flat gradient ``grads`` in place so its L2 norm is <= max_norm.
 
-    ``layers`` are the per-array views into ``grads``.  The norm sums each
-    array's squares (``ndarray.sum`` is this reduce), array by array, in
-    row-major order since every view is C-ordered.
+    ``squares`` is a work buffer of the same layout, and ``layers`` are its
+    per-array views in the order the norm sums.  ``grads`` is squared into
+    ``squares`` in one sweep; the norm then sums each array's squares
+    (``ndarray.sum`` is this reduce), array by array, in row-major order
+    since every view is C-ordered, as squaring each array on its own would.
     """
-    squares = (np.add.reduce(g * g, axis=None) for g in layers)
-    total = math.sqrt(sum(map(float, squares)))
+    np.multiply(grads, grads, out=squares)
+    total = math.sqrt(sum(float(np.add.reduce(a, axis=None)) for a in layers))
     if total > max_norm:
         grads *= max_norm / (total + 1e-12)
     return total

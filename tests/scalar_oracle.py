@@ -6,7 +6,8 @@ ran before their rollouts moved to :meth:`ReserveEnv.rollout`:
 ``reset(rng, mode)``, then one ``step()`` per period, one B=1 forward
 pass per action, recorded step by step, with each static method's path
 built one episode at a time.  Training here also keeps its networks as separate
-arrays, with a per-array Adam and gradient clip.  The bootstrap here
+arrays, with a per-array Adam and gradient clip, and runs each network's
+forward and backward pass on its own.  The bootstrap here
 draws, refits and re-projects one simulation at a time, and the CSV
 writer formats every value of every row on its own.
 Tests run both on identically seeded inputs and require the same trace,
@@ -31,13 +32,12 @@ from reserve_rl.agent import (
     act_sample,
     compute_gae,
     observe,
-    ppo_loss_and_grads,
     state_value,
 )
 from reserve_rl.baselines import BootstrapResult, _residual_pool, percent_developed
 from reserve_rl.env import ACTION_GRID, TRACE_HEADER, ReserveEnv, StepOutcome, Trace
-from reserve_rl.errors import DataError, NumericalError
-from reserve_rl.nets import MLPParams, init_mlp, mlp_rows, softmax
+from reserve_rl.errors import ConfigError, DataError, NumericalError
+from reserve_rl.nets import MLPParams, init_mlp, log_softmax, mlp_rows, softmax
 from reserve_rl.regimes import ShockMode, Stochastic
 from reserve_rl.triangles import DevelopmentFactors, LossTriangle
 
@@ -174,6 +174,91 @@ def rowwise_write_trace(trace: Trace, path: str) -> None:
 
 # --- training ------------------------------------------------------------------
 
+def net_forward(params: MLPParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One network's forward pass: (output, each layer's input activation)."""
+    cache = [x]
+    h = x
+    last = params.n_layers - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = h @ w + b
+        h = z if i == last else np.tanh(z)
+        if i < last:
+            cache.append(h)
+    if not np.isfinite(h).all():
+        raise NumericalError("non-finite value in network output")
+    return h, cache
+
+
+def net_backward(params: MLPParams, cache, dout: np.ndarray, out: MLPParams) -> None:
+    """Backprop ``dout`` through one network into the arrays ``out``."""
+    delta = dout
+    for i in range(params.n_layers - 1, -1, -1):
+        out.weights[i][...] = cache[i].T @ delta
+        out.biases[i][...] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ params.weights[i].T) * (1.0 - cache[i] ** 2)
+
+
+def _mean(x):
+    return float(x.mean())
+
+
+def net_ppo_loss_and_grads(policy, value, batch, config, grads):
+    """The clipped-surrogate loss with one forward and one backward pass per
+    network, its gradients written into ``grads``'s per-network views."""
+    n = len(batch)
+    if n == 0:
+        raise ConfigError("empty minibatch")
+    clip = config.clip_range
+
+    logits, policy_cache = net_forward(policy, batch.obs)
+    logp_all = log_softmax(logits)
+    probs = np.exp(logp_all)
+    rows = np.arange(n)
+    logp = logp_all[rows, batch.actions]
+    ratio = np.exp(logp - batch.old_logp)
+
+    adv = batch.advantages
+    surr_raw = ratio * adv
+    clipped_ratio = np.clip(ratio, 1.0 - clip, 1.0 + clip)
+    surr_clipped = clipped_ratio * adv
+    use_raw = surr_raw <= surr_clipped
+    surrogate = np.where(use_raw, surr_raw, surr_clipped)
+
+    entropy = -(probs * logp_all).sum(axis=1)
+
+    values_out, value_cache = net_forward(value, batch.obs)
+    v = values_out[:, 0]
+    value_err = v - batch.returns
+
+    policy_loss = -_mean(surrogate)
+    mean_entropy = _mean(entropy)
+    value_loss = _mean(value_err**2)
+    loss = policy_loss - config.entropy_coef * mean_entropy + config.value_coef * value_loss
+
+    inside = (ratio > 1.0 - clip) & (ratio < 1.0 + clip)
+    dsurr_dlogp = np.where(use_raw, ratio * adv, np.where(inside, ratio * adv, 0.0))
+    dlogp = -dsurr_dlogp / n
+
+    dlogits = probs * (-dlogp)[:, None]
+    dlogits[rows, batch.actions] += dlogp
+    dlogits += (config.entropy_coef / n) * probs * (logp_all + entropy[:, None])
+
+    net_backward(policy, policy_cache, dlogits, grads.policy)
+
+    dv = (2.0 * config.value_coef / n) * value_err
+    net_backward(value, value_cache, dv[:, None], grads.value)
+
+    stats = UpdateStats(
+        policy_loss=policy_loss,
+        value_loss=value_loss,
+        entropy=mean_entropy,
+        clip_fraction=_mean(~use_raw),
+        approx_kl=_mean(batch.old_logp - logp),
+    )
+    return loss, stats
+
+
 class ListAdam:
     """Adam over a list of separate arrays, one array at a time."""
 
@@ -228,7 +313,7 @@ def list_ppo_update(policy, value, batch, config, adam, rng):
         order = rng.permutation(n)
         for start in range(0, n, config.minibatch_size):
             mini = batch.select(order[start : start + config.minibatch_size])
-            _, stats = ppo_loss_and_grads(policy, value, mini, config, flat_grads)
+            _, stats = net_ppo_loss_and_grads(policy, value, mini, config, flat_grads)
             # separate C-ordered arrays, as a fresh matrix product returns them
             grads = [np.array(g, order="C") for g in flat_grads.layers()]
             if not all(np.all(np.isfinite(g)) for g in grads):

@@ -156,15 +156,15 @@ def test_criterion_03_gradient_check():
         )
         grads = AgentParams.empty_like(policy, value)
         probe_grads = AgentParams.empty_like(policy, value)
-        ppo_loss_and_grads(policy, value, batch, config, grads)
+        ppo_loss_and_grads(agent, batch, config, grads)
         for params, net_grads in ((policy, grads.policy), (value, grads.value)):
             for arr, garr in zip(params.layers(), net_grads.layers()):
                 for i in range(0, arr.size, max(1, arr.size // 4)):
                     orig = arr.flat[i]
                     arr.flat[i] = orig + eps
-                    up = ppo_loss_and_grads(policy, value, batch, config, probe_grads)[0]
+                    up = ppo_loss_and_grads(agent, batch, config, probe_grads)[0]
                     arr.flat[i] = orig - eps
-                    down = ppo_loss_and_grads(policy, value, batch, config, probe_grads)[0]
+                    down = ppo_loss_and_grads(agent, batch, config, probe_grads)[0]
                     arr.flat[i] = orig
                     fd = (up - down) / (2 * eps)
                     rel = abs(garr.flat[i] - fd) / max(abs(garr.flat[i]), abs(fd), 1e-6)

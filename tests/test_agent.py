@@ -235,7 +235,7 @@ def test_ppo_loss_empty_minibatch_rejected():
         values=np.empty(0),
     )
     with pytest.raises(ConfigError, match="empty minibatch"):
-        ppo_loss_and_grads(agent.policy, agent.value, empty, config,
+        ppo_loss_and_grads(agent, empty, config,
                            AgentParams.empty_like(agent.policy, agent.value))
 
 
@@ -248,6 +248,57 @@ def test_non_finite_inputs_raise_numerical_error():
     adam = Adam(agent.vector, lr=config.learning_rate)
     with pytest.raises(NumericalError):
         ppo_update(agent, batch, config, adam, rng)
+
+
+def poisoned_update(monkeypatch, bad: float):
+    """One minibatch step whose gradient has ``bad`` written into three
+    entries: (parameters before, after, the gradients Adam stepped with,
+    the update's statistics or the error it raised)."""
+    rng = np.random.default_rng(7)
+    config = PPOConfig(batch_size=8, minibatch_size=8, epochs=1, hidden=(8,))
+    agent = init_agent(rng, config)
+    loss_and_grads = agent_module.ppo_loss_and_grads
+
+    def poisoning(agent, batch, config, grads):
+        result = loss_and_grads(agent, batch, config, grads)
+        grads.vector[[0, 50, -1]] = bad
+        return result
+
+    stepped = []
+
+    class RecordingAdam(Adam):
+        def step(self, params, grads):
+            stepped.append(grads.copy())
+            super().step(params, grads)
+
+    monkeypatch.setattr(agent_module, "ppo_loss_and_grads", poisoning)
+    before = agent.vector.copy()
+    adam = RecordingAdam(agent.vector, lr=config.learning_rate)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcome = ppo_update(agent, make_batch(rng, n=8), config, adam, rng)
+    except NumericalError as exc:
+        outcome = exc
+    return before, agent.vector, stepped, outcome
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=str)
+def test_non_finite_gradient_raises_before_the_step(monkeypatch, bad):
+    before, after, stepped, outcome = poisoned_update(monkeypatch, bad)
+    assert isinstance(outcome, NumericalError)
+    assert str(outcome) == "non-finite gradient in update"
+    assert stepped == []
+    assert after.tobytes() == before.tobytes()
+
+
+def test_overflowing_gradient_norm_zeroes_the_step(monkeypatch):
+    """Finite entries whose squares overflow give an infinite norm, not an
+    error: the clip scales the gradient to zero and the step goes on."""
+    before, after, stepped, outcome = poisoned_update(monkeypatch, 1e200)
+    assert outcome.grad_norm == np.inf
+    assert len(stepped) == 1 and not stepped[0].any()
+    # Adam's first step from a zero gradient moves nothing
+    assert after.tobytes() == before.tobytes()
 
 
 # --- training loop -----------------------------------------------------------

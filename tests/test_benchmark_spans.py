@@ -93,6 +93,10 @@ CALLED_SPANS = (
     "baselines.bootstrap_chain_ladder",
     "agent.train_curriculum",
     "agent.ppo_update",
+    "agent.ppo_loss_and_grads",
+    "nets.mlp_forward.batched",
+    "nets.clip_global_norm",
+    "nets.Adam.step",
 )
 
 

@@ -11,13 +11,20 @@ the shortfall buffer in the same state.
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from reserve_rl.agent import (
+    N_ACTIONS,
+    OBS_DIM,
     AgentParams,
+    Batch,
     PPOConfig,
     act_greedy,
+    init_agent,
+    ppo_loss_and_grads,
     train_curriculum,
     write_training_log,
 )
@@ -51,6 +58,8 @@ from scalar_oracle import (
     chase_action,
     greedy_action,
     list_clip_global_norm,
+    net_forward,
+    net_ppo_loss_and_grads,
     rowwise_write_trace,
     scalar_policy_episodes,
     scalar_replay,
@@ -276,16 +285,17 @@ def test_flat_params_match_per_array_reference():
     reference_layers = policy.layers() + value.layers()
     assert [a.strides for a in flat.layers()] == [a.strides for a in reference_layers]
     for row in rng.normal(0.0, 2.0, size=(200, 7)):
-        for net, ref in ((flat.policy, policy), (flat.value, value)):
-            ours, expected = mlp_forward(net, row[None])[0], mlp_forward(ref, row[None])[0]
-            assert ours.tobytes() == expected.tobytes()
+        ours = mlp_forward(flat.stack, row[None])[0]
+        expected = [net_forward(ref, row[None])[0] for ref in (policy, value)]
+        assert [a.tobytes() for a in ours] == [b.tobytes() for b in expected]
 
     grads = AgentParams.empty_like(policy, value)
+    squares = AgentParams.empty_like(policy, value)
     adam, list_adam = Adam(flat.vector, lr=0.01), ListAdam(reference_layers, lr=0.01)
     for _ in range(20):
         grads.vector[:] = rng.normal(size=grads.vector.size)
         reference = [np.array(g, order="C") for g in grads.layers()]
-        total = clip_global_norm(grads.vector, grads.layers(), 0.5)
+        total = clip_global_norm(grads.vector, squares.vector, squares.layers(), 0.5)
         assert total == list_clip_global_norm(reference, 0.5)
         assert [np.array(g, order="C").tobytes() for g in grads.layers()] == [
             g.tobytes() for g in reference
@@ -294,6 +304,45 @@ def test_flat_params_match_per_array_reference():
         list_adam.step(reference_layers, reference)
     for ours, ref in zip(flat.layers(), reference_layers):
         assert ours.tobytes(order="A") == ref.tobytes(order="A")
+
+
+@pytest.mark.parametrize("hidden", [(8,), (64, 64), (16, 32, 8)], ids=str)
+def test_fused_step_matches_per_network_reference(hidden):
+    """The stacked pass's loss, five statistics and every gradient array
+    equal one forward and one backward pass per network, bit for bit, at
+    minibatch sizes where numpy's matmul takes each of its paths."""
+    rng = np.random.default_rng(sum(hidden))
+    config = PPOConfig(hidden=hidden)
+    for n in (1, 2, 7, 50, 256):
+        agent = init_agent(rng, config)
+        agent.vector += rng.normal(0.0, 0.3, size=agent.vector.size)  # leave init's zeros
+        batch = Batch(
+            obs=rng.normal(0.0, 2.0, size=(n, OBS_DIM)),
+            actions=rng.integers(0, N_ACTIONS, size=n),
+            old_logp=np.log(rng.uniform(0.05, 0.9, size=n)),
+            advantages=rng.normal(size=n),
+            returns=rng.normal(size=n),
+            values=rng.normal(size=n),
+        )
+        ours = AgentParams.empty_like(agent.policy, agent.value)
+        reference = AgentParams.empty_like(agent.policy, agent.value)
+        loss, stats = ppo_loss_and_grads(agent, batch, config, ours)
+        ref_loss, ref_stats = net_ppo_loss_and_grads(agent.policy, agent.value, batch,
+                                                     config, reference)
+        assert [v.hex() for v in (loss, *astuple(stats))] == [
+            v.hex() for v in (ref_loss, *astuple(ref_stats))
+        ], n
+        assert [g.tobytes() for g in ours.layers()] == [g.tobytes() for g in reference.layers()]
+
+
+def test_one_output_outer_product_plus_zero_is_matmul():
+    """A one-output head's backward delta: ``a * b + 0.0`` is numpy's
+    (n, 1) @ (1, m) bit for bit, signed zeros and subnormals included."""
+    tiny = np.finfo(float).smallest_subnormal
+    values = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, 1e-300, -1e-300, 1.5, -2.0, 1e-160])
+    a = values[:, None]
+    for b in (values[None, :], values[None, ::-1].copy(), -values[None, :]):
+        assert (a * b + 0.0).tobytes() == (a @ b).tobytes()
 
 
 @pytest.mark.parametrize("case", sorted(TRAIN_CASES))

@@ -29,6 +29,15 @@ from reserve_rl.nets import (
 )
 
 
+def stacked(*nets: MLPParams):
+    """Copies of ``nets`` as :func:`flat_views` lays them out: (views, stack)."""
+    _, views, stack = flat_views(nets)
+    for net, view in zip(nets, views):
+        for src, dst in zip(net.layers(), view.layers()):
+            dst[...] = src
+    return views, stack
+
+
 def test_orthogonal_columns():
     rng = np.random.default_rng(0)
     w = orthogonal(64, 7, gain=1.0, rng=rng)
@@ -46,36 +55,40 @@ def test_init_mlp_shapes_and_biases():
     for b in params.biases:
         np.testing.assert_array_equal(b, 0.0)
     # tiny final gain keeps initial action distributions near uniform
-    out, _ = mlp_forward(params, np.random.default_rng(2).normal(size=(32, 7)))
-    probs = softmax(out)
+    probs = softmax(mlp_rows(params, np.random.default_rng(2).normal(size=(32, 7))))
     np.testing.assert_allclose(probs, 1.0 / 7.0, atol=0.01)
 
 
 def test_backward_matches_finite_differences():
+    """Two stacked networks, a 3-output and a 1-output head, under a squared
+    error on each, with no, one and two hidden layers."""
     rng = np.random.default_rng(3)
-    params = init_mlp((4, 8, 3), rng, final_gain=1.0)
-    x = rng.normal(size=(5, 4))
-    y = rng.normal(size=(5, 3))
+    for hidden in ((), (8,), (8, 5)):
+        (first, second), stack = stacked(init_mlp((4, *hidden, 3), rng, final_gain=1.0),
+                                         init_mlp((4, *hidden, 1), rng, final_gain=1.0))
+        x = rng.normal(size=(5, 4))
+        ys = [rng.normal(size=(5, 3)), rng.normal(size=(5, 1))]
 
-    def loss_of(p: MLPParams) -> float:
-        out, _ = mlp_forward(p, x)
-        return float(0.5 * np.sum((out - y) ** 2))
+        def loss_of() -> float:
+            outs, _ = mlp_forward(stack, x)
+            return float(sum(0.5 * np.sum((out - y) ** 2) for out, y in zip(outs, ys)))
 
-    out, cache = mlp_forward(params, x)
-    _, (grads,) = flat_views([params])
-    mlp_backward(params, cache, out - y, grads)
-    eps = 1e-6
-    for arr, garr in zip(params.layers(), grads.layers()):
-        # arr.flat writes through even when the array is non-contiguous
-        for i in range(0, arr.size, max(1, arr.size // 5)):
-            orig = arr.flat[i]
-            arr.flat[i] = orig + eps
-            up = loss_of(params)
-            arr.flat[i] = orig - eps
-            down = loss_of(params)
-            arr.flat[i] = orig
-            fd = (up - down) / (2 * eps)
-            assert garr.flat[i] == pytest.approx(fd, abs=1e-5, rel=1e-5)
+        outs, cache = mlp_forward(stack, x)
+        (first_grads, second_grads), grads = stacked(first, second)
+        mlp_backward(stack, cache, [out - y for out, y in zip(outs, ys)], grads)
+        eps = 1e-6
+        for arr, garr in zip(first.layers() + second.layers(),
+                             first_grads.layers() + second_grads.layers()):
+            # arr.flat writes through even when the array is non-contiguous
+            for i in range(0, arr.size, max(1, arr.size // 5)):
+                orig = arr.flat[i]
+                arr.flat[i] = orig + eps
+                up = loss_of()
+                arr.flat[i] = orig - eps
+                down = loss_of()
+                arr.flat[i] = orig
+                fd = (up - down) / (2 * eps)
+                assert garr.flat[i] == pytest.approx(fd, abs=1e-5, rel=1e-5)
 
 
 @pytest.mark.parametrize("n_out", [7, 1])
@@ -123,10 +136,11 @@ def test_forward_rejects_non_finite():
     params = init_mlp((3, 4, 2), rng, final_gain=1.0)
     # tanh squashes an inf in a hidden layer, so poison the output layer
     params.weights[-1][:, :] = float("inf")
-    for forward in (mlp_forward, mlp_rows):
+    _, stack = stacked(params, init_mlp((3, 4, 1), rng, final_gain=1.0))
+    for forward, net in ((mlp_forward, stack), (mlp_rows, params)):
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericalError, match="non-finite value in network output"):
-                forward(params, np.ones((1, 3)))
+                forward(net, np.ones((1, 3)))
 
 
 def test_softmax_normalization_and_shift_invariance():
@@ -171,13 +185,15 @@ def test_adam_minimizes_quadratic():
 
 def test_clip_global_norm():
     g = np.array([3.0, 0.0, 0.0, 4.0])
-    total = clip_global_norm(g, [g[:2], g[2:]], max_norm=0.5)
+    squares = np.empty(4)
+    total = clip_global_norm(g, squares, [squares[:2], squares[2:]], max_norm=0.5)
     assert total == pytest.approx(5.0)
     clipped = np.sqrt(np.sum(g**2))
     assert clipped == pytest.approx(0.5)
     # below the threshold nothing changes
     g3 = np.array([0.1, 0.0])
-    total2 = clip_global_norm(g3, [g3], max_norm=0.5)
+    squares = np.empty(2)
+    total2 = clip_global_norm(g3, squares, [squares], max_norm=0.5)
     assert total2 == pytest.approx(0.1)
     np.testing.assert_array_equal(g3, [0.1, 0.0])
 
@@ -208,8 +224,10 @@ def test_loaded_agent_forwards_like_trained(tmp_path):
     rows = rng.normal(0.0, 2.0, size=(200, 7))
     for net, loaded in ((agent.policy, loaded_policy), (agent.value, loaded_value)):
         assert [a.strides for a in loaded.layers()] == [a.strides for a in net.layers()]
-        assert mlp_forward(loaded, rows)[0].tobytes() == mlp_forward(net, rows)[0].tobytes()
         assert mlp_rows(loaded, rows).tobytes() == mlp_rows(net, rows).tobytes()
+    reloaded = AgentParams.from_networks(loaded_policy, loaded_value)
+    outputs = zip(mlp_forward(reloaded.stack, rows)[0], mlp_forward(agent.stack, rows)[0])
+    assert [a.tobytes() == b.tobytes() for a, b in outputs] == [True, True]
 
 
 def test_load_rejects_foreign_format(tmp_path):

@@ -523,6 +523,10 @@ def train_seed(
 
         trace = env.rollout(paths, sample)
         flat_obs = obs.reshape(-1, OBS_DIM)
+        # One pass over the whole batch, not row chunks: freeing its large
+        # mmapped arrays raises glibc's mmap threshold above the update's
+        # (2, 256, 64) float64 temporaries (262 KB).  256-row chunks left it
+        # at 128 KB, so each temporary was mmapped and page-faulted afresh.
         values = state_value(agent.value, flat_obs)
         done = trace.t == horizon - 1
         rewards = [

@@ -28,7 +28,7 @@ import shutil
 import sys
 import time
 from dataclasses import replace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -305,14 +305,18 @@ def _trace_name(model: str, label: str) -> str:
 
 def _trace_writer(stage: _Stage, models: Iterable[str], labels: Iterable[str]) -> TraceSink:
     """Sink writing each condition's traces with one :func:`write_traces`
-    call, to paths taken from ``stage`` now, one per (model, condition
-    label) and named by :func:`_trace_name`: a forked child writes to the
-    paths the caller's manifest lists."""
+    call, seed block after seed block, to paths taken from ``stage`` now,
+    one per (model, condition label) and named by :func:`_trace_name`: a
+    forked child writes to the paths the caller's manifest lists."""
+    models = list(models)
     paths = {(model, label): stage.path(os.path.join("traces", _trace_name(model, label)))
              for model in models for label in labels}
 
-    def write(label: str, traces: dict[str, Trace]) -> None:
-        write_traces([paths[model, label] for model in traces], list(traces.values()))
+    def in_model_order(block: Mapping[str, Trace]) -> list[Trace]:
+        return [block[model] for model in models]
+
+    def write(label: str, blocks: Iterator[Mapping[str, Trace]]) -> None:
+        write_traces([paths[model, label] for model in models], map(in_model_order, blocks))
 
     return write
 
@@ -346,7 +350,8 @@ def _report(stage: _Stage, table: str, outcome: EvalOutcome, cfg: RunConfig) -> 
 def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig, stage: _Stage) -> None:
     """``evaluate``: the trained policies and the three static baselines in
     each regime; ``stress``: the policies alone under each fixed shock.
-    Under ``--traces`` each condition's traces are written as it finishes."""
+    Under ``--traces`` each condition's traces are written seed by seed as
+    its models run."""
     evaluate = args.command == "evaluate"
     _require(cfg, args.command, "regimes" if evaluate else "shocks")
     data = IngestArtifacts(args.data or os.path.join(args.out, "ingest"), stage.read)

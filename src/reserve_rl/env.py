@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -630,18 +630,25 @@ class Trace:
         })
 
     def write_csv(self, path: str) -> None:
-        write_traces([path], [self])
+        write_traces([path], [[self]])
 
 
 #: :class:`Trace`'s columns in order, written under :data:`TRACE_HEADER`'s names.
 _TRACE_COLUMNS = field_names(Trace)
 
 
-def write_traces(paths: Sequence[str], traces: Sequence[Trace]) -> None:
-    """Write trace ``i`` to ``paths[i]`` in one group call, so a value the
-    traces share is formatted once (see :func:`write_csv_tables`)."""
-    # ints for the integer columns, float64 for the rest
-    write_csv_tables(paths, TRACE_HEADER, [[
+def _csv_columns(traces: Iterable[Trace]) -> list[list[np.ndarray]]:
+    """Each trace's columns as written: ints for the integer columns,
+    float64 for the rest."""
+    return [[
         getattr(trace, name).astype(int if name in _CSV_INT_COLUMNS else float, copy=False)
         for name in _TRACE_COLUMNS
-    ] for trace in traces])
+    ] for trace in traces]
+
+
+def write_traces(paths: Sequence[str], blocks: Iterable[Iterable[Trace]]) -> None:
+    """Write trace ``i`` of every block to ``paths[i]``, block after block,
+    in one :func:`write_csv_tables` call: a block is formatted as one
+    group, so a value its traces share is formatted once, and it is
+    dropped before the next block is taken."""
+    write_csv_tables(paths, TRACE_HEADER, map(_csv_columns, blocks))

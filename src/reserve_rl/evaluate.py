@@ -19,12 +19,13 @@ choices rather than luck of the draw.
 
 from __future__ import annotations
 
+import collections
 import functools
 import logging
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,9 +46,10 @@ RAR_LOSS_EPS = 0.01
 #: Minimum pooled shortfall count for a meaningful 95% tail estimate.
 MIN_TAIL_SAMPLES = 20
 
-#: Receives one condition's traces, ``sink(label, {model: trace})``, each
-#: model's seeds concatenated in seed order.
-TraceSink = Callable[[str, Mapping[str, Trace]], None]
+#: Receives one condition's traces, ``sink(label, blocks)``: ``blocks``
+#: yields one ``{model: trace}`` block per seed, in seed order, each seed's
+#: models running as its block is taken.
+TraceSink = Callable[[str, Iterator[Mapping[str, Trace]]], None]
 
 
 @dataclass(frozen=True)
@@ -215,11 +217,13 @@ def evaluate_models(
     ``paths(seed)``, on a fresh environment from ``make_env`` (an empty
     tail buffer), so all models of a (condition, seed) cell replay one
     shared object.  A model's trace at a seed is its replays of the parts
-    in order.  A condition's paths are asked for before its models run,
-    in the process that runs the condition.  ``traces``, if given,
-    receives each condition's traces as soon as its last model has run,
-    so no process holds more than one condition's paths and traces at a
-    time.  A row's ``n_episodes`` counts its first seed's episodes.
+    in order.  A condition runs seed by seed, in the process that runs
+    it: the seed's paths are asked for, every model runs on them, and
+    ``traces``, if given, receives the seed's traces as one block of its
+    ``blocks`` (seeds the sink leaves untaken run after it returns).  So
+    no process holds more than one seed's paths and traces of one
+    condition, once the sink drops each block before taking the next.  A
+    row's ``n_episodes`` counts its first seed's episodes.
 
     The conditions are dealt to up to ``workers`` processes by
     :func:`~reserve_rl.parallel.map_split`, each running the same
@@ -242,27 +246,31 @@ def evaluate_models(
     started = time.perf_counter()
 
     def run(c: int) -> EvalOutcome:
-        """Condition ``c``: take its paths, run every model, hand its traces on."""
+        """Condition ``c``, seed by seed: take the seed's paths, run every
+        model on them, hand the seed's traces on."""
         label, paths = conditions[c]
-        draws = [(seed, paths(seed)) for seed in seeds]
-        n_episodes = sum(part.n_episodes for part in draws[0][1]) if draws else 0
-        outcome = EvalOutcome()
-        cond_traces: dict[str, Trace] = {}
-        for name, model in models.items():
-            per_seed: list[MetricSet] = []
-            seed_traces: list[Trace] = []
-            for seed, parts in draws:
-                trace = Trace.concat([model(make_env(), seed, part) for part in parts])
-                per_seed.append(compute_metrics(trace))
-                if traces is not None:
-                    seed_traces.append(trace)
-            outcome.per_seed[(name, label)] = per_seed
-            outcome.rows.append(aggregate_metrics(name, lob, label, per_seed, n_episodes))
-            if traces is not None:
-                cond_traces[name] = Trace.concat(seed_traces)
-            log.info("evaluated %s under %s (%d seeds)", name, label, len(seeds))
+        per_seed: dict[str, list[MetricSet]] = {name: [] for name in models}
+        episodes: list[int] = []
+
+        def score(seed: int) -> dict[str, Trace]:
+            parts = paths(seed)
+            episodes.append(sum(part.n_episodes for part in parts))
+            block = {name: Trace.concat([model(make_env(), seed, part) for part in parts])
+                     for name, model in models.items()}
+            for name, trace in block.items():
+                per_seed[name].append(compute_metrics(trace))
+            return block
+
+        blocks = map(score, seeds)
         if traces is not None:
-            traces(label, cond_traces)
+            traces(label, blocks)
+        collections.deque(blocks, maxlen=0)  # the seeds no sink took, each dropped as made
+        outcome = EvalOutcome()
+        for name in models:
+            outcome.per_seed[(name, label)] = per_seed[name]
+            outcome.rows.append(aggregate_metrics(name, lob, label, per_seed[name],
+                                                  episodes[0] if episodes else 0))
+            log.info("evaluated %s under %s (%d seeds)", name, label, len(seeds))
         return outcome
 
     outcome = EvalOutcome()

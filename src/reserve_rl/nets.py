@@ -154,7 +154,8 @@ def mlp_rows(params: MLPParams, x: np.ndarray) -> np.ndarray:
     whatever rows share its batch (``tests/test_nets.py`` pins this for the
     installed numpy).  The bits depend on the weights' memory order, which
     is C order throughout, and differ from :func:`mlp_forward`'s in the
-    last place.
+    last place.  The bias and ``tanh`` act in place on the layer's one new
+    array, the same arithmetic as ``np.tanh(einsum + b)``.
 
     Raises:
         NumericalError: NaN or infinity appeared in the output.
@@ -162,8 +163,10 @@ def mlp_rows(params: MLPParams, x: np.ndarray) -> np.ndarray:
     h = x
     last = params.n_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = np.einsum("bi,io->bo", h, w) + b
-        h = z if i == last else np.tanh(z)
+        h = np.einsum("bi,io->bo", h, w)
+        h += b
+        if i != last:
+            np.tanh(h, out=h)
     if not np.isfinite(h).all():
         raise NumericalError("non-finite value in network output")
     return h

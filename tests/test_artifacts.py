@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import triangle_from_arrays
 
-from reserve_rl import nets
+from reserve_rl import artifacts, nets
 from reserve_rl.artifacts import git_blob_sha1, write_csv, write_csv_tables, write_json
 from reserve_rl.baselines import bootstrap_chain_ladder
 from reserve_rl.cli import _bootstrap_summary
@@ -46,13 +46,17 @@ def table_groups(draw):
     return tables
 
 
-def _group_bytes(tables, tmp_path):
-    """(group writer, row-wise oracle) bytes of every table."""
-    ours = [str(tmp_path / f"ours{i}.csv") for i in range(len(tables))]
-    write_csv_tables(ours, GROUP_HEADER, tables)
+def _group_bytes(tables, tmp_path, blocks=None):
+    """(group writer, row-wise oracle) bytes of every table: the writer
+    takes ``blocks`` (one block, ``tables``, by default), the oracle each
+    file's tables concatenated in block order."""
+    blocks = [tables] if blocks is None else blocks
+    ours = [str(tmp_path / f"ours{i}.csv") for i in range(len(blocks[0]))]
+    write_csv_tables(ours, GROUP_HEADER, blocks)
     oracle = []
-    for i, columns in enumerate(tables):
+    for i in range(len(ours)):
         path = str(tmp_path / f"oracle{i}.csv")
+        columns = [np.concatenate([block[i][j] for block in blocks]) for j in range(3)]
         rowwise_write_csv(path, GROUP_HEADER, columns)
         oracle.append(path)
     read = lambda path: open(path, "rb").read()  # noqa: E731
@@ -81,6 +85,46 @@ def test_group_writer_keeps_negative_zero_and_logs(tmp_path, caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "reserve_rl.artifacts"]
     assert len(lines) == 1
     assert re.fullmatch(r"wrote 2 CSV files, 3 rows in \d+\.\d{3} s \(\d+ rows/s\)", lines[0])
+
+
+def test_block_writer_matches_rowwise_oracle_across_row_ranges(tmp_path, monkeypatch, caplog):
+    """Blocks of tables longer than :data:`CSV_CHUNK_ROWS`, of unequal
+    lengths (one empty), give each file the row-wise oracle's bytes of its
+    tables concatenated in block order.  A -0.0/0.0 pair and a repeated
+    value straddle a row-range boundary.  No formatting step sees more than
+    the constant's rows per file; one INFO line covers the whole call."""
+    chunk = artifacts.CSV_CHUNK_ROWS
+    rng = np.random.default_rng(31)
+
+    def table(n):
+        xs = rng.choice(SPECIAL_FLOATS[:6] + rng.normal(size=5).tolist(), size=n)
+        return [rng.integers(-5, 5, size=n), xs, rng.normal(size=n)]
+
+    blocks = [[table(chunk + 3), table(2 * chunk + 1), table(0)],
+              [table(1), table(chunk), table(5)],
+              [table(chunk - 1), table(0), table(2 * chunk)]]
+    blocks[0][0][1][chunk - 1:chunk + 1] = [-0.0, 0.0]
+    blocks[0][1][2][chunk - 1:chunk + 1] = 0.1 + 0.2
+    blocks[2][2][1][chunk - 1:chunk + 1] = [0.0, -0.0]
+    seen = []
+    format_column = artifacts._format_column
+
+    def recorded(values):
+        seen.append(len(values))
+        return format_column(values)
+
+    monkeypatch.setattr(artifacts, "_format_column", recorded)
+    with caplog.at_level(logging.INFO, logger="reserve_rl.artifacts"):
+        ours, oracle = _group_bytes(None, tmp_path, blocks)
+    assert ours == oracle
+    assert [line.split(b",")[1] for line in ours[0].splitlines()[chunk:chunk + 2]] == [
+        b"-0.0", b"0.0"]
+    assert 0 < max(seen) <= chunk * len(ours)
+    # 3 columns x (3 + 1 + 2) row ranges
+    assert len(seen) == 3 * 6
+    lines = [r.getMessage() for r in caplog.records if r.name == "reserve_rl.artifacts"]
+    assert [line.split(" in ")[0] for line in lines] == [
+        f"wrote 3 CSV files, {7 * chunk + 9} rows"]
 
 
 def test_csv_floats_round_trip(tmp_path):
@@ -143,7 +187,7 @@ def test_unencodable_json_leaves_no_file(tmp_path):
 @pytest.mark.parametrize("write", [
     lambda path: write_csv(path, "a", [(1,)]),
     lambda path: write_json(path, {"a": 1}),
-    lambda path: write_csv_tables([path], "a", [[np.array([1])]]),
+    lambda path: write_csv_tables([path], "a", [[[np.array([1])]]]),
 ])
 def test_write_failure_is_a_data_error(tmp_path, write):
     with pytest.raises(DataError, match="cannot write .*missing_dir"):

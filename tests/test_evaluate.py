@@ -1,11 +1,13 @@
 """Metric formulas, CRN pairing, and metrics reports."""
 
+import collections
 import json
 import logging
 import multiprocessing
 import os
 import re
 import time
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -190,6 +192,19 @@ def drawn_replay(env, rng, mode, targets, episodes):
     return replay_static_policy(env, targets, episodes, env.draw_paths(rng, mode, episodes))
 
 
+def recording_sink(received):
+    """A sink storing, under ``(model, label)``, each model's blocks
+    concatenated in the order the sink takes them (seed order)."""
+    def sink(label, blocks):
+        taken = collections.defaultdict(list)
+        for block in blocks:
+            for name, trace in block.items():
+                taken[name].append(trace)
+        received.update({(name, label): Trace.concat(seq) for name, seq in taken.items()})
+
+    return sink
+
+
 def test_run_policy_episodes_refuses_an_episode_count_off_the_paths():
     env = flat_env_factory()
     policy = init_mlp((7, 8, 7), np.random.default_rng(2), final_gain=1.0)
@@ -211,7 +226,7 @@ def test_evaluate_models_pairs_random_draws():
         flat_env_factory,
         conditions=drawn(regime_conditions([0]), crn_base=42),
         seeds=(0, 1),
-        traces=lambda label, cond: traces.update({(m, label): t for m, t in cond.items()}),
+        traces=recording_sink(traces),
     )
     assert len(outcome.rows) == 2
     assert all(r.n_seeds == 2 and r.n_episodes == 7 for r in outcome.rows)
@@ -223,6 +238,59 @@ def test_evaluate_models_pairs_random_draws():
     assert cl.n_steps == bf.n_steps == 2 * 7 * 3
 
 
+def test_sink_takes_one_seed_at_a_time():
+    """Four models, two seeds: the sink takes one block per seed, the
+    seed's models having run just before, and holding one seed's rows of
+    every model; evaluation keeps no block once the sink drops it.  Taken
+    in order and concatenated, the blocks are each model's per-condition
+    trace (its replays of fresh draws, seed after seed) bit for bit."""
+    seeds = (0, 1)
+    policy = init_mlp((7, 8, 7), np.random.default_rng(2), final_gain=1.0)
+    targets_of = {
+        "cl": chain_ladder_targets(FLAT_FACTORS),
+        "bf": bornhuetter_ferguson_targets(FLAT_FACTORS, 0.9),
+        "bf_low": bornhuetter_ferguson_targets(FLAT_FACTORS, 0.6),
+    }
+    calls = []
+
+    def counted(model):
+        def run(env, seed, paths):
+            calls.append(seed)
+            return model(env, seed, paths)
+        return run
+
+    models = {"rl": counted(greedy_model({seed: policy for seed in seeds})),
+              **{name: counted(static_model(targets)) for name, targets in targets_of.items()}}
+    received = collections.defaultdict(list)
+
+    def sink(label, blocks):
+        alive, before = [], len(calls)
+        for k, block in enumerate(blocks):
+            assert [ref() for ref in alive] == [None] * len(alive)
+            assert calls[before:] == [seed for seed in seeds[:k + 1] for _ in models]
+            assert list(block) == list(models)
+            assert all(trace.n_steps == 7 * 3 for trace in block.values())
+            for name in block:
+                received[(name, label)].append(Trace.concat([block[name]]))  # a copy
+            alive = [weakref.ref(trace) for trace in block.values()]
+
+    evaluate_models(models, flat_env_factory, drawn(regime_conditions([0, 2]), crn_base=42),
+                    seeds, traces=sink)
+    for cond_idx, level in enumerate((0, 2)):
+        for name in models:
+            fresh = []
+            for seed in seeds:
+                env, rng = flat_env_factory(), np.random.default_rng([42, cond_idx, seed])
+                paths = env.draw_paths(rng, Stochastic(level), 7)
+                fresh.append(run_policy_episodes(env, policy, 7, paths) if name == "rl"
+                             else replay_static_policy(env, targets_of[name], 7, paths))
+            expected = Trace.concat(fresh)
+            got = Trace.concat(received[(name, f"regime:{level}")])
+            for column, values in vars(expected).items():
+                assert getattr(got, column).dtype == values.dtype
+                assert getattr(got, column).tobytes() == values.tobytes(), (name, level, column)
+
+
 def test_evaluate_models_distinct_cells_use_distinct_draws():
     models = {"cl": static_model(chain_ladder_targets(FLAT_FACTORS))}
     traces = {}
@@ -231,7 +299,7 @@ def test_evaluate_models_distinct_cells_use_distinct_draws():
         flat_env_factory,
         conditions=drawn(regime_conditions([1])),
         seeds=(0, 1),
-        traces=lambda label, cond: traces.update({(m, label): t for m, t in cond.items()}),
+        traces=recording_sink(traces),
     )
     trace = traces[("cl", "regime:1")]
     first, second = trace.loss[:21], trace.loss[21:]
@@ -282,8 +350,10 @@ def test_evaluate_models_logs_one_timing_line(caplog):
 
 def test_evaluate_models_streams_traces_per_condition(caplog, monkeypatch):
     """The sink gets each condition's traces, every model's seeds in seed
-    order, before the next condition runs; the timing line covers the
-    sink's time too (a sink that takes 1000 s on a stub clock)."""
+    order, before the next condition runs: it is called before the
+    condition's models run, and each seed's models run as it takes that
+    seed's block.  The timing line covers the sink's time too (a sink that
+    takes 1000 s on a stub clock)."""
     clock = [0.0]
 
     def tick():
@@ -306,15 +376,17 @@ def test_evaluate_models_streams_traces_per_condition(caplog, monkeypatch):
     monkeypatch.setattr(baselines_module, "replay_static_policy", logged)
     received = {}
 
-    def sink(label, traces):
+    def sink(label, blocks):
         events.append(label)
-        received[label] = dict(traces)
+        taken = [dict(block) for block in blocks]
+        received[label] = {name: Trace.concat([block[name] for block in taken])
+                           for name in taken[0]}
         clock[0] += 1000.0
 
     with caplog.at_level(logging.INFO, logger="reserve_rl.evaluate"):
         evaluate_models(models, flat_env_factory, drawn(regime_conditions([0, 1]), crn_base=3),
                         seeds=(0, 1), traces=sink)
-    assert events == ["cl", "cl", "bf", "bf", "regime:0", "cl", "cl", "bf", "bf", "regime:1"]
+    assert events == ["regime:0", "cl", "bf", "cl", "bf", "regime:1", "cl", "bf", "cl", "bf"]
     for cond_idx, label in enumerate(["regime:0", "regime:1"]):
         assert list(received[label]) == ["cl", "bf"]
         expected = Trace.concat([
@@ -375,8 +447,10 @@ def test_evaluate_models_workers_are_bitwise_serial(tmp_path):
         directory = tmp_path / f"workers{workers}"
         directory.mkdir()
 
-        def sink(label, traces):
-            for name, trace in traces.items():
+        def sink(label, blocks):
+            received = {}
+            recording_sink(received)(label, blocks)
+            for (name, _), trace in received.items():
                 trace.write_csv(str(directory / f"{name}__{label}.csv"))
 
         outcome = evaluate_models(models, flat_env_factory, drawn(conditions, crn_base=5), seeds,

@@ -176,7 +176,7 @@ def test_trace_writers_match_rowwise_oracle(bundle, mode, tmp_path):
     ]
     assert all(np.array_equal(t.loss, traces[0].loss) for t in traces)
     group = [str(tmp_path / f"group{i}.csv") for i in range(len(traces))]
-    write_traces(group, traces)
+    write_traces(group, [traces])
     for i, trace in enumerate(traces):
         rowwise_write_trace(trace, str(tmp_path / "oracle.csv"))
         expected = (tmp_path / "oracle.csv").read_bytes()
@@ -203,9 +203,14 @@ def test_shared_draws_match_fresh_draws_per_model(bundle, tmp_path):
     conditions = regime_conditions([0, 3]) + stress_conditions([2.0])
     make_env = EnvFactory(bundle.train, factors, EnvConfig())
     received = {}
+
+    def sink(label, blocks):
+        taken = list(blocks)
+        received.update({(name, label): Trace.concat([block[name] for block in taken])
+                         for name in models})
+
     evaluate_models(models, make_env, drawn_conditions(make_env, conditions, 30, 4), seeds,
-                    traces=lambda label, traces: received.update(
-                        {(name, label): trace for name, trace in traces.items()}))
+                    traces=sink)
     for cond_idx, (label, (mode,)) in enumerate(conditions):
         for name in models:
             fresh = []

@@ -111,6 +111,26 @@ def test_rows_forward_is_batch_invariant(hidden, n_out):
             ]
 
 
+@pytest.mark.parametrize("batch", [1, 7, 100, 2000])
+def test_rows_forward_in_place_matches_allocating_layers(batch):
+    """``mlp_rows`` adds the bias and takes ``tanh`` in place: bit for bit
+    ``np.einsum(...) + b`` then ``np.tanh``, each a new array, for a policy
+    and a value head; the input and the parameters are left as they were."""
+    rng = np.random.default_rng(batch)
+    x = rng.normal(0.0, 2.0, size=(batch, 7))
+    x_before = x.copy()
+    for n_out in (7, 1):
+        net = init_mlp((7, 64, 64, n_out), rng, final_gain=1.0, hidden_gain=3.0)
+        before = [a.copy() for a in net.layers()]
+        h = x
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            z = np.einsum("bi,io->bo", h, w) + b
+            h = z if i == net.n_layers - 1 else np.tanh(z)
+        assert mlp_rows(net, x).tobytes() == h.tobytes()
+        assert all(a.tobytes() == c.tobytes() for a, c in zip(net.layers(), before))
+    assert x.tobytes() == x_before.tobytes()
+
+
 def test_every_weight_is_c_ordered(tmp_path):
     """``mlp_rows``'s bits depend on the weights' memory order, so every way
     to make networks gives C-ordered arrays."""

@@ -19,7 +19,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -148,36 +148,23 @@ class BootstrapResult:
 
     n_sims: int
     reserve_samples: np.ndarray          # total reserve per simulation
-    factor_samples: np.ndarray           # (n_sims, n_factors) refit factors
     mean: float
     stddev: float
     quantiles: dict[float, float]
     n_retries: int
 
     @classmethod
-    def from_samples(
-        cls, reserve_samples: np.ndarray, factor_samples: np.ndarray, n_retries: int
-    ) -> "BootstrapResult":
+    def from_samples(cls, reserve_samples: np.ndarray, n_retries: int) -> "BootstrapResult":
         n_sims = reserve_samples.size
         levels = (0.5, 0.75, 0.95, 0.995)
         return cls(
             n_sims=n_sims,
             reserve_samples=reserve_samples,
-            factor_samples=factor_samples,
             mean=float(reserve_samples.mean()),
             stddev=float(reserve_samples.std(ddof=1)) if n_sims > 1 else 0.0,
             quantiles=dict(zip(levels, np.quantile(reserve_samples, levels).tolist())),
             n_retries=n_retries,
         )
-
-    def mean_cumulative_profile(self, horizon: int) -> np.ndarray:
-        """Average over simulations of the cumulative growth profile."""
-        n_sims, n_factors = self.factor_samples.shape
-        profile = np.ones((n_sims, horizon))
-        for k in range(1, horizon):
-            step = self.factor_samples[:, k - 1] if k - 1 < n_factors else 1.0
-            profile[:, k] = profile[:, k - 1] * step
-        return profile.mean(axis=0)
 
 
 def _fitted_incrementals(
@@ -240,20 +227,103 @@ def bootstrap_chain_ladder(
     re-project the actual latest diagonal.  Simulations whose pseudo
     data degenerate (non-positive column sums) are redrawn.
 
-    Simulations run in blocks of up to :data:`BOOTSTRAP_CHUNK` rows, never
-    more rows than are still needed: one ``rng.choice`` call draws the
-    block, the rows refit together, and they are accepted in stream order,
-    an unusable row counting as a retry.  So every drawn row is used, and
-    samples, retries and the generator's final state are bit for bit
-    those of drawing and refitting one simulation at a time (the sums
-    keep that loop's order).  This relies on a ``(k, n)`` ``choice``
-    drawing what ``k`` calls of size ``n`` draw.  Blocks are refit, and
-    factors kept, lag-major: each array operation runs over simulations.
+    Each block of refit factors is re-projected as it arrives and then
+    dropped, so memory holds the ``(n_sims,)`` samples and a few
+    block-sized buffers, whatever the number of lags.  Factor ``j``
+    develops every year whose latest lag is at most ``j + 1``; each year's
+    ultimate multiplies its factors in ascending order and the years' reserves
+    add oldest first from 0.0, as one simulation at a time would.
 
     Args:
         tri: Triangle with at least three accident years.
         n_sims: Number of bootstrap simulations.
         rng: Random generator (owns all resampling draws).
+
+    Raises:
+        DataError: As :func:`_factor_blocks`.
+    """
+    lags = np.array([tri.latest_lag(year) for year in tri.years])
+    latest = np.array([tri.value(year, lag) for year, lag in zip(tri.years, lags.tolist())])
+    latest_col = latest[:, None]
+    developed_by = [_rows(lags <= j + 1) for j in range(tri.n_dev_lags - 1)]
+    samples = np.empty(n_sims)
+    ultimates = np.empty(latest.size * min(BOOTSTRAP_CHUNK, n_sims))
+    filled = n_retries = 0
+    for block, retries in _factor_blocks(tri, n_sims, rng):
+        k = block.shape[1]
+        ultimate = ultimates[:latest.size * k].reshape(latest.size, k)
+        ultimate[...] = latest_col
+        for j, rows in enumerate(developed_by):
+            ultimate[rows] *= block[j]
+        ultimate -= latest_col
+        total = samples[filled:filled + k]
+        if k > 1:  # over two or more columns numpy adds the rows in order
+            np.add.reduce(ultimate, axis=0, out=total, initial=0.0)
+        else:  # over one column of eight or more years it would add pairwise
+            total[...] = 0.0
+            for reserve in ultimate:
+                total += reserve
+        filled += k
+        n_retries += retries
+    return BootstrapResult.from_samples(samples, n_retries)
+
+
+def bootstrap_mean_profile(tri: LossTriangle, n_sims: int, rng: np.random.Generator) -> np.ndarray:
+    """Average over the bootstrap's simulations of the cumulative growth
+    profile ``1, f_1, f_1 f_2, ...``: the ``(n_dev_lags,)`` curve
+    :func:`bootstrap_targets` scales.
+
+    Draws what :func:`bootstrap_chain_ladder` draws on an identically
+    seeded ``rng``, raises what it raises, and keeps one running sum.  The
+    sum adds the simulations one at a time in stream order: each block's
+    profiles sit simulation-major below the running total, and numpy sums
+    a C-ordered array along axis 0 row by row (over two or more columns).
+    So the mean has the bits of averaging a whole ``(n_sims, n_dev_lags)``
+    profile array with ``mean(axis=0)``.
+    """
+    n_factors = tri.n_dev_lags - 1
+    profiles = np.empty((min(BOOTSTRAP_CHUNK, n_sims) + 1, n_factors + 1))
+    profiles[1:, 0] = 1.0
+    total = np.zeros(n_factors + 1)
+    for block, _ in _factor_blocks(tri, n_sims, rng):
+        k = block.shape[1]
+        running = profiles[:k + 1]
+        running[0] = total
+        for j in range(n_factors):
+            np.multiply(running[1:, j], block[j], out=running[1:, j + 1])
+        total = np.add.reduce(running, axis=0)
+    return total / n_sims
+
+
+def _rows(mask: np.ndarray) -> slice | np.ndarray:
+    """The indices where ``mask`` holds, as a slice when they are contiguous
+    (always, for years in order of a run-off triangle's diagonal)."""
+    index = np.flatnonzero(mask)
+    if index.size and index[-1] - index[0] + 1 == index.size:
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
+
+
+def _factor_blocks(
+    tri: LossTriangle, n_sims: int, rng: np.random.Generator
+) -> Iterator[tuple[np.ndarray, int]]:
+    """The bootstrap's refit factors, ``n_sims`` in all, as lag-major
+    ``(n_factors, k)`` blocks in stream order, each with its retries: the
+    unusable pseudo-triangles drawn in the same block.
+
+    Simulations run in blocks of up to :data:`BOOTSTRAP_CHUNK` rows, never
+    more rows than are still needed: one draw fills the block, the rows
+    refit together, and they are accepted in stream order, an unusable row
+    counting as a retry.  So every drawn row is used, and factors, retries
+    and the generator's final state are bit for bit those of drawing and
+    refitting one simulation at a time (the sums keep that loop's order).
+    A block is drawn as ``rng.choice(pool, size=(k, n), replace=True)``
+    draws it: ``rng.integers`` indices, then ``np.take`` into one buffer
+    reused for every block (with ``mode="clip"``, which never clips an
+    index in range; the default mode would copy through a temporary).
+    This relies on a ``(k, n)`` draw giving what ``k`` draws of size ``n``
+    give.  Blocks are refit lag-major: each array operation runs over
+    simulations.
 
     Raises:
         DataError: Fewer than three accident years, fitted incrementals
@@ -265,20 +335,22 @@ def bootstrap_chain_ladder(
     n_cells = len(keys)
     m_col = m_arr[:, None]
     sqrt_m = np.sqrt(m_col)
-    factors = np.empty((tri.n_dev_lags - 1, n_sims))  # lag-major
-    n_retries = 0
+    drawn = np.empty(min(BOOTSTRAP_CHUNK, n_sims) * n_cells)
+    incrementals = np.empty_like(drawn)
     failures = 0  # unusable rows since the last usable one, across blocks
     filled = 0
     while filled < n_sims:
         k = min(BOOTSTRAP_CHUNK, n_sims - filled)
-        draws = rng.choice(pool, size=(k, n_cells), replace=True)
-        inc = np.multiply(draws.T, sqrt_m, order="C")
+        draws = drawn[:k * n_cells].reshape(k, n_cells)
+        np.take(pool, rng.integers(0, pool.size, size=draws.shape, dtype=np.int64),
+                out=draws, mode="clip")
+        inc = np.multiply(draws.T, sqrt_m, out=incrementals[:k * n_cells].reshape(n_cells, k))
         inc += m_col
         block, usable = _refit_block(tri, inc)
         if usable.all():
-            factors[:, filled:filled + k] = block
             filled += k
             failures = 0
+            yield block, 0
             continue
         for ok in usable.tolist():
             failures = 0 if ok else failures + 1
@@ -288,10 +360,8 @@ def bootstrap_chain_ladder(
                     f"{MAX_REFIT_ATTEMPTS} attempts"
                 )
         kept = block[:, usable]
-        factors[:, filled:filled + kept.shape[1]] = kept
         filled += kept.shape[1]
-        n_retries += k - kept.shape[1]
-    return BootstrapResult.from_samples(_reproject(tri, factors), factors.T, n_retries)
+        yield kept, k - kept.shape[1]
 
 
 def _residual_pool(tri: LossTriangle) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
@@ -369,21 +439,6 @@ def _refit_block(tri: LossTriangle, inc: np.ndarray) -> tuple[np.ndarray, np.nda
         return np.divide(numer, denom, out=numer), usable
 
 
-def _reproject(tri: LossTriangle, factors: np.ndarray) -> np.ndarray:
-    """Total reserve per simulation: the actual latest diagonal developed
-    with each column's factors, year by year and factor by factor."""
-    n_factors, n_sims = factors.shape
-    total = np.zeros(n_sims)
-    for year in tri.years:
-        latest = tri.value(year, tri.latest_lag(year))
-        ultimate = np.full(n_sims, latest)
-        for j in range(tri.latest_lag(year) - 1, n_factors):
-            ultimate *= factors[j]
-        ultimate -= latest
-        total += ultimate
-    return total
-
-
 # --- static reserve paths and environment replay -----------------------------------
 
 #: Static reserve targets of a run: ``(initial losses (E,), premiums (E,),
@@ -422,9 +477,11 @@ def bornhuetter_ferguson_targets(factors: DevelopmentFactors, elr: float) -> Sta
     return targets
 
 
-def bootstrap_targets(result: BootstrapResult) -> StaticTargets:
-    """Bootstrap-mean projection of each starting loss."""
-    return _scaled_profile(result.mean_cumulative_profile)
+def bootstrap_targets(profile: np.ndarray) -> StaticTargets:
+    """Bootstrap-mean projection of each starting loss, ``profile`` being
+    :func:`bootstrap_mean_profile`'s; past its last lag the path is flat."""
+    last = profile.size - 1
+    return _scaled_profile(lambda horizon: profile[np.minimum(np.arange(horizon), last)])
 
 
 def replay_static_policy(
@@ -463,11 +520,12 @@ def static_model(targets: StaticTargets) -> Model:
 
 
 def classical_models(factors: DevelopmentFactors, elr: float,
-                     boot: BootstrapResult) -> dict[str, Model]:
-    """The three methods' models by report name, Bornhuetter-Ferguson at ``elr``."""
+                     boot_profile: np.ndarray) -> dict[str, Model]:
+    """The three methods' models by report name, Bornhuetter-Ferguson at
+    ``elr`` and the bootstrap along ``boot_profile`` (:func:`bootstrap_mean_profile`)."""
     return {"chain_ladder": static_model(chain_ladder_targets(factors)),
             "bornhuetter_ferguson": static_model(bornhuetter_ferguson_targets(factors, elr)),
-            "bootstrap": static_model(bootstrap_targets(boot))}
+            "bootstrap": static_model(bootstrap_targets(boot_profile))}
 
 
 def _chase_action(reserve: np.ndarray, target: np.ndarray) -> np.ndarray:

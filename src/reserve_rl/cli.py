@@ -38,6 +38,7 @@ from .baselines import (
     BootstrapResult,
     ReserveRow,
     bootstrap_chain_ladder,
+    bootstrap_mean_profile,
     bornhuetter_ferguson,
     chain_ladder_ultimates,
     classical_models,
@@ -286,16 +287,12 @@ def _load_policies(directory: str, seeds: tuple[int, ...], cfg: RunConfig,
     return policies
 
 
-def _elr_and_bootstrap(
-    train: LossTriangle, factors: DevelopmentFactors, cfg: RunConfig
-) -> tuple[float, BootstrapResult]:
-    """The Bornhuetter-Ferguson loss ratio (``[baselines] elr``, else the
-    pooled implied ratio) and the chain-ladder bootstrap, both on ``train``."""
-    elr = cfg.baselines.elr
-    if elr is None:
-        elr = implied_loss_ratio(train, factors)
-    boot_rng = np.random.default_rng(cfg.baselines.bootstrap_seed)
-    return elr, bootstrap_chain_ladder(train, cfg.baselines.bootstrap_sims, boot_rng)
+def _elr(train: LossTriangle, factors: DevelopmentFactors, cfg: RunConfig) -> float:
+    """The Bornhuetter-Ferguson loss ratio: ``[baselines] elr``, else the
+    pooled implied ratio on ``train``."""
+    if cfg.baselines.elr is None:
+        return implied_loss_ratio(train, factors)
+    return cfg.baselines.elr
 
 
 def _trace_name(model: str, label: str) -> str:
@@ -362,8 +359,11 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig, stage: _Stage) -> Non
     models = {"rl_cvar": greedy_model(policies)}
     if evaluate:
         conditions = regime_conditions(cfg.eval.regimes)
-        elr, boot = _elr_and_bootstrap(data.train, data.factors, cfg)
-        models.update(classical_models(data.factors, elr, boot))
+        # the mean profile of the simulations ``baselines`` summarises
+        profile = bootstrap_mean_profile(data.train, cfg.baselines.bootstrap_sims,
+                                         np.random.default_rng(cfg.baselines.bootstrap_seed))
+        models.update(classical_models(data.factors, _elr(data.train, data.factors, cfg),
+                                       profile))
     else:
         conditions = stress_conditions(cfg.eval.shocks)
     drawn = drawn_conditions(eval_factory, conditions, cfg.eval.episodes, cfg.eval.crn_base)
@@ -399,7 +399,9 @@ def cmd_baselines(args: argparse.Namespace, cfg: RunConfig, stage: _Stage) -> No
     train_tri, _ = split_rolling_origin(tri, cfg.run.split)
     factors = age_to_age_factors(train_tri)
     rows = chain_ladder_ultimates(train_tri, factors)
-    elr, boot = _elr_and_bootstrap(train_tri, factors, cfg)
+    elr = _elr(train_tri, factors, cfg)
+    boot = bootstrap_chain_ladder(train_tri, cfg.baselines.bootstrap_sims,
+                                  np.random.default_rng(cfg.baselines.bootstrap_seed))
     rows += bornhuetter_ferguson(train_tri, factors, elr)
 
     write_records(stage.path("reserves.csv"), ReserveRow, rows)

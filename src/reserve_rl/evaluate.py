@@ -22,7 +22,6 @@ from __future__ import annotations
 import collections
 import functools
 import logging
-import statistics
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
@@ -195,11 +194,6 @@ class EvalOutcome:
 
     rows: list[MetricsRow] = field(default_factory=list)
     per_seed: dict[tuple[str, str], list[MetricSet]] = field(default_factory=dict)
-
-    def seed_medians(self, model: str, condition: str) -> MetricSet:
-        """Median across seeds, metric by metric (robust to one bad seed)."""
-        sets = self.per_seed[(model, condition)]
-        return MetricSet(*map(statistics.median, zip(*map(field_values(MetricSet), sets))))
 
 
 def evaluate_models(

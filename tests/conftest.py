@@ -1,14 +1,17 @@
 """Shared fixtures and helpers: a triangle from nested rows, the
-hand-checkable textbook triangle and the synthetic data bundle every
-integration-level test runs on."""
+hand-checkable textbook triangle, the synthetic data bundle every
+integration-level test runs on, and per-seed medians of an evaluation."""
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import pytest
 
+from reserve_rl.artifacts import field_values
+from reserve_rl.evaluate import EvalOutcome, MetricSet
 from reserve_rl.synthetic import SyntheticSpec, make_synthetic_triangle
 from reserve_rl.triangles import (
     DevelopmentFactors,
@@ -63,6 +66,12 @@ def triangle_from_arrays(
                 )
             )
     return LossTriangle(cells=tuple(cells))
+
+
+def seed_medians(outcome: EvalOutcome, model: str, condition: str) -> MetricSet:
+    """Median across seeds, metric by metric (robust to one bad seed)."""
+    sets = outcome.per_seed[(model, condition)]
+    return MetricSet(*map(statistics.median, zip(*map(field_values(MetricSet), sets))))
 
 
 @pytest.fixture()

@@ -147,9 +147,17 @@ def bornhuetter_ferguson_path(
     return path
 
 
-def bootstrap_path(result: BootstrapResult, initial_loss: float, horizon: int) -> np.ndarray:
-    """One episode's bootstrap-mean projection of its starting loss."""
-    return initial_loss * result.mean_cumulative_profile(horizon)
+def bootstrap_path(factor_samples: np.ndarray, initial_loss: float, horizon: int) -> np.ndarray:
+    """One episode's bootstrap-mean projection of its starting loss: the
+    average over simulations of each one's cumulative growth profile, built
+    from ``factor_samples`` (``(n_sims, n_factors)``, one row per
+    simulation) and flat past the last factor."""
+    n_sims, n_factors = factor_samples.shape
+    profile = np.ones((n_sims, horizon))
+    for k in range(1, horizon):
+        step = factor_samples[:, k - 1] if k - 1 < n_factors else 1.0
+        profile[:, k] = profile[:, k - 1] * step
+    return initial_loss * profile.mean(axis=0)
 
 
 # --- CSV -------------------------------------------------------------------------
@@ -414,9 +422,10 @@ def scalar_train_curriculum(jobs):
 
 def scalar_bootstrap_chain_ladder(
     tri: LossTriangle, n_sims: int, rng: np.random.Generator
-) -> BootstrapResult:
+) -> tuple[BootstrapResult, np.ndarray]:
     """The residual bootstrap one simulation at a time: one ``choice`` per
-    attempt, a dict-based refit, and a per-year re-projection."""
+    attempt, a dict-based refit, and a per-year re-projection.  Returns the
+    result and the ``(n_sims, n_factors)`` refit factors, a row per simulation."""
     keys, m_arr, pool = _residual_pool(tri)
     n_cells = len(keys)
     n_factors = tri.n_dev_lags - 1
@@ -445,7 +454,7 @@ def scalar_bootstrap_chain_ladder(
                 ultimate *= pseudo[j]
             total += ultimate - latest[year]
         reserve_samples[s] = total
-    return BootstrapResult.from_samples(reserve_samples, factor_samples, n_retries)
+    return BootstrapResult.from_samples(reserve_samples, n_retries), factor_samples
 
 
 def _refit_factors(tri, keys, pseudo_inc):

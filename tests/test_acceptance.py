@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import CRITERION_LINES
+from conftest import CRITERION_LINES, seed_medians
 
 from reserve_rl.agent import (
     N_ACTIONS,
@@ -328,8 +328,8 @@ def test_criterion_07_stress_monotonicity(full_run):
     )
     elapsed = full_run["train_seconds"] + (time.perf_counter() - t0)
     labels = ["shock:0.8", "shock:1", "shock:1.5", "shock:2"]
-    rar = [outcome.seed_medians("rl_cvar", label).rar for label in labels]
-    rvr = [outcome.seed_medians("rl_cvar", label).rvr for label in labels]
+    rar = [seed_medians(outcome, "rl_cvar", label).rar for label in labels]
+    rvr = [seed_medians(outcome, "rl_cvar", label).rvr for label in labels]
     inversions = []
     for prev, cur in zip(rar, rar[1:]):
         if cur > prev + 1e-12:
@@ -363,8 +363,8 @@ def test_criterion_08_beats_chain_ladder_in_rough_regimes(full_run, bundle):
     parts = []
     ok = elapsed < 1800.0
     for label in ("regime:2", "regime:3"):
-        rl = outcome.seed_medians("rl_cvar", label)
-        cl = outcome.seed_medians("chain_ladder", label)
+        rl = seed_medians(outcome, "rl_cvar", label)
+        cl = seed_medians(outcome, "chain_ladder", label)
         ok = ok and rl.cvar95 <= cl.cvar95 and rl.rvr <= cl.rvr
         parts.append(f"{label} cvar95 {rl.cvar95:.4f}<= {cl.cvar95:.4f}, "
                      f"rvr {rl.rvr:.4f}<= {cl.rvr:.4f}")
@@ -392,8 +392,8 @@ def test_criterion_09_cold_regime(bundle):
         SEEDS5,
     )
     elapsed = time.perf_counter() - t0
-    rl = outcome.seed_medians("rl_cvar", "regime:3")
-    cl = outcome.seed_medians("chain_ladder", "regime:3")
+    rl = seed_medians(outcome, "rl_cvar", "regime:3")
+    cl = seed_medians(outcome, "chain_ladder", "regime:3")
     ok = np.isfinite(rl.rvr) and rl.rvr <= cl.rvr and elapsed < 1200.0
     _report(9, ok, f"trained on regimes (0,1), evaluated in regime 3: median RVR "
                    f"{rl.rvr:.4f} (finite) vs chain ladder {cl.rvr:.4f}, {elapsed:.0f}s")
@@ -431,11 +431,11 @@ def sweeps(bundle):
 def test_criterion_10_sensitivity_directions(sweeps):
     labels = ["alpha:0.9;floor:default", "alpha:0.925;floor:default",
               "alpha:0.95;floor:default"]
-    rvr = [sweeps["sweep"].seed_medians("rl_cvar", label).rvr for label in labels]
+    rvr = [seed_medians(sweeps["sweep"], "rl_cvar", label).rvr for label in labels]
     rvr_monotone = all(cur <= prev + 1e-12 for prev, cur in zip(rvr, rvr[1:]))
 
-    strict = sweeps["sweep"].seed_medians("rl_cvar", "alpha:0.95;floor:strict")
-    default = sweeps["sweep"].seed_medians("rl_cvar", "alpha:0.95;floor:default")
+    strict = seed_medians(sweeps["sweep"], "rl_cvar", "alpha:0.95;floor:strict")
+    default = seed_medians(sweeps["sweep"], "rl_cvar", "alpha:0.95;floor:default")
     floor_ok = strict.rvr <= default.rvr + 1e-12 and strict.ces < default.ces
 
     elapsed = sweeps["seconds"]

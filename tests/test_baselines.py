@@ -9,8 +9,10 @@ from reserve_rl.artifacts import write_records
 from reserve_rl.baselines import (
     ReserveRow,
     _chase_action,
+    _factor_blocks,
     _structural_zero_cells,
     bootstrap_chain_ladder,
+    bootstrap_mean_profile,
     bootstrap_targets,
     bornhuetter_ferguson,
     bornhuetter_ferguson_targets,
@@ -25,7 +27,12 @@ from reserve_rl.env import HOLD_ACTION, EnvConfig, ReserveEnv
 from reserve_rl.errors import ConfigError, DataError
 from reserve_rl.regimes import FixedShock
 from reserve_rl.triangles import DevelopmentFactors, LossTriangle, age_to_age_factors
-from scalar_oracle import bootstrap_path, bornhuetter_ferguson_path, chain_ladder_path
+from scalar_oracle import (
+    bootstrap_path,
+    bornhuetter_ferguson_path,
+    chain_ladder_path,
+    scalar_bootstrap_chain_ladder,
+)
 
 # hand-worked 3x3 example: volume-weighted factors are exactly (1.5, 7/6)
 # and every year carries the same 0.875 implied loss ratio.
@@ -33,6 +40,12 @@ TEXTBOOK_FACTORS = (1.5, 7.0 / 6.0)
 TEXTBOOK_ULTIMATES = {2001: 175.0, 2002: 192.5, 2003: 210.0}
 TEXTBOOK_RESERVES = {2001: 0.0, 2002: 27.5, 2003: 90.0}
 TEXTBOOK_TOTAL_RESERVE = 117.5
+
+
+def factor_samples(tri, n_sims, rng):
+    """The bootstrap's refit factors, ``(n_sims, n_factors)``: its accepted
+    blocks, concatenated and transposed."""
+    return np.concatenate([block for block, _ in _factor_blocks(tri, n_sims, rng)], axis=1).T
 
 
 def implied_loss_ratios_by_year(
@@ -142,10 +155,9 @@ def test_bootstrap_degenerates_on_exact_triangle(textbook_triangle):
     assert result.stddev == 0.0
     assert result.n_retries == 0
     assert np.all(result.reserve_samples == result.reserve_samples[0])
+    factors = factor_samples(textbook_triangle, 200, np.random.default_rng(0))
     np.testing.assert_allclose(
-        result.factor_samples,
-        np.broadcast_to(TEXTBOOK_FACTORS, result.factor_samples.shape),
-        atol=1e-12,
+        factors, np.broadcast_to(TEXTBOOK_FACTORS, factors.shape), atol=1e-12,
     )
     for q in (0.5, 0.75, 0.95, 0.995):
         assert result.quantiles[q] == pytest.approx(TEXTBOOK_TOTAL_RESERVE, abs=1e-9)
@@ -163,7 +175,7 @@ def test_bootstrap_mean_tracks_chain_ladder_total():
     assert result.mean == pytest.approx(cl_total, rel=0.05)
     assert result.stddev > 0.0
     assert result.reserve_samples.shape == (1000,)
-    assert result.factor_samples.shape == (1000, 2)
+    assert factor_samples(tri, 1000, np.random.default_rng(7)).shape == (1000, 2)
 
 
 def test_bootstrap_needs_three_accident_years():
@@ -179,7 +191,8 @@ def test_bootstrap_deterministic_given_seed(textbook_triangle):
     a = bootstrap_chain_ladder(tri, 50, np.random.default_rng(11))
     b = bootstrap_chain_ladder(tri, 50, np.random.default_rng(11))
     np.testing.assert_array_equal(a.reserve_samples, b.reserve_samples)
-    np.testing.assert_array_equal(a.factor_samples, b.factor_samples)
+    np.testing.assert_array_equal(factor_samples(tri, 50, np.random.default_rng(11)),
+                                  factor_samples(tri, 50, np.random.default_rng(11)))
 
 
 # --- deterministic paths ------------------------------------------------------
@@ -201,8 +214,8 @@ def test_bf_path_matches_cl_on_proportional_example(textbook_factors):
 
 
 def test_bootstrap_path_on_degenerate_result(textbook_triangle):
-    result = bootstrap_chain_ladder(textbook_triangle, 20, np.random.default_rng(1))
-    path = _one_path(bootstrap_targets(result), 100.0, 0.0, horizon=3)
+    profile = bootstrap_mean_profile(textbook_triangle, 20, np.random.default_rng(1))
+    path = _one_path(bootstrap_targets(profile), 100.0, 0.0, horizon=3)
     np.testing.assert_allclose(path, [100.0, 150.0, 175.0], atol=1e-9)
 
 
@@ -215,12 +228,14 @@ def test_static_targets_match_per_episode_paths(bundle):
     premiums = np.concatenate([rng.uniform(0.0, 5.0, 200), [2.0, 0.0, 1e300]])
     factors = bundle.factors
     elr = implied_loss_ratio(bundle.train, factors)
-    boot = bootstrap_chain_ladder(bundle.train, 50, np.random.default_rng(3))
+    profile = bootstrap_mean_profile(bundle.train, 50, np.random.default_rng(3))
+    _, boot_factors = scalar_bootstrap_chain_ladder(bundle.train, 50, np.random.default_rng(3))
     cases = [
         (chain_ladder_targets(factors), lambda loss, premium, h: chain_ladder_path(factors, loss, h)),
         (bornhuetter_ferguson_targets(factors, elr),
          lambda loss, premium, h: bornhuetter_ferguson_path(factors, elr, premium, loss, h)),
-        (bootstrap_targets(boot), lambda loss, premium, h: bootstrap_path(boot, loss, h)),
+        (bootstrap_targets(profile),
+         lambda loss, premium, h: bootstrap_path(boot_factors, loss, h)),
     ]
     for targets, per_episode in cases:
         for horizon in (2, bundle.horizon, bundle.horizon + 3, bundle.horizon):
@@ -290,9 +305,9 @@ def test_runners_produce_traces():
     tri = triangle_from_arrays(
         [[100.0, 150.0, 175.0], [110.0, 165.0], [120.0]],
     )
-    result = bootstrap_chain_ladder(tri, 20, np.random.default_rng(3))
+    profile = bootstrap_mean_profile(tri, 20, np.random.default_rng(3))
     env3, _ = _flat_env()
-    trace3 = replay_static_policy(env3, bootstrap_targets(result), 2, _paths(env3, 2))
+    trace3 = replay_static_policy(env3, bootstrap_targets(profile), 2, _paths(env3, 2))
     assert trace3.n_steps == 2 * env3.horizon
 
 
@@ -306,11 +321,11 @@ def test_classical_models_replay_each_method_in_report_order():
     """Each model replays its method's targets for any seed, on the paths given."""
     _, factors = _flat_env()
     tri = triangle_from_arrays([[100.0, 150.0, 175.0], [110.0, 165.0], [120.0]])
-    result = bootstrap_chain_ladder(tri, 20, np.random.default_rng(3))
-    models = classical_models(factors, 0.9, result)
+    profile = bootstrap_mean_profile(tri, 20, np.random.default_rng(3))
+    models = classical_models(factors, 0.9, profile)
     assert list(models) == ["chain_ladder", "bornhuetter_ferguson", "bootstrap"]
     targets = (chain_ladder_targets(factors), bornhuetter_ferguson_targets(factors, 0.9),
-               bootstrap_targets(result))
+               bootstrap_targets(profile))
     for model, method in zip(models.values(), targets):
         (env_a, _), (env_b, _) = _flat_env(), _flat_env()
         scored = model(env_a, 5, _paths(env_a, 2))

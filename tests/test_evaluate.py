@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import triangle_from_arrays
+from conftest import seed_medians, triangle_from_arrays
 
 import reserve_rl.baselines as baselines_module
 from reserve_rl.baselines import (
@@ -161,7 +161,7 @@ def test_seed_medians():
         MetricSet(rar=2.0, cvar95=7.0, ces=0.3, rvr=1.0),
         MetricSet(rar=9.0, cvar95=8.0, ces=0.2, rvr=0.0),
     ]
-    med = outcome.seed_medians("m", "c")
+    med = seed_medians(outcome, "m", "c")
     assert med == MetricSet(rar=2.0, cvar95=8.0, ces=0.2, rvr=0.0)
 
 

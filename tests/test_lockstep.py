@@ -30,7 +30,7 @@ from reserve_rl.agent import (
 )
 from reserve_rl.baselines import (
     _chase_action,
-    bootstrap_chain_ladder,
+    bootstrap_mean_profile,
     bootstrap_targets,
     bornhuetter_ferguson_targets,
     chain_ladder_targets,
@@ -61,6 +61,7 @@ from scalar_oracle import (
     net_forward,
     net_ppo_loss_and_grads,
     rowwise_write_trace,
+    scalar_bootstrap_chain_ladder,
     scalar_policy_episodes,
     scalar_replay,
     scalar_train_curriculum,
@@ -137,14 +138,15 @@ def test_lockstep_matches_scalar(bundle, mode, config_name, tmp_path):
         assert np.any(trace.loss == 0.0)  # the absorbing zero-loss state is reached
 
     elr = implied_loss_ratio(bundle.train, factors)
-    boot = bootstrap_chain_ladder(bundle.train, 50, np.random.default_rng(3))
+    profile = bootstrap_mean_profile(bundle.train, 50, np.random.default_rng(3))
+    _, boot_factors = scalar_bootstrap_chain_ladder(bundle.train, 50, np.random.default_rng(3))
     methods = [
         (chain_ladder_targets(factors),
          lambda premium, loss, h: chain_ladder_path(factors, loss, h)),
         (bornhuetter_ferguson_targets(factors, elr),
          lambda premium, loss, h: bornhuetter_ferguson_path(factors, elr, premium, loss, h)),
-        (bootstrap_targets(boot),
-         lambda premium, loss, h: bootstrap_path(boot, loss, h)),
+        (bootstrap_targets(profile),
+         lambda premium, loss, h: bootstrap_path(boot_factors, loss, h)),
     ]
     for targets, builder in methods:
         assert_same_run(
@@ -161,7 +163,7 @@ def test_trace_writers_match_rowwise_oracle(bundle, mode, tmp_path):
     each trace the row-wise writer's bytes.  Under paired draws they
     share their loss, volatility and shock columns."""
     elr = implied_loss_ratio(bundle.train, bundle.factors)
-    boot = bootstrap_chain_ladder(bundle.train, 50, np.random.default_rng(3))
+    profile = bootstrap_mean_profile(bundle.train, 50, np.random.default_rng(3))
     def env():
         return ReserveEnv(bundle.train, bundle.factors, EnvConfig())
 
@@ -172,7 +174,7 @@ def test_trace_writers_match_rowwise_oracle(bundle, mode, tmp_path):
         drawn_replay(env(), rng(), mode, targets, 40)
         for targets in (chain_ladder_targets(bundle.factors),
                         bornhuetter_ferguson_targets(bundle.factors, elr),
-                        bootstrap_targets(boot))
+                        bootstrap_targets(profile))
     ]
     assert all(np.array_equal(t.loss, traces[0].loss) for t in traces)
     group = [str(tmp_path / f"group{i}.csv") for i in range(len(traces))]
@@ -191,15 +193,15 @@ def test_shared_draws_match_fresh_draws_per_model(bundle, tmp_path):
     model and for all three classical models."""
     factors = bundle.factors
     elr = implied_loss_ratio(bundle.train, factors)
-    boot = bootstrap_chain_ladder(bundle.train, 50, np.random.default_rng(3))
+    profile = bootstrap_mean_profile(bundle.train, 50, np.random.default_rng(3))
     seeds = (1, 2)
     policies = {seed: perturbed_policy(seed) for seed in seeds}
     targets = {
         "chain_ladder": chain_ladder_targets(factors),
         "bornhuetter_ferguson": bornhuetter_ferguson_targets(factors, elr),
-        "bootstrap": bootstrap_targets(boot),
+        "bootstrap": bootstrap_targets(profile),
     }
-    models = {"rl_cvar": greedy_model(policies), **classical_models(factors, elr, boot)}
+    models = {"rl_cvar": greedy_model(policies), **classical_models(factors, elr, profile)}
     conditions = regime_conditions([0, 3]) + stress_conditions([2.0])
     make_env = EnvFactory(bundle.train, factors, EnvConfig())
     received = {}
